@@ -11,19 +11,20 @@ the conditional effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientEventsError
-from .stratified_cox import CoxFit, arm_event_quantities, fit as cox_fit
+from .errors import EstimationError, InsufficientEventsError
+from .stratified_cox import CoxFit, _arm_risk_sums, fit as cox_fit
 from .trial_data import Snapshot
 
 __all__ = [
     "AdjustedSurvival",
     "ArmVarianceDetail",
     "VarianceComponents",
-    "AdjustedRmstResult",
+    "AnalysisResult",
     "adjusted_survival",
     "rmst",
     "variance",
@@ -129,7 +130,11 @@ def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSur
     n = snap.n
     n_arm = snap.n1 if arm == 1 else snap.n0
     p = fit.beta.size
-    te, d, r0, r1 = arm_event_quantities(snap, fit.beta, arm, t_max=fit.t_max)
+    data = fit.arms[arm]
+    te, d = data.event_times, data.event_counts
+    r0, r1, _, shift, _ = _arm_risk_sums(data, fit.beta, want_s2=False)
+    scale = np.exp(shift)
+    r0, r1 = r0 * scale, r1 * scale
     r = te.size
     if r == 0:
         detail = ArmVarianceDetail(
@@ -185,74 +190,93 @@ def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: Adjusted
 
 
 @dataclass(frozen=True)
-class AdjustedRmstResult:
-    """Adjusted RMST analysis of one snapshot.
+class AnalysisResult:
+    """One method's analysis of one snapshot.
 
-    ``se`` is the standard error of ``delta`` itself and ``info_level``
-    its reciprocal squared, the scale on which monitoring information
-    accrues.
-    """
-
-    u: float
-    tau: float
-    mu0: float
-    mu1: float
-    delta: float
-    se: float
-    z: float
-    info_level: float
-    components: VarianceComponents
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "tau": self.tau,
-            "mu0": self.mu0,
-            "mu1": self.mu1,
-            "delta": self.delta,
-            "se": self.se,
-            "z": self.z,
-            "info": self.info_level,
-            "components": self.components.to_dict(),
-        }
-
-
-def analyze(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> AdjustedRmstResult:
-    """Full adjusted analysis of a snapshot: fit, curves, difference, variance.
+    ``delta`` is the method's effect estimate and ``info_level`` its
+    reciprocal variance, the scale on which monitoring information
+    accrues; ``se`` and ``z`` follow from the two. ``mu0``/``mu1`` are
+    the arms' restricted means (RMST methods only) and ``components``
+    the variance decomposition (adjusted method only).
 
     Raises:
-        InsufficientEventsError: an arm has no event at or before
-            min(u, tau); the adjusted difference is not estimable.
-        ConvergenceError, SingularInformationError: propagated from the
-            model fit.
+        EstimationError: ``delta`` or ``info_level`` is not finite, or
+            ``info_level`` is not positive.
     """
+
+    method: str
+    u: float
+    tau: float
+    delta: float
+    info_level: float
+    mu0: float | None = None
+    mu1: float | None = None
+    components: VarianceComponents | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and math.isfinite(self.info_level) and self.info_level > 0):
+            raise EstimationError(
+                f"{self.method} analysis at u={self.u} gave delta={self.delta!r}, "
+                f"info={self.info_level!r}; both must be finite and info positive"
+            )
+
+    @property
+    def se(self) -> float:
+        return 1.0 / math.sqrt(self.info_level)
+
+    @property
+    def z(self) -> float:
+        return self.delta * math.sqrt(self.info_level)
+
+    def to_dict(self) -> dict:
+        out = {"u": self.u, "tau": self.tau}
+        if self.mu0 is not None:
+            out.update(mu0=self.mu0, mu1=self.mu1)
+        out.update(delta=self.delta, se=self.se, z=self.z, info=self.info_level)
+        if self.components is not None:
+            out["components"] = self.components.to_dict()
+        return out
+
+
+def _require_events(snap: Snapshot) -> None:
+    """Raise InsufficientEventsError unless each arm has an event by min(u, tau)."""
     t_max = min(snap.u, snap.tau)
     for arm in (0, 1):
         mask = snap.arm == arm
         if not np.any(snap.event[mask] & (snap.time[mask] <= t_max)):
             raise InsufficientEventsError(
                 f"arm {arm} has no events at or before min(u, tau)={t_max}; "
-                "the adjusted analysis needs at least one per arm"
+                "the analysis needs at least one per arm"
             )
+
+
+def analyze(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> AnalysisResult:
+    """Full adjusted analysis of a snapshot: fit, curves, difference, variance.
+
+    Returns the ``"adjusted"`` :class:`AnalysisResult`, with arm means
+    and variance components.
+
+    Raises:
+        InsufficientEventsError: an arm has no event at or before
+            min(u, tau); the adjusted difference is not estimable.
+        ConvergenceError, SingularInformationError: propagated from the
+            model fit.
+        EstimationError: the difference or its information is not finite.
+    """
+    _require_events(snap)
     fitted = cox_fit(snap, tol=tol, max_iter=max_iter)
     adj0 = adjusted_survival(fitted, snap, 0)
     adj1 = adjusted_survival(fitted, snap, 1)
     mu0 = rmst(adj0)
     mu1 = rmst(adj1)
     comp = variance(fitted, snap, adj0, adj1)
-    n = snap.n
-    se = float(np.sqrt(comp.v_eta2 / n))
-    delta = mu1 - mu0
-    return AdjustedRmstResult(
+    return AnalysisResult(
+        method="adjusted",
         u=snap.u,
         tau=snap.tau,
+        delta=mu1 - mu0,
+        info_level=snap.n / comp.v_eta2,
         mu0=mu0,
         mu1=mu1,
-        delta=delta,
-        se=se,
-        z=delta / se,
-        info_level=n / comp.v_eta2,
         components=comp,
-        n=n,
     )

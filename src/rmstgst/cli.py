@@ -8,9 +8,13 @@ Commands:
   calibrate   calibrate a scenario's null offset, schedule, and power effect
   km-compare  run the adjusted and unadjusted analyses side by side
 
-Monitoring state is a JSON file updated atomically (write to a temp file,
-then rename) under an exclusive lock file. Exit codes: 0 success, 2
-configuration error, 3 data error, 4 estimation error, 5 state error.
+``analyze`` and ``km-compare`` take the same data flags and build the
+snapshot the same way; each analysis prints as its ``AnalysisResult``
+dictionary. Monitoring state is a JSON file updated atomically (write to
+a temp file, then rename) under an exclusive lock file. Exit codes: 0
+success, 2 configuration error, 3 data error, 4 estimation error
+(including an estimate or information that is not finite, in which case
+the state file is left as it was), 5 state error.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .sim_engine import (
     curve_table,
     run_study,
 )
-from .trial_data import CsvSchema, ingest_csv, snapshot, standardize_covariates
+from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot, standardize_covariates
 
 DEFAULT_CALIBRATION_SEED = 20200920
 
@@ -162,6 +166,13 @@ def _schema_from_args(args) -> CsvSchema:
     return base
 
 
+def _snapshot_from_args(args) -> Snapshot:
+    """Ingest ``--data``, roll it back to ``--u`` and standardize if asked."""
+    records = ingest_csv(args.data, _schema_from_args(args))
+    snap = snapshot(records, u=args.u, tau=args.tau, lock_time=args.lock_time)
+    return standardize_covariates(snap) if args.standardize else snap
+
+
 def _atomic_state_write(path: str, text: str) -> None:
     """Replace the state file atomically under an exclusive lock file."""
     lock_path = path + ".lock"
@@ -209,10 +220,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--state is required unless --report-only is given")
     if args.i_max is not None and args.i_max_from_data:
         raise ConfigError("--i-max and --i-max-from-data are mutually exclusive")
-    records = ingest_csv(args.data, _schema_from_args(args))
-    snap = snapshot(records, u=args.u, tau=args.tau, lock_time=args.lock_time)
-    if args.standardize:
-        snap = standardize_covariates(snap)
+    snap = _snapshot_from_args(args)
     result = analyze(snap)
     report: dict = {"analysis": result.to_dict()}
     if args.km:
@@ -241,10 +249,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_km_compare(args) -> int:
-    records = ingest_csv(args.data, _schema_from_args(args))
-    snap = snapshot(records, u=args.u, tau=args.tau, lock_time=args.lock_time)
-    if args.standardize:
-        snap = standardize_covariates(snap)
+    snap = _snapshot_from_args(args)
     report = {
         "adjusted": analyze(snap).to_dict(),
         "km": km_rmst_test(snap).to_dict(),
@@ -300,7 +305,7 @@ def cmd_simulate(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
     for m in methods:
         if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+            raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     calib_path = None
@@ -390,7 +395,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _add_schema_flags(parser) -> None:
+def _add_input_flags(parser) -> None:
+    """Data flags shared by ``analyze`` and ``km-compare``."""
+    parser.add_argument("--data", required=True, help="subject-level CSV")
+    parser.add_argument("--u", type=float, required=True, help="analysis calendar time")
+    parser.add_argument("--tau", type=float, required=True, help="restriction horizon")
+    parser.add_argument("--lock-time", type=float, default=None,
+                        help="calendar lock time of the dataset, for maturity checking")
+    parser.add_argument("--standardize", action="store_true",
+                        help="center and scale covariates before fitting")
     parser.add_argument("--schema", help="JSON file mapping record fields to CSV columns")
     parser.add_argument("--id-col", help="subject id column name")
     parser.add_argument("--arm-col", help="arm column name")
@@ -438,11 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boundaries)
 
     p = sub.add_parser("analyze", help="run one interim analysis and update monitoring state")
-    p.add_argument("--data", required=True, help="subject-level CSV")
-    p.add_argument("--u", type=float, required=True, help="analysis calendar time")
-    p.add_argument("--tau", type=float, required=True, help="restriction horizon")
-    p.add_argument("--lock-time", type=float, default=None,
-                   help="calendar lock time of the dataset, for maturity checking")
+    _add_input_flags(p)
     p.add_argument("--state", help="monitoring state JSON path")
     p.add_argument("--design", help="design JSON (required when the state file does not exist)")
     p.add_argument("--i-max", type=float, default=None,
@@ -453,11 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final", action="store_true",
                    help="declare this the final analysis (spend all remaining alpha)")
     p.add_argument("--km", action="store_true", help="add an unadjusted comparator line")
-    p.add_argument("--standardize", action="store_true",
-                   help="center and scale covariates before fitting")
     p.add_argument("--report-only", action="store_true",
                    help="print the analysis without touching monitoring state")
-    _add_schema_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="estimate operating characteristics by simulation")
@@ -497,15 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("km-compare", help="adjusted and unadjusted analyses side by side")
-    p.add_argument("--data", required=True, help="subject-level CSV")
-    p.add_argument("--u", type=float, required=True, help="analysis calendar time")
-    p.add_argument("--tau", type=float, required=True, help="restriction horizon")
-    p.add_argument("--lock-time", type=float, default=None,
-                   help="calendar lock time of the dataset, for maturity checking")
-    p.add_argument("--standardize", action="store_true",
-                   help="center and scale covariates before fitting")
+    _add_input_flags(p)
     p.add_argument("--out", help="report JSON output path")
-    _add_schema_flags(p)
     p.set_defaults(func=cmd_km_compare)
 
     return parser

@@ -32,7 +32,6 @@ from .errors import ConfigError, StateError
 __all__ = [
     "SPENDING_KINDS",
     "SpendingFunction",
-    "spend",
     "BoundarySchedule",
     "boundaries",
     "crossing_probabilities",
@@ -104,11 +103,6 @@ class SpendingFunction:
         if self.rho is not None:
             out["rho"] = self.rho
         return out
-
-
-def spend(f: SpendingFunction, fraction: float) -> float:
-    """Cumulative alpha spent by information fraction ``fraction``."""
-    return f(fraction)
 
 
 @lru_cache(maxsize=8)

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjusted_rmst import AnalysisResult, _require_events
 from .errors import InsufficientEventsError
 from .trial_data import Snapshot
 
-__all__ = ["KmCurve", "KmTestResult", "km_fit", "km_rmst", "km_rmst_test"]
+__all__ = ["KmCurve", "km_fit", "km_rmst", "km_rmst_test"]
 
 
 @dataclass(frozen=True)
@@ -80,62 +81,29 @@ def km_rmst(curve: KmCurve) -> tuple[float, float]:
     return mu, var
 
 
-@dataclass(frozen=True)
-class KmTestResult:
-    """Unadjusted RMST difference test, shaped like the adjusted result."""
-
-    u: float
-    tau: float
-    mu0: float
-    mu1: float
-    delta: float
-    se: float
-    z: float
-    info_level: float
-
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "tau": self.tau,
-            "mu0": self.mu0,
-            "mu1": self.mu1,
-            "delta": self.delta,
-            "se": self.se,
-            "z": self.z,
-            "info": self.info_level,
-        }
-
-
-def km_rmst_test(snap: Snapshot) -> KmTestResult:
+def km_rmst_test(snap: Snapshot) -> AnalysisResult:
     """Two-arm unadjusted RMST difference with independent-arm variance.
+
+    Returns the ``"km"`` :class:`AnalysisResult`, with arm means and no
+    variance components.
 
     Raises:
         InsufficientEventsError: an arm has no event at or before
             min(u, tau), or the variance degenerates to zero.
+        EstimationError: the difference or its information is not finite.
     """
-    horizon = min(snap.u, snap.tau)
-    curves = []
-    for arm in (0, 1):
-        curve = km_fit(snap, arm)
-        if curve.times.size == 0:
-            raise InsufficientEventsError(
-                f"arm {arm} has no events at or before min(u, tau)={horizon}"
-            )
-        curves.append(curve)
-    mu0, var0 = km_rmst(curves[0])
-    mu1, var1 = km_rmst(curves[1])
+    _require_events(snap)
+    mu0, var0 = km_rmst(km_fit(snap, 0))
+    mu1, var1 = km_rmst(km_fit(snap, 1))
     var = var0 + var1
     if var <= 0:
         raise InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
-    se = float(np.sqrt(var))
-    delta = mu1 - mu0
-    return KmTestResult(
+    return AnalysisResult(
+        method="km",
         u=snap.u,
         tau=snap.tau,
+        delta=mu1 - mu0,
+        info_level=1.0 / var,
         mu0=mu0,
         mu1=mu1,
-        delta=delta,
-        se=se,
-        z=delta / se,
-        info_level=1.0 / var,
     )

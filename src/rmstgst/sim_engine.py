@@ -26,8 +26,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from .adjusted_rmst import analyze
-from .errors import ConfigError, DataError, EstimationError, InsufficientEventsError
+from .adjusted_rmst import AnalysisResult, _require_events, analyze
+from .errors import ConfigError, DataError, EstimationError
 from .gs_design import DesignConfig, MonitoringState, SpendingFunction, update_monitoring
 from .km_rmst import km_rmst_test
 from .stratified_cox import fit as cox_fit
@@ -35,11 +35,9 @@ from .trial_data import Snapshot, SubjectRecord, snapshot_from_arrays
 
 __all__ = [
     "SimScenario",
-    "MethodResult",
     "InformationCalibration",
     "PowerCalibration",
     "OperatingCharacteristics",
-    "draw_subject",
     "draw_trial",
     "true_rmst",
     "true_survival",
@@ -48,7 +46,6 @@ __all__ = [
     "calibrate_null",
     "calibrate_information",
     "calibrate_power",
-    "compare_methods",
     "cox_hr_test",
     "run_study",
     "curve_table",
@@ -59,7 +56,6 @@ CALIBRATION_SCHEMA = "rmstgst.calibration/1"
 
 COVARIATE_KINDS = ("normal1", "bernoulli2")
 CENSORING_KINDS = ("5pct_per_year", None)
-METHODS = ("adjusted", "km", "cox")
 
 _YEARLY_5PCT_RATE = -math.log(0.95)
 
@@ -301,19 +297,6 @@ def _draw_trial_arrays(scn: SimScenario, rng):
     return entry, x, d, arm, z
 
 
-def draw_subject(scn: SimScenario, arm: int, rng, subject_id: str = "s0") -> SubjectRecord:
-    """Draw a single subject; same distributions as the batch generator."""
-    entry, x, d, z = _draw_arm_arrays(scn, arm, 1, rng)
-    return SubjectRecord(
-        subject_id=subject_id,
-        arm=arm,
-        entry_time=float(entry[0]),
-        followup_time=float(x[0]),
-        event=int(d[0]),
-        covariates=tuple(float(v) for v in z[0]),
-    )
-
-
 def draw_trial(scn: SimScenario, rng) -> list[SubjectRecord]:
     """Draw a full trial as records, arm 0 first then arm 1."""
     entry, x, d, arm, z = _draw_trial_arrays(scn, rng)
@@ -353,33 +336,16 @@ def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0))
     return root
 
 
-@dataclass(frozen=True)
-class MethodResult:
-    """One method's analysis of one snapshot, in the shape monitoring needs."""
-
-    method: str
-    u: float
-    tau: float
-    delta: float
-    se: float
-    z: float
-    info_level: float
-
-
-def cox_hr_test(snap: Snapshot) -> MethodResult:
+def cox_hr_test(snap: Snapshot) -> AnalysisResult:
     """Wald test of no treatment effect in an unstratified hazards model.
 
     Refits a single-stratum model with the treatment indicator prepended
     to the covariates and tests its coefficient, with the same event
-    horizon min(u, tau) as the restricted-mean analyses.
+    horizon min(u, tau) as the restricted-mean analyses. Returns the
+    ``"cox"`` :class:`AnalysisResult`, whose ``delta`` is the treatment
+    log hazard ratio; it has no arm means.
     """
-    t_max = min(snap.u, snap.tau)
-    for arm in (0, 1):
-        mask = snap.arm == arm
-        if not np.any(snap.event[mask] & (snap.time[mask] <= t_max)):
-            raise InsufficientEventsError(
-                f"arm {arm} has no events at or before min(u, tau)={t_max}"
-            )
+    _require_events(snap)
     z_aug = np.column_stack([snap.arm.astype(np.float64), snap.z])
     pooled = Snapshot(
         u=snap.u, tau=snap.tau, arm=np.zeros(snap.n, dtype=np.int8),
@@ -387,35 +353,15 @@ def cox_hr_test(snap: Snapshot) -> MethodResult:
     )
     fitted = cox_fit(pooled)
     cov = np.linalg.inv(fitted.info)
-    se = float(math.sqrt(cov[0, 0]))
-    coef = float(fitted.beta[0])
-    return MethodResult(
-        method="cox", u=snap.u, tau=snap.tau, delta=coef, se=se,
-        z=coef / se, info_level=1.0 / cov[0, 0],
+    return AnalysisResult(
+        method="cox", u=snap.u, tau=snap.tau, delta=float(fitted.beta[0]),
+        info_level=1.0 / cov[0, 0],
     )
 
 
-def _run_method(method: str, snap: Snapshot) -> MethodResult:
-    if method == "adjusted":
-        r = analyze(snap)
-        return MethodResult(
-            method="adjusted", u=r.u, tau=r.tau, delta=r.delta, se=r.se,
-            z=r.z, info_level=r.info_level,
-        )
-    if method == "km":
-        r = km_rmst_test(snap)
-        return MethodResult(
-            method="km", u=r.u, tau=r.tau, delta=r.delta, se=r.se,
-            z=r.z, info_level=r.info_level,
-        )
-    if method == "cox":
-        return cox_hr_test(snap)
-    raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-def compare_methods(snap: Snapshot, methods=("adjusted", "km")) -> dict[str, MethodResult]:
-    """Run several analysis methods on the same snapshot."""
-    return {m: _run_method(m, snap) for m in methods}
+# Analysis methods by name. ``calibrate_information`` reads the first
+# column of its final-analysis information as the adjusted method's.
+METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
 
 
 @dataclass(frozen=True)
@@ -492,9 +438,9 @@ def _information_worker(args):
             snap = snapshot_from_arrays(entry, x, d, arm, z, u=grid[-1], tau=tau)
         except DataError:
             continue
-        for k, method in enumerate(METHODS):
+        for k, run in enumerate(METHODS.values()):
             try:
-                finals[i, k] = _run_method(method, snap).info_level
+                finals[i, k] = run(snap).info_level
             except EstimationError:
                 pass
     return rows, finals
@@ -658,7 +604,6 @@ def _study_worker(args):
     scn, master_seed, reps_slice, times, methods = args
     n_stage = len(times)
     n_m = len(methods)
-    zs = np.full((len(reps_slice), n_stage, n_m), np.nan)
     infos = np.full((len(reps_slice), n_stage, n_m), np.nan)
     deltas = np.full((len(reps_slice), n_stage, n_m), np.nan)
     for i, rep in enumerate(reps_slice):
@@ -671,13 +616,12 @@ def _study_worker(args):
                 continue
             for m, method in enumerate(methods):
                 try:
-                    r = _run_method(method, snap)
+                    r = METHODS[method](snap)
                 except EstimationError:
                     continue
-                zs[i, k, m] = r.z
                 infos[i, k, m] = r.info_level
                 deltas[i, k, m] = r.delta
-    return zs, infos, deltas
+    return infos, deltas
 
 
 def _map_replicates(worker, scn, master_seed, reps, threads, extra=()):
@@ -715,12 +659,12 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+            raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if m not in calib.i_max_by_method:
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times
     n_stage = len(times)
-    zs, infos, deltas = _map_replicates(
+    infos, deltas = _map_replicates(
         _study_worker, scn, master_seed, reps, threads, extra=(times, methods),
     )
     cumulative = {}
@@ -738,16 +682,15 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
         for rep in range(reps):
             state = MonitoringState(design=design)
             for k in range(n_stage):
-                z_val = zs[rep, k, m]
-                if not np.isfinite(z_val):
+                info = infos[rep, k, m]
+                if np.isnan(info):
                     fail_count += 1
                     continue
                 state = update_monitoring(
                     state,
-                    MethodResult(
+                    AnalysisResult(
                         method=method, u=times[k], tau=scn.tau,
-                        delta=deltas[rep, k, m], se=0.0, z=z_val,
-                        info_level=infos[rep, k, m],
+                        delta=deltas[rep, k, m], info_level=info,
                     ),
                     final=(k == n_stage - 1),
                 )

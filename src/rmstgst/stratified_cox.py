@@ -11,7 +11,7 @@ subjects followed past that point still contribute risk time up to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +20,10 @@ from .trial_data import Snapshot
 
 __all__ = [
     "StepFunction",
-    "RiskSetSums",
     "CoxFit",
     "score_and_info",
     "fit",
     "breslow",
-    "risk_set_sums",
 ]
 
 
@@ -64,28 +62,14 @@ class StepFunction:
 
 
 @dataclass(frozen=True)
-class RiskSetSums:
-    """Risk-set averages for one arm at a single time point.
-
-    ``s0`` is the average of exp(beta'Z) over the arm's subjects still at
-    risk, ``s1`` adds a factor Z, and ``s2`` a factor ZZ'. Averages are
-    over the arm's full snapshot size, so they shrink as the risk set
-    empties.
-    """
-
-    s0: float
-    s1: np.ndarray
-    s2: np.ndarray
-
-
-@dataclass(frozen=True)
 class CoxFit:
     """Converged fit of the two-baseline proportional-hazards model.
 
     ``baseline0``/``baseline1`` are Breslow cumulative baseline hazards
     per arm with jumps at that arm's event times up to ``t_max``.
     ``info`` is the observed information at ``beta`` (unnormalized sum
-    over events).
+    over events). ``arms`` holds the per-arm data the fit sorted, for
+    risk sums at ``beta``.
     """
 
     beta: np.ndarray
@@ -96,6 +80,7 @@ class CoxFit:
     t_max: float
     baseline0: StepFunction
     baseline1: StepFunction
+    arms: tuple[_ArmData, _ArmData] = field(repr=False, compare=False)
 
     def baseline(self, arm: int) -> StepFunction:
         return self.baseline1 if arm == 1 else self.baseline0
@@ -148,7 +133,6 @@ def _arm_risk_sums(arm: _ArmData, beta: np.ndarray, want_s2: bool):
     """
     p = beta.size
     if arm.n == 0 or arm.event_times.size == 0:
-        m = arm.event_times.size
         return np.empty(0), np.zeros((0, p)), np.zeros((0, p, p)), 0.0, np.zeros(arm.n)
     lp = arm.zs @ beta if p else np.zeros(arm.n)
     shift = float(lp.max()) if arm.n else 0.0
@@ -279,6 +263,7 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         t_max=t_max,
         baseline0=baselines[0],
         baseline1=baselines[1],
+        arms=arms,
     )
 
 
@@ -300,42 +285,3 @@ def breslow(snap: Snapshot, beta, arm: int, t_max: float | None = None, _prepare
         return StepFunction(np.empty(0), np.empty(0))
     increments = _prepared.event_counts / (r0 * np.exp(shift))
     return StepFunction(_prepared.event_times, increments)
-
-
-def arm_event_quantities(snap: Snapshot, beta, arm: int, t_max: float | None = None):
-    """Risk-set aggregates at an arm's distinct event times.
-
-    Returns (times, d, r0, r1): distinct ascending event times at or
-    below ``t_max``, event counts, and the unnormalized risk sums of
-    exp(beta'Z) and exp(beta'Z) Z over that arm's risk sets.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    if t_max is None:
-        t_max = min(snap.u, snap.tau)
-    idx = snap.arm == arm
-    prepared = _ArmData(snap.time[idx], snap.event[idx], snap.z[idx], t_max)
-    r0, r1, _, shift, _ = _arm_risk_sums(prepared, beta, want_s2=False)
-    factor = np.exp(shift)
-    return prepared.event_times, prepared.event_counts, r0 * factor, r1 * factor
-
-
-def risk_set_sums(snap: Snapshot, beta, arm: int, t: float) -> RiskSetSums:
-    """Risk-set averages s0, s1, s2 for one arm at time ``t``.
-
-    Averages are taken over all the arm's snapshot subjects; with an
-    empty risk set all three are zero.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    idx = snap.arm == arm
-    times = snap.time[idx]
-    z = snap.z[idx]
-    n_arm = times.size
-    if n_arm == 0:
-        raise DataError(f"arm {arm} has no subjects in the snapshot")
-    at_risk = times >= t
-    w = np.exp(z[at_risk] @ beta) if beta.size else np.ones(int(at_risk.sum()))
-    zr = z[at_risk]
-    s0 = float(w.sum()) / n_arm
-    s1 = (w[:, None] * zr).sum(axis=0) / n_arm
-    s2 = (w[:, None, None] * zr[:, :, None] * zr[:, None, :]).sum(axis=0) / n_arm
-    return RiskSetSums(s0=s0, s1=s1, s2=s2)

@@ -92,3 +92,13 @@ def sim_snapshot(scn, seed, u=None, tau=None):
     records = draw_trial(scn, np.random.default_rng(seed))
     return snapshot(records, u=scn.total_duration if u is None else u,
                     tau=scn.tau if tau is None else tau)
+
+
+def monotone_records():
+    """A trial whose snapshot at u=0.2 has one event per arm.
+
+    The Cox fit there runs off to beta ~ 282 with information ~3e-10
+    (a monotone likelihood), and the adjusted variance overflows.
+    """
+    scn = SimScenario(covariate_strength=1.0)
+    return draw_trial(scn, np.random.default_rng(np.random.SeedSequence(20200920, spawn_key=(43,))))

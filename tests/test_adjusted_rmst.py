@@ -7,15 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import sim_snapshot, toy_snapshot
+from conftest import monotone_records, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmstgst.adjusted_rmst import adjusted_survival, analyze, rmst, variance
-from rmstgst.errors import InsufficientEventsError
+from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, rmst, variance
+from rmstgst.errors import EstimationError, InsufficientEventsError
 from rmstgst.sim_engine import SimScenario, true_delta
 from rmstgst.stratified_cox import fit
-from rmstgst.trial_data import snapshot_from_arrays
+from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=2.0):
@@ -259,6 +259,19 @@ class TestAnalyze:
         )
         with pytest.raises(InsufficientEventsError, match="arm 1"):
             analyze(snap)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_monotone_likelihood_raises_instead_of_nan(self):
+        snap = snapshot(monotone_records(), u=0.2, tau=1.0)
+        with pytest.raises(EstimationError, match="must be finite"):
+            analyze(snap)
+
+    @pytest.mark.parametrize("delta, info", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -2.0),
+    ])
+    def test_result_rejects_non_finite(self, delta, info):
+        with pytest.raises(EstimationError):
+            AnalysisResult(method="km", u=1.0, tau=1.0, delta=delta, info_level=info)
 
     def test_scaling_relations(self):
         snap = toy_snapshot()

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import monotone_records
 
 from rmstgst.cli import main
 from rmstgst.gs_design import (
@@ -141,8 +142,10 @@ class TestAnalyze:
         report = json.loads(stdout)
         assert set(report) == {"analysis", "km"}
         assert report["analysis"]["tau"] == 1.0
+        keys = {"u", "tau", "mu0", "mu1", "delta", "se", "z", "info"}
+        assert set(report["analysis"]) == keys | {"components"}
+        assert set(report["km"]) == keys
         assert set(report["analysis"]["components"]) == {"B10", "B11", "B3", "var_cond"}
-        assert "components" not in report["km"]
 
     def test_state_required_without_report_only(self, trial_csv, capsys):
         code, _, err = run_cli(
@@ -259,6 +262,57 @@ class TestKmCompare:
         assert json.loads(stdout) == report
         assert set(report) == {"adjusted", "km"}
         assert report["adjusted"]["delta"] != report["km"]["delta"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteAnalysis:
+    """A look whose adjusted information is NaN exits 4 and writes nothing."""
+
+    @pytest.fixture()
+    def monotone_csv(self, tmp_path):
+        path = tmp_path / "monotone.csv"
+        write_trial_csv(path, [
+            [r.subject_id, r.arm, repr(r.entry_time), repr(r.followup_time), r.event,
+             repr(r.covariates[0])]
+            for r in monotone_records()
+        ])
+        return str(path)
+
+    def test_report_only_exit_4(self, monotone_csv, capsys):
+        code, stdout, err = run_cli(
+            capsys, "analyze", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
+            "--report-only",
+        )
+        assert code == 4
+        assert stdout == ""
+        assert "must be finite" in err
+
+    def test_state_left_untouched(self, monotone_csv, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        design = DesignConfig(
+            spending=SpendingFunction("cubic_min"), planned_fractions=(0.5, 1.0), i_max=100.0,
+        )
+        state_path.write_text(MonitoringState(design=design).to_json())
+        before = state_path.read_bytes()
+        code, stdout, err = run_cli(
+            capsys, "analyze", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
+            "--state", str(state_path),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert "must be finite" in err
+        assert state_path.read_bytes() == before
+        assert not os.path.exists(str(state_path) + ".lock")
+
+    def test_km_compare_exit_4(self, monotone_csv, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        code, _, err = run_cli(
+            capsys, "km-compare", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
+            "--out", str(out),
+        )
+        assert code == 4
+        assert "must be finite" in err
+        assert not out.exists()
 
 
 def scenario_file(tmp_path, **overrides):

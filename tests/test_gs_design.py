@@ -21,7 +21,6 @@ from rmstgst.gs_design import (
     SpendingFunction,
     boundaries,
     crossing_probabilities,
-    spend,
     update_monitoring,
 )
 
@@ -64,27 +63,27 @@ def mc_first_crossing(fractions, criticals, sided, reps=1_000_000, seed=2024):
 class TestSpendingFunction:
     def test_cubic_min_values(self):
         f = make_spending("cubic_min")
-        assert spend(f, 0.5) == pytest.approx(ALPHA / 8, rel=1e-12)
-        assert spend(f, 0.75) == pytest.approx(ALPHA * 0.421875, rel=1e-12)
-        assert spend(f, 1.0) == pytest.approx(ALPHA)
-        assert spend(f, 1.7) == pytest.approx(ALPHA)
+        assert f(0.5) == pytest.approx(ALPHA / 8, rel=1e-12)
+        assert f(0.75) == pytest.approx(ALPHA * 0.421875, rel=1e-12)
+        assert f(1.0) == pytest.approx(ALPHA)
+        assert f(1.7) == pytest.approx(ALPHA)
 
     def test_power_family_matches_cubic_at_rho_three(self):
         cubic = make_spending("cubic_min")
         power = SpendingFunction("power_family", alpha=ALPHA, rho=3.0)
         for f in (0.1, 0.4, 0.9, 1.0):
-            assert spend(power, f) == pytest.approx(spend(cubic, f), rel=1e-12)
+            assert power(f) == pytest.approx(cubic(f), rel=1e-12)
 
     def test_obrien_fleming_like_values(self):
         f = make_spending("obrien_fleming_like")
         z_half = norm.isf(ALPHA / 2)
-        assert spend(f, 0.5) == pytest.approx(2 - 2 * norm.cdf(z_half / math.sqrt(0.5)), rel=1e-12)
-        assert spend(f, 1.0) == pytest.approx(ALPHA, abs=1e-12)
+        assert f(0.5) == pytest.approx(2 - 2 * norm.cdf(z_half / math.sqrt(0.5)), rel=1e-12)
+        assert f(1.0) == pytest.approx(ALPHA, abs=1e-12)
 
     def test_pocock_like_values(self):
         f = make_spending("pocock_like")
-        assert spend(f, 1.0) == pytest.approx(ALPHA, rel=1e-12)
-        assert spend(f, 0.5) == pytest.approx(ALPHA * math.log1p((math.e - 1) / 2), rel=1e-12)
+        assert f(1.0) == pytest.approx(ALPHA, rel=1e-12)
+        assert f(0.5) == pytest.approx(ALPHA * math.log1p((math.e - 1) / 2), rel=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -112,10 +111,10 @@ class TestSpendingFunction:
     def test_monotone_and_bounded(self, kind, f1, f2):
         f = make_spending(kind)
         lo, hi = sorted((f1, f2))
-        s_lo, s_hi = spend(f, lo), spend(f, hi)
+        s_lo, s_hi = f(lo), f(hi)
         assert 0.0 <= s_lo <= s_hi <= ALPHA + 1e-12
-        assert spend(f, 0.0) == 0.0
-        assert spend(f, 1.0) == pytest.approx(ALPHA, abs=1e-12)
+        assert f(0.0) == 0.0
+        assert f(1.0) == pytest.approx(ALPHA, abs=1e-12)
 
 
 class TestBoundaries:
@@ -147,7 +146,7 @@ class TestBoundaries:
             fr = (0.3, 0.6, 1.0)
             sched = boundaries(f, fr)
             probs = crossing_probabilities(fr, sched.critical_values)
-            np.testing.assert_allclose(np.cumsum(probs), [spend(f, x) for x in fr], atol=1e-9)
+            np.testing.assert_allclose(np.cumsum(probs), [f(x) for x in fr], atol=1e-9)
             np.testing.assert_allclose(np.cumsum(probs), sched.cumulative_spend, atol=1e-12)
 
     def test_boundary_mc_first_crossing(self):

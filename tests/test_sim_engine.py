@@ -20,7 +20,6 @@ from rmstgst.sim_engine import (
     calibrate_information,
     calibrate_null,
     calibrate_power,
-    compare_methods,
     cox_hr_test,
     curve_table,
     draw_trial,
@@ -269,11 +268,14 @@ class TestCalibration:
 
 
 class TestMethods:
-    def test_compare_methods_labels_and_finiteness(self, small_scn):
+    def test_method_registry_order(self):
+        # calibrate_information reads column 0 of its finals as the adjusted method
+        assert list(METHODS) == ["adjusted", "km", "cox"]
+
+    def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
-        out = compare_methods(snap, methods=METHODS)
-        assert set(out) == set(METHODS)
-        for name, res in out.items():
+        for name, run in METHODS.items():
+            res = run(snap)
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0
@@ -298,7 +300,7 @@ class TestMethods:
 
     def test_unknown_method_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
-        with pytest.raises(ConfigError, match="unknown method"):
+        with pytest.raises(ConfigError, match=r"unknown method 'bayes'; choose from \('adjusted', 'km', 'cox'\)"):
             run_study(small_scn, spending, small_calib, reps=5, methods=("bayes",))
 
 

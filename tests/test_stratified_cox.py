@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from rmstgst.stratified_cox import (
     StepFunction,
     breslow,
     fit,
-    risk_set_sums,
     score_and_info,
 )
-from rmstgst.trial_data import snapshot, snapshot_from_arrays
+from rmstgst.trial_data import Snapshot, snapshot, snapshot_from_arrays
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
@@ -268,6 +268,46 @@ class TestBreslow:
         assert base(2.0) == pytest.approx(2 / 3 + 1.0)
 
 
+# Brute-force risk-set oracle: one time point, no sorting.
+
+
+@dataclass(frozen=True)
+class RiskSetSums:
+    """Risk-set averages for one arm at a single time point.
+
+    ``s0`` is the average of exp(beta'Z) over the arm's subjects still at
+    risk, ``s1`` adds a factor Z, and ``s2`` a factor ZZ'. Averages are
+    over the arm's full snapshot size, so they shrink as the risk set
+    empties.
+    """
+
+    s0: float
+    s1: np.ndarray
+    s2: np.ndarray
+
+
+def risk_set_sums(snap: Snapshot, beta, arm: int, t: float) -> RiskSetSums:
+    """Risk-set averages s0, s1, s2 for one arm at time ``t``.
+
+    Averages are taken over all the arm's snapshot subjects; with an
+    empty risk set all three are zero.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
+    idx = snap.arm == arm
+    times = snap.time[idx]
+    z = snap.z[idx]
+    n_arm = times.size
+    if n_arm == 0:
+        raise DataError(f"arm {arm} has no subjects in the snapshot")
+    at_risk = times >= t
+    w = np.exp(z[at_risk] @ beta) if beta.size else np.ones(int(at_risk.sum()))
+    zr = z[at_risk]
+    s0 = float(w.sum()) / n_arm
+    s1 = (w[:, None] * zr).sum(axis=0) / n_arm
+    s2 = (w[:, None, None] * zr[:, :, None] * zr[:, None, :]).sum(axis=0) / n_arm
+    return RiskSetSums(s0=s0, s1=s1, s2=s2)
+
+
 class TestRiskSetSums:
     def test_at_risk_averages(self):
         z = [0.2, -0.4, 1.0, 0.0]
@@ -280,6 +320,19 @@ class TestRiskSetSums:
         assert sums.s2[0, 0] == pytest.approx(
             sum(wi * zi * zi for wi, zi in zip(w, at_risk)) / 4
         )
+
+    def test_breslow_increments_match_oracle(self):
+        snap = toy_snapshot()
+        fitted = fit(snap)
+        for arm in (0, 1):
+            base = fitted.baseline(arm)
+            n_arm = int(np.sum(snap.arm == arm))
+            events = (snap.arm == arm) & (snap.event == 1)
+            assert base.times.size > 0
+            for t, inc in zip(base.times, base.increments):
+                d = int(np.sum(events & (snap.time == t)))
+                s0 = risk_set_sums(snap, fitted.beta, arm, t).s0
+                assert inc == pytest.approx(d / (n_arm * s0), rel=1e-12)
 
 
 class TestStepFunction:
