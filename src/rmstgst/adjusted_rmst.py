@@ -6,7 +6,8 @@ subject's covariates, both arms pooled, so the two arms are standardized
 to the same covariate mix. Restricted means integrate those step curves
 to the horizon tau, and the variance estimator accounts for baseline-
 hazard noise (per arm), coefficient noise, and the covariate spread of
-the conditional effect.
+the conditional effect. The subjects x event-times conditional survival
+is evaluated in row blocks and reduced on the fly, never stored whole.
 """
 
 from __future__ import annotations
@@ -32,27 +33,27 @@ __all__ = [
 ]
 
 
+_BLOCK_ROWS = 64  # subjects per block of conditional survival; fastest at r ~ 3000
+
+
 @dataclass(frozen=True)
 class AdjustedSurvival:
     """Adjusted survival step curve for one arm on [0, tau].
 
     ``grid`` starts at 0, walks the arm's distinct event times, and ends
     at tau; ``values`` are the right-continuous curve heights at those
-    points, starting at 1. ``conditional`` holds the per-subject curves
-    (n rows, one column per event time) used to build the average.
+    points, starting at 1. Per-subject curves are not kept, only the
+    reductions the variance needs: ``c1``/``c2``, the curve averages
+    weighted by exp(beta'Z) and by exp(beta'Z) Z at each event time, and
+    ``mu_cond``, each subject's conditional restricted mean.
     """
 
     arm: int
     grid: np.ndarray
     values: np.ndarray
-    conditional: np.ndarray = field(repr=False, compare=False)
-
-
-def _conditional_matrix(fit: CoxFit, snap: Snapshot, lam_values: np.ndarray):
-    """exp(-w_g * Lambda(t_k)) over all enrolled subjects g and grid times k."""
-    w = np.exp(snap.z @ fit.beta) if fit.beta.size else np.ones(snap.n)
-    cond = np.exp(-np.outer(w, lam_values)) if lam_values.size else np.ones((snap.n, 0))
-    return w, cond
+    c1: np.ndarray = field(repr=False, compare=False)
+    c2: np.ndarray = field(repr=False, compare=False)
+    mu_cond: np.ndarray = field(repr=False, compare=False)
 
 
 def adjusted_survival(fit: CoxFit, snap: Snapshot, arm: int) -> AdjustedSurvival:
@@ -62,18 +63,25 @@ def adjusted_survival(fit: CoxFit, snap: Snapshot, arm: int) -> AdjustedSurvival
     curve; with no events in the arm it is identically 1.
     """
     base = fit.baseline(arm)
-    te = base.times
-    lam = base.values
-    _, cond = _conditional_matrix(fit, snap, lam)
-    vals = cond.mean(axis=0) if te.size else np.empty(0)
-    tau = snap.tau
-    if te.size and te[-1] >= tau:
-        grid = np.concatenate(([0.0], te))
-        values = np.concatenate(([1.0], vals))
-    else:
-        grid = np.concatenate(([0.0], te, [tau]))
-        values = np.concatenate(([1.0], vals, vals[-1:] if te.size else [1.0]))
-    return AdjustedSurvival(arm=arm, grid=grid, values=values, conditional=cond)
+    te, tau, n = base.times, snap.tau, snap.n
+    w = np.exp(snap.z @ fit.beta)
+    # a block's conditional survival times the rows [1, w, w*z] sums the
+    # curve, c1 and c2 in one product
+    weights = np.column_stack((np.ones(n), w, w[:, None] * snap.z))
+    sums = np.zeros((weights.shape[1], te.size))
+    widths = np.diff(np.append(te, tau))
+    mu_cond = np.full(n, te[0] if te.size else tau)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        cond = np.exp(np.outer(w[rows], -base.values))
+        sums += weights[rows].T @ cond
+        mu_cond[rows] += cond @ widths
+    sums /= n
+    grid = np.concatenate(([0.0], te))
+    values = np.concatenate(([1.0], sums[0]))
+    if grid[-1] < tau:
+        grid, values = np.append(grid, tau), np.append(values, values[-1])
+    return AdjustedSurvival(arm=arm, grid=grid, values=values, c1=sums[1], c2=sums[2:].T, mu_cond=mu_cond)
 
 
 def rmst(adj: AdjustedSurvival) -> float:
@@ -126,42 +134,29 @@ class VarianceComponents:
         return {"B10": self.b10, "B11": self.b11, "B3": self.b3, "var_cond": self.var_cond}
 
 
-def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSurvival, w: np.ndarray):
+def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSurvival):
     n = snap.n
     n_arm = snap.n1 if arm == 1 else snap.n0
-    p = fit.beta.size
     data = fit.arms[arm]
     te, d = data.event_times, data.event_counts
+    if adj.c1.shape != te.shape:
+        raise ValueError("adjusted survival grids disagree with the fit baselines")
     r0, r1, _, shift, _ = _arm_risk_sums(data, fit.beta, want_s2=False)
     scale = np.exp(shift)
     r0, r1 = r0 * scale, r1 * scale
-    r = te.size
-    if r == 0:
-        detail = ArmVarianceDetail(
-            event_times=te, widths=np.empty(0), c1=np.empty(0), c2=np.zeros((0, p)),
-            gamma=np.empty(0), q=np.zeros((0, p)), psi=np.zeros(p),
-        )
-        return 0.0, np.zeros(p), np.full(n, snap.tau), detail
     lam = fit.baseline(arm).values
-    cond = adj.conditional
-    if cond.shape[1] != r:
-        raise ValueError("adjusted survival grids disagree with the fit baselines")
     widths = np.diff(np.append(te, snap.tau))
-    cw = cond * w[:, None]
-    c1 = cw.mean(axis=0)
-    c2 = (cw.T @ snap.z) / n if p else np.zeros((r, 0))
+    c1, c2 = adj.c1, adj.c2
     gamma_inc = n_arm * d / r0**2
     gamma = np.cumsum(gamma_inc)
-    q = np.cumsum(d[:, None] * r1 / (r0**2)[:, None], axis=0) if p else np.zeros((r, 0))
-    psi = ((c1[:, None] * q - lam[:, None] * c2) * widths[:, None]).sum(axis=0) if p else np.zeros(0)
-    a = c1 * widths
-    tail = np.cumsum(a[::-1])[::-1]
+    q = np.cumsum(d[:, None] * r1 / (r0**2)[:, None], axis=0)
+    psi = ((c1[:, None] * q - lam[:, None] * c2) * widths[:, None]).sum(axis=0)
+    tail = np.cumsum((c1 * widths)[::-1])[::-1]
     b1 = (n / n_arm) * float(gamma_inc @ tail**2)
-    mu_cond = te[0] + cond @ widths
     detail = ArmVarianceDetail(
         event_times=te, widths=widths, c1=c1, c2=c2, gamma=gamma, q=q, psi=psi,
     )
-    return b1, psi, mu_cond, detail
+    return b1, psi, detail
 
 
 def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: AdjustedSurvival) -> VarianceComponents:
@@ -170,17 +165,15 @@ def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: Adjusted
     Expects ``adj0``/``adj1`` built from the same fit and snapshot. The
     total ``v_eta2`` scales the estimate's variance as ``v_eta2 / n``.
     """
-    w, _ = _conditional_matrix(fit, snap, np.empty(0))
-    b10, psi0, mu_cond0, det0 = _arm_variance_pieces(fit, snap, 0, adj0, w)
-    b11, psi1, mu_cond1, det1 = _arm_variance_pieces(fit, snap, 1, adj1, w)
+    b10, psi0, det0 = _arm_variance_pieces(fit, snap, 0, adj0)
+    b11, psi1, det1 = _arm_variance_pieces(fit, snap, 1, adj1)
     n = snap.n
-    p = fit.beta.size
-    if p:
+    if fit.beta.size:
         psi_diff = psi1 - psi0
         b3 = float(n * psi_diff @ np.linalg.solve(fit.info, psi_diff))
     else:
         b3 = 0.0
-    cond_diff = mu_cond1 - mu_cond0
+    cond_diff = adj1.mu_cond - adj0.mu_cond
     var_cond = float(np.mean((cond_diff - cond_diff.mean()) ** 2))
     v_xi2 = b10 + b11 + b3
     return VarianceComponents(

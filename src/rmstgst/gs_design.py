@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, StateError
 
@@ -95,7 +94,7 @@ class SpendingFunction:
         if self.kind == "power_family":
             return self.alpha * f**self.rho
         if self.kind == "obrien_fleming_like":
-            return float(2.0 - 2.0 * norm.cdf(norm.ppf(1.0 - self.alpha / 2.0) / math.sqrt(f)))
+            return float(2.0 - 2.0 * ndtr(ndtri(1.0 - self.alpha / 2.0) / math.sqrt(f)))
         return self.alpha * math.log1p((math.e - 1.0) * f)
 
     def to_dict(self) -> dict:
@@ -144,7 +143,7 @@ def _stage_crossing(prev: _ScoreDensity | None, fraction: float, critical: float
     if prev is None:
         if math.isinf(critical):
             return 0.0
-        tail = float(norm.sf(critical))
+        tail = float(ndtr(-critical))
         return 2.0 * tail if sided == "two_sided" else tail
     if math.isinf(critical):
         return 0.0
@@ -176,7 +175,7 @@ def _solve_critical(prev: _ScoreDensity | None, fraction: float, increment: floa
         return math.inf
     if prev is None:
         q = increment / 2.0 if sided == "two_sided" else increment
-        return float(norm.isf(q))
+        return float(-ndtri(q))
 
     def gap(c: float) -> float:
         return _stage_crossing(prev, fraction, c, sided) - increment

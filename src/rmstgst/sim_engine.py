@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .adjusted_rmst import AnalysisResult, _require_events, analyze
 from .errors import ConfigError, DataError, EstimationError
@@ -527,10 +527,10 @@ class PowerCalibration:
 def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> float:
     drift = delta * math.sqrt(i_max)
     if sided == "two_sided":
-        crit = norm.isf(alpha / 2.0)
-        return float(norm.sf(crit - drift) + norm.cdf(-crit - drift))
-    crit = norm.isf(alpha)
-    return float(norm.sf(crit - drift))
+        crit = -ndtri(alpha / 2.0)
+        return float(ndtr(drift - crit) + ndtr(-crit - drift))
+    crit = -ndtri(alpha)
+    return float(ndtr(drift - crit))
 
 
 def calibrate_power(scn: SimScenario, calib: InformationCalibration,

@@ -206,7 +206,8 @@ def _check_nonsingular(info: np.ndarray):
         direction = eigvec[:, 0]
         raise SingularInformationError(
             f"observed information is singular along direction {np.round(direction, 6).tolist()}"
-            " (constant or collinear covariate?)",
+            " (constant or collinear covariate, or one that separates events from"
+            " survivors so the likelihood is monotone?)",
             direction=tuple(float(x) for x in direction),
         )
 
@@ -245,7 +246,9 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         for _ in range(40):
             cand = beta + scale * step
             c_score, c_info, c_loglik = _score_info_prepared(arms, cand)
-            if np.isfinite(c_loglik) and c_loglik >= loglik - 1e-12:
+            # relative slack: near the optimum a full step's gain is below
+            # one ulp of loglik, and rounding must not reject it
+            if np.isfinite(c_loglik) and c_loglik >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             scale *= 0.5
         else:

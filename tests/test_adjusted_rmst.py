@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -109,7 +110,7 @@ def naive_everything(snap, beta):
         else:
             mu_cond[i] = np.full(n, tau)
         out[i] = {"grid": grid, "values": values, "mu": mu, "b1": b1,
-                  "c1": c1, "gamma": gamma, "q": q, "lam": lam}
+                  "c1": c1, "c2": c2, "gamma": gamma, "q": q, "lam": lam}
 
     delta = out[1]["mu"] - out[0]["mu"]
     cond_diff = mu_cond[1] - mu_cond[0]
@@ -117,6 +118,23 @@ def naive_everything(snap, beta):
     out["psi_diff"] = psi[1] - psi[0]
     out["delta"] = delta
     return out
+
+
+def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
+    """Arms of 150 and 157 subjects: five row blocks of 64, the last partial.
+
+    Positive covariates with a real effect keep every ``c2`` entry away
+    from zero, and a treatment effect keeps the arms' ``psi`` apart, so a
+    relative tolerance is meaningful for every compared number.
+    """
+    rng = np.random.default_rng(2024)
+    arm = np.repeat([0, 1], [150, 157])
+    z = rng.uniform(0.0, 1.0, (arm.size, 2))
+    time = rng.exponential(1.0 / np.exp(0.8 * z.sum(axis=1) - 0.7 * arm))
+    event = rng.random(arm.size) < 0.8
+    if event_at_tau:
+        time[0], event[0] = tau, True  # arm 0's last event falls on tau
+    return arrays_snapshot(time, event, arm, z[:, :p], tau=tau)
 
 
 class TestAdjustedSurvival:
@@ -240,6 +258,46 @@ class TestVariance:
         assert set(payload["components"]) == {"B10", "B11", "B3", "var_cond"}
         for key in ("u", "tau", "mu0", "mu1", "delta", "se", "z", "info"):
             assert key in payload
+
+
+class TestBlockedKernel:
+    """The row-blocked kernel against the literal n x r formulas."""
+
+    @pytest.mark.parametrize("snap", [
+        blocked_snapshot(),
+        blocked_snapshot(p=0),
+        blocked_snapshot(event_at_tau=True),
+    ], ids=["partial-last-block", "no-covariates", "event-at-tau"])
+    def test_matches_literal_recomputation(self, snap):
+        fitted = fit(snap)
+        adj = [adjusted_survival(fitted, snap, arm) for arm in (0, 1)]
+        comp = variance(fitted, snap, *adj)
+        ref = naive_everything(snap, fitted.beta)
+        rel = 1e-12
+        for arm, detail in ((0, comp.arm0), (1, comp.arm1)):
+            np.testing.assert_array_equal(adj[arm].grid, ref[arm]["grid"])
+            np.testing.assert_allclose(adj[arm].values, ref[arm]["values"], rtol=rel)
+            np.testing.assert_allclose(detail.c1, ref[arm]["c1"], rtol=rel)
+            np.testing.assert_allclose(detail.c2, ref[arm]["c2"], rtol=rel)
+        assert comp.b10 == pytest.approx(ref[0]["b1"], rel=rel)
+        assert comp.b11 == pytest.approx(ref[1]["b1"], rel=rel)
+        psi_diff = ref["psi_diff"]
+        b3 = snap.n * float(psi_diff @ np.linalg.solve(fitted.info, psi_diff)) if psi_diff.size else 0.0
+        assert comp.b3 == pytest.approx(b3, rel=rel)
+        assert comp.var_cond == pytest.approx(ref["var_cond"], rel=rel)
+        assert rmst(adj[1]) - rmst(adj[0]) == pytest.approx(ref["delta"], rel=rel)
+
+    def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
+        scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
+        snap = sim_snapshot(scn, seed=11)
+        r = max(len(fit(snap).baseline(arm)) for arm in (0, 1))
+        tracemalloc.start()
+        try:
+            analyze(snap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < snap.n * r * 8 / 4
 
 
 class TestAnalyze:

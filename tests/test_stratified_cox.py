@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import make_record, sim_snapshot, toy_snapshot
+from conftest import make_record, monotone_records, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmstgst.errors import DataError, SingularInformationError
-from rmstgst.sim_engine import SimScenario
+from rmstgst.sim_engine import SimScenario, cox_hr_test
 from rmstgst.stratified_cox import (
     StepFunction,
     breslow,
@@ -147,6 +147,13 @@ class TestFit:
         direction = np.abs(err.value.direction)
         assert direction[0] > 0.99
 
+    def test_monotone_likelihood_hint(self):
+        # One event per arm: the covariate separates events from
+        # survivors, so beta runs off and the information vanishes.
+        snap = snapshot(monotone_records(), u=0.2, tau=1.0)
+        with pytest.raises(SingularInformationError, match="separates events from survivors"):
+            cox_hr_test(snap)
+
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])
         with pytest.raises(DataError, match="no events"):
@@ -203,6 +210,34 @@ class TestFit:
         )
         res = model.fit()
         np.testing.assert_allclose(fitted.beta, res.params, atol=1e-6)
+
+    def test_full_step_accepted_near_optimum_of_large_trial(self):
+        # 5 000 per arm at u=1.5: loglik is about -2e4, so near the optimum
+        # the likelihood gain of a full Newton step is below one ulp. An
+        # absolute acceptance slack rejected that step, halved it 26 times
+        # and ran out of iterations with score max-norm 1.3e-8.
+        rng = np.random.default_rng((91, 4, 5000))
+        n = 10_000
+        arm = np.repeat([0, 1], 5000)
+        x1 = rng.standard_normal(n)
+        x2 = (rng.random(n) < 0.3).astype(np.int64)
+        x3 = (rng.random(n) < 0.5).astype(np.int64)
+        lin = math.log(1.5) / math.sqrt(3.0) * (
+            x1 + (x2 - 0.3) / math.sqrt(0.21) + (x3 - 0.5) / 0.5
+        )
+        rate = -math.log(0.4) * np.exp(lin)
+        event_time = (-np.log1p(-rng.random(n)) / rate) ** (1.0 / 1.5)
+        censor = rng.exponential(1.0 / -math.log(0.95), n)
+        entry = rng.uniform(0.0, 2.0, n)
+        cap = np.minimum(censor, 3.0 - entry)
+        snap = snapshot_from_arrays(
+            entry, np.minimum(event_time, cap), (event_time <= cap).astype(np.int64), arm,
+            np.column_stack((x1, x2, x3)), u=1.5, tau=1.0,
+        )
+        fitted = fit(snap)
+        assert fitted.iterations <= 8
+        score, _, _ = score_and_info(snap, fitted.beta)
+        assert float(np.max(np.abs(score))) < 1e-8
 
     def test_stratified_vs_pooled_population_identity(self):
         scn = SimScenario(
