@@ -11,7 +11,8 @@ Commands:
 ``analyze`` and ``km-compare`` take the same data flags and build the
 snapshot the same way; each analysis prints as its ``AnalysisResult``
 dictionary. Monitoring state is a JSON file updated atomically (write to
-a temp file, then rename) under an exclusive lock file. Exit codes: 0
+a temp file, then rename); an exclusive lock file naming its holder's pid
+is held from reading the state to writing it back. Exit codes: 0
 success, 2 configuration error, 3 data error, 4 estimation error
 (including an estimate or information that is not finite, in which case
 the state file is left as it was), 5 state error.
@@ -26,6 +27,8 @@ import math
 import os
 import sys
 import tempfile
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import __version__
@@ -173,30 +176,44 @@ def _snapshot_from_args(args) -> Snapshot:
     return standardize_covariates(snap) if args.standardize else snap
 
 
-def _atomic_state_write(path: str, text: str) -> None:
-    """Replace the state file atomically under an exclusive lock file."""
+@contextmanager
+def _state_lock(path: str):
+    """Hold ``<path>.lock``, created exclusively and naming its holder, for the block."""
     lock_path = path + ".lock"
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError as exc:
+        try:
+            with open(lock_path, encoding="utf-8") as fh:
+                holder = fh.read().strip()
+        except OSError:
+            holder = ""
         raise StateError(
             f"monitoring state is locked by another process: {lock_path} exists"
+            + (f" ({holder})" if holder else "")
         ) from exc
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=directory, prefix=".state-", suffix=".tmp", delete=False, encoding="utf-8"
-        )
-        try:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        finally:
-            handle.close()
-        os.replace(handle.name, path)
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        os.write(fd, f"pid {os.getpid()} since {stamp}\n".encode())
+        yield
     finally:
         os.close(fd)
         os.unlink(lock_path)
+
+
+def _atomic_state_write(path: str, text: str) -> None:
+    """Replace the state file atomically: write a temp file, then rename it."""
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=os.path.dirname(os.path.abspath(path)), prefix=".state-", suffix=".tmp",
+        delete=False, encoding="utf-8",
+    )
+    try:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    finally:
+        handle.close()
+    os.replace(handle.name, path)
 
 
 def _load_or_create_state(args) -> MonitoringState:
@@ -229,21 +246,15 @@ def cmd_analyze(args) -> int:
         _print_json(report)
         return 0
 
-    state = _load_or_create_state(args)
-    if state.design.i_max is None and args.i_max_from_data:
-        state = MonitoringState(design=replace(state.design, i_max=result.info_level))
-    state = update_monitoring(state, result, final=args.final)
-    record = state.analyses[-1]
-    report["monitoring"] = {
-        "stage": record.stage,
-        "info_fraction": record.info_fraction,
-        "critical_value": None if record.critical_value is None or math.isinf(record.critical_value)
-        else record.critical_value,
-        "cumulative_spend": record.cumulative_spend,
-        "decision": record.decision,
-        "final": record.final,
-    }
-    _atomic_state_write(args.state, state.to_json())
+    with _state_lock(args.state):
+        state = _load_or_create_state(args)
+        if state.design.i_max is None and args.i_max_from_data:
+            state = MonitoringState(design=replace(state.design, i_max=result.info_level))
+        state = update_monitoring(state, result, final=args.final)
+        _atomic_state_write(args.state, state.to_json())
+    record = state.analyses[-1].to_dict()
+    keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
+    report["monitoring"] = {k: record[k] for k in keys}
     _print_json(report)
     return 0
 

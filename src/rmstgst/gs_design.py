@@ -8,11 +8,13 @@ and each stage's critical value is solved so the cumulative crossing
 probability under the null equals the spending target at the observed
 information fraction.
 
-Monitoring respends at the observed information: each new analysis
-recomputes the boundary recursion over the fractions actually seen, so
-earlier stages reproduce their recorded critical values and the new
-stage pins the cumulative spend to target. A declared final analysis
-spends the full alpha regardless of how much information accrued.
+The recursion is Markov: the density after stage k depends only on the
+fractions and critical values already used, and the monitoring state
+records both. A new analysis therefore replays the recorded boundary to
+rebuild that density, then solves only its own critical value so the
+cumulative spend, counted from the recorded one, reaches the spending
+function at the observed information. A declared final analysis spends
+the full alpha regardless of how much information accrued.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -98,24 +101,31 @@ class SpendingFunction:
         return self.alpha * math.log1p((math.e - 1.0) * f)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
+        """The ``alpha``, ``sidedness`` and ``spending`` keys of design and boundary files."""
+        spec = {"kind": self.kind}
         if self.rho is not None:
-            out["rho"] = self.rho
-        return out
+            spec["rho"] = self.rho
+        return {"alpha": self.alpha, "sidedness": self.sided, "spending": spec}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SpendingFunction":
+        missing = {"alpha", "spending"} - set(d)
+        if missing:
+            raise ConfigError(f"spending rule missing keys: {sorted(missing)}")
+        spec = d["spending"]
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError("design spending must be an object with a 'kind'")
+        return cls(kind=spec["kind"], alpha=d["alpha"], rho=spec.get("rho"),
+                   sided=d.get("sidedness", "two_sided"))
 
 
-@lru_cache(maxsize=8)
-def _leggauss_reference(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@cache
+def _leggauss_reference():
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(DEFAULT_NODES)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def _gauss_legendre(lo: float, hi: float, nodes: int):
-    x, w = _leggauss_reference(nodes)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -125,28 +135,22 @@ def _normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-class _ScoreDensity:
+class _ScoreDensity(NamedTuple):
     """Sub-density of the running score statistic on its continuation region."""
 
-    __slots__ = ("x", "gw", "fraction")
-
-    def __init__(self, x, gw, fraction):
-        self.x = x
-        self.gw = gw
-        self.fraction = fraction
+    x: np.ndarray
+    gw: np.ndarray
+    fraction: float
 
 
 def _stage_crossing(prev: _ScoreDensity | None, fraction: float, critical: float, sided: str) -> float:
     """Null probability of first crossing at this stage given the prior density."""
-    sd = math.sqrt(fraction)
-    bound = critical * sd
-    if prev is None:
-        if math.isinf(critical):
-            return 0.0
-        tail = float(ndtr(-critical))
-        return 2.0 * tail if sided == "two_sided" else tail
     if math.isinf(critical):
         return 0.0
+    if prev is None:
+        tail = float(ndtr(-critical))
+        return 2.0 * tail if sided == "two_sided" else tail
+    bound = critical * math.sqrt(fraction)
     sigma = math.sqrt(fraction - prev.fraction)
     upper = ndtr((prev.x - bound) / sigma)
     if sided == "two_sided":
@@ -156,12 +160,14 @@ def _stage_crossing(prev: _ScoreDensity | None, fraction: float, critical: float
 
 
 def _advance_density(prev: _ScoreDensity | None, fraction: float, critical: float,
-                     sided: str, nodes: int, span: float) -> _ScoreDensity:
+                     sided: str) -> _ScoreDensity:
     """Density restricted to this stage's continuation region, on a fresh grid."""
     sd = math.sqrt(fraction)
-    hi = min(critical, span) * sd
-    lo = -hi if sided == "two_sided" else -span * sd
-    x, w = _gauss_legendre(lo, hi, nodes)
+    hi = min(critical, DEFAULT_SPAN) * sd
+    lo = -hi if sided == "two_sided" else -DEFAULT_SPAN * sd
+    x, w = _leggauss_reference()
+    half = 0.5 * (hi - lo)
+    x, w = lo + half * (x + 1.0), half * w
     if prev is None:
         dens = _normal_pdf(x / sd) / sd
     else:
@@ -197,40 +203,26 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-def _boundary_recursion(fractions, cum_targets, sided: str, nodes: int, span: float):
-    """Solve all stages' critical values for given cumulative spend targets.
+def _replay(fractions, criticals, sided: str):
+    """Per-stage null crossing probabilities on a fixed boundary, and the density after it.
 
-    ``fractions`` here are the variance scale of the score statistic, so
-    raw (unclamped) observed fractions are fine; only their ordering and
-    ratios matter. Returns (criticals, increments actually spendable).
+    An infinite critical value never rejects; raw observed fractions are fine.
     """
-    criticals: list[float] = []
-    increments: list[float] = []
+    probs: list[float] = []
     prev: _ScoreDensity | None = None
-    spent = 0.0
-    for fraction, target in zip(fractions, cum_targets):
-        inc = target - spent
-        c = _solve_critical(prev, fraction, inc, sided)
-        realized = _stage_crossing(prev, fraction, c, sided)
-        criticals.append(c)
-        increments.append(realized)
-        spent += realized
-        prev = _advance_density(prev, fraction, c, sided, nodes, span)
-    return criticals, increments
+    for fraction, c in zip(fractions, criticals):
+        probs.append(_stage_crossing(prev, fraction, c, sided))
+        prev = _advance_density(prev, fraction, c, sided)
+    return probs, prev
 
 
-def crossing_probabilities(fractions, criticals, sided: str = "two_sided",
-                           nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN) -> np.ndarray:
+def crossing_probabilities(fractions, criticals, sided: str = "two_sided") -> np.ndarray:
     """Per-stage null crossing probabilities for given boundary values."""
     fr = _validate_fractions(fractions)
     if len(criticals) != len(fr):
         raise ConfigError("need one critical value per information fraction")
-    out = []
-    prev: _ScoreDensity | None = None
-    for fraction, c in zip(fr, criticals):
-        out.append(_stage_crossing(prev, fraction, float(c), sided))
-        prev = _advance_density(prev, fraction, float(c), sided, nodes, span)
-    return np.asarray(out)
+    probs, _ = _replay(fr, [float(c) for c in criticals], sided)
+    return np.asarray(probs)
 
 
 @dataclass(frozen=True)
@@ -245,9 +237,7 @@ class BoundarySchedule:
     def to_dict(self) -> dict:
         return {
             "schema": DESIGN_SCHEMA,
-            "alpha": self.spending.alpha,
-            "sidedness": self.spending.sided,
-            "spending": self.spending.to_dict(),
+            **self.spending.to_dict(),
             "planned_fractions": list(self.fractions),
             "stages": [
                 {
@@ -261,15 +251,9 @@ class BoundarySchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundarySchedule":
-        spending = SpendingFunction(
-            kind=d["spending"]["kind"],
-            alpha=d["alpha"],
-            rho=d["spending"].get("rho"),
-            sided=d["sidedness"],
-        )
         stages = d["stages"]
         return cls(
-            spending=spending,
+            spending=SpendingFunction.from_dict(d),
             fractions=tuple(s["fraction"] for s in stages),
             cumulative_spend=tuple(s["cumulative_spend"] for s in stages),
             critical_values=tuple(
@@ -278,8 +262,7 @@ class BoundarySchedule:
         )
 
 
-def boundaries(f: SpendingFunction, info_fractions,
-               nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN) -> BoundarySchedule:
+def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     """Critical values for a planned schedule of information fractions.
 
     Each stage's cumulative crossing probability under the null equals
@@ -288,13 +271,19 @@ def boundaries(f: SpendingFunction, info_fractions,
     an infinite critical value: it can never reject.
     """
     fr = _validate_fractions(info_fractions)
-    targets = [f(x) for x in fr]
-    criticals, increments = _boundary_recursion(fr, targets, f.sided, nodes, span)
+    criticals: list[float] = []
+    cumulative: list[float] = []
+    prev: _ScoreDensity | None = None
+    spent = 0.0
+    for k, fraction in enumerate(fr):
+        if k:
+            prev = _advance_density(prev, fr[k - 1], criticals[-1], f.sided)
+        c = _solve_critical(prev, fraction, f(fraction) - spent, f.sided)
+        spent += _stage_crossing(prev, fraction, c, f.sided)
+        criticals.append(c)
+        cumulative.append(spent)
     return BoundarySchedule(
-        spending=f,
-        fractions=fr,
-        cumulative_spend=tuple(float(np.cumsum(increments)[k]) for k in range(len(fr))),
-        critical_values=tuple(criticals),
+        spending=f, fractions=fr, cumulative_spend=tuple(cumulative), critical_values=tuple(criticals),
     )
 
 
@@ -314,9 +303,7 @@ class DesignConfig:
     def to_dict(self) -> dict:
         return {
             "schema": DESIGN_SCHEMA,
-            "alpha": self.spending.alpha,
-            "sidedness": self.spending.sided,
-            "spending": self.spending.to_dict(),
+            **self.spending.to_dict(),
             "planned_fractions": list(self.planned_fractions),
             "i_max": self.i_max,
         }
@@ -331,17 +318,8 @@ class DesignConfig:
         missing = {"alpha", "spending", "planned_fractions"} - set(d)
         if missing:
             raise ConfigError(f"design config missing keys: {sorted(missing)}")
-        spending_spec = d["spending"]
-        if not isinstance(spending_spec, dict) or "kind" not in spending_spec:
-            raise ConfigError("design spending must be an object with a 'kind'")
-        spending = SpendingFunction(
-            kind=spending_spec["kind"],
-            alpha=d["alpha"],
-            rho=spending_spec.get("rho"),
-            sided=d.get("sidedness", "two_sided"),
-        )
         return cls(
-            spending=spending,
+            spending=SpendingFunction.from_dict(d),
             planned_fractions=tuple(float(x) for x in d["planned_fractions"]),
             i_max=None if d.get("i_max") is None else float(d["i_max"]),
         )
@@ -427,8 +405,6 @@ class MonitoringState:
         try:
             design = DesignConfig.from_dict(d["design"])
             analyses = tuple(AnalysisRecord.from_dict(a) for a in d["analyses"])
-        except ConfigError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise StateError(f"malformed monitoring state: {exc}") from exc
         return cls(design=design, analyses=analyses)
@@ -442,14 +418,17 @@ class MonitoringState:
         return cls.from_dict(d)
 
 
-def update_monitoring(state: MonitoringState, result, final: bool = False,
-                      nodes: int = DEFAULT_NODES, span: float = DEFAULT_SPAN) -> MonitoringState:
+def update_monitoring(state: MonitoringState, result, final: bool = False) -> MonitoringState:
     """Fold one analysis result into the monitoring state.
 
     ``result`` needs attributes ``u``, ``z``, and ``info_level``. The
     information fraction is the observed information over the design's
     ``i_max``; spending is evaluated at the clamped fraction while the
-    recursion's covariance uses the raw one. If information did not
+    recursion's covariance uses the raw one. The recorded fractions and
+    critical values of the earlier effective analyses are replayed, not
+    re-solved, to give the density the new stage starts from; only the
+    new stage's critical value is solved, for the increment from the
+    last recorded cumulative spend to the target. If information did not
     increase since the last effective analysis the stage is recorded as
     skipped and no spending occurs. A ``final`` analysis spends all
     remaining alpha.
@@ -474,26 +453,20 @@ def update_monitoring(state: MonitoringState, result, final: bool = False,
         )
     fraction = info_level / state.design.i_max
     prior = state.effective
-    stage = len(state.analyses) + 1
+    spent = prior[-1].cumulative_spend if prior else 0.0
     if prior and fraction <= prior[-1].info_fraction:
-        record = AnalysisRecord(
-            stage=stage, u=u, info_level=info_level, info_fraction=fraction, z=z,
-            critical_value=None, cumulative_spend=prior[-1].cumulative_spend,
-            decision="skipped", final=final,
-        )
-        return replace(state, analyses=state.analyses + (record,))
-    spending = state.design.spending
-    fractions = [a.info_fraction for a in prior] + [fraction]
-    targets = [a.cumulative_spend for a in prior] + [
-        spending.alpha if final else spending(min(fraction, 1.0))
-    ]
-    criticals, increments = _boundary_recursion(fractions, targets, spending.sided, nodes, span)
-    critical = criticals[-1]
-    cumulative = (prior[-1].cumulative_spend if prior else 0.0) + increments[-1]
-    exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
+        critical, cumulative, decision = None, spent, "skipped"
+    else:
+        spending = state.design.spending
+        fractions, criticals = [a.info_fraction for a in prior], [a.critical_value for a in prior]
+        _, prev = _replay(fractions, criticals, spending.sided)
+        target = spending.alpha if final else spending(min(fraction, 1.0))
+        critical = _solve_critical(prev, fraction, target - spent, spending.sided)
+        cumulative = spent + _stage_crossing(prev, fraction, critical, spending.sided)
+        exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
+        decision = "reject" if exceeds else "continue"
     record = AnalysisRecord(
-        stage=stage, u=u, info_level=info_level, info_fraction=fraction, z=z,
-        critical_value=critical, cumulative_spend=cumulative,
-        decision="reject" if exceeds else "continue", final=final,
+        stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,
+        critical_value=critical, cumulative_spend=cumulative, decision=decision, final=final,
     )
     return replace(state, analyses=state.analyses + (record,))

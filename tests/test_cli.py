@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import monotone_records
 
+from rmstgst import cli
 from rmstgst.cli import main
 from rmstgst.gs_design import (
     BoundarySchedule,
@@ -219,6 +220,42 @@ class TestAnalyze:
         assert code == 5
         assert "locked by another process" in err
         assert not state_path.exists()
+
+    def test_lock_names_holder_in_contention_error(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        (tmp_path / "state.json.lock").write_text("pid 4242 since 2026-01-02T03:04:05Z\n")
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(state_path), "--design", design_json, "--i-max", "700",
+        )
+        assert code == 5
+        assert "locked by another process" in err
+        assert "(pid 4242 since 2026-01-02T03:04:05Z)" in err
+        assert not state_path.exists()
+
+    def test_lock_held_from_read_to_write(self, trial_csv, design_json, tmp_path, capsys, monkeypatch):
+        """A second analyze could otherwise read the state before the first one writes it."""
+        state_path = tmp_path / "state.json"
+        lock_path = tmp_path / "state.json.lock"
+        seen = []
+        original = cli.update_monitoring
+
+        def watched(state, result, final=False):
+            seen.append(lock_path.read_text() if lock_path.exists() else None)
+            return original(state, result, final=final)
+
+        monkeypatch.setattr(cli, "update_monitoring", watched)
+        for u in ("1.4", "2.0"):
+            extra = ("--design", design_json, "--i-max", "700") if u == "1.4" else ()
+            code, _, _ = run_cli(
+                capsys, "analyze", "--data", trial_csv, "--u", u, "--tau", "1.0",
+                "--state", str(state_path), *extra,
+            )
+            assert code == 0
+        assert len(seen) == 2
+        assert all(text is not None and text.startswith(f"pid {os.getpid()} since ") for text in seen)
+        assert not lock_path.exists()
+        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 2
 
     def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
         state_path = str(tmp_path / "state.json")

@@ -313,6 +313,36 @@ class TestMonitoring:
         final = update_monitoring(state, FakeResult(u=5.0, z=0.3, info_level=104.0), final=True)
         assert final.analyses[-1].cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
 
+    def test_replay_matches_resolved_recursion(self):
+        """Replaying recorded boundaries reproduces the values of re-solving every stage.
+
+        The expected values come from the earlier monitor, which re-solved
+        all earlier stages' critical values at each look.
+        """
+        state = fresh_state(kind="pocock_like", fractions=(0.3, 0.6, 1.0), i_max=100.0)
+        path = [20.0, 35.0, 33.0, 62.0, 104.0, 110.0, 120.0]
+        expected = [
+            (2.4379766880500116, 0.01476972645601738, "continue"),
+            (2.4854398923824546, 0.02354386986872863, "continue"),
+            (None, 0.02354386986872863, "skipped"),
+            (2.3613592489922945, 0.03626461559468366, "continue"),
+            (2.29664531689612, 0.05000000000000031, "continue"),
+            (math.inf, 0.05000000000000031, "continue"),
+            (math.inf, 0.05000000000000031, "continue"),
+        ]
+        for u, info in enumerate(path, start=1):
+            state = MonitoringState.from_json(state.to_json())
+            state = update_monitoring(
+                state, FakeResult(u=float(u), z=0.1, info_level=info), final=(u == len(path)),
+            )
+        assert [a.decision for a in state.analyses] == [d for _, _, d in expected]
+        for record, (critical, spend, _) in zip(state.analyses, expected):
+            if critical is None or math.isinf(critical):
+                assert record.critical_value == critical
+            else:
+                assert record.critical_value == pytest.approx(critical, rel=1e-9)
+            assert record.cumulative_spend == pytest.approx(spend, rel=1e-9)
+
 
 class TestSerialization:
     def test_boundary_schedule_round_trip(self):
@@ -333,6 +363,23 @@ class TestSerialization:
         assert payload["stages"][1]["critical_value"] is None
         back = BoundarySchedule.from_dict(payload)
         assert math.isinf(back.critical_values[1])
+
+    def test_boundary_schedule_without_spending_is_config_error(self):
+        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
+        del payload["spending"]
+        with pytest.raises(ConfigError, match="missing keys"):
+            BoundarySchedule.from_dict(payload)
+
+    def test_spending_keys_in_file_order(self):
+        spending = make_spending("power_family", sided="one_sided")
+        design = DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=10.0)
+        assert list(design.to_dict()) == [
+            "schema", "alpha", "sidedness", "spending", "planned_fractions", "i_max",
+        ]
+        sched = boundaries(spending, (0.5, 1.0)).to_dict()
+        assert list(sched) == ["schema", "alpha", "sidedness", "spending", "planned_fractions", "stages"]
+        assert sched["spending"] == {"kind": "power_family", "rho": 3.0}
+        assert SpendingFunction.from_dict(sched) == spending
 
     def test_design_config_round_trip_and_errors(self):
         design = DesignConfig(
