@@ -6,7 +6,8 @@ of the score statistics is propagated stage to stage as a numerical
 density on a Gauss-Legendre grid restricted to the continuation region,
 and each stage's critical value is solved so the cumulative crossing
 probability under the null equals the spending target at the observed
-information fraction.
+information fraction: by Newton's method, whose slope is a normal-density
+sum over the same grid, bracketed by bisection on [0, 40].
 
 The recursion is Markov: the density after stage k depends only on the
 fractions and critical values already used, and the monitoring state
@@ -26,7 +27,6 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, StateError
@@ -176,20 +176,34 @@ def _advance_density(prev: _ScoreDensity | None, fraction: float, critical: floa
     return _ScoreDensity(x=x, gw=dens * w, fraction=fraction)
 
 
-def _solve_critical(prev: _ScoreDensity | None, fraction: float, increment: float, sided: str) -> float:
-    if increment <= _SPEND_FLOOR:
+def _solve_critical(prev: _ScoreDensity | None, fraction: float, target: float, spent: float,
+                    sided: str) -> float:
+    """Critical value whose null crossing probability spends ``target - spent``."""
+    increment = target - spent
+    if increment <= _SPEND_FLOOR + 1e-9 * target:  # a rounding residue spends nothing
         return math.inf
+    # One-stage value for the whole target: this stage crosses at least target - spent there.
+    c = float(-ndtri(target / 2.0 if sided == "two_sided" else target))
     if prev is None:
-        q = increment / 2.0 if sided == "two_sided" else increment
-        return float(-ndtri(q))
-
-    def gap(c: float) -> float:
-        return _stage_crossing(prev, fraction, c, sided) - increment
-
-    lo, hi = 0.0, 40.0
-    if gap(lo) <= 0.0:
+        return c
+    if _stage_crossing(prev, fraction, 0.0, sided) <= increment:
         return 0.0
-    return float(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14))
+    sd, sigma = math.sqrt(fraction), math.sqrt(fraction - prev.fraction)
+    lo, hi, step, c = 0.0, 40.0, 40.0, min(max(c, 0.0), 40.0)
+    while True:
+        gap = _stage_crossing(prev, fraction, c, sided) - increment
+        lo, hi = (c, hi) if gap > 0.0 else (lo, c)
+        dens = _normal_pdf((prev.x - c * sd) / sigma)
+        if sided == "two_sided":
+            dens = dens + _normal_pdf((prev.x + c * sd) / sigma)
+        slope = -(sd / sigma) * float(prev.gw @ dens)
+        newton = c - gap / slope if slope < 0.0 else math.nan
+        # Newton while it stays in the bracket and halves the step, else bisect: the step shrinks.
+        if not (lo <= newton <= hi and abs(newton - c) <= 0.5 * step):
+            newton = 0.5 * (lo + hi)
+        step, c = abs(newton - c), newton
+        if step <= 1e-12 + 1e-14 * abs(c):
+            return c
 
 
 def _validate_fractions(fractions) -> tuple[float, ...]:
@@ -251,15 +265,18 @@ class BoundarySchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundarySchedule":
-        stages = d["stages"]
-        return cls(
-            spending=SpendingFunction.from_dict(d),
-            fractions=tuple(s["fraction"] for s in stages),
-            cumulative_spend=tuple(s["cumulative_spend"] for s in stages),
-            critical_values=tuple(
-                math.inf if s["critical_value"] is None else s["critical_value"] for s in stages
-            ),
-        )
+        try:
+            stages = d["stages"]
+            return cls(
+                spending=SpendingFunction.from_dict(d),
+                fractions=tuple(s["fraction"] for s in stages),
+                cumulative_spend=tuple(s["cumulative_spend"] for s in stages),
+                critical_values=tuple(
+                    math.inf if s["critical_value"] is None else s["critical_value"] for s in stages
+                ),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed boundary schedule: {exc!r}") from exc
 
 
 def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
@@ -267,8 +284,8 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 
     Each stage's cumulative crossing probability under the null equals
     the spending function at that fraction. A stage whose spend
-    increment is zero (or negative, possible only through rounding) gets
-    an infinite critical value: it can never reject.
+    increment is within rounding of nothing (1e-14 plus 1e-9 of the
+    target) gets an infinite critical value: it can never reject.
     """
     fr = _validate_fractions(info_fractions)
     criticals: list[float] = []
@@ -278,7 +295,7 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     for k, fraction in enumerate(fr):
         if k:
             prev = _advance_density(prev, fr[k - 1], criticals[-1], f.sided)
-        c = _solve_critical(prev, fraction, f(fraction) - spent, f.sided)
+        c = _solve_critical(prev, fraction, f(fraction), spent, f.sided)
         spent += _stage_crossing(prev, fraction, c, f.sided)
         criticals.append(c)
         cumulative.append(spent)
@@ -428,10 +445,11 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
     critical values of the earlier effective analyses are replayed, not
     re-solved, to give the density the new stage starts from; only the
     new stage's critical value is solved, for the increment from the
-    last recorded cumulative spend to the target. If information did not
-    increase since the last effective analysis the stage is recorded as
-    skipped and no spending occurs. A ``final`` analysis spends all
-    remaining alpha.
+    last recorded cumulative spend to the target; an increment within
+    rounding of nothing gives an infinite critical value, as in
+    :func:`boundaries`. If information did not increase since the last
+    effective analysis the stage is recorded as skipped and no spending
+    occurs. A ``final`` analysis spends all remaining alpha.
 
     Raises:
         StateError: state already rejected, or ``u`` not past the last
@@ -461,7 +479,7 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
         fractions, criticals = [a.info_fraction for a in prior], [a.critical_value for a in prior]
         _, prev = _replay(fractions, criticals, spending.sided)
         target = spending.alpha if final else spending(min(fraction, 1.0))
-        critical = _solve_critical(prev, fraction, target - spent, spending.sided)
+        critical = _solve_critical(prev, fraction, target, spent, spending.sided)
         cumulative = spent + _stage_crossing(prev, fraction, critical, spending.sided)
         exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
         decision = "reject" if exceeds else "continue"

@@ -22,8 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .adjusted_rmst import AnalysisResult, _require_events, analyze
@@ -198,6 +196,7 @@ def true_survival(scn: SimScenario, arm: int, t) -> np.ndarray:
 
 def true_rmst(scn: SimScenario, arm: int, tau: float | None = None) -> float:
     """Restricted mean survival time of one arm by adaptive quadrature."""
+    from scipy.integrate import quad
     tau = scn.tau if tau is None else float(tau)
     atoms, weights = _covariate_atoms(scn)
     rates = _atom_rates(scn, arm, atoms)
@@ -235,6 +234,7 @@ def average_hazard_ratio(scn: SimScenario) -> float:
     a crossing hazard ratio; this weighting is reported alongside the
     value wherever it is printed.
     """
+    from scipy.integrate import quad
     atoms, weights = _covariate_atoms(scn)
     crate = scn.censoring_rate
 
@@ -323,6 +323,7 @@ def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0))
     Root-found with Brent's method on the stated bracket; the returned
     offset leaves a restricted-mean gap below 1e-8 in absolute value.
     """
+    from scipy.optimize import brentq
     mu0 = true_rmst(scn, 0)
 
     def gap(b: float) -> float:
@@ -545,6 +546,7 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
     equals ``delta`` (within 1e-6). ``target_power`` equal to ``alpha``
     returns the null offset itself.
     """
+    from scipy.optimize import brentq
     if not (0 < alpha < 1) or not (alpha <= target_power < 1):
         raise ConfigError("need alpha in (0,1) and target_power in [alpha, 1)")
     i_max = calib.i_max

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from rmstgst.errors import ConfigError, StateError
@@ -169,6 +170,26 @@ class TestBoundaries:
             se = math.sqrt(exp * (1 - exp) / reps)
             assert abs(obs - exp) < 3.5 * se
 
+    @pytest.mark.parametrize("fractions", [(0.2, 0.4, 0.6, 0.8, 1.0), (0.35, 0.7, 1.0)])
+    @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("kind", ["cubic_min", "power_family", "obrien_fleming_like", "pocock_like"])
+    def test_solver_matches_brentq_oracle(self, kind, sided, fractions):
+        """Each stage re-solved by Brent's method on the public crossing probabilities."""
+        f = make_spending(kind, sided=sided)
+        sched = boundaries(f, fractions)
+        oracle: list[float] = []
+        for k, fraction in enumerate(fractions):
+            def gap(c):
+                probs = crossing_probabilities(fractions[: k + 1], oracle + [c], sided)
+                return probs.sum() - f(fraction)
+
+            oracle.append(brentq(gap, 0.0, 40.0, xtol=1e-14, rtol=4 * np.finfo(float).eps))
+        np.testing.assert_allclose(sched.critical_values, oracle, rtol=1e-10)
+        spends = np.cumsum(crossing_probabilities(fractions, oracle, sided))
+        np.testing.assert_allclose(sched.cumulative_spend, spends, rtol=1e-10)
+        recovered = np.cumsum(crossing_probabilities(fractions, sched.critical_values, sided))
+        np.testing.assert_allclose(recovered, [f(x) for x in fractions], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "fractions", [(), (0.0, 0.5), (0.5, 0.5), (0.8, 0.4), (0.5, 1.2), (-0.1,)],
     )
@@ -313,6 +334,31 @@ class TestMonitoring:
         final = update_monitoring(state, FakeResult(u=5.0, z=0.3, info_level=104.0), final=True)
         assert final.analyses[-1].cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
 
+    def test_rounding_residue_of_full_spend_spends_nothing(self):
+        """A look past i_max after alpha was spent up to rounding never rejects."""
+        state = fresh_state()
+        state = update_monitoring(state, FakeResult(u=1.0, z=0.1, info_level=40.0))
+        state = update_monitoring(state, FakeResult(u=2.0, z=0.1, info_level=101.0))
+        payload = state.to_dict()
+        payload["analyses"][-1]["cumulative_spend"] = ALPHA - 3e-14
+        state = update_monitoring(
+            MonitoringState.from_dict(payload), FakeResult(u=3.0, z=5.0, info_level=110.0),
+        )
+        rec = state.analyses[-1]
+        assert rec.critical_value == math.inf
+        assert rec.cumulative_spend == ALPHA - 3e-14
+        assert rec.decision == "continue"
+
+    def test_look_after_full_information_gets_infinite_critical(self):
+        """Looks after alpha was spent up to rounding get an infinite critical value, whatever the residue."""
+        state = fresh_state(fractions=(0.5, 1.0))
+        for u, info in enumerate([5.66, 33.15, 42.52, 101.96, 114.19, 117.15], start=1):
+            state = MonitoringState.from_json(state.to_json())
+            state = update_monitoring(state, FakeResult(u=float(u), z=0.1, info_level=info))
+        assert [a.critical_value for a in state.analyses[4:]] == [math.inf, math.inf]
+        assert [a.cumulative_spend for a in state.analyses[3:]] == [state.analyses[3].cumulative_spend] * 3
+        assert state.analyses[3].cumulative_spend == pytest.approx(ALPHA, rel=1e-12)
+
     def test_replay_matches_resolved_recursion(self):
         """Replaying recorded boundaries reproduces the values of re-solving every stage.
 
@@ -380,6 +426,22 @@ class TestSerialization:
         assert list(sched) == ["schema", "alpha", "sidedness", "spending", "planned_fractions", "stages"]
         assert sched["spending"] == {"kind": "power_family", "rho": 3.0}
         assert SpendingFunction.from_dict(sched) == spending
+
+    @pytest.mark.parametrize("key", ["stages", "fraction", "cumulative_spend", "critical_value"])
+    def test_boundary_schedule_missing_key_is_config_error(self, key):
+        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
+        if key == "stages":
+            del payload["stages"]
+        else:
+            del payload["stages"][1][key]
+        with pytest.raises(ConfigError, match=f"malformed boundary schedule: KeyError\\('{key}'\\)"):
+            BoundarySchedule.from_dict(payload)
+
+    def test_boundary_schedule_non_list_stages_is_config_error(self):
+        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
+        payload["stages"] = 3
+        with pytest.raises(ConfigError, match="malformed boundary schedule: TypeError"):
+            BoundarySchedule.from_dict(payload)
 
     def test_design_config_round_trip_and_errors(self):
         design = DesignConfig(

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
+import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rmstgst
+from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction
+
+SOLVER_MODULES = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.linalg")
 
 
 def test_every_public_name_exists():
@@ -22,11 +30,39 @@ def test_every_public_name_exists():
     assert not missing
 
 
+def _run_fresh(code: str) -> str:
+    src = str(Path(rmstgst.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about half a second of every cold command;
     # scipy.special covers the normal distribution functions the package uses.
-    src = str(Path(rmstgst.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, rmstgst.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _run_fresh("import sys, rmstgst.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
+    """Two monitored looks, the second solving a stage, need only scipy.special."""
+    rng = np.random.default_rng(5)
+    data = tmp_path / "trial.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "arm", "entry_time", "followup_time", "event", "z1"])
+        for i in range(160):
+            t, entry = rng.exponential(1.0), rng.uniform(0.0, 2.0)
+            writer.writerow([f"s{i}", i % 2, entry, min(t, 3.0 - entry), int(t <= 3.0 - entry), rng.normal()])
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
+    state = tmp_path / "state.json"
+    look = ["analyze", "--data", str(data), "--tau", "1.0", "--state", str(state), "--km"]
+    first = look + ["--u", "1.5", "--design", str(design), "--i-max", "200"]
+    code = (
+        "import sys; from rmstgst import cli\n"
+        f"assert cli.main({first!r}) == 0 and cli.main({look + ['--u', '3.0']!r}) == 0\n"
+        f"print(sorted(m for m in sys.modules if m in {SOLVER_MODULES!r}))"
+    )
+    assert _run_fresh(code) == "[]"
+    second = MonitoringState.from_json(state.read_text()).analyses[1]
+    assert second.decision != "skipped" and math.isfinite(second.critical_value)
