@@ -3,11 +3,14 @@
 Critical values come from the standard recursion for sequentially
 computed Gaussian statistics with independent increments: the joint law
 of the score statistics is propagated stage to stage as a numerical
-density on a Gauss-Legendre grid restricted to the continuation region,
-and each stage's critical value is solved so the cumulative crossing
-probability under the null equals the spending target at the observed
-information fraction: by Newton's method, whose slope is a normal-density
-sum over the same grid, bracketed by bisection on [0, 40].
+density on the continuation region, and each stage's critical value is
+solved so the cumulative crossing probability under the null equals the
+spending target at the observed information fraction: by Newton's method,
+whose slope is a normal-density sum over the same grid, bracketed by
+bisection on [0, 40]. The grid is panels of one 10-point Gauss-Legendre
+rule, each at most two sds wide of the narrower normal transition kernel
+into or out of the stage (sd sqrt(f_k - f_{k-1})), so close looks do not
+alias; a stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: the density after stage k depends only on the
 fractions and critical values already used, and the monitoring state
@@ -24,10 +27,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, StateError
 
@@ -49,9 +52,23 @@ SIDEDNESS = ("one_sided", "two_sided")
 DESIGN_SCHEMA = "rmstgst.design/1"
 STATE_SCHEMA = "rmstgst.state/1"
 
-DEFAULT_NODES = 301
 DEFAULT_SPAN = 8.0
+MAX_NODES = 4000  # density nodes per stage; a stage at the cap takes about 0.3 s, 2 MB per row block
+_PANEL_NODES = 10
+_PANEL_SDS = 2.0  # panel width, in sds of the narrower adjacent increment
+_MIN_PANELS = 5
+_BLOCK_ROWS = 64  # grid nodes per block of the transition kernel
 _SPEND_FLOOR = 1e-14
+_SQRT_HALF = math.sqrt(0.5)
+
+ndtri = NormalDist().inv_cdf
+
+
+def ndtr(x):
+    """Standard normal cdf of a float or a 1-d array, by ``math.erfc``."""
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), float, x.size)
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
 @dataclass(frozen=True)
@@ -120,9 +137,10 @@ class SpendingFunction:
 
 
 @cache
-def _leggauss_reference():
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    x, w = np.polynomial.legendre.leggauss(DEFAULT_NODES)
+def _panel_rule():
+    """Gauss-Legendre nodes and weights of one panel, on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -160,20 +178,33 @@ def _stage_crossing(prev: _ScoreDensity | None, fraction: float, critical: float
 
 
 def _advance_density(prev: _ScoreDensity | None, fraction: float, critical: float,
-                     sided: str) -> _ScoreDensity:
-    """Density restricted to this stage's continuation region, on a fresh grid."""
+                     sided: str, next_fraction: float) -> _ScoreDensity:
+    """Density restricted to this stage's continuation region, on a grid sized for the next step.
+
+    Raises ConfigError where the grid would need more than ``MAX_NODES`` nodes.
+    """
     sd = math.sqrt(fraction)
     hi = min(critical, DEFAULT_SPAN) * sd
     lo = -hi if sided == "two_sided" else -DEFAULT_SPAN * sd
-    x, w = _leggauss_reference()
-    half = 0.5 * (hi - lo)
-    x, w = lo + half * (x + 1.0), half * w
+    before = prev.fraction if prev is not None else 0.0
+    sigma, sigma_out = math.sqrt(fraction - before), math.sqrt(next_fraction - fraction)
+    panels = max(_MIN_PANELS, math.ceil((hi - lo) / (_PANEL_SDS * min(sigma, sigma_out))))
+    if panels * _PANEL_NODES > MAX_NODES:
+        a, b = (before, fraction) if sigma <= sigma_out else (fraction, next_fraction)
+        smallest = ((hi - lo) * _PANEL_NODES / (_PANEL_SDS * MAX_NODES)) ** 2
+        raise ConfigError(f"information fractions {a} and {b} are too close: the {MAX_NODES}-node "
+                          f"grid at fraction {fraction} resolves increments of at least {smallest:.3g}")
+    t, w = _panel_rule()
+    width = (hi - lo) / panels
+    x = (lo + width * (np.arange(panels)[:, None] + t)).ravel()
     if prev is None:
         dens = _normal_pdf(x / sd) / sd
     else:
-        sigma = math.sqrt(fraction - prev.fraction)
-        dens = (_normal_pdf((x[:, None] - prev.x[None, :]) / sigma) / sigma) @ prev.gw
-    return _ScoreDensity(x=x, gw=dens * w, fraction=fraction)
+        dens = np.concatenate([
+            _normal_pdf((x[i:i + _BLOCK_ROWS, None] - prev.x) / sigma) @ prev.gw
+            for i in range(0, x.size, _BLOCK_ROWS)
+        ]) / sigma
+    return _ScoreDensity(x=x, gw=dens * np.tile(width * w, panels), fraction=fraction)
 
 
 def _solve_critical(prev: _ScoreDensity | None, fraction: float, target: float, spent: float,
@@ -217,16 +248,18 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-def _replay(fractions, criticals, sided: str):
+def _replay(fractions, criticals, sided: str, next_fraction: float | None = None):
     """Per-stage null crossing probabilities on a fixed boundary, and the density after it.
 
+    The density is advanced past the last stage only toward a given ``next_fraction``.
     An infinite critical value never rejects; raw observed fractions are fine.
     """
     probs: list[float] = []
     prev: _ScoreDensity | None = None
-    for fraction, c in zip(fractions, criticals):
+    for fraction, c, after in zip(fractions, criticals, [*fractions[1:], next_fraction]):
         probs.append(_stage_crossing(prev, fraction, c, sided))
-        prev = _advance_density(prev, fraction, c, sided)
+        if after is not None:
+            prev = _advance_density(prev, fraction, c, sided, after)
     return probs, prev
 
 
@@ -294,7 +327,7 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     spent = 0.0
     for k, fraction in enumerate(fr):
         if k:
-            prev = _advance_density(prev, fr[k - 1], criticals[-1], f.sided)
+            prev = _advance_density(prev, fr[k - 1], criticals[-1], f.sided, fraction)
         c = _solve_critical(prev, fraction, f(fraction), spent, f.sided)
         spent += _stage_crossing(prev, fraction, c, f.sided)
         criticals.append(c)
@@ -314,8 +347,8 @@ class DesignConfig:
 
     def __post_init__(self):
         _validate_fractions(self.planned_fractions)
-        if self.i_max is not None and not (self.i_max > 0):
-            raise ConfigError(f"i_max must be > 0, got {self.i_max!r}")
+        if self.i_max is not None and not (math.isfinite(self.i_max) and self.i_max > 0):
+            raise ConfigError(f"i_max must be finite and > 0, got {self.i_max!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -335,11 +368,14 @@ class DesignConfig:
         missing = {"alpha", "spending", "planned_fractions"} - set(d)
         if missing:
             raise ConfigError(f"design config missing keys: {sorted(missing)}")
-        return cls(
-            spending=SpendingFunction.from_dict(d),
-            planned_fractions=tuple(float(x) for x in d["planned_fractions"]),
-            i_max=None if d.get("i_max") is None else float(d["i_max"]),
-        )
+        try:
+            return cls(
+                spending=SpendingFunction.from_dict(d),
+                planned_fractions=tuple(float(x) for x in d["planned_fractions"]),
+                i_max=None if d.get("i_max") is None else float(d["i_max"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed design config: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -477,7 +513,7 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
     else:
         spending = state.design.spending
         fractions, criticals = [a.info_fraction for a in prior], [a.critical_value for a in prior]
-        _, prev = _replay(fractions, criticals, spending.sided)
+        _, prev = _replay(fractions, criticals, spending.sided, fraction)
         target = spending.alpha if final else spending(min(fraction, 1.0))
         critical = _solve_critical(prev, fraction, target, spent, spending.sided)
         cumulative = spent + _stage_crossing(prev, fraction, critical, spending.sided)

@@ -22,11 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .adjusted_rmst import AnalysisResult, _require_events, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import DesignConfig, MonitoringState, SpendingFunction, update_monitoring
+from .gs_design import DesignConfig, MonitoringState, SpendingFunction, ndtr, ndtri, update_monitoring
 from .km_rmst import km_rmst_test
 from .stratified_cox import fit as cox_fit
 from .trial_data import Snapshot, SubjectRecord, snapshot_from_arrays

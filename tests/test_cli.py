@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -81,6 +82,30 @@ def design_json(tmp_path):
     )
     path.write_text(json.dumps(design.to_dict()))
     return str(path)
+
+
+def _analyze_in_child(argv, barrier, holds_lock):
+    """Run one ``analyze`` look in a child process and exit with its code.
+
+    The child that ``holds_lock`` meets the other child twice inside
+    ``update_monitoring``, with the state lock held: first so the other
+    starts its look, then once that look has returned.
+    """
+    if holds_lock:
+        original = cli.update_monitoring
+
+        def paused(state, result, final=False):
+            barrier.wait(timeout=60)
+            barrier.wait(timeout=60)
+            return original(state, result, final=final)
+
+        cli.update_monitoring = paused
+    else:
+        barrier.wait(timeout=60)
+    code = cli.main(argv)
+    if not holds_lock:
+        barrier.wait(timeout=60)
+    sys.exit(code)
 
 
 class TestDesignAndBoundaries:
@@ -256,6 +281,59 @@ class TestAnalyze:
         assert all(text is not None and text.startswith(f"pid {os.getpid()} since ") for text in seen)
         assert not lock_path.exists()
         assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 2
+
+    def test_two_processes_contend_for_state_lock(self, trial_csv, design_json, tmp_path):
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        holder = look + ["--u", "1.4", "--design", design_json, "--i-max", "700"]
+        other = look + ["--u", "2.0"]
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        children = [
+            ctx.Process(target=_analyze_in_child, args=(argv, barrier, argv is holder))
+            for argv in (holder, other)
+        ]
+        try:
+            for child in children:
+                child.start()
+            for child in children:
+                child.join(timeout=120)
+            assert not any(child.is_alive() for child in children)
+        finally:
+            for child in children:
+                if child.is_alive():
+                    child.terminate()
+        assert [child.exitcode for child in children] == [0, 5]
+        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 1
+        assert main(other) == 0
+        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 2
+
+    def test_non_finite_i_max_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(state_path), "--design", design_json, "--i-max", "inf",
+        )
+        assert code == 2
+        assert "i_max must be finite" in err
+        assert not state_path.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"alpha": "0.05"},
+        {"i_max": "abc"},
+        {"planned_fractions": 5},
+        {"spending": {"kind": "power_family", "rho": "2"}},
+    ])
+    def test_wrongly_typed_design_value_exit_2(self, change, trial_csv, tmp_path, capsys):
+        design = DesignConfig(SpendingFunction("cubic_min"), (0.5, 0.75, 1.0), i_max=700.0).to_dict()
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({**design, **change}))
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(tmp_path / "state.json"), "--design", str(path),
+        )
+        assert code == 2
+        assert "malformed design config" in err
 
     def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
         state_path = str(tmp_path / "state.json")

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from rmstgst import gs_design
 from rmstgst.errors import ConfigError, StateError
 from rmstgst.gs_design import (
-    DEFAULT_NODES,
     BoundarySchedule,
     DesignConfig,
     MonitoringState,
@@ -226,6 +226,44 @@ class TestBoundaries:
             assert c > 0.0
         probs = crossing_probabilities(fr, sched.critical_values)
         np.testing.assert_allclose(np.cumsum(probs), spent, atol=5e-9)
+
+
+CLOSE_LOOKS = [
+    (0.5, 0.51, 1.0),
+    (0.3, 0.305, 0.9, 0.901, 1.0),
+    (0.1, 0.1001, 1.0),
+    (0.274, 0.354, 0.5311, 0.5317, 1.0),
+]
+
+
+class TestDensityGrid:
+    """The density grid is sized to the information increments around each stage."""
+
+    @pytest.mark.parametrize(
+        "sided, final", [("two_sided", 1.959963986935), ("one_sided", 1.644853629013)],
+    )
+    def test_close_looks_match_fine_grid_oracle(self, sided, final):
+        """The oracle is a 3 001-node Gauss-Legendre grid over each continuation region."""
+        sched = boundaries(make_spending("obrien_fleming_like", sided=sided), (0.1, 0.1001, 1.0))
+        assert sched.critical_values[-1] == pytest.approx(final, rel=1e-10)
+
+    @pytest.mark.parametrize("fractions", CLOSE_LOOKS)
+    @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+    def test_close_looks_converged_in_panel_width(self, fractions, sided, monkeypatch):
+        f = make_spending("obrien_fleming_like", sided=sided)
+        sched = boundaries(f, fractions)
+        monkeypatch.setattr(gs_design, "_PANEL_SDS", gs_design._PANEL_SDS / 4)
+        monkeypatch.setattr(gs_design, "MAX_NODES", 4 * gs_design.MAX_NODES)
+        fine = boundaries(f, fractions)
+        np.testing.assert_allclose(sched.critical_values, fine.critical_values, rtol=1e-10)
+        np.testing.assert_allclose(sched.cumulative_spend, fine.cumulative_spend, rtol=1e-10)
+
+    def test_stage_past_node_cap_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"0\.1 and 0\.1000001 are too close.*4000-node"):
+            boundaries(make_spending("obrien_fleming_like"), (0.1, 0.1000001, 1.0))
+        state = update_monitoring(fresh_state(), FakeResult(u=1.0, z=0.0, info_level=10.0))
+        with pytest.raises(ConfigError, match="too close"):
+            update_monitoring(state, FakeResult(u=2.0, z=0.0, info_level=10.00001))
 
 
 def fresh_state(i_max=100.0, kind="cubic_min", fractions=(0.5, 0.75, 1.0), sided="two_sided"):
