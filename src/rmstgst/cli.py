@@ -171,8 +171,8 @@ def _schema_from_args(args) -> CsvSchema:
 
 def _snapshot_from_args(args) -> Snapshot:
     """Ingest ``--data``, roll it back to ``--u`` and standardize if asked."""
-    records = ingest_csv(args.data, _schema_from_args(args))
-    snap = snapshot(records, u=args.u, tau=args.tau, lock_time=args.lock_time)
+    trial = ingest_csv(args.data, _schema_from_args(args))
+    snap = snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
     return standardize_covariates(snap) if args.standardize else snap
 
 

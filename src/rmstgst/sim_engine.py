@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, EstimationError
 from .gs_design import DesignConfig, MonitoringState, SpendingFunction, ndtr, ndtri, update_monitoring
 from .km_rmst import km_rmst_test
 from .stratified_cox import fit as cox_fit
-from .trial_data import Snapshot, SubjectRecord, snapshot_from_arrays
+from .trial_data import Snapshot, Trial, snapshot
 
 __all__ = [
     "SimScenario",
@@ -269,47 +269,19 @@ def _draw_covariates(scn: SimScenario, n: int, rng) -> np.ndarray:
     return np.column_stack([z1, z2])
 
 
-def _draw_arm_arrays(scn: SimScenario, arm: int, n: int, rng):
-    """Vectorized subject draws for one arm; field order fixed for determinism."""
-    z = _draw_covariates(scn, n, rng)
-    u01 = rng.random(n)
-    shape = scn.arm_shape(arm)
-    rates = scn.rate_base * np.exp(scn.log_rate_ratio * arm + z @ scn.coefficients)
-    t = (-np.log1p(-u01) / rates) ** (1.0 / shape)
-    if scn.censoring_rate > 0:
-        c = rng.exponential(1.0 / scn.censoring_rate, size=n)
-    else:
-        c = np.full(n, np.inf)
-    entry = rng.uniform(0.0, scn.accrual, size=n) if scn.accrual > 0 else np.zeros(n)
-    x = np.minimum(t, c)
-    d = (t <= c).astype(np.int8)
-    return entry, x, d, z
-
-
-def _draw_trial_arrays(scn: SimScenario, rng):
-    parts = [_draw_arm_arrays(scn, arm, scn.n_per_arm, rng) for arm in (0, 1)]
-    entry = np.concatenate([p[0] for p in parts])
-    x = np.concatenate([p[1] for p in parts])
-    d = np.concatenate([p[2] for p in parts])
-    z = np.vstack([p[3] for p in parts])
-    arm = np.repeat(np.array([0, 1], dtype=np.int8), scn.n_per_arm)
-    return entry, x, d, arm, z
-
-
-def draw_trial(scn: SimScenario, rng) -> list[SubjectRecord]:
-    """Draw a full trial as records, arm 0 first then arm 1."""
-    entry, x, d, arm, z = _draw_trial_arrays(scn, rng)
-    return [
-        SubjectRecord(
-            subject_id=f"s{i}",
-            arm=int(arm[i]),
-            entry_time=float(entry[i]),
-            followup_time=float(x[i]),
-            event=int(d[i]),
-            covariates=tuple(float(v) for v in z[i]),
-        )
-        for i in range(entry.size)
-    ]
+def draw_trial(scn: SimScenario, rng) -> Trial:
+    """Draw a full trial, arm 0 first then arm 1, in a fixed draw order."""
+    n = scn.n_per_arm
+    arms = []
+    for arm in (0, 1):
+        z = _draw_covariates(scn, n, rng)
+        rates = scn.rate_base * np.exp(scn.log_rate_ratio * arm + z @ scn.coefficients)
+        t = (-np.log1p(-rng.random(n)) / rates) ** (1.0 / scn.arm_shape(arm))
+        c = rng.exponential(1.0 / scn.censoring_rate, size=n) if scn.censoring_rate > 0 else np.inf
+        entry = rng.uniform(0.0, scn.accrual, size=n) if scn.accrual > 0 else np.zeros(n)
+        arms.append((np.full(n, arm), entry, np.minimum(t, c), t <= c, z))
+    arm, entry, followup, event, z = (np.concatenate(column) for column in zip(*arms))
+    return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
 
 
 def _rng_for_replicate(master_seed: int, rep: int):
@@ -426,16 +398,15 @@ def _information_worker(args):
     finals = np.full((len(reps_slice), len(METHODS)), np.nan)
     tau = scn.tau
     for i, rep in enumerate(reps_slice):
-        rng = _rng_for_replicate(master_seed, rep)
-        entry, x, d, arm, z = _draw_trial_arrays(scn, rng)
+        trial = draw_trial(scn, _rng_for_replicate(master_seed, rep))
         for j, u in enumerate(grid):
             try:
-                snap = snapshot_from_arrays(entry, x, d, arm, z, u=u, tau=tau)
+                snap = snapshot(trial, u=u, tau=tau)
                 rows[i, j] = analyze(snap).info_level
             except (DataError, EstimationError):
                 pass
         try:
-            snap = snapshot_from_arrays(entry, x, d, arm, z, u=grid[-1], tau=tau)
+            snap = snapshot(trial, u=grid[-1], tau=tau)
         except DataError:
             continue
         for k, run in enumerate(METHODS.values()):
@@ -608,11 +579,10 @@ def _study_worker(args):
     infos = np.full((len(reps_slice), n_stage, n_m), np.nan)
     deltas = np.full((len(reps_slice), n_stage, n_m), np.nan)
     for i, rep in enumerate(reps_slice):
-        rng = _rng_for_replicate(master_seed, rep)
-        entry, x, d, arm, z = _draw_trial_arrays(scn, rng)
+        trial = draw_trial(scn, _rng_for_replicate(master_seed, rep))
         for k, u in enumerate(times):
             try:
-                snap = snapshot_from_arrays(entry, x, d, arm, z, u=u, tau=scn.tau)
+                snap = snapshot(trial, u=u, tau=scn.tau)
             except DataError:
                 continue
             for m, method in enumerate(methods):

@@ -1,25 +1,30 @@
-"""Subject-level trial data and calendar-time snapshots.
+"""Trial data and calendar-time snapshots.
 
-A record stores follow-up as of the data lock: ``followup_time`` is the
-time from study entry to event or censoring, whichever came first, and
-``event`` says which. A snapshot rolls the dataset back to an earlier
-calendar time ``u`` by capping each subject's follow-up at ``u - entry``
-and dropping subjects not yet enrolled. Follow-up can only be shortened
-this way; records carry no information beyond their own lock.
+A :class:`Trial` holds one dataset as of the data lock as read-only
+columns with one entry per subject: arm, calendar entry time, follow-up
+(the time from entry to event or censoring, whichever came first), the
+event indicator that says which, and the baseline covariates. CSV ingest
+and the simulator both produce one; subject ids are checked on ingest
+and not kept. A snapshot rolls the trial back to an earlier calendar
+time ``u`` by capping each subject's follow-up at ``u - entry`` and
+dropping subjects not yet enrolled. Follow-up can only be shortened this
+way; a trial carries no information beyond its own lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "SubjectRecord",
+    "Trial",
     "CsvSchema",
     "Snapshot",
     "ingest_csv",
@@ -29,37 +34,81 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject as of the data lock.
+_COLUMNS = ("arm", "entry", "followup", "event", "z")
+
+_RULES = {  # each rule's check, and what a failure says
+    "binary": (lambda v: (v == 0) | (v == 1), "must be 0 or 1"),
+    "time": (lambda v: np.isfinite(v) & (v >= 0), "must be finite and >= 0"),
+    "finite": (np.isfinite, "must be finite"),
+}
+
+
+def _bad_rows(arm, entry, followup, event, z, covariate_labels, cells=None) -> dict[int, str]:
+    """The first failed check on each bad row, by row index: one vectorised check per column.
+
+    A value that did not parse is NaN and fails its check. ``cells``, when
+    given, holds each column's text, which a message quotes for the value.
+    """
+    columns = [("arm", "binary", arm), ("entry_time", "time", entry),
+               ("followup_time", "time", followup), ("event", "binary", event)]
+    columns += [(label, "finite", z[:, j]) for j, label in enumerate(covariate_labels)]
+    found: dict[int, str] = {}
+    for k, (label, rule, values) in enumerate(columns):
+        check, says = _RULES[rule]
+        for i in np.flatnonzero(~check(values)).tolist():
+            shown = values[i].item() if cells is None else cells[k][i]
+            found.setdefault(i, f"{label} {says}, got {shown!r}")
+    return found
+
+
+@dataclass(frozen=True, eq=False)
+class Trial:
+    """One trial as of the data lock: read-only columns over its n subjects.
 
     Attributes:
-        subject_id: identifier, unique within a dataset.
-        arm: 0 for control, 1 for treatment.
-        entry_time: calendar time of study entry (years, >= 0).
-        followup_time: time on study until event or censoring (years, >= 0).
-        event: 1 if followup_time ended in the event, 0 if censored.
-        covariates: baseline covariate values, possibly empty.
+        arm: 0 for control, 1 for treatment (int8, shape (n,)).
+        entry: calendar time of study entry (years, >= 0).
+        followup: time on study until event or censoring (years, >= 0).
+        event: 1 if the follow-up ended in the event, 0 if censored (int8).
+        z: baseline covariates, shape (n, p); p may be 0.
+
+    Raises:
+        DataError: columns of different lengths, or a row out of range.
     """
 
-    subject_id: str
-    arm: int
-    entry_time: float
-    followup_time: float
-    event: int
-    covariates: tuple[float, ...] = ()
+    arm: np.ndarray
+    entry: np.ndarray
+    followup: np.ndarray
+    event: np.ndarray
+    z: np.ndarray
 
     def __post_init__(self):
-        if self.arm not in (0, 1):
-            raise DataError(f"arm must be 0 or 1, got {self.arm!r}")
-        if self.event not in (0, 1):
-            raise DataError(f"event must be 0 or 1, got {self.event!r}")
-        if not (math.isfinite(self.entry_time) and self.entry_time >= 0):
-            raise DataError(f"entry_time must be finite and >= 0, got {self.entry_time!r}")
-        if not (math.isfinite(self.followup_time) and self.followup_time >= 0):
-            raise DataError(f"followup_time must be finite and >= 0, got {self.followup_time!r}")
-        if any(not math.isfinite(z) for z in self.covariates):
-            raise DataError(f"covariates must be finite, got {self.covariates!r}")
+        columns = [np.asarray(getattr(self, name), dtype=np.float64) for name in _COLUMNS]
+        *vectors, z = columns
+        n = len(vectors[0]) if vectors[0].ndim == 1 else -1
+        if any(v.shape != (n,) for v in vectors) or z.ndim != 2 or z.shape[0] != n:
+            raise DataError(f"trial columns need one row per subject, got shapes {[c.shape for c in columns]}")
+        bad = _bad_rows(*vectors, z, [f"covariates column {j}" for j in range(z.shape[1])])
+        if bad:
+            raise DataError(f"{len(bad)} bad row(s) in trial, first row {min(bad)}: {bad[min(bad)]}")
+        for name, values in zip(_COLUMNS, columns):
+            column = np.array(values, dtype=np.int8 if name in ("arm", "event") else np.float64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.arm.shape[0]
+
+    def __eq__(self, other):
+        return isinstance(other, Trial) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
+
+
+_SCHEMA_KEYS = {  # JSON key -> field name
+    "id": "subject_id", "arm": "arm", "entry_time": "entry_time",
+    "followup_time": "followup_time", "event": "event", "covariates": "covariates",
+}
 
 
 @dataclass(frozen=True)
@@ -79,59 +128,46 @@ class CsvSchema:
     covariates: tuple[str, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.subject_id,
-            "arm": self.arm,
-            "entry_time": self.entry_time,
-            "followup_time": self.followup_time,
-            "event": self.event,
-            "covariates": list(self.covariates) if self.covariates is not None else None,
-        }
+        d = {key: getattr(self, name) for key, name in _SCHEMA_KEYS.items()}
+        if self.covariates is not None:
+            d["covariates"] = list(self.covariates)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CsvSchema":
-        known = {"id", "arm", "entry_time", "followup_time", "event", "covariates"}
-        extra = set(d) - known
+        extra = set(d) - set(_SCHEMA_KEYS)
         if extra:
             raise DataError(f"unknown schema keys: {sorted(extra)}")
-        cov = d.get("covariates")
-        return cls(
-            subject_id=d.get("id", "id"),
-            arm=d.get("arm", "arm"),
-            entry_time=d.get("entry_time", "entry_time"),
-            followup_time=d.get("followup_time", "followup_time"),
-            event=d.get("event", "event"),
-            covariates=tuple(cov) if cov is not None else None,
-        )
+        kwargs = {_SCHEMA_KEYS[key]: value for key, value in d.items()}
+        if kwargs.get("covariates") is not None:
+            kwargs["covariates"] = tuple(kwargs["covariates"])
+        return cls(**kwargs)
 
 
-def _parse_float(raw: str, what: str) -> float:
+def _floats(cells: list[str]) -> np.ndarray:
+    """One CSV column as floats, NaN where a cell does not parse."""
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} is not numeric: {raw!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is not finite: {raw!r}")
-    return value
+        return np.array(cells, dtype=np.float64)
+    except ValueError:
+        values = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
+        with contextlib.suppress(ValueError):
+            values[i] = float(cell)
+    return values
 
 
-def _parse_binary(raw: str, what: str) -> int:
-    value = _parse_float(raw, what)
-    if value not in (0.0, 1.0):
-        raise ValueError(f"{what} must be 0 or 1: {raw!r}")
-    return int(value)
-
-
-def ingest_csv(path, schema: CsvSchema | None = None) -> list[SubjectRecord]:
-    """Read subject records from a CSV file.
+def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
+    """Read a trial from a CSV file with a header row.
 
     Every row must parse cleanly; offending rows are reported by file
     line number and all collected before raising, so one pass surfaces
-    every problem.
+    every problem. Subject ids must be present and unique; they are
+    checked and then dropped.
 
     Raises:
-        DataError: missing columns, unparseable or invalid rows,
-            duplicate subject ids, or an empty file.
+        DataError: missing or duplicate columns, rows with the wrong field
+            count, unparseable or invalid rows, duplicate subject ids, or
+            an empty file.
     """
     schema = schema or CsvSchema()
     try:
@@ -139,55 +175,56 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> list[SubjectRecord]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file (no header row)")
-        header = list(reader.fieldnames)
+        duplicated = sorted({c for c in header if header.count(c) > 1})
+        if duplicated:
+            raise DataError(f"{path}: duplicate column names {duplicated} in header")
         needed = [schema.subject_id, schema.arm, schema.entry_time, schema.followup_time, schema.event]
-        if schema.covariates is not None:
-            needed += list(schema.covariates)
+        if schema.covariates is None:
+            cov_cols = [c for c in header if c not in needed]
+        else:
+            cov_cols = list(schema.covariates)
+        needed += cov_cols
         missing = [c for c in needed if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}; header has {header}")
-        if schema.covariates is None:
-            mapped = set(needed)
-            cov_cols = [c for c in header if c not in mapped]
-        else:
-            cov_cols = list(schema.covariates)
-
-        records: list[SubjectRecord] = []
-        problems: list[str] = []
-        seen_ids: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                sid = row.get(schema.subject_id)
-                if sid is None or sid == "":
-                    raise ValueError("missing id")
-                if sid in seen_ids:
-                    raise ValueError(f"duplicate id {sid!r}")
-                rec = SubjectRecord(
-                    subject_id=sid,
-                    arm=_parse_binary(row.get(schema.arm), "arm"),
-                    entry_time=_parse_float(row.get(schema.entry_time), "entry_time"),
-                    followup_time=_parse_float(row.get(schema.followup_time), "followup_time"),
-                    event=_parse_binary(row.get(schema.event), "event"),
-                    covariates=tuple(
-                        _parse_float(row.get(c), f"covariate {c!r}") for c in cov_cols
-                    ),
-                )
-            except (ValueError, DataError) as exc:
-                problems.append(f"line {line_no}: {exc}")
+        picks = [header.index(c) for c in needed]
+        columns: list[list[str]] = [[] for _ in picks]
+        appends = [col.append for col in columns]
+        lines = array("l")  # the file line of each kept row
+        problems: dict[int, str] = {}  # by file line
+        for row in reader:
+            if not row:
                 continue
-            seen_ids.add(sid)
-            records.append(rec)
+            if len(row) != len(header):
+                problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
+                continue
+            lines.append(reader.line_num)
+            for append, k in zip(appends, picks):
+                append(row[k])
 
+    ids, cells = columns[0], columns[1:]
+    id_problems: dict[int, str] = {}
+    seen: set[str] = set()
+    for i, sid in enumerate(ids):
+        if not sid or sid in seen:
+            id_problems[i] = f"duplicate id {sid!r}" if sid else "missing id"
+        seen.add(sid)
+    arm, entry, followup, event, *covariates = (_floats(col) for col in cells)
+    z = np.column_stack(covariates) if covariates else np.empty((len(ids), 0))
+    bad = _bad_rows(arm, entry, followup, event, z, [f"covariate {c!r}" for c in cov_cols], cells)
+    for i, message in {**bad, **id_problems}.items():
+        problems[lines[i]] = message
     if problems:
-        shown = "\n  ".join(problems[:20])
+        shown = "\n  ".join(f"line {n}: {problems[n]}" for n in sorted(problems)[:20])
         more = f"\n  ... and {len(problems) - 20} more" if len(problems) > 20 else ""
         raise DataError(f"{path}: {len(problems)} bad row(s)\n  {shown}{more}")
-    if not records:
+    if not ids:
         raise DataError(f"{path}: no data rows")
-    return records
+    return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
 
 
 class Snapshot:
@@ -239,19 +276,14 @@ class Snapshot:
     def n_covariates(self) -> int:
         return self.z.shape[1]
 
-    def arm_indices(self, arm: int) -> np.ndarray:
-        return np.flatnonzero(self.arm == arm)
-
 
 def snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=None) -> Snapshot:
-    """Array-path snapshot; see :func:`snapshot` for semantics."""
+    """Snapshot of loose columns; see :func:`snapshot` for semantics."""
     entry = np.asarray(entry, dtype=np.float64)
     time = np.asarray(time, dtype=np.float64)
     event = np.asarray(event, dtype=np.int8)
     arm = np.asarray(arm, dtype=np.int8)
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z.reshape(len(z), 1) if z.size else z.reshape(len(entry), 0)
     if lock_time is not None and u > lock_time:
         raise DataError(
             f"analysis time u={u} exceeds the data lock at {lock_time}; "
@@ -268,35 +300,26 @@ def snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=None) -> 
     return Snapshot(u=u, tau=tau, arm=arm[keep], time=t_u, event=d_u, z=z[keep])
 
 
-def snapshot(records, u: float, tau: float, lock_time=None) -> Snapshot:
-    """Roll the dataset back to calendar time ``u``.
+def snapshot(trial: Trial, u: float, tau: float, lock_time=None) -> Snapshot:
+    """Roll the trial back to calendar time ``u``.
 
-    Subjects with ``entry_time >= u`` are excluded. For the rest,
-    follow-up is capped at ``u - entry_time``; an event counts only if it
-    occurred within the capped window (boundary included).
+    Subjects with ``entry >= u`` are excluded. For the rest, follow-up is
+    capped at ``u - entry``; an event counts only if it occurred within
+    the capped window (boundary included).
 
     Args:
-        records: sequence of SubjectRecord.
+        trial: the dataset as of its data lock.
         u: analysis calendar time, > 0.
         tau: analysis horizon carried on the snapshot, > 0.
         lock_time: optional calendar time of the data lock. When given,
-            ``u > lock_time`` raises since records cannot be matured.
+            ``u > lock_time`` raises since the trial cannot be matured.
 
     Raises:
         DataError: invalid u/tau, immature data, or nobody enrolled.
     """
-    records = list(records)
-    if any(not isinstance(r, SubjectRecord) for r in records):
-        raise DataError("records must be SubjectRecord instances")
-    p = len(records[0].covariates) if records else 0
-    if any(len(r.covariates) != p for r in records):
-        raise DataError("all records must have the same number of covariates")
-    entry = np.array([r.entry_time for r in records], dtype=np.float64)
-    time = np.array([r.followup_time for r in records], dtype=np.float64)
-    event = np.array([r.event for r in records], dtype=np.int8)
-    arm = np.array([r.arm for r in records], dtype=np.int8)
-    z = np.array([r.covariates for r in records], dtype=np.float64).reshape(len(records), p)
-    return snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=lock_time)
+    return snapshot_from_arrays(
+        trial.entry, trial.followup, trial.event, trial.arm, trial.z, u, tau, lock_time=lock_time
+    )
 
 
 def standardize_covariates(snap: Snapshot) -> Snapshot:

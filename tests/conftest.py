@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rmstgst.sim_engine import SimScenario, calibrate_null, draw_trial
-from rmstgst.trial_data import SubjectRecord, snapshot
+from rmstgst.trial_data import Trial, snapshot
 
 settings.register_profile(
     "suite",
@@ -38,30 +38,28 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def make_record(sid="s1", arm=0, entry=0.0, time=1.0, event=1, cov=(0.0,)):
-    return SubjectRecord(
-        subject_id=sid, arm=arm, entry_time=entry, followup_time=time,
-        event=event, covariates=tuple(cov),
+def make_trial(*rows):
+    """A trial from ``(arm, entry, followup, event, covariates)`` rows."""
+    arm, entry, followup, event, z = zip(*rows)
+    return Trial(arm=arm, entry=entry, followup=followup, event=event, z=np.array(z, dtype=float))
+
+
+def toy_trial():
+    """Eight subjects, two arms, one covariate, mixed censoring."""
+    return make_trial(
+        (0, 0.0, 0.9, 1, (0.2,)),
+        (0, 0.1, 1.4, 1, (-0.5,)),
+        (0, 0.2, 2.5, 0, (1.1,)),
+        (0, 0.3, 0.4, 1, (0.0,)),
+        (1, 0.0, 1.1, 1, (-0.2,)),
+        (1, 0.1, 0.7, 0, (0.4,)),
+        (1, 0.2, 1.8, 1, (-1.0,)),
+        (1, 0.3, 2.2, 1, (0.6,)),
     )
 
 
-def toy_records():
-    """Eight subjects, two arms, one covariate, mixed censoring."""
-    rows = [
-        ("a1", 0, 0.0, 0.9, 1, 0.2),
-        ("a2", 0, 0.1, 1.4, 1, -0.5),
-        ("a3", 0, 0.2, 2.5, 0, 1.1),
-        ("a4", 0, 0.3, 0.4, 1, 0.0),
-        ("b1", 1, 0.0, 1.1, 1, -0.2),
-        ("b2", 1, 0.1, 0.7, 0, 0.4),
-        ("b3", 1, 0.2, 1.8, 1, -1.0),
-        ("b4", 1, 0.3, 2.2, 1, 0.6),
-    ]
-    return [make_record(*row[:2], *row[2:5], (row[5],)) for row in rows]
-
-
 def toy_snapshot(u=5.0, tau=2.0):
-    return snapshot(toy_records(), u=u, tau=tau)
+    return snapshot(toy_trial(), u=u, tau=tau)
 
 
 @pytest.fixture(scope="session")
@@ -89,12 +87,12 @@ def nph_scenario():
 
 def sim_snapshot(scn, seed, u=None, tau=None):
     """One simulated trial snapshot from a scenario."""
-    records = draw_trial(scn, np.random.default_rng(seed))
-    return snapshot(records, u=scn.total_duration if u is None else u,
+    trial = draw_trial(scn, np.random.default_rng(seed))
+    return snapshot(trial, u=scn.total_duration if u is None else u,
                     tau=scn.tau if tau is None else tau)
 
 
-def monotone_records():
+def monotone_trial():
     """A trial whose snapshot at u=0.2 has one event per arm.
 
     The Cox fit there runs off to beta ~ 282 with information ~3e-10

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import monotone_records, sim_snapshot, toy_snapshot
+from conftest import monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -320,7 +320,7 @@ class TestAnalyze:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_monotone_likelihood_raises_instead_of_nan(self):
-        snap = snapshot(monotone_records(), u=0.2, tau=1.0)
+        snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(EstimationError, match="must be finite"):
             analyze(snap)
 

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import monotone_records
+from conftest import monotone_trial
 
 from rmstgst import cli
 from rmstgst.cli import main
@@ -386,10 +386,12 @@ class TestNonFiniteAnalysis:
     @pytest.fixture()
     def monotone_csv(self, tmp_path):
         path = tmp_path / "monotone.csv"
+        trial = monotone_trial()
+        columns = (trial.arm.tolist(), trial.entry.tolist(), trial.followup.tolist(),
+                   trial.event.tolist(), trial.z[:, 0].tolist())
         write_trial_csv(path, [
-            [r.subject_id, r.arm, repr(r.entry_time), repr(r.followup_time), r.event,
-             repr(r.covariates[0])]
-            for r in monotone_records()
+            [f"s{i}", arm, repr(entry), repr(followup), event, repr(z1)]
+            for i, (arm, entry, followup, event, z1) in enumerate(zip(*columns))
         ])
         return str(path)
 

@@ -121,9 +121,9 @@ class TestTruthFunctionals:
             covariate_strength=math.log(1.5), censoring=None,
         )
         rng = np.random.default_rng(99)
-        records = draw_trial(scn, rng)
+        trial = draw_trial(scn, rng)
         for arm in (0, 1):
-            times = np.array([r.followup_time for r in records if r.arm == arm])
+            times = trial.followup[trial.arm == arm]
             clipped = np.minimum(times, scn.tau)
             se = clipped.std(ddof=1) / math.sqrt(times.size)
             assert abs(clipped.mean() - true_rmst(scn, arm)) < 3 * se
@@ -134,8 +134,8 @@ class TestTruthFunctionals:
             log_rate_ratio=-0.3, censoring=None,
         )
         rng = np.random.default_rng(5)
-        records = draw_trial(scn, rng)
-        times = np.array([r.followup_time for r in records if r.arm == 1])
+        trial = draw_trial(scn, rng)
+        times = trial.followup[trial.arm == 1]
         clipped = np.minimum(times, scn.tau)
         se = clipped.std(ddof=1) / math.sqrt(times.size)
         assert abs(clipped.mean() - true_rmst(scn, 1)) < 3 * se
@@ -181,31 +181,29 @@ class TestDraws:
 
     def test_trial_structure(self):
         scn = SimScenario(n_per_arm=30, covariates="bernoulli2")
-        records = draw_trial(scn, _rng_for_replicate(0, 0))
-        assert len(records) == 60
-        assert sum(r.arm for r in records) == 30
-        assert len({r.subject_id for r in records}) == 60
-        for r in records:
-            assert 0.0 <= r.entry_time <= scn.accrual
-            assert r.followup_time > 0
-            assert r.event in (0, 1)
-            assert len(r.covariates) == 2
+        trial = draw_trial(scn, _rng_for_replicate(0, 0))
+        assert len(trial) == 60
+        assert int(trial.arm.sum()) == 30
+        assert np.all((0.0 <= trial.entry) & (trial.entry <= scn.accrual))
+        assert np.all(trial.followup > 0)
+        assert set(trial.event.tolist()) <= {0, 1}
+        assert trial.z.shape == (60, 2)
 
     def test_no_censoring_all_events(self):
         scn = SimScenario(n_per_arm=40, censoring=None)
-        records = draw_trial(scn, _rng_for_replicate(2, 0))
-        assert all(r.event == 1 for r in records)
+        trial = draw_trial(scn, _rng_for_replicate(2, 0))
+        assert np.all(trial.event == 1)
 
     def test_exponential_censoring_fraction(self):
         scn = SimScenario(
             n_per_arm=60_000, shape_base=1.0, covariate_strength=0.0, censoring="5pct_per_year",
         )
-        records = draw_trial(scn, _rng_for_replicate(8, 0))
+        trial = draw_trial(scn, _rng_for_replicate(8, 0))
         lam = scn.rate_base
         c = scn.censoring_rate
         expect = lam / (lam + c)
-        observed = np.mean([r.event for r in records])
-        se = math.sqrt(expect * (1 - expect) / len(records))
+        observed = np.mean(trial.event)
+        se = math.sqrt(expect * (1 - expect) / len(trial))
         assert abs(observed - expect) < 3 * se
 
 

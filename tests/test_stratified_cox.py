@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import make_record, monotone_records, sim_snapshot, toy_snapshot
+from conftest import monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,7 +150,7 @@ class TestFit:
     def test_monotone_likelihood_hint(self):
         # One event per arm: the covariate separates events from
         # survivors, so beta runs off and the information vanishes.
-        snap = snapshot(monotone_records(), u=0.2, tau=1.0)
+        snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(SingularInformationError, match="separates events from survivors"):
             cox_hr_test(snap)
 
