@@ -7,10 +7,11 @@ density on the continuation region, and each stage's critical value is
 solved so the cumulative crossing probability under the null equals the
 spending target at the observed information fraction: by Newton's method,
 whose slope is a normal-density sum over the same grid, bracketed by
-bisection on [0, 40]. The grid is panels of one 10-point Gauss-Legendre
-rule, each at most two sds wide of the narrower normal transition kernel
-into or out of the stage (sd sqrt(f_k - f_{k-1})), so close looks do not
-alias; a stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
+bisection on [0, 40]; the calibrations of ``sim_engine`` bisect with the
+same solver. The grid is panels of one 10-point Gauss-Legendre rule, each
+at most two sds wide of the narrower normal transition kernel into or out
+of the stage (sd sqrt(f_k - f_{k-1})), so close looks do not alias; a
+stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: the density after stage k depends only on the
 fractions and critical values already used, and the monitoring state
@@ -220,21 +221,35 @@ def _solve_critical(prev: _ScoreDensity | None, fraction: float, target: float, 
     if _stage_crossing(prev, fraction, 0.0, sided) <= increment:
         return 0.0
     sd, sigma = math.sqrt(fraction), math.sqrt(fraction - prev.fraction)
-    lo, hi, step, c = 0.0, 40.0, 40.0, min(max(c, 0.0), 40.0)
-    while True:
-        gap = _stage_crossing(prev, fraction, c, sided) - increment
-        lo, hi = (c, hi) if gap > 0.0 else (lo, c)
+
+    def slope(c: float) -> float:
         dens = _normal_pdf((prev.x - c * sd) / sigma)
         if sided == "two_sided":
             dens = dens + _normal_pdf((prev.x + c * sd) / sigma)
-        slope = -(sd / sigma) * float(prev.gw @ dens)
-        newton = c - gap / slope if slope < 0.0 else math.nan
-        # Newton while it stays in the bracket and halves the step, else bisect: the step shrinks.
-        if not (lo <= newton <= hi and abs(newton - c) <= 0.5 * step):
+        return -(sd / sigma) * float(prev.gw @ dens)
+
+    return _find_root(lambda c: _stage_crossing(prev, fraction, c, sided) - increment,
+                      0.0, 40.0, start=min(max(c, 0.0), 40.0), slope=slope)
+
+
+def _find_root(fn, lo: float, hi: float, start: float | None = None, slope=None) -> float:
+    """Root of a decreasing ``fn`` on ``[lo, hi]``, to ``1e-12 + 1e-14 * |x|``.
+
+    A Newton step on ``slope`` is kept while it stays in the shrinking bracket
+    and at most halves the last step; any other step, or every step without
+    a slope, bisects.
+    """
+    x, step = (0.5 * (lo + hi) if start is None else start), hi - lo
+    while True:
+        gap = fn(x)
+        lo, hi = (x, hi) if gap > 0.0 else (lo, x)
+        d = slope(x) if slope is not None else 0.0
+        newton = x - gap / d if d < 0.0 else math.nan
+        if not (lo <= newton <= hi and abs(newton - x) <= 0.5 * step):
             newton = 0.5 * (lo + hi)
-        step, c = abs(newton - c), newton
-        if step <= 1e-12 + 1e-14 * abs(c):
-            return c
+        step, x = abs(newton - x), newton
+        if step <= 1e-12 + 1e-14 * abs(x):
+            return x
 
 
 def _validate_fractions(fractions) -> tuple[float, ...]:
@@ -458,7 +473,7 @@ class MonitoringState:
         try:
             design = DesignConfig.from_dict(d["design"])
             analyses = tuple(AnalysisRecord.from_dict(a) for a in d["analyses"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise StateError(f"malformed monitoring state: {exc}") from exc
         return cls(design=design, analyses=analyses)
 

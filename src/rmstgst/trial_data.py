@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -156,6 +157,14 @@ def _floats(cells: list[str]) -> np.ndarray:
     return values
 
 
+def _csv_rows(reader, path):
+    """The reader's rows, with a CSV parse error raised as a ``DataError`` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     """Read a trial from a CSV file with a header row.
 
@@ -166,45 +175,50 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
 
     Raises:
         DataError: missing or duplicate columns, rows with the wrong field
-            count, unparseable or invalid rows, duplicate subject ids, or
-            an empty file.
+            count, unparseable or invalid rows, duplicate subject ids, an
+            empty file, or a file that is not UTF-8 or not CSV.
     """
     schema = schema or CsvSchema()
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file (no header row)")
-        duplicated = sorted({c for c in header if header.count(c) > 1})
-        if duplicated:
-            raise DataError(f"{path}: duplicate column names {duplicated} in header")
-        needed = [schema.subject_id, schema.arm, schema.entry_time, schema.followup_time, schema.event]
-        if schema.covariates is None:
-            cov_cols = [c for c in header if c not in needed]
-        else:
-            cov_cols = list(schema.covariates)
-        needed += cov_cols
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}; header has {header}")
-        picks = [header.index(c) for c in needed]
-        columns: list[list[str]] = [[] for _ in picks]
-        appends = [col.append for col in columns]
-        lines = array("l")  # the file line of each kept row
-        problems: dict[int, str] = {}  # by file line
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
-                continue
-            lines.append(reader.line_num)
-            for append, k in zip(appends, picks):
-                append(row[k])
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _csv_rows(reader, path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty file (no header row)")
+    duplicated = sorted({c for c in header if header.count(c) > 1})
+    if duplicated:
+        raise DataError(f"{path}: duplicate column names {duplicated} in header")
+    needed = [schema.subject_id, schema.arm, schema.entry_time, schema.followup_time, schema.event]
+    if schema.covariates is None:
+        cov_cols = [c for c in header if c not in needed]
+    else:
+        cov_cols = list(schema.covariates)
+    needed += cov_cols
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}; header has {header}")
+    picks = [header.index(c) for c in needed]
+    columns: list[list[str]] = [[] for _ in picks]
+    appends = [col.append for col in columns]
+    lines = array("l")  # the file line of each kept row
+    problems: dict[int, str] = {}  # by file line
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
+            continue
+        lines.append(reader.line_num)
+        for append, k in zip(appends, picks):
+            append(row[k])
 
     ids, cells = columns[0], columns[1:]
     id_problems: dict[int, str] = {}

@@ -335,6 +335,20 @@ class TestAnalyze:
         assert code == 2
         assert "malformed design config" in err
 
+    @pytest.mark.parametrize("typed", [False, True], ids=["null_design", "string_alpha"])
+    def test_bad_design_inside_state_file_exit_5(self, typed, trial_csv, tmp_path, capsys):
+        design = DesignConfig(SpendingFunction("cubic_min"), (0.5, 0.75, 1.0), i_max=700.0).to_dict()
+        state = {"schema": "rmstgst.state/1", "design": {**design, "alpha": "0.05"} if typed else None,
+                 "analyses": []}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0", "--state", str(path),
+        )
+        assert code == 5
+        assert "malformed monitoring state" in err
+        assert json.loads(path.read_text()) == state
+
     def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
         state_path = str(tmp_path / "state.json")
         code, stdout, _ = run_cli(

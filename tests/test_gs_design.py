@@ -508,11 +508,15 @@ class TestSerialization:
             MonitoringState.from_json("{nope")
         with pytest.raises(StateError, match="schema"):
             MonitoringState.from_dict({"schema": "rmstgst.state/2", "design": {}, "analyses": []})
-        with pytest.raises(ConfigError, match="JSON object"):
+        with pytest.raises(StateError, match="malformed monitoring state: design config must be a JSON"):
             MonitoringState.from_dict(
                 {"schema": "rmstgst.state/1", "design": None, "analyses": []}
             )
         good_design = fresh_state().design.to_dict()
+        with pytest.raises(StateError, match="malformed monitoring state: malformed design config"):
+            MonitoringState.from_dict(
+                {"schema": "rmstgst.state/1", "design": {**good_design, "alpha": "0.05"}, "analyses": []}
+            )
         with pytest.raises(StateError, match="malformed"):
             MonitoringState.from_dict(
                 {"schema": "rmstgst.state/1", "design": good_design, "analyses": [{}]}

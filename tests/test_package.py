@@ -16,6 +16,7 @@ import numpy as np
 
 import rmstgst
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction
+from rmstgst.sim_engine import SimScenario
 
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 
@@ -69,3 +70,27 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
     assert _run_fresh(code) == "[]"
     second = MonitoringState.from_json(state.read_text()).analyses[1]
     assert second.decision != "skipped" and math.isfinite(second.critical_value)
+
+
+def test_calibrate_and_simulate_load_no_scipy(tmp_path):
+    """A calibration and a simulation on its output run on numpy alone."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SimScenario(
+        n_per_arm=30, accrual=0.6, tau=0.4, rate_base=3.0, shape_offset=-0.3,
+        covariate_strength=math.log(1.5), fractions=(0.5, 1.0),
+    ).to_dict()))
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
+    calibration = tmp_path / "calibration.json"
+    calibrate = ["calibrate", "--scenario", str(scenario), "--reps", "100", "--out", str(calibration)]
+    simulate = ["simulate", "--scenario", str(scenario), "--design", str(design), "--calibration",
+                str(calibration), "--reps", "20", "--effect", "power", "--out-dir", str(tmp_path / "sim")]
+    code = (
+        "import sys; from rmstgst import cli\n"
+        f"assert cli.main({calibrate!r}) == 0 and cli.main({simulate!r}) == 0\n"
+        + LOADED_SCIPY
+    )
+    assert _run_fresh(code) == "[]"
+    doc = json.loads(calibration.read_text())
+    assert doc["power"]["delta"] > 0 and math.isfinite(doc["null_log_rate_ratio"])
+    assert (tmp_path / "sim" / "results.csv").exists()

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import sim_snapshot
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
-from rmstgst.errors import ConfigError, InsufficientEventsError
+from rmstgst.errors import ConfigError, EstimationError, InsufficientEventsError
 from rmstgst.gs_design import SpendingFunction
 from rmstgst.sim_engine import (
     METHODS,
@@ -28,10 +32,73 @@ from rmstgst.sim_engine import (
     true_delta,
     true_rmst,
     true_survival,
-    weibull_time_from_uniform,
+    _atom_rates,
+    _covariate_atoms,
+    _fixed_test_power,
     _rng_for_replicate,
 )
 from rmstgst.trial_data import snapshot_from_arrays
+
+PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+LOG15 = math.log(1.5)
+# The truth-relevant settings of every scenario the tests and perfbench/data evaluate.
+TRUTH_SCENARIOS = [
+    SimScenario(),
+    SimScenario(covariate_strength=LOG15),
+    SimScenario(shape_offset=-0.3, covariate_strength=LOG15),
+    SimScenario(shape_offset=-0.3, covariate_strength=LOG15, log_rate_ratio=-0.16),
+    SimScenario(shape_offset=-0.3, covariate_strength=LOG15, covariates="bernoulli2"),
+    SimScenario(shape_offset=-0.3, covariate_strength=LOG15, censoring=None),
+    SimScenario(shape_offset=-0.3, covariate_strength=LOG15, log_rate_ratio=-0.2, censoring=None),
+    SimScenario(shape_offset=-0.3, covariate_strength=0.5),
+    SimScenario(shape_offset=-0.3, covariate_strength=0.5, covariates="bernoulli2"),
+    SimScenario(shape_offset=-0.3, log_rate_ratio=-0.16),
+    SimScenario(covariates="bernoulli2", covariate_strength=0.7, log_rate_ratio=-0.3, censoring=None),
+    SimScenario(log_rate_ratio=-0.4, covariate_strength=0.3),
+    SimScenario(log_rate_ratio=-0.5, covariate_strength=0.4),
+    SimScenario(log_rate_ratio=-0.35, covariate_strength=LOG15),
+    SimScenario(log_rate_ratio=-0.4, covariate_strength=LOG15, censoring=None),
+    SimScenario(shape_base=1.0, covariate_strength=0.0),
+    *(SimScenario.from_dict(json.loads(path.read_text()))
+      for path in sorted(PERFBENCH_DATA.glob("*scenario.json"))),
+]
+# Shapes below 1, where plain adaptive quadrature is itself only good to about 1e-9.
+LOW_SHAPE_SCENARIOS = [
+    SimScenario(shape_base=0.6, shape_offset=0.2, covariate_strength=0.5),
+    SimScenario(shape_base=0.5, shape_offset=0.4, covariates="bernoulli2", covariate_strength=0.7),
+    SimScenario(shape_base=0.8, shape_offset=-0.1, covariate_strength=LOG15, log_rate_ratio=-0.3),
+    SimScenario(shape_base=0.3, shape_offset=0.0, covariate_strength=LOG15, tau=3.0),
+]
+
+
+def _event_weight(scn, t):
+    """Arm-averaged event density at time ``t``, covariates mixed out, thinned by censoring."""
+    atoms, weights = _covariate_atoms(scn.covariates)
+    dens = 0.0
+    for arm in (0, 1):
+        shape, rates = scn.arm_shape(arm), _atom_rates(scn, arm, atoms)
+        dens += float((rates * shape * t ** (shape - 1.0) * np.exp(-rates * t**shape)) @ weights)
+    return 0.5 * dens * math.exp(-scn.censoring_rate * t)
+
+
+def _quad(f, tau, power=1):
+    """Adaptive quadrature over [0, tau] on t = tau * s**power.
+
+    A power of 16 turns a t**(shape - 1) singularity into the bounded
+    s**(16 * shape - 1) for any shape above 1/16; that is the refined
+    rule for shapes below 1.
+    """
+    return quad(lambda s: f(tau * s**power) * power * tau * s ** (power - 1), 0.0, 1.0,
+                epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
+def _oracle_rmst(scn, arm, power=1):
+    return _quad(lambda t: float(true_survival(scn, arm, t)[0]), scn.tau, power)
+
+
+def _oracle_ahr(scn, power=1):
+    num = _quad(lambda t: _event_weight(scn, t) * float(hazard_ratio(scn, t)), scn.tau, power)
+    return num / _quad(lambda t: _event_weight(scn, t), scn.tau, power)
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +164,29 @@ class TestScenario:
 
 
 class TestTruthFunctionals:
-    def test_weibull_inversion(self):
-        assert weibull_time_from_uniform(0.5, 1.0, 1.0) == pytest.approx(math.log(2), rel=1e-15)
-        assert weibull_time_from_uniform(0.5, 2.0, 1.0) == pytest.approx(
-            math.sqrt(math.log(2)), rel=1e-15
-        )
-        for u, shape, rate in [(0.9, 1.3, 0.7), (0.2, 0.8, 2.4)]:
-            t = weibull_time_from_uniform(u, shape, rate)
-            assert math.exp(-rate * t**shape) == pytest.approx(u, rel=1e-12)
+    @pytest.mark.parametrize("scn", TRUTH_SCENARIOS)
+    def test_graded_rule_matches_adaptive_quadrature(self, scn):
+        for arm in (0, 1):
+            assert true_rmst(scn, arm) == pytest.approx(_oracle_rmst(scn, arm), rel=1e-10)
+        assert average_hazard_ratio(scn) == pytest.approx(_oracle_ahr(scn), rel=1e-10)
+
+    @pytest.mark.parametrize("scn", LOW_SHAPE_SCENARIOS)
+    def test_graded_rule_below_shape_one(self, scn):
+        """Against the refined rule, since plain adaptive quadrature degrades below shape 1.
+
+        The event density t**(shape - 1) is singular at 0, and the rule's
+        t = tau * s**4 leaves s**(4 * shape - 1) in the average hazard
+        ratio: it keeps about 1e-9 on these scenarios, the restricted mean
+        about 1e-15.
+        """
+        for arm in (0, 1):
+            assert true_rmst(scn, arm) == pytest.approx(_oracle_rmst(scn, arm, power=16), rel=1e-10)
+        assert average_hazard_ratio(scn) == pytest.approx(_oracle_ahr(scn, power=16), rel=1e-8)
+
+    def test_true_rmst_to_another_horizon(self):
+        scn = SimScenario(shape_offset=-0.3, covariate_strength=LOG15)
+        longer = replace(scn, tau=2.5)
+        assert true_rmst(scn, 1, tau=2.5) == pytest.approx(_oracle_rmst(longer, 1), rel=1e-10)
 
     def test_true_survival_boundaries(self):
         scn = SimScenario(covariate_strength=math.log(1.5), shape_offset=-0.3)
@@ -217,6 +299,30 @@ class TestCalibration:
         offset = calibrate_null(scn)
         assert offset != 0.0
         assert true_delta(replace(scn, log_rate_ratio=offset)) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("scn", TRUTH_SCENARIOS[2::3] + LOW_SHAPE_SCENARIOS[:2])
+    def test_null_offset_matches_brentq(self, scn):
+        mu0 = true_rmst(scn, 0)
+        oracle = brentq(lambda b: true_rmst(replace(scn, log_rate_ratio=b), 1) - mu0, -5.0, 5.0,
+                        xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        assert calibrate_null(scn) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("target", [0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+    def test_power_offset_matches_brentq(self, small_scn, small_calib, target, sided):
+        pc = calibrate_power(small_scn, small_calib, target_power=target, sided=sided)
+        delta = brentq(lambda d: _fixed_test_power(d, small_calib.i_max, 0.05, sided) - target,
+                       0.0, small_scn.tau, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        mu0 = true_rmst(small_scn, 0)
+        offset = brentq(lambda b: true_rmst(replace(small_scn, log_rate_ratio=b), 1) - mu0 - delta,
+                        -5.0, 5.0, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        assert pc.delta == pytest.approx(delta, abs=1e-10)
+        assert pc.log_rate_ratio == pytest.approx(offset, abs=1e-10)
+
+    def test_unreachable_power_is_estimation_error(self, small_scn, small_calib):
+        tiny = replace(small_calib, i_max=1e-3)
+        with pytest.raises(EstimationError, match="power calibration residual"):
+            calibrate_power(small_scn, tiny, target_power=0.8)
 
     def test_information_calibration_contract(self, small_scn, small_calib):
         calib = small_calib

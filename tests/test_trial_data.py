@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from conftest import make_trial, toy_trial
@@ -193,6 +195,22 @@ class TestIngestCsv:
             [["s1", 0, 0.0, 1.0, 1, 0.0], ["", 2, 0.0, 1.0, 1, 0.0], ["s1", 5, 0.0, 1.0, 1, 0.0]],
         )
         with pytest.raises(DataError, match=r"2 bad row\(s\)\n  line 3: missing id\n  line 4: duplicate id 's1'$"):
+            ingest_csv(path)
+
+    def test_non_utf8_byte_reported_with_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        lines = [",".join(self.HEADER)] + [f"s{i},0,0.1,1.0,0,0.{i}" for i in range(1, 4000)]
+        lines[2500] = "s2500,0,0.1,1.0,0,0.\xff"
+        path.write_bytes("\n".join(lines).encode("latin-1"))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2501: not UTF-8 text"):
+            ingest_csv(str(path))
+
+    def test_field_over_csv_limit_reported_with_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "t.csv", self.HEADER,
+            [["s1", 0, 0.1, 1.0, 0, 0.1], ["s2", 0, 0.1, 1.0, 0, "9" * 200_000]],
+        )
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}: line 3: field larger than field limit"):
             ingest_csv(path)
 
 
