@@ -136,12 +136,12 @@ class VarianceComponents:
 
 def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSurvival):
     n = snap.n
-    n_arm = snap.n1 if arm == 1 else snap.n0
-    data = fit.arms[arm]
+    data = snap.arms[arm]
+    n_arm = data.n
     te, d = data.event_times, data.event_counts
     if adj.c1.shape != te.shape:
         raise ValueError("adjusted survival grids disagree with the fit baselines")
-    r0, r1, _, shift, _ = _arm_risk_sums(data, fit.beta, want_s2=False)
+    r0, r1, _, shift = _arm_risk_sums(data, fit.beta, want_s2=False)
     scale = np.exp(shift)
     r0, r1 = r0 * scale, r1 * scale
     lam = fit.baseline(arm).values
@@ -233,12 +233,10 @@ class AnalysisResult:
 
 def _require_events(snap: Snapshot) -> None:
     """Raise InsufficientEventsError unless each arm has an event by min(u, tau)."""
-    t_max = min(snap.u, snap.tau)
-    for arm in (0, 1):
-        mask = snap.arm == arm
-        if not np.any(snap.event[mask] & (snap.time[mask] <= t_max)):
+    for arm, data in enumerate(snap.arms):
+        if not data.event_times.size:
             raise InsufficientEventsError(
-                f"arm {arm} has no events at or before min(u, tau)={t_max}; "
+                f"arm {arm} has no events at or before min(u, tau)={min(snap.u, snap.tau)}; "
                 "the analysis needs at least one per arm"
             )
 

@@ -222,8 +222,11 @@ def _load_or_create_state(args) -> MonitoringState:
             raise ConfigError(
                 f"state {args.state} already initialized; omit --design (the state file carries it)"
             )
-        raw = _read_json(args.state, "state")
-        return MonitoringState.from_dict(raw)
+        try:
+            with open(args.state, encoding="utf-8") as fh:
+                return MonitoringState.from_json(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise StateError(f"cannot read monitoring state {args.state}: {exc}") from exc
     if not args.design:
         raise ConfigError(f"state {args.state} does not exist; pass --design to start monitoring")
     design = DesignConfig.from_dict(_read_json(args.design, "design"))
@@ -301,13 +304,15 @@ def cmd_calibrate(args) -> int:
 def _resolve_effect(scn: SimScenario, doc: dict, effect: str) -> SimScenario:
     if effect == "as-given":
         return scn
-    if effect == "null":
-        if "null_log_rate_ratio" not in doc:
-            raise ConfigError("calibration lacks null_log_rate_ratio; rerun calibrate")
-        return replace(scn, log_rate_ratio=float(doc["null_log_rate_ratio"]))
-    if "power" not in doc:
+    if effect == "null" and "null_log_rate_ratio" not in doc:
+        raise ConfigError("calibration lacks null_log_rate_ratio; rerun calibrate")
+    if effect == "power" and "power" not in doc:
         raise ConfigError("calibration lacks a power section; rerun calibrate")
-    return replace(scn, log_rate_ratio=float(doc["power"]["log_rate_ratio"]))
+    try:
+        offset = doc["null_log_rate_ratio"] if effect == "null" else doc["power"]["log_rate_ratio"]
+        return replace(scn, log_rate_ratio=float(offset))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed calibration {effect} offset: {exc!r}") from exc
 
 
 def cmd_simulate(args) -> int:

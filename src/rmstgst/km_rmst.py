@@ -37,23 +37,16 @@ class KmCurve:
 
 
 def km_fit(snap: Snapshot, arm: int) -> KmCurve:
-    """Kaplan-Meier curve for one arm of a snapshot, horizon ``tau``."""
-    idx = snap.arm == arm
-    times = snap.time[idx]
-    events = snap.event[idx].astype(bool)
-    horizon = min(snap.u, snap.tau)
-    ev = times[events & (times <= horizon)]
-    uniq, counts = np.unique(ev, return_counts=True)
-    order = np.sort(times)
-    at_risk = times.size - np.searchsorted(order, uniq, side="left")
-    surv = np.cumprod(1.0 - counts / at_risk)
+    """Kaplan-Meier curve for one arm of a snapshot, horizon ``tau``, from its ``arms`` layout."""
+    data = snap.arms[arm]
+    at_risk = data.n - data.risk_start
     return KmCurve(
         arm=arm,
         tau=snap.tau,
-        times=uniq,
+        times=data.event_times,
         at_risk=at_risk.astype(np.int64),
-        events=counts.astype(np.int64),
-        survival=surv,
+        events=data.event_counts.astype(np.int64),
+        survival=np.cumprod(1.0 - data.event_counts / at_risk),
     )
 
 

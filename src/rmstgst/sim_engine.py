@@ -141,7 +141,10 @@ class SimScenario:
         schema = d.get("schema", SCENARIO_SCHEMA)
         if schema != SCENARIO_SCHEMA:
             raise ConfigError(f"unsupported scenario schema {schema!r}")
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs = {key: value for key, value in d.items() if key != "schema"}
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
         try:
             if "fractions" in kwargs:
                 kwargs["fractions"] = tuple(kwargs["fractions"])
@@ -225,12 +228,14 @@ def average_hazard_ratio(scn: SimScenario) -> float:
     arm-mixed (1:1) event densities thinned by the censoring survival
     function. Administrative censoring never bites inside [0, tau]
     because the lock sits at accrual + tau. One number cannot summarize
-    a crossing hazard ratio; this weighting is reported alongside the
-    value wherever it is printed. Near 0 the weighted integrand behaves
-    like t**(m - 1), m = min(shape0, shape1, 2*shape1 - shape0), and the
+    a crossing hazard ratio. Near 0 the weighted integrand behaves like
+    t**(m - 1), m = min(shape0, shape1, 2*shape1 - shape0), and the
     graded rule loses digits as m falls below 1: relative error about
-    1e-9 at m = 0.6 and 4e-5 at m = 0.3.
+    1e-9 at m = 0.6 and 4e-5 at m = 0.3. At m <= 0 the integral diverges
+    and the value is ``inf``.
     """
+    if 2.0 * scn.arm_shape(1) - scn.arm_shape(0) <= 0:
+        return math.inf
     atoms, weights = _covariate_atoms(scn.covariates)
     s, w = _time_rule()
     t = scn.tau * s[:, None]
@@ -318,8 +323,6 @@ def cox_hr_test(snap: Snapshot) -> AnalysisResult:
     )
 
 
-# Analysis methods by name. ``calibrate_information`` reads the first
-# column of its final-analysis information as the adjusted method's.
 METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
 
 
@@ -377,31 +380,8 @@ class InformationCalibration:
             )
         except KeyError as exc:
             raise ConfigError(f"calibration is missing key {exc.args[0]!r}") from exc
-
-
-def _information_worker(args):
-    scn, master_seed, reps_slice, grid = args
-    rows = np.full((len(reps_slice), len(grid)), np.nan)
-    finals = np.full((len(reps_slice), len(METHODS)), np.nan)
-    tau = scn.tau
-    for i, rep in enumerate(reps_slice):
-        trial = draw_trial(scn, _rng_for_replicate(master_seed, rep))
-        for j, u in enumerate(grid):
-            try:
-                snap = snapshot(trial, u=u, tau=tau)
-                rows[i, j] = analyze(snap).info_level
-            except (DataError, EstimationError):
-                pass
-        try:
-            snap = snapshot(trial, u=grid[-1], tau=tau)
-        except DataError:
-            continue
-        for k, run in enumerate(METHODS.values()):
-            try:
-                finals[i, k] = run(snap).info_level
-            except EstimationError:
-                pass
-    return rows, finals
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"malformed calibration: {exc!r}") from exc
 
 
 def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int = 20200920,
@@ -422,9 +402,10 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     if grid.size == 0 or grid[-1] < total - 1e-9:
         grid = np.append(grid, total)
     grid[-1] = total
-    rows, finals = _map_replicates(
-        _information_worker, scn, master_seed, reps, threads, extra=(tuple(grid),),
+    rows, _ = _map_replicates(
+        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), ("adjusted",)),
     )
+    rows = rows[:, :, 0]
     ok = np.sum(~np.isnan(rows), axis=0)
     usable = ok >= max(1, int(0.9 * reps))
     if not usable[-1]:
@@ -436,10 +417,14 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     times = [total if f >= 1.0 else float(np.interp(f * i_max, traj, grid_u)) for f in scn.fractions]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise EstimationError(f"calibrated analysis times are not increasing: {times}; raise reps")
-    i_by_method = {m: float(np.nanmean(finals[:, k]))
-                   for k, m in enumerate(METHODS) if not np.all(np.isnan(finals[:, k]))}
-    i_by_method["adjusted"] = i_max
-    failures = int(np.sum(np.isnan(finals[:, 0])))
+    comparators = tuple(m for m in METHODS if m != "adjusted")
+    finals, _ = _map_replicates(
+        _study_worker, scn, master_seed, reps, threads, extra=((total,), comparators),
+    )
+    i_by_method = {"adjusted": i_max}
+    i_by_method.update((m, float(np.nanmean(finals[:, 0, k])))
+                       for k, m in enumerate(comparators) if not np.all(np.isnan(finals[:, 0, k])))
+    failures = int(np.sum(np.isnan(rows[:, -1])))
     return InformationCalibration(
         fractions=tuple(float(f) for f in scn.fractions),
         analysis_times=tuple(times),
@@ -492,7 +477,8 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
     target power for a normal test at the calibrated full information,
     then bisects for the treatment rate offset whose true difference
     equals ``delta`` (within 1e-6). ``target_power`` equal to ``alpha``
-    returns the null offset itself.
+    returns the null offset itself. A target that no difference in
+    [0, tau] reaches raises ``EstimationError``.
     """
     if not (0 < alpha < 1) or not (alpha <= target_power < 1):
         raise ConfigError("need alpha in (0,1) and target_power in [alpha, 1)")
@@ -500,6 +486,12 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
     def power_shortfall(delta: float) -> float:
         return target_power - _fixed_test_power(delta, calib.i_max, alpha, sided)
 
+    reached = _fixed_test_power(scn.tau, calib.i_max, alpha, sided)
+    if reached < target_power:
+        raise EstimationError(
+            f"target power {target_power} is unreachable: a difference of tau = {scn.tau} "
+            f"reaches power {reached:.6g} at i_max = {calib.i_max:.6g}"
+        )
     delta = 0.0 if target_power <= alpha else _find_root(power_shortfall, 0.0, scn.tau)
     root, residual = _rate_offset(scn, delta, bracket)
     if abs(residual) >= 1e-6:
@@ -542,11 +534,10 @@ class OperatingCharacteristics:
 
 
 def _study_worker(args):
+    """Information and estimate of each method at each calendar time, per replicate; NaN where one fails."""
     scn, master_seed, reps_slice, times, methods = args
-    n_stage = len(times)
-    n_m = len(methods)
-    infos = np.full((len(reps_slice), n_stage, n_m), np.nan)
-    deltas = np.full((len(reps_slice), n_stage, n_m), np.nan)
+    infos = np.full((len(reps_slice), len(times), len(methods)), np.nan)
+    deltas = np.full_like(infos, np.nan)
     for i, rep in enumerate(reps_slice):
         trial = draw_trial(scn, _rng_for_replicate(master_seed, rep))
         for k, u in enumerate(times):

@@ -11,12 +11,12 @@ subjects followed past that point still contribute risk time up to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, SingularInformationError
-from .trial_data import Snapshot
+from .trial_data import Snapshot, _ArmData
 
 __all__ = [
     "StepFunction",
@@ -66,10 +66,9 @@ class CoxFit:
     """Converged fit of the two-baseline proportional-hazards model.
 
     ``baseline0``/``baseline1`` are Breslow cumulative baseline hazards
-    per arm with jumps at that arm's event times up to ``t_max``.
+    per arm with jumps at that arm's event times up to ``min(u, tau)``.
     ``info`` is the observed information at ``beta`` (unnormalized sum
-    over events). ``arms`` holds the per-arm data the fit sorted, for
-    risk sums at ``beta``.
+    over events).
     """
 
     beta: np.ndarray
@@ -77,63 +76,22 @@ class CoxFit:
     loglik: float
     iterations: int
     converged: bool
-    t_max: float
     baseline0: StepFunction
     baseline1: StepFunction
-    arms: tuple[_ArmData, _ArmData] = field(repr=False, compare=False)
 
     def baseline(self, arm: int) -> StepFunction:
         return self.baseline1 if arm == 1 else self.baseline0
 
 
-class _ArmData:
-    """Per-arm arrays sorted by follow-up time, events grouped by time."""
-
-    __slots__ = ("n", "xs", "zs", "event_times", "event_counts", "event_z_sums", "risk_start")
-
-    def __init__(self, times, events, z, t_max):
-        order = np.argsort(times, kind="stable")
-        xs = times[order]
-        ds = events[order].astype(bool)
-        zs = z[order]
-        ds = ds & (xs <= t_max)
-        self.n = xs.size
-        self.xs = xs
-        self.zs = zs
-        ev_times = xs[ds]
-        ev_z = zs[ds]
-        if ev_times.size:
-            uniq, starts, counts = np.unique(ev_times, return_index=True, return_counts=True)
-            z_sums = np.add.reduceat(ev_z, starts, axis=0) if ev_z.shape[1] else np.zeros((uniq.size, 0))
-        else:
-            uniq = np.empty(0)
-            counts = np.empty(0, dtype=np.int64)
-            z_sums = np.zeros((0, z.shape[1]))
-        self.event_times = uniq
-        self.event_counts = counts.astype(np.float64)
-        self.event_z_sums = z_sums
-        # first index whose follow-up reaches each event time; suffix sums
-        # from here are the risk-set aggregates
-        self.risk_start = np.searchsorted(xs, uniq, side="left")
-
-
-def _prepare(snap: Snapshot, t_max: float) -> tuple[_ArmData, _ArmData]:
-    arms = []
-    for arm in (0, 1):
-        idx = snap.arm == arm
-        arms.append(_ArmData(snap.time[idx], snap.event[idx], snap.z[idx], t_max))
-    return tuple(arms)
-
-
 def _arm_risk_sums(arm: _ArmData, beta: np.ndarray, want_s2: bool):
     """Suffix risk sums at the arm's event times, in max-shifted scale.
 
-    Returns (r0, r1, r2, shift, lp) where the true sums are
-    r* times exp(shift).
+    Returns (r0, r1, r2, shift) where the true sums are r* times
+    exp(shift).
     """
     p = beta.size
     if arm.n == 0 or arm.event_times.size == 0:
-        return np.empty(0), np.zeros((0, p)), np.zeros((0, p, p)), 0.0, np.zeros(arm.n)
+        return np.empty(0), np.zeros((0, p)), np.zeros((0, p, p)), 0.0
     lp = arm.zs @ beta if p else np.zeros(arm.n)
     shift = float(lp.max()) if arm.n else 0.0
     w = np.exp(lp - shift)
@@ -151,10 +109,10 @@ def _arm_risk_sums(arm: _ArmData, beta: np.ndarray, want_s2: bool):
         r2 = s2_suffix[arm.risk_start]
     else:
         r2 = np.zeros((arm.event_times.size, p, p))
-    return r0, r1, r2, shift, lp
+    return r0, r1, r2, shift
 
 
-def _score_info_prepared(arms, beta: np.ndarray):
+def _score_info(arms, beta: np.ndarray):
     p = beta.size
     score = np.zeros(p)
     info = np.zeros((p, p))
@@ -162,7 +120,7 @@ def _score_info_prepared(arms, beta: np.ndarray):
     for arm in arms:
         if arm.event_times.size == 0:
             continue
-        r0, r1, r2, shift, lp = _arm_risk_sums(arm, beta, want_s2=True)
+        r0, r1, r2, shift = _arm_risk_sums(arm, beta, want_s2=True)
         d = arm.event_counts
         # r0 can underflow to 0 at extreme trial steps; the resulting
         # -inf/nan log likelihood makes the Newton loop halve the step.
@@ -178,12 +136,12 @@ def _score_info_prepared(arms, beta: np.ndarray):
     return score, info, loglik
 
 
-def score_and_info(snap: Snapshot, beta, t_max: float | None = None):
+def score_and_info(snap: Snapshot, beta):
     """Score vector, observed information, and log partial likelihood.
 
-    Events strictly after ``t_max`` (default ``min(u, tau)``) are
-    ignored; risk sets are unaffected for times at or below it. With no
-    events in range all three are zero.
+    Events strictly after ``min(u, tau)`` are ignored; risk sets are
+    unaffected for times at or below it. With no events in range all
+    three are zero.
 
     Returns:
         (score, info, loglik) with shapes (p,), (p, p), scalar.
@@ -191,10 +149,7 @@ def score_and_info(snap: Snapshot, beta, t_max: float | None = None):
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (snap.n_covariates,):
         raise DataError(f"beta must have shape ({snap.n_covariates},), got {beta.shape}")
-    if t_max is None:
-        t_max = min(snap.u, snap.tau)
-    arms = _prepare(snap, t_max)
-    return _score_info_prepared(arms, beta)
+    return _score_info(snap.arms, beta)
 
 
 def _check_nonsingular(info: np.ndarray):
@@ -225,14 +180,13 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         SingularInformationError: information not positive definite.
         DataError: no events at or before min(u, tau).
     """
-    t_max = min(snap.u, snap.tau)
-    arms = _prepare(snap, t_max)
+    arms = snap.arms
     n_events = sum(a.event_counts.sum() for a in arms)
     if n_events == 0:
-        raise DataError(f"no events at or before t_max={t_max}; nothing to fit")
+        raise DataError(f"no events at or before t_max={min(snap.u, snap.tau)}; nothing to fit")
     p = snap.n_covariates
     beta = np.zeros(p)
-    score, info, loglik = _score_info_prepared(arms, beta)
+    score, info, loglik = _score_info(arms, beta)
     iterations = 0
     while p and float(np.max(np.abs(score))) >= tol:
         if iterations >= max_iter:
@@ -245,7 +199,7 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            c_score, c_info, c_loglik = _score_info_prepared(arms, cand)
+            c_score, c_info, c_loglik = _score_info(arms, cand)
             # relative slack: near the optimum a full step's gain is below
             # one ulp of loglik, and rounding must not reject it
             if np.isfinite(c_loglik) and c_loglik >= loglik - 1e-12 * max(1.0, abs(loglik)):
@@ -256,35 +210,29 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         beta, score, info, loglik = cand, c_score, c_info, c_loglik
         iterations += 1
     _check_nonsingular(info)
-    baselines = [breslow(snap, beta, arm, t_max=t_max, _prepared=arms[arm]) for arm in (0, 1)]
+    baselines = [breslow(snap, beta, arm) for arm in (0, 1)]
     return CoxFit(
         beta=beta,
         info=info,
         loglik=float(loglik),
         iterations=iterations,
         converged=True,
-        t_max=t_max,
         baseline0=baselines[0],
         baseline1=baselines[1],
-        arms=arms,
     )
 
 
-def breslow(snap: Snapshot, beta, arm: int, t_max: float | None = None, _prepared=None) -> StepFunction:
+def breslow(snap: Snapshot, beta, arm: int) -> StepFunction:
     """Breslow cumulative baseline hazard for one arm at fixed ``beta``.
 
-    Each event time contributes (number of events) divided by the sum of
-    exp(beta'Z) over subjects still at risk in that arm. At beta = 0 this
-    is the Nelson-Aalen estimator.
+    Each event time up to ``min(u, tau)`` contributes (number of events)
+    divided by the sum of exp(beta'Z) over subjects still at risk in that
+    arm. At beta = 0 this is the Nelson-Aalen estimator.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    if t_max is None:
-        t_max = min(snap.u, snap.tau)
-    if _prepared is None:
-        idx = snap.arm == arm
-        _prepared = _ArmData(snap.time[idx], snap.event[idx], snap.z[idx], t_max)
-    r0, _, _, shift, _ = _arm_risk_sums(_prepared, beta, want_s2=False)
-    if _prepared.event_times.size == 0:
+    data = snap.arms[arm]
+    r0, _, _, shift = _arm_risk_sums(data, beta, want_s2=False)
+    if data.event_times.size == 0:
         return StepFunction(np.empty(0), np.empty(0))
-    increments = _prepared.event_counts / (r0 * np.exp(shift))
-    return StepFunction(_prepared.event_times, increments)
+    increments = data.event_counts / (r0 * np.exp(shift))
+    return StepFunction(data.event_times, increments)

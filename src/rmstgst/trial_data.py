@@ -241,15 +241,50 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
 
 
+class _ArmData:
+    """Per-arm arrays sorted by follow-up time, events grouped by time."""
+
+    __slots__ = ("n", "xs", "zs", "event_times", "event_counts", "event_z_sums", "risk_start")
+
+    def __init__(self, times, events, z, t_max):
+        order = np.argsort(times, kind="stable")
+        xs = times[order]
+        ds = events[order].astype(bool)
+        zs = z[order]
+        ds = ds & (xs <= t_max)
+        self.n = xs.size
+        self.xs = xs
+        self.zs = zs
+        ev_times = xs[ds]
+        ev_z = zs[ds]
+        if ev_times.size:
+            uniq, starts, counts = np.unique(ev_times, return_index=True, return_counts=True)
+            z_sums = np.add.reduceat(ev_z, starts, axis=0) if ev_z.shape[1] else np.zeros((uniq.size, 0))
+        else:
+            uniq = np.empty(0)
+            counts = np.empty(0, dtype=np.int64)
+            z_sums = np.zeros((0, z.shape[1]))
+        self.event_times = uniq
+        self.event_counts = counts.astype(np.float64)
+        self.event_z_sums = z_sums
+        # first index whose follow-up reaches each event time; suffix sums
+        # from here are the risk-set aggregates
+        self.risk_start = np.searchsorted(xs, uniq, side="left")
+
+
 class Snapshot:
     """The dataset as observable at calendar time ``u``, analyzed to horizon ``tau``.
 
     Holds read-only arrays over the subjects enrolled strictly before
     ``u``: ``arm``, capped follow-up ``time``, event indicator ``event``,
-    and the covariate matrix ``z`` of shape (n, p).
+    and the covariate matrix ``z`` of shape (n, p). ``arms`` holds each
+    arm's risk-set layout at ``t_max = min(u, tau)``: its subjects sorted
+    by follow-up, its distinct event times up to ``t_max`` with the events
+    at each, and where each time's risk set starts. The Cox fit, the
+    adjusted variance and the Kaplan-Meier curves all read it.
     """
 
-    __slots__ = ("u", "tau", "arm", "time", "event", "z", "n0", "n1")
+    __slots__ = ("u", "tau", "arm", "time", "event", "z", "arms", "n0", "n1")
 
     def __init__(self, u, tau, arm, time, event, z):
         u = float(u)
@@ -279,8 +314,11 @@ class Snapshot:
         self.time = time
         self.event = event
         self.z = z
-        self.n0 = int(np.sum(arm == 0))
-        self.n1 = int(np.sum(arm == 1))
+        t_max = min(u, tau)
+        self.arms = tuple(
+            _ArmData(time[idx], event[idx], z[idx], t_max) for idx in (arm == 0, arm == 1)
+        )
+        self.n0, self.n1 = (data.n for data in self.arms)
 
     @property
     def n(self) -> int:

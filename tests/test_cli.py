@@ -349,6 +349,33 @@ class TestAnalyze:
         assert "malformed monitoring state" in err
         assert json.loads(path.read_text()) == state
 
+    @pytest.mark.parametrize("corrupt, says", [
+        (lambda text: text[:100], "monitoring state is not valid JSON"),
+        (lambda text: b"\xff" + text[1:], "cannot read monitoring state"),
+    ], ids=["truncated", "not_utf8"])
+    def test_corrupt_state_file_exit_5(self, corrupt, says, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        assert code == 0
+        state_path.write_bytes(corrupt(state_path.read_bytes()))
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, *look, "--u", "2.0")
+        assert code == 5
+        assert says in err
+        assert state_path.read_bytes() == before
+        assert not os.path.exists(str(state_path) + ".lock")
+
+    def test_truncated_design_file_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        truncated_design = tmp_path / "truncated_design.json"
+        truncated_design.write_bytes(open(design_json, "rb").read()[:40])
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(tmp_path / "fresh.json"), "--design", str(truncated_design),
+        )
+        assert code == 2
+        assert "invalid JSON" in err
+
     def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
         state_path = str(tmp_path / "state.json")
         code, stdout, _ = run_cli(
@@ -559,6 +586,38 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "unknown method" in err
+
+    @pytest.mark.parametrize("broken", ["reps", "fractions", "power"])
+    def test_malformed_calibration_exit_2(self, broken, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(open(calib_path).read())
+        if broken == "power":
+            del doc["power"]["log_rate_ratio"]
+        else:
+            doc[broken] = {"reps": "many", "fractions": 5}[broken]
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(path), "--reps", "5", "--effect", "power",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "malformed calibration" in err
+
+    @pytest.mark.parametrize("typo", ["n_per_am", "shape_ofset"])
+    def test_unknown_scenario_key_exit_2(self, typo, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(open(scn_path).read())
+        doc[typo] = 500
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "5", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert f"unknown scenario keys: ['{typo}']" in err
 
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

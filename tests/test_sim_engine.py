@@ -14,6 +14,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from rmstgst import sim_engine
+from rmstgst.adjusted_rmst import analyze
 from rmstgst.errors import ConfigError, EstimationError, InsufficientEventsError
 from rmstgst.gs_design import SpendingFunction
 from rmstgst.sim_engine import (
@@ -234,6 +236,13 @@ class TestTruthFunctionals:
         np.testing.assert_allclose(hr, math.exp(-0.5), rtol=1e-12)
         assert average_hazard_ratio(scn) == pytest.approx(math.exp(-0.5), rel=1e-6)
 
+    @pytest.mark.parametrize("offset, finite", [(-0.5, True), (-0.75, False), (-1.0, False)])
+    def test_average_hazard_ratio_infinite_where_integral_diverges(self, offset, finite):
+        # with shape_base 1.5 the integral diverges once 2*shape1 - shape0 = 1.5 + 2*offset <= 0
+        ahr = average_hazard_ratio(SimScenario(shape_base=1.5, shape_offset=offset))
+        assert math.isfinite(ahr) == finite
+        assert finite or ahr == math.inf
+
     def test_delayed_effect_crosses_one(self):
         base = SimScenario(shape_offset=-0.3, covariate_strength=math.log(1.5))
         offset = calibrate_null(base)
@@ -321,7 +330,8 @@ class TestCalibration:
 
     def test_unreachable_power_is_estimation_error(self, small_scn, small_calib):
         tiny = replace(small_calib, i_max=1e-3)
-        with pytest.raises(EstimationError, match="power calibration residual"):
+        with pytest.raises(EstimationError, match=r"target power 0\.8 is unreachable: a difference of "
+                           r"tau = 1\.0 reaches power 0\.05\d* at i_max = 0\.001"):
             calibrate_power(small_scn, tiny, target_power=0.8)
 
     def test_information_calibration_contract(self, small_scn, small_calib):
@@ -346,6 +356,20 @@ class TestCalibration:
         del broken["i_max"]
         with pytest.raises(ConfigError, match="missing key"):
             InformationCalibration.from_dict(broken)
+
+    def test_information_calibration_analyzes_each_grid_point_once(self, small_scn, monkeypatch):
+        calls = []
+
+        def counted(snap, *args, **kwargs):
+            calls.append(snap.u)
+            return analyze(snap, *args, **kwargs)
+
+        monkeypatch.setattr(sim_engine, "analyze", counted)
+        monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
+        calibrate_information(small_scn, reps=100, master_seed=7, grid_step=0.5)
+        grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
+        assert len(calls) == 100 * len(grid)
+        assert {u: calls.count(u) for u in grid} == {u: 100 for u in grid}
 
     def test_information_calibration_needs_reps(self, small_scn):
         with pytest.raises(ConfigError, match="reps"):
@@ -373,7 +397,7 @@ class TestCalibration:
 
 class TestMethods:
     def test_method_registry_order(self):
-        # calibrate_information reads column 0 of its finals as the adjusted method
+        # error messages and calibration caps list the methods in this order
         assert list(METHODS) == ["adjusted", "km", "cox"]
 
     def test_method_registry_labels_and_finiteness(self, small_scn):

@@ -108,13 +108,6 @@ class TestScoreAndInfo:
             assert score[j] == pytest.approx(fd, rel=2e-5, abs=2e-6)
 
     def test_events_beyond_window_ignored(self):
-        snap = arrays_snapshot(
-            [0.5, 1.0, 3.0, 4.0], [1, 1, 1, 1], [0, 0, 1, 1],
-            [0.2, -0.1, 0.4, 0.3], u=10.0, tau=2.0,
-        )
-        score_full, _, _ = score_and_info(snap, [0.0])
-        score_window, _, _ = score_and_info(snap, [0.0], t_max=2.0)
-        assert score_window == pytest.approx(score_full)
         late_only = arrays_snapshot([3.0, 4.0], [1, 1], [1, 1], [0.4, 0.3], u=10.0, tau=2.0)
         s, i, ll = score_and_info(late_only, [0.0])
         assert s[0] == 0.0 and i[0, 0] == 0.0 and ll == 0.0
