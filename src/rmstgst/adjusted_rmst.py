@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientEventsError
-from .stratified_cox import CoxFit, _arm_risk_sums, fit as cox_fit
+from .stratified_cox import CoxFit, fit as cox_fit
 from .trial_data import Snapshot
 
 __all__ = [
@@ -33,7 +33,9 @@ __all__ = [
 ]
 
 
-_BLOCK_ROWS = 64  # subjects per block of conditional survival; fastest at r ~ 3000
+# subjects x event times per block of conditional survival: 1 MiB of float64 stays
+# in a 2 MiB L2 cache with the block's inputs; 44 subjects a block at r ~ 3000
+_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,11 @@ def adjusted_survival(fit: CoxFit, snap: Snapshot, arm: int) -> AdjustedSurvival
     sums = np.zeros((weights.shape[1], te.size))
     widths = np.diff(np.append(te, tau))
     mu_cond = np.full(n, te[0] if te.size else tau)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        cond = np.exp(np.outer(w[rows], -base.values))
+    block = max(1, _BLOCK_CELLS // max(1, te.size))
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        cond = np.outer(w[rows], -base.values)
+        np.exp(cond, out=cond)
         sums += weights[rows].T @ cond
         mu_cond[rows] += cond @ widths
     sums /= n
@@ -141,9 +145,7 @@ def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSur
     te, d = data.event_times, data.event_counts
     if adj.c1.shape != te.shape:
         raise ValueError("adjusted survival grids disagree with the fit baselines")
-    r0, r1, _, shift = _arm_risk_sums(data, fit.beta, want_s2=False)
-    scale = np.exp(shift)
-    r0, r1 = r0 * scale, r1 * scale
+    r0, r1 = fit.risk_sums[arm]
     lam = fit.baseline(arm).values
     widths = np.diff(np.append(te, snap.tau))
     c1, c2 = adj.c1, adj.c2

@@ -39,14 +39,13 @@ class KmCurve:
 def km_fit(snap: Snapshot, arm: int) -> KmCurve:
     """Kaplan-Meier curve for one arm of a snapshot, horizon ``tau``, from its ``arms`` layout."""
     data = snap.arms[arm]
-    at_risk = data.n - data.risk_start
     return KmCurve(
         arm=arm,
         tau=snap.tau,
         times=data.event_times,
-        at_risk=at_risk.astype(np.int64),
+        at_risk=data.at_risk.astype(np.int64),
         events=data.event_counts.astype(np.int64),
-        survival=np.cumprod(1.0 - data.event_counts / at_risk),
+        survival=np.cumprod(1.0 - data.event_counts / data.at_risk),
     )
 
 

@@ -94,6 +94,9 @@ class SimScenario:
     fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_per_arm < 1:
             raise ConfigError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
         if not (self.tau > 0 and self.accrual >= 0):

@@ -11,12 +11,12 @@ subjects followed past that point still contribute risk time up to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, SingularInformationError
-from .trial_data import Snapshot, _ArmData
+from .trial_data import Snapshot
 
 __all__ = [
     "StepFunction",
@@ -68,7 +68,9 @@ class CoxFit:
     ``baseline0``/``baseline1`` are Breslow cumulative baseline hazards
     per arm with jumps at that arm's event times up to ``min(u, tau)``.
     ``info`` is the observed information at ``beta`` (unnormalized sum
-    over events).
+    over events). ``risk_sums`` holds each arm's risk-set sums at
+    ``beta``, ``(r0, r1)`` at its event times: the sum of exp(beta'Z)
+    and of exp(beta'Z) Z over the subjects at risk.
     """
 
     beta: np.ndarray
@@ -78,62 +80,36 @@ class CoxFit:
     converged: bool
     baseline0: StepFunction
     baseline1: StepFunction
+    risk_sums: tuple = field(repr=False, compare=False)
 
     def baseline(self, arm: int) -> StepFunction:
         return self.baseline1 if arm == 1 else self.baseline0
 
 
-def _arm_risk_sums(arm: _ArmData, beta: np.ndarray, want_s2: bool):
-    """Suffix risk sums at the arm's event times, in max-shifted scale.
+def _score_info(snap: Snapshot, beta: np.ndarray):
+    """Score, information and log partial likelihood of both arms in one pass.
 
-    Returns (r0, r1, r2, shift) where the true sums are r* times
-    exp(shift).
+    Also returns the risk sums at the snapshot's event rows, which the
+    Breslow baselines reuse: ``r0`` in a per-arm max-shifted scale (the
+    true sum is ``r0 * exp(shift)``), the risk-weighted covariate means
+    ``e = r1 / r0``, and each row's ``shift``.
     """
     p = beta.size
-    if arm.n == 0 or arm.event_times.size == 0:
-        return np.empty(0), np.zeros((0, p)), np.zeros((0, p, p)), 0.0
-    lp = arm.zs @ beta if p else np.zeros(arm.n)
-    shift = float(lp.max()) if arm.n else 0.0
+    lp = snap.risk_z @ beta
+    shift = lp.max(axis=1, keepdims=True)
     w = np.exp(lp - shift)
-    s0_suffix = np.cumsum(w[::-1])[::-1]
-    r0 = s0_suffix[arm.risk_start]
-    if p:
-        wz = w[:, None] * arm.zs
-        s1_suffix = np.cumsum(wz[::-1], axis=0)[::-1]
-        r1 = s1_suffix[arm.risk_start]
-    else:
-        r1 = np.zeros((arm.event_times.size, 0))
-    if want_s2 and p:
-        wzz = wz[:, :, None] * arm.zs[:, None, :]
-        s2_suffix = np.cumsum(wzz[::-1], axis=0)[::-1]
-        r2 = s2_suffix[arm.risk_start]
-    else:
-        r2 = np.zeros((arm.event_times.size, p, p))
-    return r0, r1, r2, shift
-
-
-def _score_info(arms, beta: np.ndarray):
-    p = beta.size
-    score = np.zeros(p)
-    info = np.zeros((p, p))
-    loglik = 0.0
-    for arm in arms:
-        if arm.event_times.size == 0:
-            continue
-        r0, r1, r2, shift = _arm_risk_sums(arm, beta, want_s2=True)
-        d = arm.event_counts
-        # r0 can underflow to 0 at extreme trial steps; the resulting
-        # -inf/nan log likelihood makes the Newton loop halve the step.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = r1 / r0[:, None] if p else r1
-            if p:
-                z_total = arm.event_z_sums.sum(axis=0)
-                score += z_total - (d[:, None] * e).sum(axis=0)
-                v = r2 / r0[:, None, None] - e[:, :, None] * e[:, None, :]
-                info += (d[:, None, None] * v).sum(axis=0)
-                loglik += float(z_total @ beta) - d.sum() * shift
-            loglik -= float(d @ np.log(r0))
-    return score, info, loglik
+    cols = snap.risk_cols
+    sums = np.cumsum(w[:, ::-1, None] * cols[:, ::-1], axis=1).reshape(-1, cols.shape[2])[snap.risk_rows]
+    r0, d, row_shift = sums[:, 0], snap.event_counts, shift[snap.event_arm, 0]
+    # r0 can underflow to 0 at extreme trial steps; the resulting
+    # -inf/nan log likelihood makes the Newton loop halve the step.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = sums[:, 1:p + 1] / r0[:, None]
+        v = sums[:, p + 1:] / r0[:, None] - (e[:, :, None] * e[:, None, :]).reshape(r0.size, p * p)
+        score = snap.event_z_total - d @ e
+        info = (d @ v).reshape(p, p)
+        loglik = float(snap.event_z_total @ beta - d @ (np.log(r0) + row_shift))
+    return score, info, loglik, (r0, e, row_shift)
 
 
 def score_and_info(snap: Snapshot, beta):
@@ -149,12 +125,11 @@ def score_and_info(snap: Snapshot, beta):
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if beta.shape != (snap.n_covariates,):
         raise DataError(f"beta must have shape ({snap.n_covariates},), got {beta.shape}")
-    return _score_info(snap.arms, beta)
+    return _score_info(snap, beta)[:3]
 
 
 def _check_nonsingular(info: np.ndarray):
-    if info.shape[0] == 0:
-        return
+    """Eigenvalues and eigenvectors of ``info``, raising if it is not positive definite."""
     eigval, eigvec = np.linalg.eigh(info)
     floor = 1e-10 * max(1.0, float(eigval[-1]))
     if eigval[0] <= floor:
@@ -165,6 +140,7 @@ def _check_nonsingular(info: np.ndarray):
             " survivors so the likelihood is monotone?)",
             direction=tuple(float(x) for x in direction),
         )
+    return eigval, eigvec
 
 
 def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
@@ -180,13 +156,11 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         SingularInformationError: information not positive definite.
         DataError: no events at or before min(u, tau).
     """
-    arms = snap.arms
-    n_events = sum(a.event_counts.sum() for a in arms)
-    if n_events == 0:
+    if not snap.event_counts.size:
         raise DataError(f"no events at or before t_max={min(snap.u, snap.tau)}; nothing to fit")
     p = snap.n_covariates
     beta = np.zeros(p)
-    score, info, loglik = _score_info(arms, beta)
+    score, info, loglik, sums = _score_info(snap, beta)
     iterations = 0
     while p and float(np.max(np.abs(score))) >= tol:
         if iterations >= max_iter:
@@ -194,12 +168,13 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
                 f"no convergence in {max_iter} iterations (score max-norm "
                 f"{float(np.max(np.abs(score))):.3e})"
             )
-        _check_nonsingular(info)
-        step = np.linalg.solve(info, score)
+        eigval, eigvec = _check_nonsingular(info)
+        step = eigvec @ ((eigvec.T @ score) / eigval)
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            c_score, c_info, c_loglik = _score_info(arms, cand)
+            evaluated = _score_info(snap, cand)
+            c_loglik = evaluated[2]
             # relative slack: near the optimum a full step's gain is below
             # one ulp of loglik, and rounding must not reject it
             if np.isfinite(c_loglik) and c_loglik >= loglik - 1e-12 * max(1.0, abs(loglik)):
@@ -207,10 +182,12 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
             scale *= 0.5
         else:
             raise ConvergenceError("step halving failed to improve the log partial likelihood")
-        beta, score, info, loglik = cand, c_score, c_info, c_loglik
+        beta = cand
+        score, info, loglik, sums = evaluated
         iterations += 1
-    _check_nonsingular(info)
-    baselines = [breslow(snap, beta, arm) for arm in (0, 1)]
+    if p:
+        _check_nonsingular(info)
+    baselines, risk_sums = _baselines(snap, *sums)
     return CoxFit(
         beta=beta,
         info=info,
@@ -219,7 +196,20 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         converged=True,
         baseline0=baselines[0],
         baseline1=baselines[1],
+        risk_sums=risk_sums,
     )
+
+
+def _baselines(snap: Snapshot, r0, e, shift):
+    """Each arm's Breslow baseline and true-scale risk sums ``(r0, r1)`` from one evaluation."""
+    # exp(log r0 + shift) overflows only where the true sum does, not
+    # where exp(shift) alone would
+    r0 = np.exp(np.log(r0) + shift)
+    increments = snap.event_counts / r0
+    k0 = snap.arms[0].event_times.size
+    rows = (slice(0, k0), slice(k0, None))
+    baselines = [StepFunction(arm.event_times, increments[sl]) for arm, sl in zip(snap.arms, rows)]
+    return baselines, tuple((r0[sl], e[sl] * r0[sl, None]) for sl in rows)
 
 
 def breslow(snap: Snapshot, beta, arm: int) -> StepFunction:
@@ -230,9 +220,4 @@ def breslow(snap: Snapshot, beta, arm: int) -> StepFunction:
     arm. At beta = 0 this is the Nelson-Aalen estimator.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    data = snap.arms[arm]
-    r0, _, _, shift = _arm_risk_sums(data, beta, want_s2=False)
-    if data.event_times.size == 0:
-        return StepFunction(np.empty(0), np.empty(0))
-    increments = data.event_counts / (r0 * np.exp(shift))
-    return StepFunction(data.event_times, increments)
+    return _baselines(snap, *_score_info(snap, beta)[3])[0][arm]

@@ -19,6 +19,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,35 +242,13 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
 
 
-class _ArmData:
-    """Per-arm arrays sorted by follow-up time, events grouped by time."""
+class _Arm(NamedTuple):
+    """One arm's rows of a snapshot's risk-set layout, one per distinct event time."""
 
-    __slots__ = ("n", "xs", "zs", "event_times", "event_counts", "event_z_sums", "risk_start")
-
-    def __init__(self, times, events, z, t_max):
-        order = np.argsort(times, kind="stable")
-        xs = times[order]
-        ds = events[order].astype(bool)
-        zs = z[order]
-        ds = ds & (xs <= t_max)
-        self.n = xs.size
-        self.xs = xs
-        self.zs = zs
-        ev_times = xs[ds]
-        ev_z = zs[ds]
-        if ev_times.size:
-            uniq, starts, counts = np.unique(ev_times, return_index=True, return_counts=True)
-            z_sums = np.add.reduceat(ev_z, starts, axis=0) if ev_z.shape[1] else np.zeros((uniq.size, 0))
-        else:
-            uniq = np.empty(0)
-            counts = np.empty(0, dtype=np.int64)
-            z_sums = np.zeros((0, z.shape[1]))
-        self.event_times = uniq
-        self.event_counts = counts.astype(np.float64)
-        self.event_z_sums = z_sums
-        # first index whose follow-up reaches each event time; suffix sums
-        # from here are the risk-set aggregates
-        self.risk_start = np.searchsorted(xs, uniq, side="left")
+    n: int
+    event_times: np.ndarray
+    event_counts: np.ndarray
+    at_risk: np.ndarray
 
 
 class Snapshot:
@@ -277,14 +256,29 @@ class Snapshot:
 
     Holds read-only arrays over the subjects enrolled strictly before
     ``u``: ``arm``, capped follow-up ``time``, event indicator ``event``,
-    and the covariate matrix ``z`` of shape (n, p). ``arms`` holds each
-    arm's risk-set layout at ``t_max = min(u, tau)``: its subjects sorted
-    by follow-up, its distinct event times up to ``t_max`` with the events
-    at each, and where each time's risk set starts. The Cox fit, the
-    adjusted variance and the Kaplan-Meier curves all read it.
+    and the covariate matrix ``z`` of shape (n, p).
+
+    It also holds one risk-set layout of both arms at ``t_max = min(u,
+    tau)``, which the Cox fit, the adjusted variance and the Kaplan-Meier
+    curves all read. Each arm's subjects are sorted by follow-up and
+    padded at the front to the larger arm's size m, so both arms stack
+    into (2, m) arrays and one reversed cumulative sum along the second
+    axis gives every risk-set sum of both arms: a suffix sum never
+    reaches an arm's leading padding, and no total of one arm is
+    subtracted from the other's. ``risk_cols`` holds the columns
+    ``[1, z, z (x) z]`` of shape (2, m, 1 + p + p*p), zero on padding
+    rows; ``risk_z`` holds the covariates alone, its padding rows
+    repeating a real subject so the per-arm maximum of the linear
+    predictor is the real one. Event rows, one per arm and distinct
+    event time up to ``t_max`` (arm 0 first), carry ``event_arm``,
+    ``event_counts`` and ``risk_rows``, the row of the flattened
+    (2 m, 1 + p + p*p) reversed sum that holds their risk set;
+    ``event_z_total`` sums the covariates over those events. ``arms``
+    gives each arm's event rows as an ``_Arm`` view.
     """
 
-    __slots__ = ("u", "tau", "arm", "time", "event", "z", "arms", "n0", "n1")
+    __slots__ = ("u", "tau", "arm", "time", "event", "z", "n0", "n1", "arms",
+                 "risk_z", "risk_cols", "risk_rows", "event_arm", "event_counts", "event_z_total")
 
     def __init__(self, u, tau, arm, time, event, z):
         u = float(u)
@@ -314,11 +308,41 @@ class Snapshot:
         self.time = time
         self.event = event
         self.z = z
-        t_max = min(u, tau)
+        self._lay_out(min(u, tau))
+
+    def _lay_out(self, t_max):
+        order = np.lexsort((self.time, self.arm))  # by arm, then follow-up; ties keep input order
+        xs = self.time[order]
+        n0 = self.n0 = int(np.count_nonzero(self.arm == 0))
+        self.n1 = xs.size - n0
+        m, p = max(n0, self.n1), self.z.shape[1]
+        slots = np.arange(m) - [[m - n0], [m - self.n1]]  # position within the arm, negative on padding
+        zl = self.risk_z = self.z[order[np.minimum(np.maximum(slots, 0) + [[0], [n0]], xs.size - 1)]]
+        real = (slots >= 0)[..., None]
+        self.risk_cols = np.concatenate(
+            (real, zl, (zl[..., :, None] * zl[..., None, :]).reshape(2, m, p * p)), axis=2) * real
+        # events in range by arm then time; each arm's distinct event time is one event row
+        ev = np.flatnonzero((self.event[order] != 0) & (xs <= t_max))
+        ev_t = xs[ev]
+        arm1 = int(np.searchsorted(ev, n0))  # arm 1's first event
+        new = np.ones(ev.size + 1, dtype=np.bool_)
+        np.not_equal(ev_t[1:], ev_t[:-1], out=new[1:-1])
+        new[arm1] = True
+        bounds = np.flatnonzero(new)
+        heads = bounds[:-1]
+        times = ev_t[heads]
+        k0 = int(np.searchsorted(heads, arm1))
+        self.event_arm = (np.arange(heads.size) >= k0).astype(np.intp)
+        self.event_counts = (bounds[1:] - heads).astype(np.float64)
+        self.event_z_total = self.z[order[ev]].sum(axis=0)
+        # an event row's risk set: its arm's subjects followed at least that long
+        at_risk = np.concatenate((n0 - np.searchsorted(xs[:n0], times[:k0]),
+                                  xs.size - n0 - np.searchsorted(xs[n0:], times[k0:])))
+        self.risk_rows = self.event_arm * m + at_risk - 1  # an arm's reversed sum reaches at_risk subjects there
         self.arms = tuple(
-            _ArmData(time[idx], event[idx], z[idx], t_max) for idx in (arm == 0, arm == 1)
+            _Arm(n_arm, times[rows], self.event_counts[rows], at_risk[rows])
+            for n_arm, rows in ((n0, slice(0, k0)), (self.n1, slice(k0, None)))
         )
-        self.n0, self.n1 = (data.n for data in self.arms)
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ from conftest import monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmstgst import adjusted_rmst
 from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, rmst, variance
 from rmstgst.errors import EstimationError, InsufficientEventsError
 from rmstgst.sim_engine import SimScenario, true_delta
@@ -121,7 +122,7 @@ def naive_everything(snap, beta):
 
 
 def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
-    """Arms of 150 and 157 subjects: five row blocks of 64, the last partial.
+    """Arms of 150 and 157 subjects: blocks of 64 rows leave a partial last block.
 
     Positive covariates with a real effect keep every ``c2`` entry away
     from zero, and a treatment effect keeps the arms' ``psi`` apart, so a
@@ -286,6 +287,20 @@ class TestBlockedKernel:
         assert comp.b3 == pytest.approx(b3, rel=rel)
         assert comp.var_cond == pytest.approx(ref["var_cond"], rel=rel)
         assert rmst(adj[1]) - rmst(adj[0]) == pytest.approx(ref["delta"], rel=rel)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_block_size_does_not_change_the_result(self, p, monkeypatch):
+        snap = blocked_snapshot(p=p)
+        fitted = fit(snap)
+        r = max(len(fitted.baseline(arm)) for arm in (0, 1))
+        results = {}
+        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", snap.n * r)):
+            monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
+            results[name] = [adjusted_survival(fitted, snap, arm) for arm in (0, 1)]
+        for name in ("64 rows", "one block"):
+            for ref, adj in zip(results["one row"], results[name]):
+                for field in ("values", "c1", "c2", "mu_cond"):
+                    np.testing.assert_allclose(getattr(adj, field), getattr(ref, field), rtol=1e-13, err_msg=name)
 
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))

@@ -619,6 +619,20 @@ class TestCalibrateAndSimulate:
         assert code == 2
         assert f"unknown scenario keys: ['{typo}']" in err
 
+    @pytest.mark.parametrize("name, value", [("log_rate_ratio", math.nan), ("covariate_strength", math.inf)])
+    def test_non_finite_scenario_number_exit_2(self, name, value, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(open(scn_path).read())
+        doc[name] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert f"{name} must be finite" in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "rmstgst.scenario/1",\n  broken\n}')

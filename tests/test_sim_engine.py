@@ -153,6 +153,14 @@ class TestScenario:
         with pytest.raises(ConfigError):
             SimScenario(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "tau", "accrual", "shape_base", "shape_offset", "rate_base", "log_rate_ratio", "covariate_strength",
+    ])
+    def test_non_finite_numbers_name_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SimScenario(**{name: value})
+
     def test_round_trip_and_schema_errors(self):
         scn = SimScenario(
             n_per_arm=77, shape_offset=-0.2, covariates="bernoulli2",

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from conftest import monotone_trial, sim_snapshot, toy_snapshot
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmstgst.errors import DataError, SingularInformationError
-from rmstgst.sim_engine import SimScenario, cox_hr_test
+from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
 from rmstgst.stratified_cox import (
     StepFunction,
     breslow,
@@ -361,6 +362,114 @@ class TestRiskSetSums:
                 d = int(np.sum(events & (snap.time == t)))
                 s0 = risk_set_sums(snap, fitted.beta, arm, t).s0
                 assert inc == pytest.approx(d / (n_arm * s0), rel=1e-12)
+
+
+# Per-arm reference: each arm sorted and summed on its own, as the fit
+# did before both arms shared one pass.
+
+
+def per_arm_reference(snap, beta):
+    """Score, information, log likelihood and per-arm Breslow increments, arm by arm.
+
+    Each arm's subjects are sorted by follow-up; its risk-set sums are
+    suffix sums of exp(beta'Z - shift) times 1, Z and ZZ' at the first
+    subject followed at least as long as each distinct event time up to
+    min(u, tau), with the shift the arm's largest linear predictor.
+    """
+    p = beta.size
+    t_max = min(snap.u, snap.tau)
+    score, info, loglik, increments = np.zeros(p), np.zeros((p, p)), 0.0, []
+    for arm in (0, 1):
+        idx = snap.arm == arm
+        order = np.argsort(snap.time[idx], kind="stable")
+        xs, zs = snap.time[idx][order], snap.z[idx][order]
+        ds = snap.event[idx][order].astype(bool) & (xs <= t_max)
+        times, counts = np.unique(xs[ds], return_counts=True)
+        if times.size == 0:
+            increments.append(np.empty(0))
+            continue
+        d = counts.astype(float)
+        lp = zs @ beta
+        shift = lp.max()
+        w = np.exp(lp - shift)
+        start = np.searchsorted(xs, times, side="left")
+        r0 = np.cumsum(w[::-1])[::-1][start]
+        r1 = np.cumsum((w[:, None] * zs)[::-1], axis=0)[::-1][start]
+        r2 = np.cumsum((w[:, None, None] * zs[:, :, None] * zs[:, None, :])[::-1], axis=0)[::-1][start]
+        e = r1 / r0[:, None]
+        z_total = zs[ds].sum(axis=0)
+        score += z_total - (d[:, None] * e).sum(axis=0)
+        info += (d[:, None, None] * (r2 / r0[:, None, None] - e[:, :, None] * e[:, None, :])).sum(axis=0)
+        loglik += float(z_total @ beta) - d.sum() * shift - float(d @ np.log(r0))
+        increments.append(d / (r0 * np.exp(shift)))
+    return score, info, loglik, increments
+
+
+ROW = st.tuples(
+    st.integers(0, 1),                       # arm
+    st.integers(1, 12).map(lambda k: k / 4),  # follow-up on a coarse grid, so times tie
+    st.integers(0, 1),                       # event
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
+
+
+class TestOnePassMatchesPerArmReference:
+    """Both arms in one pass agree with the arm-by-arm formulas at rel 1e-12.
+
+    Score, information and log likelihood are sums whose terms can cancel,
+    so each also gets an absolute allowance of 1e-12 times the size of
+    its terms.
+    """
+
+    @given(
+        p=st.integers(0, 3),
+        rows=st.lists(ROW, min_size=1, max_size=40),
+        tau=st.sampled_from([0.6, 1.5, 4.0]),
+        pooled=st.booleans(),
+        beta=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+    )
+    @example(p=2, rows=[(0, 0.5, 1, [0.1, 0.2, 0.0])] * 3 + [(1, 2.0, 1, [1.0, -1.0, 0.0]), (1, 1.0, 0, [0.3, 0.4, 0.0])],
+             tau=1.5, pooled=False, beta=[0.5, -0.5, 0.0, 0.0])  # arm 1's only event lies past tau
+    @example(p=1, rows=[(a, 0.25 * (1 + k % 3), 1, [0.1 * k, 0.0, 0.0]) for k in range(9) for a in (0, 0, 1)],
+             tau=4.0, pooled=True, beta=[0.3, -0.2, 0.0, 0.0])  # cox_hr_test's one-stratum snapshot
+    @example(p=0, rows=[(0, 1.0, 1, [0.0] * 3), (0, 1.0, 1, [0.0] * 3), (1, 0.5, 1, [0.0] * 3)],
+             tau=4.0, pooled=False, beta=[0.0] * 4)
+    @example(p=3, rows=[(k % 2, 0.25 * (1 + k % 5), k % 3 != 0, [0.3 * k - 2.0, 1.0 - 0.1 * k, (-1) ** k])
+                        for k in range(13)], tau=1.5, pooled=False, beta=[0.4, -0.3, 0.2, 0.0])
+    @settings(max_examples=200)
+    def test_score_info_loglik_and_breslow(self, p, rows, tau, pooled, beta):
+        arm = np.array([r[0] for r in rows], dtype=np.int8)
+        z = np.array([r[3][:p] for r in rows], dtype=float).reshape(len(rows), p)
+        time = np.array([r[1] for r in rows])
+        event = np.array([r[2] for r in rows], dtype=np.int8)
+        if pooled:  # as cox_hr_test builds it: one stratum, the arm as a covariate
+            z, arm = np.column_stack([arm.astype(float), z]), np.zeros_like(arm)
+        snap = Snapshot(u=10.0, tau=tau, arm=arm, time=time, event=event, z=z)
+        beta = np.array(beta[:z.shape[1]])
+        score, info, loglik = score_and_info(snap, beta)
+        ref_score, ref_info, ref_loglik, ref_increments = per_arm_reference(snap, beta)
+        events = float(np.sum(event * (time <= tau)))
+        zmax = float(np.abs(z).max()) if z.size else 0.0
+        rel = 1e-12
+        np.testing.assert_allclose(score, ref_score, rtol=rel, atol=rel * events * zmax)
+        np.testing.assert_allclose(info, ref_info, rtol=rel, atol=rel * events * zmax**2)
+        lp_max = float(np.abs(z @ beta).max()) if z.size else 0.0
+        assert loglik == pytest.approx(ref_loglik, rel=rel, abs=rel * events * (lp_max + math.log(len(rows))))
+        for a in (0, 1):
+            np.testing.assert_allclose(breslow(snap, beta, a).increments, ref_increments[a], rtol=rel)
+
+
+class TestNoNewWarnings:
+    def test_diverged_look_fits_without_runtime_warning(self):
+        # calibrate's delayed-effect scenario; at u = 0.2 one arm has no
+        # event and the likelihood is monotone, so beta runs off to ~270
+        scn = SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=math.log(1.5),
+                          shape_offset=-0.3)
+        snap = snapshot(draw_trial(scn, _rng_for_replicate(3, 75)), u=0.2, tau=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit(snap)
+        assert fitted.beta[0] > 100
 
 
 class TestStepFunction:
