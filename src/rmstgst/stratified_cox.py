@@ -90,7 +90,7 @@ def _score_info(snap: Snapshot, beta: np.ndarray):
     """Score, information and log partial likelihood of both arms in one pass.
 
     Also returns the risk sums at the snapshot's event rows, which the
-    Breslow baselines reuse: ``r0`` in a per-arm max-shifted scale (the
+    Breslow baselines reuse: ``r0`` in a per-stratum max-shifted scale (the
     true sum is ``r0 * exp(shift)``), the risk-weighted covariate means
     ``e = r1 / r0``, and each row's ``shift``.
     """
@@ -100,7 +100,7 @@ def _score_info(snap: Snapshot, beta: np.ndarray):
     w = np.exp(lp - shift)
     cols = snap.risk_cols
     sums = np.cumsum(w[:, ::-1, None] * cols[:, ::-1], axis=1).reshape(-1, cols.shape[2])[snap.risk_rows]
-    r0, d, row_shift = sums[:, 0], snap.event_counts, shift[snap.event_arm, 0]
+    r0, d, row_shift = sums[:, 0], snap.event_counts, shift[snap.event_stratum, 0]
     # r0 can underflow to 0 at extreme trial steps; the resulting
     # -inf/nan log likelihood makes the Newton loop halve the step.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -202,8 +202,7 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
 
 def _baselines(snap: Snapshot, r0, e, shift):
     """Each arm's Breslow baseline and true-scale risk sums ``(r0, r1)`` from one evaluation."""
-    # exp(log r0 + shift) overflows only where the true sum does, not
-    # where exp(shift) alone would
+    # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
     r0 = np.exp(np.log(r0) + shift)
     increments = snap.event_counts / r0
     k0 = snap.arms[0].event_times.size

@@ -260,25 +260,25 @@ class Snapshot:
 
     It also holds one risk-set layout of both arms at ``t_max = min(u,
     tau)``, which the Cox fit, the adjusted variance and the Kaplan-Meier
-    curves all read. Each arm's subjects are sorted by follow-up and
-    padded at the front to the larger arm's size m, so both arms stack
-    into (2, m) arrays and one reversed cumulative sum along the second
-    axis gives every risk-set sum of both arms: a suffix sum never
-    reaches an arm's leading padding, and no total of one arm is
-    subtracted from the other's. ``risk_cols`` holds the columns
-    ``[1, z, z (x) z]`` of shape (2, m, 1 + p + p*p), zero on padding
-    rows; ``risk_z`` holds the covariates alone, its padding rows
-    repeating a real subject so the per-arm maximum of the linear
-    predictor is the real one. Event rows, one per arm and distinct
-    event time up to ``t_max`` (arm 0 first), carry ``event_arm``,
-    ``event_counts`` and ``risk_rows``, the row of the flattened
-    (2 m, 1 + p + p*p) reversed sum that holds their risk set;
+    curves all read. Each arm with subjects is one stratum: its subjects
+    sorted by follow-up and padded at the front to the larger arm's size
+    m, so the s = 1 or 2 strata stack into (s, m) arrays and one reversed
+    cumulative sum along the second axis gives every risk-set sum of
+    both arms: a suffix sum never reaches a stratum's leading padding,
+    and no total of one arm is subtracted from the other's.
+    ``risk_cols`` holds the columns ``[1, z, z (x) z]`` of shape (s, m,
+    1 + p + p*p), zero on padding rows; ``risk_z`` holds the covariates
+    alone, its padding rows repeating a real subject so the per-stratum
+    maximum of the linear predictor is the real one. Event rows, one per
+    arm and distinct event time up to ``t_max`` (arm 0 first), carry
+    ``event_stratum``, ``event_counts`` and ``risk_rows``, the row of the
+    flattened (s m, 1 + p + p*p) reversed sum that holds their risk set;
     ``event_z_total`` sums the covariates over those events. ``arms``
     gives each arm's event rows as an ``_Arm`` view.
     """
 
     __slots__ = ("u", "tau", "arm", "time", "event", "z", "n0", "n1", "arms",
-                 "risk_z", "risk_cols", "risk_rows", "event_arm", "event_counts", "event_z_total")
+                 "risk_z", "risk_cols", "risk_rows", "event_stratum", "event_counts", "event_z_total")
 
     def __init__(self, u, tau, arm, time, event, z):
         u = float(u)
@@ -315,12 +315,13 @@ class Snapshot:
         xs = self.time[order]
         n0 = self.n0 = int(np.count_nonzero(self.arm == 0))
         self.n1 = xs.size - n0
-        m, p = max(n0, self.n1), self.z.shape[1]
-        slots = np.arange(m) - [[m - n0], [m - self.n1]]  # position within the arm, negative on padding
-        zl = self.risk_z = self.z[order[np.minimum(np.maximum(slots, 0) + [[0], [n0]], xs.size - 1)]]
+        sizes = [n for n in (n0, self.n1) if n]  # one stratum per arm with subjects
+        m, p = max(sizes), self.z.shape[1]
+        slots = np.arange(m) - np.subtract(m, sizes)[:, None]  # position in the stratum, negative on padding
+        zl = self.risk_z = self.z[order[np.maximum(slots, 0) + [[0], [n0]][:len(sizes)]]]
         real = (slots >= 0)[..., None]
         self.risk_cols = np.concatenate(
-            (real, zl, (zl[..., :, None] * zl[..., None, :]).reshape(2, m, p * p)), axis=2) * real
+            (real, zl, (zl[..., :, None] * zl[..., None, :]).reshape(len(sizes), m, p * p)), axis=2) * real
         # events in range by arm then time; each arm's distinct event time is one event row
         ev = np.flatnonzero((self.event[order] != 0) & (xs <= t_max))
         ev_t = xs[ev]
@@ -332,13 +333,14 @@ class Snapshot:
         heads = bounds[:-1]
         times = ev_t[heads]
         k0 = int(np.searchsorted(heads, arm1))
-        self.event_arm = (np.arange(heads.size) >= k0).astype(np.intp)
+        self.event_stratum = np.repeat([0, len(sizes) - 1], [k0, heads.size - k0])
         self.event_counts = (bounds[1:] - heads).astype(np.float64)
         self.event_z_total = self.z[order[ev]].sum(axis=0)
         # an event row's risk set: its arm's subjects followed at least that long
         at_risk = np.concatenate((n0 - np.searchsorted(xs[:n0], times[:k0]),
                                   xs.size - n0 - np.searchsorted(xs[n0:], times[k0:])))
-        self.risk_rows = self.event_arm * m + at_risk - 1  # an arm's reversed sum reaches at_risk subjects there
+        # the reversed sum covers a row's at_risk subjects at_risk - 1 places into its stratum
+        self.risk_rows = self.event_stratum * m + at_risk - 1
         self.arms = tuple(
             _Arm(n_arm, times[rows], self.event_counts[rows], at_risk[rows])
             for n_arm, rows in ((n0, slice(0, k0)), (self.n1, slice(k0, None)))

@@ -300,7 +300,8 @@ class TestBlockedKernel:
         for name in ("64 rows", "one block"):
             for ref, adj in zip(results["one row"], results[name]):
                 for field in ("values", "c1", "c2", "mu_cond"):
-                    np.testing.assert_allclose(getattr(adj, field), getattr(ref, field), rtol=1e-13, err_msg=name)
+                    np.testing.assert_allclose(getattr(adj, field), getattr(ref, field),
+                                               rtol=1e-13, err_msg=name)
 
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))

@@ -364,8 +364,8 @@ class TestRiskSetSums:
                 assert inc == pytest.approx(d / (n_arm * s0), rel=1e-12)
 
 
-# Per-arm reference: each arm sorted and summed on its own, as the fit
-# did before both arms shared one pass.
+# Per-arm reference: each arm sorted and summed on its own, the plain
+# form of the fit's one pass over both arms.
 
 
 def per_arm_reference(snap, beta):
@@ -406,9 +406,9 @@ def per_arm_reference(snap, beta):
 
 
 ROW = st.tuples(
-    st.integers(0, 1),                       # arm
+    st.integers(0, 1),  # arm
     st.integers(1, 12).map(lambda k: k / 4),  # follow-up on a coarse grid, so times tie
-    st.integers(0, 1),                       # event
+    st.integers(0, 1),  # event
     st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
 )
 
@@ -428,7 +428,8 @@ class TestOnePassMatchesPerArmReference:
         pooled=st.booleans(),
         beta=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
     )
-    @example(p=2, rows=[(0, 0.5, 1, [0.1, 0.2, 0.0])] * 3 + [(1, 2.0, 1, [1.0, -1.0, 0.0]), (1, 1.0, 0, [0.3, 0.4, 0.0])],
+    @example(p=2, rows=[(0, 0.5, 1, [0.1, 0.2, 0.0])] * 3
+             + [(1, 2.0, 1, [1.0, -1.0, 0.0]), (1, 1.0, 0, [0.3, 0.4, 0.0])],
              tau=1.5, pooled=False, beta=[0.5, -0.5, 0.0, 0.0])  # arm 1's only event lies past tau
     @example(p=1, rows=[(a, 0.25 * (1 + k % 3), 1, [0.1 * k, 0.0, 0.0]) for k in range(9) for a in (0, 0, 1)],
              tau=4.0, pooled=True, beta=[0.3, -0.2, 0.0, 0.0])  # cox_hr_test's one-stratum snapshot
