@@ -23,7 +23,6 @@ from .trial_data import Snapshot
 
 __all__ = [
     "AdjustedSurvival",
-    "ArmVarianceDetail",
     "VarianceComponents",
     "AnalysisResult",
     "adjusted_survival",
@@ -94,27 +93,6 @@ def rmst(adj: AdjustedSurvival) -> float:
 
 
 @dataclass(frozen=True)
-class ArmVarianceDetail:
-    """Per-arm grids entering the variance estimator.
-
-    All arrays are indexed by the arm's distinct event times: ``c1`` and
-    ``c2`` are weighted averages of conditional survival (scalar and
-    times-covariate), ``gamma`` the cumulative baseline-noise scale,
-    ``q`` the cumulative risk-weighted covariate mean, and ``psi`` the
-    integrated sensitivity of the arm's restricted mean to the
-    coefficients.
-    """
-
-    event_times: np.ndarray
-    widths: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    gamma: np.ndarray
-    q: np.ndarray
-    psi: np.ndarray
-
-
-@dataclass(frozen=True)
 class VarianceComponents:
     """Decomposition of the variance of the adjusted RMST difference.
 
@@ -131,8 +109,6 @@ class VarianceComponents:
     var_cond: float
     v_xi2: float
     v_eta2: float
-    arm0: ArmVarianceDetail = field(repr=False, compare=False)
-    arm1: ArmVarianceDetail = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"B10": self.b10, "B11": self.b11, "B3": self.b3, "var_cond": self.var_cond}
@@ -150,15 +126,11 @@ def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSur
     widths = np.diff(np.append(te, snap.tau))
     c1, c2 = adj.c1, adj.c2
     gamma_inc = n_arm * d / r0**2
-    gamma = np.cumsum(gamma_inc)
     q = np.cumsum(d[:, None] * r1 / (r0**2)[:, None], axis=0)
     psi = ((c1[:, None] * q - lam[:, None] * c2) * widths[:, None]).sum(axis=0)
     tail = np.cumsum((c1 * widths)[::-1])[::-1]
     b1 = (n / n_arm) * float(gamma_inc @ tail**2)
-    detail = ArmVarianceDetail(
-        event_times=te, widths=widths, c1=c1, c2=c2, gamma=gamma, q=q, psi=psi,
-    )
-    return b1, psi, detail
+    return b1, psi
 
 
 def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: AdjustedSurvival) -> VarianceComponents:
@@ -167,8 +139,8 @@ def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: Adjusted
     Expects ``adj0``/``adj1`` built from the same fit and snapshot. The
     total ``v_eta2`` scales the estimate's variance as ``v_eta2 / n``.
     """
-    b10, psi0, det0 = _arm_variance_pieces(fit, snap, 0, adj0)
-    b11, psi1, det1 = _arm_variance_pieces(fit, snap, 1, adj1)
+    b10, psi0 = _arm_variance_pieces(fit, snap, 0, adj0)
+    b11, psi1 = _arm_variance_pieces(fit, snap, 1, adj1)
     n = snap.n
     if fit.beta.size:
         psi_diff = psi1 - psi0
@@ -180,7 +152,7 @@ def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: Adjusted
     v_xi2 = b10 + b11 + b3
     return VarianceComponents(
         b10=b10, b11=b11, b3=b3, var_cond=var_cond,
-        v_xi2=v_xi2, v_eta2=v_xi2 + var_cond, arm0=det0, arm1=det1,
+        v_xi2=v_xi2, v_eta2=v_xi2 + var_cond,
     )
 
 

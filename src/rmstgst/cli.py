@@ -13,9 +13,11 @@ snapshot the same way; each analysis prints as its ``AnalysisResult``
 dictionary. Monitoring state is a JSON file updated atomically (write to
 a temp file, then rename); an exclusive lock file naming its holder's pid
 is held from reading the state to writing it back. Exit codes: 0
-success, 2 configuration error, 3 data error, 4 estimation error
-(including an estimate or information that is not finite, in which case
-the state file is left as it was), 5 state error.
+success; 2 configuration error, a malformed design, scenario or
+calibration file among them; 3 data error, a malformed CSV or
+``--schema`` file among them; 4 estimation error (including an estimate
+or information that is not finite, in which case the state file is left
+as it was); 5 state error, a malformed state file among them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
+from .records import number
 from .sim_engine import (
     METHODS,
     InformationCalibration,
@@ -150,23 +153,18 @@ def cmd_boundaries(args) -> int:
 
 
 def _schema_from_args(args) -> CsvSchema:
-    base = CsvSchema.from_dict(_read_json(args.schema, "schema")) if args.schema else CsvSchema()
-    overrides = {}
-    for field_name, flag in (
-        ("subject_id", args.id_col),
-        ("arm", args.arm_col),
-        ("entry_time", args.entry_col),
-        ("followup_time", args.time_col),
-        ("event", args.event_col),
-    ):
-        if flag is not None:
-            overrides[field_name] = flag
-    covariates = base.covariates
+    schema = CsvSchema.from_dict(_read_json(args.schema, "schema")) if args.schema else CsvSchema()
+    flags = {
+        "subject_id": args.id_col,
+        "arm": args.arm_col,
+        "entry_time": args.entry_col,
+        "followup_time": args.time_col,
+        "event": args.event_col,
+    }
+    overrides = {name: flag for name, flag in flags.items() if flag is not None}
     if args.covariate_cols is not None:
-        covariates = tuple(c for c in args.covariate_cols.split(",") if c) or ()
-    if overrides or covariates != base.covariates:
-        base = replace(base, covariates=covariates, **overrides)
-    return base
+        overrides["covariates"] = tuple(c for c in args.covariate_cols.split(",") if c)
+    return replace(schema, **overrides)
 
 
 def _snapshot_from_args(args) -> Snapshot:
@@ -304,15 +302,11 @@ def cmd_calibrate(args) -> int:
 def _resolve_effect(scn: SimScenario, doc: dict, effect: str) -> SimScenario:
     if effect == "as-given":
         return scn
-    if effect == "null" and "null_log_rate_ratio" not in doc:
-        raise ConfigError("calibration lacks null_log_rate_ratio; rerun calibrate")
-    if effect == "power" and "power" not in doc:
-        raise ConfigError("calibration lacks a power section; rerun calibrate")
     try:
         offset = doc["null_log_rate_ratio"] if effect == "null" else doc["power"]["log_rate_ratio"]
-        return replace(scn, log_rate_ratio=float(offset))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed calibration {effect} offset: {exc!r}") from exc
+        return replace(scn, log_rate_ratio=number(offset))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed calibration {effect} offset: {exc!r}; rerun calibrate") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -324,7 +318,6 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
     os.makedirs(args.out_dir, exist_ok=True)
 
-    calib_path = None
     if args.calibration:
         calib_doc = _read_json(args.calibration, "calibration")
         calib_path = args.calibration

@@ -34,13 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StateError
+from .records import Record, boolean, integer, list_of, number, optional, string
 
 __all__ = [
     "SPENDING_KINDS",
     "SpendingFunction",
     "BoundarySchedule",
     "boundaries",
-    "crossing_probabilities",
     "DesignConfig",
     "AnalysisRecord",
     "MonitoringState",
@@ -133,7 +133,7 @@ class SpendingFunction:
         spec = d["spending"]
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError("design spending must be an object with a 'kind'")
-        return cls(kind=spec["kind"], alpha=d["alpha"], rho=spec.get("rho"),
+        return cls(kind=spec["kind"], alpha=number(d["alpha"]), rho=optional(number)(spec.get("rho")),
                    sided=d.get("sidedness", "two_sided"))
 
 
@@ -278,15 +278,6 @@ def _replay(fractions, criticals, sided: str, next_fraction: float | None = None
     return probs, prev
 
 
-def crossing_probabilities(fractions, criticals, sided: str = "two_sided") -> np.ndarray:
-    """Per-stage null crossing probabilities for given boundary values."""
-    fr = _validate_fractions(fractions)
-    if len(criticals) != len(fr):
-        raise ConfigError("need one critical value per information fraction")
-    probs, _ = _replay(fr, [float(c) for c in criticals], sided)
-    return np.asarray(probs)
-
-
 @dataclass(frozen=True)
 class BoundarySchedule:
     """Solved boundary for a planned analysis schedule."""
@@ -353,48 +344,28 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 
 
 @dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(Record):
     """Design half of a monitoring state: spending rule plus the plan."""
 
     spending: SpendingFunction
     planned_fractions: tuple[float, ...]
     i_max: float | None = None
 
+    _what, _error, _schema = "design config", ConfigError, DESIGN_SCHEMA
+    _keys = (
+        (None, "spending", SpendingFunction.from_dict),
+        ("planned_fractions", "planned_fractions", list_of(number)),
+        ("i_max", "i_max", optional(number)),
+    )
+
     def __post_init__(self):
         _validate_fractions(self.planned_fractions)
         if self.i_max is not None and not (math.isfinite(self.i_max) and self.i_max > 0):
             raise ConfigError(f"i_max must be finite and > 0, got {self.i_max!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": DESIGN_SCHEMA,
-            **self.spending.to_dict(),
-            "planned_fractions": list(self.planned_fractions),
-            "i_max": self.i_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DesignConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("design config must be a JSON object")
-        schema = d.get("schema", DESIGN_SCHEMA)
-        if schema != DESIGN_SCHEMA:
-            raise ConfigError(f"unsupported design schema {schema!r}, expected {DESIGN_SCHEMA!r}")
-        missing = {"alpha", "spending", "planned_fractions"} - set(d)
-        if missing:
-            raise ConfigError(f"design config missing keys: {sorted(missing)}")
-        try:
-            return cls(
-                spending=SpendingFunction.from_dict(d),
-                planned_fractions=tuple(float(x) for x in d["planned_fractions"]),
-                i_max=None if d.get("i_max") is None else float(d["i_max"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed design config: {exc!r}") from exc
-
 
 @dataclass(frozen=True)
-class AnalysisRecord:
+class AnalysisRecord(Record):
     """One monitored analysis: the inputs seen and the decision taken."""
 
     stage: int
@@ -407,42 +378,38 @@ class AnalysisRecord:
     decision: str  # "continue" | "reject" | "skipped"
     final: bool = False
 
-    def to_dict(self) -> dict:
-        c = self.critical_value
-        return {
-            "stage": self.stage,
-            "u": self.u,
-            "info_level": self.info_level,
-            "info_fraction": self.info_fraction,
-            "z": self.z,
-            "critical_value": None if c is None or math.isinf(c) else c,
-            "cumulative_spend": self.cumulative_spend,
-            "decision": self.decision,
-            "final": self.final,
-        }
+    _what, _error = "analysis record", StateError
+    _keys = (
+        ("stage", "stage", integer),
+        ("u", "u", number),
+        ("info_level", "info_level", number),
+        ("info_fraction", "info_fraction", number),
+        ("z", "z", number),
+        ("critical_value", "critical_value", optional(number)),
+        ("cumulative_spend", "cumulative_spend", number),
+        ("decision", "decision", string),
+        ("final", "final", boolean),
+    )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisRecord":
-        c = d["critical_value"]
-        return cls(
-            stage=int(d["stage"]),
-            u=float(d["u"]),
-            info_level=float(d["info_level"]),
-            info_fraction=float(d["info_fraction"]),
-            z=float(d["z"]),
-            critical_value=math.inf if c is None and d["decision"] != "skipped" else c,
-            cumulative_spend=float(d["cumulative_spend"]),
-            decision=str(d["decision"]),
-            final=bool(d.get("final", False)),
-        )
+    def __post_init__(self):
+        if self.decision not in ("continue", "reject", "skipped"):
+            raise StateError(f"decision must be continue, reject or skipped, got {self.decision!r}")
+        if self.critical_value is None and self.decision != "skipped":  # an infinity is stored as null
+            object.__setattr__(self, "critical_value", math.inf)
 
 
 @dataclass(frozen=True)
-class MonitoringState:
+class MonitoringState(Record):
     """Append-only record of a monitored trial."""
 
     design: DesignConfig
     analyses: tuple[AnalysisRecord, ...] = ()
+
+    _what, _error, _schema, _strict = "monitoring state", StateError, STATE_SCHEMA, True
+    _keys = (
+        ("design", "design", DesignConfig.from_dict),
+        ("analyses", "analyses", list_of(AnalysisRecord.from_dict)),
+    )
 
     @property
     def rejected(self) -> bool:
@@ -453,29 +420,8 @@ class MonitoringState:
         """Analyses that consumed spending (everything not skipped)."""
         return tuple(a for a in self.analyses if a.decision != "skipped")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": STATE_SCHEMA,
-            "design": self.design.to_dict(),
-            "analyses": [a.to_dict() for a in self.analyses],
-        }
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MonitoringState":
-        if not isinstance(d, dict):
-            raise StateError("monitoring state must be a JSON object")
-        schema = d.get("schema")
-        if schema != STATE_SCHEMA:
-            raise StateError(f"unsupported state schema {schema!r}, expected {STATE_SCHEMA!r}")
-        try:
-            design = DesignConfig.from_dict(d["design"])
-            analyses = tuple(AnalysisRecord.from_dict(a) for a in d["analyses"])
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
-            raise StateError(f"malformed monitoring state: {exc}") from exc
-        return cls(design=design, analyses=analyses)
 
     @classmethod
     def from_json(cls, text: str) -> "MonitoringState":

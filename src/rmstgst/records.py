@@ -1,0 +1,101 @@
+"""One JSON codec for the records the package reads and writes.
+
+A record sets ``_what``, its name in messages, its error class ``_error``,
+its ``_schema`` string if any, and ``_keys``: its JSON keys once, in file
+order, as ``(key, field, check)``. A field with key ``None`` keeps its keys
+in the record's object, and its check reads that object. A check accepts
+one JSON type only: a number is never a string or a bool. A key whose field
+has no default is required; a ``_strict`` record, a file only the program
+writes, needs every key and its schema, and a ``_closed`` one rejects other
+keys. Tuples are written as lists and infinities as null. Every failure
+raises the record's error class, a nested record's wrapped in its parent's.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+from .errors import RmstgstError
+
+
+def _typed(kind: str, *types, convert=None):
+    def check(value):
+        # a JSON true is a Python int, but not a number
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            raise TypeError(f"{kind} expected, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+number = _typed("a number", int, float, convert=float)
+integer = _typed("an integer", int)
+string = _typed("a string", str)
+boolean = _typed("a boolean", bool)
+
+
+def optional(check):
+    return lambda value: None if value is None else check(value)
+
+
+def list_of(check):
+    return lambda value: tuple(map(check, _typed("a list", list)(value)))
+
+
+def dict_of(check):
+    return lambda value: {k: check(v) for k, v in _typed("an object", dict)(value).items()}
+
+
+def _json(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
+class Record:
+    """Mixin of a frozen dataclass stored as one JSON object."""
+
+    _schema: str | None = None
+    _strict = False
+    _closed = False
+
+    def to_dict(self) -> dict:
+        out = {"schema": self._schema} if self._schema else {}
+        for key, name, _ in self._keys:
+            value = _json(getattr(self, name))
+            if key is None:
+                out.update(value)
+            else:
+                out[key] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d):
+        what, error = cls._what, cls._error
+        if not isinstance(d, dict):
+            raise error(f"{what} must be a JSON object")
+        schema = d.get("schema", None if cls._strict else cls._schema)
+        if cls._schema and schema != cls._schema:
+            raise error(f"unsupported {what} schema {schema!r}, expected {cls._schema!r}")
+        defaulted = () if cls._strict else {
+            f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+        }
+        missing = [key for key, name, _ in cls._keys if key is not None and key not in d and name not in defaulted]
+        if missing:
+            raise error(f"{what} missing keys: {sorted(missing)}")
+        unknown = set(d) - {key for key, _, _ in cls._keys} - ({"schema"} if cls._schema else set())
+        if cls._closed and unknown:
+            raise error(f"unknown {what} keys: {sorted(unknown)}")
+        fields = {}
+        try:
+            for key, name, check in cls._keys:
+                if key is None or key in d:
+                    fields[name] = check(d if key is None else d[key])
+            return cls(**fields)
+        except (TypeError, OverflowError) as exc:  # overflow: an integer past the float range
+            raise error(f"malformed {what}: {key or name}: {exc}") from None
+        except RmstgstError as exc:
+            raise error(f"malformed {what}: {exc}") from exc

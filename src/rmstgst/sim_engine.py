@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
 import numpy as np
@@ -36,6 +36,7 @@ from .gs_design import (
     DesignConfig, MonitoringState, SpendingFunction, _find_root, ndtr, ndtri, update_monitoring,
 )
 from .km_rmst import km_rmst_test
+from .records import Record, dict_of, integer, list_of, number, optional, string
 from .stratified_cox import fit as cox_fit
 from .trial_data import Snapshot, Trial, snapshot
 
@@ -69,7 +70,7 @@ _TIME_NODES = 48  # Gauss-Legendre nodes of the graded rule on [0, tau]
 
 
 @dataclass(frozen=True)
-class SimScenario:
+class SimScenario(Record):
     """One simulated-trial configuration.
 
     Event times are Weibull with survival exp(-rate * t**shape) where
@@ -92,6 +93,21 @@ class SimScenario:
     covariates: str = "normal1"
     censoring: str | None = "5pct_per_year"
     fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
+
+    _what, _error, _schema, _closed = "scenario", ConfigError, SCENARIO_SCHEMA, True
+    _keys = (
+        ("n_per_arm", "n_per_arm", integer),
+        ("tau", "tau", number),
+        ("accrual", "accrual", number),
+        ("shape_base", "shape_base", number),
+        ("shape_offset", "shape_offset", number),
+        ("rate_base", "rate_base", number),
+        ("log_rate_ratio", "log_rate_ratio", number),
+        ("covariate_strength", "covariate_strength", number),
+        ("covariates", "covariates", string),
+        ("censoring", "censoring", optional(string)),
+        ("fractions", "fractions", list_of(number)),
+    )
 
     def __post_init__(self):
         for name in (f.name for f in fields(self) if f.type == "float"):
@@ -133,27 +149,6 @@ class SimScenario:
 
     def arm_shape(self, arm: int) -> float:
         return self.shape_base + self.shape_offset * arm
-
-    def to_dict(self) -> dict:
-        return {"schema": SCENARIO_SCHEMA, **asdict(self), "fractions": list(self.fractions)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimScenario":
-        if not isinstance(d, dict):
-            raise ConfigError("scenario must be a JSON object")
-        schema = d.get("schema", SCENARIO_SCHEMA)
-        if schema != SCENARIO_SCHEMA:
-            raise ConfigError(f"unsupported scenario schema {schema!r}")
-        kwargs = {key: value for key, value in d.items() if key != "schema"}
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        try:
-            if "fractions" in kwargs:
-                kwargs["fractions"] = tuple(kwargs["fractions"])
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario config: {exc}") from exc
 
 
 def _bernoulli_pair(b1, b2) -> np.ndarray:
@@ -330,7 +325,7 @@ METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
 
 
 @dataclass(frozen=True)
-class InformationCalibration:
+class InformationCalibration(Record):
     """Monte Carlo information trajectory and the analysis schedule it implies.
 
     ``i_max`` caps the adjusted method's information at the final
@@ -349,42 +344,23 @@ class InformationCalibration:
     master_seed: int
     failures: int
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": CALIBRATION_SCHEMA,
-            "fractions": list(self.fractions),
-            "analysis_times": list(self.analysis_times),
-            "i_max": self.i_max,
-            "i_max_by_method": dict(self.i_max_by_method),
-            "grid": list(self.grid),
-            "mean_info": list(self.mean_info),
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "failures": self.failures,
-        }
+    _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
+    _keys = (
+        ("fractions", "fractions", list_of(number)),
+        ("analysis_times", "analysis_times", list_of(number)),
+        ("i_max", "i_max", number),
+        ("i_max_by_method", "i_max_by_method", dict_of(number)),
+        ("grid", "grid", list_of(number)),
+        ("mean_info", "mean_info", list_of(number)),
+        ("reps", "reps", integer),
+        ("master_seed", "master_seed", integer),
+        ("failures", "failures", integer),
+    )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InformationCalibration":
-        if not isinstance(d, dict):
-            raise ConfigError("calibration must be a JSON object")
-        if d.get("schema") != CALIBRATION_SCHEMA:
-            raise ConfigError(f"unsupported calibration schema {d.get('schema')!r}")
-        try:
-            return cls(
-                fractions=tuple(d["fractions"]),
-                analysis_times=tuple(d["analysis_times"]),
-                i_max=float(d["i_max"]),
-                i_max_by_method={k: float(v) for k, v in d["i_max_by_method"].items()},
-                grid=tuple(d["grid"]),
-                mean_info=tuple(d["mean_info"]),
-                reps=int(d["reps"]),
-                master_seed=int(d["master_seed"]),
-                failures=int(d["failures"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"calibration is missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"malformed calibration: {exc!r}") from exc
+    def __post_init__(self):
+        times = self.analysis_times
+        if len(times) != len(self.fractions) or not all(b > a for a, b in zip((0.0, *times), times)):
+            raise ConfigError(f"analysis_times {times} must increase from 0, one per fraction {self.fractions}")
 
 
 def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int = 20200920,
@@ -442,7 +418,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
 
 
 @dataclass(frozen=True)
-class PowerCalibration:
+class PowerCalibration(Record):
     """Effect size and rate offset hitting a target power at full information."""
 
     target_power: float
@@ -451,14 +427,14 @@ class PowerCalibration:
     delta: float
     log_rate_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "target_power": self.target_power,
-            "alpha": self.alpha,
-            "sidedness": self.sided,
-            "delta": self.delta,
-            "log_rate_ratio": self.log_rate_ratio,
-        }
+    _what, _error = "power calibration", ConfigError
+    _keys = (
+        ("target_power", "target_power", number),
+        ("alpha", "alpha", number),
+        ("sidedness", "sided", string),
+        ("delta", "delta", number),
+        ("log_rate_ratio", "log_rate_ratio", number),
+    )
 
 
 def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> float:

@@ -21,9 +21,7 @@ from .trial_data import Snapshot
 __all__ = [
     "StepFunction",
     "CoxFit",
-    "score_and_info",
     "fit",
-    "breslow",
 ]
 
 
@@ -32,7 +30,8 @@ class StepFunction:
 
     ``times`` are the distinct ascending jump locations and
     ``increments`` the (positive) jump sizes; ``values`` are the
-    cumulative heights at the jump times.
+    cumulative heights at the jump times. The fit builds it from a
+    snapshot's distinct event times, so its inputs are not checked here.
     """
 
     __slots__ = ("times", "increments", "values")
@@ -40,33 +39,19 @@ class StepFunction:
     def __init__(self, times, increments):
         times = np.asarray(times, dtype=np.float64)
         increments = np.asarray(increments, dtype=np.float64)
-        if times.shape != increments.shape or times.ndim != 1:
-            raise ValueError("times and increments must be 1-d and equally long")
-        if times.size and np.any(np.diff(times) <= 0):
-            raise ValueError("jump times must be strictly increasing")
         self.times = times
         self.increments = increments
         self.values = np.cumsum(increments)
         for a in (self.times, self.increments, self.values):
             a.setflags(write=False)
 
-    def __call__(self, t):
-        """Evaluate at ``t`` (scalar or array), right-continuously."""
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate(([0.0], self.values))
-        out = padded[idx]
-        return float(out) if np.isscalar(t) else out
-
-    def __len__(self) -> int:
-        return self.times.size
-
 
 @dataclass(frozen=True)
 class CoxFit:
     """Converged fit of the two-baseline proportional-hazards model.
 
-    ``baseline0``/``baseline1`` are Breslow cumulative baseline hazards
-    per arm with jumps at that arm's event times up to ``min(u, tau)``.
+    ``baselines`` are the Breslow cumulative baseline hazards of arms 0
+    and 1, with jumps at that arm's event times up to ``min(u, tau)``.
     ``info`` is the observed information at ``beta`` (unnormalized sum
     over events). ``risk_sums`` holds each arm's risk-set sums at
     ``beta``, ``(r0, r1)`` at its event times: the sum of exp(beta'Z)
@@ -77,13 +62,11 @@ class CoxFit:
     info: np.ndarray
     loglik: float
     iterations: int
-    converged: bool
-    baseline0: StepFunction
-    baseline1: StepFunction
+    baselines: tuple[StepFunction, StepFunction]
     risk_sums: tuple = field(repr=False, compare=False)
 
     def baseline(self, arm: int) -> StepFunction:
-        return self.baseline1 if arm == 1 else self.baseline0
+        return self.baselines[arm]
 
 
 def _score_info(snap: Snapshot, beta: np.ndarray):
@@ -110,22 +93,6 @@ def _score_info(snap: Snapshot, beta: np.ndarray):
         info = (d @ v).reshape(p, p)
         loglik = float(snap.event_z_total @ beta - d @ (np.log(r0) + row_shift))
     return score, info, loglik, (r0, e, row_shift)
-
-
-def score_and_info(snap: Snapshot, beta):
-    """Score vector, observed information, and log partial likelihood.
-
-    Events strictly after ``min(u, tau)`` are ignored; risk sets are
-    unaffected for times at or below it. With no events in range all
-    three are zero.
-
-    Returns:
-        (score, info, loglik) with shapes (p,), (p, p), scalar.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    if beta.shape != (snap.n_covariates,):
-        raise DataError(f"beta must have shape ({snap.n_covariates},), got {beta.shape}")
-    return _score_info(snap, beta)[:3]
 
 
 def _check_nonsingular(info: np.ndarray):
@@ -193,9 +160,7 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
         info=info,
         loglik=float(loglik),
         iterations=iterations,
-        converged=True,
-        baseline0=baselines[0],
-        baseline1=baselines[1],
+        baselines=baselines,
         risk_sums=risk_sums,
     )
 
@@ -207,16 +172,6 @@ def _baselines(snap: Snapshot, r0, e, shift):
     increments = snap.event_counts / r0
     k0 = snap.arms[0].event_times.size
     rows = (slice(0, k0), slice(k0, None))
-    baselines = [StepFunction(arm.event_times, increments[sl]) for arm, sl in zip(snap.arms, rows)]
+    baselines = tuple(StepFunction(arm.event_times, increments[sl]) for arm, sl in zip(snap.arms, rows))
     return baselines, tuple((r0[sl], e[sl] * r0[sl, None]) for sl in rows)
 
-
-def breslow(snap: Snapshot, beta, arm: int) -> StepFunction:
-    """Breslow cumulative baseline hazard for one arm at fixed ``beta``.
-
-    Each event time up to ``min(u, tau)`` contributes (number of events)
-    divided by the sum of exp(beta'Z) over subjects still at risk in that
-    arm. At beta = 0 this is the Nelson-Aalen estimator.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))
-    return _baselines(snap, *_score_info(snap, beta)[3])[0][arm]

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
+from .records import Record, list_of, optional, string
 
 __all__ = [
     "Trial",
@@ -107,14 +108,8 @@ class Trial:
         )
 
 
-_SCHEMA_KEYS = {  # JSON key -> field name
-    "id": "subject_id", "arm": "arm", "entry_time": "entry_time",
-    "followup_time": "followup_time", "event": "event", "covariates": "covariates",
-}
-
-
 @dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(Record):
     """Column-name map for :func:`ingest_csv`.
 
     ``covariates`` lists covariate column names in order; ``None`` means
@@ -129,21 +124,15 @@ class CsvSchema:
     event: str = "event"
     covariates: tuple[str, ...] | None = None
 
-    def to_dict(self) -> dict:
-        d = {key: getattr(self, name) for key, name in _SCHEMA_KEYS.items()}
-        if self.covariates is not None:
-            d["covariates"] = list(self.covariates)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CsvSchema":
-        extra = set(d) - set(_SCHEMA_KEYS)
-        if extra:
-            raise DataError(f"unknown schema keys: {sorted(extra)}")
-        kwargs = {_SCHEMA_KEYS[key]: value for key, value in d.items()}
-        if kwargs.get("covariates") is not None:
-            kwargs["covariates"] = tuple(kwargs["covariates"])
-        return cls(**kwargs)
+    _what, _error, _closed = "CSV schema", DataError, True
+    _keys = (
+        ("id", "subject_id", string),
+        ("arm", "arm", string),
+        ("entry_time", "entry_time", string),
+        ("followup_time", "followup_time", string),
+        ("event", "event", string),
+        ("covariates", "covariates", optional(list_of(string))),
+    )
 
 
 def _floats(cells: list[str]) -> np.ndarray:

@@ -38,6 +38,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def height(step, t):
+    """A ``StepFunction``'s right-continuous height at ``t`` (scalar or array)."""
+    out = np.concatenate(([0.0], step.values))[np.searchsorted(step.times, t, side="right")]
+    return float(out) if np.isscalar(t) else out
+
+
 def make_trial(*rows):
     """A trial from ``(arm, entry, followup, event, covariates)`` rows."""
     arm, entry, followup, event, z = zip(*rows)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import monotone_trial, sim_snapshot, toy_snapshot
+from conftest import height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,7 +148,7 @@ class TestAdjustedSurvival:
         adj0 = adjusted_survival(fitted, snap, 0)
         na = fitted.baseline(0)
         for t, s in zip(adj0.grid, adj0.values):
-            assert s == pytest.approx(math.exp(-na(t)), rel=1e-12)
+            assert s == pytest.approx(math.exp(-height(na, t)), rel=1e-12)
 
     def test_no_events_arm_flat_one(self):
         snap = arrays_snapshot(
@@ -217,11 +217,8 @@ class TestVariance:
         assert comp.var_cond == pytest.approx(ref["var_cond"], rel=1e-10)
         assert comp.v_xi2 == pytest.approx(comp.b10 + comp.b11 + comp.b3, rel=1e-12)
         assert comp.v_eta2 == pytest.approx(comp.v_xi2 + comp.var_cond, rel=1e-12)
-        for arm in (0, 1):
-            detail = comp.arm0 if arm == 0 else comp.arm1
-            np.testing.assert_allclose(detail.c1, ref[arm]["c1"], rtol=1e-10)
-            np.testing.assert_allclose(detail.gamma, ref[arm]["gamma"], rtol=1e-10)
-            np.testing.assert_allclose(detail.q, ref[arm]["q"], rtol=1e-10)
+        for arm, adj in ((0, adj0), (1, adj1)):
+            np.testing.assert_allclose(adj.c1, ref[arm]["c1"], rtol=1e-10)
 
     def test_simulated_dataset_matches_literal_recomputation(self):
         scn = SimScenario(
@@ -275,11 +272,11 @@ class TestBlockedKernel:
         comp = variance(fitted, snap, *adj)
         ref = naive_everything(snap, fitted.beta)
         rel = 1e-12
-        for arm, detail in ((0, comp.arm0), (1, comp.arm1)):
+        for arm in (0, 1):
             np.testing.assert_array_equal(adj[arm].grid, ref[arm]["grid"])
             np.testing.assert_allclose(adj[arm].values, ref[arm]["values"], rtol=rel)
-            np.testing.assert_allclose(detail.c1, ref[arm]["c1"], rtol=rel)
-            np.testing.assert_allclose(detail.c2, ref[arm]["c2"], rtol=rel)
+            np.testing.assert_allclose(adj[arm].c1, ref[arm]["c1"], rtol=rel)
+            np.testing.assert_allclose(adj[arm].c2, ref[arm]["c2"], rtol=rel)
         assert comp.b10 == pytest.approx(ref[0]["b1"], rel=rel)
         assert comp.b11 == pytest.approx(ref[1]["b1"], rel=rel)
         psi_diff = ref["psi_diff"]
@@ -292,7 +289,7 @@ class TestBlockedKernel:
     def test_block_size_does_not_change_the_result(self, p, monkeypatch):
         snap = blocked_snapshot(p=p)
         fitted = fit(snap)
-        r = max(len(fitted.baseline(arm)) for arm in (0, 1))
+        r = max(fitted.baseline(arm).times.size for arm in (0, 1))
         results = {}
         for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", snap.n * r)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
@@ -306,7 +303,7 @@ class TestBlockedKernel:
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)
-        r = max(len(fit(snap).baseline(arm)) for arm in (0, 1))
+        r = max(fit(snap).baseline(arm).times.size for arm in (0, 1))
         tracemalloc.start()
         try:
             analyze(snap)

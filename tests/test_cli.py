@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from conftest import monotone_trial
 from rmstgst import cli
 from rmstgst.cli import main
 from rmstgst.gs_design import (
+    AnalysisRecord,
     BoundarySchedule,
     DesignConfig,
     MonitoringState,
@@ -36,6 +38,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_typed_error(code, err, expected):
+    """One ``error:`` line, the expected exit code and no traceback."""
+    assert code == expected, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def write_trial_csv(path, rows, covariate_names=("z1",)):
@@ -366,6 +375,32 @@ class TestAnalyze:
         assert state_path.read_bytes() == before
         assert not os.path.exists(str(state_path) + ".lock")
 
+    @pytest.mark.parametrize("key, value", [
+        ("critical_value", "2.5"), ("decision", "maybe"), ("final", "false"),
+    ])
+    def test_wrongly_typed_state_record_exit_5(self, key, value, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        assert code == 0
+        doc = json.loads(state_path.read_text())
+        doc["analyses"][0][key] = value
+        state_path.write_text(json.dumps(doc, indent=2))
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, *look, "--u", "2.0")
+        assert_typed_error(code, err, 5)
+        assert "malformed monitoring state" in err and key in err
+        assert state_path.read_bytes() == before
+
+    def test_schema_file_not_an_object_exit_3(self, trial_csv, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text("3")
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0", "--report-only",
+            "--schema", str(schema),
+        )
+        assert_typed_error(code, err, 3)
+
     def test_truncated_design_file_exit_2(self, trial_csv, design_json, tmp_path, capsys):
         truncated_design = tmp_path / "truncated_design.json"
         truncated_design.write_bytes(open(design_json, "rb").read()[:40])
@@ -633,6 +668,37 @@ class TestCalibrateAndSimulate:
         assert code == 2
         assert f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_n_per_arm_exit_2(self, value, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(open(scn_path).read())
+        doc["n_per_arm"] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--out-dir", str(tmp_path / "out"),
+        )
+        assert_typed_error(code, err, 2)
+        assert "n_per_arm" in err
+
+    @pytest.mark.parametrize("broken", ["string_time", "one_time", "decreasing"])
+    def test_bad_analysis_times_exit_2(self, broken, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(open(calib_path).read())
+        times = doc["analysis_times"]
+        doc["analysis_times"] = {
+            "string_time": [str(times[0]), *times[1:]], "one_time": times[-1:], "decreasing": times[::-1],
+        }[broken]
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(path), "--reps", "3", "--out-dir", str(tmp_path / "out"),
+        )
+        assert_typed_error(code, err, 2)
+        assert "malformed calibration" in err and "analysis_times" in err
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "rmstgst.scenario/1",\n  broken\n}')
@@ -705,6 +771,241 @@ class TestNineCovariateWorkflow:
             assert fractions[-1] == pytest.approx(1.0, abs=0.02)
             assert spends[-1] == pytest.approx(0.05, abs=1e-9)
             assert state.analyses[-1].final
+
+
+_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+
+
+def split_floats(text):
+    """``text`` with each float literal replaced by ``<f>``, and those floats in order."""
+    return _FLOAT.sub("<f>", text), [float(x) for x in _FLOAT.findall(text)]
+
+
+GOLDEN_STATE = """{
+  "schema": "rmstgst.state/1",
+  "design": {
+    "schema": "rmstgst.design/1",
+    "alpha": 0.05,
+    "sidedness": "one_sided",
+    "spending": {
+      "kind": "power_family",
+      "rho": 2.0
+    },
+    "planned_fractions": [
+      0.5,
+      1.0
+    ],
+    "i_max": 120.0
+  },
+  "analyses": [
+    {
+      "stage": 1,
+      "u": 1.5,
+      "info_level": 60.0,
+      "info_fraction": 0.5,
+      "z": 1.25,
+      "critical_value": 2.7,
+      "cumulative_spend": 0.003,
+      "decision": "continue",
+      "final": false
+    },
+    {
+      "stage": 2,
+      "u": 2.0,
+      "info_level": 55.0,
+      "info_fraction": 0.4583333333333333,
+      "z": 0.5,
+      "critical_value": null,
+      "cumulative_spend": 0.003,
+      "decision": "skipped",
+      "final": false
+    },
+    {
+      "stage": 3,
+      "u": 3.0,
+      "info_level": 130.0,
+      "info_fraction": 1.0833333333333333,
+      "z": 2.25,
+      "critical_value": null,
+      "cumulative_spend": 0.025,
+      "decision": "continue",
+      "final": true
+    }
+  ]
+}"""
+
+GOLDEN_DESIGN = """{
+  "alpha": 0.05,
+  "i_max": 200.0,
+  "planned_fractions": [
+    0.5,
+    1.0
+  ],
+  "schema": "rmstgst.design/1",
+  "sidedness": "one_sided",
+  "spending": {
+    "kind": "power_family",
+    "rho": 2.0
+  }
+}
+"""
+
+GOLDEN_BOUNDARIES = """{
+  "alpha": <f>,
+  "planned_fractions": [
+    <f>,
+    <f>
+  ],
+  "schema": "rmstgst.design/1",
+  "sidedness": "two_sided",
+  "spending": {
+    "kind": "obrien_fleming_like"
+  },
+  "stages": [
+    {
+      "critical_value": <f>,
+      "cumulative_spend": <f>,
+      "fraction": <f>
+    },
+    {
+      "critical_value": <f>,
+      "cumulative_spend": <f>,
+      "fraction": <f>
+    }
+  ]
+}
+"""
+
+GOLDEN_CALIBRATION = """{
+  "analysis_times": [
+    <f>,
+    <f>
+  ],
+  "failures": 0,
+  "fractions": [
+    <f>,
+    <f>
+  ],
+  "grid": [
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>
+  ],
+  "i_max": <f>,
+  "i_max_by_method": {
+    "adjusted": <f>,
+    "cox": <f>,
+    "km": <f>
+  },
+  "master_seed": 3,
+  "mean_info": [
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>,
+    <f>
+  ],
+  "null_log_rate_ratio": <f>,
+  "power": {
+    "alpha": <f>,
+    "delta": <f>,
+    "log_rate_ratio": <f>,
+    "sidedness": "two_sided",
+    "target_power": <f>
+  },
+  "reps": 100,
+  "scenario": {
+    "accrual": <f>,
+    "censoring": "5pct_per_year",
+    "covariate_strength": <f>,
+    "covariates": "normal1",
+    "fractions": [
+      <f>,
+      <f>
+    ],
+    "log_rate_ratio": <f>,
+    "n_per_arm": 30,
+    "rate_base": <f>,
+    "schema": "rmstgst.scenario/1",
+    "shape_base": <f>,
+    "shape_offset": <f>,
+    "tau": <f>
+  },
+  "schema": "rmstgst.calibration/1"
+}
+"""
+
+
+class TestGoldenBytes:
+    """The exact text of each file the package writes, keys in file order.
+
+    Floats that the boundary recursion or the simulation computes are
+    masked in the text and compared to a tolerance; every other character,
+    ``null``, integer and boolean included, must match.
+    """
+
+    def test_state_json(self):
+        design = DesignConfig(SpendingFunction("power_family", rho=2.0, sided="one_sided"), (0.5, 1.0), i_max=120.0)
+        analyses = (
+            AnalysisRecord(1, 1.5, 60.0, 0.5, 1.25, 2.7, 0.003, "continue"),
+            AnalysisRecord(2, 2.0, 55.0, 0.4583333333333333, 0.5, None, 0.003, "skipped"),
+            AnalysisRecord(3, 3.0, 130.0, 1.0833333333333333, 2.25, math.inf, 0.025, "continue", final=True),
+        )
+        state = MonitoringState(design=design, analyses=analyses)
+        assert state.to_json() == GOLDEN_STATE
+        assert MonitoringState.from_json(GOLDEN_STATE).to_json() == GOLDEN_STATE
+
+    def test_design_file(self, tmp_path, capsys):
+        out = tmp_path / "design.json"
+        code, _, _ = run_cli(
+            capsys, "design", "--spending", "power_family", "--rho", "2", "--sides", "one_sided",
+            "--fractions", "0.5,1.0", "--i-max", "200", "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text() == GOLDEN_DESIGN
+
+    def test_boundaries_file(self, tmp_path, capsys):
+        out = tmp_path / "boundaries.json"
+        code, _, _ = run_cli(
+            capsys, "boundaries", "--spending", "obrien_fleming_like", "--fractions", "0.5,1.0",
+            "--out", str(out),
+        )
+        assert code == 0
+        text, floats = split_floats(out.read_text())
+        assert text == GOLDEN_BOUNDARIES
+        np.testing.assert_allclose(floats, [
+            0.05, 0.5, 1.0, 2.771807648699349, 0.005574596680784529, 0.5, 1.9793113426785223,
+            0.050000000000000044, 1.0,
+        ], rtol=1e-9)
+
+    def test_calibration_file(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "n_per_arm": 30, "accrual": 0.6, "tau": 0.4, "rate_base": 3.0, "shape_offset": -0.3,
+            "covariate_strength": 0.4, "fractions": [0.5, 1.0],
+        }))
+        out = tmp_path / "calibration.json"
+        code, _, _ = run_cli(
+            capsys, "calibrate", "--scenario", str(scenario), "--reps", "100", "--seed", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        text, floats = split_floats(out.read_text())
+        assert text == GOLDEN_CALIBRATION
+        np.testing.assert_allclose(floats, [
+            0.42891954860551046, 1.0, 0.5, 1.0, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9, 1.0,
+            1122.9990328147185, 1122.9990328147185, 7.271642514951322, 1010.8195985953037,
+            517.7521924145766, 669.0246918215931, 860.1273230812616, 1018.7722916620871,
+            1102.3131194036134, 1122.9990328147185, 1122.9990328147185, -0.42928860108133904,
+            0.05, 0.08360141232915343, -2.4182319553716525, 0.8, 0.6, 0.4, 0.5, 1.0, 0.0, 3.0,
+            1.5, -0.3, 0.4,
+        ], rtol=1e-6)
 
 
 class TestEntryPoints:
