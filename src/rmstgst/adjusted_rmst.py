@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientEventsError
-from .stratified_cox import CoxFit, fit as cox_fit
-from .trial_data import Snapshot
+from .stratified_cox import CoxFit, CoxFits, fit as cox_fit
+from .trial_data import Look, Snapshot
 
 __all__ = [
     "AdjustedSurvival",
@@ -57,7 +57,7 @@ class AdjustedSurvival:
     mu_cond: np.ndarray = field(repr=False, compare=False)
 
 
-def adjusted_survival(fit: CoxFit, snap: Snapshot, arm: int) -> AdjustedSurvival:
+def adjusted_survival(fit: CoxFit, snap: Look, arm: int) -> AdjustedSurvival:
     """Average conditional survival for one arm over the pooled covariates.
 
     With no covariates this is exactly the exponentiated Nelson-Aalen
@@ -114,7 +114,7 @@ class VarianceComponents:
         return {"B10": self.b10, "B11": self.b11, "B3": self.b3, "var_cond": self.var_cond}
 
 
-def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSurvival):
+def _arm_variance_pieces(fit: CoxFit, snap: Look, arm: int, adj: AdjustedSurvival):
     n = snap.n
     data = snap.arms[arm]
     n_arm = data.n
@@ -133,7 +133,7 @@ def _arm_variance_pieces(fit: CoxFit, snap: Snapshot, arm: int, adj: AdjustedSur
     return b1, psi
 
 
-def variance(fit: CoxFit, snap: Snapshot, adj0: AdjustedSurvival, adj1: AdjustedSurvival) -> VarianceComponents:
+def variance(fit: CoxFit, snap: Look, adj0: AdjustedSurvival, adj1: AdjustedSurvival) -> VarianceComponents:
     """Variance components for the adjusted RMST difference at this analysis.
 
     Expects ``adj0``/``adj1`` built from the same fit and snapshot. The
@@ -164,7 +164,8 @@ class AnalysisResult:
     reciprocal variance, the scale on which monitoring information
     accrues; ``se`` and ``z`` follow from the two. ``mu0``/``mu1`` are
     the arms' restricted means (RMST methods only) and ``components``
-    the variance decomposition (adjusted method only).
+    the variance decomposition and ``diagnostics`` the fit's Newton
+    iterations and step halvings (adjusted method only).
 
     Raises:
         EstimationError: ``delta`` or ``info_level`` is not finite, or
@@ -179,6 +180,7 @@ class AnalysisResult:
     mu0: float | None = None
     mu1: float | None = None
     components: VarianceComponents | None = field(default=None, repr=False, compare=False)
+    diagnostics: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and math.isfinite(self.info_level) and self.info_level > 0):
@@ -202,10 +204,12 @@ class AnalysisResult:
         out.update(delta=self.delta, se=self.se, z=self.z, info=self.info_level)
         if self.components is not None:
             out["components"] = self.components.to_dict()
+        if self.diagnostics is not None:
+            out["diagnostics"] = self.diagnostics
         return out
 
 
-def _require_events(snap: Snapshot) -> None:
+def _require_events(snap: Look) -> None:
     """Raise InsufficientEventsError unless each arm has an event by min(u, tau)."""
     for arm, data in enumerate(snap.arms):
         if not data.event_times.size:
@@ -215,33 +219,30 @@ def _require_events(snap: Snapshot) -> None:
             )
 
 
-def analyze(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> AnalysisResult:
-    """Full adjusted analysis of a snapshot: fit, curves, difference, variance.
+def analyze(snap: Snapshot, fits: CoxFits | None = None, k: int = 0) -> AnalysisResult:
+    """Full adjusted analysis of look ``k`` of a snapshot: fit, curves, difference, variance.
 
-    Returns the ``"adjusted"`` :class:`AnalysisResult`, with arm means
-    and variance components.
+    ``fits`` are the snapshot's model fits, fitted here when not given.
+    Returns the ``"adjusted"`` :class:`AnalysisResult`, with arm means,
+    variance components and fit diagnostics.
 
     Raises:
         InsufficientEventsError: an arm has no event at or before
             min(u, tau); the adjusted difference is not estimable.
-        ConvergenceError, SingularInformationError: propagated from the
-            model fit.
+        ConvergenceError, SingularInformationError: the look's model fit
+            failed.
         EstimationError: the difference or its information is not finite.
     """
-    _require_events(snap)
-    fitted = cox_fit(snap, tol=tol, max_iter=max_iter)
-    adj0 = adjusted_survival(fitted, snap, 0)
-    adj1 = adjusted_survival(fitted, snap, 1)
+    look = snap[k]
+    _require_events(look)
+    fitted = (cox_fit(snap) if fits is None else fits)[k]
+    adj0 = adjusted_survival(fitted, look, 0)
+    adj1 = adjusted_survival(fitted, look, 1)
     mu0 = rmst(adj0)
     mu1 = rmst(adj1)
-    comp = variance(fitted, snap, adj0, adj1)
+    comp = variance(fitted, look, adj0, adj1)
     return AnalysisResult(
-        method="adjusted",
-        u=snap.u,
-        tau=snap.tau,
-        delta=mu1 - mu0,
-        info_level=snap.n / comp.v_eta2,
-        mu0=mu0,
-        mu1=mu1,
-        components=comp,
+        method="adjusted", u=look.u, tau=look.tau, delta=mu1 - mu0, info_level=look.n / comp.v_eta2,
+        mu0=mu0, mu1=mu1, components=comp,
+        diagnostics={"iterations": fitted.iterations, "step_halvings": fitted.step_halvings},
     )

@@ -344,36 +344,26 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed, threads=args.threads, collect_estimates=(args.reps == 1),
     )
 
-    results_path = os.path.join(args.out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write("method,stage,cumulative_rejection,mc_se\n")
-        for row in oc.to_rows():
-            fh.write(
-                f"{row['method']},{row['stage']},"
-                f"{row['cumulative_rejection']:.10g},{row['mc_se']:.10g}\n"
-            )
-    curves_path = os.path.join(args.out_dir, "curves.csv")
-    with open(curves_path, "w", encoding="utf-8") as fh:
-        fh.write("time,survival_0,survival_1,hazard_ratio\n")
-        for row in curve_table(sim_scn):
-            fh.write(
-                f"{row['time']:.10g},{row['survival_0']:.10g},"
-                f"{row['survival_1']:.10g},{row['hazard_ratio']:.10g}\n"
-            )
-    outputs = {"results": results_path, "curves": curves_path}
+    def write_csv(name: str, header: str, rows) -> str:
+        """One output table; numbers as ``%.10g``, labels and stages as they are."""
+        path = os.path.join(args.out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(str(v) if isinstance(v, (str, int)) else f"{v:.10g}" for v in row) + "\n"
+                          for row in rows)
+        return path
+
+    outputs = {
+        "results": write_csv("results.csv", "method,stage,cumulative_rejection,mc_se",
+                             (r.values() for r in oc.to_rows())),
+        "curves": write_csv("curves.csv", "time,survival_0,survival_1,hazard_ratio",
+                            (r.values() for r in curve_table(sim_scn))),
+    }
     if args.reps == 1:
-        trace_path = os.path.join(args.out_dir, "trace.csv")
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("method,stage,delta,info_level,z\n")
-            for m in oc.methods:
-                est = oc.estimates[m][0]
-                info = oc.info_levels[m][0]
-                for k in range(len(oc.analysis_times)):
-                    d_val = est[k]
-                    i_val = info[k]
-                    z_val = d_val * math.sqrt(i_val) if i_val > 0 else float("nan")
-                    fh.write(f"{m},{k + 1},{d_val:.10g},{i_val:.10g},{z_val:.10g}\n")
-        outputs["trace"] = trace_path
+        outputs["trace"] = write_csv("trace.csv", "method,stage,delta,info_level,z", (
+            (m, k + 1, d, i, d * math.sqrt(i) if i > 0 else float("nan"))
+            for m in oc.methods
+            for k, (d, i) in enumerate(zip(oc.estimates[m][0], oc.info_levels[m][0]))))
 
     manifest = {
         "version": __version__,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .adjusted_rmst import AnalysisResult, _require_events
 from .errors import InsufficientEventsError
-from .trial_data import Snapshot
+from .trial_data import Look, Snapshot
 
 __all__ = ["KmCurve", "km_fit", "km_rmst", "km_rmst_test"]
 
@@ -36,8 +36,8 @@ class KmCurve:
     survival: np.ndarray
 
 
-def km_fit(snap: Snapshot, arm: int) -> KmCurve:
-    """Kaplan-Meier curve for one arm of a snapshot, horizon ``tau``, from its ``arms`` layout."""
+def km_fit(snap: Look, arm: int) -> KmCurve:
+    """Kaplan-Meier curve for one arm of a look, horizon ``tau``, from its ``arms`` layout."""
     data = snap.arms[arm]
     return KmCurve(
         arm=arm,
@@ -73,8 +73,8 @@ def km_rmst(curve: KmCurve) -> tuple[float, float]:
     return mu, var
 
 
-def km_rmst_test(snap: Snapshot) -> AnalysisResult:
-    """Two-arm unadjusted RMST difference with independent-arm variance.
+def km_rmst_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
+    """Two-arm unadjusted RMST difference at look ``k``, independent-arm variance; ``fits`` is unused.
 
     Returns the ``"km"`` :class:`AnalysisResult`, with arm means and no
     variance components.
@@ -84,18 +84,12 @@ def km_rmst_test(snap: Snapshot) -> AnalysisResult:
             min(u, tau), or the variance degenerates to zero.
         EstimationError: the difference or its information is not finite.
     """
-    _require_events(snap)
-    mu0, var0 = km_rmst(km_fit(snap, 0))
-    mu1, var1 = km_rmst(km_fit(snap, 1))
+    look = snap[k]
+    _require_events(look)
+    mu0, var0 = km_rmst(km_fit(look, 0))
+    mu1, var1 = km_rmst(km_fit(look, 1))
     var = var0 + var1
     if var <= 0:
         raise InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
-    return AnalysisResult(
-        method="km",
-        u=snap.u,
-        tau=snap.tau,
-        delta=mu1 - mu0,
-        info_level=1.0 / var,
-        mu0=mu0,
-        mu1=mu1,
-    )
+    return AnalysisResult(method="km", u=look.u, tau=look.tau, delta=mu1 - mu0, info_level=1.0 / var,
+                          mu0=mu0, mu1=mu1)

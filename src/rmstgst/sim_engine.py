@@ -298,30 +298,25 @@ def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0))
     return root
 
 
-def cox_hr_test(snap: Snapshot) -> AnalysisResult:
-    """Wald test of no treatment effect in an unstratified hazards model.
+def cox_hr_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
+    """Wald test of no treatment effect in an unstratified hazards model, at look ``k``.
 
-    Refits a single-stratum model with the treatment indicator prepended
-    to the covariates and tests its coefficient, with the same event
-    horizon min(u, tau) as the restricted-mean analyses. Returns the
-    ``"cox"`` :class:`AnalysisResult`, whose ``delta`` is the treatment
-    log hazard ratio; it has no arm means.
+    Tests the treatment coefficient of ``snap.pooled()``'s fit (``fits``
+    when given), one stratum with the arm prepended to the covariates and
+    the event horizon min(u, tau) of the restricted-mean analyses. Returns
+    the ``"cox"`` :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
     """
-    _require_events(snap)
-    z_aug = np.column_stack([snap.arm.astype(np.float64), snap.z])
-    pooled = Snapshot(
-        u=snap.u, tau=snap.tau, arm=np.zeros(snap.n, dtype=np.int8),
-        time=snap.time, event=snap.event, z=z_aug,
-    )
-    fitted = cox_fit(pooled)
+    look = snap[k]
+    _require_events(look)
+    fitted = (cox_fit(snap.pooled()) if fits is None else fits)[k]
     cov = np.linalg.inv(fitted.info)
-    return AnalysisResult(
-        method="cox", u=snap.u, tau=snap.tau, delta=float(fitted.beta[0]),
-        info_level=1.0 / cov[0, 0],
-    )
+    return AnalysisResult(method="cox", u=look.u, tau=look.tau, delta=float(fitted.beta[0]), info_level=1 / cov[0, 0])
 
 
 METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
+# the fits each method reads, made once per snapshot for its looks with events in both arms
+_METHOD_FITS = {"adjusted": lambda snap: cox_fit(snap, looks=snap.events_in_every_stratum()), "km": lambda snap: None,
+                "cox": lambda snap: cox_fit(snap.pooled(), looks=snap.events_in_every_stratum())}
 
 
 @dataclass(frozen=True)
@@ -403,17 +398,10 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     i_by_method = {"adjusted": i_max}
     i_by_method.update((m, float(np.nanmean(finals[:, 0, k])))
                        for k, m in enumerate(comparators) if not np.all(np.isnan(finals[:, 0, k])))
-    failures = int(np.sum(np.isnan(rows[:, -1])))
     return InformationCalibration(
-        fractions=tuple(float(f) for f in scn.fractions),
-        analysis_times=tuple(times),
-        i_max=i_max,
-        i_max_by_method=i_by_method,
-        grid=tuple(float(g) for g in grid_u),
-        mean_info=tuple(float(v) for v in traj),
-        reps=reps,
-        master_seed=master_seed,
-        failures=failures,
+        fractions=tuple(float(f) for f in scn.fractions), analysis_times=tuple(times), i_max=i_max,
+        i_max_by_method=i_by_method, grid=tuple(float(g) for g in grid_u), mean_info=tuple(float(v) for v in traj),
+        reps=reps, master_seed=master_seed, failures=int(np.sum(np.isnan(rows[:, -1]))),
     )
 
 
@@ -518,19 +506,20 @@ def _study_worker(args):
     infos = np.full((len(reps_slice), len(times), len(methods)), np.nan)
     deltas = np.full_like(infos, np.nan)
     for i, rep in enumerate(reps_slice):
-        trial = draw_trial(scn, _rng_for_replicate(master_seed, rep))
-        for k, u in enumerate(times):
-            try:
-                snap = snapshot(trial, u=u, tau=scn.tau)
-            except DataError:
-                continue
-            for m, method in enumerate(methods):
+        try:
+            snap = snapshot(draw_trial(scn, _rng_for_replicate(master_seed, rep)), u=times, tau=scn.tau)
+        except DataError:
+            continue
+        for m, method in enumerate(methods):
+            fits = _METHOD_FITS[method](snap)
+            for k in range(len(times)):
                 try:
-                    r = METHODS[method](snap)
-                except EstimationError:
+                    r = METHODS[method](snap, fits, k)
+                except (DataError, EstimationError):
                     continue
                 infos[i, k, m] = r.info_level
                 deltas[i, k, m] = r.delta
+        snap = fits = None  # let this trial's layout go before the next is drawn
     return infos, deltas
 
 
@@ -566,6 +555,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     Identical scenario, seed, and reps give bit-identical results for
     any ``threads``.
     """
+    if reps < 1:
+        raise ConfigError(f"simulation needs reps >= 1, got {reps}")
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
@@ -577,16 +568,10 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     infos, deltas = _map_replicates(
         _study_worker, scn, master_seed, reps, threads, extra=(times, methods),
     )
-    cumulative = {}
-    mc_se = {}
-    failures = {}
-    first_stage = {}
+    cumulative, mc_se, failures, first_stage = {}, {}, {}, {}
     for m, method in enumerate(methods):
-        design = DesignConfig(
-            spending=spending,
-            planned_fractions=scn.fractions,
-            i_max=calib.i_max_by_method[method],
-        )
+        design = DesignConfig(spending=spending, planned_fractions=scn.fractions,
+                              i_max=calib.i_max_by_method[method])
         firsts = np.zeros(reps, dtype=np.int64)
         fail_count = 0
         for rep in range(reps):
@@ -596,34 +581,20 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
                 if np.isnan(info):
                     fail_count += 1
                     continue
-                state = update_monitoring(
-                    state,
-                    AnalysisResult(
-                        method=method, u=times[k], tau=scn.tau,
-                        delta=deltas[rep, k, m], info_level=info,
-                    ),
-                    final=(k == n_stage - 1),
-                )
+                result = AnalysisResult(method=method, u=times[k], tau=scn.tau, delta=deltas[rep, k, m],
+                                        info_level=info)
+                state = update_monitoring(state, result, final=(k == n_stage - 1))
                 if state.analyses[-1].decision == "reject":
                     firsts[rep] = k + 1
                     break
         first_stage[method] = firsts
-        rej = np.array(
-            [np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)]
-        )
+        rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
         failures[method] = fail_count
     return OperatingCharacteristics(
-        scenario=scn,
-        methods=methods,
-        analysis_times=times,
-        reps=reps,
-        master_seed=master_seed,
-        cumulative_rejection=cumulative,
-        mc_se=mc_se,
-        failures=failures,
-        first_rejection_stage=first_stage,
+        scenario=scn, methods=methods, analysis_times=times, reps=reps, master_seed=master_seed,
+        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures, first_rejection_stage=first_stage,
         estimates={m: deltas[:, :, i] for i, m in enumerate(methods)} if collect_estimates else None,
         info_levels={m: infos[:, :, i] for i, m in enumerate(methods)} if collect_estimates else None,
     )

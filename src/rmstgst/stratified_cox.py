@@ -7,22 +7,22 @@ tied events share the same risk-set denominator.
 
 All fitting is restricted to event times at or below ``min(u, tau)``;
 subjects followed past that point still contribute risk time up to it.
+A snapshot's looks are fitted together: one Newton iteration steps every
+look's coefficients at once, each look reducing only its own strata, so a
+look's fit is the same whatever other looks share its snapshot.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, SingularInformationError
-from .trial_data import Snapshot
+from .errors import ConvergenceError, DataError, InsufficientEventsError, SingularInformationError
+from .trial_data import Snapshot, look_sums
 
-__all__ = [
-    "StepFunction",
-    "CoxFit",
-    "fit",
-]
+__all__ = ["StepFunction", "CoxFit", "CoxFits", "fit"]
 
 
 class StepFunction:
@@ -37,31 +37,29 @@ class StepFunction:
     __slots__ = ("times", "increments", "values")
 
     def __init__(self, times, increments):
-        times = np.asarray(times, dtype=np.float64)
-        increments = np.asarray(increments, dtype=np.float64)
-        self.times = times
-        self.increments = increments
-        self.values = np.cumsum(increments)
+        self.times, self.increments = np.asarray(times, dtype=np.float64), np.asarray(increments, dtype=np.float64)
+        self.values = np.cumsum(self.increments)
         for a in (self.times, self.increments, self.values):
             a.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class CoxFit:
-    """Converged fit of the two-baseline proportional-hazards model.
+    """One look's converged fit of the two-baseline proportional-hazards model.
 
     ``baselines`` are the Breslow cumulative baseline hazards of arms 0
     and 1, with jumps at that arm's event times up to ``min(u, tau)``.
-    ``info`` is the observed information at ``beta`` (unnormalized sum
-    over events). ``risk_sums`` holds each arm's risk-set sums at
-    ``beta``, ``(r0, r1)`` at its event times: the sum of exp(beta'Z)
-    and of exp(beta'Z) Z over the subjects at risk.
+    ``info`` is the observed information at ``beta``. ``risk_sums`` holds
+    each arm's risk-set sums ``(r0, r1)`` at its event times: the sums of
+    exp(beta'Z) and exp(beta'Z) Z over the subjects at risk. Newton took
+    ``iterations`` steps and halved rejected ones ``step_halvings`` times.
     """
 
     beta: np.ndarray
     info: np.ndarray
     loglik: float
     iterations: int
+    step_halvings: int
     baselines: tuple[StepFunction, StepFunction]
     risk_sums: tuple = field(repr=False, compare=False)
 
@@ -69,109 +67,147 @@ class CoxFit:
         return self.baselines[arm]
 
 
-def _score_info(snap: Snapshot, beta: np.ndarray):
-    """Score, information and log partial likelihood of both arms in one pass.
+class CoxFits:
+    """The fits of every look of one snapshot, from one batched Newton iteration.
 
-    Also returns the risk sums at the snapshot's event rows, which the
-    Breslow baselines reuse: ``r0`` in a per-stratum max-shifted scale (the
-    true sum is ``r0 * exp(shift)``), the risk-weighted covariate means
-    ``e = r1 / r0``, and each row's ``shift``.
+    ``fits[k]`` is look k's :class:`CoxFit`, or raises the error its fit
+    met, as a snapshot of that look alone would; ``iterations`` totals the
+    Newton iterations of the looks that fit.
     """
-    p = beta.size
-    lp = snap.risk_z @ beta
-    shift = lp.max(axis=1, keepdims=True)
-    w = np.exp(lp - shift)
-    cols = snap.risk_cols
-    sums = np.cumsum(w[:, ::-1, None] * cols[:, ::-1], axis=1).reshape(-1, cols.shape[2])[snap.risk_rows]
-    r0, d, row_shift = sums[:, 0], snap.event_counts, shift[snap.event_stratum, 0]
+
+    def __init__(self, snap: Snapshot, beta, info, loglik, iterations, step_halvings, errors, sums):
+        self.snap, self.beta, self.info, self.loglik, self.sums = snap, beta, info, loglik, sums
+        self.look_iterations, self.step_halvings, self.errors = iterations, step_halvings, errors
+
+    @property
+    def iterations(self) -> int:
+        return int(sum(it for it, err in zip(self.look_iterations.tolist(), self.errors) if err is None))
+
+    def __getitem__(self, k: int) -> CoxFit:
+        if self.errors[k] is not None:  # a copy, so no traceback ties the error to these fits
+            raise copy.copy(self.errors[k])
+        lo, split, hi = self.snap.look_bounds(k)
+        r0, e, shift = (a[..., lo:hi] for a in self.sums)
+        # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
+        r0 = np.exp(np.log(r0) + shift)
+        r1, increments, times = (e * r0).T, self.snap.event_counts[lo:hi] / r0, self.snap.event_times[lo:hi]
+        arms = (slice(0, split - lo), slice(split - lo, hi - lo))
+        baselines = tuple(StepFunction(times[rows], increments[rows]) for rows in arms)
+        risk_sums = tuple((r0[rows], r1[rows]) for rows in arms)
+        return CoxFit(self.beta[k], self.info[k], float(self.loglik[k]), int(self.look_iterations[k]),
+                      int(self.step_halvings[k]), baselines, risk_sums)
+
+
+def _score_info(snap: Snapshot, beta: np.ndarray, lo: int = 0):
+    """Score, information and log partial likelihood of looks ``lo, lo + 1, ...``, one beta row each.
+
+    Also returns the risk sums at their event rows, which the baselines
+    reuse: ``r0`` scaled by each stratum's largest exp(beta'Z) (the true
+    sum is ``r0 * exp(shift)``), ``e = r1 / r0`` (p, rows) and each row's
+    ``shift``. A look's values add only its own rows, so no other look
+    changes them.
+    """
+    looks, p = beta.shape
+    g, (c, m) = len(snap.orders), snap.risk_cols.shape[1:]
+    strata = slice(lo * g, (lo + looks) * g)
+    bounds = snap.look_rows[lo:lo + looks + 1]
+    rows = slice(bounds[0], bounds[-1])
+    w = np.einsum("spm,sp->sm", snap.risk_z[strata], np.repeat(beta, g, axis=0))  # linear predictors
+    shift = w.max(axis=1, keepdims=True)
+    w = np.exp(np.subtract(w, shift, out=w), out=w)
+    sums = w[:, None, :] * snap.risk_cols[strata]
+    sums = np.cumsum(sums, axis=2, out=sums).ravel()[snap.risk_index[:, rows] - strata.start * c * m]
+    r0, d, row_shift = sums[0].copy(), snap.event_counts[rows], shift[snap.event_stratum[rows] - strata.start, 0]
     # r0 can underflow to 0 at extreme trial steps; the resulting
     # -inf/nan log likelihood makes the Newton loop halve the step.
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = sums[:, 1:p + 1] / r0[:, None]
-        v = sums[:, p + 1:] / r0[:, None] - (e[:, :, None] * e[:, None, :]).reshape(r0.size, p * p)
-        score = snap.event_z_total - d @ e
-        info = (d @ v).reshape(p, p)
-        loglik = float(snap.event_z_total @ beta - d @ (np.log(r0) + row_shift))
+        sums[1:] /= r0  # e = r1 / r0, then the second moments
+        e, upper = sums[1:p + 1], snap.upper
+        sums[p + 1:] -= e[upper[0]] * e[upper[1]]  # the covariance's upper triangle
+        sums[0] = np.log(r0) + row_shift
+    terms = look_sums(d * sums, bounds - bounds[0]).T
+    z_total = snap.event_z_total[lo:lo + looks]
+    score = z_total - terms[:, 1:p + 1]
+    info = np.empty((looks, p, p))
+    info[:, upper[0], upper[1]] = info[:, upper[1], upper[0]] = terms[:, p + 1:]
+    loglik = (z_total * beta).sum(axis=1) - terms[:, 0]
     return score, info, loglik, (r0, e, row_shift)
 
 
-def _check_nonsingular(info: np.ndarray):
-    """Eigenvalues and eigenvectors of ``info``, raising if it is not positive definite."""
-    eigval, eigvec = np.linalg.eigh(info)
-    floor = 1e-10 * max(1.0, float(eigval[-1]))
-    if eigval[0] <= floor:
-        direction = eigvec[:, 0]
-        raise SingularInformationError(
-            f"observed information is singular along direction {np.round(direction, 6).tolist()}"
-            " (constant or collinear covariate, or one that separates events from"
-            " survivors so the likelihood is monotone?)",
-            direction=tuple(float(x) for x in direction),
-        )
-    return eigval, eigvec
+def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
+    """Eigen-decompositions of ``info`` at ``looks``; a singular one gets an error and leaves ``active``."""
+    eigval, eigvec = np.linalg.eigh(info[looks])
+    singular = eigval[:, 0] <= 1e-10 * np.maximum(1.0, eigval[:, -1])
+    for k, direction in zip(looks[singular], eigvec[singular, :, 0]):
+        errors[k] = SingularInformationError(
+            f"observed information is singular along direction {np.round(direction, 6).tolist()} (constant or"
+            " collinear covariate, or one that separates events from survivors so the likelihood is monotone?)",
+            direction=tuple(float(x) for x in direction))
+        active[k] = False
+    return looks[~singular], eigval[~singular], eigvec[~singular]
 
 
-def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50) -> CoxFit:
-    """Maximize the stratified log partial likelihood by Newton iteration.
+def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50, looks=None) -> CoxFits:
+    """Maximize each look's stratified log partial likelihood by Newton iteration, all looks at once.
 
-    Starts at beta = 0, declares convergence when the score max-norm
-    drops below ``tol``, and halves steps that would decrease the log
-    partial likelihood. With no covariates the fit is immediate and the
-    baselines reduce to Nelson-Aalen estimates.
-
-    Raises:
-        ConvergenceError: iteration budget exhausted or halving failed.
-        SingularInformationError: information not positive definite.
-        DataError: no events at or before min(u, tau).
+    Every look starts at beta = 0, converges when its score max-norm drops
+    below ``tol``, and halves steps that would decrease its log partial
+    likelihood; a look that converges or fails is frozen while the rest go
+    on. With no covariates the baselines are Nelson-Aalen estimates. A
+    look's failure is kept and raised by ``fits[k]``: ``ConvergenceError``
+    (budget spent or halving failed), ``SingularInformationError``,
+    ``DataError`` (no events at or before min(u, tau)), or
+    ``InsufficientEventsError`` for a look that the mask ``looks`` leaves out.
     """
-    if not snap.event_counts.size:
-        raise DataError(f"no events at or before t_max={min(snap.u, snap.tau)}; nothing to fit")
-    p = snap.n_covariates
-    beta = np.zeros(p)
+    wanted = [True] * snap.u.size if looks is None else np.asarray(looks, dtype=bool).tolist()
+    errors = [InsufficientEventsError(f"the look at u={u} was left out of the fit") if not want else None if rows
+              else DataError(f"no events at or before t_max={min(u, snap.tau)}; nothing to fit")
+              for u, rows, want in zip(snap.u.tolist(), np.diff(snap.look_rows).tolist(), wanted)]
+    n_looks, p = snap.u.size, snap.z.shape[1]
+    beta, step = np.zeros((n_looks, p)), np.zeros((n_looks, p))
+    scale, iterations, halvings = (np.zeros(n_looks, dtype=t) for t in (np.float64, np.int64, np.int64))
     score, info, loglik, sums = _score_info(snap, beta)
-    iterations = 0
-    while p and float(np.max(np.abs(score))) >= tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"no convergence in {max_iter} iterations (score max-norm "
-                f"{float(np.max(np.abs(score))):.3e})"
-            )
-        eigval, eigvec = _check_nonsingular(info)
-        step = eigvec @ ((eigvec.T @ score) / eigval)
-        scale = 1.0
-        for _ in range(40):
-            cand = beta + scale * step
-            evaluated = _score_info(snap, cand)
-            c_loglik = evaluated[2]
-            # relative slack: near the optimum a full step's gain is below
-            # one ulp of loglik, and rounding must not reject it
-            if np.isfinite(c_loglik) and c_loglik >= loglik - 1e-12 * max(1.0, abs(loglik)):
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError("step halving failed to improve the log partial likelihood")
-        beta = cand
-        score, info, loglik, sums = evaluated
-        iterations += 1
-    if p:
-        _check_nonsingular(info)
-    baselines, risk_sums = _baselines(snap, *sums)
-    return CoxFit(
-        beta=beta,
-        info=info,
-        loglik=float(loglik),
-        iterations=iterations,
-        baselines=baselines,
-        risk_sums=risk_sums,
-    )
-
-
-def _baselines(snap: Snapshot, r0, e, shift):
-    """Each arm's Breslow baseline and true-scale risk sums ``(r0, r1)`` from one evaluation."""
-    # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
-    r0 = np.exp(np.log(r0) + shift)
-    increments = snap.event_counts / r0
-    k0 = snap.arms[0].event_times.size
-    rows = (slice(0, k0), slice(k0, None))
-    baselines = tuple(StepFunction(arm.event_times, increments[sl]) for arm, sl in zip(snap.arms, rows))
-    return baselines, tuple((r0[sl], e[sl] * r0[sl, None]) for sl in rows)
-
+    row_look = snap.event_stratum // len(snap.orders)
+    active = np.array([err is None and p > 0 for err in errors])  # looks still iterating
+    fresh = np.flatnonzero(active)  # looks at a new iterate: test it, then step from it
+    while True:
+        for k, norm in zip(fresh.tolist(), np.abs(score[fresh]).max(axis=1, initial=0.0).tolist()):
+            if norm < tol:
+                active[k] = False
+            elif iterations[k] >= max_iter:
+                errors[k] = ConvergenceError(f"no convergence in {max_iter} iterations (score max-norm {norm:.3e})")
+                active[k] = False
+        stepping = fresh[active[fresh]]
+        if stepping.size:
+            stepping, eigval, eigvec = _eigh_nonsingular(info, stepping, errors, active)
+            coef = (np.swapaxes(eigvec, 1, 2) @ score[stepping, :, None])[:, :, 0] / eigval
+            step[stepping], scale[stepping] = (eigvec @ coef[:, :, None])[:, :, 0], 1.0
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        # evaluate the looks from the first active one to the last; the frozen ones stay where they are
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        trying = active[lo:hi]
+        cand = beta[lo:hi] + (scale[lo:hi] * trying)[:, None] * step[lo:hi]
+        c_score, c_info, c_loglik, c_sums = _score_info(snap, cand, lo)
+        # relative slack: near the optimum a full step's gain is below
+        # one ulp of loglik, and rounding must not reject it
+        took = trying & np.isfinite(c_loglik) & (
+            c_loglik >= loglik[lo:hi] - 1e-12 * np.maximum(1.0, np.abs(loglik[lo:hi])))
+        fresh, halved = lo + np.flatnonzero(took), lo + np.flatnonzero(trying & ~took)
+        if fresh.size:
+            for state, new in zip((beta, score, info, loglik), (cand, c_score, c_info, c_loglik)):
+                state[fresh] = new[fresh - lo]
+            rows = slice(snap.look_rows[lo], snap.look_rows[hi])
+            for state, new in zip(sums, c_sums):
+                np.copyto(state[..., rows], new, where=took[row_look[rows] - lo])
+            iterations[fresh] += 1
+        halvings[halved] += 1
+        scale[halved] *= 0.5
+        for k in halved[scale[halved] < 0.5**39].tolist():  # 40 halvings
+            errors[k] = ConvergenceError("step halving failed to improve the log partial likelihood")
+            active[k] = False
+    converged = np.flatnonzero([err is None for err in errors])
+    if p and converged.size:
+        _eigh_nonsingular(info, converged, errors, active)
+    return CoxFits(snap, beta, info, loglik, iterations, halvings, errors, sums)

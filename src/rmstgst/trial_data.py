@@ -5,10 +5,13 @@ columns with one entry per subject: arm, calendar entry time, follow-up
 (the time from entry to event or censoring, whichever came first), the
 event indicator that says which, and the baseline covariates. CSV ingest
 and the simulator both produce one; subject ids are checked on ingest
-and not kept. A snapshot rolls the trial back to an earlier calendar
-time ``u`` by capping each subject's follow-up at ``u - entry`` and
-dropping subjects not yet enrolled. Follow-up can only be shortened this
-way; a trial carries no information beyond its own lock.
+and not kept. A snapshot rolls the trial back to earlier calendar times
+``u``, its looks, by capping each subject's follow-up at ``u - entry``
+and setting aside subjects not yet enrolled. Follow-up can only be
+shortened this way; a trial carries no information beyond its own lock.
+A snapshot's arrays carry a leading look axis, and one risk-set layout
+covers every look, so a trial's L looks are analyzed in one pass; one
+look (the CLI's) is the case L = 1.
 """
 
 from __future__ import annotations
@@ -26,15 +29,8 @@ import numpy as np
 from .errors import DataError
 from .records import Record, list_of, optional, string
 
-__all__ = [
-    "Trial",
-    "CsvSchema",
-    "Snapshot",
-    "ingest_csv",
-    "snapshot",
-    "snapshot_from_arrays",
-    "standardize_covariates",
-]
+__all__ = ["Trial", "CsvSchema", "Snapshot", "Look", "ingest_csv", "snapshot", "snapshot_from_arrays",
+           "standardize_covariates"]
 
 
 _COLUMNS = ("arm", "entry", "followup", "event", "z")
@@ -232,7 +228,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
 
 
 class _Arm(NamedTuple):
-    """One arm's rows of a snapshot's risk-set layout, one per distinct event time."""
+    """One arm's rows of a look's risk-set layout, one per distinct event time."""
 
     n: int
     event_times: np.ndarray
@@ -240,157 +236,171 @@ class _Arm(NamedTuple):
     at_risk: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Look:
+    """One look of a snapshot: its subjects in trial order, and each arm's event rows."""
+
+    u: float
+    tau: float
+    n: int
+    arm: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+    z: np.ndarray
+    arms: tuple[_Arm, _Arm]
+
+
 class Snapshot:
-    """The dataset as observable at calendar time ``u``, analyzed to horizon ``tau``.
+    """A trial as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
 
-    Holds read-only arrays over the subjects enrolled strictly before
-    ``u``: ``arm``, capped follow-up ``time``, event indicator ``event``,
-    and the covariate matrix ``z`` of shape (n, p).
-
-    It also holds one risk-set layout of both arms at ``t_max = min(u,
-    tau)``, which the Cox fit, the adjusted variance and the Kaplan-Meier
-    curves all read. Each arm with subjects is one stratum: its subjects
-    sorted by follow-up and padded at the front to the larger arm's size
-    m, so the s = 1 or 2 strata stack into (s, m) arrays and one reversed
-    cumulative sum along the second axis gives every risk-set sum of
-    both arms: a suffix sum never reaches a stratum's leading padding,
-    and no total of one arm is subtracted from the other's.
-    ``risk_cols`` holds the columns ``[1, z, z (x) z]`` of shape (s, m,
-    1 + p + p*p), zero on padding rows; ``risk_z`` holds the covariates
-    alone, its padding rows repeating a real subject so the per-stratum
-    maximum of the linear predictor is the real one. Event rows, one per
-    arm and distinct event time up to ``t_max`` (arm 0 first), carry
-    ``event_stratum``, ``event_counts`` and ``risk_rows``, the row of the
-    flattened (s m, 1 + p + p*p) reversed sum that holds their risk set;
-    ``event_z_total`` sums the covariates over those events. ``arms``
-    gives each arm's event rows as an ``_Arm`` view.
+    Holds the trial's ``arm`` and covariates ``z`` (n, p) and, per look,
+    shape (L, n), the capped follow-up ``time`` (-1 before entry) and
+    ``event``; ``snap[k]`` is look k. One risk-set layout of all looks
+    serves the Cox fit, the variance and Kaplan-Meier: each (look, arm) is
+    a stratum, look-major, holding the arm's subjects by capped follow-up
+    (one stable sort per arm), those not yet enrolled first, front-padded
+    to the larger arm's size m. ``risk_cols`` stores the columns ``[1, z,
+    z (x) z]``, the last as its upper triangle, of the s strata longest
+    follow-up first, (s, columns, m), zero on padding, so one cumulative
+    sum along the last axis gives every risk-set sum without crossing a
+    stratum; ``risk_z`` (s, p, m) repeats a real subject on padding so
+    each stratum's largest linear predictor is real. Event rows, one per
+    stratum and distinct event time up to ``min(u, tau)``, carry
+    ``event_stratum``, ``event_times``, ``event_counts``, ``at_risk`` and
+    ``risk_index``, their places in the flattened sum; stratum j owns rows
+    ``stratum_rows[j:j + 2]``, look k ``look_rows[k:k + 2]``;
+    ``event_z_total`` sums each look's event covariates; ``upper`` indexes
+    the upper triangle of a p x p matrix.
     """
 
-    __slots__ = ("u", "tau", "arm", "time", "event", "z", "n0", "n1", "arms",
-                 "risk_z", "risk_cols", "risk_rows", "event_stratum", "event_counts", "event_z_total")
+    __slots__ = ("u", "tau", "arm", "time", "event", "z", "orders", "stratum_n", "risk_z", "risk_cols",
+                 "risk_index", "event_stratum", "event_times", "event_counts", "at_risk", "stratum_rows",
+                 "look_rows", "event_z_total", "upper")
 
-    def __init__(self, u, tau, arm, time, event, z):
-        u = float(u)
-        tau = float(tau)
-        if not (math.isfinite(u) and u > 0):
-            raise DataError(f"analysis time u must be finite and > 0, got {u!r}")
-        if not (math.isfinite(tau) and tau > 0):
-            raise DataError(f"horizon tau must be finite and > 0, got {tau!r}")
-        arm = np.ascontiguousarray(arm, dtype=np.int8)
-        time = np.ascontiguousarray(time, dtype=np.float64)
-        event = np.ascontiguousarray(event, dtype=np.int8)
-        z = np.ascontiguousarray(z, dtype=np.float64)
-        if z.ndim != 2:
-            raise DataError(f"covariate matrix must be 2-d, got shape {z.shape}")
-        n = arm.shape[0]
-        if time.shape != (n,) or event.shape != (n,) or z.shape[0] != n:
-            raise DataError("snapshot arrays disagree on subject count")
-        if n == 0:
-            raise DataError("empty snapshot: no subjects enrolled before u")
-        if np.any(time < 0) or not np.all(np.isfinite(time)):
-            raise DataError("follow-up times must be finite and >= 0")
-        for a in (arm, time, event, z):
-            a.setflags(write=False)
-        self.u = u
-        self.tau = tau
-        self.arm = arm
-        self.time = time
-        self.event = event
-        self.z = z
-        self._lay_out(min(u, tau))
-
-    def _lay_out(self, t_max):
-        order = np.lexsort((self.time, self.arm))  # by arm, then follow-up; ties keep input order
-        xs = self.time[order]
-        n0 = self.n0 = int(np.count_nonzero(self.arm == 0))
-        self.n1 = xs.size - n0
-        sizes = [n for n in (n0, self.n1) if n]  # one stratum per arm with subjects
-        m, p = max(sizes), self.z.shape[1]
-        slots = np.arange(m) - np.subtract(m, sizes)[:, None]  # position in the stratum, negative on padding
-        zl = self.risk_z = self.z[order[np.maximum(slots, 0) + [[0], [n0]][:len(sizes)]]]
-        real = (slots >= 0)[..., None]
-        self.risk_cols = np.concatenate(
-            (real, zl, (zl[..., :, None] * zl[..., None, :]).reshape(len(sizes), m, p * p)), axis=2) * real
-        # events in range by arm then time; each arm's distinct event time is one event row
-        ev = np.flatnonzero((self.event[order] != 0) & (xs <= t_max))
-        ev_t = xs[ev]
-        arm1 = int(np.searchsorted(ev, n0))  # arm 1's first event
-        new = np.ones(ev.size + 1, dtype=np.bool_)
-        np.not_equal(ev_t[1:], ev_t[:-1], out=new[1:-1])
-        new[arm1] = True
+    def __init__(self, u, tau, arm, time, event, z, orders=None):
+        self.u, self.tau, self.arm, self.time, self.event, self.z = u, tau, arm, time, event, z
+        if orders is None:  # one stable sort per arm of those enrolled by some look; -1 sorts first
+            seen = (time >= 0).any(axis=0)
+            orders = [cols[np.argsort(time[:, cols], axis=1, kind="stable")]
+                      for cols in (np.flatnonzero(seen & (arm == a)) for a in (0, 1))]
+        self.orders = orders
+        (looks, _), p, g = time.shape, z.shape[1], len(orders)
+        sorted_time = [np.take_along_axis(time, order, axis=1) for order in orders]
+        self.stratum_n = np.stack([np.count_nonzero(t >= 0, axis=1) for t in sorted_time], axis=1).ravel()
+        m, s = int(self.stratum_n.max()), looks * g  # places before the last m are padding in every stratum
+        slot = np.full((looks, g, m), -1)  # each stratum's subjects, -1 on front padding
+        xs = np.full((looks, g, m), -1.0)  # their capped follow-up, ascending
+        hit = np.zeros((looks, g, m), dtype=np.bool_)  # their events
+        for j, (order, t) in enumerate(zip(orders, sorted_time)):
+            k = min(m, order.shape[1])  # an arm without subjects is all padding
+            slot[:, j, m - k:], xs[:, j, m - k:] = order[:, order.shape[1] - k:], t[:, t.shape[1] - k:]
+            hit[:, j, m - k:] = np.take_along_axis(event, slot[:, j, m - k:], axis=1) != 0
+        slot, xs, hit = slot.reshape(s, m), xs.reshape(s, m), hit.reshape(s, m)
+        # events in range by stratum then time; each stratum's distinct event time is one event row
+        pos = np.flatnonzero(hit & (xs >= 0) & (xs <= np.repeat(np.minimum(u, tau), g)[:, None]))
+        ev_t, ev_s = xs.ravel()[pos], pos // m
+        new = np.ones(pos.size + 1, dtype=np.bool_)
+        new[1:-1] = (ev_t[1:] != ev_t[:-1]) | (ev_s[1:] != ev_s[:-1])
         bounds = np.flatnonzero(new)
         heads = bounds[:-1]
-        times = ev_t[heads]
-        k0 = int(np.searchsorted(heads, arm1))
-        self.event_stratum = np.repeat([0, len(sizes) - 1], [k0, heads.size - k0])
-        self.event_counts = (bounds[1:] - heads).astype(np.float64)
-        self.event_z_total = self.z[order[ev]].sum(axis=0)
-        # an event row's risk set: its arm's subjects followed at least that long
-        at_risk = np.concatenate((n0 - np.searchsorted(xs[:n0], times[:k0]),
-                                  xs.size - n0 - np.searchsorted(xs[n0:], times[k0:])))
-        # the reversed sum covers a row's at_risk subjects at_risk - 1 places into its stratum
-        self.risk_rows = self.event_stratum * m + at_risk - 1
-        self.arms = tuple(
-            _Arm(n_arm, times[rows], self.event_counts[rows], at_risk[rows])
-            for n_arm, rows in ((n0, slice(0, k0)), (self.n1, slice(k0, None)))
-        )
+        self.event_times, self.event_stratum = ev_t[heads], ev_s[heads]
+        self.event_counts = np.diff(bounds).astype(np.float64)
+        self.stratum_rows = np.searchsorted(self.event_stratum, np.arange(s + 1))
+        self.look_rows = self.stratum_rows[::g]
+        self.event_z_total = look_sums(z[slot.ravel()[pos]].T, np.searchsorted(pos, np.arange(looks + 1) * g * m)).T
+        # an event row's risk set: its stratum's places from the first with that follow-up on
+        run = np.ones(s * m, dtype=np.bool_)
+        run[1:] = xs.ravel()[1:] != xs.ravel()[:-1]
+        run[::m] = True
+        run_start = np.maximum.accumulate(np.where(run, np.arange(s * m), 0))[pos[heads]]
+        self.at_risk = (self.event_stratum + 1) * m - run_start
+        # stored longest follow-up first, columns outermost, so a risk set is a prefix of its stratum
+        first = np.minimum(m - self.stratum_n, m - 1)[:, None]
+        fill = np.take_along_axis(slot, np.maximum(np.arange(m), first), axis=1)[:, ::-1]
+        zr = self.risk_z = np.ascontiguousarray(z[fill].transpose(0, 2, 1))
+        upper = self.upper = np.triu_indices(p)  # z (x) z is symmetric: its upper triangle, row by row
+        on = (xs >= 0)[:, None, ::-1]
+        self.risk_cols = np.concatenate((on, zr, zr[:, upper[0]] * zr[:, upper[1]]), axis=1)
+        self.risk_cols *= on
+        # a row's risk set is the first at_risk places of each of its stratum's columns
+        c = self.risk_cols.shape[1]
+        self.risk_index = np.add.outer(np.arange(c) * m - 1, self.event_stratum * (c * m) + self.at_risk)
 
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
+    def look_bounds(self, k: int) -> tuple[int, int, int]:
+        """Where look ``k``'s event rows start, where its arm 1's start (none if pooled) and where they end."""
+        g = len(self.orders)
+        return tuple(self.stratum_rows[[k * g, k * g + 1, k * g + g]].tolist())
 
-    @property
-    def n_covariates(self) -> int:
-        return self.z.shape[1]
+    def events_in_every_stratum(self) -> np.ndarray:
+        """Per look, whether each of its strata (each arm, or a pooled look's one) has an event by ``min(u, tau)``."""
+        return (np.diff(self.stratum_rows).reshape(-1, len(self.orders)) > 0).all(axis=1)
+
+    def __getitem__(self, k: int) -> Look:
+        g, bounds = len(self.orders), self.look_bounds(k)
+        ns = self.stratum_n[k * g:(k + 1) * g].tolist() + [0]  # subjects of arms 0 and 1
+        arms = tuple(_Arm(ns[a], self.event_times[lo:hi], self.event_counts[lo:hi], self.at_risk[lo:hi])
+                     for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+        idx = np.flatnonzero(self.time[k] >= 0)
+        return Look(float(self.u[k]), self.tau, ns[0] + ns[1], self.arm[idx], self.time[k, idx],
+                    self.event[k, idx], self.z[idx], arms)
+
+    def pooled(self) -> Snapshot:
+        """The same looks, both arms in one stratum each (the arms' sorts merged) and the arm prepended to z."""
+        both = np.concatenate(self.orders, axis=1)
+        merged = np.argsort(np.take_along_axis(self.time, both, axis=1), axis=1, kind="stable")
+        return Snapshot(self.u, self.tau, np.zeros_like(self.arm), self.time, self.event,
+                        np.column_stack((self.arm, self.z)), [np.take_along_axis(both, merged, axis=1)])
+
+
+def look_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per-look sums along the last axis, look k's entries ``bounds[k]:bounds[k + 1]`` added on their own."""
+    out = np.zeros((*values.shape[:-1], bounds.size - 1))
+    some = bounds[1:] > bounds[:-1]
+    out[..., some] = np.add.reduceat(values, bounds[:-1][some], axis=-1)
+    return out
 
 
 def snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=None) -> Snapshot:
-    """Snapshot of loose columns; see :func:`snapshot` for semantics."""
-    entry = np.asarray(entry, dtype=np.float64)
-    time = np.asarray(time, dtype=np.float64)
-    event = np.asarray(event, dtype=np.int8)
-    arm = np.asarray(arm, dtype=np.int8)
-    z = np.asarray(z, dtype=np.float64)
-    if lock_time is not None and u > lock_time:
-        raise DataError(
-            f"analysis time u={u} exceeds the data lock at {lock_time}; "
-            "follow-up cannot be rolled forward"
-        )
-    keep = entry < u
-    if not np.any(keep):
-        raise DataError(f"empty snapshot: no subjects enrolled before u={u}")
-    entry = entry[keep]
-    exposure = np.asarray(u, dtype=np.float64) - entry
-    t_lock = time[keep]
-    t_u = np.minimum(t_lock, exposure)
-    d_u = event[keep] * (t_lock <= exposure)
-    return Snapshot(u=u, tau=tau, arm=arm[keep], time=t_u, event=d_u, z=z[keep])
+    """Snapshot of loose columns, checked as a :class:`Trial`; see :func:`snapshot`."""
+    return snapshot(Trial(arm=arm, entry=entry, followup=time, event=event, z=z), u, tau, lock_time)
 
 
-def snapshot(trial: Trial, u: float, tau: float, lock_time=None) -> Snapshot:
-    """Roll the trial back to calendar time ``u``.
+def snapshot(trial: Trial, u, tau: float, lock_time=None) -> Snapshot:
+    """Roll the trial back to calendar time ``u``, or to each of a sequence of them.
 
-    Subjects with ``entry >= u`` are excluded. For the rest, follow-up is
-    capped at ``u - entry``; an event counts only if it occurred within
-    the capped window (boundary included).
+    At each look, subjects with ``entry >= u`` are not yet enrolled. For
+    the rest, follow-up is capped at ``u - entry``; an event counts only
+    if it occurred within the capped window (boundary included).
 
     Args:
         trial: the dataset as of its data lock.
-        u: analysis calendar time, > 0.
+        u: analysis calendar time, > 0, or a sequence of them (the looks).
         tau: analysis horizon carried on the snapshot, > 0.
         lock_time: optional calendar time of the data lock. When given,
             ``u > lock_time`` raises since the trial cannot be matured.
 
     Raises:
-        DataError: invalid u/tau, immature data, or nobody enrolled.
+        DataError: invalid u/tau, immature data, or nobody enrolled at any look.
     """
-    return snapshot_from_arrays(
-        trial.entry, trial.followup, trial.event, trial.arm, trial.z, u, tau, lock_time=lock_time
-    )
+    looks, tau = np.atleast_1d(np.asarray(u, dtype=np.float64)), float(tau)
+    if looks.ndim != 1 or not looks.size or not np.all(np.isfinite(looks) & (looks > 0)):
+        raise DataError(f"analysis time u must be finite and > 0, got {u!r}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise DataError(f"horizon tau must be finite and > 0, got {tau!r}")
+    if lock_time is not None and looks.max() > lock_time:
+        raise DataError(f"analysis time u={u} exceeds the data lock at {lock_time}; "
+                        "follow-up cannot be rolled forward")
+    enrolled = trial.entry < looks[:, None]
+    if not np.any(enrolled):
+        raise DataError(f"empty snapshot: no subjects enrolled before u={u}")
+    exposure = looks[:, None] - trial.entry
+    capped = np.where(enrolled, np.minimum(trial.followup, exposure), -1.0)
+    seen = (enrolled & (trial.event != 0) & (trial.followup <= exposure)).astype(np.int8)
+    return Snapshot(looks, tau, trial.arm, capped, seen, trial.z)
 
 
 def standardize_covariates(snap: Snapshot) -> Snapshot:
-    """Center and scale each covariate column over the snapshot's subjects.
+    """Center and scale each covariate column over the subjects enrolled at the last look.
 
     Fitted coefficients change under this map but adjusted survival,
     restricted means, and test statistics do not; it only conditions the
@@ -399,12 +409,9 @@ def standardize_covariates(snap: Snapshot) -> Snapshot:
     Raises:
         DataError: a covariate column is constant (zero variance).
     """
-    if snap.n_covariates == 0:
-        return snap
-    mean = snap.z.mean(axis=0)
-    sd = snap.z.std(axis=0)
+    enrolled = snap.z[snap.time[-1] >= 0]
+    mean, sd = enrolled.mean(axis=0), enrolled.std(axis=0)
     flat = np.flatnonzero(sd == 0)
     if flat.size:
         raise DataError(f"cannot standardize constant covariate column(s) {flat.tolist()}")
-    z = (snap.z - mean) / sd
-    return Snapshot(u=snap.u, tau=snap.tau, arm=snap.arm, time=snap.time, event=snap.event, z=z)
+    return Snapshot(snap.u, snap.tau, snap.arm, snap.time, snap.event, (snap.z - mean) / sd, snap.orders)

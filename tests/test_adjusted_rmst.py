@@ -144,8 +144,8 @@ class TestAdjustedSurvival:
             [0.5, 1.0, 1.5, 2.0, 0.7, 1.2], [1, 1, 0, 1, 1, 0],
             [0, 0, 0, 0, 1, 1], [[]] * 6,
         )
-        fitted = fit(snap)
-        adj0 = adjusted_survival(fitted, snap, 0)
+        fitted, look = fit(snap)[0], snap[0]
+        adj0 = adjusted_survival(fitted, look, 0)
         na = fitted.baseline(0)
         for t, s in zip(adj0.grid, adj0.values):
             assert s == pytest.approx(math.exp(-height(na, t)), rel=1e-12)
@@ -154,25 +154,25 @@ class TestAdjustedSurvival:
         snap = arrays_snapshot(
             [0.5, 1.5, 1.0, 2.0], [1, 1, 0, 0], [0, 0, 1, 1], [0.2, -0.1, 0.4, 0.3],
         )
-        fitted = fit(snap)
-        adj1 = adjusted_survival(fitted, snap, 1)
+        fitted, look = fit(snap)[0], snap[0]
+        adj1 = adjusted_survival(fitted, look, 1)
         assert np.all(np.asarray(adj1.values) == 1.0)
-        assert rmst(adj1) == pytest.approx(snap.tau)
+        assert rmst(adj1) == pytest.approx(look.tau)
 
     def test_double_sum_average_oracle(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted = fit(snap)
-        ref = naive_everything(snap, fitted.beta)
+        fitted, look = fit(snap)[0], snap[0]
+        ref = naive_everything(look, fitted.beta)
         for arm in (0, 1):
-            adj = adjusted_survival(fitted, snap, arm)
+            adj = adjusted_survival(fitted, look, arm)
             np.testing.assert_allclose(adj.grid, ref[arm]["grid"], atol=1e-12)
             np.testing.assert_allclose(adj.values, ref[arm]["values"], rtol=1e-12)
 
     def test_values_monotone_in_unit_interval(self):
         snap = toy_snapshot()
-        fitted = fit(snap)
+        fitted, look = fit(snap)[0], snap[0]
         for arm in (0, 1):
-            vals = np.asarray(adjusted_survival(fitted, snap, arm).values)
+            vals = np.asarray(adjusted_survival(fitted, look, arm).values)
             assert vals[0] == 1.0
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             assert np.all(np.diff(vals) <= 1e-15)
@@ -181,20 +181,20 @@ class TestAdjustedSurvival:
 class TestRmst:
     def test_single_event_two_rectangles(self):
         snap = arrays_snapshot([1.0, 3.0], [1, 0], [0, 0], [[]] * 2, tau=2.0)
-        fitted = fit(snap)
-        adj = adjusted_survival(fitted, snap, 0)
+        fitted, look = fit(snap)[0], snap[0]
+        adj = adjusted_survival(fitted, look, 0)
         s = math.exp(-0.5)
         assert adj.values[1] == pytest.approx(s)
         assert rmst(adj) == pytest.approx(1.0 + s * (2.0 - 1.0), rel=1e-12)
 
     def test_dense_grid_integration_oracle(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted = fit(snap)
+        fitted, look = fit(snap)[0], snap[0]
         for arm in (0, 1):
-            adj = adjusted_survival(fitted, snap, arm)
+            adj = adjusted_survival(fitted, look, arm)
             grid = np.asarray(adj.grid)
             values = np.asarray(adj.values)
-            edges = np.union1d(np.linspace(0.0, snap.tau, 100_001), grid)
+            edges = np.union1d(np.linspace(0.0, look.tau, 100_001), grid)
             idx = np.searchsorted(grid, edges[:-1], side="right") - 1
             heights = values[idx]
             dense = float(heights @ np.diff(edges))
@@ -204,15 +204,15 @@ class TestRmst:
 class TestVariance:
     def test_all_pieces_match_literal_recomputation(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted = fit(snap)
-        adj0 = adjusted_survival(fitted, snap, 0)
-        adj1 = adjusted_survival(fitted, snap, 1)
-        comp = variance(fitted, snap, adj0, adj1)
-        ref = naive_everything(snap, fitted.beta)
+        fitted, look = fit(snap)[0], snap[0]
+        adj0 = adjusted_survival(fitted, look, 0)
+        adj1 = adjusted_survival(fitted, look, 1)
+        comp = variance(fitted, look, adj0, adj1)
+        ref = naive_everything(look, fitted.beta)
         assert comp.b10 == pytest.approx(ref[0]["b1"], rel=1e-10)
         assert comp.b11 == pytest.approx(ref[1]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
-        b3 = snap.n * float(psi_diff @ np.linalg.solve(np.asarray(fitted.info), psi_diff))
+        b3 = look.n * float(psi_diff @ np.linalg.solve(np.asarray(fitted.info), psi_diff))
         assert comp.b3 == pytest.approx(b3, rel=1e-10)
         assert comp.var_cond == pytest.approx(ref["var_cond"], rel=1e-10)
         assert comp.v_xi2 == pytest.approx(comp.b10 + comp.b11 + comp.b3, rel=1e-12)
@@ -226,11 +226,11 @@ class TestVariance:
             covariates="bernoulli2",
         )
         snap = sim_snapshot(scn, seed=3, u=2.4)
-        fitted = fit(snap)
-        adj0 = adjusted_survival(fitted, snap, 0)
-        adj1 = adjusted_survival(fitted, snap, 1)
-        comp = variance(fitted, snap, adj0, adj1)
-        ref = naive_everything(snap, fitted.beta)
+        fitted, look = fit(snap)[0], snap[0]
+        adj0 = adjusted_survival(fitted, look, 0)
+        adj1 = adjusted_survival(fitted, look, 1)
+        comp = variance(fitted, look, adj0, adj1)
+        ref = naive_everything(look, fitted.beta)
         assert comp.b10 == pytest.approx(ref[0]["b1"], rel=1e-9)
         assert comp.b11 == pytest.approx(ref[1]["b1"], rel=1e-9)
         assert comp.var_cond == pytest.approx(ref["var_cond"], rel=1e-9)
@@ -241,9 +241,9 @@ class TestVariance:
             [0.5, 1.0, 1.5, 0.7, 1.2, 2.0], [1, 1, 0, 1, 1, 0],
             [0, 0, 0, 1, 1, 1], [[]] * 6,
         )
-        fitted = fit(snap)
+        fitted, look = fit(snap)[0], snap[0]
         comp = variance(
-            fitted, snap, adjusted_survival(fitted, snap, 0), adjusted_survival(fitted, snap, 1)
+            fitted, look, adjusted_survival(fitted, look, 0), adjusted_survival(fitted, look, 1)
         )
         assert comp.var_cond == 0.0
         assert comp.b3 == 0.0
@@ -267,10 +267,10 @@ class TestBlockedKernel:
         blocked_snapshot(event_at_tau=True),
     ], ids=["partial-last-block", "no-covariates", "event-at-tau"])
     def test_matches_literal_recomputation(self, snap):
-        fitted = fit(snap)
-        adj = [adjusted_survival(fitted, snap, arm) for arm in (0, 1)]
-        comp = variance(fitted, snap, *adj)
-        ref = naive_everything(snap, fitted.beta)
+        fitted, look = fit(snap)[0], snap[0]
+        adj = [adjusted_survival(fitted, look, arm) for arm in (0, 1)]
+        comp = variance(fitted, look, *adj)
+        ref = naive_everything(look, fitted.beta)
         rel = 1e-12
         for arm in (0, 1):
             np.testing.assert_array_equal(adj[arm].grid, ref[arm]["grid"])
@@ -280,7 +280,7 @@ class TestBlockedKernel:
         assert comp.b10 == pytest.approx(ref[0]["b1"], rel=rel)
         assert comp.b11 == pytest.approx(ref[1]["b1"], rel=rel)
         psi_diff = ref["psi_diff"]
-        b3 = snap.n * float(psi_diff @ np.linalg.solve(fitted.info, psi_diff)) if psi_diff.size else 0.0
+        b3 = look.n * float(psi_diff @ np.linalg.solve(fitted.info, psi_diff)) if psi_diff.size else 0.0
         assert comp.b3 == pytest.approx(b3, rel=rel)
         assert comp.var_cond == pytest.approx(ref["var_cond"], rel=rel)
         assert rmst(adj[1]) - rmst(adj[0]) == pytest.approx(ref["delta"], rel=rel)
@@ -288,12 +288,12 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("p", [0, 2])
     def test_block_size_does_not_change_the_result(self, p, monkeypatch):
         snap = blocked_snapshot(p=p)
-        fitted = fit(snap)
+        fitted, look = fit(snap)[0], snap[0]
         r = max(fitted.baseline(arm).times.size for arm in (0, 1))
         results = {}
-        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", snap.n * r)):
+        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", look.n * r)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
-            results[name] = [adjusted_survival(fitted, snap, arm) for arm in (0, 1)]
+            results[name] = [adjusted_survival(fitted, look, arm) for arm in (0, 1)]
         for name in ("64 rows", "one block"):
             for ref, adj in zip(results["one row"], results[name]):
                 for field in ("values", "c1", "c2", "mu_cond"):
@@ -303,14 +303,14 @@ class TestBlockedKernel:
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)
-        r = max(fit(snap).baseline(arm).times.size for arm in (0, 1))
+        r = max(fit(snap)[0].baseline(arm).times.size for arm in (0, 1))
         tracemalloc.start()
         try:
             analyze(snap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < snap.n * r * 8 / 4
+        assert peak < snap[0].n * r * 8 / 4
 
 
 class TestAnalyze:
@@ -348,10 +348,10 @@ class TestAnalyze:
         snap = toy_snapshot()
         result = analyze(snap)
         assert result.se == pytest.approx(
-            math.sqrt(result.components.v_eta2 / snap.n), rel=1e-12
+            math.sqrt(result.components.v_eta2 / snap[0].n), rel=1e-12
         )
         assert result.z == pytest.approx(result.delta / result.se, rel=1e-12)
-        assert result.info_level == pytest.approx(snap.n / result.components.v_eta2, rel=1e-12)
+        assert result.info_level == pytest.approx(snap[0].n / result.components.v_eta2, rel=1e-12)
 
     def test_unbiased_at_trial_end(self):
         scn = SimScenario(
@@ -389,10 +389,8 @@ class TestAnalyze:
         snap = sim_snapshot(scn, seed=77)
         result = analyze(snap)
         rng = np.random.default_rng(123)
-        arm = np.asarray(snap.arm)
-        time = np.asarray(snap.time)
-        event = np.asarray(snap.event)
-        z = np.asarray(snap.z)
+        look = snap[0]
+        arm, time, event, z = look.arm, look.time, look.event, look.z
         idx0 = np.flatnonzero(arm == 0)
         idx1 = np.flatnonzero(arm == 1)
         boots = []
@@ -403,13 +401,13 @@ class TestAnalyze:
             ])
             bsnap = snapshot_from_arrays(
                 np.zeros(pick.size), time[pick], event[pick], arm[pick], z[pick],
-                u=snap.u, tau=snap.tau,
+                u=look.u, tau=look.tau,
             )
-            bfit = fit(bsnap)
+            bfit, blook = fit(bsnap)[0], bsnap[0]
             boots.append(
-                rmst(adjusted_survival(bfit, bsnap, 1)) - rmst(adjusted_survival(bfit, bsnap, 0))
+                rmst(adjusted_survival(bfit, blook, 1)) - rmst(adjusted_survival(bfit, blook, 0))
             )
-        ratio = (result.components.v_eta2 / snap.n) / np.var(boots, ddof=1)
+        ratio = (result.components.v_eta2 / look.n) / np.var(boots, ddof=1)
         assert 0.6 < ratio < 1.6
 
 

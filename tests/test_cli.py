@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -178,9 +179,12 @@ class TestAnalyze:
         assert set(report) == {"analysis", "km"}
         assert report["analysis"]["tau"] == 1.0
         keys = {"u", "tau", "mu0", "mu1", "delta", "se", "z", "info"}
-        assert set(report["analysis"]) == keys | {"components"}
+        assert set(report["analysis"]) == keys | {"components", "diagnostics"}
         assert set(report["km"]) == keys
         assert set(report["analysis"]["components"]) == {"B10", "B11", "B3", "var_cond"}
+        diagnostics = report["analysis"]["diagnostics"]
+        assert set(diagnostics) == {"iterations", "step_halvings"}
+        assert diagnostics["iterations"] >= 1 and diagnostics["step_halvings"] >= 0
 
     def test_state_required_without_report_only(self, trial_csv, capsys):
         code, _, err = run_cli(
@@ -621,6 +625,19 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "unknown method" in err
+
+    def test_simulate_zero_reps_is_a_config_error(self, calib_setup, capsys):
+        tmp_path, scn_path, calib_path = calib_setup
+        out_dir = tmp_path / "zero_reps"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(
+                capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+                "--calibration", calib_path, "--reps", "0", "--out-dir", str(out_dir),
+            )
+        assert_typed_error(code, err, 2)
+        assert "reps" in err
+        assert not (out_dir / "results.csv").exists()
 
     @pytest.mark.parametrize("broken", ["reps", "fractions", "power"])
     def test_malformed_calibration_exit_2(self, broken, calib_setup, tmp_path, capsys):

@@ -31,7 +31,7 @@ class TestKmFit:
         snap = two_arm_snapshot(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0], [1.0, 2.0], [1, 0],
         )
-        curve = km_fit(snap, 0)
+        curve = km_fit(snap[0], 0)
         np.testing.assert_array_equal(curve.times, [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(curve.at_risk, [5, 4, 2])
         np.testing.assert_array_equal(curve.events, [1, 1, 1])
@@ -39,7 +39,7 @@ class TestKmFit:
 
     def test_ties_share_risk_set(self):
         snap = two_arm_snapshot([1.0, 1.0, 1.0, 2.0], [1, 1, 0, 1], [1.0], [1])
-        curve = km_fit(snap, 0)
+        curve = km_fit(snap[0], 0)
         np.testing.assert_array_equal(curve.times, [1.0, 2.0])
         np.testing.assert_array_equal(curve.at_risk, [4, 1])
         np.testing.assert_array_equal(curve.events, [2, 1])
@@ -49,18 +49,18 @@ class TestKmFit:
         rng = np.random.default_rng(42)
         times = rng.exponential(1.0, size=60)
         snap = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=100.0)
-        curve = km_fit(snap, 0)
+        curve = km_fit(snap[0], 0)
         for t, s in zip(curve.times, curve.survival):
             assert s == pytest.approx(np.mean(times > t), abs=1e-12)
-        mu, _ = km_rmst(km_fit(snap, 0))
+        mu, _ = km_rmst(km_fit(snap[0], 0))
         tau_small = 1.5
         snap2 = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=tau_small)
-        mu2, _ = km_rmst(km_fit(snap2, 0))
+        mu2, _ = km_rmst(km_fit(snap2[0], 0))
         assert mu2 == pytest.approx(np.mean(np.minimum(times, tau_small)), rel=1e-12)
 
     def test_events_beyond_horizon_ignored(self):
         snap = two_arm_snapshot([0.5, 1.5, 7.0], [1, 1, 1], [1.0], [1], u=10.0, tau=6.0)
-        curve = km_fit(snap, 0)
+        curve = km_fit(snap[0], 0)
         np.testing.assert_array_equal(curve.times, [0.5, 1.5])
 
 
@@ -69,20 +69,20 @@ class TestKmRmst:
         snap = two_arm_snapshot(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0], [1.0, 2.0], [1, 0],
         )
-        mu, var = km_rmst(km_fit(snap, 0))
+        mu, var = km_rmst(km_fit(snap[0], 0))
         assert mu == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
         expected_var = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
         assert var == pytest.approx(expected_var, rel=1e-12)
 
     def test_no_events_gives_tau_and_zero_variance(self):
         snap = two_arm_snapshot([2.0, 3.0], [0, 0], [1.0], [1])
-        mu, var = km_rmst(km_fit(snap, 0))
+        mu, var = km_rmst(km_fit(snap[0], 0))
         assert mu == snap.tau
         assert var == 0.0
 
     def test_exhausted_risk_set_contributes_nothing(self):
         snap = two_arm_snapshot([0.5, 1.0], [1, 1], [1.0], [1], tau=4.0)
-        mu, var = km_rmst(km_fit(snap, 0))
+        mu, var = km_rmst(km_fit(snap[0], 0))
         assert mu == pytest.approx(0.5 + 0.5 * 0.5, rel=1e-12)
         assert math.isfinite(var)
         assert var == pytest.approx((0.5 * 0.5) ** 2 * (1 / 2), rel=1e-12)
@@ -104,8 +104,8 @@ class TestKmRmstTest:
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0],
             [0.5, 1.5, 2.5], [1, 1, 1],
         )
-        _, var0 = km_rmst(km_fit(snap, 0))
-        _, var1 = km_rmst(km_fit(snap, 1))
+        _, var0 = km_rmst(km_fit(snap[0], 0))
+        _, var1 = km_rmst(km_fit(snap[0], 1))
         result = km_rmst_test(snap)
         assert result.se == pytest.approx(math.sqrt(var0 + var1), rel=1e-12)
 
@@ -119,7 +119,7 @@ class TestKmRmstTest:
         snap = sim_snapshot(scn, seed=11)
         km_payload = km_rmst_test(snap).to_dict()
         adj_payload = analyze(snap).to_dict()
-        assert set(km_payload) == set(adj_payload) - {"components"}
+        assert set(km_payload) == set(adj_payload) - {"components", "diagnostics"}
 
     def test_agrees_with_adjusted_when_no_covariates_large_n(self):
         rng = np.random.default_rng(7)
@@ -133,9 +133,9 @@ class TestKmRmstTest:
                     t0, np.ones(n, int), t1, np.ones(n, int), u=50.0, tau=1.0,
                 )
                 km = km_rmst_test(snap)
-                fitted = fit(snap)
-                adj = rmst(adjusted_survival(fitted, snap, 1)) - rmst(
-                    adjusted_survival(fitted, snap, 0)
+                fitted, look = fit(snap)[0], snap[0]
+                adj = rmst(adjusted_survival(fitted, look, 1)) - rmst(
+                    adjusted_survival(fitted, look, 0)
                 )
                 gaps.append(abs(km.delta - adj))
             diffs[n] = float(np.mean(gaps))
@@ -150,7 +150,7 @@ class TestProperties:
         scn = SimScenario(n_per_arm=n, shape_offset=-0.3)
         snap = sim_snapshot(scn, seed=seed)
         for arm in (0, 1):
-            curve = km_fit(snap, arm)
+            curve = km_fit(snap[0], arm)
             surv = np.asarray(curve.survival)
             assert np.all((surv >= -1e-15) & (surv <= 1.0))
             assert np.all(np.diff(surv) <= 1e-15)

@@ -368,9 +368,9 @@ class TestCalibration:
     def test_information_calibration_analyzes_each_grid_point_once(self, small_scn, monkeypatch):
         calls = []
 
-        def counted(snap, *args, **kwargs):
-            calls.append(snap.u)
-            return analyze(snap, *args, **kwargs)
+        def counted(snap, fits, k):
+            calls.append(snap.u[k])
+            return analyze(snap, fits, k)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
         monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
@@ -415,7 +415,7 @@ class TestMethods:
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0
-            assert res.u == snap.u and res.tau == snap.tau
+            assert res.u == snap.u[0] and res.tau == snap.tau
 
     def test_cox_recovers_proportional_log_hazard_ratio(self):
         scn = SimScenario(

@@ -12,21 +12,26 @@ from conftest import height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmstgst.errors import DataError, SingularInformationError
+from rmstgst.errors import (
+    ConvergenceError, DataError, InsufficientEventsError, RmstgstError, SingularInformationError,
+)
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
-from rmstgst.stratified_cox import StepFunction, _baselines, _score_info, fit
-from rmstgst.trial_data import Snapshot, snapshot, snapshot_from_arrays
+from rmstgst.stratified_cox import CoxFits, StepFunction, _score_info, fit
+from rmstgst.trial_data import Look, snapshot, snapshot_from_arrays
 
 
 def score_and_info(snap, beta):
-    """Score vector, observed information and log partial likelihood at ``beta``."""
-    return _score_info(snap, np.atleast_1d(np.asarray(beta, dtype=np.float64)))[:3]
+    """Score vector, observed information and log partial likelihood of a one-look snapshot at ``beta``."""
+    score, info, loglik, _ = _score_info(snap, np.atleast_1d(np.asarray(beta, dtype=np.float64))[None])
+    return score[0], info[0], loglik[0]
 
 
 def breslow(snap, beta, arm):
-    """One arm's Breslow cumulative baseline hazard at fixed ``beta``."""
-    sums = _score_info(snap, np.atleast_1d(np.asarray(beta, dtype=np.float64)))[3]
-    return _baselines(snap, *sums)[0][arm]
+    """One arm's Breslow cumulative baseline hazard of a one-look snapshot at fixed ``beta``."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))[None]
+    _, info, loglik, sums = _score_info(snap, beta)
+    none = np.zeros(1, dtype=np.int64)
+    return CoxFits(snap, beta, info, loglik, none, none, [None], sums)[0].baseline(arm)
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
@@ -39,7 +44,8 @@ def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
 
 
 def naive_loglik(snap, beta, t_max=None):
-    """Literal stratified Breslow log partial likelihood, one event at a time."""
+    """Literal stratified Breslow log partial likelihood of a one-look snapshot, one event at a time."""
+    snap = snap[0]
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if t_max is None:
         t_max = min(snap.u, snap.tau)
@@ -132,7 +138,7 @@ class TestFit:
         fine = np.arange(coarse - 0.25, coarse + 0.25, 1e-4)
         values = np.array([naive_loglik(snap, [b]) for b in fine])
         oracle = fine[np.argmax(values)]
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         assert fitted.beta[0] == pytest.approx(oracle, abs=1e-3)
         assert fitted.loglik >= naive_loglik(snap, [0.0]) - 1e-12
 
@@ -142,7 +148,7 @@ class TestFit:
             [[1.0, 0.3], [1.0, -0.2], [1.0, 0.8], [1.0, 0.4]],
         )
         with pytest.raises(SingularInformationError) as err:
-            fit(snap)
+            fit(snap)[0]
         direction = np.abs(err.value.direction)
         assert direction[0] > 0.99
 
@@ -156,7 +162,7 @@ class TestFit:
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])
         with pytest.raises(DataError, match="no events"):
-            fit(snap)
+            fit(snap)[0]
 
     def test_identical_arms_zero_covariate_effect(self):
         time = [0.5, 1.0, 1.5, 2.0] * 2
@@ -164,14 +170,14 @@ class TestFit:
         arm = [0] * 4 + [1] * 4
         z = [0.2, -0.4, 1.0, 0.0] * 2
         snap = arrays_snapshot(time, event, arm, z)
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         assert np.all(np.isfinite(fitted.beta))
         assert fitted.loglik >= naive_loglik(snap, [0.0]) - 1e-12
 
     def test_p_zero_pure_baselines(self):
         time = [0.5, 1.0, 1.5, 2.0]
         snap = arrays_snapshot(time, [1, 1, 1, 0], [0, 0, 1, 1], [[]] * 4)
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         assert fitted.beta.size == 0 and fitted.info.shape == (0, 0)
         base0 = fitted.baseline(0)
         assert height(base0, 0.5) == pytest.approx(0.5)
@@ -180,13 +186,13 @@ class TestFit:
 
     def test_covariate_shift_invariance(self):
         snap = toy_snapshot()
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         shift = 2.5
+        look = snap[0]
         shifted = snapshot_from_arrays(
-            np.zeros(snap.n), np.asarray(snap.time), np.asarray(snap.event),
-            np.asarray(snap.arm), np.asarray(snap.z) + shift, u=snap.u, tau=snap.tau,
+            np.zeros(look.n), look.time, look.event, look.arm, look.z + shift, u=look.u, tau=look.tau,
         )
-        refitted = fit(shifted)
+        refitted = fit(shifted)[0]
         assert refitted.beta[0] == pytest.approx(fitted.beta[0], abs=1e-8)
         scale = math.exp(-refitted.beta[0] * shift)
         for arm in (0, 1):
@@ -202,11 +208,9 @@ class TestFit:
             covariates="bernoulli2",
         )
         snap = sim_snapshot(scn, seed=42, tau=scn.total_duration)
-        fitted = fit(snap)
-        model = sm.PHReg(
-            np.asarray(snap.time), np.asarray(snap.z), status=np.asarray(snap.event),
-            strata=np.asarray(snap.arm), ties="breslow",
-        )
+        fitted = fit(snap)[0]
+        look = snap[0]
+        model = sm.PHReg(look.time, look.z, status=look.event, strata=look.arm, ties="breslow")
         res = model.fit()
         np.testing.assert_allclose(fitted.beta, res.params, atol=1e-6)
 
@@ -233,7 +237,7 @@ class TestFit:
             entry, np.minimum(event_time, cap), (event_time <= cap).astype(np.int64), arm,
             np.column_stack((x1, x2, x3)), u=1.5, tau=1.0,
         )
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         assert fitted.iterations <= 8
         score, _, _ = score_and_info(snap, fitted.beta)
         assert float(np.max(np.abs(score))) < 1e-8
@@ -244,14 +248,8 @@ class TestFit:
             covariate_strength=math.log(1.5), covariates="normal1", censoring=None,
         )
         snap = sim_snapshot(scn, seed=7)
-        stratified = fit(snap)
-        pooled = snapshot_from_arrays(
-            np.zeros(snap.n), np.asarray(snap.time), np.asarray(snap.event),
-            np.zeros(snap.n, dtype=np.int8),
-            np.column_stack([np.asarray(snap.arm, dtype=float), np.asarray(snap.z)]),
-            u=snap.u, tau=snap.tau,
-        )
-        unstratified = fit(pooled)
+        stratified = fit(snap)[0]
+        unstratified = fit(snap.pooled())[0]
         se = math.sqrt(np.linalg.inv(stratified.info)[0, 0])
         assert unstratified.beta[1] == pytest.approx(stratified.beta[0], abs=4 * se)
         assert unstratified.beta[0] == pytest.approx(-0.4, abs=0.1)
@@ -287,7 +285,7 @@ class TestBreslow:
 
     def test_monotone_and_zero_at_origin(self):
         snap = toy_snapshot()
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
         for arm in (0, 1):
             base = fitted.baseline(arm)
             assert height(base, 0.0) == 0.0
@@ -320,7 +318,7 @@ class RiskSetSums:
     s2: np.ndarray
 
 
-def risk_set_sums(snap: Snapshot, beta, arm: int, t: float) -> RiskSetSums:
+def risk_set_sums(snap: Look, beta, arm: int, t: float) -> RiskSetSums:
     """Risk-set averages s0, s1, s2 for one arm at time ``t``.
 
     Averages are taken over all the arm's snapshot subjects; with an
@@ -346,7 +344,7 @@ class TestRiskSetSums:
     def test_at_risk_averages(self):
         z = [0.2, -0.4, 1.0, 0.0]
         snap = arrays_snapshot([0.5, 1.0, 1.5, 2.0], [1, 1, 0, 1], [0] * 4, z)
-        sums = risk_set_sums(snap, [0.5], arm=0, t=1.2)
+        sums = risk_set_sums(snap[0], [0.5], arm=0, t=1.2)
         at_risk = z[2:]
         w = [math.exp(0.5 * v) for v in at_risk]
         assert sums.s0 == pytest.approx(sum(w) / 4)
@@ -357,15 +355,16 @@ class TestRiskSetSums:
 
     def test_breslow_increments_match_oracle(self):
         snap = toy_snapshot()
-        fitted = fit(snap)
+        fitted = fit(snap)[0]
+        look = snap[0]
         for arm in (0, 1):
             base = fitted.baseline(arm)
-            n_arm = int(np.sum(snap.arm == arm))
-            events = (snap.arm == arm) & (snap.event == 1)
+            n_arm = int(np.sum(look.arm == arm))
+            events = (look.arm == arm) & (look.event == 1)
             assert base.times.size > 0
             for t, inc in zip(base.times, base.increments):
-                d = int(np.sum(events & (snap.time == t)))
-                s0 = risk_set_sums(snap, fitted.beta, arm, t).s0
+                d = int(np.sum(events & (look.time == t)))
+                s0 = risk_set_sums(look, fitted.beta, arm, t).s0
                 assert inc == pytest.approx(d / (n_arm * s0), rel=1e-12)
 
 
@@ -381,6 +380,7 @@ def per_arm_reference(snap, beta):
     subject followed at least as long as each distinct event time up to
     min(u, tau), with the shift the arm's largest linear predictor.
     """
+    snap = snap[0]
     p = beta.size
     t_max = min(snap.u, snap.tau)
     score, info, loglik, increments = np.zeros(p), np.zeros((p, p)), 0.0, []
@@ -448,9 +448,9 @@ class TestOnePassMatchesPerArmReference:
         z = np.array([r[3][:p] for r in rows], dtype=float).reshape(len(rows), p)
         time = np.array([r[1] for r in rows])
         event = np.array([r[2] for r in rows], dtype=np.int8)
-        if pooled:  # as cox_hr_test builds it: one stratum, the arm as a covariate
-            z, arm = np.column_stack([arm.astype(float), z]), np.zeros_like(arm)
-        snap = Snapshot(u=10.0, tau=tau, arm=arm, time=time, event=event, z=z)
+        snap = snapshot_from_arrays(np.zeros(len(rows)), time, event, arm, z, u=10.0, tau=tau)
+        if pooled:  # as cox_hr_test fits it: one stratum, the arm as a covariate
+            snap, z = snap.pooled(), np.column_stack([arm.astype(float), z])
         beta = np.array(beta[:z.shape[1]])
         score, info, loglik = score_and_info(snap, beta)
         ref_score, ref_info, ref_loglik, ref_increments = per_arm_reference(snap, beta)
@@ -465,6 +465,85 @@ class TestOnePassMatchesPerArmReference:
             np.testing.assert_allclose(breslow(snap, beta, a).increments, ref_increments[a], rtol=rel)
 
 
+def fit_outcome(fits, k):
+    """Look k's fit as (beta, info, loglik, increments of arms 0 and 1, iterations, step halvings),
+    or the class of the error it raises."""
+    try:
+        f = fits[k]
+    except RmstgstError as exc:
+        return type(exc)
+    return (f.beta, f.info, f.loglik, *(b.increments for b in f.baselines), f.iterations, f.step_halvings)
+
+
+def solo_outcome(trial, u, **kwargs):
+    """The outcome of fitting a snapshot of the one look ``u`` on its own."""
+    try:
+        snap = snapshot(trial, u=u, tau=1.0)
+    except RmstgstError as exc:
+        return type(exc)
+    return fit_outcome(fit(snap, **kwargs), 0)
+
+
+def assert_same_outcome(got, want, rel):
+    """Both outcomes are the same error class, or their numbers agree to ``rel`` (0: bit for bit)."""
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    for x, y in zip(got, want, strict=True):
+        if rel:
+            np.testing.assert_allclose(x, y, rtol=rel, atol=0)
+        else:
+            np.testing.assert_array_equal(x, y)
+
+
+class TestStackedLooks:
+    """A snapshot of many looks fits each look as a snapshot of that look alone does."""
+
+    def test_calendar_grid_matches_solo_fits(self):
+        scn = SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=math.log(1.5),
+                          shape_offset=-0.3)
+        trial = draw_trial(scn, _rng_for_replicate(20200920, 5))
+        grid = np.round(np.arange(1, 31) * 0.1, 10)
+        fits = fit(snapshot(trial, u=grid, tau=1.0))
+        outcomes = [fit_outcome(fits, k) for k in range(grid.size)]
+        assert sum(not isinstance(o, type) for o in outcomes) >= 25
+        for u, got in zip(grid, outcomes):
+            assert_same_outcome(got, solo_outcome(trial, u), rel=1e-12)
+
+    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self):
+        trial = monotone_trial()
+        odd = {
+            0.001: DataError,  # nobody enrolled yet
+            0.1: DataError,  # no event yet
+            0.12: None,  # arm 1 has no event; the fit runs off to beta ~ 14
+            0.2: None,  # the monotone likelihood: beta ~ 282 after 21 iterations
+            0.26: ConvergenceError,  # needs 22 iterations, one over the budget
+        }
+        looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
+        fits = fit(snapshot(trial, u=looks, tau=1.0), max_iter=21)
+        outcomes = {u: fit_outcome(fits, k) for k, u in enumerate(looks)}
+        for u in looks:
+            assert_same_outcome(outcomes[u], solo_outcome(trial, u, max_iter=21), rel=1e-12)
+            if odd.get(u) is not None:
+                assert outcomes[u] is odd[u]
+        assert outcomes[0.2][0][0] > 100 and outcomes[0.2][-2] == 21
+        for left_out in odd:
+            others = [u for u in looks if u != left_out]
+            without = fit(snapshot(trial, u=others, tau=1.0), max_iter=21)
+            for k, u in enumerate(others):
+                assert_same_outcome(fit_outcome(without, k), outcomes[u], rel=0)
+
+    def test_looks_left_out_by_the_mask(self):
+        snap = snapshot(monotone_trial(), u=[0.1, 0.12, 0.2, 0.5, 3.0], tau=1.0)
+        both = snap.events_in_every_stratum()
+        assert both.tolist() == [False, False, True, True, True]  # no event yet; arm 1 has none
+        every, masked = fit(snap), fit(snap, looks=both)
+        assert masked.iterations == every.iterations - every[1].iterations
+        for k in range(5):
+            want = fit_outcome(every, k) if both[k] else InsufficientEventsError
+            assert_same_outcome(fit_outcome(masked, k), want, rel=0)
+
+
 class TestNoNewWarnings:
     def test_diverged_look_fits_without_runtime_warning(self):
         # calibrate's delayed-effect scenario; at u = 0.2 one arm has no
@@ -474,7 +553,7 @@ class TestNoNewWarnings:
         snap = snapshot(draw_trial(scn, _rng_for_replicate(3, 75)), u=0.2, tau=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fitted = fit(snap)
+            fitted = fit(snap)[0]
         assert fitted.beta[0] > 100
 
 
