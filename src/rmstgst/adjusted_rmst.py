@@ -1,4 +1,4 @@
-"""Covariate-adjusted restricted mean survival time and its variance.
+"""Covariate-adjusted restricted mean survival time and its variance, every look of a snapshot at once.
 
 The adjusted survival curve for an arm averages model-based conditional
 survival exp(-exp(beta'Z) * Lambda0_arm(t)) over every enrolled
@@ -6,27 +6,32 @@ subject's covariates, both arms pooled, so the two arms are standardized
 to the same covariate mix. Restricted means integrate those step curves
 to the horizon tau, and the variance estimator accounts for baseline-
 hazard noise (per arm), coefficient noise, and the covariate spread of
-the conditional effect. The subjects x event-times conditional survival
-is evaluated in row blocks and reduced on the fly, never stored whole.
+the conditional effect. One stacked pass reads the snapshot's event rows
+and the fits' risk sums there: per-stratum cumulative sums give every
+Breslow hazard and variance term, one batched solve every coefficient
+term, and each look's subjects x event-times conditional survival, both
+arms' rows together, is reduced in row blocks, never stored whole. A look
+reads only its own rows, so its numbers do not depend on the other looks.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EstimationError, InsufficientEventsError
-from .stratified_cox import CoxFit, CoxFits, fit as cox_fit
-from .trial_data import Look, Snapshot
+from .stratified_cox import CoxFits, fit as cox_fit
+from .trial_data import Snapshot, look_sums
 
 __all__ = [
     "AdjustedSurvival",
     "VarianceComponents",
     "AnalysisResult",
+    "AdjustedAnalyses",
     "adjusted_survival",
-    "rmst",
     "variance",
     "analyze",
 ]
@@ -37,59 +42,82 @@ __all__ = [
 _BLOCK_CELLS = 2**17
 
 
+def _stratum_cumsum(snap: Snapshot, values: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Running sums of event-row ``values`` (rows, ...) within each stratum, down its rows or, ``reverse``, up them.
+
+    One cumulative sum over a zero-padded (strata, rows, ...) array: the
+    padding adds zeros after (``reverse``: before) a stratum's own terms.
+    """
+    strata = snap.event_stratum
+    col = np.arange(strata.size) - snap.stratum_rows[strata]
+    pad = np.zeros((snap.stratum_rows.size - 1, int(np.diff(snap.stratum_rows).max()), *values.shape[1:]))
+    pad[strata, col] = values
+    order = slice(None, None, -1 if reverse else 1)
+    return np.cumsum(pad[:, order], axis=1)[:, order][strata, col]
+
+
 @dataclass(frozen=True)
 class AdjustedSurvival:
-    """Adjusted survival step curve for one arm on [0, tau].
+    """Adjusted survival of each arm at the analyzed looks of a snapshot, on its event rows.
 
-    ``grid`` starts at 0, walks the arm's distinct event times, and ends
-    at tau; ``values`` are the right-continuous curve heights at those
-    points, starting at 1. Per-subject curves are not kept, only the
-    reductions the variance needs: ``c1``/``c2``, the curve averages
-    weighted by exp(beta'Z) and by exp(beta'Z) Z at each event time, and
-    ``mu_cond``, each subject's conditional restricted mean.
+    Event row i (see :class:`Snapshot`) carries its stratum's curve from
+    its event time on, ``values[i]`` (1 before the first row), the arm's
+    Breslow cumulative hazard ``hazard[i]``, and ``widths[i]`` to the next
+    row or tau; ``mu`` (L, 2) holds each look's restricted means. Only the
+    reductions the variance needs are kept: ``c1``/``c2``, the curve
+    averages weighted by exp(beta'Z) and exp(beta'Z) Z at each row, and
+    ``mu_cond[k]``, the conditional restricted means (n_k, 2) of look k's
+    subjects. Rows and means of looks not analyzed are NaN.
     """
 
-    arm: int
-    grid: np.ndarray
     values: np.ndarray
+    hazard: np.ndarray
+    widths: np.ndarray
+    mu: np.ndarray
     c1: np.ndarray = field(repr=False, compare=False)
     c2: np.ndarray = field(repr=False, compare=False)
-    mu_cond: np.ndarray = field(repr=False, compare=False)
+    mu_cond: dict = field(repr=False, compare=False)
 
 
-def adjusted_survival(fit: CoxFit, snap: Look, arm: int) -> AdjustedSurvival:
-    """Average conditional survival for one arm over the pooled covariates.
+def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
+    """Average conditional survival of each arm over each look's pooled covariates, at looks ``looks``.
 
-    With no covariates this is exactly the exponentiated Nelson-Aalen
-    curve; with no events in the arm it is identically 1.
+    Each look needs an event in each arm and a fit. With no covariates an
+    arm's curve is exactly its exponentiated Nelson-Aalen curve.
     """
-    base = fit.baseline(arm)
-    te, tau, n = base.times, snap.tau, snap.n
-    w = np.exp(snap.z @ fit.beta)
-    # a block's conditional survival times the rows [1, w, w*z] sums the
-    # curve, c1 and c2 in one product
-    weights = np.column_stack((np.ones(n), w, w[:, None] * snap.z))
-    sums = np.zeros((weights.shape[1], te.size))
-    widths = np.diff(np.append(te, tau))
-    mu_cond = np.full(n, te[0] if te.size else tau)
-    block = max(1, _BLOCK_CELLS // max(1, te.size))
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        cond = np.outer(w[rows], -base.values)
-        np.exp(cond, out=cond)
-        sums += weights[rows].T @ cond
-        mu_cond[rows] += cond @ widths
-    sums /= n
-    grid = np.concatenate(([0.0], te))
-    values = np.concatenate(([1.0], sums[0]))
-    if grid[-1] < tau:
-        grid, values = np.append(grid, tau), np.append(values, values[-1])
-    return AdjustedSurvival(arm=arm, grid=grid, values=values, c1=sums[1], c2=sums[2:].T, mu_cond=mu_cond)
-
-
-def rmst(adj: AdjustedSurvival) -> float:
-    """Area under the adjusted survival step curve, 0 to tau."""
-    return float(np.sum(adj.values[:-1] * np.diff(adj.grid)))
+    hazard = _stratum_cumsum(snap, snap.event_counts / fits.risk_sums()[0])
+    times, bounds, (rows, p) = snap.event_times, snap.stratum_rows, (snap.event_times.size, snap.z.shape[1])
+    ends = np.append(times[1:], snap.tau)
+    ends[bounds[1:][np.diff(bounds) > 0] - 1] = snap.tau  # a stratum's last row runs to tau
+    widths = ends - times
+    spans = np.zeros((rows, 2))  # each row's width in its arm's column
+    spans[np.arange(rows), snap.event_stratum % 2] = widths
+    # a block's conditional survival times the rows [1, w, w*z] sums the curve,
+    # c1 and c2 in one product, and times the spans gives both arms' mu_cond
+    weights = np.column_stack((np.ones((snap.z.shape[0], 2)), snap.z))
+    sums, neg, mu_cond, at = np.full((2 + p, rows), np.nan), -hazard, {}, bounds.tolist()
+    for k in looks:
+        lo, split, hi = at[2 * k:2 * k + 3]
+        look_w = weights[snap.time[k] >= 0]
+        n = look_w.shape[0]
+        w = np.exp(look_w[:, 2:] @ fits.beta[k])
+        look_w[:, 1:] *= w[:, None]
+        look_sum, cond_mu = np.zeros((2 + p, hi - lo)), np.empty((n, 2))
+        block = max(1, _BLOCK_CELLS // (hi - lo))
+        for start in range(0, n, block):
+            block_rows = slice(start, start + block)
+            cond = np.multiply.outer(w[block_rows], neg[lo:hi])
+            np.exp(cond, out=cond)
+            look_sum += look_w[block_rows].T @ cond
+            cond_mu[block_rows] = cond @ spans[lo:hi]
+            del cond  # freed before the next block is allocated, so one block is alive at a time
+        sums[:, lo:hi] = look_sum / n
+        mu_cond[k] = cond_mu + times[[lo, split]]
+    mu = np.full((snap.u.size, 2), np.nan)
+    firsts = np.append(times, np.nan)[bounds[:-1]].reshape(-1, 2)
+    mu[looks] = (firsts + look_sums(sums[0] * widths, bounds).reshape(-1, 2))[looks]
+    return AdjustedSurvival(values=sums[0], hazard=hazard, widths=widths, mu=mu, c1=sums[1], c2=sums[2:].T,
+                            mu_cond=mu_cond)
 
 
 @dataclass(frozen=True)
@@ -100,60 +128,55 @@ class VarianceComponents:
     0 and 1, ``b3`` the shared-coefficient contribution, and
     ``var_cond`` the covariate spread of the conditional RMST
     difference. All are on the root-n scale: the variance of the
-    estimate itself is ``v_eta2 / n``.
+    estimate itself is ``v_eta2 / n``. Each is one look's number, or an
+    (L,) array over a snapshot's looks from :func:`variance`.
     """
 
     b10: float
     b11: float
     b3: float
     var_cond: float
-    v_xi2: float
-    v_eta2: float
+
+    @property
+    def v_xi2(self):
+        return self.b10 + self.b11 + self.b3
+
+    @property
+    def v_eta2(self):
+        return self.v_xi2 + self.var_cond
 
     def to_dict(self) -> dict:
         return {"B10": self.b10, "B11": self.b11, "B3": self.b3, "var_cond": self.var_cond}
 
 
-def _arm_variance_pieces(fit: CoxFit, snap: Look, arm: int, adj: AdjustedSurvival):
-    n = snap.n
-    data = snap.arms[arm]
-    n_arm = data.n
-    te, d = data.event_times, data.event_counts
-    if adj.c1.shape != te.shape:
-        raise ValueError("adjusted survival grids disagree with the fit baselines")
-    r0, r1 = fit.risk_sums[arm]
-    lam = fit.baseline(arm).values
-    widths = np.diff(np.append(te, snap.tau))
-    c1, c2 = adj.c1, adj.c2
-    gamma_inc = n_arm * d / r0**2
-    q = np.cumsum(d[:, None] * r1 / (r0**2)[:, None], axis=0)
-    psi = ((c1[:, None] * q - lam[:, None] * c2) * widths[:, None]).sum(axis=0)
-    tail = np.cumsum((c1 * widths)[::-1])[::-1]
-    b1 = (n / n_arm) * float(gamma_inc @ tail**2)
-    return b1, psi
+def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceComponents:
+    """Variance components of the adjusted RMST difference at each look ``adj`` analyzed; NaN at the others.
 
-
-def variance(fit: CoxFit, snap: Look, adj0: AdjustedSurvival, adj1: AdjustedSurvival) -> VarianceComponents:
-    """Variance components for the adjusted RMST difference at this analysis.
-
-    Expects ``adj0``/``adj1`` built from the same fit and snapshot. The
-    total ``v_eta2`` scales the estimate's variance as ``v_eta2 / n``.
+    Expects ``adj`` built from the same fits and snapshot. A look's total
+    ``v_eta2`` scales its estimate's variance as ``v_eta2 / n``.
     """
-    b10, psi0 = _arm_variance_pieces(fit, snap, 0, adj0)
-    b11, psi1 = _arm_variance_pieces(fit, snap, 1, adj1)
-    n = snap.n
-    if fit.beta.size:
-        psi_diff = psi1 - psi0
-        b3 = float(n * psi_diff @ np.linalg.solve(fit.info, psi_diff))
-    else:
-        b3 = 0.0
-    cond_diff = adj1.mu_cond - adj0.mu_cond
-    var_cond = float(np.mean((cond_diff - cond_diff.mean()) ** 2))
-    v_xi2 = b10 + b11 + b3
-    return VarianceComponents(
-        b10=b10, b11=b11, b3=b3, var_cond=var_cond,
-        v_xi2=v_xi2, v_eta2=v_xi2 + var_cond,
-    )
+    looks = list(adj.mu_cond)
+    bounds, d, arm_n = snap.stratum_rows, snap.event_counts, snap.stratum_n
+    n = arm_n.reshape(-1, 2).sum(axis=1)
+    r0, r1 = fits.risk_sums()
+    gamma_inc = arm_n[snap.event_stratum] * d / r0**2
+    q = _stratum_cumsum(snap, d[:, None] * r1 / (r0**2)[:, None])
+    psi = look_sums(((adj.c1[:, None] * q - adj.hazard[:, None] * adj.c2) * adj.widths[:, None]).T, bounds)
+    tail = _stratum_cumsum(snap, adj.c1 * adj.widths, reverse=True)
+    b1 = ((np.repeat(n, 2) / arm_n) * look_sums(gamma_inc * tail**2, bounds)).reshape(-1, 2)
+    psi_diff = (psi[:, 1::2] - psi[:, ::2]).T[looks]
+    out = np.full((4, n.size), np.nan)  # b10, b11, b3 and var_cond of each look
+    out[:2, looks], out[2, looks] = b1[looks].T, 0.0
+    if psi_diff.size:
+        solved = np.linalg.solve(fits.info[looks], psi_diff[:, :, None])[:, :, 0]
+        out[2, looks] = (n[looks, None] * psi_diff * solved).sum(axis=1)
+    if looks:  # the spread of each look's subjects' conditional differences
+        diffs = [cond[:, 1] - cond[:, 0] for cond in adj.mu_cond.values()]
+        at = np.cumsum([0] + [diff.size for diff in diffs])
+        diff = np.concatenate(diffs)
+        spread = diff - np.repeat(look_sums(diff, at) / n[looks], n[looks])
+        out[3, looks] = look_sums(spread**2, at) / n[looks]
+    return VarianceComponents(*out)
 
 
 @dataclass(frozen=True)
@@ -209,40 +232,55 @@ class AnalysisResult:
         return out
 
 
-def _require_events(snap: Look) -> None:
-    """Raise InsufficientEventsError unless each arm has an event by min(u, tau)."""
-    for arm, data in enumerate(snap.arms):
-        if not data.event_times.size:
-            raise InsufficientEventsError(
-                f"arm {arm} has no events at or before min(u, tau)={min(snap.u, snap.tau)}; "
-                "the analysis needs at least one per arm"
-            )
+def _events_error(snap: Snapshot, k: int) -> InsufficientEventsError | None:
+    """The error of look ``k`` if one of its arms has no event by min(u, tau), else None."""
+    empty, u = np.flatnonzero(np.diff(snap.stratum_rows[2 * k:2 * k + 3]) == 0).tolist(), float(snap.u[k])
+    return InsufficientEventsError(f"arm {empty[0]} has no events at or before min(u, tau)={min(u, snap.tau)}; "
+                                   "the analysis needs at least one per arm") if empty else None
 
 
-def analyze(snap: Snapshot, fits: CoxFits | None = None, k: int = 0) -> AnalysisResult:
-    """Full adjusted analysis of look ``k`` of a snapshot: fit, curves, difference, variance.
+class AdjustedAnalyses:
+    """Every look's adjusted analysis of one snapshot, from one stacked pass.
 
-    ``fits`` are the snapshot's model fits, fitted here when not given.
-    Returns the ``"adjusted"`` :class:`AnalysisResult`, with arm means,
-    variance components and fit diagnostics.
+    ``[k]`` is look k's ``"adjusted"`` :class:`AnalysisResult`, with arm
+    means, variance components and fit diagnostics, or raises what kept
+    look k from one, as a snapshot of that look alone would.
+    """
 
-    Raises:
+    def __init__(self, snap: Snapshot, fits: CoxFits, errors: list, mu: np.ndarray, components: VarianceComponents):
+        self.snap, self.fits, self.errors, self.mu, self.components = snap, fits, errors, mu, components
+
+    def __getitem__(self, k: int) -> AnalysisResult:
+        if self.errors[k] is not None:  # a copy, so no traceback ties the error to these analyses
+            raise copy.copy(self.errors[k])
+        c, (mu0, mu1), n = self.components, self.mu[k].tolist(), self.snap.stratum_n[2 * k:2 * k + 2].tolist()
+        comp = VarianceComponents(*(float(a[k]) for a in (c.b10, c.b11, c.b3, c.var_cond)))
+        return AnalysisResult(
+            method="adjusted", u=float(self.snap.u[k]), tau=self.snap.tau, delta=mu1 - mu0,
+            info_level=(n[0] + n[1]) / comp.v_eta2, mu0=mu0, mu1=mu1, components=comp,
+            diagnostics={"iterations": int(self.fits.look_iterations[k]),
+                         "step_halvings": int(self.fits.step_halvings[k])},
+        )
+
+
+def analyze(snap: Snapshot, fits: CoxFits | None = None) -> AdjustedAnalyses:
+    """Full adjusted analysis of every look of a snapshot: fit, curves, difference, variance.
+
+    ``fits`` are the snapshot's model fits, fitted here for the looks with
+    an event in each arm when not given.
+
+    Raises (look k's result, ``[k]``, when look k cannot be analyzed):
         InsufficientEventsError: an arm has no event at or before
             min(u, tau); the adjusted difference is not estimable.
         ConvergenceError, SingularInformationError: the look's model fit
             failed.
         EstimationError: the difference or its information is not finite.
     """
-    look = snap[k]
-    _require_events(look)
-    fitted = (cox_fit(snap) if fits is None else fits)[k]
-    adj0 = adjusted_survival(fitted, look, 0)
-    adj1 = adjusted_survival(fitted, look, 1)
-    mu0 = rmst(adj0)
-    mu1 = rmst(adj1)
-    comp = variance(fitted, look, adj0, adj1)
-    return AnalysisResult(
-        method="adjusted", u=look.u, tau=look.tau, delta=mu1 - mu0, info_level=look.n / comp.v_eta2,
-        mu0=mu0, mu1=mu1, components=comp,
-        diagnostics={"iterations": fitted.iterations, "step_halvings": fitted.step_halvings},
-    )
+    if fits is None:
+        fits = cox_fit(snap, looks=snap.events_in_every_stratum())
+    errors = [_events_error(snap, k) or fits.errors[k] for k in range(snap.u.size)]
+    # a look whose fit ran off overflows here; its result then raises EstimationError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        adj = adjusted_survival(snap, fits, [k for k, error in enumerate(errors) if error is None])
+        comp = variance(snap, fits, adj)
+    return AdjustedAnalyses(snap, fits, errors, adj.mu, comp)

@@ -239,7 +239,7 @@ def cmd_analyze(args) -> int:
     if args.i_max is not None and args.i_max_from_data:
         raise ConfigError("--i-max and --i-max-from-data are mutually exclusive")
     snap = _snapshot_from_args(args)
-    result = analyze(snap)
+    result = analyze(snap)[0]
     report: dict = {"analysis": result.to_dict()}
     if args.km:
         report["km"] = km_rmst_test(snap).to_dict()
@@ -263,7 +263,7 @@ def cmd_analyze(args) -> int:
 def cmd_km_compare(args) -> int:
     snap = _snapshot_from_args(args)
     report = {
-        "adjusted": analyze(snap).to_dict(),
+        "adjusted": analyze(snap)[0].to_dict(),
         "km": km_rmst_test(snap).to_dict(),
     }
     if args.out:

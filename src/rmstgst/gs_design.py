@@ -302,21 +302,6 @@ class BoundarySchedule:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundarySchedule":
-        try:
-            stages = d["stages"]
-            return cls(
-                spending=SpendingFunction.from_dict(d),
-                fractions=tuple(s["fraction"] for s in stages),
-                cumulative_spend=tuple(s["cumulative_spend"] for s in stages),
-                critical_values=tuple(
-                    math.inf if s["critical_value"] is None else s["critical_value"] for s in stages
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed boundary schedule: {exc!r}") from exc
-
 
 def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     """Critical values for a planned schedule of information fractions.

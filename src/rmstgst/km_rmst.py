@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjusted_rmst import AnalysisResult, _require_events
+from .adjusted_rmst import AnalysisResult, _events_error
 from .errors import InsufficientEventsError
 from .trial_data import Look, Snapshot
 
@@ -84,8 +84,9 @@ def km_rmst_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
             min(u, tau), or the variance degenerates to zero.
         EstimationError: the difference or its information is not finite.
     """
+    if error := _events_error(snap, k):
+        raise error
     look = snap[k]
-    _require_events(look)
     mu0, var0 = km_rmst(km_fit(look, 0))
     mu1, var1 = km_rmst(km_fit(look, 1))
     var = var0 + var1

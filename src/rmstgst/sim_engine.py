@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from .adjusted_rmst import AnalysisResult, _require_events, analyze
+from .adjusted_rmst import AnalysisResult, _events_error, analyze
 from .errors import ConfigError, DataError, EstimationError
 from .gs_design import (
     DesignConfig, MonitoringState, SpendingFunction, _find_root, ndtr, ndtri, update_monitoring,
@@ -204,10 +204,6 @@ def true_rmst(scn: SimScenario, arm: int, tau: float | None = None) -> float:
     return float(tau * w @ true_survival(scn, arm, tau * t))
 
 
-def true_delta(scn: SimScenario, tau: float | None = None) -> float:
-    return true_rmst(scn, 1, tau) - true_rmst(scn, 0, tau)
-
-
 def hazard_ratio(scn: SimScenario, t) -> np.ndarray:
     """Treatment-to-control hazard ratio at fixed covariates.
 
@@ -301,22 +297,27 @@ def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0))
 def cox_hr_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
     """Wald test of no treatment effect in an unstratified hazards model, at look ``k``.
 
-    Tests the treatment coefficient of ``snap.pooled()``'s fit (``fits``
-    when given), one stratum with the arm prepended to the covariates and
-    the event horizon min(u, tau) of the restricted-mean analyses. Returns
-    the ``"cox"`` :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
+    Tests the treatment coefficient of ``snap.pooled()``'s fit (``fits``,
+    or of its last looks: ``snap.pooled(looks)``'s), one stratum with the
+    arm prepended to the covariates and the event horizon min(u, tau) of
+    the restricted-mean analyses. Returns the ``"cox"``
+    :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
     """
-    look = snap[k]
-    _require_events(look)
-    fitted = (cox_fit(snap.pooled()) if fits is None else fits)[k]
+    if error := _events_error(snap, k):
+        raise error
+    fits = cox_fit(snap.pooled()) if fits is None else fits
+    fitted = fits[k - snap.u.size + fits.snap.u.size]
     cov = np.linalg.inv(fitted.info)
-    return AnalysisResult(method="cox", u=look.u, tau=look.tau, delta=float(fitted.beta[0]), info_level=1 / cov[0, 0])
+    return AnalysisResult(method="cox", u=float(snap.u[k]), tau=snap.tau, delta=float(fitted.beta[0]),
+                          info_level=1 / cov[0, 0])
 
 
-METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
-# the fits each method reads, made once per snapshot for its looks with events in both arms
-_METHOD_FITS = {"adjusted": lambda snap: cox_fit(snap, looks=snap.events_in_every_stratum()), "km": lambda snap: None,
-                "cox": lambda snap: cox_fit(snap.pooled(), looks=snap.events_in_every_stratum())}
+# ``METHODS[m](snap, looks)(k)``: look k's result by method m, one of ``looks`` (a slice ending at the last
+# look), each snapshot fitted once for those looks with events in both arms
+METHODS = {"adjusted": lambda snap, looks: analyze(snap).__getitem__,
+           "km": lambda snap, looks: partial(km_rmst_test, snap, None),
+           "cox": lambda snap, looks: partial(cox_hr_test, snap, cox_fit(
+               snap.pooled(looks), looks=snap.events_in_every_stratum()[looks]))}
 
 
 @dataclass(frozen=True)
@@ -366,8 +367,8 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     calendar grid (step ``grid_step``) up to the trial end, and inverts
     the running-max trajectory at the scenario's fractions by linear
     interpolation. The final fraction maps to the trial end exactly.
-    Comparator information caps are measured on the same replicates at
-    the trial end.
+    Comparator information caps are measured in the same pass, at the
+    same snapshots' last look, the trial end.
     """
     if reps < 100:
         raise ConfigError(f"information calibration needs reps >= 100, got {reps}")
@@ -376,10 +377,11 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     if grid.size == 0 or grid[-1] < total - 1e-9:
         grid = np.append(grid, total)
     grid[-1] = total
-    rows, _ = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), ("adjusted",)),
+    comparators = tuple(m for m in METHODS if m != "adjusted")
+    infos, _ = _map_replicates(
+        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), tuple(METHODS), comparators),
     )
-    rows = rows[:, :, 0]
+    rows, finals = infos[:, :, 0], infos[:, -1, 1:]
     ok = np.sum(~np.isnan(rows), axis=0)
     usable = ok >= max(1, int(0.9 * reps))
     if not usable[-1]:
@@ -391,13 +393,9 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     times = [total if f >= 1.0 else float(np.interp(f * i_max, traj, grid_u)) for f in scn.fractions]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise EstimationError(f"calibrated analysis times are not increasing: {times}; raise reps")
-    comparators = tuple(m for m in METHODS if m != "adjusted")
-    finals, _ = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=((total,), comparators),
-    )
     i_by_method = {"adjusted": i_max}
-    i_by_method.update((m, float(np.nanmean(finals[:, 0, k])))
-                       for k, m in enumerate(comparators) if not np.all(np.isnan(finals[:, 0, k])))
+    i_by_method.update((m, float(np.nanmean(finals[:, j])))
+                       for j, m in enumerate(comparators) if not np.all(np.isnan(finals[:, j])))
     return InformationCalibration(
         fractions=tuple(float(f) for f in scn.fractions), analysis_times=tuple(times), i_max=i_max,
         i_max_by_method=i_by_method, grid=tuple(float(g) for g in grid_u), mean_info=tuple(float(v) for v in traj),
@@ -501,8 +499,9 @@ class OperatingCharacteristics:
 
 
 def _study_worker(args):
-    """Information and estimate of each method at each calendar time, per replicate; NaN where one fails."""
-    scn, master_seed, reps_slice, times, methods = args
+    """Information and estimate of each method at each calendar time (``last_only`` methods: the last), per
+    replicate; NaN where one fails."""
+    scn, master_seed, reps_slice, times, methods, last_only = args
     infos = np.full((len(reps_slice), len(times), len(methods)), np.nan)
     deltas = np.full_like(infos, np.nan)
     for i, rep in enumerate(reps_slice):
@@ -511,15 +510,16 @@ def _study_worker(args):
         except DataError:
             continue
         for m, method in enumerate(methods):
-            fits = _METHOD_FITS[method](snap)
-            for k in range(len(times)):
+            looks = slice(len(times) - 1 if method in last_only else 0, len(times))
+            analysis = METHODS[method](snap, looks)
+            for k in range(len(times))[looks]:
                 try:
-                    r = METHODS[method](snap, fits, k)
+                    r = analysis(k)
                 except (DataError, EstimationError):
                     continue
                 infos[i, k, m] = r.info_level
                 deltas[i, k, m] = r.delta
-        snap = fits = None  # let this trial's layout go before the next is drawn
+        snap = analysis = None  # let this trial's layout go before the next is drawn
     return infos, deltas
 
 
@@ -566,7 +566,7 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     times = calib.analysis_times
     n_stage = len(times)
     infos, deltas = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=(times, methods),
+        _study_worker, scn, master_seed, reps, threads, extra=(times, methods, ()),
     )
     cumulative, mc_se, failures, first_stage = {}, {}, {}, {}
     for m, method in enumerate(methods):

@@ -15,44 +15,24 @@ look's fit is the same whatever other looks share its snapshot.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, InsufficientEventsError, SingularInformationError
 from .trial_data import Snapshot, look_sums
 
-__all__ = ["StepFunction", "CoxFit", "CoxFits", "fit"]
-
-
-class StepFunction:
-    """Right-continuous nondecreasing step function starting at 0.
-
-    ``times`` are the distinct ascending jump locations and
-    ``increments`` the (positive) jump sizes; ``values`` are the
-    cumulative heights at the jump times. The fit builds it from a
-    snapshot's distinct event times, so its inputs are not checked here.
-    """
-
-    __slots__ = ("times", "increments", "values")
-
-    def __init__(self, times, increments):
-        self.times, self.increments = np.asarray(times, dtype=np.float64), np.asarray(increments, dtype=np.float64)
-        self.values = np.cumsum(self.increments)
-        for a in (self.times, self.increments, self.values):
-            a.setflags(write=False)
+__all__ = ["CoxFit", "CoxFits", "fit"]
 
 
 @dataclass(frozen=True)
 class CoxFit:
     """One look's converged fit of the two-baseline proportional-hazards model.
 
-    ``baselines`` are the Breslow cumulative baseline hazards of arms 0
-    and 1, with jumps at that arm's event times up to ``min(u, tau)``.
-    ``info`` is the observed information at ``beta``. ``risk_sums`` holds
-    each arm's risk-set sums ``(r0, r1)`` at its event times: the sums of
-    exp(beta'Z) and exp(beta'Z) Z over the subjects at risk. Newton took
+    ``info`` is the observed information at ``beta``. Newton took
     ``iterations`` steps and halved rejected ones ``step_halvings`` times.
+    The arms' Breslow baseline hazards jump by each event row's count over
+    its ``CoxFits.risk_sums`` r0, at the arm's event times up to min(u, tau).
     """
 
     beta: np.ndarray
@@ -60,11 +40,6 @@ class CoxFit:
     loglik: float
     iterations: int
     step_halvings: int
-    baselines: tuple[StepFunction, StepFunction]
-    risk_sums: tuple = field(repr=False, compare=False)
-
-    def baseline(self, arm: int) -> StepFunction:
-        return self.baselines[arm]
 
 
 class CoxFits:
@@ -83,19 +58,18 @@ class CoxFits:
     def iterations(self) -> int:
         return int(sum(it for it, err in zip(self.look_iterations.tolist(), self.errors) if err is None))
 
+    def risk_sums(self, rows=slice(None)):
+        """Risk-set sums of exp(beta'Z) and exp(beta'Z) Z (rows, p) at the snapshot's event ``rows``."""
+        r0, e, shift = (a[..., rows] for a in self.sums)
+        # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
+        r0 = np.exp(np.log(r0) + shift)
+        return r0, (e * r0).T
+
     def __getitem__(self, k: int) -> CoxFit:
         if self.errors[k] is not None:  # a copy, so no traceback ties the error to these fits
             raise copy.copy(self.errors[k])
-        lo, split, hi = self.snap.look_bounds(k)
-        r0, e, shift = (a[..., lo:hi] for a in self.sums)
-        # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
-        r0 = np.exp(np.log(r0) + shift)
-        r1, increments, times = (e * r0).T, self.snap.event_counts[lo:hi] / r0, self.snap.event_times[lo:hi]
-        arms = (slice(0, split - lo), slice(split - lo, hi - lo))
-        baselines = tuple(StepFunction(times[rows], increments[rows]) for rows in arms)
-        risk_sums = tuple((r0[rows], r1[rows]) for rows in arms)
         return CoxFit(self.beta[k], self.info[k], float(self.loglik[k]), int(self.look_iterations[k]),
-                      int(self.step_halvings[k]), baselines, risk_sums)
+                      int(self.step_halvings[k]))
 
 
 def _score_info(snap: Snapshot, beta: np.ndarray, lo: int = 0):

@@ -344,11 +344,12 @@ class Snapshot:
         return Look(float(self.u[k]), self.tau, ns[0] + ns[1], self.arm[idx], self.time[k, idx],
                     self.event[k, idx], self.z[idx], arms)
 
-    def pooled(self) -> Snapshot:
-        """The same looks, both arms in one stratum each (the arms' sorts merged) and the arm prepended to z."""
-        both = np.concatenate(self.orders, axis=1)
-        merged = np.argsort(np.take_along_axis(self.time, both, axis=1), axis=1, kind="stable")
-        return Snapshot(self.u, self.tau, np.zeros_like(self.arm), self.time, self.event,
+    def pooled(self, looks=slice(None)) -> Snapshot:
+        """The ``looks`` slice, both arms in one stratum each (the arms' sorts merged) and the arm prepended to z."""
+        time = self.time[looks]
+        both = np.concatenate([order[looks] for order in self.orders], axis=1)
+        merged = np.argsort(np.take_along_axis(time, both, axis=1), axis=1, kind="stable")
+        return Snapshot(self.u[looks], self.tau, np.zeros_like(self.arm), time, self.event[looks],
                         np.column_stack((self.arm, self.z)), [np.take_along_axis(both, merged, axis=1)])
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,8 +39,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def baseline(fits, k, arm):
+    """Look k's Breslow cumulative baseline hazard of one arm: its jump ``times``, ``increments``
+    (each event row's count over its risk sum) and cumulative ``values``."""
+    lo, split, hi = fits.snap.look_bounds(k)
+    rows = slice(lo, split) if arm == 0 else slice(split, hi)
+    increments = fits.snap.event_counts[rows] / fits.risk_sums(rows)[0]
+    return SimpleNamespace(times=fits.snap.event_times[rows], increments=increments, values=np.cumsum(increments))
+
+
 def height(step, t):
-    """A ``StepFunction``'s right-continuous height at ``t`` (scalar or array)."""
+    """A baseline's right-continuous height at ``t`` (scalar or array), 0 before its first jump."""
     out = np.concatenate(([0.0], step.values))[np.searchsorted(step.times, t, side="right")]
     return float(out) if np.isscalar(t) else out
 

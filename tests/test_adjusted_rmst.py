@@ -8,14 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import baseline, height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmstgst import adjusted_rmst
-from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, rmst, variance
-from rmstgst.errors import EstimationError, InsufficientEventsError
-from rmstgst.sim_engine import SimScenario, true_delta
+from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, variance
+from rmstgst.errors import DataError, EstimationError, InsufficientEventsError, RmstgstError
+from rmstgst.sim_engine import SimScenario, _rng_for_replicate, draw_trial, true_rmst
 from rmstgst.stratified_cox import fit
 from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
@@ -116,9 +116,50 @@ def naive_everything(snap, beta):
     delta = out[1]["mu"] - out[0]["mu"]
     cond_diff = mu_cond[1] - mu_cond[0]
     out["var_cond"] = float(np.mean((cond_diff - np.mean(cond_diff)) ** 2))
+    out["mu_cond"] = np.column_stack((mu_cond[0], mu_cond[1]))
     out["psi_diff"] = psi[1] - psi[0]
     out["delta"] = delta
     return out
+
+
+def stacked(snap, k=0):
+    """Look k's fits, adjusted survival and variance components from the stacked pass's steps."""
+    fits = fit(snap)
+    adj = adjusted_survival(snap, fits, [k])
+    return fits, adj, variance(snap, fits, adj)
+
+
+def arm_rows(snap, k, arm):
+    """The event rows of look k's arm."""
+    lo, split, hi = snap.look_bounds(k)
+    return slice(lo, split) if arm == 0 else slice(split, hi)
+
+
+def curve(snap, adj, k, arm):
+    """Look k's adjusted curve of one arm as a step function on [0, tau]: (grid, values)."""
+    rows = arm_rows(snap, k, arm)
+    grid, values = np.concatenate(([0.0], snap.event_times[rows])), np.concatenate(([1.0], adj.values[rows]))
+    if grid[-1] < snap.tau:
+        grid, values = np.append(grid, snap.tau), np.append(values, values[-1])
+    return grid, values
+
+
+def outcome(analyses, k):
+    """Look k's adjusted result as (delta, info, mu0, mu1, B10, B11, B3, var_cond), or its error class."""
+    try:
+        r = analyses[k]
+    except RmstgstError as exc:
+        return type(exc)
+    return (r.delta, r.info_level, r.mu0, r.mu1, *r.components.to_dict().values())
+
+
+def solo(trial, u, masked=False):
+    """The outcome of analyzing a snapshot of the one look ``u`` on its own (left out of its fit if ``masked``)."""
+    try:
+        snap = snapshot(trial, u=u, tau=1.0)
+    except RmstgstError as exc:
+        return type(exc)
+    return outcome(analyze(snap, fit(snap, looks=[False]) if masked else None), 0)
 
 
 def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
@@ -144,35 +185,25 @@ class TestAdjustedSurvival:
             [0.5, 1.0, 1.5, 2.0, 0.7, 1.2], [1, 1, 0, 1, 1, 0],
             [0, 0, 0, 0, 1, 1], [[]] * 6,
         )
-        fitted, look = fit(snap)[0], snap[0]
-        adj0 = adjusted_survival(fitted, look, 0)
-        na = fitted.baseline(0)
-        for t, s in zip(adj0.grid, adj0.values):
+        fits, adj, _ = stacked(snap)
+        na = baseline(fits, 0, 0)
+        for t, s in zip(*curve(snap, adj, 0, 0)):
             assert s == pytest.approx(math.exp(-height(na, t)), rel=1e-12)
-
-    def test_no_events_arm_flat_one(self):
-        snap = arrays_snapshot(
-            [0.5, 1.5, 1.0, 2.0], [1, 1, 0, 0], [0, 0, 1, 1], [0.2, -0.1, 0.4, 0.3],
-        )
-        fitted, look = fit(snap)[0], snap[0]
-        adj1 = adjusted_survival(fitted, look, 1)
-        assert np.all(np.asarray(adj1.values) == 1.0)
-        assert rmst(adj1) == pytest.approx(look.tau)
 
     def test_double_sum_average_oracle(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted, look = fit(snap)[0], snap[0]
-        ref = naive_everything(look, fitted.beta)
+        fits, adj, _ = stacked(snap)
+        ref = naive_everything(snap[0], fits.beta[0])
         for arm in (0, 1):
-            adj = adjusted_survival(fitted, look, arm)
-            np.testing.assert_allclose(adj.grid, ref[arm]["grid"], atol=1e-12)
-            np.testing.assert_allclose(adj.values, ref[arm]["values"], rtol=1e-12)
+            grid, values = curve(snap, adj, 0, arm)
+            np.testing.assert_allclose(grid, ref[arm]["grid"], atol=1e-12)
+            np.testing.assert_allclose(values, ref[arm]["values"], rtol=1e-12)
 
     def test_values_monotone_in_unit_interval(self):
         snap = toy_snapshot()
-        fitted, look = fit(snap)[0], snap[0]
+        _, adj, _ = stacked(snap)
         for arm in (0, 1):
-            vals = np.asarray(adjusted_survival(fitted, look, arm).values)
+            vals = curve(snap, adj, 0, arm)[1]
             assert vals[0] == 1.0
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             assert np.all(np.diff(vals) <= 1e-15)
@@ -180,45 +211,40 @@ class TestAdjustedSurvival:
 
 class TestRmst:
     def test_single_event_two_rectangles(self):
-        snap = arrays_snapshot([1.0, 3.0], [1, 0], [0, 0], [[]] * 2, tau=2.0)
-        fitted, look = fit(snap)[0], snap[0]
-        adj = adjusted_survival(fitted, look, 0)
+        snap = arrays_snapshot([1.0, 3.0, 0.5, 2.5], [1, 0, 1, 0], [0, 0, 1, 1], [[]] * 4, tau=2.0)
+        _, adj, _ = stacked(snap)
         s = math.exp(-0.5)
-        assert adj.values[1] == pytest.approx(s)
-        assert rmst(adj) == pytest.approx(1.0 + s * (2.0 - 1.0), rel=1e-12)
+        assert curve(snap, adj, 0, 0)[1][1] == pytest.approx(s)
+        assert adj.mu[0, 0] == pytest.approx(1.0 + s * (2.0 - 1.0), rel=1e-12)
 
     def test_dense_grid_integration_oracle(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted, look = fit(snap)[0], snap[0]
+        _, adj, _ = stacked(snap)
         for arm in (0, 1):
-            adj = adjusted_survival(fitted, look, arm)
-            grid = np.asarray(adj.grid)
-            values = np.asarray(adj.values)
-            edges = np.union1d(np.linspace(0.0, look.tau, 100_001), grid)
+            grid, values = curve(snap, adj, 0, arm)
+            edges = np.union1d(np.linspace(0.0, snap.tau, 100_001), grid)
             idx = np.searchsorted(grid, edges[:-1], side="right") - 1
             heights = values[idx]
             dense = float(heights @ np.diff(edges))
-            assert rmst(adj) == pytest.approx(dense, abs=1e-9)
+            assert adj.mu[0, arm] == pytest.approx(dense, abs=1e-9)
 
 
 class TestVariance:
     def test_all_pieces_match_literal_recomputation(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
-        fitted, look = fit(snap)[0], snap[0]
-        adj0 = adjusted_survival(fitted, look, 0)
-        adj1 = adjusted_survival(fitted, look, 1)
-        comp = variance(fitted, look, adj0, adj1)
-        ref = naive_everything(look, fitted.beta)
-        assert comp.b10 == pytest.approx(ref[0]["b1"], rel=1e-10)
-        assert comp.b11 == pytest.approx(ref[1]["b1"], rel=1e-10)
+        fits, adj, comp = stacked(snap)
+        look = snap[0]
+        ref = naive_everything(look, fits.beta[0])
+        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-10)
+        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
-        b3 = look.n * float(psi_diff @ np.linalg.solve(np.asarray(fitted.info), psi_diff))
-        assert comp.b3 == pytest.approx(b3, rel=1e-10)
-        assert comp.var_cond == pytest.approx(ref["var_cond"], rel=1e-10)
-        assert comp.v_xi2 == pytest.approx(comp.b10 + comp.b11 + comp.b3, rel=1e-12)
-        assert comp.v_eta2 == pytest.approx(comp.v_xi2 + comp.var_cond, rel=1e-12)
-        for arm, adj in ((0, adj0), (1, adj1)):
-            np.testing.assert_allclose(adj.c1, ref[arm]["c1"], rtol=1e-10)
+        b3 = look.n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
+        assert comp.b3[0] == pytest.approx(b3, rel=1e-10)
+        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-10)
+        assert comp.v_xi2[0] == pytest.approx(comp.b10[0] + comp.b11[0] + comp.b3[0], rel=1e-12)
+        assert comp.v_eta2[0] == pytest.approx(comp.v_xi2[0] + comp.var_cond[0], rel=1e-12)
+        for arm in (0, 1):
+            np.testing.assert_allclose(adj.c1[arm_rows(snap, 0, arm)], ref[arm]["c1"], rtol=1e-10)
 
     def test_simulated_dataset_matches_literal_recomputation(self):
         scn = SimScenario(
@@ -226,32 +252,26 @@ class TestVariance:
             covariates="bernoulli2",
         )
         snap = sim_snapshot(scn, seed=3, u=2.4)
-        fitted, look = fit(snap)[0], snap[0]
-        adj0 = adjusted_survival(fitted, look, 0)
-        adj1 = adjusted_survival(fitted, look, 1)
-        comp = variance(fitted, look, adj0, adj1)
-        ref = naive_everything(look, fitted.beta)
-        assert comp.b10 == pytest.approx(ref[0]["b1"], rel=1e-9)
-        assert comp.b11 == pytest.approx(ref[1]["b1"], rel=1e-9)
-        assert comp.var_cond == pytest.approx(ref["var_cond"], rel=1e-9)
-        assert rmst(adj1) - rmst(adj0) == pytest.approx(ref["delta"], abs=1e-12)
+        fits, adj, comp = stacked(snap)
+        ref = naive_everything(snap[0], fits.beta[0])
+        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-9)
+        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-9)
+        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-9)
+        assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], abs=1e-12)
 
     def test_no_covariates_var_cond_zero(self):
         snap = arrays_snapshot(
             [0.5, 1.0, 1.5, 0.7, 1.2, 2.0], [1, 1, 0, 1, 1, 0],
             [0, 0, 0, 1, 1, 1], [[]] * 6,
         )
-        fitted, look = fit(snap)[0], snap[0]
-        comp = variance(
-            fitted, look, adjusted_survival(fitted, look, 0), adjusted_survival(fitted, look, 1)
-        )
-        assert comp.var_cond == 0.0
-        assert comp.b3 == 0.0
-        assert comp.v_eta2 == comp.v_xi2 > 0.0
+        comp = stacked(snap)[2]
+        assert comp.var_cond[0] == 0.0
+        assert comp.b3[0] == 0.0
+        assert comp.v_eta2[0] == comp.v_xi2[0] > 0.0
 
     def test_components_serialization_shape(self):
         snap = toy_snapshot()
-        result = analyze(snap)
+        result = analyze(snap)[0]
         payload = result.to_dict()
         assert set(payload["components"]) == {"B10", "B11", "B3", "var_cond"}
         for key in ("u", "tau", "mu0", "mu1", "delta", "se", "z", "info"):
@@ -267,46 +287,49 @@ class TestBlockedKernel:
         blocked_snapshot(event_at_tau=True),
     ], ids=["partial-last-block", "no-covariates", "event-at-tau"])
     def test_matches_literal_recomputation(self, snap):
-        fitted, look = fit(snap)[0], snap[0]
-        adj = [adjusted_survival(fitted, look, arm) for arm in (0, 1)]
-        comp = variance(fitted, look, *adj)
-        ref = naive_everything(look, fitted.beta)
+        fits, adj, comp = stacked(snap)
+        look = snap[0]
+        ref = naive_everything(look, fits.beta[0])
         rel = 1e-12
         for arm in (0, 1):
-            np.testing.assert_array_equal(adj[arm].grid, ref[arm]["grid"])
-            np.testing.assert_allclose(adj[arm].values, ref[arm]["values"], rtol=rel)
-            np.testing.assert_allclose(adj[arm].c1, ref[arm]["c1"], rtol=rel)
-            np.testing.assert_allclose(adj[arm].c2, ref[arm]["c2"], rtol=rel)
-        assert comp.b10 == pytest.approx(ref[0]["b1"], rel=rel)
-        assert comp.b11 == pytest.approx(ref[1]["b1"], rel=rel)
+            rows = arm_rows(snap, 0, arm)
+            grid, values = curve(snap, adj, 0, arm)
+            np.testing.assert_array_equal(grid, ref[arm]["grid"])
+            np.testing.assert_allclose(values, ref[arm]["values"], rtol=rel)
+            np.testing.assert_allclose(adj.c1[rows], ref[arm]["c1"], rtol=rel)
+            np.testing.assert_allclose(adj.c2[rows], ref[arm]["c2"], rtol=rel)
+        np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=rel)
+        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=rel)
+        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=rel)
         psi_diff = ref["psi_diff"]
-        b3 = look.n * float(psi_diff @ np.linalg.solve(fitted.info, psi_diff)) if psi_diff.size else 0.0
-        assert comp.b3 == pytest.approx(b3, rel=rel)
-        assert comp.var_cond == pytest.approx(ref["var_cond"], rel=rel)
-        assert rmst(adj[1]) - rmst(adj[0]) == pytest.approx(ref["delta"], rel=rel)
+        b3 = look.n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff)) if psi_diff.size else 0.0
+        assert comp.b3[0] == pytest.approx(b3, rel=rel)
+        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=rel)
+        assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], rel=rel)
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_block_size_does_not_change_the_result(self, p, monkeypatch):
         snap = blocked_snapshot(p=p)
-        fitted, look = fit(snap)[0], snap[0]
-        r = max(fitted.baseline(arm).times.size for arm in (0, 1))
+        fits = fit(snap)
+        r = snap.event_times.size  # both arms' rows
         results = {}
-        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", look.n * r)):
+        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", snap[0].n * r)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
-            results[name] = [adjusted_survival(fitted, look, arm) for arm in (0, 1)]
+            results[name] = adjusted_survival(snap, fits, [0])
+        ref = results["one row"]
         for name in ("64 rows", "one block"):
-            for ref, adj in zip(results["one row"], results[name]):
-                for field in ("values", "c1", "c2", "mu_cond"):
-                    np.testing.assert_allclose(getattr(adj, field), getattr(ref, field),
-                                               rtol=1e-13, err_msg=name)
+            for field in ("values", "c1", "c2", "mu"):
+                np.testing.assert_allclose(getattr(results[name], field), getattr(ref, field), rtol=1e-13,
+                                           err_msg=name)
+            np.testing.assert_allclose(results[name].mu_cond[0], ref.mu_cond[0], rtol=1e-13, err_msg=name)
 
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)
-        r = max(fit(snap)[0].baseline(arm).times.size for arm in (0, 1))
+        r = max(baseline(fit(snap), 0, arm).times.size for arm in (0, 1))
         tracemalloc.start()
         try:
-            analyze(snap)
+            analyze(snap)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,7 +342,7 @@ class TestAnalyze:
         event = [1, 1, 0, 1]
         z = [0.2, -0.4, 1.0, 0.3]
         snap = arrays_snapshot(time * 2, event * 2, [0] * 4 + [1] * 4, z * 2)
-        result = analyze(snap)
+        result = analyze(snap)[0]
         assert result.delta == pytest.approx(0.0, abs=1e-14)
         assert result.z == pytest.approx(0.0, abs=1e-12)
         assert result.se > 0.0
@@ -329,13 +352,13 @@ class TestAnalyze:
             [0.5, 1.0, 1.2, 2.0], [1, 1, 0, 0], [0, 0, 1, 1], [0.1, -0.2, 0.4, 0.0],
         )
         with pytest.raises(InsufficientEventsError, match="arm 1"):
-            analyze(snap)
+            analyze(snap)[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_monotone_likelihood_raises_instead_of_nan(self):
         snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(EstimationError, match="must be finite"):
-            analyze(snap)
+            analyze(snap)[0]
 
     @pytest.mark.parametrize("delta, info", [
         (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -2.0),
@@ -346,7 +369,7 @@ class TestAnalyze:
 
     def test_scaling_relations(self):
         snap = toy_snapshot()
-        result = analyze(snap)
+        result = analyze(snap)[0]
         assert result.se == pytest.approx(
             math.sqrt(result.components.v_eta2 / snap[0].n), rel=1e-12
         )
@@ -358,12 +381,12 @@ class TestAnalyze:
             n_per_arm=100, shape_offset=0.0, log_rate_ratio=-0.35,
             covariate_strength=math.log(1.5), covariates="normal1",
         )
-        truth = true_delta(scn)
+        truth = true_rmst(scn, 1) - true_rmst(scn, 0)
         reps = 400
         estimates = np.empty(reps)
         for rep in range(reps):
             snap = sim_snapshot(scn, seed=1000 + rep)
-            estimates[rep] = analyze(snap).delta
+            estimates[rep] = analyze(snap)[0].delta
         se = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - truth) < 3 * se
 
@@ -377,7 +400,7 @@ class TestAnalyze:
             scn = replace(scn, log_rate_ratio=0.0)
             vals = np.empty(reps)
             for rep in range(reps):
-                vals[rep] = analyze(sim_snapshot(scn, seed=5000 + rep)).delta
+                vals[rep] = analyze(sim_snapshot(scn, seed=5000 + rep))[0].delta
             deltas[n] = vals.var(ddof=1)
         ratio = deltas[100] / deltas[200]
         assert 1.4 < ratio < 2.9
@@ -387,7 +410,7 @@ class TestAnalyze:
             n_per_arm=200, shape_offset=0.0, covariate_strength=math.log(1.5),
         )
         snap = sim_snapshot(scn, seed=77)
-        result = analyze(snap)
+        result = analyze(snap)[0]
         rng = np.random.default_rng(123)
         look = snap[0]
         arm, time, event, z = look.arm, look.time, look.event, look.z
@@ -403,12 +426,59 @@ class TestAnalyze:
                 np.zeros(pick.size), time[pick], event[pick], arm[pick], z[pick],
                 u=look.u, tau=look.tau,
             )
-            bfit, blook = fit(bsnap)[0], bsnap[0]
-            boots.append(
-                rmst(adjusted_survival(bfit, blook, 1)) - rmst(adjusted_survival(bfit, blook, 0))
-            )
+            boots.append(analyze(bsnap)[0].delta)
         ratio = (result.components.v_eta2 / look.n) / np.var(boots, ddof=1)
         assert 0.6 < ratio < 1.6
+
+
+class TestStackedLooks:
+    """Every look of a stacked snapshot gets the analysis a snapshot of that look alone gets."""
+
+    def test_calendar_grid_matches_solo_analyses(self):
+        scn = SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=math.log(1.5),
+                          shape_offset=-0.3)
+        trial = draw_trial(scn, _rng_for_replicate(20200920, 5))
+        grid = np.round(np.arange(1, 31) * 0.1, 10)
+        analyses = analyze(snapshot(trial, u=grid, tau=1.0))
+        outcomes = [outcome(analyses, k) for k in range(grid.size)]
+        assert sum(not isinstance(o, type) for o in outcomes) >= 25
+        for u, got in zip(grid, outcomes):
+            assert got == solo(trial, u)  # bit for bit, or the same error class
+        # each stratum's stacked Breslow hazard is its arm's own cumulative sum, bit for bit
+        hazard = adjusted_survival(analyses.snap, analyses.fits, []).hazard
+        for k in range(grid.size):
+            for arm in (0, 1):
+                np.testing.assert_array_equal(hazard[arm_rows(analyses.snap, k, arm)],
+                                              baseline(analyses.fits, k, arm).values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self):
+        trial = monotone_trial()
+        odd = {
+            0.001: InsufficientEventsError,  # nobody enrolled yet (alone, no snapshot at all)
+            0.12: InsufficientEventsError,  # arm 1 has no event
+            0.15: InsufficientEventsError,  # left out of the fit
+            0.2: EstimationError,  # the monotone likelihood: beta ~ 282, the variance overflows
+        }
+        looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
+
+        def analyses(us):
+            snap = snapshot(trial, u=us, tau=1.0)
+            return analyze(snap, fit(snap, looks=np.not_equal(us, 0.15) & snap.events_in_every_stratum()))
+
+        stacked_looks = analyses(looks)
+        outcomes = {u: outcome(stacked_looks, k) for k, u in enumerate(looks)}
+        for u in looks:
+            if u in odd:
+                assert outcomes[u] is odd[u]
+                assert solo(trial, u, masked=u == 0.15) is (DataError if u == 0.001 else odd[u])
+            else:
+                assert outcomes[u] == solo(trial, u)
+        for left_out in odd:
+            others = [u for u in looks if u != left_out]
+            without = analyses(others)
+            for k, u in enumerate(others):
+                assert outcome(without, k) == outcomes[u]
 
 
 svm_seeds = st.integers(0, 10_000)
@@ -424,7 +494,7 @@ class TestProperties:
         )
         snap = sim_snapshot(scn, seed=seed)
         try:
-            result = analyze(snap)
+            result = analyze(snap)[0]
         except InsufficientEventsError:
             return
         assert 0.0 <= result.mu0 <= snap.tau + 1e-12

@@ -20,7 +20,6 @@ from rmstgst import cli
 from rmstgst.cli import main
 from rmstgst.gs_design import (
     AnalysisRecord,
-    BoundarySchedule,
     DesignConfig,
     MonitoringState,
     SpendingFunction,
@@ -149,9 +148,9 @@ class TestDesignAndBoundaries:
             "--fractions", "0.4,1.0", "--out", str(out),
         )
         assert code == 0
-        sched = BoundarySchedule.from_dict(json.loads(out.read_text()))
+        stages = json.loads(out.read_text())["stages"]
         direct = boundaries(SpendingFunction("power_family", rho=3.0), (0.4, 1.0))
-        np.testing.assert_allclose(sched.critical_values, direct.critical_values, rtol=1e-14)
+        np.testing.assert_allclose([s["critical_value"] for s in stages], direct.critical_values, rtol=1e-14)
 
     def test_invalid_spending_configuration_exit_2(self, capsys):
         code, _, err = run_cli(

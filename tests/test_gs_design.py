@@ -431,10 +431,10 @@ class TestMonitoring:
 class TestSerialization:
     def test_boundary_schedule_round_trip(self):
         sched = boundaries(make_spending("power_family"), (0.4, 0.8, 1.0))
-        back = BoundarySchedule.from_dict(json.loads(json.dumps(sched.to_dict())))
-        assert back.fractions == sched.fractions
-        np.testing.assert_allclose(back.critical_values, sched.critical_values, rtol=1e-15)
-        assert back.spending == sched.spending
+        back = json.loads(json.dumps(sched.to_dict()))
+        assert tuple(s["fraction"] for s in back["stages"]) == sched.fractions
+        np.testing.assert_allclose([s["critical_value"] for s in back["stages"]], sched.critical_values, rtol=1e-15)
+        assert SpendingFunction.from_dict(back) == sched.spending
 
     def test_boundary_schedule_infinite_critical_round_trip(self):
         sched = BoundarySchedule(
@@ -445,14 +445,13 @@ class TestSerialization:
         )
         payload = sched.to_dict()
         assert payload["stages"][1]["critical_value"] is None
-        back = BoundarySchedule.from_dict(payload)
-        assert math.isinf(back.critical_values[1])
+        assert json.loads(json.dumps(payload))["stages"][1]["critical_value"] is None
 
     def test_boundary_schedule_without_spending_is_config_error(self):
         payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
         del payload["spending"]
         with pytest.raises(ConfigError, match="missing keys"):
-            BoundarySchedule.from_dict(payload)
+            SpendingFunction.from_dict(payload)
 
     def test_spending_keys_in_file_order(self):
         spending = make_spending("power_family", sided="one_sided")
@@ -464,22 +463,6 @@ class TestSerialization:
         assert list(sched) == ["schema", "alpha", "sidedness", "spending", "planned_fractions", "stages"]
         assert sched["spending"] == {"kind": "power_family", "rho": 3.0}
         assert SpendingFunction.from_dict(sched) == spending
-
-    @pytest.mark.parametrize("key", ["stages", "fraction", "cumulative_spend", "critical_value"])
-    def test_boundary_schedule_missing_key_is_config_error(self, key):
-        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
-        if key == "stages":
-            del payload["stages"]
-        else:
-            del payload["stages"][1][key]
-        with pytest.raises(ConfigError, match=f"malformed boundary schedule: KeyError\\('{key}'\\)"):
-            BoundarySchedule.from_dict(payload)
-
-    def test_boundary_schedule_non_list_stages_is_config_error(self):
-        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
-        payload["stages"] = 3
-        with pytest.raises(ConfigError, match="malformed boundary schedule: TypeError"):
-            BoundarySchedule.from_dict(payload)
 
     def test_design_config_round_trip_and_errors(self):
         design = DesignConfig(

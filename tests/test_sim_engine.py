@@ -31,7 +31,6 @@ from rmstgst.sim_engine import (
     draw_trial,
     hazard_ratio,
     run_study,
-    true_delta,
     true_rmst,
     true_survival,
     _atom_rates,
@@ -232,11 +231,6 @@ class TestTruthFunctionals:
         se = clipped.std(ddof=1) / math.sqrt(times.size)
         assert abs(clipped.mean() - true_rmst(scn, 1)) < 3 * se
 
-    def test_true_delta_is_difference(self):
-        scn = SimScenario(log_rate_ratio=-0.4, covariate_strength=0.3)
-        assert true_delta(scn) == pytest.approx(
-            true_rmst(scn, 1) - true_rmst(scn, 0), rel=1e-12
-        )
 
     def test_proportional_hazards_reduction(self):
         scn = SimScenario(shape_offset=0.0, log_rate_ratio=-0.5, covariate_strength=0.4)
@@ -315,7 +309,8 @@ class TestCalibration:
         scn = SimScenario(shape_offset=-0.3, covariate_strength=math.log(1.5))
         offset = calibrate_null(scn)
         assert offset != 0.0
-        assert true_delta(replace(scn, log_rate_ratio=offset)) == pytest.approx(0.0, abs=1e-8)
+        nulled = replace(scn, log_rate_ratio=offset)
+        assert true_rmst(nulled, 1) - true_rmst(nulled, 0) == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("scn", TRUTH_SCENARIOS[2::3] + LOW_SHAPE_SCENARIOS[:2])
     def test_null_offset_matches_brentq(self, scn):
@@ -368,12 +363,11 @@ class TestCalibration:
     def test_information_calibration_analyzes_each_grid_point_once(self, small_scn, monkeypatch):
         calls = []
 
-        def counted(snap, fits, k):
-            calls.append(snap.u[k])
-            return analyze(snap, fits, k)
+        def counted(snap, fits=None):
+            calls.extend(snap.u.tolist())
+            return analyze(snap, fits)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
-        monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
         calibrate_information(small_scn, reps=100, master_seed=7, grid_step=0.5)
         grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
         assert len(calls) == 100 * len(grid)
@@ -391,7 +385,7 @@ class TestCalibration:
         assert power == pytest.approx(0.80, abs=1e-6)
         assert pc.delta > 0
         scn_power = replace(small_scn, log_rate_ratio=pc.log_rate_ratio)
-        assert true_delta(scn_power) == pytest.approx(pc.delta, abs=1e-6)
+        assert true_rmst(scn_power, 1) - true_rmst(scn_power, 0) == pytest.approx(pc.delta, abs=1e-6)
 
     def test_power_target_alpha_recovers_null(self, small_scn, small_calib):
         pc = calibrate_power(small_scn, small_calib, target_power=0.05, alpha=0.05)
@@ -411,7 +405,7 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            res = run(snap)
+            res = run(snap, slice(None))(0)
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import baseline, height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,7 @@ from rmstgst.errors import (
     ConvergenceError, DataError, InsufficientEventsError, RmstgstError, SingularInformationError,
 )
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
-from rmstgst.stratified_cox import CoxFits, StepFunction, _score_info, fit
+from rmstgst.stratified_cox import CoxFits, _score_info, fit
 from rmstgst.trial_data import Look, snapshot, snapshot_from_arrays
 
 
@@ -31,7 +31,7 @@ def breslow(snap, beta, arm):
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))[None]
     _, info, loglik, sums = _score_info(snap, beta)
     none = np.zeros(1, dtype=np.int64)
-    return CoxFits(snap, beta, info, loglik, none, none, [None], sums)[0].baseline(arm)
+    return baseline(CoxFits(snap, beta, info, loglik, none, none, [None], sums), 0, arm)
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
@@ -177,28 +177,28 @@ class TestFit:
     def test_p_zero_pure_baselines(self):
         time = [0.5, 1.0, 1.5, 2.0]
         snap = arrays_snapshot(time, [1, 1, 1, 0], [0, 0, 1, 1], [[]] * 4)
-        fitted = fit(snap)[0]
-        assert fitted.beta.size == 0 and fitted.info.shape == (0, 0)
-        base0 = fitted.baseline(0)
+        fits = fit(snap)
+        assert fits[0].beta.size == 0 and fits[0].info.shape == (0, 0)
+        base0 = baseline(fits, 0, 0)
         assert height(base0, 0.5) == pytest.approx(0.5)
         assert height(base0, 1.0) == pytest.approx(0.5 + 1.0)
-        assert height(fitted.baseline(1), 2.0) == pytest.approx(0.5)
+        assert height(baseline(fits, 0, 1), 2.0) == pytest.approx(0.5)
 
     def test_covariate_shift_invariance(self):
         snap = toy_snapshot()
-        fitted = fit(snap)[0]
+        fits = fit(snap)
         shift = 2.5
         look = snap[0]
         shifted = snapshot_from_arrays(
             np.zeros(look.n), look.time, look.event, look.arm, look.z + shift, u=look.u, tau=look.tau,
         )
-        refitted = fit(shifted)[0]
-        assert refitted.beta[0] == pytest.approx(fitted.beta[0], abs=1e-8)
-        scale = math.exp(-refitted.beta[0] * shift)
+        refits = fit(shifted)
+        assert refits[0].beta[0] == pytest.approx(fits[0].beta[0], abs=1e-8)
+        scale = math.exp(-refits[0].beta[0] * shift)
         for arm in (0, 1):
             t = 1.4
-            assert height(refitted.baseline(arm), t) == pytest.approx(
-                height(fitted.baseline(arm), t) * scale, rel=1e-8
+            assert height(baseline(refits, 0, arm), t) == pytest.approx(
+                height(baseline(fits, 0, arm), t) * scale, rel=1e-8
             )
 
     def test_statsmodels_cross_check(self):
@@ -285,9 +285,9 @@ class TestBreslow:
 
     def test_monotone_and_zero_at_origin(self):
         snap = toy_snapshot()
-        fitted = fit(snap)[0]
+        fits = fit(snap)
         for arm in (0, 1):
-            base = fitted.baseline(arm)
+            base = baseline(fits, 0, arm)
             assert height(base, 0.0) == 0.0
             ts = np.linspace(0.0, 2.0, 50)
             vals = height(base, ts)
@@ -355,10 +355,10 @@ class TestRiskSetSums:
 
     def test_breslow_increments_match_oracle(self):
         snap = toy_snapshot()
-        fitted = fit(snap)[0]
-        look = snap[0]
+        fits = fit(snap)
+        fitted, look = fits[0], snap[0]
         for arm in (0, 1):
-            base = fitted.baseline(arm)
+            base = baseline(fits, 0, arm)
             n_arm = int(np.sum(look.arm == arm))
             events = (look.arm == arm) & (look.event == 1)
             assert base.times.size > 0
@@ -472,7 +472,8 @@ def fit_outcome(fits, k):
         f = fits[k]
     except RmstgstError as exc:
         return type(exc)
-    return (f.beta, f.info, f.loglik, *(b.increments for b in f.baselines), f.iterations, f.step_halvings)
+    return (f.beta, f.info, f.loglik, *(baseline(fits, k, arm).increments for arm in (0, 1)), f.iterations,
+            f.step_halvings)
 
 
 def solo_outcome(trial, u, **kwargs):
@@ -555,13 +556,3 @@ class TestNoNewWarnings:
             warnings.simplefilter("error", RuntimeWarning)
             fitted = fit(snap)[0]
         assert fitted.beta[0] > 100
-
-
-class TestStepFunction:
-    def test_right_continuity_and_bounds(self):
-        fn = StepFunction(np.array([1.0, 2.0]), np.array([0.3, 0.8]))
-        assert height(fn, 0.999999) == 0.0
-        assert height(fn, 1.0) == pytest.approx(0.3)
-        assert height(fn, 1.5) == pytest.approx(0.3)
-        assert height(fn, 2.0) == pytest.approx(1.1)
-        assert height(fn, 99.0) == pytest.approx(1.1)
