@@ -323,6 +323,21 @@ class TestBlockedKernel:
                                            err_msg=name)
             np.testing.assert_allclose(results[name].mu_cond[0], ref.mu_cond[0], rtol=1e-13, err_msg=name)
 
+    def test_one_block_alive_at_a_time(self):
+        # each block is freed before the next is allocated, so many looks peak about as high as the largest alone
+        scn = SimScenario(n_per_arm=200, covariate_strength=math.log(1.5), shape_offset=-0.3)
+        snap = snapshot(draw_trial(scn, _rng_for_replicate(7, 3)), u=np.round(np.arange(10, 31) * 0.1, 10), tau=1.0)
+        fits, looks = fit(snap), np.flatnonzero(snap.events_in_every_stratum()).tolist()
+        peaks = {}
+        for name, chosen in (("largest", looks[-1:]), ("all", looks)):
+            tracemalloc.start()
+            try:
+                adjusted_survival(snap, fits, chosen)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["all"] < 1.4 * peaks["largest"]
+
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)

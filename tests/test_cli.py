@@ -458,9 +458,9 @@ class TestKmCompare:
         assert report["adjusted"]["delta"] != report["km"]["delta"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteAnalysis:
-    """A look whose adjusted information is NaN exits 4 and writes nothing."""
+    """A look whose adjusted information is NaN exits 4 and writes nothing, with no numpy warning first."""
 
     @pytest.fixture()
     def monotone_csv(self, tmp_path):

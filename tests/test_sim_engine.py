@@ -16,8 +16,9 @@ from scipy.stats import norm
 
 from rmstgst import sim_engine
 from rmstgst.adjusted_rmst import analyze
-from rmstgst.errors import ConfigError, EstimationError, InsufficientEventsError
+from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError
 from rmstgst.gs_design import SpendingFunction
+from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import (
     METHODS,
     InformationCalibration,
@@ -38,7 +39,7 @@ from rmstgst.sim_engine import (
     _fixed_test_power,
     _rng_for_replicate,
 )
-from rmstgst.trial_data import snapshot_from_arrays
+from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 LOG15 = math.log(1.5)
@@ -372,6 +373,20 @@ class TestCalibration:
         grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
         assert len(calls) == 100 * len(grid)
         assert {u: calls.count(u) for u in grid} == {u: 100 for u in grid}
+
+    def test_comparator_caps_are_the_solo_trial_end_analyses(self, small_scn, small_calib):
+        # km and cox read the grid snapshot's last look, bit for bit a snapshot of the trial end alone
+        infos = {"km": [], "cox": []}
+        for rep in range(small_calib.reps):
+            trial = draw_trial(small_scn, _rng_for_replicate(small_calib.master_seed, rep))
+            snap = snapshot(trial, u=small_scn.total_duration, tau=small_scn.tau)
+            for method, test in (("km", km_rmst_test), ("cox", cox_hr_test)):
+                try:
+                    infos[method].append(test(snap).info_level)
+                except (DataError, EstimationError):
+                    infos[method].append(np.nan)
+        for method, values in infos.items():
+            assert small_calib.i_max_by_method[method] == float(np.nanmean(values))
 
     def test_information_calibration_needs_reps(self, small_scn):
         with pytest.raises(ConfigError, match="reps"):

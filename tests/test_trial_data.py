@@ -14,6 +14,7 @@ from rmstgst.errors import DataError
 from rmstgst.sim_engine import SimScenario, draw_trial
 from rmstgst.trial_data import (
     CsvSchema,
+    Snapshot,
     Trial,
     ingest_csv,
     snapshot,
@@ -280,6 +281,20 @@ class TestSnapshot:
         snap = snapshot(toy_trial(), u=5.0, tau=2.0)[0]
         assert (snap.arms[0].n, snap.arms[1].n) == (4, 4)
         assert snap.n == 8 and snap.z.shape[1] == 1
+
+    def test_pooled_last_look_lays_out_as_its_own_snapshot(self):
+        # the pooled comparator of a stack's last look is bit for bit that of a snapshot of the look alone
+        scn = SimScenario(n_per_arm=60, covariate_strength=0.5, shape_offset=-0.3)
+        trial = draw_trial(scn, np.random.default_rng(5))
+        grid = np.round(np.arange(1, 31) * 0.1, 10)
+        got = snapshot(trial, u=grid, tau=1.0).pooled(slice(-1, None))
+        want = snapshot(trial, u=grid[-1], tau=1.0).pooled()
+        for name in Snapshot.__slots__:
+            parts = [getattr(s, name) for s in (got, want)]
+            if not isinstance(parts[0], (list, tuple)):  # orders and upper hold several arrays
+                parts = [[part] for part in parts]
+            for a, b in zip(*parts, strict=True):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
 
     def test_standardize_constant_column_rejected(self):
         trial = make_trial((0, 0.0, 1.0, 1, (1.0,)), (1, 0.0, 2.0, 1, (1.0,)))
