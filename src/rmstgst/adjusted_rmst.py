@@ -82,8 +82,8 @@ class AdjustedSurvival:
 def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     """Average conditional survival of each arm over each look's pooled covariates, at looks ``looks``.
 
-    Each look needs an event in each arm and a fit. With no covariates an
-    arm's curve is exactly its exponentiated Nelson-Aalen curve.
+    Each look needs a fit; an arm without events keeps survival 1 and mean tau.
+    With no covariates an arm's curve is exactly its exponentiated Nelson-Aalen curve.
     """
     hazard = _stratum_cumsum(snap, snap.event_counts / fits.risk_sums()[0])
     times, bounds, (rows, p) = snap.event_times, snap.stratum_rows, (snap.event_times.size, snap.z.shape[1])
@@ -96,8 +96,10 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     # c1 and c2 in one product, and times the spans gives both arms' mu_cond
     weights = np.column_stack((np.ones((snap.z.shape[0], 2)), snap.z))
     sums, neg, mu_cond, at = np.full((2 + p, rows), np.nan), -hazard, {}, bounds.tolist()
+    # each stratum's first event time, where its curve leaves 1; tau for a stratum without events
+    firsts = np.where(np.diff(bounds) > 0, np.append(times, snap.tau)[bounds[:-1]], snap.tau).reshape(-1, 2)
     for k in looks:
-        lo, split, hi = at[2 * k:2 * k + 3]
+        lo, hi = at[2 * k], at[2 * k + 2]
         look_w = weights[snap.time[k] >= 0]
         n = look_w.shape[0]
         w = np.exp(look_w[:, 2:] @ fits.beta[k])
@@ -112,9 +114,8 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
             cond_mu[block_rows] = cond @ spans[lo:hi]
             del cond  # freed before the next block is allocated, so one block is alive at a time
         sums[:, lo:hi] = look_sum / n
-        mu_cond[k] = cond_mu + times[[lo, split]]
+        mu_cond[k] = cond_mu + firsts[k]
     mu = np.full((snap.u.size, 2), np.nan)
-    firsts = np.append(times, np.nan)[bounds[:-1]].reshape(-1, 2)
     mu[looks] = (firsts + look_sums(sums[0] * widths, bounds).reshape(-1, 2))[looks]
     return AdjustedSurvival(values=sums[0], hazard=hazard, widths=widths, mu=mu, c1=sums[1], c2=sums[2:].T,
                             mu_cond=mu_cond)

@@ -208,6 +208,14 @@ class TestAdjustedSurvival:
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             assert np.all(np.diff(vals) <= 1e-15)
 
+    def test_no_events_arm_flat_one(self):
+        snap = arrays_snapshot(
+            [0.5, 1.5, 1.0, 2.0], [1, 1, 0, 0], [0, 0, 1, 1], [0.2, -0.1, 0.4, 0.3],
+        )
+        _, adj, _ = stacked(snap)
+        assert np.all(curve(snap, adj, 0, 1)[1] == 1.0)
+        assert adj.mu[0, 1] == pytest.approx(snap.tau)
+
 
 class TestRmst:
     def test_single_event_two_rectangles(self):
@@ -258,6 +266,26 @@ class TestVariance:
         assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-9)
         assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-9)
         assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], abs=1e-12)
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_arm_without_events_matches_literal_recomputation(self, empty):
+        rng = np.random.default_rng(11)
+        arm = np.repeat([0, 1], 40)
+        z = rng.uniform(0.0, 1.0, (arm.size, 1))
+        time = rng.exponential(1.0 / np.exp(0.8 * z[:, 0] - 0.5 * arm))
+        event = (rng.random(arm.size) < 0.8) & (arm != empty)
+        snap = arrays_snapshot(time, event, arm, z)
+        fits, adj, comp = stacked(snap)
+        ref = naive_everything(snap[0], fits.beta[0])
+        assert adj.mu[0, empty] == snap.tau
+        np.testing.assert_allclose(adj.mu[0], [ref[0]["mu"], ref[1]["mu"]], rtol=1e-12)
+        np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=1e-12)
+        assert (comp.b10[0], comp.b11[0])[empty] == 0.0
+        assert (comp.b10[0], comp.b11[0])[1 - empty] == pytest.approx(ref[1 - empty]["b1"], rel=1e-10)
+        psi_diff = ref["psi_diff"]
+        b3 = snap[0].n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
+        assert comp.b3[0] == pytest.approx(b3, rel=1e-10)
+        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-10)
 
     def test_no_covariates_var_cond_zero(self):
         snap = arrays_snapshot(
@@ -465,6 +493,17 @@ class TestStackedLooks:
             for arm in (0, 1):
                 np.testing.assert_array_equal(hazard[arm_rows(analyses.snap, k, arm)],
                                               baseline(analyses.fits, k, arm).values)
+
+    def test_stratum_cumsum_is_each_strata_own_cumsum(self):
+        trial = monotone_trial()
+        snap = snapshot(trial, u=[0.001, 0.12, 0.5, 1.0], tau=1.0)  # empty strata at the first two looks
+        assert not snap.events_in_every_stratum()[:2].any()
+        values = np.random.default_rng(3).uniform(size=(snap.event_times.size, 2))
+        forward = adjusted_rmst._stratum_cumsum(snap, values)
+        backward = adjusted_rmst._stratum_cumsum(snap, values, reverse=True)
+        for lo, hi in zip(snap.stratum_rows[:-1], snap.stratum_rows[1:]):
+            np.testing.assert_array_equal(forward[lo:hi], np.cumsum(values[lo:hi], axis=0))
+            np.testing.assert_array_equal(backward[lo:hi], np.cumsum(values[lo:hi][::-1], axis=0)[::-1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self):
