@@ -67,7 +67,8 @@ class AdjustedSurvival:
     reductions the variance needs are kept: ``c1``/``c2``, the curve
     averages weighted by exp(beta'Z) and exp(beta'Z) Z at each row, and
     ``mu_cond[k]``, the conditional restricted means (n_k, 2) of look k's
-    subjects. Rows and means of looks not analyzed are NaN.
+    subjects. Rows and means of looks not analyzed are NaN. ``risk`` holds
+    the fits' risk sums (r0, r1) at every row, which the variance reuses.
     """
 
     values: np.ndarray
@@ -77,6 +78,7 @@ class AdjustedSurvival:
     c1: np.ndarray = field(repr=False, compare=False)
     c2: np.ndarray = field(repr=False, compare=False)
     mu_cond: dict = field(repr=False, compare=False)
+    risk: tuple = field(repr=False, compare=False)
 
 
 def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
@@ -85,30 +87,34 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     Each look needs a fit; an arm without events keeps survival 1 and mean tau.
     With no covariates an arm's curve is exactly its exponentiated Nelson-Aalen curve.
     """
-    hazard = _stratum_cumsum(snap, snap.event_counts / fits.risk_sums()[0])
-    times, bounds, (rows, p) = snap.event_times, snap.stratum_rows, (snap.event_times.size, snap.z.shape[1])
+    risk = fits.risk_sums()
+    hazard = _stratum_cumsum(snap, snap.event_counts / risk[0])
+    times = snap.event_times
+    bounds = snap.stratum_rows
     ends = np.append(times[1:], snap.tau)
     ends[bounds[1:][np.diff(bounds) > 0] - 1] = snap.tau  # a stratum's last row runs to tau
     widths = ends - times
-    spans = np.zeros((rows, 2))  # each row's width in its arm's column
-    spans[np.arange(rows), snap.event_stratum % 2] = widths
+    spans = np.zeros((times.size, 2))  # each row's width in its arm's column
+    spans[np.arange(times.size), snap.event_stratum % 2] = widths
     # a block's conditional survival times the rows [1, w, w*z] sums the curve,
     # c1 and c2 in one product, and times the spans gives both arms' mu_cond
     weights = np.column_stack((np.ones((snap.z.shape[0], 2)), snap.z))
-    sums, neg, mu_cond, at = np.full((2 + p, rows), np.nan), -hazard, {}, bounds.tolist()
+    sums = np.full((weights.shape[1], times.size), np.nan)
+    mu_cond = {}
     # each stratum's first event time, where its curve leaves 1; tau for a stratum without events
     firsts = np.where(np.diff(bounds) > 0, np.append(times, snap.tau)[bounds[:-1]], snap.tau).reshape(-1, 2)
     for k in looks:
-        lo, hi = at[2 * k], at[2 * k + 2]
+        lo, hi = bounds[2 * k:2 * k + 3:2].tolist()
         look_w = weights[snap.time[k] >= 0]
         n = look_w.shape[0]
         w = np.exp(look_w[:, 2:] @ fits.beta[k])
         look_w[:, 1:] *= w[:, None]
-        look_sum, cond_mu = np.zeros((2 + p, hi - lo)), np.empty((n, 2))
+        look_sum = np.zeros((weights.shape[1], hi - lo))
+        cond_mu = np.empty((n, 2))
         block = max(1, _BLOCK_CELLS // (hi - lo))
         for start in range(0, n, block):
             block_rows = slice(start, start + block)
-            cond = np.multiply.outer(w[block_rows], neg[lo:hi])
+            cond = np.multiply.outer(-w[block_rows], hazard[lo:hi])
             np.exp(cond, out=cond)
             look_sum += look_w[block_rows].T @ cond
             cond_mu[block_rows] = cond @ spans[lo:hi]
@@ -118,7 +124,7 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     mu = np.full((snap.u.size, 2), np.nan)
     mu[looks] = (firsts + look_sums(sums[0] * widths, bounds).reshape(-1, 2))[looks]
     return AdjustedSurvival(values=sums[0], hazard=hazard, widths=widths, mu=mu, c1=sums[1], c2=sums[2:].T,
-                            mu_cond=mu_cond)
+                            mu_cond=mu_cond, risk=risk)
 
 
 @dataclass(frozen=True)
@@ -153,13 +159,16 @@ class VarianceComponents:
 def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceComponents:
     """Variance components of the adjusted RMST difference at each look ``adj`` analyzed; NaN at the others.
 
-    Expects ``adj`` built from the same fits and snapshot. A look's total
-    ``v_eta2`` scales its estimate's variance as ``v_eta2 / n``.
+    Expects ``adj`` built from the same fits and snapshot, whose risk sums
+    it reuses. A look's total ``v_eta2`` scales its estimate's variance as
+    ``v_eta2 / n``.
     """
     looks = list(adj.mu_cond)
-    bounds, d, arm_n = snap.stratum_rows, snap.event_counts, snap.stratum_n
+    bounds = snap.stratum_rows
+    d = snap.event_counts
+    arm_n = snap.stratum_n
     n = arm_n.reshape(-1, 2).sum(axis=1)
-    r0, r1 = fits.risk_sums()
+    r0, r1 = adj.risk
     gamma_inc = arm_n[snap.event_stratum] * d / r0**2
     q = _stratum_cumsum(snap, d[:, None] * r1 / (r0**2)[:, None])
     psi = look_sums(((adj.c1[:, None] * q - adj.hazard[:, None] * adj.c2) * adj.widths[:, None]).T, bounds)
@@ -167,7 +176,8 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
     b1 = ((np.repeat(n, 2) / arm_n) * look_sums(gamma_inc * tail**2, bounds)).reshape(-1, 2)
     psi_diff = (psi[:, 1::2] - psi[:, ::2]).T[looks]
     out = np.full((4, n.size), np.nan)  # b10, b11, b3 and var_cond of each look
-    out[:2, looks], out[2, looks] = b1[looks].T, 0.0
+    out[:2, looks] = b1[looks].T
+    out[2, looks] = 0.0
     if psi_diff.size:
         solved = np.linalg.solve(fits.info[looks], psi_diff[:, :, None])[:, :, 0]
         out[2, looks] = (n[looks, None] * psi_diff * solved).sum(axis=1)
@@ -235,11 +245,13 @@ class AnalysisResult:
 
 def _events_error(snap: Snapshot, k: int) -> InsufficientEventsError | None:
     """The error of look ``k`` if one of its arms has no event by min(u, tau), else None."""
-    empty, u = np.flatnonzero(np.diff(snap.stratum_rows[2 * k:2 * k + 3]) == 0).tolist(), float(snap.u[k])
-    return InsufficientEventsError(f"arm {empty[0]} has no events at or before min(u, tau)={min(u, snap.tau)}; "
+    empty = np.flatnonzero(np.diff(snap.stratum_rows[2 * k:2 * k + 3]) == 0).tolist()
+    t_max = min(float(snap.u[k]), snap.tau)
+    return InsufficientEventsError(f"arm {empty[0]} has no events at or before min(u, tau)={t_max}; "
                                    "the analysis needs at least one per arm") if empty else None
 
 
+@dataclass(frozen=True, eq=False)
 class AdjustedAnalyses:
     """Every look's adjusted analysis of one snapshot, from one stacked pass.
 
@@ -248,17 +260,22 @@ class AdjustedAnalyses:
     look k from one, as a snapshot of that look alone would.
     """
 
-    def __init__(self, snap: Snapshot, fits: CoxFits, errors: list, mu: np.ndarray, components: VarianceComponents):
-        self.snap, self.fits, self.errors, self.mu, self.components = snap, fits, errors, mu, components
+    snap: Snapshot
+    fits: CoxFits
+    errors: list
+    mu: np.ndarray
+    components: VarianceComponents = field(repr=False)
 
     def __getitem__(self, k: int) -> AnalysisResult:
         if self.errors[k] is not None:  # a copy, so no traceback ties the error to these analyses
             raise copy.copy(self.errors[k])
-        c, (mu0, mu1), n = self.components, self.mu[k].tolist(), self.snap.stratum_n[2 * k:2 * k + 2].tolist()
+        c = self.components
+        mu0, mu1 = self.mu[k].tolist()
+        n = int(self.snap.stratum_n[2 * k:2 * k + 2].sum())
         comp = VarianceComponents(*(float(a[k]) for a in (c.b10, c.b11, c.b3, c.var_cond)))
         return AnalysisResult(
             method="adjusted", u=float(self.snap.u[k]), tau=self.snap.tau, delta=mu1 - mu0,
-            info_level=(n[0] + n[1]) / comp.v_eta2, mu0=mu0, mu1=mu1, components=comp,
+            info_level=n / comp.v_eta2, mu0=mu0, mu1=mu1, components=comp,
             diagnostics={"iterations": int(self.fits.look_iterations[k]),
                          "step_halvings": int(self.fits.step_halvings[k])},
         )

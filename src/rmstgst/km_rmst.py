@@ -73,8 +73,8 @@ def km_rmst(curve: KmCurve) -> tuple[float, float]:
     return mu, var
 
 
-def km_rmst_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
-    """Two-arm unadjusted RMST difference at look ``k``, independent-arm variance; ``fits`` is unused.
+def km_rmst_test(snap: Snapshot, k: int = 0) -> AnalysisResult:
+    """Two-arm unadjusted RMST difference at look ``k``, independent-arm variance.
 
     Returns the ``"km"`` :class:`AnalysisResult`, with arm means and no
     variance components.

@@ -294,30 +294,34 @@ def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0))
     return root
 
 
-def cox_hr_test(snap: Snapshot, fits=None, k: int = 0) -> AnalysisResult:
+def cox_hr_test(snap: Snapshot, k: int = 0, fits=None, at: int | None = None) -> AnalysisResult:
     """Wald test of no treatment effect in an unstratified hazards model, at look ``k``.
 
-    Tests the treatment coefficient of ``snap.pooled()``'s fit (``fits``,
-    or of its last looks: ``snap.pooled(looks)``'s), one stratum with the
-    arm prepended to the covariates and the event horizon min(u, tau) of
-    the restricted-mean analyses. Returns the ``"cox"``
-    :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
+    Tests the treatment coefficient of look k's fit of ``snap.pooled()``,
+    one stratum with the arm prepended to the covariates and the event
+    horizon min(u, tau) of the restricted-mean analyses: ``fits[at]``
+    when ``fits`` is given, else fitted here. Returns the
+    ``"cox"`` :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
     """
     if error := _events_error(snap, k):
         raise error
-    fits = cox_fit(snap.pooled()) if fits is None else fits
-    fitted = fits[k - snap.u.size + fits.snap.u.size]
+    fitted = cox_fit(snap.pooled())[k] if fits is None else fits[at]
     cov = np.linalg.inv(fitted.info)
     return AnalysisResult(method="cox", u=float(snap.u[k]), tau=snap.tau, delta=float(fitted.beta[0]),
                           info_level=1 / cov[0, 0])
 
 
-# ``METHODS[m](snap, looks)(k)``: look k's result by method m, one of ``looks`` (a slice ending at the last
-# look), each snapshot fitted once for those looks with events in both arms
-METHODS = {"adjusted": lambda snap, looks: analyze(snap).__getitem__,
-           "km": lambda snap, looks: partial(km_rmst_test, snap, None),
-           "cox": lambda snap, looks: partial(cox_hr_test, snap, cox_fit(
-               snap.pooled(looks), looks=snap.events_in_every_stratum()[looks]))}
+def _pooled_cox(snap: Snapshot, first: int):
+    """Cox results by look, from one fit of the pooled looks ``first`` on that have events in both arms."""
+    fits = cox_fit(snap.pooled(slice(first, None)), looks=snap.events_in_every_stratum()[first:])
+    return lambda k: cox_hr_test(snap, k, fits, k - first)
+
+
+# ``METHODS[m](snap, first)(k)``: look k's result by method m; ``first``, the first look asked for, limits
+# only the pooled Cox fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
+METHODS = {"adjusted": lambda snap, first: analyze(snap).__getitem__,
+           "km": lambda snap, first: partial(km_rmst_test, snap),
+           "cox": _pooled_cox}
 
 
 @dataclass(frozen=True)
@@ -379,7 +383,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     grid[-1] = total
     comparators = tuple(m for m in METHODS if m != "adjusted")
     infos, _ = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), tuple(METHODS), comparators),
+        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), ("adjusted", *comparators), comparators),
     )
     rows, finals = infos[:, :, 0], infos[:, -1, 1:]
     ok = np.sum(~np.isnan(rows), axis=0)
@@ -510,9 +514,9 @@ def _study_worker(args):
         except DataError:
             continue
         for m, method in enumerate(methods):
-            looks = slice(len(times) - 1 if method in last_only else 0, len(times))
-            analysis = METHODS[method](snap, looks)
-            for k in range(len(times))[looks]:
+            first = len(times) - 1 if method in last_only else 0
+            analysis = METHODS[method](snap, first)
+            for k in range(first, len(times)):
                 try:
                     r = analysis(k)
                 except (DataError, EstimationError):

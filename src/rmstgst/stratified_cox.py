@@ -58,9 +58,9 @@ class CoxFits:
     def iterations(self) -> int:
         return int(sum(it for it, err in zip(self.look_iterations.tolist(), self.errors) if err is None))
 
-    def risk_sums(self, rows=slice(None)):
-        """Risk-set sums of exp(beta'Z) and exp(beta'Z) Z (rows, p) at the snapshot's event ``rows``."""
-        r0, e, shift = (a[..., rows] for a in self.sums)
+    def risk_sums(self):
+        """Risk-set sums of exp(beta'Z) and exp(beta'Z) Z (rows, p) at every event row of the snapshot."""
+        r0, e, shift = self.sums
         # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
         r0 = np.exp(np.log(r0) + shift)
         return r0, (e * r0).T

@@ -44,7 +44,7 @@ def baseline(fits, k, arm):
     (each event row's count over its risk sum) and cumulative ``values``."""
     lo, split, hi = fits.snap.look_bounds(k)
     rows = slice(lo, split) if arm == 0 else slice(split, hi)
-    increments = fits.snap.event_counts[rows] / fits.risk_sums(rows)[0]
+    increments = fits.snap.event_counts[rows] / fits.risk_sums()[0][rows]
     return SimpleNamespace(times=fits.snap.event_times[rows], increments=increments, values=np.cumsum(increments))
 
 

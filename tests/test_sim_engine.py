@@ -420,7 +420,7 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            res = run(snap, slice(None))(0)
+            res = run(snap, 0)(0)
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0
