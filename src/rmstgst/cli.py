@@ -104,8 +104,22 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _print(text: str) -> None:
+    """Print a line to stdout at once; if its reader has gone, send it and all later output to os.devnull.
+
+    A closed pipe (``rmstgst ... | head -c 1``) is not the command's failure:
+    the command runs on, and exits with its own code.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the unwritten rest, flushed at exit, goes there too
+        os.close(devnull)
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _spending_from_args(args) -> SpendingFunction:
@@ -136,7 +150,7 @@ def cmd_design(args) -> int:
     schedule = boundaries(spending, fractions)
     if args.out:
         _write_json(args.out, design.to_dict())
-    print(_boundary_table(schedule))
+    _print(_boundary_table(schedule))
     if not args.out:
         _print_json(design.to_dict())
     return 0
@@ -146,7 +160,7 @@ def cmd_boundaries(args) -> int:
     spending = _spending_from_args(args)
     fractions = _parse_fractions(args.fractions)
     schedule = boundaries(spending, fractions)
-    print(_boundary_table(schedule))
+    _print(_boundary_table(schedule))
     if args.out:
         _write_json(args.out, schedule.to_dict())
     return 0
@@ -341,7 +355,7 @@ def cmd_simulate(args) -> int:
     sim_scn = _resolve_effect(scn, calib_doc, args.effect)
     oc = run_study(
         sim_scn, design.spending, calib, reps=args.reps, methods=methods,
-        master_seed=args.seed, threads=args.threads, collect_estimates=(args.reps == 1),
+        master_seed=args.seed, threads=args.threads,
     )
 
     def write_csv(name: str, header: str, rows) -> str:
@@ -385,9 +399,9 @@ def cmd_simulate(args) -> int:
     }
     _write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
 
-    print(f"{'method':<9} {'stage':>5} {'cum_rejection':>14} {'mc_se':>9}")
+    _print(f"{'method':<9} {'stage':>5} {'cum_rejection':>14} {'mc_se':>9}")
     for row in oc.to_rows():
-        print(
+        _print(
             f"{row['method']:<9} {row['stage']:>5} "
             f"{row['cumulative_rejection']:>14.4f} {row['mc_se']:>9.4f}"
         )

@@ -3,81 +3,32 @@
 The benchmark the adjusted analysis is measured against: product-limit
 curves per arm, restricted means by rectangle sums on [0, tau], and the
 classical variance built from remaining-area weights, with the arms
-treated as independent.
+treated as independent. Each arm's curve is read straight off the
+snapshot's event rows of that (look, arm) stratum: its distinct event
+times up to min(u, tau), their event counts and risk-set sizes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .adjusted_rmst import AnalysisResult, _events_error
 from .errors import InsufficientEventsError
-from .trial_data import Look, Snapshot
+from .trial_data import Snapshot
 
-__all__ = ["KmCurve", "km_fit", "km_rmst", "km_rmst_test"]
-
-
-@dataclass(frozen=True)
-class KmCurve:
-    """Product-limit estimate for one arm, tracked to the snapshot horizon.
-
-    Arrays are indexed by the arm's distinct event times at or below
-    tau: ``at_risk`` counts subjects with follow-up reaching each time,
-    ``events`` the events there, ``survival`` the post-drop curve value.
-    """
-
-    arm: int
-    tau: float
-    times: np.ndarray
-    at_risk: np.ndarray
-    events: np.ndarray
-    survival: np.ndarray
-
-
-def km_fit(snap: Look, arm: int) -> KmCurve:
-    """Kaplan-Meier curve for one arm of a look, horizon ``tau``, from its ``arms`` layout."""
-    data = snap.arms[arm]
-    return KmCurve(
-        arm=arm,
-        tau=snap.tau,
-        times=data.event_times,
-        at_risk=data.at_risk.astype(np.int64),
-        events=data.event_counts.astype(np.int64),
-        survival=np.cumprod(1.0 - data.event_counts / data.at_risk),
-    )
-
-
-def km_rmst(curve: KmCurve) -> tuple[float, float]:
-    """Restricted mean and its variance for one Kaplan-Meier curve.
-
-    The mean is the rectangle sum of the step curve from 0 to tau
-    (unit height before the first event). The variance weights each
-    event time's hazard noise d/(y(y-d)) by the squared area remaining
-    under the curve from that time to tau; a time where the risk set is
-    exhausted leaves no remaining area and contributes nothing.
-    """
-    tau = curve.tau
-    te = curve.times
-    if te.size == 0:
-        return tau, 0.0
-    widths = np.diff(np.append(te, tau))
-    mu = float(te[0] + curve.survival @ widths)
-    remaining = np.cumsum((curve.survival * widths)[::-1])[::-1]
-    y = curve.at_risk.astype(np.float64)
-    d = curve.events.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        noise = np.where(y > d, d / (y * (y - d)), 0.0)
-    var = float(np.sum(remaining**2 * noise))
-    return mu, var
+__all__ = ["km_rmst_test"]
 
 
 def km_rmst_test(snap: Snapshot, k: int = 0) -> AnalysisResult:
     """Two-arm unadjusted RMST difference at look ``k``, independent-arm variance.
 
-    Returns the ``"km"`` :class:`AnalysisResult`, with arm means and no
-    variance components.
+    Each arm's mean is the rectangle sum of its product-limit curve from 0
+    to tau (unit height before the first event). Its variance weights
+    each event time's hazard noise d/(y(y-d)) by the squared area
+    remaining under the curve from that time to tau; a time where the
+    risk set is exhausted leaves no remaining area and contributes
+    nothing. Returns the ``"km"`` :class:`AnalysisResult`, with arm means
+    and no variance components.
 
     Raises:
         InsufficientEventsError: an arm has no event at or before
@@ -86,11 +37,19 @@ def km_rmst_test(snap: Snapshot, k: int = 0) -> AnalysisResult:
     """
     if error := _events_error(snap, k):
         raise error
-    look = snap[k]
-    mu0, var0 = km_rmst(km_fit(look, 0))
-    mu1, var1 = km_rmst(km_fit(look, 1))
-    var = var0 + var1
+    means, var = [], 0.0
+    rows = snap.stratum_rows[2 * k:2 * k + 3].tolist()
+    for lo, hi in zip(rows, rows[1:]):
+        times, d, y = snap.event_times[lo:hi], snap.event_counts[lo:hi], snap.at_risk[lo:hi]
+        survival = np.cumprod(1.0 - d / y)
+        widths = np.diff(np.append(times, snap.tau))
+        means.append(float(times[0] + survival @ widths))
+        remaining = np.cumsum((survival * widths)[::-1])[::-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            noise = np.where(y > d, d / (y * (y - d)), 0.0)
+        var += float(np.sum(remaining**2 * noise))
     if var <= 0:
         raise InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
-    return AnalysisResult(method="km", u=look.u, tau=look.tau, delta=mu1 - mu0, info_level=1.0 / var,
+    mu0, mu1 = means
+    return AnalysisResult(method="km", u=float(snap.u[k]), tau=snap.tau, delta=mu1 - mu0, info_level=1.0 / var,
                           mu0=mu0, mu1=mu1)

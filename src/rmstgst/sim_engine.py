@@ -8,10 +8,10 @@ staggered uniformly over the accrual window and the trial locks at
 ``accrual + tau``, giving every subject the full horizon of potential
 follow-up.
 
-True restricted means and the average hazard ratio mix the covariates
-out over fixed atoms (Gauss-Hermite nodes or the Bernoulli support) and
-integrate over [0, tau] on one fixed Gauss-Legendre rule, graded toward 0
-by t = tau * s**4 so the survival curve of a Weibull shape below 1 is
+True restricted means mix the covariates out over fixed atoms
+(Gauss-Hermite nodes or the Bernoulli support) and integrate over
+[0, tau] on one fixed Gauss-Legendre rule, graded toward 0 by
+t = tau * s**4 so the survival curve of a Weibull shape below 1 is
 smooth in s.
 
 Calibration runs in three steps: bisect for the treatment rate offset
@@ -49,7 +49,6 @@ __all__ = [
     "true_rmst",
     "true_survival",
     "hazard_ratio",
-    "average_hazard_ratio",
     "calibrate_null",
     "calibrate_information",
     "calibrate_power",
@@ -213,32 +212,6 @@ def hazard_ratio(scn: SimScenario, t) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     lead = (scn.arm_shape(1) / scn.arm_shape(0)) * math.exp(scn.log_rate_ratio)
     return lead * t**scn.shape_offset
-
-
-def average_hazard_ratio(scn: SimScenario) -> float:
-    """Event-weighted mean hazard ratio over [0, tau].
-
-    Weights are the density of events observed by the end of the trial:
-    arm-mixed (1:1) event densities thinned by the censoring survival
-    function. Administrative censoring never bites inside [0, tau]
-    because the lock sits at accrual + tau. One number cannot summarize
-    a crossing hazard ratio. Near 0 the weighted integrand behaves like
-    t**(m - 1), m = min(shape0, shape1, 2*shape1 - shape0), and the
-    graded rule loses digits as m falls below 1: relative error about
-    1e-9 at m = 0.6 and 4e-5 at m = 0.3. At m <= 0 the integral diverges
-    and the value is ``inf``.
-    """
-    if 2.0 * scn.arm_shape(1) - scn.arm_shape(0) <= 0:
-        return math.inf
-    atoms, weights = _covariate_atoms(scn.covariates)
-    s, w = _time_rule()
-    t = scn.tau * s[:, None]
-    dens = 0.0
-    for arm in (0, 1):
-        shape, rates = scn.arm_shape(arm), _atom_rates(scn, arm, atoms)
-        dens = dens + (rates * shape * t ** (shape - 1.0) * np.exp(-rates * t**shape)) @ weights
-    weighted = w * dens * np.exp(-scn.censoring_rate * t[:, 0])
-    return float(weighted @ hazard_ratio(scn, t[:, 0]) / weighted.sum())
 
 
 def _draw_covariates(scn: SimScenario, n: int, rng) -> np.ndarray:
@@ -483,9 +456,8 @@ class OperatingCharacteristics:
     cumulative_rejection: dict[str, tuple[float, ...]]
     mc_se: dict[str, tuple[float, ...]]
     failures: dict[str, int]
-    first_rejection_stage: dict[str, np.ndarray] = field(repr=False)
-    estimates: dict[str, np.ndarray] | None = field(repr=False, default=None)
-    info_levels: dict[str, np.ndarray] | None = field(repr=False, default=None)
+    estimates: dict[str, np.ndarray] = field(repr=False)
+    info_levels: dict[str, np.ndarray] = field(repr=False)
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -546,7 +518,7 @@ def _map_replicates(worker, scn, master_seed, reps, threads, extra=()):
 
 def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCalibration,
               reps: int = 2000, methods=("adjusted",), master_seed: int = 0,
-              threads: int = 1, collect_estimates: bool = False) -> OperatingCharacteristics:
+              threads: int = 1) -> OperatingCharacteristics:
     """Simulate the scenario and monitor every replicate to a decision.
 
     Each replicate is analyzed at the calibrated calendar times with
@@ -572,7 +544,7 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     infos, deltas = _map_replicates(
         _study_worker, scn, master_seed, reps, threads, extra=(times, methods, ()),
     )
-    cumulative, mc_se, failures, first_stage = {}, {}, {}, {}
+    cumulative, mc_se, failures = {}, {}, {}
     for m, method in enumerate(methods):
         design = DesignConfig(spending=spending, planned_fractions=scn.fractions,
                               i_max=calib.i_max_by_method[method])
@@ -591,16 +563,15 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
                 if state.analyses[-1].decision == "reject":
                     firsts[rep] = k + 1
                     break
-        first_stage[method] = firsts
         rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
         failures[method] = fail_count
     return OperatingCharacteristics(
         scenario=scn, methods=methods, analysis_times=times, reps=reps, master_seed=master_seed,
-        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures, first_rejection_stage=first_stage,
-        estimates={m: deltas[:, :, i] for i, m in enumerate(methods)} if collect_estimates else None,
-        info_levels={m: infos[:, :, i] for i, m in enumerate(methods)} if collect_estimates else None,
+        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures,
+        estimates={m: deltas[:, :, i] for i, m in enumerate(methods)},
+        info_levels={m: infos[:, :, i] for i, m in enumerate(methods)},
     )
 
 

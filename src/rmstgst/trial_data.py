@@ -11,7 +11,9 @@ and setting aside subjects not yet enrolled. Follow-up can only be
 shortened this way; a trial carries no information beyond its own lock.
 A snapshot's arrays carry a leading look axis, and one risk-set layout
 covers every look, so a trial's L looks are analyzed in one pass; one
-look (the CLI's) is the case L = 1.
+look (the CLI's) is the case L = 1. The Cox fit, the adjusted pass and
+Kaplan-Meier all read a look's strata of that layout, Kaplan-Meier only
+their event rows.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .records import Record, list_of, optional, string
 
-__all__ = ["Trial", "CsvSchema", "Snapshot", "Look", "ingest_csv", "snapshot", "snapshot_from_arrays",
+__all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays",
            "standardize_covariates"]
 
 
@@ -227,50 +228,27 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
 
 
-class _Arm(NamedTuple):
-    """One arm's rows of a look's risk-set layout, one per distinct event time."""
-
-    n: int
-    event_times: np.ndarray
-    event_counts: np.ndarray
-    at_risk: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Look:
-    """One look of a snapshot: its subjects in trial order, and each arm's event rows."""
-
-    u: float
-    tau: float
-    n: int
-    arm: np.ndarray
-    time: np.ndarray
-    event: np.ndarray
-    z: np.ndarray
-    arms: tuple[_Arm, _Arm]
-
-
 class Snapshot:
     """A trial as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
 
     Holds the trial's ``arm`` and covariates ``z`` (n, p) and, per look,
     shape (L, n), the capped follow-up ``time`` (-1 before entry) and
-    ``event``; ``snap[k]`` is look k. One risk-set layout of all looks
-    serves the Cox fit, the variance and Kaplan-Meier: each (look, arm) is
-    a stratum, look-major, holding the arm's subjects by capped follow-up
-    (one stable sort per arm), those not yet enrolled first, front-padded
-    to the larger arm's size m. ``risk_cols`` stores the columns ``[1, z,
-    z (x) z]``, the last as its upper triangle, of the s strata longest
-    follow-up first, (s, columns, m), zero on padding, so one cumulative
-    sum along the last axis gives every risk-set sum without crossing a
-    stratum; ``risk_z`` (s, p, m) repeats a real subject on padding so
-    each stratum's largest linear predictor is real. Event rows, one per
-    stratum and distinct event time up to ``min(u, tau)``, carry
-    ``event_stratum``, ``event_times``, ``event_counts``, ``at_risk`` and
-    ``risk_index``, their places in the flattened sum; stratum j owns rows
-    ``stratum_rows[j:j + 2]``, look k ``look_rows[k:k + 2]``;
-    ``event_z_total`` sums each look's event covariates; ``upper`` indexes
-    the upper triangle of a p x p matrix.
+    ``event``. One risk-set layout of all looks serves the Cox fit, the
+    variance and Kaplan-Meier, which reads only the event rows: each
+    (look, arm) is a stratum, look-major, holding the arm's subjects by
+    capped follow-up (one stable sort per arm), those not yet enrolled
+    first, front-padded to the larger arm's size m. ``risk_cols`` stores
+    the columns ``[1, z, z (x) z]``, the last as its upper triangle, of
+    the s strata longest follow-up first, (s, columns, m), zero on
+    padding, so one cumulative sum along the last axis gives every
+    risk-set sum without crossing a stratum; ``risk_z`` (s, p, m) repeats
+    a real subject on padding so each stratum's largest linear predictor
+    is real. Event rows, one per stratum and distinct event time up to
+    ``min(u, tau)``, carry ``event_stratum``, ``event_times``,
+    ``event_counts``, ``at_risk`` and ``risk_index``, their places in the
+    flattened sum; stratum j owns rows ``stratum_rows[j:j + 2]``, look k
+    ``look_rows[k:k + 2]``; ``event_z_total`` sums each look's event
+    covariates; ``upper`` indexes the upper triangle of a p x p matrix.
     """
 
     __slots__ = ("u", "tau", "arm", "time", "event", "z", "orders", "stratum_n", "risk_z", "risk_cols",
@@ -326,23 +304,9 @@ class Snapshot:
         c = self.risk_cols.shape[1]
         self.risk_index = np.add.outer(np.arange(c) * m - 1, self.event_stratum * (c * m) + self.at_risk)
 
-    def look_bounds(self, k: int) -> tuple[int, int, int]:
-        """Where look ``k``'s event rows start, where its arm 1's start (none if pooled) and where they end."""
-        g = len(self.orders)
-        return tuple(self.stratum_rows[[k * g, k * g + 1, k * g + g]].tolist())
-
     def events_in_every_stratum(self) -> np.ndarray:
         """Per look, whether each of its strata (each arm, or a pooled look's one) has an event by ``min(u, tau)``."""
         return (np.diff(self.stratum_rows).reshape(-1, len(self.orders)) > 0).all(axis=1)
-
-    def __getitem__(self, k: int) -> Look:
-        g, bounds = len(self.orders), self.look_bounds(k)
-        ns = self.stratum_n[k * g:(k + 1) * g].tolist() + [0]  # subjects of arms 0 and 1
-        arms = tuple(_Arm(ns[a], self.event_times[lo:hi], self.event_counts[lo:hi], self.at_risk[lo:hi])
-                     for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-        idx = np.flatnonzero(self.time[k] >= 0)
-        return Look(float(self.u[k]), self.tau, ns[0] + ns[1], self.arm[idx], self.time[k, idx],
-                    self.event[k, idx], self.z[idx], arms)
 
     def pooled(self, looks=slice(None)) -> Snapshot:
         """The ``looks`` slice, both arms in one stratum each (the arms' sorts merged) and the arm prepended to z."""

@@ -39,11 +39,24 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def enrolled(snap, k=0):
+    """Look k's enrolled subjects in trial order: ``arm``, ``time``, ``event``, ``z`` and their count ``n``,
+    with the look's ``u`` and ``tau``."""
+    idx = np.flatnonzero(snap.time[k] >= 0)
+    return SimpleNamespace(u=float(snap.u[k]), tau=snap.tau, n=idx.size, arm=snap.arm[idx], time=snap.time[k, idx],
+                           event=snap.event[k, idx], z=snap.z[idx])
+
+
+def arm_rows(snap, k, arm):
+    """The event rows of look k's arm, as a slice; a pooled look's one stratum is arm 0's."""
+    g = len(snap.orders)  # a look's strata: one per arm, or a pooled look's one
+    return slice(*snap.stratum_rows[[k * g + min(arm, g), k * g + min(arm + 1, g)]].tolist())
+
+
 def baseline(fits, k, arm):
     """Look k's Breslow cumulative baseline hazard of one arm: its jump ``times``, ``increments``
     (each event row's count over its risk sum) and cumulative ``values``."""
-    lo, split, hi = fits.snap.look_bounds(k)
-    rows = slice(lo, split) if arm == 0 else slice(split, hi)
+    rows = arm_rows(fits.snap, k, arm)
     increments = fits.snap.event_counts[rows] / fits.risk_sums()[0][rows]
     return SimpleNamespace(times=fits.snap.event_times[rows], increments=increments, values=np.cumsum(increments))
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import baseline, height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import arm_rows, baseline, enrolled, height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,12 +129,6 @@ def stacked(snap, k=0):
     return fits, adj, variance(snap, fits, adj)
 
 
-def arm_rows(snap, k, arm):
-    """The event rows of look k's arm."""
-    lo, split, hi = snap.look_bounds(k)
-    return slice(lo, split) if arm == 0 else slice(split, hi)
-
-
 def curve(snap, adj, k, arm):
     """Look k's adjusted curve of one arm as a step function on [0, tau]: (grid, values)."""
     rows = arm_rows(snap, k, arm)
@@ -193,7 +187,7 @@ class TestAdjustedSurvival:
     def test_double_sum_average_oracle(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
         fits, adj, _ = stacked(snap)
-        ref = naive_everything(snap[0], fits.beta[0])
+        ref = naive_everything(enrolled(snap), fits.beta[0])
         for arm in (0, 1):
             grid, values = curve(snap, adj, 0, arm)
             np.testing.assert_allclose(grid, ref[arm]["grid"], atol=1e-12)
@@ -241,7 +235,7 @@ class TestVariance:
     def test_all_pieces_match_literal_recomputation(self):
         snap = toy_snapshot(u=5.0, tau=2.0)
         fits, adj, comp = stacked(snap)
-        look = snap[0]
+        look = enrolled(snap)
         ref = naive_everything(look, fits.beta[0])
         assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-10)
         assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-10)
@@ -261,7 +255,7 @@ class TestVariance:
         )
         snap = sim_snapshot(scn, seed=3, u=2.4)
         fits, adj, comp = stacked(snap)
-        ref = naive_everything(snap[0], fits.beta[0])
+        ref = naive_everything(enrolled(snap), fits.beta[0])
         assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-9)
         assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-9)
         assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-9)
@@ -276,14 +270,14 @@ class TestVariance:
         event = (rng.random(arm.size) < 0.8) & (arm != empty)
         snap = arrays_snapshot(time, event, arm, z)
         fits, adj, comp = stacked(snap)
-        ref = naive_everything(snap[0], fits.beta[0])
+        ref = naive_everything(enrolled(snap), fits.beta[0])
         assert adj.mu[0, empty] == snap.tau
         np.testing.assert_allclose(adj.mu[0], [ref[0]["mu"], ref[1]["mu"]], rtol=1e-12)
         np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=1e-12)
         assert (comp.b10[0], comp.b11[0])[empty] == 0.0
         assert (comp.b10[0], comp.b11[0])[1 - empty] == pytest.approx(ref[1 - empty]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
-        b3 = snap[0].n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
+        b3 = enrolled(snap).n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
         assert comp.b3[0] == pytest.approx(b3, rel=1e-10)
         assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-10)
 
@@ -316,7 +310,7 @@ class TestBlockedKernel:
     ], ids=["partial-last-block", "no-covariates", "event-at-tau"])
     def test_matches_literal_recomputation(self, snap):
         fits, adj, comp = stacked(snap)
-        look = snap[0]
+        look = enrolled(snap)
         ref = naive_everything(look, fits.beta[0])
         rel = 1e-12
         for arm in (0, 1):
@@ -341,7 +335,7 @@ class TestBlockedKernel:
         fits = fit(snap)
         r = snap.event_times.size  # both arms' rows
         results = {}
-        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", snap[0].n * r)):
+        for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", enrolled(snap).n * r)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
             results[name] = adjusted_survival(snap, fits, [0])
         ref = results["one row"]
@@ -376,7 +370,7 @@ class TestBlockedKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < snap[0].n * r * 8 / 4
+        assert peak < enrolled(snap).n * r * 8 / 4
 
 
 class TestAnalyze:
@@ -414,10 +408,10 @@ class TestAnalyze:
         snap = toy_snapshot()
         result = analyze(snap)[0]
         assert result.se == pytest.approx(
-            math.sqrt(result.components.v_eta2 / snap[0].n), rel=1e-12
+            math.sqrt(result.components.v_eta2 / enrolled(snap).n), rel=1e-12
         )
         assert result.z == pytest.approx(result.delta / result.se, rel=1e-12)
-        assert result.info_level == pytest.approx(snap[0].n / result.components.v_eta2, rel=1e-12)
+        assert result.info_level == pytest.approx(enrolled(snap).n / result.components.v_eta2, rel=1e-12)
 
     def test_unbiased_at_trial_end(self):
         scn = SimScenario(
@@ -455,7 +449,7 @@ class TestAnalyze:
         snap = sim_snapshot(scn, seed=77)
         result = analyze(snap)[0]
         rng = np.random.default_rng(123)
-        look = snap[0]
+        look = enrolled(snap)
         arm, time, event, z = look.arm, look.time, look.event, look.z
         idx0 = np.flatnonzero(arm == 0)
         idx1 = np.flatnonzero(arm == 1)

@@ -458,6 +458,35 @@ class TestKmCompare:
         assert report["adjusted"]["delta"] != report["km"]["delta"]
 
 
+def run_with_closed_stdout(*argv):
+    """Run ``rmstgst`` in a child whose stdout has no reader left; return its exit code and stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "rmstgst", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader goes before the child writes, as with `| true`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+class TestClosedStdout:
+    def test_report_only_exits_with_its_own_code_and_no_traceback(self, trial_csv):
+        code, err = run_with_closed_stdout("analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
+                                           "--km", "--report-only")
+        assert (code, err) == (0, "")
+
+    def test_state_written_before_the_report_stays(self, trial_csv, design_json, tmp_path):
+        state_path = tmp_path / "state.json"
+        code, err = run_with_closed_stdout("analyze", "--data", trial_csv, "--u", "2.0", "--tau", "1.0",
+                                           "--state", str(state_path), "--design", design_json, "--i-max", "700")
+        assert (code, err) == (0, "")
+        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 1
+
+    def test_error_keeps_its_exit_code(self, tmp_path):
+        code, err = run_with_closed_stdout("analyze", "--data", str(tmp_path / "missing.csv"), "--u", "3.0",
+                                           "--tau", "1.0", "--report-only")
+        assert_typed_error(code, err, 3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteAnalysis:
     """A look whose adjusted information is NaN exits 4 and writes nothing, with no numpy warning first."""

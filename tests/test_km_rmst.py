@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import sim_snapshot
+from conftest import arm_rows, monotone_trial, sim_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmstgst.adjusted_rmst import analyze
-from rmstgst.errors import InsufficientEventsError
-from rmstgst.km_rmst import km_fit, km_rmst, km_rmst_test
+from rmstgst.errors import DataError, InsufficientEventsError, RmstgstError
+from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import SimScenario
-from rmstgst.trial_data import snapshot_from_arrays
+from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
 def two_arm_snapshot(time0, event0, time1, event1, u=10.0, tau=6.0):
@@ -25,66 +25,78 @@ def two_arm_snapshot(time0, event0, time1, event1, u=10.0, tau=6.0):
     return snapshot_from_arrays(np.zeros(time.size), time, event, arm, z, u=u, tau=tau)
 
 
-class TestKmFit:
+def event_rows(snap, arm):
+    """The one look's event rows of one arm, what Kaplan-Meier reads: (times, at risk, events)."""
+    rows = arm_rows(snap, 0, arm)
+    return snap.event_times[rows], snap.at_risk[rows], snap.event_counts[rows]
+
+
+class TestProductLimit:
     def test_hand_product_limit_with_censoring(self):
         snap = two_arm_snapshot(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0], [1.0, 2.0], [1, 0],
         )
-        curve = km_fit(snap[0], 0)
-        np.testing.assert_array_equal(curve.times, [1.0, 2.0, 4.0])
-        np.testing.assert_array_equal(curve.at_risk, [5, 4, 2])
-        np.testing.assert_array_equal(curve.events, [1, 1, 1])
-        np.testing.assert_allclose(curve.survival, [0.8, 0.6, 0.3], rtol=1e-12)
+        times, at_risk, events = event_rows(snap, 0)
+        np.testing.assert_array_equal(times, [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(at_risk, [5, 4, 2])
+        np.testing.assert_array_equal(events, [1, 1, 1])
+        # survival 0.8, 0.6, 0.3 after the three drops, to tau = 6
+        assert km_rmst_test(snap).mu0 == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
 
     def test_ties_share_risk_set(self):
         snap = two_arm_snapshot([1.0, 1.0, 1.0, 2.0], [1, 1, 0, 1], [1.0], [1])
-        curve = km_fit(snap[0], 0)
-        np.testing.assert_array_equal(curve.times, [1.0, 2.0])
-        np.testing.assert_array_equal(curve.at_risk, [4, 1])
-        np.testing.assert_array_equal(curve.events, [2, 1])
-        np.testing.assert_allclose(curve.survival, [0.5, 0.0])
+        times, at_risk, events = event_rows(snap, 0)
+        np.testing.assert_array_equal(times, [1.0, 2.0])
+        np.testing.assert_array_equal(at_risk, [4, 1])
+        np.testing.assert_array_equal(events, [2, 1])
+        result = km_rmst_test(snap)
+        # survival 0.5 then 0; only the tied time has a risk set left over, 2 / (4 * 2)
+        assert result.mu0 == pytest.approx(1.0 + 0.5 * 1.0, rel=1e-12)
+        assert result.mu1 == 1.0
+        assert result.info_level == pytest.approx(1.0 / (0.5**2 * 0.25), rel=1e-12)
 
-    def test_no_censoring_matches_empirical_survival(self):
+    def test_no_censoring_matches_empirical_mean(self):
         rng = np.random.default_rng(42)
         times = rng.exponential(1.0, size=60)
         snap = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=100.0)
-        curve = km_fit(snap[0], 0)
-        for t, s in zip(curve.times, curve.survival):
-            assert s == pytest.approx(np.mean(times > t), abs=1e-12)
-        mu, _ = km_rmst(km_fit(snap[0], 0))
+        assert km_rmst_test(snap).mu0 == pytest.approx(np.mean(times), rel=1e-12)
         tau_small = 1.5
         snap2 = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=tau_small)
-        mu2, _ = km_rmst(km_fit(snap2[0], 0))
-        assert mu2 == pytest.approx(np.mean(np.minimum(times, tau_small)), rel=1e-12)
+        assert km_rmst_test(snap2).mu0 == pytest.approx(np.mean(np.minimum(times, tau_small)), rel=1e-12)
 
     def test_events_beyond_horizon_ignored(self):
         snap = two_arm_snapshot([0.5, 1.5, 7.0], [1, 1, 1], [1.0], [1], u=10.0, tau=6.0)
-        curve = km_fit(snap[0], 0)
-        np.testing.assert_array_equal(curve.times, [0.5, 1.5])
+        np.testing.assert_array_equal(event_rows(snap, 0)[0], [0.5, 1.5])
+        result = km_rmst_test(snap)
+        # survival 2/3 then 1/3 to tau = 6; the event at 7 neither drops the curve nor adds noise
+        assert result.mu0 == pytest.approx(0.5 + 2 / 3 * 1.0 + 1 / 3 * 4.5, rel=1e-12)
+        assert result.info_level == pytest.approx(1.0 / ((2 / 3 + 1.5) ** 2 / 6 + 1.5**2 / 2), rel=1e-12)
 
 
-class TestKmRmst:
+class TestMeanAndVariance:
     def test_hand_mean_and_variance(self):
         snap = two_arm_snapshot(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0], [1.0, 2.0], [1, 0],
         )
-        mu, var = km_rmst(km_fit(snap[0], 0))
-        assert mu == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
-        expected_var = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
-        assert var == pytest.approx(expected_var, rel=1e-12)
-
-    def test_no_events_gives_tau_and_zero_variance(self):
-        snap = two_arm_snapshot([2.0, 3.0], [0, 0], [1.0], [1])
-        mu, var = km_rmst(km_fit(snap[0], 0))
-        assert mu == snap.tau
-        assert var == 0.0
+        result = km_rmst_test(snap)
+        assert result.mu0 == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
+        assert result.mu1 == pytest.approx(1.0 + 0.5 * 5.0, rel=1e-12)
+        var0 = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
+        var1 = 2.5**2 * 0.5
+        assert result.info_level == pytest.approx(1.0 / (var0 + var1), rel=1e-12)
 
     def test_exhausted_risk_set_contributes_nothing(self):
         snap = two_arm_snapshot([0.5, 1.0], [1, 1], [1.0], [1], tau=4.0)
-        mu, var = km_rmst(km_fit(snap[0], 0))
-        assert mu == pytest.approx(0.5 + 0.5 * 0.5, rel=1e-12)
-        assert math.isfinite(var)
-        assert var == pytest.approx((0.5 * 0.5) ** 2 * (1 / 2), rel=1e-12)
+        result = km_rmst_test(snap)
+        assert result.mu0 == pytest.approx(0.5 + 0.5 * 0.5, rel=1e-12)
+        assert result.mu1 == 1.0  # one subject, one event: exhausted at once, no variance
+        assert math.isfinite(result.info_level)
+        assert result.info_level == pytest.approx(1.0 / ((0.5 * 0.5) ** 2 * (1 / 2)), rel=1e-12)
+
+    def test_both_risk_sets_exhausted_is_degenerate(self):
+        snap = two_arm_snapshot([1.0], [1], [2.0], [1])
+        with pytest.raises(InsufficientEventsError, match="degenerate variance"):
+            km_rmst_test(snap)
 
 
 class TestKmRmstTest:
@@ -103,8 +115,8 @@ class TestKmRmstTest:
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0],
             [0.5, 1.5, 2.5], [1, 1, 1],
         )
-        _, var0 = km_rmst(km_fit(snap[0], 0))
-        _, var1 = km_rmst(km_fit(snap[0], 1))
+        var0 = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
+        var1 = 1.0**2 / 6 + (1 / 3) ** 2 / 2  # the last event exhausts arm 1's risk set
         result = km_rmst_test(snap)
         assert result.se == pytest.approx(math.sqrt(var0 + var1), rel=1e-12)
 
@@ -138,17 +150,45 @@ class TestKmRmstTest:
         assert diffs[2500] < 0.01
 
 
+def km_outcome(snap, k):
+    """Look k's Kaplan-Meier result as (delta, info, mu0, mu1), or its error class."""
+    try:
+        r = km_rmst_test(snap, k)
+    except RmstgstError as exc:
+        return type(exc)
+    return r.delta, r.info_level, r.mu0, r.mu1
+
+
+class TestStackedLooks:
+    def test_each_look_reads_only_its_own_rows(self):
+        trial = monotone_trial()
+        looks = [0.001, 0.12, 0.2, 0.58, *np.round(np.arange(6, 31) * 0.1, 10)]
+        snap = snapshot(trial, u=looks, tau=1.0)
+        exhausted = snap.event_stratum[snap.at_risk == snap.event_counts] // 2
+        assert looks.index(0.58) in exhausted  # a risk set runs out at one of its event times
+        outcomes = [km_outcome(snap, k) for k in range(len(looks))]
+        assert outcomes[0] is InsufficientEventsError  # nobody enrolled yet
+        assert outcomes[1] is InsufficientEventsError  # arm 1 has no event
+        assert sum(not isinstance(o, type) for o in outcomes) == len(looks) - 2
+        for u, got in zip(looks, outcomes):
+            try:
+                alone = snapshot(trial, u=u, tau=1.0)
+            except DataError:
+                assert u == 0.001
+                continue
+            assert got == km_outcome(alone, 0)  # bit for bit, or the same error class
+
+
 class TestProperties:
     @given(seed=st.integers(0, 10_000), n=st.integers(10, 80))
     @settings(max_examples=200)
-    def test_curve_and_mean_ranges(self, seed, n):
+    def test_mean_and_information_ranges(self, seed, n):
         scn = SimScenario(n_per_arm=n, shape_offset=-0.3)
         snap = sim_snapshot(scn, seed=seed)
-        for arm in (0, 1):
-            curve = km_fit(snap[0], arm)
-            surv = np.asarray(curve.survival)
-            assert np.all((surv >= -1e-15) & (surv <= 1.0))
-            assert np.all(np.diff(surv) <= 1e-15)
-            mu, var = km_rmst(curve)
+        try:
+            result = km_rmst_test(snap)
+        except InsufficientEventsError:
+            return
+        for mu in (result.mu0, result.mu1):
             assert 0.0 <= mu <= snap.tau + 1e-12
-            assert var >= 0.0
+        assert result.info_level > 0.0

@@ -23,7 +23,6 @@ from rmstgst.sim_engine import (
     METHODS,
     InformationCalibration,
     SimScenario,
-    average_hazard_ratio,
     calibrate_information,
     calibrate_null,
     calibrate_power,
@@ -34,8 +33,6 @@ from rmstgst.sim_engine import (
     run_study,
     true_rmst,
     true_survival,
-    _atom_rates,
-    _covariate_atoms,
     _fixed_test_power,
     _rng_for_replicate,
 )
@@ -73,16 +70,6 @@ LOW_SHAPE_SCENARIOS = [
 ]
 
 
-def _event_weight(scn, t):
-    """Arm-averaged event density at time ``t``, covariates mixed out, thinned by censoring."""
-    atoms, weights = _covariate_atoms(scn.covariates)
-    dens = 0.0
-    for arm in (0, 1):
-        shape, rates = scn.arm_shape(arm), _atom_rates(scn, arm, atoms)
-        dens += float((rates * shape * t ** (shape - 1.0) * np.exp(-rates * t**shape)) @ weights)
-    return 0.5 * dens * math.exp(-scn.censoring_rate * t)
-
-
 def _quad(f, tau, power=1):
     """Adaptive quadrature over [0, tau] on t = tau * s**power.
 
@@ -96,11 +83,6 @@ def _quad(f, tau, power=1):
 
 def _oracle_rmst(scn, arm, power=1):
     return _quad(lambda t: float(true_survival(scn, arm, t)[0]), scn.tau, power)
-
-
-def _oracle_ahr(scn, power=1):
-    num = _quad(lambda t: _event_weight(scn, t) * float(hazard_ratio(scn, t)), scn.tau, power)
-    return num / _quad(lambda t: _event_weight(scn, t), scn.tau, power)
 
 
 @pytest.fixture(scope="module")
@@ -178,20 +160,16 @@ class TestTruthFunctionals:
     def test_graded_rule_matches_adaptive_quadrature(self, scn):
         for arm in (0, 1):
             assert true_rmst(scn, arm) == pytest.approx(_oracle_rmst(scn, arm), rel=1e-10)
-        assert average_hazard_ratio(scn) == pytest.approx(_oracle_ahr(scn), rel=1e-10)
 
     @pytest.mark.parametrize("scn", LOW_SHAPE_SCENARIOS)
     def test_graded_rule_below_shape_one(self, scn):
         """Against the refined rule, since plain adaptive quadrature degrades below shape 1.
 
-        The event density t**(shape - 1) is singular at 0, and the rule's
-        t = tau * s**4 leaves s**(4 * shape - 1) in the average hazard
-        ratio: it keeps about 1e-9 on these scenarios, the restricted mean
-        about 1e-15.
+        The graded rule keeps the restricted mean to about 1e-15 on these
+        scenarios.
         """
         for arm in (0, 1):
             assert true_rmst(scn, arm) == pytest.approx(_oracle_rmst(scn, arm, power=16), rel=1e-10)
-        assert average_hazard_ratio(scn) == pytest.approx(_oracle_ahr(scn, power=16), rel=1e-8)
 
     def test_true_rmst_to_another_horizon(self):
         scn = SimScenario(shape_offset=-0.3, covariate_strength=LOG15)
@@ -237,14 +215,6 @@ class TestTruthFunctionals:
         scn = SimScenario(shape_offset=0.0, log_rate_ratio=-0.5, covariate_strength=0.4)
         hr = hazard_ratio(scn, np.array([0.05, 0.3, 0.8, 1.0]))
         np.testing.assert_allclose(hr, math.exp(-0.5), rtol=1e-12)
-        assert average_hazard_ratio(scn) == pytest.approx(math.exp(-0.5), rel=1e-6)
-
-    @pytest.mark.parametrize("offset, finite", [(-0.5, True), (-0.75, False), (-1.0, False)])
-    def test_average_hazard_ratio_infinite_where_integral_diverges(self, offset, finite):
-        # with shape_base 1.5 the integral diverges once 2*shape1 - shape0 = 1.5 + 2*offset <= 0
-        ahr = average_hazard_ratio(SimScenario(shape_base=1.5, shape_offset=offset))
-        assert math.isfinite(ahr) == finite
-        assert finite or ahr == math.inf
 
     def test_delayed_effect_crosses_one(self):
         base = SimScenario(shape_offset=-0.3, covariate_strength=math.log(1.5))
@@ -457,15 +427,14 @@ class TestRunStudy:
         threaded = run_study(small_scn, spending, small_calib, threads=2, **kwargs)
         assert serial.cumulative_rejection == threaded.cumulative_rejection
         for m in kwargs["methods"]:
-            np.testing.assert_array_equal(
-                serial.first_rejection_stage[m], threaded.first_rejection_stage[m]
-            )
+            np.testing.assert_array_equal(serial.estimates[m], threaded.estimates[m])
+            np.testing.assert_array_equal(serial.info_levels[m], threaded.info_levels[m])
 
     def test_monotone_rejection_and_rows(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
         oc = run_study(
             small_scn, spending, small_calib, reps=40,
-            methods=("adjusted",), master_seed=3, collect_estimates=True,
+            methods=("adjusted",), master_seed=3,
         )
         rej = oc.cumulative_rejection["adjusted"]
         assert all(b >= a for a, b in zip(rej, rej[1:]))

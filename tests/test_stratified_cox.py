@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import baseline, height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import baseline, enrolled, height, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ from rmstgst.errors import (
 )
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
 from rmstgst.stratified_cox import CoxFits, _score_info, fit
-from rmstgst.trial_data import Look, snapshot, snapshot_from_arrays
+from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
 def score_and_info(snap, beta):
@@ -45,7 +45,7 @@ def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
 
 def naive_loglik(snap, beta, t_max=None):
     """Literal stratified Breslow log partial likelihood of a one-look snapshot, one event at a time."""
-    snap = snap[0]
+    snap = enrolled(snap)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if t_max is None:
         t_max = min(snap.u, snap.tau)
@@ -188,7 +188,7 @@ class TestFit:
         snap = toy_snapshot()
         fits = fit(snap)
         shift = 2.5
-        look = snap[0]
+        look = enrolled(snap)
         shifted = snapshot_from_arrays(
             np.zeros(look.n), look.time, look.event, look.arm, look.z + shift, u=look.u, tau=look.tau,
         )
@@ -209,7 +209,7 @@ class TestFit:
         )
         snap = sim_snapshot(scn, seed=42, tau=scn.total_duration)
         fitted = fit(snap)[0]
-        look = snap[0]
+        look = enrolled(snap)
         model = sm.PHReg(look.time, look.z, status=look.event, strata=look.arm, ties="breslow")
         res = model.fit()
         np.testing.assert_allclose(fitted.beta, res.params, atol=1e-6)
@@ -318,7 +318,7 @@ class RiskSetSums:
     s2: np.ndarray
 
 
-def risk_set_sums(snap: Look, beta, arm: int, t: float) -> RiskSetSums:
+def risk_set_sums(snap, beta, arm: int, t: float) -> RiskSetSums:
     """Risk-set averages s0, s1, s2 for one arm at time ``t``.
 
     Averages are taken over all the arm's snapshot subjects; with an
@@ -344,7 +344,7 @@ class TestRiskSetSums:
     def test_at_risk_averages(self):
         z = [0.2, -0.4, 1.0, 0.0]
         snap = arrays_snapshot([0.5, 1.0, 1.5, 2.0], [1, 1, 0, 1], [0] * 4, z)
-        sums = risk_set_sums(snap[0], [0.5], arm=0, t=1.2)
+        sums = risk_set_sums(enrolled(snap), [0.5], arm=0, t=1.2)
         at_risk = z[2:]
         w = [math.exp(0.5 * v) for v in at_risk]
         assert sums.s0 == pytest.approx(sum(w) / 4)
@@ -356,7 +356,7 @@ class TestRiskSetSums:
     def test_breslow_increments_match_oracle(self):
         snap = toy_snapshot()
         fits = fit(snap)
-        fitted, look = fits[0], snap[0]
+        fitted, look = fits[0], enrolled(snap)
         for arm in (0, 1):
             base = baseline(fits, 0, arm)
             n_arm = int(np.sum(look.arm == arm))
@@ -380,7 +380,7 @@ def per_arm_reference(snap, beta):
     subject followed at least as long as each distinct event time up to
     min(u, tau), with the shift the arm's largest linear predictor.
     """
-    snap = snap[0]
+    snap = enrolled(snap)
     p = beta.size
     t_max = min(snap.u, snap.tau)
     score, info, loglik, increments = np.zeros(p), np.zeros((p, p)), 0.0, []

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import make_trial, toy_trial
+from conftest import enrolled, make_trial, toy_trial
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -235,7 +235,7 @@ class TestCsvRoundTrip:
             a, b = getattr(back, name), getattr(trial, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         for u in (1.2, scn.total_duration):
-            got, want = snapshot(back, u=u, tau=scn.tau)[0], snapshot(trial, u=u, tau=scn.tau)[0]
+            got, want = enrolled(snapshot(back, u=u, tau=scn.tau)), enrolled(snapshot(trial, u=u, tau=scn.tau))
             for name in ("arm", "time", "event", "z"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -244,26 +244,26 @@ class TestCsvRoundTrip:
 class TestSnapshot:
     def test_administrative_censoring_at_u(self):
         trial = make_trial((0, 0.5, 2.0, 1, (0.0,)), (1, 0.0, 3.0, 0, (0.0,)))
-        snap = snapshot(trial, u=1.0, tau=1.0)[0]
+        snap = enrolled(snapshot(trial, u=1.0, tau=1.0))
         i = list(np.asarray(snap.arm)).index(0)
         assert snap.time[i] == pytest.approx(0.5)
         assert snap.event[i] == 0
 
     def test_future_enrollee_excluded(self):
         trial = make_trial((0, 2.0, 1.0, 1, (0.0,)), (1, 0.0, 1.0, 1, (0.0,)))
-        snap = snapshot(trial, u=1.5, tau=1.0)[0]
-        assert snap.n == 1 and snap.arms[0].n == 0 and snap.arms[1].n == 1
+        snap = snapshot(trial, u=1.5, tau=1.0)
+        assert enrolled(snap).n == 1 and snap.stratum_n.tolist() == [0, 1]
 
     def test_full_followup_observed(self):
         trial = make_trial((0, 0.0, 1.0, 1, (0.0,)), (1, 0.0, 2.0, 0, (0.0,)))
-        snap = snapshot(trial, u=5.0, tau=2.0)[0]
+        snap = enrolled(snapshot(trial, u=5.0, tau=2.0))
         i = list(np.asarray(snap.arm)).index(0)
         assert snap.time[i] == pytest.approx(1.0)
         assert snap.event[i] == 1
 
     def test_entry_exactly_at_u_excluded(self):
         trial = make_trial((0, 1.0, 1.0, 1, (0.0,)), (1, 0.0, 1.0, 1, (0.0,)))
-        snap = snapshot(trial, u=1.0, tau=1.0)[0]
+        snap = enrolled(snapshot(trial, u=1.0, tau=1.0))
         assert snap.n == 1
 
     def test_empty_snapshot_rejected(self):
@@ -278,9 +278,9 @@ class TestSnapshot:
             snapshot(trial, u=2.0, tau=1.0, lock_time=1.5)
 
     def test_counts_by_arm(self):
-        snap = snapshot(toy_trial(), u=5.0, tau=2.0)[0]
-        assert (snap.arms[0].n, snap.arms[1].n) == (4, 4)
-        assert snap.n == 8 and snap.z.shape[1] == 1
+        snap = snapshot(toy_trial(), u=5.0, tau=2.0)
+        assert snap.stratum_n.tolist() == [4, 4]
+        assert enrolled(snap).n == 8 and snap.z.shape[1] == 1
 
     def test_pooled_last_look_lays_out_as_its_own_snapshot(self):
         # the pooled comparator of a stack's last look is bit for bit that of a snapshot of the look alone
@@ -304,7 +304,7 @@ class TestSnapshot:
 
     def test_standardize_centers_and_scales(self):
         snap = snapshot(toy_trial(), u=5.0, tau=2.0)
-        std = standardize_covariates(snap)[0]
+        std = enrolled(standardize_covariates(snap))
         assert abs(float(std.z.mean())) < 1e-12
         assert float(std.z.std()) == pytest.approx(1.0)
 
@@ -344,10 +344,10 @@ class TestSnapshotProperties:
         if lo == hi:
             hi = lo + 0.5
         try:
-            early = snapshot(trial, u=lo, tau=1.0)[0]
+            early = enrolled(snapshot(trial, u=lo, tau=1.0))
         except DataError:
             return
-        late = snapshot(trial, u=hi, tau=1.0)[0]
+        late = enrolled(snapshot(trial, u=hi, tau=1.0))
         kept_early = _kept_rows(early, trial, lo)
         kept_late = _kept_rows(late, trial, hi)
         index_late = {row: k for k, row in enumerate(kept_late)}
@@ -360,7 +360,7 @@ class TestSnapshotProperties:
     def test_lock_time_idempotence(self, trial, u):
         lock = float(np.max(trial.entry + trial.followup)) + 1.0
         try:
-            snap = snapshot(trial, u=lock, tau=1.0)[0]
+            snap = enrolled(snapshot(trial, u=lock, tau=1.0))
         except DataError:
             return
         for k, row in enumerate(_kept_rows(snap, trial, lock)):
@@ -374,16 +374,16 @@ class TestSnapshotProperties:
         if early_u == late_u:
             return
         try:
-            direct = snapshot(trial, u=early_u, tau=1.0)[0]
+            direct = enrolled(snapshot(trial, u=early_u, tau=1.0))
         except DataError:
             return
-        late = snapshot(trial, u=late_u, tau=1.0)[0]
+        late = enrolled(snapshot(trial, u=late_u, tau=1.0))
         kept = _kept_rows(late, trial, late_u)
         entries = trial.entry[kept]
-        again = snapshot_from_arrays(
+        again = enrolled(snapshot_from_arrays(
             entries, np.asarray(late.time), np.asarray(late.event),
             np.asarray(late.arm), np.asarray(late.z), u=early_u, tau=1.0,
-        )[0]
+        ))
         assert again.n == direct.n
         np.testing.assert_allclose(np.sort(again.time), np.sort(direct.time), atol=1e-12)
         assert int(again.event.sum()) == int(direct.event.sum())
@@ -391,11 +391,12 @@ class TestSnapshotProperties:
     @given(trial=cohorts, u=analysis_times)
     def test_snapshot_invariants(self, trial, u):
         try:
-            snap = snapshot(trial, u=u, tau=1.0)[0]
+            full = snapshot(trial, u=u, tau=1.0)
         except DataError:
             return
+        snap = enrolled(full)
         for k, row in enumerate(_kept_rows(snap, trial, u)):
             assert 0.0 <= snap.time[k] <= min(trial.followup[row], u - trial.entry[row]) + 1e-12
             if snap.event[k]:
                 assert snap.time[k] == pytest.approx(trial.followup[row])
-        assert snap.arms[0].n + snap.arms[1].n == snap.n
+        assert full.stratum_n.sum() == snap.n
