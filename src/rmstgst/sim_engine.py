@@ -446,7 +446,11 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
 
 @dataclass(frozen=True)
 class OperatingCharacteristics:
-    """Stagewise rejection summary of a simulated group-sequential study."""
+    """Stagewise rejection summary of a simulated group-sequential study.
+
+    ``estimates`` and ``info_levels`` hold each method's delta and
+    information, (reps, stages), NaN where an analysis failed.
+    """
 
     scenario: SimScenario
     methods: tuple[str, ...]
