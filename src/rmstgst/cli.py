@@ -396,6 +396,7 @@ def cmd_simulate(args) -> int:
         "outputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in outputs.items()},
         "analysis_times": list(oc.analysis_times),
         "failures": dict(oc.failures),
+        "failures_by_type": oc.failures_by_type,
     }
     _write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
 

@@ -19,11 +19,16 @@ that zeroes the true restricted-mean difference, measure the
 information trajectory by Monte Carlo to place the analysis times and
 the information cap, then bisect for the offset hitting a target power
 for a fixed test at full information.
+
+The Monte Carlo runs stack a group of small replicates in one snapshot,
+every look of every replicate in the group analyzed in one pass; a look
+sees only its own replicate, so no result depends on the grouping.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
@@ -284,16 +289,17 @@ def cox_hr_test(snap: Snapshot, k: int = 0, fits=None, at: int | None = None) ->
                           info_level=1 / cov[0, 0])
 
 
-def _pooled_cox(snap: Snapshot, first: int):
-    """Cox results by look, from one fit of the pooled looks ``first`` on that have events in both arms."""
-    fits = cox_fit(snap.pooled(slice(first, None)), looks=snap.events_in_every_stratum()[first:])
-    return lambda k: cox_hr_test(snap, k, fits, k - first)
+def _pooled_cox(snap: Snapshot, looks):
+    """Cox results by look, from one fit of the pooled ``looks`` (increasing) that have events in both arms."""
+    looks = np.asarray(looks)
+    fits = cox_fit(snap.pooled(looks), looks=snap.events_in_every_stratum()[looks])
+    return lambda k: cox_hr_test(snap, k, fits, int(np.searchsorted(looks, k)))
 
 
-# ``METHODS[m](snap, first)(k)``: look k's result by method m; ``first``, the first look asked for, limits
-# only the pooled Cox fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
-METHODS = {"adjusted": lambda snap, first: analyze(snap).__getitem__,
-           "km": lambda snap, first: partial(km_rmst_test, snap),
+# ``METHODS[m](snap, looks)(k)``: look k's result by method m; ``looks``, the looks asked for, limits only
+# the pooled Cox fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
+METHODS = {"adjusted": lambda snap, looks: analyze(snap).__getitem__,
+           "km": lambda snap, looks: partial(km_rmst_test, snap),
            "cox": _pooled_cox}
 
 
@@ -355,7 +361,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
         grid = np.append(grid, total)
     grid[-1] = total
     comparators = tuple(m for m in METHODS if m != "adjusted")
-    infos, _ = _map_replicates(
+    infos, *_ = _map_replicates(
         _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), ("adjusted", *comparators), comparators),
     )
     rows, finals = infos[:, :, 0], infos[:, -1, 1:]
@@ -448,8 +454,11 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
 class OperatingCharacteristics:
     """Stagewise rejection summary of a simulated group-sequential study.
 
-    ``estimates`` and ``info_levels`` hold each method's delta and
-    information, (reps, stages), NaN where an analysis failed.
+    ``failures`` counts each method's failed analyses at the stages
+    monitoring reached, and ``failures_by_type`` splits that count by the
+    class name of each failure's error. ``estimates`` and ``info_levels``
+    hold each method's delta and information, (reps, stages), NaN where an
+    analysis failed.
     """
 
     scenario: SimScenario
@@ -460,6 +469,7 @@ class OperatingCharacteristics:
     cumulative_rejection: dict[str, tuple[float, ...]]
     mc_se: dict[str, tuple[float, ...]]
     failures: dict[str, int]
+    failures_by_type: dict[str, dict[str, int]]
     estimates: dict[str, np.ndarray] = field(repr=False)
     info_levels: dict[str, np.ndarray] = field(repr=False)
 
@@ -478,29 +488,59 @@ class OperatingCharacteristics:
         return rows
 
 
+# places of one group's stacked layout, looks x subjects: 3 replicates of 3 looks of 400 subjects, 1 of 30
+_GROUP_PLACES = 4096
+
+
 def _study_worker(args):
-    """Information and estimate of each method at each calendar time (``last_only`` methods: the last), per
-    replicate; NaN where one fails."""
+    """Information, estimate and failure of each method at each calendar time, per replicate.
+
+    Replicates are drawn in groups of as many as keep their looks x
+    subjects within ``_GROUP_PLACES``, and a group is one snapshot whose
+    looks run replicate by replicate, so each method runs once a group. A
+    look reads only its own replicate's rows, so no result depends on the
+    grouping. ``last_only`` methods analyze each replicate's last look
+    only. Where an analysis fails, info and delta are NaN and ``failed``
+    holds the class name of its error; a replicate that cannot be drawn,
+    or has nobody enrolled at any look, fails at every look with
+    ``DataError``, as its snapshot alone would.
+    """
     scn, master_seed, reps_slice, times, methods, last_only = args
-    infos = np.full((len(reps_slice), len(times), len(methods)), np.nan)
+    n_looks = len(times)
+    infos = np.full((len(reps_slice), n_looks, len(methods)), np.nan)
     deltas = np.full_like(infos, np.nan)
-    for i, rep in enumerate(reps_slice):
+    failed = np.full(infos.shape, None, dtype=object)
+    size = max(1, _GROUP_PLACES // (n_looks * 2 * scn.n_per_arm))
+    for start in range(0, len(reps_slice), size):
+        rows, trials = [], []
+        for i in range(start, min(start + size, len(reps_slice))):
+            try:
+                trials.append(draw_trial(scn, _rng_for_replicate(master_seed, reps_slice[i])))
+                rows.append(i)
+            except DataError:
+                failed[i] = "DataError"
         try:
-            snap = snapshot(draw_trial(scn, _rng_for_replicate(master_seed, rep)), u=times, tau=scn.tau)
+            snap = snapshot(trials, u=times, tau=scn.tau)
         except DataError:
+            failed[rows] = "DataError"
             continue
+        empty = ~snap.stratum_n.reshape(len(rows), -1).any(axis=1)
+        failed[np.array(rows)[empty]] = "DataError"
+        looks = np.flatnonzero(~np.repeat(empty, n_looks))  # every look of the replicates with anybody enrolled
         for m, method in enumerate(methods):
-            first = len(times) - 1 if method in last_only else 0
-            analysis = METHODS[method](snap, first)
-            for k in range(first, len(times)):
+            wanted = looks[looks % n_looks == n_looks - 1] if method in last_only else looks
+            analysis = METHODS[method](snap, wanted)
+            for j in wanted.tolist():
+                i, k = rows[j // n_looks], j % n_looks
                 try:
-                    r = analysis(k)
-                except (DataError, EstimationError):
+                    r = analysis(j)
+                except (DataError, EstimationError) as exc:
+                    failed[i, k, m] = type(exc).__name__
                     continue
                 infos[i, k, m] = r.info_level
                 deltas[i, k, m] = r.delta
-        snap = analysis = None  # let this trial's layout go before the next is drawn
-    return infos, deltas
+        snap = analysis = None  # let this group's layout go before the next is drawn
+    return infos, deltas, failed
 
 
 def _map_replicates(worker, scn, master_seed, reps, threads, extra=()):
@@ -529,8 +569,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     every requested method; each method is then monitored through the
     observed-information respending machinery against its own
     information cap, the last stage declared final. Analyses that fail
-    (for example, no events in an arm) are counted per method and the
-    stage is skipped for that replicate.
+    (for example, no events in an arm) are counted per method and by
+    error class, and the stage is skipped for that replicate.
 
     Identical scenario, seed, and reps give bit-identical results for
     any ``threads``.
@@ -545,21 +585,21 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times
     n_stage = len(times)
-    infos, deltas = _map_replicates(
+    infos, deltas, failed = _map_replicates(
         _study_worker, scn, master_seed, reps, threads, extra=(times, methods, ()),
     )
-    cumulative, mc_se, failures = {}, {}, {}
+    cumulative, mc_se, failures, failures_by_type = {}, {}, {}, {}
     for m, method in enumerate(methods):
         design = DesignConfig(spending=spending, planned_fractions=scn.fractions,
                               i_max=calib.i_max_by_method[method])
         firsts = np.zeros(reps, dtype=np.int64)
-        fail_count = 0
+        failed_as = Counter()
         for rep in range(reps):
             state = MonitoringState(design=design)
             for k in range(n_stage):
                 info = infos[rep, k, m]
                 if np.isnan(info):
-                    fail_count += 1
+                    failed_as[failed[rep, k, m]] += 1
                     continue
                 result = AnalysisResult(method=method, u=times[k], tau=scn.tau, delta=deltas[rep, k, m],
                                         info_level=info)
@@ -570,10 +610,11 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
         rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
-        failures[method] = fail_count
+        failures[method] = failed_as.total()
+        failures_by_type[method] = dict(sorted(failed_as.items()))
     return OperatingCharacteristics(
         scenario=scn, methods=methods, analysis_times=times, reps=reps, master_seed=master_seed,
-        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures,
+        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures, failures_by_type=failures_by_type,
         estimates={m: deltas[:, :, i] for i, m in enumerate(methods)},
         info_levels={m: infos[:, :, i] for i, m in enumerate(methods)},
     )

@@ -11,9 +11,11 @@ and setting aside subjects not yet enrolled. Follow-up can only be
 shortened this way; a trial carries no information beyond its own lock.
 A snapshot's arrays carry a leading look axis, and one risk-set layout
 covers every look, so a trial's L looks are analyzed in one pass; one
-look (the CLI's) is the case L = 1. The Cox fit, the adjusted pass and
-Kaplan-Meier all read a look's strata of that layout, Kaplan-Meier only
-their event rows.
+look (the CLI's) is the case L = 1. The looks may come from several
+trials stacked trial-major, each look seeing only its own trial's
+subjects, so a simulation analyzes a group of replicates in one pass
+too. The Cox fit, the adjusted pass and Kaplan-Meier all read a look's
+strata of that layout, Kaplan-Meier only their event rows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import io
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,15 +232,16 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
 
 
 class Snapshot:
-    """A trial as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
+    """One or more trials as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
 
-    Holds the trial's ``arm`` and covariates ``z`` (n, p) and, per look,
-    shape (L, n), the capped follow-up ``time`` (-1 before entry) and
-    ``event``. One risk-set layout of all looks serves the Cox fit, the
-    variance and Kaplan-Meier, which reads only the event rows: each
-    (look, arm) is a stratum, look-major, holding the arm's subjects by
-    capped follow-up (one stable sort per arm), those not yet enrolled
-    first, front-padded to the larger arm's size m. ``risk_cols`` stores
+    Holds the subjects' ``arm`` and covariates ``z`` (n, p) and, per look,
+    shape (L, n), the capped follow-up ``time`` (-1 before entry, and for
+    the subjects of another trial than the look's) and ``event``. One
+    risk-set layout of all looks serves the Cox fit, the variance and
+    Kaplan-Meier, which reads only the event rows: each (look, arm) is a
+    stratum, look-major, holding the arm's subjects by capped follow-up
+    (one stable sort per arm), those not yet enrolled first, front-padded
+    to the largest stratum's size m. ``risk_cols`` stores
     the columns ``[1, z, z (x) z]``, the last as its upper triangle, of
     the s strata longest follow-up first, (s, columns, m), zero on
     padding, so one cumulative sum along the last axis gives every
@@ -309,7 +313,8 @@ class Snapshot:
         return (np.diff(self.stratum_rows).reshape(-1, len(self.orders)) > 0).all(axis=1)
 
     def pooled(self, looks=slice(None)) -> Snapshot:
-        """The ``looks`` slice, both arms in one stratum each (the arms' sorts merged) and the arm prepended to z."""
+        """The ``looks`` (a slice or index array), both arms in one stratum each (the arms' sorts merged) and the
+        arm prepended to z."""
         time = self.time[looks]
         both = np.concatenate([order[looks] for order in self.orders], axis=1)
         merged = np.argsort(np.take_along_axis(time, both, axis=1), axis=1, kind="stable")
@@ -330,23 +335,30 @@ def snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=None) -> 
     return snapshot(Trial(arm=arm, entry=entry, followup=time, event=event, z=z), u, tau, lock_time)
 
 
-def snapshot(trial: Trial, u, tau: float, lock_time=None) -> Snapshot:
-    """Roll the trial back to calendar time ``u``, or to each of a sequence of them.
+def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> Snapshot:
+    """Roll the trial back to calendar time ``u``, or to each of a sequence of them; or stack several trials.
 
     At each look, subjects with ``entry >= u`` are not yet enrolled. For
     the rest, follow-up is capped at ``u - entry``; an event counts only
-    if it occurred within the capped window (boundary included).
+    if it occurred within the capped window (boundary included). Given a
+    sequence of R trials, the snapshot holds their subjects in turn and
+    R * L looks, trial-major: look ``r * L + k`` is trial r at ``u[k]``
+    and sees only trial r's subjects, so it is analyzed as a snapshot of
+    trial r alone would be. One trial is the case R = 1.
 
     Args:
-        trial: the dataset as of its data lock.
+        trial: the dataset as of its data lock, or a sequence of them
+            with the same covariates.
         u: analysis calendar time, > 0, or a sequence of them (the looks).
         tau: analysis horizon carried on the snapshot, > 0.
         lock_time: optional calendar time of the data lock. When given,
             ``u > lock_time`` raises since the trial cannot be matured.
 
     Raises:
-        DataError: invalid u/tau, immature data, or nobody enrolled at any look.
+        DataError: invalid u/tau, immature data, no trials or trials with
+            different covariates, or nobody enrolled at any look.
     """
+    trials = [trial] if isinstance(trial, Trial) else list(trial)
     looks, tau = np.atleast_1d(np.asarray(u, dtype=np.float64)), float(tau)
     if looks.ndim != 1 or not looks.size or not np.all(np.isfinite(looks) & (looks > 0)):
         raise DataError(f"analysis time u must be finite and > 0, got {u!r}")
@@ -355,13 +367,19 @@ def snapshot(trial: Trial, u, tau: float, lock_time=None) -> Snapshot:
     if lock_time is not None and looks.max() > lock_time:
         raise DataError(f"analysis time u={u} exceeds the data lock at {lock_time}; "
                         "follow-up cannot be rolled forward")
-    enrolled = trial.entry < looks[:, None]
+    if len({t.z.shape[1] for t in trials}) != 1:
+        raise DataError("a snapshot needs one or more trials, all with the same number of covariates")
+    arm, entry, followup, event, z = (np.concatenate([getattr(t, name) for t in trials]) for name in _COLUMNS)
+    count = np.arange(len(trials))
+    own = np.repeat(count, looks.size)[:, None] == np.repeat(count, [len(t) for t in trials])  # a look's trial
+    looks = np.tile(looks, len(trials))
+    enrolled = own & (entry < looks[:, None])
     if not np.any(enrolled):
         raise DataError(f"empty snapshot: no subjects enrolled before u={u}")
-    exposure = looks[:, None] - trial.entry
-    capped = np.where(enrolled, np.minimum(trial.followup, exposure), -1.0)
-    seen = (enrolled & (trial.event != 0) & (trial.followup <= exposure)).astype(np.int8)
-    return Snapshot(looks, tau, trial.arm, capped, seen, trial.z)
+    exposure = looks[:, None] - entry
+    capped = np.where(enrolled, np.minimum(followup, exposure), -1.0)
+    seen = (enrolled & (event != 0) & (followup <= exposure)).astype(np.int8)
+    return Snapshot(looks, tau, arm, capped, seen, z)
 
 
 def standardize_covariates(snap: Snapshot) -> Snapshot:

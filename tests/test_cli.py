@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestAnalyze:
         assert mon["stage"] == 1
         assert mon["decision"] in ("continue", "reject")
         assert mon["info_fraction"] == pytest.approx(report["analysis"]["info"] / 700.0)
-        state = MonitoringState.from_json(open(state_path).read())
+        state = MonitoringState.from_json(Path(state_path).read_text())
         assert state.design.i_max == 700.0
         assert len(state.analyses) == 1
 
@@ -406,7 +407,7 @@ class TestAnalyze:
 
     def test_truncated_design_file_exit_2(self, trial_csv, design_json, tmp_path, capsys):
         truncated_design = tmp_path / "truncated_design.json"
-        truncated_design.write_bytes(open(design_json, "rb").read()[:40])
+        truncated_design.write_bytes(Path(design_json).read_bytes()[:40])
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
             "--state", str(tmp_path / "fresh.json"), "--design", str(truncated_design),
@@ -423,7 +424,7 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(stdout)
         assert report["monitoring"]["info_fraction"] == pytest.approx(1.0)
-        state = MonitoringState.from_json(open(state_path).read())
+        state = MonitoringState.from_json(Path(state_path).read_text())
         assert state.design.i_max == pytest.approx(report["analysis"]["info"])
 
     def test_schema_column_overrides(self, tmp_path, capsys):
@@ -576,12 +577,12 @@ def calib_setup(tmp_path_factory):
 class TestCalibrateAndSimulate:
     def test_calibration_document_contents(self, calib_setup):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(calib_path).read())
+        doc = json.loads(Path(calib_path).read_text())
         assert doc["schema"] == "rmstgst.calibration/1"
         assert doc["fractions"] == [0.5, 1.0]
         assert "null_log_rate_ratio" in doc
         assert doc["power"]["target_power"] == 0.80
-        assert doc["scenario"] == json.loads(open(scn_path).read())
+        assert doc["scenario"] == json.loads(Path(scn_path).read_text())
         assert doc["analysis_times"][-1] == pytest.approx(3.0)
 
     def test_simulate_reuses_calibration_deterministically(self, calib_setup, capsys):
@@ -599,17 +600,35 @@ class TestCalibrateAndSimulate:
             assert "cum_rejection" in stdout
             outs.append(out_dir)
         for fname in ("results.csv", "curves.csv"):
-            a = open(os.path.join(outs[0], fname), "rb").read()
-            b = open(os.path.join(outs[1], fname), "rb").read()
+            a = Path(os.path.join(outs[0], fname)).read_bytes()
+            b = Path(os.path.join(outs[1], fname)).read_bytes()
             assert a == b
-        manifest = json.loads(open(os.path.join(outs[0], "manifest.json")).read())
+        manifest = json.loads(Path(os.path.join(outs[0], "manifest.json")).read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 9
         assert manifest["methods"] == ["adjusted", "km"]
         assert manifest["inputs"]["calibration"]["sha256"]
-        results = open(os.path.join(outs[0], "results.csv")).read().splitlines()
+        results = Path(os.path.join(outs[0], "results.csv")).read_text().splitlines()
         assert results[0] == "method,stage,cumulative_rejection,mc_se"
         assert len(results) == 1 + 2 * 2
+
+    def test_simulate_manifest_counts_failures_by_type(self, calib_setup, capsys):
+        # at u = 0.02 about one subject an arm is enrolled and none has had an event
+        tmp_path, scn_path, calib_path = calib_setup
+        doc = json.loads(Path(calib_path).read_text())
+        doc["analysis_times"][0] = 0.02
+        early_path = tmp_path / "early_calibration.json"
+        early_path.write_text(json.dumps(doc))
+        out_dir = str(tmp_path / "early")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(early_path), "--reps", "6", "--seed", "3",
+            "--methods", "adjusted,km,cox", "--out-dir", out_dir,
+        )
+        assert code == 0
+        manifest = json.loads(Path(out_dir, "manifest.json").read_text())
+        assert manifest["failures"] == {"adjusted": 6, "km": 6, "cox": 6}
+        assert manifest["failures_by_type"] == {m: {"InsufficientEventsError": 6} for m in ("adjusted", "km", "cox")}
 
     def test_simulate_effect_null_and_trace(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
@@ -621,10 +640,10 @@ class TestCalibrateAndSimulate:
             "--effect", "null", "--out-dir", out_dir,
         )
         assert code == 0
-        trace = open(os.path.join(out_dir, "trace.csv")).read().splitlines()
+        trace = Path(os.path.join(out_dir, "trace.csv")).read_text().splitlines()
         assert trace[0] == "method,stage,delta,info_level,z"
         assert len(trace) == 3
-        manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+        manifest = json.loads(Path(os.path.join(out_dir, "manifest.json")).read_text())
         assert manifest["effect"] == "null"
         assert "trace" in manifest["outputs"]
 
@@ -670,7 +689,7 @@ class TestCalibrateAndSimulate:
     @pytest.mark.parametrize("broken", ["reps", "fractions", "power"])
     def test_malformed_calibration_exit_2(self, broken, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(calib_path).read())
+        doc = json.loads(Path(calib_path).read_text())
         if broken == "power":
             del doc["power"]["log_rate_ratio"]
         else:
@@ -688,7 +707,7 @@ class TestCalibrateAndSimulate:
     @pytest.mark.parametrize("typo", ["n_per_am", "shape_ofset"])
     def test_unknown_scenario_key_exit_2(self, typo, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(scn_path).read())
+        doc = json.loads(Path(scn_path).read_text())
         doc[typo] = 500
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -702,7 +721,7 @@ class TestCalibrateAndSimulate:
     @pytest.mark.parametrize("name, value", [("log_rate_ratio", math.nan), ("covariate_strength", math.inf)])
     def test_non_finite_scenario_number_exit_2(self, name, value, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(scn_path).read())
+        doc = json.loads(Path(scn_path).read_text())
         doc[name] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -716,7 +735,7 @@ class TestCalibrateAndSimulate:
     @pytest.mark.parametrize("value", [2.5, True])
     def test_non_integer_n_per_arm_exit_2(self, value, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(scn_path).read())
+        doc = json.loads(Path(scn_path).read_text())
         doc["n_per_arm"] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -730,7 +749,7 @@ class TestCalibrateAndSimulate:
     @pytest.mark.parametrize("broken", ["string_time", "one_time", "decreasing"])
     def test_bad_analysis_times_exit_2(self, broken, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
-        doc = json.loads(open(calib_path).read())
+        doc = json.loads(Path(calib_path).read_text())
         times = doc["analysis_times"]
         doc["analysis_times"] = {
             "string_time": [str(times[0]), *times[1:]], "one_time": times[-1:], "decreasing": times[::-1],
@@ -810,7 +829,7 @@ class TestNineCovariateWorkflow:
 
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(spends, spends[1:]))
-        state = MonitoringState.from_json(open(state_path).read())
+        state = MonitoringState.from_json(Path(state_path).read_text())
         assert len(state.analyses) == len(decisions)
         if len(decisions) == 3:
             assert fractions[-1] == pytest.approx(1.0, abs=0.02)

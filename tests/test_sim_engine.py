@@ -335,14 +335,16 @@ class TestCalibration:
         calls = []
 
         def counted(snap, fits=None):
-            calls.extend(snap.u.tolist())
+            calls.append(snap.u.tolist())
             return analyze(snap, fits)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
         calibrate_information(small_scn, reps=100, master_seed=7, grid_step=0.5)
         grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
-        assert len(calls) == 100 * len(grid)
-        assert {u: calls.count(u) for u in grid} == {u: 100 for u in grid}
+        # one stacked analysis a group of replicates, each replicate's looks the grid once
+        stacked = [len(u) // len(grid) for u in calls]
+        assert all(u == grid * n for u, n in zip(calls, stacked))
+        assert sum(stacked) == 100 and len(calls) < 100
 
     def test_comparator_caps_are_the_solo_trial_end_analyses(self, small_scn, small_calib):
         # km and cox read the grid snapshot's last look, bit for bit a snapshot of the trial end alone
@@ -390,7 +392,7 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            res = run(snap, 0)(0)
+            res = run(snap, [0])(0)
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0
@@ -417,6 +419,86 @@ class TestMethods:
         spending = SpendingFunction("cubic_min")
         with pytest.raises(ConfigError, match=r"unknown method 'bayes'; choose from \('adjusted', 'km', 'cox'\)"):
             run_study(small_scn, spending, small_calib, reps=5, methods=("bayes",))
+
+
+def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
+    """Info, delta and error class of each method at each look, per replicate, each from a snapshot of the
+    replicate alone; NaN (and the class name) where an analysis fails, "DataError" throughout where the
+    snapshot does."""
+    shape = (len(reps), len(times), len(methods))
+    infos, deltas, failed = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, None, dtype=object)
+    for i, rep in enumerate(reps):
+        try:
+            snap = snapshot(draw_trial(scn, _rng_for_replicate(master_seed, rep)), u=times, tau=scn.tau)
+        except DataError:
+            failed[i] = "DataError"
+            continue
+        tests = {"adjusted": analyze(snap).__getitem__, "km": lambda k: km_rmst_test(snap, k),
+                 "cox": lambda k: cox_hr_test(snap, k)}
+        for m, method in enumerate(methods):
+            for k in [len(times) - 1] if method in last_only else range(len(times)):
+                try:
+                    result = tests[method](k)
+                except (DataError, EstimationError) as exc:
+                    failed[i, k, m] = type(exc).__name__
+                    continue
+                infos[i, k, m], deltas[i, k, m] = result.info_level, result.delta
+    return infos, deltas, failed
+
+
+class TestStackedReplicates:
+    """The study worker stacks a group of replicates in one snapshot; each replicate's results are those of
+    its snapshot alone, bit for bit, whatever the group."""
+
+    MONOTONE = SimScenario(covariate_strength=1.0)  # replicate 43 of seed 20200920 is monotone at u = 0.2
+    # nobody enrolled at u = 0.004 in most replicates, one arm only in some; no event in an arm in several
+    # looks at u = 0.05 and 0.2
+    TIMES = (0.004, 0.05, 0.2, 3.0)
+    METHODS = ("adjusted", "km", "cox")
+
+    def worker(self, monkeypatch, scn, group, reps, times, last_only=()):
+        monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
+        return sim_engine._study_worker((scn, 20200920, reps, times, self.METHODS, last_only))
+
+    @pytest.mark.parametrize("last_only", [(), ("km", "cox")])
+    @pytest.mark.parametrize("group", [1, 2, 3, 7])
+    def test_each_replicate_as_alone(self, monkeypatch, group, last_only):
+        reps = list(range(40, 47))  # 7 replicates: groups of 2 and 3 leave a ragged last group
+        infos, deltas, failed = self.worker(monkeypatch, self.MONOTONE, group, reps, self.TIMES, last_only)
+        want = solo_rows(self.MONOTONE, 20200920, reps, self.TIMES, self.METHODS, last_only)
+        for got, expected in zip((infos, deltas, failed), want):
+            np.testing.assert_array_equal(got, expected)
+        if not last_only:  # the odd looks are there
+            assert np.all(failed[:, 0] == "InsufficientEventsError")
+            assert failed[reps.index(43), 2, 0] == "EstimationError"  # the monotone look
+            assert failed[reps.index(43), 2, 2] == "SingularInformationError"
+            assert np.isfinite(infos[:, -1]).all()
+
+    def test_replicate_with_nobody_enrolled_fails_alone(self, monkeypatch):
+        scn = SimScenario(n_per_arm=2, accrual=2.0, covariate_strength=0.5)
+        reps, times = list(range(12)), (0.3, 0.6)
+        want = solo_rows(scn, 5, reps, times, self.METHODS)
+        nobody = [i for i in range(len(reps)) if np.all(want[2][i] == "DataError")]
+        assert 0 < len(nobody) < len(reps)
+        for group in (1, 5, 12):
+            monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
+            got = sim_engine._study_worker((scn, 5, reps, times, self.METHODS, ()))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [3, 3, 1]),
+                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 7)])
+    def test_group_size_from_the_place_budget(self, monkeypatch, times, groups):
+        # 3 looks of 400 subjects stack 3 replicates a group; the calibration grid's 30 looks stay alone
+        stacked = []
+
+        def counted(snap, fits=None):
+            stacked.append(snap.u.size // len(times))
+            return analyze(snap, fits)
+
+        monkeypatch.setattr(sim_engine, "analyze", counted)
+        sim_engine._study_worker((SimScenario(), 1, list(range(7)), times, ("adjusted",), ()))
+        assert stacked == groups
 
 
 class TestRunStudy:
@@ -450,6 +532,16 @@ class TestRunStudy:
         strong = replace(small_scn, log_rate_ratio=-2.0)
         oc = run_study(strong, spending, small_calib, reps=30, master_seed=1)
         assert oc.cumulative_rejection["adjusted"][-1] > 0.85
+
+    def test_failures_by_type(self, small_scn, small_calib):
+        # at u = 0.02 about one subject an arm is enrolled and none has had an event
+        calib = replace(small_calib, analysis_times=(0.02, small_calib.analysis_times[-1]))
+        oc = run_study(small_scn, SpendingFunction("cubic_min"), calib, reps=20, methods=("adjusted", "km"),
+                       master_seed=2)
+        for m in oc.methods:
+            assert np.isnan(oc.info_levels[m][:, 0]).all() and np.isfinite(oc.info_levels[m][:, 1]).all()
+            assert oc.failures_by_type[m] == {"InsufficientEventsError": 20}
+            assert oc.failures[m] == 20
 
     def test_missing_method_cap_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")

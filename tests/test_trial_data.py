@@ -296,6 +296,55 @@ class TestSnapshot:
             for a, b in zip(*parts, strict=True):
                 assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
 
+    def test_one_trial_stack_is_the_trial_alone(self):
+        trial = draw_trial(SimScenario(n_per_arm=40, covariate_strength=0.5), np.random.default_rng(3))
+        got, want = (snapshot(t, u=[0.5, 1.5, 3.0], tau=1.0) for t in ([trial], trial))
+        for name in Snapshot.__slots__:
+            parts = [getattr(s, name) for s in (got, want)]
+            if not isinstance(parts[0], (list, tuple)):  # orders and upper hold several arrays
+                parts = [[part] for part in parts]
+            for a, b in zip(*parts, strict=True):
+                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
+
+    def test_stacked_look_sees_only_its_own_trial(self):
+        # look r * L + k is trial r at u[k]: its subjects, strata and event rows are those of trial r alone
+        trials = [draw_trial(SimScenario(n_per_arm=n, covariate_strength=0.5), np.random.default_rng(n))
+                  for n in (30, 5, 50)]
+        u = [0.3, 1.5, 3.0]
+        stack = snapshot(trials, u=u, tau=1.0)
+        assert stack.u.tolist() == u * 3 and len(stack.arm) == sum(len(t) for t in trials)
+        start = 0
+        for r, trial in enumerate(trials):
+            alone = snapshot(trial, u=u, tau=1.0)
+            own = slice(start, start + len(trial))
+            start += len(trial)
+            np.testing.assert_array_equal(stack.z[own], trial.z)
+            for k in range(len(u)):
+                j = r * len(u) + k
+                np.testing.assert_array_equal(stack.time[j, own], alone.time[k])
+                np.testing.assert_array_equal(stack.event[j, own], alone.event[k])
+                others = np.ones(len(stack.arm), dtype=bool)
+                others[own] = False
+                assert np.all(stack.time[j, others] == -1) and not stack.event[j, others].any()
+                assert stack.stratum_n[2 * j:2 * j + 2].tolist() == alone.stratum_n[2 * k:2 * k + 2].tolist()
+                rows = slice(*stack.stratum_rows[[2 * j, 2 * j + 2]])
+                solo = slice(*alone.stratum_rows[[2 * k, 2 * k + 2]])
+                for name in ("event_times", "event_counts", "at_risk"):
+                    np.testing.assert_array_equal(getattr(stack, name)[rows], getattr(alone, name)[solo])
+
+    def test_stack_keeps_a_trial_with_nobody_enrolled(self):
+        late = make_trial((0, 2.0, 1.0, 1, (0.0,)), (1, 2.5, 1.0, 1, (0.0,)))
+        stack = snapshot([toy_trial(), late], u=[1.0, 1.5], tau=1.0)
+        assert stack.stratum_n.reshape(2, -1).tolist() == [[4, 4, 4, 4], [0, 0, 0, 0]]
+        with pytest.raises(DataError, match="empty snapshot"):
+            snapshot([late, late], u=[1.0, 1.5], tau=1.0)
+
+    @pytest.mark.parametrize("trials", [[], [make_trial((0, 0.0, 1.0, 1, (0.0,))),
+                                             make_trial((0, 0.0, 1.0, 1, (0.0, 1.0)))]])
+    def test_stack_needs_trials_with_the_same_covariates(self, trials):
+        with pytest.raises(DataError, match="one or more trials, all with the same number of covariates"):
+            snapshot(trials, u=1.0, tau=1.0)
+
     def test_standardize_constant_column_rejected(self):
         trial = make_trial((0, 0.0, 1.0, 1, (1.0,)), (1, 0.0, 2.0, 1, (1.0,)))
         snap = snapshot(trial, u=3.0, tau=1.0)
