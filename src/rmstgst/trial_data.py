@@ -369,8 +369,8 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
                         "follow-up cannot be rolled forward")
     if len({t.z.shape[1] for t in trials}) != 1:
         raise DataError("a snapshot needs one or more trials, all with the same number of covariates")
-    columns = [[getattr(t, name) for t in trials] for name in _COLUMNS]
-    arm, entry, followup, event, z = (np.concatenate(c) if len(c) > 1 else c[0] for c in columns)  # one: no copy
+    columns = [[getattr(t, name) for t in trials] for name in _COLUMNS]  # a lone trial's are shared, not copied
+    arm, entry, followup, event, z = (np.concatenate(c) if len(c) > 1 else c[0] for c in columns)
     count = np.arange(len(trials))
     own = np.repeat(count, looks.size)[:, None] == np.repeat(count, [len(t) for t in trials])  # a look's trial
     looks = np.tile(looks, len(trials))

@@ -456,15 +456,16 @@ class TestStackedReplicates:
     TIMES = (0.004, 0.05, 0.2, 3.0)
     METHODS = ("adjusted", "km", "cox")
 
-    def worker(self, monkeypatch, scn, group, reps, times, last_only=()):
+    def worker(self, monkeypatch, group, scn, seed, reps, times, last_only=()):
+        """The study worker, with the place budget set to stack ``group`` replicates a group."""
         monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
-        return sim_engine._study_worker((scn, 20200920, reps, times, self.METHODS, last_only))
+        return sim_engine._study_worker((scn, seed, reps, times, self.METHODS, last_only))
 
     @pytest.mark.parametrize("last_only", [(), ("km", "cox")])
     @pytest.mark.parametrize("group", [1, 2, 3, 7])
     def test_each_replicate_as_alone(self, monkeypatch, group, last_only):
         reps = list(range(40, 47))  # 7 replicates: groups of 2 and 3 leave a ragged last group
-        infos, deltas, failed = self.worker(monkeypatch, self.MONOTONE, group, reps, self.TIMES, last_only)
+        infos, deltas, failed = self.worker(monkeypatch, group, self.MONOTONE, 20200920, reps, self.TIMES, last_only)
         want = solo_rows(self.MONOTONE, 20200920, reps, self.TIMES, self.METHODS, last_only)
         for got, expected in zip((infos, deltas, failed), want):
             np.testing.assert_array_equal(got, expected)
@@ -481,9 +482,7 @@ class TestStackedReplicates:
         nobody = [i for i in range(len(reps)) if np.all(want[2][i] == "DataError")]
         assert 0 < len(nobody) < len(reps)
         for group in (1, 5, 12):
-            monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
-            got = sim_engine._study_worker((scn, 5, reps, times, self.METHODS, ()))
-            for a, b in zip(got, want):
+            for a, b in zip(self.worker(monkeypatch, group, scn, 5, reps, times), want):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [3, 3, 1]),
