@@ -13,13 +13,11 @@ at most two sds wide of the narrower normal transition kernel into or out
 of the stage (sd sqrt(f_k - f_{k-1})), so close looks do not alias; a
 stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
-The recursion is Markov: the density after stage k depends only on the
-fractions and critical values already used, and the monitoring state
-records both. A new analysis therefore replays the recorded boundary to
-rebuild that density, then solves only its own critical value so the
-cumulative spend, counted from the recorded one, reaches the spending
-function at the observed information. A declared final analysis spends
-the full alpha regardless of how much information accrued.
+The recursion is Markov: a stage needs only the density it started
+from, its fraction, critical value and cumulative spend. One step,
+``_next_stage``, goes to the next stage; planned boundaries, simulated
+studies and monitoring all fold it over their looks, the last from the
+stage rebuilt, with nothing solved again, from the state file's records.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import accumulate
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -263,19 +262,40 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-def _replay(fractions, criticals, sided: str, next_fraction: float | None = None):
-    """Per-stage null crossing probabilities on a fixed boundary, and the density after it.
+class _Stage(NamedTuple):
+    """A stage: the density it started from (None at the first), fraction, critical value and spend so far."""
 
-    The density is advanced past the last stage only toward a given ``next_fraction``.
-    An infinite critical value never rejects; raw observed fractions are fine.
+    start: _ScoreDensity | None
+    fraction: float
+    critical: float
+    spent: float
+
+
+def _density_after(last: _Stage | None, sided: str, fraction: float) -> _ScoreDensity | None:
+    """The density that leaves ``last`` without crossing, on a grid sized for a step to ``fraction``."""
+    return None if last is None else _advance_density(last.start, last.fraction, last.critical, sided, fraction)
+
+
+def _next_stage(last: _Stage | None, spending: SpendingFunction, fraction: float, z: float, final=False):
+    """The stage after ``last`` (None before the first) at information ``fraction``, and its decision.
+
+    A look whose fraction is not past ``last``'s is ``"skipped"``, with no
+    stage and no spend. Otherwise ``last``'s density is advanced to the raw
+    fraction, and the critical value solved whose null crossing takes the
+    spend to ``spending(min(fraction, 1))``, or to alpha at a ``final`` look;
+    an increment within rounding of nothing (1e-14 plus 1e-9 of the target)
+    gives an infinite critical value. ``z`` at or past it (``|z|`` when two
+    sided) is ``"reject"``, else ``"continue"``.
     """
-    probs: list[float] = []
-    prev: _ScoreDensity | None = None
-    for fraction, c, after in zip(fractions, criticals, [*fractions[1:], next_fraction]):
-        probs.append(_stage_crossing(prev, fraction, c, sided))
-        if after is not None:
-            prev = _advance_density(prev, fraction, c, sided, after)
-    return probs, prev
+    if last is not None and fraction <= last.fraction:
+        return None, "skipped"
+    start = _density_after(last, spending.sided, fraction)
+    spent = 0.0 if last is None else last.spent
+    target = spending.alpha if final else spending(min(fraction, 1.0))
+    critical = _solve_critical(start, fraction, target, spent, spending.sided)
+    stage = _Stage(start, fraction, critical, spent + _stage_crossing(start, fraction, critical, spending.sided))
+    exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
+    return stage, "reject" if exceeds else "continue"
 
 
 @dataclass(frozen=True)
@@ -307,25 +327,13 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     """Critical values for a planned schedule of information fractions.
 
     Each stage's cumulative crossing probability under the null equals
-    the spending function at that fraction. A stage whose spend
-    increment is within rounding of nothing (1e-14 plus 1e-9 of the
-    target) gets an infinite critical value: it can never reject.
+    the spending function at that fraction; ``_next_stage`` gives the
+    rules, folded over the schedule.
     """
     fr = _validate_fractions(info_fractions)
-    criticals: list[float] = []
-    cumulative: list[float] = []
-    prev: _ScoreDensity | None = None
-    spent = 0.0
-    for k, fraction in enumerate(fr):
-        if k:
-            prev = _advance_density(prev, fr[k - 1], criticals[-1], f.sided, fraction)
-        c = _solve_critical(prev, fraction, f(fraction), spent, f.sided)
-        spent += _stage_crossing(prev, fraction, c, f.sided)
-        criticals.append(c)
-        cumulative.append(spent)
-    return BoundarySchedule(
-        spending=f, fractions=fr, cumulative_spend=tuple(cumulative), critical_values=tuple(criticals),
-    )
+    stages = accumulate((None, *fr), lambda last, fraction: _next_stage(last, f, fraction, 0.0)[0])
+    _, _, criticals, spent = zip(*list(stages)[1:])
+    return BoundarySchedule(spending=f, fractions=fr, cumulative_spend=spent, critical_values=criticals)
 
 
 @dataclass(frozen=True)
@@ -379,6 +387,13 @@ class AnalysisRecord(Record):
     def __post_init__(self):
         if self.decision not in ("continue", "reject", "skipped"):
             raise StateError(f"decision must be continue, reject or skipped, got {self.decision!r}")
+        for name, ok, rule in (("info_level", 0 < self.info_level < math.inf, "finite and > 0"),
+                               ("info_fraction", 0 < self.info_fraction < math.inf, "finite and > 0"),
+                               ("z", math.isfinite(self.z), "finite"),
+                               ("cumulative_spend", 0 <= self.cumulative_spend < math.inf, "finite and >= 0"),
+                               ("critical_value", self.critical_value is None or self.critical_value >= 0, ">= 0")):
+            if not ok:
+                raise StateError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.critical_value is None and self.decision != "skipped":  # an infinity is stored as null
             object.__setattr__(self, "critical_value", math.inf)
 
@@ -395,6 +410,11 @@ class MonitoringState(Record):
         ("design", "design", DesignConfig.from_dict),
         ("analyses", "analyses", list_of(AnalysisRecord.from_dict)),
     )
+
+    def __post_init__(self):
+        fr = [a.info_fraction for a in self.effective]
+        if any(b <= a for a, b in zip(fr, fr[1:])):
+            raise StateError(f"information fractions must increase over the analyses not skipped, got {fr}")
 
     @property
     def rejected(self) -> bool:
@@ -422,16 +442,8 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
 
     ``result`` needs attributes ``u``, ``z``, and ``info_level``. The
     information fraction is the observed information over the design's
-    ``i_max``; spending is evaluated at the clamped fraction while the
-    recursion's covariance uses the raw one. The recorded fractions and
-    critical values of the earlier effective analyses are replayed, not
-    re-solved, to give the density the new stage starts from; only the
-    new stage's critical value is solved, for the increment from the
-    last recorded cumulative spend to the target; an increment within
-    rounding of nothing gives an infinite critical value, as in
-    :func:`boundaries`. If information did not increase since the last
-    effective analysis the stage is recorded as skipped and no spending
-    occurs. A ``final`` analysis spends all remaining alpha.
+    ``i_max``. One ``_next_stage`` step, whose docstring has the rules,
+    goes from the last effective analysis, rebuilt from the records.
 
     Raises:
         StateError: state already rejected, or ``u`` not past the last
@@ -451,22 +463,16 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
         raise StateError(
             f"non-increasing analysis time: u={u} is not past the last recorded u={state.analyses[-1].u}"
         )
+    spending = state.design.spending
+    last = None
+    for a in state.effective:
+        last = _Stage(_density_after(last, spending.sided, a.info_fraction), a.info_fraction, a.critical_value,
+                      a.cumulative_spend)
     fraction = info_level / state.design.i_max
-    prior = state.effective
-    spent = prior[-1].cumulative_spend if prior else 0.0
-    if prior and fraction <= prior[-1].info_fraction:
-        critical, cumulative, decision = None, spent, "skipped"
-    else:
-        spending = state.design.spending
-        fractions, criticals = [a.info_fraction for a in prior], [a.critical_value for a in prior]
-        _, prev = _replay(fractions, criticals, spending.sided, fraction)
-        target = spending.alpha if final else spending(min(fraction, 1.0))
-        critical = _solve_critical(prev, fraction, target, spent, spending.sided)
-        cumulative = spent + _stage_crossing(prev, fraction, critical, spending.sided)
-        exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
-        decision = "reject" if exceeds else "continue"
+    stage, decision = _next_stage(last, spending, fraction, z, final)
+    critical, spent = (None, last.spent) if stage is None else (stage.critical, stage.spent)
     record = AnalysisRecord(
         stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,
-        critical_value=critical, cumulative_spend=cumulative, decision=decision, final=final,
+        critical_value=critical, cumulative_spend=spent, decision=decision, final=final,
     )
     return replace(state, analyses=state.analyses + (record,))

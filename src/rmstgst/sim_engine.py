@@ -37,9 +37,7 @@ import numpy as np
 
 from .adjusted_rmst import AnalysisResult, _events_error, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import (
-    DesignConfig, MonitoringState, SpendingFunction, _find_root, ndtr, ndtri, update_monitoring,
-)
+from .gs_design import SpendingFunction, _find_root, _next_stage, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record, dict_of, integer, list_of, number, optional, string
 from .stratified_cox import fit as cox_fit
@@ -337,6 +335,9 @@ class InformationCalibration(Record):
     )
 
     def __post_init__(self):
+        for name, cap in {"i_max": self.i_max, **{f"{m} i_max": v for m, v in self.i_max_by_method.items()}}.items():
+            if not 0 < cap < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {cap!r}")
         times = self.analysis_times
         if len(times) != len(self.fractions) or not all(b > a for a, b in zip((0.0, *times), times)):
             raise ConfigError(f"analysis_times {times} must increase from 0, one per fraction {self.fractions}")
@@ -361,9 +362,8 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
         grid = np.append(grid, total)
     grid[-1] = total
     comparators = tuple(m for m in METHODS if m != "adjusted")
-    infos, *_ = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=(tuple(grid), ("adjusted", *comparators), comparators),
-    )
+    infos, *_ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted", *comparators),
+                                last_only=comparators)
     rows, finals = infos[:, :, 0], infos[:, -1, 1:]
     ok = np.sum(~np.isnan(rows), axis=0)
     usable = ok >= max(1, int(0.9 * reps))
@@ -492,7 +492,7 @@ class OperatingCharacteristics:
 _GROUP_PLACES = 4096
 
 
-def _study_worker(args):
+def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
     """Information, estimate and failure of each method at each calendar time, per replicate.
 
     Replicates are drawn in groups of as many as keep their looks x
@@ -505,7 +505,6 @@ def _study_worker(args):
     or has nobody enrolled at any look, fails at every look with
     ``DataError``, as its snapshot alone would.
     """
-    scn, master_seed, reps_slice, times, methods, last_only = args
     n_looks = len(times)
     infos = np.full((len(reps_slice), n_looks, len(methods)), np.nan)
     deltas = np.full_like(infos, np.nan)
@@ -543,20 +542,20 @@ def _study_worker(args):
     return infos, deltas, failed
 
 
-def _map_replicates(worker, scn, master_seed, reps, threads, extra=()):
-    """Run a replicate-indexed worker, serially or across processes.
+def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=()):
+    """Run ``_study_worker`` over the replicates, serially or across processes.
 
     Results are identical for any thread count: replicates own their
     seed streams and results are reassembled in replicate order.
     """
+    worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, last_only=last_only)
     all_reps = list(range(reps))
     if threads <= 1:
-        parts = [worker((scn, master_seed, all_reps, *extra))]
+        parts = [worker(all_reps)]
     else:
         chunk = max(1, math.ceil(reps / (threads * 4)))
-        slices = [all_reps[i:i + chunk] for i in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, [(scn, master_seed, s, *extra) for s in slices]))
+            parts = list(pool.map(worker, [all_reps[i:i + chunk] for i in range(0, reps, chunk)]))
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
@@ -566,9 +565,9 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     """Simulate the scenario and monitor every replicate to a decision.
 
     Each replicate is analyzed at the calibrated calendar times with
-    every requested method; each method is then monitored through the
-    observed-information respending machinery against its own
-    information cap, the last stage declared final. Analyses that fail
+    every requested method; each method's spending step is then folded
+    over the replicate's stages, against its own information cap, the
+    last stage declared final, to the first rejection. Analyses that fail
     (for example, no events in an arm) are counted per method and by
     error class, and the stage is skipped for that replicate.
 
@@ -585,28 +584,23 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times
     n_stage = len(times)
-    infos, deltas, failed = _map_replicates(
-        _study_worker, scn, master_seed, reps, threads, extra=(times, methods, ()),
-    )
+    infos, deltas, failed = _map_replicates(scn, master_seed, reps, threads, times, methods)
     cumulative, mc_se, failures, failures_by_type = {}, {}, {}, {}
     for m, method in enumerate(methods):
-        design = DesignConfig(spending=spending, planned_fractions=scn.fractions,
-                              i_max=calib.i_max_by_method[method])
+        i_max = calib.i_max_by_method[method]
         firsts = np.zeros(reps, dtype=np.int64)
         failed_as = Counter()
-        for rep in range(reps):
-            state = MonitoringState(design=design)
-            for k in range(n_stage):
-                info = infos[rep, k, m]
-                if np.isnan(info):
+        for rep, rows in enumerate(zip(infos[:, :, m].tolist(), deltas[:, :, m].tolist())):
+            last = None
+            for k, (info, delta) in enumerate(zip(*rows)):
+                if math.isnan(info):
                     failed_as[failed[rep, k, m]] += 1
                     continue
-                result = AnalysisResult(method=method, u=times[k], tau=scn.tau, delta=deltas[rep, k, m],
-                                        info_level=info)
-                state = update_monitoring(state, result, final=(k == n_stage - 1))
-                if state.analyses[-1].decision == "reject":
+                stage, decision = _next_stage(last, spending, info / i_max, delta * math.sqrt(info), k == n_stage - 1)
+                if decision == "reject":
                     firsts[rep] = k + 1
                     break
+                last = stage or last
         rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)

@@ -396,6 +396,41 @@ class TestAnalyze:
         assert "malformed monitoring state" in err and key in err
         assert state_path.read_bytes() == before
 
+    @pytest.mark.parametrize("key, value", [
+        ("info_fraction", math.nan), ("info_fraction", -1.0), ("info_fraction", math.inf), ("info_fraction", 0.0),
+        ("info_level", math.nan), ("info_level", 0.0), ("z", math.nan), ("z", -math.inf),
+        ("critical_value", math.nan), ("critical_value", -1.0),
+        ("cumulative_spend", math.nan), ("cumulative_spend", -0.01),
+    ])
+    def test_out_of_range_state_record_exit_5(self, key, value, trial_csv, design_json, tmp_path, capsys):
+        # a recorded number the recursion cannot start from: no traceback, no decision and no NaN written
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        assert code == 0
+        doc = json.loads(state_path.read_text())
+        doc["analyses"][0][key] = value
+        state_path.write_text(json.dumps(doc, indent=2))
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, *look, "--u", "2.0")
+        assert_typed_error(code, err, 5)
+        assert "malformed monitoring state" in err and key in err
+        assert state_path.read_bytes() == before
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_effective_fractions_out_of_order_exit_5(self, scale, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        assert code == 0
+        assert run_cli(capsys, *look, "--u", "2.0")[0] == 0
+        doc = json.loads(state_path.read_text())
+        doc["analyses"][1]["info_fraction"] = scale * doc["analyses"][0]["info_fraction"]
+        state_path.write_text(json.dumps(doc, indent=2))
+        code, _, err = run_cli(capsys, *look, "--u", "2.5")
+        assert_typed_error(code, err, 5)
+        assert "malformed monitoring state" in err and "fractions must increase" in err
+
     def test_schema_file_not_an_object_exit_3(self, trial_csv, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text("3")
@@ -703,6 +738,21 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "malformed calibration" in err
+
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
+    def test_bad_method_cap_exit_2(self, cap, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(Path(calib_path).read_text())
+        doc["i_max_by_method"]["km"] = cap
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(path), "--reps", "2", "--methods", "adjusted,km",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert_typed_error(code, err, 2)
+        assert "i_max must be finite and > 0" in err
 
     @pytest.mark.parametrize("typo", ["n_per_am", "shape_ofset"])
     def test_unknown_scenario_key_exit_2(self, typo, calib_setup, tmp_path, capsys):

@@ -35,8 +35,13 @@ class FakeResult:
 
 
 def crossing_probabilities(fractions, criticals, sided="two_sided"):
-    """Per-stage null crossing probabilities on a fixed boundary, by the monitoring replay."""
-    return np.asarray(gs_design._replay(tuple(fractions), [float(c) for c in criticals], sided)[0])
+    """Per-stage null crossing probabilities on a fixed boundary, by the recursion's density steps."""
+    probs, prev = [], None
+    for k, (fraction, c) in enumerate(zip(fractions, map(float, criticals))):
+        if k:
+            prev = gs_design._advance_density(prev, fractions[k - 1], float(criticals[k - 1]), sided, fraction)
+        probs.append(gs_design._stage_crossing(prev, fraction, c, sided))
+    return np.asarray(probs)
 
 
 def make_spending(kind, alpha=ALPHA, sided="two_sided"):

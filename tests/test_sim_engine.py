@@ -15,9 +15,9 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from rmstgst import sim_engine
-from rmstgst.adjusted_rmst import analyze
+from rmstgst.adjusted_rmst import AnalysisResult, analyze
 from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError
-from rmstgst.gs_design import SpendingFunction
+from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction, boundaries, update_monitoring
 from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import (
     METHODS,
@@ -459,7 +459,7 @@ class TestStackedReplicates:
     def worker(self, monkeypatch, group, scn, seed, reps, times, last_only=()):
         """The study worker, with the place budget set to stack ``group`` replicates a group."""
         monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
-        return sim_engine._study_worker((scn, seed, reps, times, self.METHODS, last_only))
+        return sim_engine._study_worker(scn, seed, reps, times, self.METHODS, last_only)
 
     @pytest.mark.parametrize("last_only", [(), ("km", "cox")])
     @pytest.mark.parametrize("group", [1, 2, 3, 7])
@@ -496,7 +496,7 @@ class TestStackedReplicates:
             return analyze(snap, fits)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
-        sim_engine._study_worker((SimScenario(), 1, list(range(7)), times, ("adjusted",), ()))
+        sim_engine._study_worker(SimScenario(), 1, list(range(7)), times, ("adjusted",))
         assert stacked == groups
 
 
@@ -550,3 +550,109 @@ class TestRunStudy:
         )
         with pytest.raises(ConfigError, match="information cap"):
             run_study(small_scn, spending, capless, reps=5, methods=("km",))
+
+
+def monitored_firsts(infos, deltas, spending, i_max):
+    """First rejecting stage of each replicate (0 for none), by folding ``update_monitoring`` over its stages
+    with a state of its own: the monitoring path of the CLI, as the study loop once took it."""
+    design = DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=i_max)
+    firsts = []
+    for info_row, delta_row in zip(infos.tolist(), deltas.tolist()):
+        state, first = MonitoringState(design=design), 0
+        for k, (info, delta) in enumerate(zip(info_row, delta_row)):
+            if math.isnan(info):
+                continue
+            result = AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=delta, info_level=info)
+            state = update_monitoring(state, result, final=k == len(info_row) - 1)
+            if state.rejected:
+                first = k + 1
+                break
+        firsts.append(first)
+    return np.array(firsts)
+
+
+class TestMonitoringOracle:
+    """``run_study`` folds the spending step over each replicate's stages; folding ``update_monitoring`` over
+    the same estimates and information must give the same first rejection, replicate by replicate."""
+
+    TINY = SimScenario.from_dict(json.loads((PERFBENCH_DATA / "tiny_sim_scenario.json").read_text()))
+    TINY_DOC = json.loads((PERFBENCH_DATA / "tiny_sim_calibration.json").read_text())
+    METHODS = ("adjusted", "km", "cox")
+
+    def study_firsts(self, monkeypatch, spending, i_max, infos, deltas):
+        """``run_study``'s first rejecting stage of each replicate (0 for none), each replicate monitored alone
+        on its given rows: with one replicate, the cumulative rejection steps from 0 to 1 at that stage."""
+        calib = replace(InformationCalibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": i_max})
+        failed = np.where(np.isnan(infos), "EstimationError", None)
+        firsts = []
+        for rep in range(infos.shape[0]):
+            rows = tuple(a[rep:rep + 1, :, None] for a in (infos, deltas, failed))
+            monkeypatch.setattr(sim_engine, "_map_replicates", lambda *args, **kwargs: rows)
+            rejected = run_study(self.TINY, spending, calib, reps=1).cumulative_rejection["adjusted"]
+            firsts.append(rejected.index(1.0) + 1 if 1.0 in rejected else 0)
+        return np.array(firsts)
+
+    @pytest.mark.parametrize("kind", ["obrien_fleming_like", "pocock_like"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_studies_match_update_monitoring(self, monkeypatch, kind, seed):
+        scn = replace(self.TINY, log_rate_ratio=self.TINY_DOC["power"]["log_rate_ratio"])
+        calib = InformationCalibration.from_dict(self.TINY_DOC)
+        spending = SpendingFunction(kind)
+        oc = run_study(scn, spending, calib, reps=60, methods=self.METHODS, master_seed=seed)
+        stages = len(calib.analysis_times)
+        for m in self.METHODS:
+            infos, deltas = oc.info_levels[m], oc.estimates[m]
+            want = monitored_firsts(infos, deltas, spending, calib.i_max_by_method[m])
+            rejected = [float(np.mean((want > 0) & (want <= k + 1))) for k in range(stages)]
+            assert oc.cumulative_rejection[m] == tuple(rejected)
+            got = self.study_firsts(monkeypatch, spending, calib.i_max_by_method[m], infos, deltas)
+            np.testing.assert_array_equal(got, want)
+
+    def test_failed_skipped_and_infinite_stages(self, monkeypatch):
+        nan = math.nan
+        infos = np.array([
+            [nan, 100.0, 180.0],  # a failed first stage
+            [100.0, nan, 200.0],  # a failed middle stage
+            [100.0, 90.0, 180.0],  # information falls: the second stage is skipped
+            [100.0, 100.0, 100.0],  # information stays: every later stage is skipped
+            [80.0, 200.0, 210.0],  # full information at stage 2: the final stage's critical value is infinite
+            [nan, nan, nan],  # every stage failed
+            [100.0, 150.0, 200.0],  # a plain path
+        ])
+        z = np.array([
+            [nan, 1.0, 2.5],
+            [1.0, nan, 3.0],
+            [1.0, 3.2, 2.3],
+            [1.0, 9.0, 9.0],
+            [1.0, 1.5, 30.0],
+            [nan, nan, nan],
+            [3.5, 1.0, 1.0],
+        ])
+        deltas = z / np.sqrt(infos)
+        spending = SpendingFunction("pocock_like")
+        want = monitored_firsts(infos, deltas, spending, 200.0)
+        assert want.tolist() == [3, 3, 3, 0, 0, 0, 1]
+        np.testing.assert_array_equal(self.study_firsts(monkeypatch, spending, 200.0, infos, deltas), want)
+        state = MonitoringState(design=DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=200.0))
+        for k in range(3):
+            result = AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=deltas[4, k], info_level=infos[4, k])
+            state = update_monitoring(state, result, final=k == 2)
+        assert state.analyses[-1].critical_value == math.inf and not state.rejected
+
+    @pytest.mark.parametrize("kind, fractions", [
+        ("obrien_fleming_like", (0.5, 0.75, 1.0)),
+        ("pocock_like", (0.2, 0.4, 0.6, 0.8, 1.0)),
+        ("cubic_min", (1e-5, 0.5, 1.0)),  # the first stage spends within rounding of nothing
+        ("power_family", (0.1, 0.1001, 1.0)),
+    ])
+    def test_boundaries_are_update_monitoring_at_unit_i_max(self, kind, fractions):
+        f = SpendingFunction(kind, rho=2.0 if kind == "power_family" else None)
+        sched = boundaries(f, fractions)
+        state = MonitoringState(design=DesignConfig(spending=f, planned_fractions=fractions, i_max=1.0))
+        for k, fraction in enumerate(fractions):
+            state = update_monitoring(state, AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=0.0,
+                                                            info_level=fraction))
+        assert tuple(a.critical_value for a in state.analyses) == sched.critical_values
+        assert tuple(a.cumulative_spend for a in state.analyses) == sched.cumulative_spend
+        if kind == "cubic_min":
+            assert sched.critical_values[0] == math.inf
