@@ -15,9 +15,9 @@ stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: a stage needs only the density it started
 from, its fraction, critical value and cumulative spend. One step,
-``_next_stage``, goes to the next stage; planned boundaries, simulated
-studies and monitoring all fold it over their looks, the last from the
-stage rebuilt, with nothing solved again, from the state file's records.
+``_next_stage``, goes from a stage to the next. Planned boundaries and
+simulated studies fold it over their looks; monitoring takes one step
+from the last stage, rebuilt from the state file without re-solving.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
 
     ``result`` needs attributes ``u``, ``z``, and ``info_level``. The
     information fraction is the observed information over the design's
-    ``i_max``. One ``_next_stage`` step, whose docstring has the rules,
+    ``i_max``. One ``_next_stage`` step (its docstring has the rules)
     goes from the last effective analysis, rebuilt from the records.
 
     Raises:

@@ -554,7 +554,7 @@ class TestRunStudy:
 
 def monitored_firsts(infos, deltas, spending, i_max):
     """First rejecting stage of each replicate (0 for none), by folding ``update_monitoring`` over its stages
-    with a state of its own: the monitoring path of the CLI, as the study loop once took it."""
+    with a state of its own: the monitoring path of the CLI."""
     design = DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=i_max)
     firsts = []
     for info_row, delta_row in zip(infos.tolist(), deltas.tolist()):
