@@ -12,11 +12,11 @@ from conftest import arm_rows, baseline, enrolled, height, monotone_trial, sim_s
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmstgst import adjusted_rmst
+from rmstgst import adjusted_rmst, stratified_cox
 from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, variance
 from rmstgst.errors import DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, draw_trial, true_rmst
-from rmstgst.stratified_cox import fit
+from rmstgst.stratified_cox import CoxFits, fit
 from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
@@ -371,6 +371,122 @@ class TestBlockedKernel:
         finally:
             tracemalloc.stop()
         assert peak < enrolled(snap).n * r * 8 / 4
+
+
+def fits_at(snap, beta, info, hazard_beta=None):
+    """Fits of a one-look snapshot stopped at ``beta`` with information ``info``, wherever Newton would stop;
+    the baseline hazards are those at ``hazard_beta`` (default ``beta``)."""
+    beta = np.array([beta], dtype=float)
+    sums = stratified_cox._score_info(snap, beta if hazard_beta is None else np.array([hazard_beta], dtype=float))[3]
+    return CoxFits(snap, beta, np.array([info], dtype=float), np.zeros(1), np.zeros(1, dtype=int),
+                   np.zeros(1, dtype=int), [None], sums)
+
+
+def wide_eta():
+    snap = sim_snapshot(SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=2.5), seed=4)
+    return snap, fit(snap)
+
+
+def tied_eta():
+    snap = blocked_snapshot(p=1)
+    snap = arrays_snapshot(snap.time[0], snap.event[0], snap.arm, np.full(snap.arm.size, 0.37), tau=snap.tau)
+    return snap, fits_at(snap, [1.3], [[5.0]])  # every subject at eta = 0.481, off the nodes
+
+
+def clamped_eta():
+    snap = blocked_snapshot(p=1)
+    z = np.random.default_rng(5).standard_normal(snap.arm.size)
+    snap = arrays_snapshot(snap.time[0], snap.event[0], snap.arm, z, tau=snap.tau)
+    return snap, fits_at(snap, [40.0], [[5.0]], hazard_beta=[0.5])  # eta over about +-100: clamped at both ends
+
+
+def arm_without_events():
+    rng = np.random.default_rng(11)
+    arm = np.repeat([0, 1], 40)
+    z = rng.uniform(0.0, 1.0, (arm.size, 1))
+    time = rng.exponential(1.0 / np.exp(0.8 * z[:, 0] - 0.5 * arm))
+    snap = arrays_snapshot(time, (rng.random(arm.size) < 0.8) & (arm == 0), arm, z)
+    return snap, fit(snap)
+
+
+class TestNodeKernel:
+    """A look past one block takes its kernel at nodes in the linear predictor, against the exact kernel."""
+
+    NODE_CELLS = 8 * 24 * 5  # small looks past this take the node path, 5 subjects' weights a chunk
+
+    @pytest.mark.parametrize("case", [
+        wide_eta,
+        tied_eta,
+        clamped_eta,
+        lambda: (blocked_snapshot(p=0), fit(blocked_snapshot(p=0))),
+        arm_without_events,
+        lambda: (blocked_snapshot(event_at_tau=True), fit(blocked_snapshot(event_at_tau=True))),
+    ], ids=["wide-eta", "tied-eta", "clamped-eta", "no-covariates", "arm-without-events", "event-at-tau"])
+    def test_matches_the_exact_kernel(self, case, monkeypatch):
+        snap, fits = case()
+        cells = enrolled(snap).n * snap.event_times.size
+        assert self.NODE_CELLS < cells <= adjusted_rmst._BLOCK_CELLS
+        calls = []
+        node_kernel = adjusted_rmst._node_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return node_kernel(*args)
+
+        monkeypatch.setattr(adjusted_rmst, "_node_kernel", counted)
+        paths = {}
+        for name, block in (("exact", adjusted_rmst._BLOCK_CELLS), ("nodes", self.NODE_CELLS)):
+            monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", block)
+            adj = adjusted_survival(snap, fits, [0])
+            comp = variance(snap, fits, adj)
+            paths[name] = adj, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / comp.v_eta2[0],
+                                *(term[0] for term in comp.to_dict().values())]
+        assert len(calls) == 1  # the node path ran once, with the smaller block
+        (exact, exact_stats), (nodes, nodes_stats) = paths["exact"], paths["nodes"]
+        for field in ("values", "c1", "c2"):
+            np.testing.assert_allclose(getattr(nodes, field), getattr(exact, field), rtol=0, atol=1e-13,
+                                       err_msg=field)
+        np.testing.assert_allclose(nodes.mu_cond[0], exact.mu_cond[0], rtol=0, atol=1e-13)
+        # delta, info, b10, b11, b3 and var_cond; the tied look's b3 and var_cond are 0 but for rounding (~1e-31)
+        np.testing.assert_allclose(nodes_stats, exact_stats, rtol=1e-11, atol=1e-20)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_off_look_still_raises_and_keeps_few_panels(self, monkeypatch):
+        snap = snapshot(monotone_trial(), u=0.2, tau=1.0)  # the fit runs off to beta ~ 282
+        clamped = []
+        kernel_eta = adjusted_rmst._kernel_eta
+
+        def recorded(eta, hazard):
+            clamped.append((eta, kernel_eta(eta, hazard)))
+            return clamped[-1][1]
+
+        monkeypatch.setattr(adjusted_rmst, "_kernel_eta", recorded)
+        monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", 0)
+        analyses = analyze(snap)
+        with pytest.raises(EstimationError, match="must be finite"):
+            analyses[0]
+        (eta, x), = clamped
+        assert np.ptp(eta) > 1000  # unclamped, its 39 subjects' eta spread over 1 247 unit panels
+        # clamped, the window is log(750 * 2**60 * H_max / H_min) ~ 94 panels wide, and every subject
+        # below it sits on its lower end, where each cell is exactly 1
+        panels = np.unique(np.floor(x))
+        assert np.ptp(panels) < 100 and panels.size <= 64
+
+    def test_peak_memory_of_a_large_look(self):
+        # a trial-end 5 000-per-arm look, as in the interim benchmark. Measured: 2.91 MiB, against 2.41 MiB for
+        # the exact kernel in blocks of 2**17 cells; a second panel kernel alive at once, or the weights of a
+        # block's worth of subjects at once, would each add about 1 MiB. The pin allows 10%.
+        scn = SimScenario(n_per_arm=5000, covariate_strength=math.log(1.5), shape_offset=-0.3)
+        snap = sim_snapshot(scn, seed=17)
+        fits = fit(snap)
+        assert enrolled(snap).n * snap.event_times.size > 400 * adjusted_rmst._BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            adjusted_survival(snap, fits, [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2.91 * 2**20
 
 
 class TestAnalyze:
