@@ -51,10 +51,10 @@ __all__ = [
 # exact kernel is the faster; a 5 000-per-arm look is hundreds of blocks, and its few panels of nodes cost
 # a few per cent of the exact kernel. A block also sizes the node path's pieces of memory.
 _BLOCK_CELLS = 2**17
-# Chebyshev points of the second kind on [0, 1], so each end is a node, and their barycentric weights
-_NODES = np.sin(np.pi * np.arange(24) / 46) ** 2
-_NODE_WEIGHTS = (-1.0) ** np.arange(24)
-_NODE_WEIGHTS[[0, -1]] /= 2
+# Chebyshev points of the second kind on [0, 1], so each end is a node, and their barycentric weights; built
+# in Python, since numpy's sin and power loops, used nowhere else, add ~0.15 MB to a cold analyze's peak RSS
+_NODES = np.array([math.sin(math.pi * m / 46) ** 2 for m in range(24)])
+_NODE_WEIGHTS = np.array([(-1.0) ** m / (2.0 if m in (0, 23) else 1.0) for m in range(24)])
 
 
 def _stratum_cumsum(snap: Snapshot, values: np.ndarray, reverse: bool = False) -> np.ndarray:
