@@ -188,6 +188,7 @@ def _node_kernel(look_w: np.ndarray, eta: np.ndarray, hazard: np.ndarray, spans:
             lagrange /= lagrange.sum(axis=1, keepdims=True)
             node_w += lagrange.T @ look_w[rows]
             cond_mu[rows] = lagrange @ node_mu
+            del lagrange  # as the kernel below: one chunk's weights alive at a time
         look_sum += node_w.T @ kernel
         del kernel  # freed before the next panel's is allocated, so one is alive at a time
     return look_sum, cond_mu
