@@ -483,7 +483,7 @@ class TestNodeKernel:
         assert np.ptp(panels) < 100 and panels.size <= 64
 
     def test_peak_memory_of_a_large_look(self):
-        # a trial-end 5 000-per-arm look, as in the interim benchmark: 2.79 MiB measured. A second panel kernel
+        # a trial-end 5 000-per-arm look, as in the interim benchmark: 2.86 MiB measured. A second panel kernel
         # alive at once, or the weights of a block's worth of subjects at once, would each add about 1 MiB.
         scn = SimScenario(n_per_arm=5000, covariate_strength=math.log(1.5), shape_offset=-0.3)
         snap = sim_snapshot(scn, seed=17)
@@ -495,7 +495,7 @@ class TestNodeKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 2.79 * 2**20  # measured plus 10%
+        assert peak < 1.1 * 2.86 * 2**20  # measured plus 10%
 
 
 class TestAnalyze:
