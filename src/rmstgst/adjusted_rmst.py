@@ -356,11 +356,10 @@ class AdjustedAnalyses:
         )
 
 
-def analyze(snap: Snapshot, fits: CoxFits | None = None) -> AdjustedAnalyses:
+def analyze(snap: Snapshot) -> AdjustedAnalyses:
     """Full adjusted analysis of every look of a snapshot: fit, curves, difference, variance.
 
-    ``fits`` are the snapshot's model fits, fitted here for the looks with
-    an event in each arm when not given.
+    The model is fitted at the looks with an event in each arm.
 
     Raises (look k's result, ``[k]``, when look k cannot be analyzed):
         InsufficientEventsError: an arm has no event at or before
@@ -369,8 +368,7 @@ def analyze(snap: Snapshot, fits: CoxFits | None = None) -> AdjustedAnalyses:
             failed.
         EstimationError: the difference or its information is not finite.
     """
-    if fits is None:
-        fits = cox_fit(snap, looks=snap.events_in_every_stratum())
+    fits = cox_fit(snap, looks=snap.events_in_every_stratum())
     errors = [_events_error(snap, k) or fits.errors[k] for k in range(snap.u.size)]
     # a look whose fit ran off overflows here; its result then raises EstimationError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -10,14 +10,16 @@ Commands:
 
 ``analyze`` and ``km-compare`` take the same data flags and build the
 snapshot the same way; each analysis prints as its ``AnalysisResult``
-dictionary. Monitoring state is a JSON file updated atomically (write to
-a temp file, then rename); an exclusive lock file naming its holder's pid
-is held from reading the state to writing it back. Exit codes: 0
-success; 2 configuration error, a malformed design, scenario or
-calibration file among them; 3 data error, a malformed CSV or
-``--schema`` file among them; 4 estimation error (including an estimate
-or information that is not finite, in which case the state file is left
-as it was); 5 state error, a malformed state file among them.
+dictionary. Every output file is written atomically by ``_write``; an
+exclusive lock file naming its holder's pid is held from reading the
+monitoring state to writing it back. Exit codes: 0 success; 2
+configuration error; 3 data error; 4 estimation error (including an
+estimate or information that is not finite, in which case the state file
+is left as it was); 5 state error. An input that cannot be read (missing,
+a directory, not UTF-8 JSON or malformed) exits with its record's code: 2
+for a design, scenario or calibration, 3 for a ``--schema`` file and 5 for
+the state file. An output that cannot be written exits 2, or 5 for the
+state file or its lock.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -46,17 +47,7 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
-from .records import number
-from .sim_engine import (
-    METHODS,
-    InformationCalibration,
-    SimScenario,
-    calibrate_information,
-    calibrate_null,
-    calibrate_power,
-    curve_table,
-    run_study,
-)
+from .sim_engine import METHODS, Calibration, SimScenario, calibrate, curve_table, run_study
 from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot, standardize_covariates
 
 DEFAULT_CALIBRATION_SEED = 20200920
@@ -80,20 +71,29 @@ def _default_threads() -> int:
     return value
 
 
-def _read_json(path: str, what: str) -> dict:
+def _write(path: str, text: str, error=ConfigError) -> str:
+    """Replace the file at ``path`` with ``text`` by a synced temp file beside it, renamed; return ``path``.
+
+    A location that cannot be written raises ``error`` and leaves no temp file behind.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        with open(tmp, "w", encoding="utf-8") as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+    except OSError as exc:
+        raise error(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _sha256(path: str) -> str:
@@ -119,7 +119,7 @@ def _print(text: str) -> None:
 
 
 def _print_json(payload: dict) -> None:
-    _print(json.dumps(payload, indent=2, sort_keys=True))
+    _print(_json_text(payload))
 
 
 def _spending_from_args(args) -> SpendingFunction:
@@ -149,7 +149,7 @@ def cmd_design(args) -> int:
     design = DesignConfig(spending=spending, planned_fractions=fractions, i_max=args.i_max)
     schedule = boundaries(spending, fractions)
     if args.out:
-        _write_json(args.out, design.to_dict())
+        _write(args.out, _json_text(design.to_dict()) + "\n")
     _print(_boundary_table(schedule))
     if not args.out:
         _print_json(design.to_dict())
@@ -162,12 +162,12 @@ def cmd_boundaries(args) -> int:
     schedule = boundaries(spending, fractions)
     _print(_boundary_table(schedule))
     if args.out:
-        _write_json(args.out, schedule.to_dict())
+        _write(args.out, _json_text(schedule.to_dict()) + "\n")
     return 0
 
 
 def _schema_from_args(args) -> CsvSchema:
-    schema = CsvSchema.from_dict(_read_json(args.schema, "schema")) if args.schema else CsvSchema()
+    schema = CsvSchema.read(args.schema) if args.schema else CsvSchema()
     flags = {
         "subject_id": args.id_col,
         "arm": args.arm_col,
@@ -204,6 +204,8 @@ def _state_lock(path: str):
             f"monitoring state is locked by another process: {lock_path} exists"
             + (f" ({holder})" if holder else "")
         ) from exc
+    except OSError as exc:
+        raise StateError(f"cannot lock monitoring state {path}: {exc.strerror}") from None
     try:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         os.write(fd, f"pid {os.getpid()} since {stamp}\n".encode())
@@ -213,38 +215,22 @@ def _state_lock(path: str):
         os.unlink(lock_path)
 
 
-def _atomic_state_write(path: str, text: str) -> None:
-    """Replace the state file atomically: write a temp file, then rename it."""
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)), prefix=".state-", suffix=".tmp",
-        delete=False, encoding="utf-8",
-    )
-    try:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    finally:
-        handle.close()
-    os.replace(handle.name, path)
-
-
-def _load_or_create_state(args) -> MonitoringState:
+def _load_or_create_state(args, info_level: float) -> MonitoringState:
+    """The state in ``--state``, or a fresh one on ``--design``; a design flag on a stored state is refused."""
     if os.path.exists(args.state):
-        if args.design:
-            raise ConfigError(
-                f"state {args.state} already initialized; omit --design (the state file carries it)"
-            )
-        try:
-            with open(args.state, encoding="utf-8") as fh:
-                return MonitoringState.from_json(fh.read())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StateError(f"cannot read monitoring state {args.state}: {exc}") from exc
+        for flag, given in (("--design", args.design), ("--i-max", args.i_max is not None),
+                            ("--i-max-from-data", args.i_max_from_data)):
+            if given:
+                raise ConfigError(f"state {args.state} already initialized; omit {flag} (the state file "
+                                  "carries the design)")
+        return MonitoringState.read(args.state)
     if not args.design:
         raise ConfigError(f"state {args.state} does not exist; pass --design to start monitoring")
-    design = DesignConfig.from_dict(_read_json(args.design, "design"))
-    if args.i_max is not None:
-        design = replace(design, i_max=args.i_max)
-    return MonitoringState(design=design)
+    design = DesignConfig.read(args.design)
+    if args.i_max_from_data and design.i_max is not None:
+        raise ConfigError(f"--i-max-from-data needs a design without i_max; {args.design} has i_max {design.i_max}")
+    i_max = info_level if args.i_max_from_data else args.i_max
+    return MonitoringState(design=design if i_max is None else replace(design, i_max=i_max))
 
 
 def cmd_analyze(args) -> int:
@@ -262,11 +248,8 @@ def cmd_analyze(args) -> int:
         return 0
 
     with _state_lock(args.state):
-        state = _load_or_create_state(args)
-        if state.design.i_max is None and args.i_max_from_data:
-            state = MonitoringState(design=replace(state.design, i_max=result.info_level))
-        state = update_monitoring(state, result, final=args.final)
-        _atomic_state_write(args.state, state.to_json())
+        state = update_monitoring(_load_or_create_state(args, result.info_level), result, final=args.final)
+        _write(args.state, state.to_json(), StateError)
     record = state.analyses[-1].to_dict()
     keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
     report["monitoring"] = {k: record[k] for k in keys}
@@ -281,91 +264,61 @@ def cmd_km_compare(args) -> int:
         "km": km_rmst_test(snap).to_dict(),
     }
     if args.out:
-        _write_json(args.out, report)
+        _write(args.out, _json_text(report) + "\n")
     _print_json(report)
     return 0
 
 
-def _calibrate_scenario(scn: SimScenario, reps: int, seed: int, threads: int,
-                        target_power: float, alpha: float, sides: str) -> dict:
-    """Null offset, information schedule on the null, and power offset."""
-    null_offset = calibrate_null(scn)
-    null_scn = replace(scn, log_rate_ratio=null_offset)
-    info = calibrate_information(null_scn, reps=reps, master_seed=seed, threads=threads)
-    power = calibrate_power(scn, info, target_power=target_power, alpha=alpha, sided=sides)
-    doc = info.to_dict()
-    doc["null_log_rate_ratio"] = null_offset
-    doc["power"] = power.to_dict()
-    doc["scenario"] = scn.to_dict()
-    return doc
-
-
 def cmd_calibrate(args) -> int:
-    scn = SimScenario.from_dict(_read_json(args.scenario, "scenario"))
-    doc = _calibrate_scenario(
-        scn, reps=args.reps, seed=args.seed, threads=args.threads,
-        target_power=args.target_power, alpha=args.alpha, sides=args.sides,
+    calib = calibrate(
+        SimScenario.read(args.scenario), reps=args.reps, master_seed=args.seed, threads=args.threads,
+        target_power=args.target_power, alpha=args.alpha, sided=args.sides,
     )
     if args.out:
-        _write_json(args.out, doc)
+        _write(args.out, _json_text(calib.to_dict()) + "\n")
     else:
-        _print_json(doc)
+        _print_json(calib.to_dict())
     return 0
 
 
-def _resolve_effect(scn: SimScenario, doc: dict, effect: str) -> SimScenario:
-    if effect == "as-given":
-        return scn
-    try:
-        offset = doc["null_log_rate_ratio"] if effect == "null" else doc["power"]["log_rate_ratio"]
-        return replace(scn, log_rate_ratio=number(offset))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed calibration {effect} offset: {exc!r}; rerun calibrate") from exc
-
-
 def cmd_simulate(args) -> int:
-    scn = SimScenario.from_dict(_read_json(args.scenario, "scenario"))
-    design = DesignConfig.from_dict(_read_json(args.design, "design"))
+    scn = SimScenario.read(args.scenario)
+    design = DesignConfig.read(args.design)
     methods = tuple(m for m in args.methods.split(",") if m)
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
 
     if args.calibration:
-        calib_doc = _read_json(args.calibration, "calibration")
-        calib_path = args.calibration
+        calib, calib_path = Calibration.read(args.calibration), args.calibration
     elif args.no_calibrate:
         raise ConfigError("--no-calibrate requires --calibration pointing at an existing file")
     else:
-        calib_doc = _calibrate_scenario(
-            scn, reps=args.calib_reps, seed=args.calib_seed, threads=args.threads,
-            target_power=args.target_power, alpha=design.spending.alpha,
-            sides=design.spending.sided,
+        calib = calibrate(
+            scn, reps=args.calib_reps, master_seed=args.calib_seed, threads=args.threads,
+            target_power=args.target_power, alpha=design.spending.alpha, sided=design.spending.sided,
         )
-        calib_path = os.path.join(args.out_dir, "calibration.json")
-        _write_json(calib_path, calib_doc)
-    calib = InformationCalibration.from_dict(calib_doc)
-    if tuple(calib.fractions) != tuple(design.planned_fractions):
-        raise ConfigError(
-            f"calibration fractions {calib.fractions} do not match the design's "
-            f"{design.planned_fractions}"
-        )
+        calib_path = _write(os.path.join(args.out_dir, "calibration.json"), _json_text(calib.to_dict()) + "\n")
+    if calib.info.fractions != design.planned_fractions:
+        raise ConfigError(f"calibration fractions {calib.info.fractions} do not match the design's "
+                          f"{design.planned_fractions}")
 
-    sim_scn = _resolve_effect(scn, calib_doc, args.effect)
+    offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
+              "power": calib.power.log_rate_ratio}[args.effect]
+    sim_scn = replace(scn, log_rate_ratio=offset)
     oc = run_study(
-        sim_scn, design.spending, calib, reps=args.reps, methods=methods,
+        sim_scn, design.spending, calib.info, reps=args.reps, methods=methods,
         master_seed=args.seed, threads=args.threads,
     )
 
     def write_csv(name: str, header: str, rows) -> str:
         """One output table; numbers as ``%.10g``, labels and stages as they are."""
-        path = os.path.join(args.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.writelines(",".join(str(v) if isinstance(v, (str, int)) else f"{v:.10g}" for v in row) + "\n"
-                          for row in rows)
-        return path
+        lines = (",".join(str(v) if isinstance(v, (str, int)) else f"{v:.10g}" for v in row) for row in rows)
+        return _write(os.path.join(args.out_dir, name), "\n".join((header, *lines)) + "\n")
 
     outputs = {
         "results": write_csv("results.csv", "method,stage,cumulative_rejection,mc_se",
@@ -398,7 +351,7 @@ def cmd_simulate(args) -> int:
         "failures": dict(oc.failures),
         "failures_by_type": oc.failures_by_type,
     }
-    _write_json(os.path.join(args.out_dir, "manifest.json"), manifest)
+    _write(os.path.join(args.out_dir, "manifest.json"), _json_text(manifest) + "\n")
 
     _print(f"{'method':<9} {'stage':>5} {'cum_rejection':>14} {'mc_se':>9}")
     for row in oc.to_rows():
@@ -536,12 +489,8 @@ def main(argv=None) -> int:
             args.threads = _default_threads()
         return args.func(args)
     except RmstgstError as exc:
-        for klass, code in EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
 
 
 if __name__ == "__main__":

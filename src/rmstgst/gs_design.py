@@ -428,14 +428,6 @@ class MonitoringState(Record):
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MonitoringState":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StateError(f"monitoring state is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
-
 
 def update_monitoring(state: MonitoringState, result, final: bool = False) -> MonitoringState:
     """Fold one analysis result into the monitoring state.

@@ -1,5 +1,9 @@
 """One JSON codec for the records the package reads and writes.
 
+This is the one place where a file becomes a record: ``X.read(path)``
+raises the record's own error class, naming the path (and the line and
+column of bad JSON), for a file that cannot be opened or is not UTF-8 JSON.
+
 A record sets ``_what``, its name in messages, its error class ``_error``,
 its ``_schema`` string if any, and ``_keys``: its JSON keys once, in file
 order, as ``(key, field, check)``. A field with key ``None`` keeps its keys
@@ -14,6 +18,7 @@ raises the record's error class, a nested record's wrapped in its parent's.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 from .errors import RmstgstError
@@ -61,6 +66,27 @@ class Record:
     _schema: str | None = None
     _strict = False
     _closed = False
+
+    @classmethod
+    def read(cls, path):
+        """The record in the UTF-8 JSON file at ``path``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise cls._error(f"cannot read {cls._what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        return cls.from_json(text, path)
+
+    @classmethod
+    def from_json(cls, text: str, path=None):
+        """The record in JSON ``text``, read from ``path`` if given."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            where = "" if path is None else f"{path}: "
+            raise cls._error(f"{where}{cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
+                             f"{exc.msg}") from None
+        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         out = {"schema": self._schema} if self._schema else {}

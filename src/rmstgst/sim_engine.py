@@ -47,6 +47,7 @@ __all__ = [
     "SimScenario",
     "InformationCalibration",
     "PowerCalibration",
+    "Calibration",
     "OperatingCharacteristics",
     "draw_trial",
     "true_rmst",
@@ -55,6 +56,7 @@ __all__ = [
     "calibrate_null",
     "calibrate_information",
     "calibrate_power",
+    "calibrate",
     "cox_hr_test",
     "run_study",
     "curve_table",
@@ -321,7 +323,7 @@ class InformationCalibration(Record):
     master_seed: int
     failures: int
 
-    _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
+    _what, _error, _schema, _strict = "information calibration", ConfigError, CALIBRATION_SCHEMA, True
     _keys = (
         ("fractions", "fractions", list_of(number)),
         ("analysis_times", "analysis_times", list_of(number)),
@@ -448,6 +450,34 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
         target_power=target_power, alpha=alpha, sided=sided,
         delta=delta, log_rate_ratio=root,
     )
+
+
+@dataclass(frozen=True)
+class Calibration(Record):
+    """A scenario's calibration file: its information schedule, null and power offsets, and the scenario."""
+
+    info: InformationCalibration
+    null_log_rate_ratio: float
+    power: PowerCalibration
+    scenario: SimScenario
+
+    _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
+    _keys = (
+        (None, "info", InformationCalibration.from_dict),
+        ("null_log_rate_ratio", "null_log_rate_ratio", number),
+        ("power", "power", PowerCalibration.from_dict),
+        ("scenario", "scenario", SimScenario.from_dict),
+    )
+
+
+def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,
+              sided: str) -> Calibration:
+    """The null offset, the information schedule measured at the null, and the power offset, in that order."""
+    null_offset = calibrate_null(scn)
+    info = calibrate_information(replace(scn, log_rate_ratio=null_offset), reps=reps, master_seed=master_seed,
+                                 threads=threads)
+    power = calibrate_power(scn, info, target_power=target_power, alpha=alpha, sided=sided)
+    return Calibration(info=info, null_log_rate_ratio=null_offset, power=power, scenario=scn)
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,31 @@ class TestAnalyze:
         assert code == 2
         assert "mutually exclusive" in err
 
+    @pytest.mark.parametrize("flag", [("--i-max", "5"), ("--i-max-from-data",)], ids=["i_max", "i_max_from_data"])
+    def test_i_max_flag_on_existing_state_exit_2(self, flag, trial_csv, design_json, tmp_path, capsys):
+        # the state file carries the design, so a flag that would change it is refused, not ignored
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "200")[0] == 0
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, *look, "--u", "2.0", *flag)
+        assert_typed_error(code, err, 2)
+        assert "already initialized" in err and flag[0] in err
+        assert state_path.read_bytes() == before
+        assert not os.path.exists(str(state_path) + ".lock")
+
+    def test_i_max_from_data_with_a_design_i_max_exit_2(self, trial_csv, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0), i_max=700.0).to_dict()))
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(state_path), "--design", str(design), "--i-max-from-data",
+        )
+        assert_typed_error(code, err, 2)
+        assert "--i-max-from-data" in err and "i_max" in err
+        assert not state_path.exists()
+
     def test_missing_data_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "analyze", "--data", str(tmp_path / "nope.csv"),
@@ -448,7 +473,7 @@ class TestAnalyze:
             "--state", str(tmp_path / "fresh.json"), "--design", str(truncated_design),
         )
         assert code == 2
-        assert "invalid JSON" in err
+        assert f"{truncated_design}: design config is not valid JSON at line 1 column 41" in err
 
     def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
         state_path = str(tmp_path / "state.json")
@@ -827,6 +852,86 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "RMSTGST_THREADS" in err
+
+
+BAD_INPUTS = {
+    "not_utf8": lambda path: path.write_bytes(b'{"schema": "\xff"}'),
+    "directory": lambda path: path.mkdir(),
+    "truncated": lambda path: path.write_text('{\n  "schema": '),
+    "missing": lambda path: None,
+}
+
+
+class TestFileBoundary:
+    """A file the CLI cannot read or write is one typed error line, never a traceback, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("broken", list(BAD_INPUTS))
+    @pytest.mark.parametrize("flag, expected", [("--scenario", 2), ("--design", 2), ("--calibration", 2),
+                                                ("--schema", 3)])
+    def test_unreadable_input(self, flag, expected, broken, trial_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        BAD_INPUTS[broken](bad)
+        if flag == "--schema":
+            argv = ["analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0", "--report-only"]
+        else:  # the inputs are read before any calibration, so the unread one may be missing
+            argv = ["simulate", "--scenario", scenario_file(tmp_path), "--design", design_file(tmp_path),
+                    "--calibration", str(tmp_path / "unread.json"), "--reps", "2",
+                    "--out-dir", str(tmp_path / "out")]
+        code, _, err = run_cli(capsys, *argv, flag, str(bad))
+        assert_typed_error(code, err, expected)
+        assert str(bad) in err
+        if broken == "truncated":
+            assert "not valid JSON at line 2 column 13" in err
+
+    def test_design_out_in_missing_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.json"
+        code, _, err = run_cli(capsys, "design", "--spending", "cubic_min", "--fractions", "0.5,1.0",
+                               "--out", str(out))
+        assert_typed_error(code, err, 2)
+        assert str(out) in err
+        assert not out.parent.exists()
+
+    def test_simulate_out_dir_under_a_file_exit_2(self, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert str(out_dir) in err
+        assert blocker.read_text() == ""
+
+    def test_analyze_state_in_missing_directory_exit_5(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "missing" / "state.json"
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+            "--state", str(state_path), "--design", design_json, "--i-max", "700",
+        )
+        assert_typed_error(code, err, 5)
+        assert str(state_path) in err
+        assert not state_path.parent.exists()
+
+    @pytest.mark.parametrize("fails", ["fsync", "replace"])
+    def test_failed_state_write_leaves_the_state_and_nothing_else(self, fails, trial_csv, design_json, tmp_path,
+                                                                  capsys, monkeypatch):
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")[0] == 0
+        before = state_path.read_bytes()
+
+        def broken(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, fails, broken)
+        code, _, err = run_cli(capsys, *look, "--u", "2.0")
+        monkeypatch.undo()
+        assert_typed_error(code, err, 5)
+        assert str(state_path) in err and "Input/output error" in err
+        assert state_path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["design.json", "state.json", "trial.csv"]
 
 
 class TestNineCovariateWorkflow:

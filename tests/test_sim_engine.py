@@ -334,9 +334,9 @@ class TestCalibration:
     def test_information_calibration_analyzes_each_grid_point_once(self, small_scn, monkeypatch):
         calls = []
 
-        def counted(snap, fits=None):
+        def counted(snap):
             calls.append(snap.u.tolist())
-            return analyze(snap, fits)
+            return analyze(snap)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
         calibrate_information(small_scn, reps=100, master_seed=7, grid_step=0.5)
@@ -491,9 +491,9 @@ class TestStackedReplicates:
         # 3 looks of 400 subjects stack 3 replicates a group; the calibration grid's 30 looks stay alone
         stacked = []
 
-        def counted(snap, fits=None):
+        def counted(snap):
             stacked.append(snap.u.size // len(times))
-            return analyze(snap, fits)
+            return analyze(snap)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
         sim_engine._study_worker(SimScenario(), 1, list(range(7)), times, ("adjusted",))
