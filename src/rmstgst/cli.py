@@ -32,7 +32,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .adjusted_rmst import analyze
@@ -60,14 +60,16 @@ EXIT_CODES = (
 )
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("RMSTGST_THREADS", "1")
+def _threads(flag: int | None) -> int:
+    """The worker count: ``--threads`` if given, else ``RMSTGST_THREADS``, else 1; either source must give >= 1."""
+    source = "RMSTGST_THREADS" if flag is None else "--threads"
+    raw = os.environ.get(source, "1") if flag is None else flag
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ConfigError(f"RMSTGST_THREADS must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{source} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ConfigError(f"RMSTGST_THREADS must be >= 1, got {value}")
+        raise ConfigError(f"{source} must be >= 1, got {value}")
     return value
 
 
@@ -285,6 +287,8 @@ def cmd_simulate(args) -> int:
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
     methods = tuple(m for m in args.methods.split(",") if m)
+    if not methods:
+        raise ConfigError(f"--methods names no method; choose from {tuple(METHODS)}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -303,6 +307,13 @@ def cmd_simulate(args) -> int:
             target_power=args.target_power, alpha=design.spending.alpha, sided=design.spending.sided,
         )
         calib_path = _write(os.path.join(args.out_dir, "calibration.json"), _json_text(calib.to_dict()) + "\n")
+    # no calibrated number depends on the scenario's own offset (both offsets are solved over it and information
+    # is measured at the null), and --effect as-given simulates that offset
+    differ = [f.name for f in fields(scn) if f.name != "log_rate_ratio"
+              and getattr(scn, f.name) != getattr(calib.scenario, f.name)]
+    if differ:
+        raise ConfigError(f"calibration {calib_path} was made for another scenario: {differ} differ from "
+                          f"{args.scenario}")
     if calib.info.fractions != design.planned_fractions:
         raise ConfigError(f"calibration fractions {calib.info.fractions} do not match the design's "
                           f"{design.planned_fractions}")
@@ -485,8 +496,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.recorded_argv = list(argv) if argv is not None else list(sys.argv[1:])
     try:
-        if getattr(args, "threads", None) is None and args.command in ("simulate", "calibrate"):
-            args.threads = _default_threads()
+        if args.command in ("simulate", "calibrate"):
+            args.threads = _threads(args.threads)
         return args.func(args)
     except RmstgstError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import accumulate
 from statistics import NormalDist
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .records import Record, boolean, integer, list_of, number, optional, string
+from .records import Record, number, optional
 
 __all__ = [
     "SPENDING_KINDS",
@@ -340,16 +340,11 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 class DesignConfig(Record):
     """Design half of a monitoring state: spending rule plus the plan."""
 
-    spending: SpendingFunction
+    spending: SpendingFunction = field(metadata={"key": None})
     planned_fractions: tuple[float, ...]
     i_max: float | None = None
 
     _what, _error, _schema = "design config", ConfigError, DESIGN_SCHEMA
-    _keys = (
-        (None, "spending", SpendingFunction.from_dict),
-        ("planned_fractions", "planned_fractions", list_of(number)),
-        ("i_max", "i_max", optional(number)),
-    )
 
     def __post_init__(self):
         _validate_fractions(self.planned_fractions)
@@ -372,17 +367,6 @@ class AnalysisRecord(Record):
     final: bool = False
 
     _what, _error = "analysis record", StateError
-    _keys = (
-        ("stage", "stage", integer),
-        ("u", "u", number),
-        ("info_level", "info_level", number),
-        ("info_fraction", "info_fraction", number),
-        ("z", "z", number),
-        ("critical_value", "critical_value", optional(number)),
-        ("cumulative_spend", "cumulative_spend", number),
-        ("decision", "decision", string),
-        ("final", "final", boolean),
-    )
 
     def __post_init__(self):
         if self.decision not in ("continue", "reject", "skipped"):
@@ -406,10 +390,6 @@ class MonitoringState(Record):
     analyses: tuple[AnalysisRecord, ...] = ()
 
     _what, _error, _schema, _strict = "monitoring state", StateError, STATE_SCHEMA, True
-    _keys = (
-        ("design", "design", DesignConfig.from_dict),
-        ("analyses", "analyses", list_of(AnalysisRecord.from_dict)),
-    )
 
     def __post_init__(self):
         fr = [a.info_fraction for a in self.effective]

@@ -4,15 +4,20 @@ This is the one place where a file becomes a record: ``X.read(path)``
 raises the record's own error class, naming the path (and the line and
 column of bad JSON), for a file that cannot be opened or is not UTF-8 JSON.
 
-A record sets ``_what``, its name in messages, its error class ``_error``,
-its ``_schema`` string if any, and ``_keys``: its JSON keys once, in file
-order, as ``(key, field, check)``. A field with key ``None`` keeps its keys
-in the record's object, and its check reads that object. A check accepts
-one JSON type only: a number is never a string or a bool. A key whose field
-has no default is required; a ``_strict`` record, a file only the program
-writes, needs every key and its schema, and a ``_closed`` one rejects other
-keys. Tuples are written as lists and infinities as null. Every failure
-raises the record's error class, a nested record's wrapped in its parent's.
+A record sets ``_what``, its name in messages, its error class ``_error``
+and its ``_schema`` string if any. Its JSON keys are its dataclass fields,
+in field order, each named as its field unless ``field(metadata={"key":
+...})`` names it otherwise; a key of ``None`` keeps the field's keys in the
+record's object, and its check reads that object. A field's check follows
+its type: ``float``, ``int``, ``str`` and ``bool`` read a number, an
+integer, a string and a boolean, ``X | None`` also null, ``tuple[X, ...]``
+a list and ``dict[str, X]`` an object of X, and any other type its
+``from_dict``. A check accepts one JSON type only: a number is never a
+string or a bool. A key whose field has no default is required; a
+``_strict`` record, a file only the program writes, needs every key and
+its schema, and a ``_closed`` one rejects other keys. Tuples are written
+as lists and infinities as null. Every failure raises the record's error
+class, a nested record's wrapped in its parent's.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
+from functools import cache
 
 from .errors import RmstgstError
 
@@ -50,6 +57,32 @@ def list_of(check):
 
 def dict_of(check):
     return lambda value: {k: check(v) for k, v in _typed("an object", dict)(value).items()}
+
+
+_SCALARS = {float: number, int: integer, str: string, bool: boolean}
+
+
+def _check(hint):
+    """The check of a field of type ``hint``."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        return optional(_check(inner))
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        return list_of(_check(args[0]))
+    if origin is dict:
+        return dict_of(_check(args[1]))
+    return hint.from_dict
+
+
+@cache
+def _keys(cls) -> tuple:
+    """``(key, field, check)`` of each of ``cls``'s fields, in field order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.metadata.get("key", f.name), f.name, _check(hints[f.name])) for f in dataclasses.fields(cls))
 
 
 def _json(value):
@@ -90,7 +123,7 @@ class Record:
 
     def to_dict(self) -> dict:
         out = {"schema": self._schema} if self._schema else {}
-        for key, name, _ in self._keys:
+        for key, name, _ in _keys(type(self)):
             value = _json(getattr(self, name))
             if key is None:
                 out.update(value)
@@ -109,15 +142,15 @@ class Record:
         defaulted = () if cls._strict else {
             f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
         }
-        missing = [key for key, name, _ in cls._keys if key is not None and key not in d and name not in defaulted]
+        missing = [key for key, name, _ in _keys(cls) if key is not None and key not in d and name not in defaulted]
         if missing:
             raise error(f"{what} missing keys: {sorted(missing)}")
-        unknown = set(d) - {key for key, _, _ in cls._keys} - ({"schema"} if cls._schema else set())
+        unknown = set(d) - {key for key, _, _ in _keys(cls)} - ({"schema"} if cls._schema else set())
         if cls._closed and unknown:
             raise error(f"unknown {what} keys: {sorted(unknown)}")
         fields = {}
         try:
-            for key, name, check in cls._keys:
+            for key, name, check in _keys(cls):
                 if key is None or key in d:
                     fields[name] = check(d if key is None else d[key])
             return cls(**fields)

@@ -39,7 +39,7 @@ from .adjusted_rmst import AnalysisResult, _events_error, analyze
 from .errors import ConfigError, DataError, EstimationError
 from .gs_design import SpendingFunction, _find_root, _next_stage, ndtr, ndtri
 from .km_rmst import km_rmst_test
-from .records import Record, dict_of, integer, list_of, number, optional, string
+from .records import Record
 from .stratified_cox import fit as cox_fit
 from .trial_data import Snapshot, Trial, snapshot
 
@@ -99,19 +99,6 @@ class SimScenario(Record):
     fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
 
     _what, _error, _schema, _closed = "scenario", ConfigError, SCENARIO_SCHEMA, True
-    _keys = (
-        ("n_per_arm", "n_per_arm", integer),
-        ("tau", "tau", number),
-        ("accrual", "accrual", number),
-        ("shape_base", "shape_base", number),
-        ("shape_offset", "shape_offset", number),
-        ("rate_base", "rate_base", number),
-        ("log_rate_ratio", "log_rate_ratio", number),
-        ("covariate_strength", "covariate_strength", number),
-        ("covariates", "covariates", string),
-        ("censoring", "censoring", optional(string)),
-        ("fractions", "fractions", list_of(number)),
-    )
 
     def __post_init__(self):
         for name in (f.name for f in fields(self) if f.type == "float"):
@@ -324,17 +311,6 @@ class InformationCalibration(Record):
     failures: int
 
     _what, _error, _schema, _strict = "information calibration", ConfigError, CALIBRATION_SCHEMA, True
-    _keys = (
-        ("fractions", "fractions", list_of(number)),
-        ("analysis_times", "analysis_times", list_of(number)),
-        ("i_max", "i_max", number),
-        ("i_max_by_method", "i_max_by_method", dict_of(number)),
-        ("grid", "grid", list_of(number)),
-        ("mean_info", "mean_info", list_of(number)),
-        ("reps", "reps", integer),
-        ("master_seed", "master_seed", integer),
-        ("failures", "failures", integer),
-    )
 
     def __post_init__(self):
         for name, cap in {"i_max": self.i_max, **{f"{m} i_max": v for m, v in self.i_max_by_method.items()}}.items():
@@ -394,18 +370,11 @@ class PowerCalibration(Record):
 
     target_power: float
     alpha: float
-    sided: str
+    sided: str = field(metadata={"key": "sidedness"})
     delta: float
     log_rate_ratio: float
 
     _what, _error = "power calibration", ConfigError
-    _keys = (
-        ("target_power", "target_power", number),
-        ("alpha", "alpha", number),
-        ("sidedness", "sided", string),
-        ("delta", "delta", number),
-        ("log_rate_ratio", "log_rate_ratio", number),
-    )
 
 
 def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> float:
@@ -456,18 +425,12 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
 class Calibration(Record):
     """A scenario's calibration file: its information schedule, null and power offsets, and the scenario."""
 
-    info: InformationCalibration
+    info: InformationCalibration = field(metadata={"key": None})
     null_log_rate_ratio: float
     power: PowerCalibration
     scenario: SimScenario
 
     _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
-    _keys = (
-        (None, "info", InformationCalibration.from_dict),
-        ("null_log_rate_ratio", "null_log_rate_ratio", number),
-        ("power", "power", PowerCalibration.from_dict),
-        ("scenario", "scenario", SimScenario.from_dict),
-    )
 
 
 def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,

@@ -26,12 +26,12 @@ import io
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .records import Record, list_of, optional, string
+from .records import Record
 
 __all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays",
            "standardize_covariates"]
@@ -117,7 +117,7 @@ class CsvSchema(Record):
     empty tuple means no covariates.
     """
 
-    subject_id: str = "id"
+    subject_id: str = field(default="id", metadata={"key": "id"})
     arm: str = "arm"
     entry_time: str = "entry_time"
     followup_time: str = "followup_time"
@@ -125,14 +125,6 @@ class CsvSchema(Record):
     covariates: tuple[str, ...] | None = None
 
     _what, _error, _closed = "CSV schema", DataError, True
-    _keys = (
-        ("id", "subject_id", string),
-        ("arm", "arm", string),
-        ("entry_time", "entry_time", string),
-        ("followup_time", "followup_time", string),
-        ("event", "event", string),
-        ("covariates", "covariates", optional(list_of(string))),
-    )
 
 
 def _floats(cells: list[str]) -> np.ndarray:

@@ -733,6 +733,68 @@ class TestCalibrateAndSimulate:
         assert code == 2
         assert "unknown method" in err
 
+    @pytest.mark.parametrize("methods", ["", ","])
+    def test_simulate_empty_method_list_exit_2(self, methods, calib_setup, capsys):
+        tmp_path, scn_path, calib_path = calib_setup
+        out_dir = tmp_path / "no_methods"
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--methods", methods, "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert "--methods" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"n_per_arm": 41}, "['n_per_arm']"),
+        ({"tau": 0.9, "fractions": [0.4, 1.0]}, "['tau', 'fractions']"),
+        ({"censoring": None}, "['censoring']"),
+    ])
+    def test_calibration_of_another_scenario_exit_2(self, changes, named, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = {**json.loads(Path(scn_path).read_text()), **changes}
+        path = tmp_path / "other_scenario.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert calib_path in err and named in err
+        assert not (out_dir / "results.csv").exists()
+
+    def test_calibration_ignores_the_scenario_log_rate_ratio(self, calib_setup, tmp_path, capsys):
+        # no calibrated number depends on it, and --effect as-given simulates the scenario's own value
+        _, scn_path, calib_path = calib_setup
+        doc = {**json.loads(Path(scn_path).read_text()), "log_rate_ratio": -0.5}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, command, threads, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        argv = {"simulate": ["--design", design_file(tmp_path), "--calibration", calib_path, "--reps", "2",
+                             "--out-dir", str(tmp_path / "out")],
+                "calibrate": ["--reps", "100", "--out", str(tmp_path / "calibration.json")]}[command]
+        code, _, err = run_cli(capsys, command, "--scenario", scn_path, "--threads", threads, *argv)
+        assert_typed_error(code, err, 2)
+        assert f"--threads must be >= 1, got {threads}" in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "calibration.json").exists()
+
+    def test_threads_env_below_one_exit_2(self, calib_setup, capsys, monkeypatch):
+        _, scn_path, _ = calib_setup
+        monkeypatch.setenv("RMSTGST_THREADS", "0")
+        code, _, err = run_cli(capsys, "calibrate", "--scenario", scn_path)
+        assert_typed_error(code, err, 2)
+        assert "RMSTGST_THREADS must be >= 1, got 0" in err
+
     def test_simulate_zero_reps_is_a_config_error(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
         out_dir = tmp_path / "zero_reps"
