@@ -297,6 +297,7 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
 
+    clock = time.perf_counter()
     if args.calibration:
         calib, calib_path = Calibration.read(args.calibration), args.calibration
     elif args.no_calibrate:
@@ -307,6 +308,7 @@ def cmd_simulate(args) -> int:
             target_power=args.target_power, alpha=design.spending.alpha, sided=design.spending.sided,
         )
         calib_path = _write(os.path.join(args.out_dir, "calibration.json"), _json_text(calib.to_dict()) + "\n")
+    calibration_seconds = 0.0 if args.calibration else time.perf_counter() - clock
     # no calibrated number depends on the scenario's own offset (both offsets are solved over it and information
     # is measured at the null), and --effect as-given simulates that offset
     differ = [f.name for f in fields(scn) if f.name != "log_rate_ratio"
@@ -361,6 +363,8 @@ def cmd_simulate(args) -> int:
         "analysis_times": list(oc.analysis_times),
         "failures": dict(oc.failures),
         "failures_by_type": oc.failures_by_type,
+        "failures_by_stage": oc.failures_by_stage,
+        "phase_seconds": {"calibration": calibration_seconds, **oc.phase_seconds},
     }
     _write(os.path.join(args.out_dir, "manifest.json"), _json_text(manifest) + "\n")
 

@@ -15,9 +15,13 @@ stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: a stage needs only the density it started
 from, its fraction, critical value and cumulative spend. One step,
-``_next_stage``, goes from a stage to the next. Planned boundaries and
-simulated studies fold it over their looks; monitoring takes one step
-from the last stage, rebuilt from the state file without re-solving.
+``_next_stage``, takes a batch of replicates, each from its own last
+stage, to their next stages at once: one density advance over ragged
+grids, each sized to its replicate's increments, and one vectorised
+Newton for every critical value. Simulated studies step all of a
+method's running replicates a stage at a time; planned boundaries fold
+it over their looks, and monitoring takes one step from the last stage,
+rebuilt from the state file without re-solving: batches of one.
 """
 
 from __future__ import annotations
@@ -153,102 +157,193 @@ def _normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[i]`` to ``starts[i] + counts[i]``, run after run."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 class _ScoreDensity(NamedTuple):
-    """Sub-density of the running score statistic on its continuation region."""
+    """Sub-densities of the running score statistic on the continuation regions of a batch of replicates.
+
+    Flat over the batch: replicate r's nodes are ``x[bounds[r]:bounds[r + 1]]``, its density times the
+    quadrature weight there ``gw``, at information fraction ``fraction[r]``. Before a first stage the
+    density is a point mass at 0, at fraction 0.
+    """
 
     x: np.ndarray
     gw: np.ndarray
+    fraction: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The replicate of each node."""
+        return np.repeat(np.arange(self.fraction.size), np.diff(self.bounds))
+
+    def take(self, rows: np.ndarray) -> "_ScoreDensity":
+        """The batch of replicates ``rows``, in that order."""
+        counts = np.diff(self.bounds)[rows]
+        nodes = _ranges(self.bounds[rows], counts)
+        return _ScoreDensity(self.x[nodes], self.gw[nodes], self.fraction[rows],
+                             np.concatenate(([0], np.cumsum(counts))))
+
+
+class _Stage(NamedTuple):
+    """One replicate's stage: the density it started from (nodes ``x`` and weighted density ``gw``, at
+    fraction ``before``), its fraction, critical value and spend so far."""
+
+    x: np.ndarray
+    gw: np.ndarray
+    before: float
     fraction: float
+    critical: float
+    spent: float
 
 
-def _stage_crossing(prev: _ScoreDensity | None, fraction: float, critical: float, sided: str) -> float:
-    """Null probability of first crossing at this stage given the prior density."""
-    if math.isinf(critical):
-        return 0.0
-    if prev is None:
-        tail = float(ndtr(-critical))
-        return 2.0 * tail if sided == "two_sided" else tail
-    bound = critical * math.sqrt(fraction)
-    sigma = math.sqrt(fraction - prev.fraction)
-    upper = ndtr((prev.x - bound) / sigma)
+def _stack(stages) -> _ScoreDensity:
+    """One batch of the densities that ``stages`` started from."""
+    counts = np.array([s.x.size for s in stages], dtype=np.int64)
+    return _ScoreDensity(np.concatenate([s.x for s in stages] or [np.zeros(0)]),
+                         np.concatenate([s.gw for s in stages] or [np.zeros(0)]),
+                         np.array([s.before for s in stages], dtype=float), np.concatenate(([0], np.cumsum(counts))))
+
+
+def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, sided: str) -> np.ndarray:
+    """Null probability of first crossing at each replicate's stage, given the density it starts from."""
+    owner = prev.owner
+    bound = (critical * np.sqrt(fraction))[owner]
+    sigma = np.sqrt(fraction - prev.fraction)[owner]
+    cross = ndtr((prev.x - bound) / sigma)
     if sided == "two_sided":
-        lower = ndtr((-bound - prev.x) / sigma)
-        return float(prev.gw @ (upper + lower))
-    return float(prev.gw @ upper)
+        cross = cross + ndtr((-bound - prev.x) / sigma)
+    return np.add.reduceat(prev.gw * cross, prev.bounds[:-1]) if prev.x.size else np.zeros(0)
 
 
-def _advance_density(prev: _ScoreDensity | None, fraction: float, critical: float,
-                     sided: str, next_fraction: float) -> _ScoreDensity:
-    """Density restricted to this stage's continuation region, on a grid sized for the next step.
+def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """At each node ``x``, the sum over its replicate's nodes in ``prev`` of gw times the normal density of
+    the step there, in sds ``sigma`` (by replicate); ``owner`` is the replicate of each node.
 
-    Raises ConfigError where the grid would need more than ``MAX_NODES`` nodes.
+    Replicates are taken a previous grid size at a time, so a block of the kernel is dense and holds at
+    most ``_BLOCK_ROWS`` rows of the batch's largest previous grid.
     """
-    sd = math.sqrt(fraction)
-    hi = min(critical, DEFAULT_SPAN) * sd
+    sizes = np.diff(prev.bounds)
+    out = np.empty(x.size)
+    if not sizes.size:
+        return out
+    rows_per_block = _BLOCK_ROWS * max(int(sizes.max()), _MIN_PANELS * _PANEL_NODES)
+    local = np.empty(sizes.size, dtype=np.int64)
+    for size in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == size)
+        local[group] = np.arange(group.size)
+        nodes = prev.bounds[group, None] + np.arange(size)
+        px, pgw = prev.x[nodes], prev.gw[nodes]
+        rows = np.flatnonzero(sizes[owner] == size)
+        for i in range(0, rows.size, rows_per_block // size):
+            r = rows[i:i + rows_per_block // size]
+            g = local[owner[r]]
+            out[r] = np.einsum("ij,ij->i", _normal_pdf((x[r, None] - px[g]) / sigma[owner[r], None]), pgw[g])
+    return out
+
+
+def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[int, ConfigError]]:
+    """The densities that leave each stage of ``lasts`` without crossing, as one batch: each on a grid
+    sized for the step to its entry of ``fractions``, and a point mass at 0 for a None (no stage yet).
+
+    A stage whose grid would need more than ``MAX_NODES`` nodes is left out of the batch, and its
+    ConfigError is returned under its position in ``lasts``.
+    """
+    steps = [i for i, last in enumerate(lasts) if last is not None]
+    before, fraction, critical = (np.array([getattr(lasts[i], name) for i in steps], dtype=float)
+                                  for name in ("before", "fraction", "critical"))
+    after = np.asarray(fractions, dtype=float)[steps]
+    sd = np.sqrt(fraction)
+    hi = np.minimum(critical, DEFAULT_SPAN) * sd
     lo = -hi if sided == "two_sided" else -DEFAULT_SPAN * sd
-    before = prev.fraction if prev is not None else 0.0
-    sigma, sigma_out = math.sqrt(fraction - before), math.sqrt(next_fraction - fraction)
-    panels = max(_MIN_PANELS, math.ceil((hi - lo) / (_PANEL_SDS * min(sigma, sigma_out))))
-    if panels * _PANEL_NODES > MAX_NODES:
-        a, b = (before, fraction) if sigma <= sigma_out else (fraction, next_fraction)
-        smallest = ((hi - lo) * _PANEL_NODES / (_PANEL_SDS * MAX_NODES)) ** 2
-        raise ConfigError(f"information fractions {a} and {b} are too close: the {MAX_NODES}-node "
-                          f"grid at fraction {fraction} resolves increments of at least {smallest:.3g}")
+    sigma, sigma_out = np.sqrt(fraction - before), np.sqrt(after - fraction)
+    panels = np.maximum(_MIN_PANELS, np.ceil((hi - lo) / (_PANEL_SDS * np.minimum(sigma, sigma_out))))
+    fits = panels * _PANEL_NODES <= MAX_NODES
+    errors = {}
+    for j in np.flatnonzero(~fits).tolist():
+        a, b = (before[j], fraction[j]) if sigma[j] <= sigma_out[j] else (fraction[j], after[j])
+        smallest = ((hi[j] - lo[j]) * _PANEL_NODES / (_PANEL_SDS * MAX_NODES)) ** 2
+        errors[steps[j]] = ConfigError(
+            f"information fractions {float(a)} and {float(b)} are too close: the {MAX_NODES}-node grid at "
+            f"fraction {float(fraction[j])} resolves increments of at least {smallest:.3g}")
+    prev = _stack([lasts[steps[j]] for j in np.flatnonzero(fits).tolist()])
+    panels, lo, width, sigma = panels[fits].astype(np.int64), lo[fits], (hi - lo)[fits] / panels[fits], sigma[fits]
     t, w = _panel_rule()
-    width = (hi - lo) / panels
-    x = (lo + width * (np.arange(panels)[:, None] + t)).ravel()
-    if prev is None:
-        dens = _normal_pdf(x / sd) / sd
-    else:
-        dens = np.concatenate([
-            _normal_pdf((x[i:i + _BLOCK_ROWS, None] - prev.x) / sigma) @ prev.gw
-            for i in range(0, x.size, _BLOCK_ROWS)
-        ]) / sigma
-    return _ScoreDensity(x=x, gw=dens * np.tile(width * w, panels), fraction=fraction)
+    panel = np.repeat(np.arange(panels.size), panels)  # the replicate of each panel
+    k = np.arange(panel.size) - np.repeat(np.cumsum(panels) - panels, panels)  # its place in the replicate's grid
+    x = (lo[panel, None] + width[panel, None] * (k[:, None] + t)).ravel()
+    owner = np.repeat(np.arange(panels.size), panels * _PANEL_NODES)
+    gw = _transition(prev, x, owner, sigma) / sigma[owner] * (width[panel, None] * w).ravel()
+
+    gridded = np.array([lasts[i] is not None for i in range(len(lasts)) if i not in errors], dtype=bool)
+    counts = np.ones(gridded.size, dtype=np.int64)
+    counts[gridded] = panels * _PANEL_NODES
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    nodes = _ranges(bounds[:-1][gridded], counts[gridded])
+    xs, gws, at = np.zeros(bounds[-1]), np.ones(bounds[-1]), np.zeros(gridded.size)
+    xs[nodes], gws[nodes], at[gridded] = x, gw, fraction[fits]
+    return _ScoreDensity(xs, gws, at, bounds), errors
 
 
-def _solve_critical(prev: _ScoreDensity | None, fraction: float, target: float, spent: float,
-                    sided: str) -> float:
-    """Critical value whose null crossing probability spends ``target - spent``."""
+def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarray, spent: np.ndarray,
+                    sided: str) -> np.ndarray:
+    """Critical values whose null crossing probabilities spend ``target - spent``, one a replicate."""
     increment = target - spent
-    if increment <= _SPEND_FLOOR + 1e-9 * target:  # a rounding residue spends nothing
-        return math.inf
-    # One-stage value for the whole target: this stage crosses at least target - spent there.
-    c = float(-ndtri(target / 2.0 if sided == "two_sided" else target))
-    if prev is None:
-        return c
-    if _stage_crossing(prev, fraction, 0.0, sided) <= increment:
-        return 0.0
-    sd, sigma = math.sqrt(fraction), math.sqrt(fraction - prev.fraction)
+    critical = np.full(fraction.size, math.inf)  # a rounding residue spends nothing
+    live = np.flatnonzero(increment > _SPEND_FLOOR + 1e-9 * target)
+    # One-stage values for the whole target: a stage crosses at least target - spent there, a first stage exactly.
+    critical[live] = [-ndtri(t / 2.0 if sided == "two_sided" else t) for t in target[live].tolist()]
+    rows = live[prev.fraction[live] > 0.0]
+    crosses = _crossing(prev.take(rows), fraction[rows], np.zeros(rows.size), sided) <= increment[rows]
+    critical[rows[crosses]] = 0.0
+    rows = rows[~crosses]
+    prev, fraction, increment = prev.take(rows), fraction[rows], increment[rows]
+    sd = np.sqrt(fraction)
+    part = prev  # the densities of the rows still iterating, which only ever shrink
 
-    def slope(c: float) -> float:
-        dens = _normal_pdf((prev.x - c * sd) / sigma)
+    def gap(c: np.ndarray, at: np.ndarray):
+        nonlocal part
+        if at.size < part.fraction.size:
+            part = prev.take(at)
+        owner = part.owner
+        sigma = np.sqrt(fraction[at] - part.fraction)
+        shift, scale = (c * sd[at])[owner], sigma[owner]
+        dens = _normal_pdf((part.x - shift) / scale)
         if sided == "two_sided":
-            dens = dens + _normal_pdf((prev.x + c * sd) / sigma)
-        return -(sd / sigma) * float(prev.gw @ dens)
+            dens = dens + _normal_pdf((part.x + shift) / scale)
+        slope = -(sd[at] / sigma) * np.add.reduceat(part.gw * dens, part.bounds[:-1])
+        return _crossing(part, fraction[at], c, sided) - increment[at], slope
 
-    return _find_root(lambda c: _stage_crossing(prev, fraction, c, sided) - increment,
-                      0.0, 40.0, start=min(max(c, 0.0), 40.0), slope=slope)
+    critical[rows] = _find_root(gap, np.zeros(rows.size), np.full(rows.size, 40.0),
+                                start=np.clip(critical[rows], 0.0, 40.0))
+    return critical
 
 
-def _find_root(fn, lo: float, hi: float, start: float | None = None, slope=None) -> float:
-    """Root of a decreasing ``fn`` on ``[lo, hi]``, to ``1e-12 + 1e-14 * |x|``.
+def _find_root(fn, lo, hi, start=None) -> np.ndarray:
+    """Roots of decreasing functions, one a row of the brackets ``[lo, hi]``, each to ``1e-12 + 1e-14 * |x|``.
 
-    A Newton step on ``slope`` is kept while it stays in the shrinking bracket
-    and at most halves the last step; any other step, or every step without
-    a slope, bisects.
+    ``fn(x, rows)`` gives the functions of ``rows`` at ``x`` and their slopes (0 for none). A Newton step
+    is kept while it stays in the row's shrinking bracket and at most halves the row's last step; any
+    other step, or every step without a slope, bisects. A row that has converged is evaluated no more.
     """
-    x, step = (0.5 * (lo + hi) if start is None else start), hi - lo
-    while True:
-        gap = fn(x)
-        lo, hi = (x, hi) if gap > 0.0 else (lo, x)
-        d = slope(x) if slope is not None else 0.0
-        newton = x - gap / d if d < 0.0 else math.nan
-        if not (lo <= newton <= hi and abs(newton - x) <= 0.5 * step):
-            newton = 0.5 * (lo + hi)
-        step, x = abs(newton - x), newton
-        if step <= 1e-12 + 1e-14 * abs(x):
-            return x
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    x = 0.5 * (lo + hi) if start is None else np.array(start, dtype=float, ndmin=1)
+    step, rows = hi - lo, np.arange(x.size)
+    while rows.size:
+        at = x[rows]
+        gap, slope = (np.asarray(v, dtype=float) for v in fn(at, rows))
+        up = gap > 0.0
+        lo[rows], hi[rows] = np.where(up, at, lo[rows]), np.where(up, hi[rows], at)
+        with np.errstate(all="ignore"):  # the steps where there is no slope are not kept
+            newton = np.where(slope < 0.0, at - gap / slope, math.nan)
+        bisect = ~((lo[rows] <= newton) & (newton <= hi[rows]) & (np.abs(newton - at) <= 0.5 * step[rows]))
+        newton[bisect] = 0.5 * (lo[rows] + hi[rows])[bisect]
+        step[rows], x[rows] = np.abs(newton - at), newton
+        rows = rows[step[rows] > 1e-12 + 1e-14 * np.abs(newton)]
+    return x
 
 
 def _validate_fractions(fractions) -> tuple[float, ...]:
@@ -262,40 +357,47 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-class _Stage(NamedTuple):
-    """A stage: the density it started from (None at the first), fraction, critical value and spend so far."""
+def _next_stage(lasts, spending: SpendingFunction, fractions, z, final: bool = False):
+    """The stage after each replicate's stage in ``lasts`` (None before its first) at its information
+    fraction in ``fractions``, and its decision on its statistic in ``z``: two lists.
 
-    start: _ScoreDensity | None
-    fraction: float
-    critical: float
-    spent: float
-
-
-def _density_after(last: _Stage | None, sided: str, fraction: float) -> _ScoreDensity | None:
-    """The density that leaves ``last`` without crossing, on a grid sized for a step to ``fraction``."""
-    return None if last is None else _advance_density(last.start, last.fraction, last.critical, sided, fraction)
-
-
-def _next_stage(last: _Stage | None, spending: SpendingFunction, fraction: float, z: float, final=False):
-    """The stage after ``last`` (None before the first) at information ``fraction``, and its decision.
-
-    A look whose fraction is not past ``last``'s is ``"skipped"``, with no
-    stage and no spend. Otherwise ``last``'s density is advanced to the raw
-    fraction, and the critical value solved whose null crossing takes the
-    spend to ``spending(min(fraction, 1))``, or to alpha at a ``final`` look;
-    an increment within rounding of nothing (1e-14 plus 1e-9 of the target)
-    gives an infinite critical value. ``z`` at or past it (``|z|`` when two
-    sided) is ``"reject"``, else ``"continue"``.
+    All the replicates step at once. A look whose fraction is not past its ``last``'s is ``"skipped"``,
+    with no stage and no spend. Otherwise ``last``'s density is advanced to the raw fraction, and the
+    critical value solved whose null crossing takes the spend to ``spending(min(fraction, 1))``, or to
+    alpha at a ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target)
+    gives an infinite critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else
+    ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes has no stage, and
+    its ConfigError for a decision.
     """
-    if last is not None and fraction <= last.fraction:
-        return None, "skipped"
-    start = _density_after(last, spending.sided, fraction)
-    spent = 0.0 if last is None else last.spent
-    target = spending.alpha if final else spending(min(fraction, 1.0))
+    fractions, z = np.asarray(fractions, dtype=float), np.asarray(z, dtype=float)
+    stages, decisions = [None] * len(lasts), ["skipped"] * len(lasts)
+    steps = [i for i, last in enumerate(lasts) if last is None or fractions[i] > last.fraction]
+    if not steps:
+        return stages, decisions
+    start, errors = _density_after([lasts[i] for i in steps], spending.sided, fractions[steps])
+    for j, error in errors.items():
+        decisions[steps[j]] = error
+    rows = [i for j, i in enumerate(steps) if j not in errors]
+    fraction, z = fractions[rows], z[rows]
+    spent = np.array([0.0 if lasts[i] is None else lasts[i].spent for i in rows])
+    target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in fraction.tolist()])
     critical = _solve_critical(start, fraction, target, spent, spending.sided)
-    stage = _Stage(start, fraction, critical, spent + _stage_crossing(start, fraction, critical, spending.sided))
-    exceeds = abs(z) >= critical if spending.sided == "two_sided" else z >= critical
-    return stage, "reject" if exceeds else "continue"
+    spent = spent + _crossing(start, fraction, critical, spending.sided)
+    exceeds = (np.abs(z) if spending.sided == "two_sided" else z) >= critical
+    bounds = start.bounds.tolist()
+    for j, (i, *values, reject) in enumerate(zip(rows, start.fraction.tolist(), fraction.tolist(), critical.tolist(),
+                                                spent.tolist(), exceeds.tolist())):
+        nodes = slice(bounds[j], bounds[j + 1])
+        stages[i], decisions[i] = _Stage(start.x[nodes], start.gw[nodes], *values), "reject" if reject else "continue"
+    return stages, decisions
+
+
+def _one_step(last: _Stage | None, spending: SpendingFunction, fraction: float, z: float, final: bool = False):
+    """``_next_stage`` for one replicate: its stage and decision, or its ConfigError raised."""
+    (stage,), (decision,) = _next_stage([last], spending, [fraction], [z], final)
+    if isinstance(decision, ConfigError):
+        raise decision
+    return stage, decision
 
 
 @dataclass(frozen=True)
@@ -328,11 +430,11 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 
     Each stage's cumulative crossing probability under the null equals
     the spending function at that fraction; ``_next_stage`` gives the
-    rules, folded over the schedule.
+    rules, folded over the schedule one stage at a time.
     """
     fr = _validate_fractions(info_fractions)
-    stages = accumulate((None, *fr), lambda last, fraction: _next_stage(last, f, fraction, 0.0)[0])
-    _, _, criticals, spent = zip(*list(stages)[1:])
+    stages = accumulate((None, *fr), lambda last, fraction: _one_step(last, f, fraction, 0.0)[0])
+    *_, criticals, spent = zip(*list(stages)[1:])
     return BoundarySchedule(spending=f, fractions=fr, cumulative_spend=spent, critical_values=criticals)
 
 
@@ -438,10 +540,13 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
     spending = state.design.spending
     last = None
     for a in state.effective:
-        last = _Stage(_density_after(last, spending.sided, a.info_fraction), a.info_fraction, a.critical_value,
+        start, errors = _density_after([last], spending.sided, [a.info_fraction])
+        if errors:
+            raise errors[0]
+        last = _Stage(start.x, start.gw, float(start.fraction[0]), a.info_fraction, a.critical_value,
                       a.cumulative_spend)
     fraction = info_level / state.design.i_max
-    stage, decision = _next_stage(last, spending, fraction, z, final)
+    stage, decision = _one_step(last, spending, fraction, z, final)
     critical, spent = (None, last.spent) if stage is None else (stage.critical, stage.spent)
     record = AnalysisRecord(
         stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,

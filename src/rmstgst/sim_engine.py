@@ -28,6 +28,7 @@ sees only its own replicate, so no result depends on the grouping.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -243,7 +244,7 @@ def _rate_offset(scn: SimScenario, delta: float, bracket: tuple[float, float]) -
     def gap(b: float) -> float:
         return (true_rmst(replace(scn, log_rate_ratio=b), 1) - mu0) - delta
 
-    root = _find_root(gap, *bracket)
+    root = float(_find_root(lambda b, rows: (gap(float(b[0])), 0.0), *bracket)[0])
     return root, gap(root)
 
 
@@ -411,7 +412,8 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
             f"target power {target_power} is unreachable: a difference of tau = {scn.tau} "
             f"reaches power {reached:.6g} at i_max = {calib.i_max:.6g}"
         )
-    delta = 0.0 if target_power <= alpha else _find_root(power_shortfall, 0.0, scn.tau)
+    delta = 0.0 if target_power <= alpha else float(
+        _find_root(lambda d, rows: (power_shortfall(float(d[0])), 0.0), 0.0, scn.tau)[0])
     root, residual = _rate_offset(scn, delta, bracket)
     if abs(residual) >= 1e-6:
         raise EstimationError("power calibration residual exceeds 1e-6")
@@ -448,10 +450,13 @@ class OperatingCharacteristics:
     """Stagewise rejection summary of a simulated group-sequential study.
 
     ``failures`` counts each method's failed analyses at the stages
-    monitoring reached, and ``failures_by_type`` splits that count by the
-    class name of each failure's error. ``estimates`` and ``info_levels``
-    hold each method's delta and information, (reps, stages), NaN where an
-    analysis failed.
+    monitoring reached, ``failures_by_type`` splits that count by the
+    class name of each failure's error and ``failures_by_stage`` by stage.
+    A stage whose information is too close to the last one's for the
+    spending step's grid fails with ``ConfigError``. ``estimates`` and
+    ``info_levels`` hold each method's delta and information, (reps,
+    stages), NaN where an analysis failed. ``phase_seconds`` holds the
+    wall seconds of the replicate ``analyses`` and of their ``monitoring``.
     """
 
     scenario: SimScenario
@@ -463,6 +468,8 @@ class OperatingCharacteristics:
     mc_se: dict[str, tuple[float, ...]]
     failures: dict[str, int]
     failures_by_type: dict[str, dict[str, int]]
+    failures_by_stage: dict[str, list[int]]
+    phase_seconds: dict[str, float]
     estimates: dict[str, np.ndarray] = field(repr=False)
     info_levels: dict[str, np.ndarray] = field(repr=False)
 
@@ -558,11 +565,14 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     """Simulate the scenario and monitor every replicate to a decision.
 
     Each replicate is analyzed at the calibrated calendar times with
-    every requested method; each method's spending step is then folded
-    over the replicate's stages, against its own information cap, the
-    last stage declared final, to the first rejection. Analyses that fail
-    (for example, no events in an arm) are counted per method and by
-    error class, and the stage is skipped for that replicate.
+    every requested method. Each method then monitors its replicates
+    stage by stage, against its own information cap, the last stage
+    declared final: one spending step moves every replicate not yet
+    rejected that has an analysis at the stage, each from its own last
+    stage. Analyses that fail (for example, no events in an arm), and
+    stages too close to the last one for the spending step's grid, are
+    counted per method, by error class and by stage, and the stage is
+    skipped for that replicate.
 
     Identical scenario, seed, and reps give bit-identical results for
     any ``threads``.
@@ -577,31 +587,45 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times
     n_stage = len(times)
+    clock = time.perf_counter()
     infos, deltas, failed = _map_replicates(scn, master_seed, reps, threads, times, methods)
-    cumulative, mc_se, failures, failures_by_type = {}, {}, {}, {}
+    seconds = {"analyses": time.perf_counter() - clock}
+    clock = time.perf_counter()
+    cumulative, mc_se, failures, failures_by_type, failures_by_stage = {}, {}, {}, {}, {}
     for m, method in enumerate(methods):
-        i_max = calib.i_max_by_method[method]
+        fractions = infos[:, :, m] / calib.i_max_by_method[method]
+        z = deltas[:, :, m] * np.sqrt(infos[:, :, m])
         firsts = np.zeros(reps, dtype=np.int64)
-        failed_as = Counter()
-        for rep, rows in enumerate(zip(infos[:, :, m].tolist(), deltas[:, :, m].tolist())):
-            last = None
-            for k, (info, delta) in enumerate(zip(*rows)):
-                if math.isnan(info):
-                    failed_as[failed[rep, k, m]] += 1
-                    continue
-                stage, decision = _next_stage(last, spending, info / i_max, delta * math.sqrt(info), k == n_stage - 1)
-                if decision == "reject":
-                    firsts[rep] = k + 1
-                    break
-                last = stage or last
+        lasts = [None] * reps
+        failed_as, by_stage = Counter(), [0] * n_stage
+        running = np.arange(reps)  # replicates not yet rejected
+        for k in range(n_stage):
+            analyzed = ~np.isnan(fractions[running, k])
+            errors = failed[running[~analyzed], k, m].tolist()
+            rows = running[analyzed]
+            stages, decisions = _next_stage([lasts[r] for r in rows.tolist()], spending, fractions[rows, k],
+                                            z[rows, k], k == n_stage - 1)
+            for r, stage, decision in zip(rows.tolist(), stages, decisions):
+                if isinstance(decision, ConfigError):
+                    errors.append(type(decision).__name__)
+                elif decision == "reject":
+                    firsts[r] = k + 1
+                else:
+                    lasts[r] = stage or lasts[r]
+            failed_as.update(errors)
+            by_stage[k] = len(errors)
+            running = running[firsts[running] == 0]
         rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
         failures[method] = failed_as.total()
         failures_by_type[method] = dict(sorted(failed_as.items()))
+        failures_by_stage[method] = by_stage
+    seconds["monitoring"] = time.perf_counter() - clock
     return OperatingCharacteristics(
         scenario=scn, methods=methods, analysis_times=times, reps=reps, master_seed=master_seed,
         cumulative_rejection=cumulative, mc_se=mc_se, failures=failures, failures_by_type=failures_by_type,
+        failures_by_stage=failures_by_stage, phase_seconds=seconds,
         estimates={m: deltas[:, :, i] for i, m in enumerate(methods)},
         info_levels={m: infos[:, :, i] for i, m in enumerate(methods)},
     )

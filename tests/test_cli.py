@@ -689,6 +689,10 @@ class TestCalibrateAndSimulate:
         manifest = json.loads(Path(out_dir, "manifest.json").read_text())
         assert manifest["failures"] == {"adjusted": 6, "km": 6, "cox": 6}
         assert manifest["failures_by_type"] == {m: {"InsufficientEventsError": 6} for m in ("adjusted", "km", "cox")}
+        assert manifest["failures_by_stage"] == {m: [6, 0] for m in ("adjusted", "km", "cox")}
+        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "monitoring"}
+        assert manifest["phase_seconds"]["calibration"] == 0.0  # --calibration given
+        assert all(v > 0 for k, v in manifest["phase_seconds"].items() if k != "calibration")
 
     def test_simulate_effect_null_and_trace(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
@@ -706,6 +710,19 @@ class TestCalibrateAndSimulate:
         manifest = json.loads(Path(os.path.join(out_dir, "manifest.json")).read_text())
         assert manifest["effect"] == "null"
         assert "trace" in manifest["outputs"]
+        assert list(manifest["failures_by_stage"]) == ["adjusted"] and len(manifest["failures_by_stage"]["adjusted"]) == 2
+
+    def test_simulate_times_its_own_calibration(self, tmp_path, capsys):
+        out_dir = tmp_path / "calibrated"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", scenario_file(tmp_path), "--design", design_file(tmp_path),
+            "--calib-reps", "100", "--reps", "1", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["inputs"]["calibration"]["path"] == str(out_dir / "calibration.json")
+        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "monitoring"}
+        assert all(v > 0 for v in manifest["phase_seconds"].values())
 
     def test_simulate_guards(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ class FakeResult:
 
 def crossing_probabilities(fractions, criticals, sided="two_sided"):
     """Per-stage null crossing probabilities on a fixed boundary, by the recursion's density steps."""
-    probs, prev = [], None
-    for k, (fraction, c) in enumerate(zip(fractions, map(float, criticals))):
-        if k:
-            prev = gs_design._advance_density(prev, fractions[k - 1], float(criticals[k - 1]), sided, fraction)
-        probs.append(gs_design._stage_crossing(prev, fraction, c, sided))
+    probs, last = [], None
+    for fraction, c in zip(fractions, map(float, criticals)):
+        start, _ = gs_design._density_after([last], sided, [fraction])
+        probs.append(gs_design._crossing(start, np.array([fraction]), np.array([c]), sided)[0])
+        last = gs_design._Stage(start.x, start.gw, start.fraction[0], fraction, c, probs[-1])
     return np.asarray(probs)
 
 
@@ -269,6 +270,93 @@ class TestDensityGrid:
         state = update_monitoring(fresh_state(), FakeResult(u=1.0, z=0.0, info_level=10.0))
         with pytest.raises(ConfigError, match="too close"):
             update_monitoring(state, FakeResult(u=2.0, z=0.0, info_level=10.00001))
+
+
+SCALAR_FOLD = json.loads((Path(__file__).parent / "data" / "scalar_fold_tiny_sim.json").read_text())
+
+
+def stacked_fold(fraction, z, spending, together=True):
+    """Critical value, cumulative spend and decision of each replicate at each stage (NaN, NaN and None where
+    it takes no step), as ``run_study`` monitors them: every replicate still running that has an analysis
+    steps at once, each from its own last stage; a NaN fraction is a failed analysis. With ``together``
+    false, each replicate steps alone."""
+    reps, n = fraction.shape
+    critical, spent = np.full((reps, n), np.nan), np.full((reps, n), np.nan)
+    decision = np.full((reps, n), None, dtype=object)
+    lasts, running = [None] * reps, list(range(reps))
+    for k in range(n):
+        rows = [r for r in running if not math.isnan(fraction[r, k])]
+        for batch in [rows] if together else [[r] for r in rows]:
+            stages, decisions = gs_design._next_stage([lasts[r] for r in batch], spending, fraction[batch, k],
+                                                      z[batch, k], final=k == n - 1)
+            for r, stage, decision[r, k] in zip(batch, stages, decisions):
+                if stage is not None:
+                    critical[r, k], spent[r, k], lasts[r] = stage.critical, stage.spent, stage
+        running = [r for r in running if decision[r, k] != "reject"]
+    return critical, spent, decision
+
+
+def as_array(rows):
+    return np.array([[math.nan if v is None else v for v in row] for row in rows])
+
+
+class TestStackedStep:
+    """``_next_stage`` steps a batch of replicates at once, each from its own last stage."""
+
+    @pytest.mark.parametrize("kind", sorted(SCALAR_FOLD["spendings"]))
+    def test_matches_the_scalar_fold(self, kind):
+        """The record holds the per-replicate scalar fold of commit 760e443 on the tiny perfbench scenario's
+        replicates at seeds 0-2 (20 each, the power effect, every method), one-sided."""
+        spending = SpendingFunction.from_dict(SCALAR_FOLD["spendings"][kind])
+        for case in SCALAR_FOLD["cases"]:
+            want = case["monitoring"][kind]
+            fraction, z = as_array(case["fraction"]), as_array(case["z"])
+            critical, spent, decision = stacked_fold(fraction, z, spending)
+            assert decision.tolist() == want["decision"]
+            stepped = ~np.isnan(as_array(want["spent"]))
+            np.testing.assert_array_equal(~np.isnan(spent), stepped)
+            # the record writes an infinite critical value as null, as the state file does
+            np.testing.assert_allclose(critical[stepped], np.nan_to_num(as_array(want["critical"]), nan=math.inf)[stepped],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(spent[stepped], as_array(want["spent"])[stepped], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+    def test_mixed_batch_is_each_replicate_alone(self, sided):
+        nan = math.nan
+        fraction = np.array([
+            [nan, 0.5, 1.0],  # a failed first look: the second is its first stage
+            [0.5, 0.75, 1.0],
+            [0.1, 0.1001, 1.0],  # close looks: a grid of hundreds of panels, the rest have five
+            [0.5, 0.4, 1.0],  # information falls: the second stage is skipped
+            [1e-5, 0.5, 1.0],  # the first stage spends within rounding of nothing: an infinite critical value
+            [0.4, 1.0, 1.05],  # full information at stage 2: the final stage's critical value is infinite
+            [0.5, 0.500000005, 1.0],  # too close for the grid: the second stage fails
+        ])
+        z = np.ones_like(fraction)
+        spending = make_spending("cubic_min", sided=sided)
+        critical, spent, decision = stacked_fold(fraction, z, spending)
+        alone = stacked_fold(fraction, z, spending, together=False)
+        np.testing.assert_array_equal(critical, alone[0])
+        np.testing.assert_array_equal(spent, alone[1])
+        assert [[str(d) for d in row] for row in decision] == [[str(d) for d in row] for row in alone[2]]
+        for r, schedule in ((0, (0.5, 1.0)), (1, (0.5, 0.75, 1.0)), (2, (0.1, 0.1001, 1.0)), (4, (1e-5, 0.5, 1.0))):
+            sched = boundaries(spending, schedule)
+            np.testing.assert_allclose(critical[r][-len(schedule):], sched.critical_values, rtol=1e-14)
+            np.testing.assert_allclose(spent[r][-len(schedule):], sched.cumulative_spend, rtol=1e-14)
+        assert math.isinf(critical[4, 0]) and math.isinf(critical[5, 2])
+        assert decision[3, 1] == "skipped" and math.isnan(critical[3, 1]) and spent[3, 2] > spent[3, 0]
+        assert isinstance(decision[6, 1], ConfigError) and "too close" in str(decision[6, 1])
+        # the failed stage is skipped: the final stage steps from the first
+        np.testing.assert_allclose(critical[6, [0, 2]], boundaries(spending, (0.5, 1.0)).critical_values, rtol=1e-14)
+        assert decision[:, 0].tolist() == [None, "continue", "continue", "continue", "continue", "continue",
+                                           "continue"]
+
+    def test_every_replicate_failing_or_skipped(self):
+        spending = make_spending("pocock_like")
+        stage, _ = gs_design._one_step(None, spending, 0.5, 0.0)
+        stages, decisions = gs_design._next_stage([stage, stage], spending, [0.4, 0.500000001], [1.0, 1.0])
+        assert stages == [None, None]
+        assert decisions[0] == "skipped" and isinstance(decisions[1], ConfigError)
 
 
 def fresh_state(i_max=100.0, kind="cubic_min", fractions=(0.5, 0.75, 1.0), sided="two_sided"):

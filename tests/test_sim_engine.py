@@ -540,6 +540,7 @@ class TestRunStudy:
         for m in oc.methods:
             assert np.isnan(oc.info_levels[m][:, 0]).all() and np.isfinite(oc.info_levels[m][:, 1]).all()
             assert oc.failures_by_type[m] == {"InsufficientEventsError": 20}
+            assert oc.failures_by_stage[m] == [20, 0]
             assert oc.failures[m] == 20
 
     def test_missing_method_cap_rejected(self, small_scn, small_calib):
@@ -638,6 +639,20 @@ class TestMonitoringOracle:
             result = AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=deltas[4, k], info_level=infos[4, k])
             state = update_monitoring(state, result, final=k == 2)
         assert state.analyses[-1].critical_value == math.inf and not state.rejected
+
+    def test_stage_too_close_for_the_grid_fails_that_replicate_only(self, monkeypatch):
+        """Information that grows by less than the 4 000-node grid resolves is that stage's ConfigError; the
+        replicate goes on from its last stage, and the other replicates are not touched."""
+        infos = np.array([[100.0, 100.0 + 1e-6, 200.0], [100.0, 150.0, 200.0]])
+        deltas = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]) / np.sqrt(infos)
+        rows = infos[:, :, None], deltas[:, :, None], np.full((2, 3, 1), None, dtype=object)
+        monkeypatch.setattr(sim_engine, "_map_replicates", lambda *args, **kwargs: rows)
+        calib = replace(InformationCalibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": 200.0})
+        oc = run_study(self.TINY, SpendingFunction("pocock_like"), calib, reps=2)
+        assert oc.failures == {"adjusted": 1}
+        assert oc.failures_by_type == {"adjusted": {"ConfigError": 1}}
+        assert oc.failures_by_stage == {"adjusted": [0, 1, 0]}
+        assert oc.cumulative_rejection["adjusted"] == (0.0, 0.0, 0.5)
 
     @pytest.mark.parametrize("kind, fractions", [
         ("obrien_fleming_like", (0.5, 0.75, 1.0)),
