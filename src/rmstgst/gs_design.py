@@ -175,11 +175,6 @@ class _ScoreDensity(NamedTuple):
     fraction: np.ndarray
     bounds: np.ndarray
 
-    @property
-    def owner(self) -> np.ndarray:
-        """The replicate of each node."""
-        return np.repeat(np.arange(self.fraction.size), np.diff(self.bounds))
-
     def take(self, rows: np.ndarray) -> "_ScoreDensity":
         """The batch of replicates ``rows``, in that order."""
         counts = np.diff(self.bounds)[rows]
@@ -210,9 +205,9 @@ def _stack(stages) -> _ScoreDensity:
 
 def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, sided: str) -> np.ndarray:
     """Null probability of first crossing at each replicate's stage, given the density it starts from."""
-    owner = prev.owner
-    bound = (critical * np.sqrt(fraction))[owner]
-    sigma = np.sqrt(fraction - prev.fraction)[owner]
+    counts = np.diff(prev.bounds)
+    bound = np.repeat(critical * np.sqrt(fraction), counts)
+    sigma = np.repeat(np.sqrt(fraction - prev.fraction), counts)
     cross = ndtr((prev.x - bound) / sigma)
     if sided == "two_sided":
         cross = cross + ndtr((-bound - prev.x) / sigma)
@@ -241,7 +236,7 @@ def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np
         for i in range(0, rows.size, rows_per_block // size):
             r = rows[i:i + rows_per_block // size]
             g = local[owner[r]]
-            out[r] = np.einsum("ij,ij->i", _normal_pdf((x[r, None] - px[g]) / sigma[owner[r], None]), pgw[g])
+            out[r] = (_normal_pdf((x[r, None] - px[g]) / sigma[owner[r], None]) * pgw[g]).sum(axis=1)
     return out
 
 
@@ -253,7 +248,10 @@ def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[in
     ConfigError is returned under its position in ``lasts``.
     """
     steps = [i for i, last in enumerate(lasts) if last is not None]
-    before, fraction, critical = (np.array([getattr(lasts[i], name) for i in steps], dtype=float)
+    if not steps:  # first stages only: no grid, so a cold first look builds no rule
+        return _ScoreDensity(np.zeros(len(lasts)), np.ones(len(lasts)), np.zeros(len(lasts)),
+                             np.arange(len(lasts) + 1)), {}
+    before, fraction, critical =(np.array([getattr(lasts[i], name) for i in steps], dtype=float)
                                   for name in ("before", "fraction", "critical"))
     after = np.asarray(fractions, dtype=float)[steps]
     sd = np.sqrt(fraction)
@@ -308,9 +306,9 @@ def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarra
         nonlocal part
         if at.size < part.fraction.size:
             part = prev.take(at)
-        owner = part.owner
+        counts = np.diff(part.bounds)
         sigma = np.sqrt(fraction[at] - part.fraction)
-        shift, scale = (c * sd[at])[owner], sigma[owner]
+        shift, scale = np.repeat(c * sd[at], counts), np.repeat(sigma, counts)
         dens = _normal_pdf((part.x - shift) / scale)
         if sided == "two_sided":
             dens = dens + _normal_pdf((part.x + shift) / scale)
@@ -331,19 +329,19 @@ def _find_root(fn, lo, hi, start=None) -> np.ndarray:
     """
     lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     x = 0.5 * (lo + hi) if start is None else np.array(start, dtype=float, ndmin=1)
-    step, rows = hi - lo, np.arange(x.size)
+    root, rows, step = x.copy(), np.arange(x.size), hi - lo
     while rows.size:
-        at = x[rows]
-        gap, slope = (np.asarray(v, dtype=float) for v in fn(at, rows))
-        up = gap > 0.0
-        lo[rows], hi[rows] = np.where(up, at, lo[rows]), np.where(up, hi[rows], at)
+        gap, slope = (np.asarray(v, dtype=float) for v in fn(x, rows))
+        lo, hi = np.where(gap > 0.0, x, lo), np.where(gap > 0.0, hi, x)
         with np.errstate(all="ignore"):  # the steps where there is no slope are not kept
-            newton = np.where(slope < 0.0, at - gap / slope, math.nan)
-        bisect = ~((lo[rows] <= newton) & (newton <= hi[rows]) & (np.abs(newton - at) <= 0.5 * step[rows]))
-        newton[bisect] = 0.5 * (lo[rows] + hi[rows])[bisect]
-        step[rows], x[rows] = np.abs(newton - at), newton
-        rows = rows[step[rows] > 1e-12 + 1e-14 * np.abs(newton)]
-    return x
+            newton = np.where(slope < 0.0, x - gap / slope, math.nan)
+        kept = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * step)
+        newton = np.where(kept, newton, 0.5 * (lo + hi))
+        step, x = np.abs(newton - x), newton
+        root[rows] = x
+        going = step > 1e-12 + 1e-14 * np.abs(x)
+        rows, x, lo, hi, step = rows[going], x[going], lo[going], hi[going], step[going]
+    return root
 
 
 def _validate_fractions(fractions) -> tuple[float, ...]:
