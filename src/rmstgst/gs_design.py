@@ -61,7 +61,7 @@ MAX_NODES = 4000  # density nodes per stage; a stage at the cap takes about 0.3 
 _PANEL_NODES = 10
 _PANEL_SDS = 2.0  # panel width, in sds of the narrower adjacent increment
 _MIN_PANELS = 5
-_BLOCK_ROWS = 64  # grid nodes per block of the transition kernel
+_BLOCK_ROWS = 64  # rows of the previous grid per block of the transition kernel
 _SPEND_FLOOR = 1e-14
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -203,15 +203,20 @@ def _stack(stages) -> _ScoreDensity:
                          np.array([s.before for s in stages], dtype=float), np.concatenate(([0], np.cumsum(counts))))
 
 
-def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, sided: str) -> np.ndarray:
-    """Null probability of first crossing at each replicate's stage, given the density it starts from."""
-    counts = np.diff(prev.bounds)
-    bound = np.repeat(critical * np.sqrt(fraction), counts)
-    sigma = np.repeat(np.sqrt(fraction - prev.fraction), counts)
-    cross = ndtr((prev.x - bound) / sigma)
+def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, sided: str):
+    """Null probability of first crossing at each replicate's stage, given the density it starts from, and
+    its slope in the critical value: two arrays."""
+    if not prev.x.size:
+        return np.zeros(0), np.zeros(0)
+    counts, sd, sigma = np.diff(prev.bounds), np.sqrt(fraction), np.sqrt(fraction - prev.fraction)
+    bound, scale = np.repeat(critical * sd, counts), np.repeat(sigma, counts)
+    upper = (prev.x - bound) / scale
+    cross, dens = ndtr(upper), _normal_pdf(upper)
     if sided == "two_sided":
-        cross = cross + ndtr((-bound - prev.x) / sigma)
-    return np.add.reduceat(prev.gw * cross, prev.bounds[:-1]) if prev.x.size else np.zeros(0)
+        lower = (prev.x + bound) / scale
+        cross, dens = cross + ndtr(-lower), dens + _normal_pdf(lower)
+    starts = prev.bounds[:-1]
+    return np.add.reduceat(prev.gw * cross, starts), -(sd / sigma) * np.add.reduceat(prev.gw * dens, starts)
 
 
 def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -219,7 +224,7 @@ def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np
     the step there, in sds ``sigma`` (by replicate); ``owner`` is the replicate of each node.
 
     Replicates are taken a previous grid size at a time, so a block of the kernel is dense and holds at
-    most ``_BLOCK_ROWS`` rows of the batch's largest previous grid.
+    most ``_BLOCK_ROWS`` rows of the batch's largest previous grid (of five panels, if that is larger).
     """
     sizes = np.diff(prev.bounds)
     out = np.empty(x.size)
@@ -233,10 +238,11 @@ def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np
         nodes = prev.bounds[group, None] + np.arange(size)
         px, pgw = prev.x[nodes], prev.gw[nodes]
         rows = np.flatnonzero(sizes[owner] == size)
+        xs, scale, g = x[rows, None], sigma[owner[rows], None], local[owner[rows]]
         for i in range(0, rows.size, rows_per_block // size):
-            r = rows[i:i + rows_per_block // size]
-            g = local[owner[r]]
-            out[r] = (_normal_pdf((x[r, None] - px[g]) / sigma[owner[r], None]) * pgw[g]).sum(axis=1)
+            block = slice(i, i + rows_per_block // size)
+            kernel = _normal_pdf((xs[block] - px[g[block]]) / scale[block])
+            out[rows[block]] = (kernel * pgw[g[block]]).sum(axis=1)
     return out
 
 
@@ -248,10 +254,10 @@ def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[in
     ConfigError is returned under its position in ``lasts``.
     """
     steps = [i for i, last in enumerate(lasts) if last is not None]
-    if not steps:  # first stages only: no grid, so a cold first look builds no rule
+    if not steps:  # before first stages only: no grid, so a cold first look builds no rule
         return _ScoreDensity(np.zeros(len(lasts)), np.ones(len(lasts)), np.zeros(len(lasts)),
                              np.arange(len(lasts) + 1)), {}
-    before, fraction, critical =(np.array([getattr(lasts[i], name) for i in steps], dtype=float)
+    before, fraction, critical = (np.array([getattr(lasts[i], name) for i in steps], dtype=float)
                                   for name in ("before", "fraction", "critical"))
     after = np.asarray(fractions, dtype=float)[steps]
     sd = np.sqrt(fraction)
@@ -295,25 +301,18 @@ def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarra
     # One-stage values for the whole target: a stage crosses at least target - spent there, a first stage exactly.
     critical[live] = [-ndtri(t / 2.0 if sided == "two_sided" else t) for t in target[live].tolist()]
     rows = live[prev.fraction[live] > 0.0]
-    crosses = _crossing(prev.take(rows), fraction[rows], np.zeros(rows.size), sided) <= increment[rows]
+    crosses = _crossing(prev.take(rows), fraction[rows], np.zeros(rows.size), sided)[0] <= increment[rows]
     critical[rows[crosses]] = 0.0
     rows = rows[~crosses]
     prev, fraction, increment = prev.take(rows), fraction[rows], increment[rows]
-    sd = np.sqrt(fraction)
     part = prev  # the densities of the rows still iterating, which only ever shrink
 
     def gap(c: np.ndarray, at: np.ndarray):
         nonlocal part
         if at.size < part.fraction.size:
             part = prev.take(at)
-        counts = np.diff(part.bounds)
-        sigma = np.sqrt(fraction[at] - part.fraction)
-        shift, scale = np.repeat(c * sd[at], counts), np.repeat(sigma, counts)
-        dens = _normal_pdf((part.x - shift) / scale)
-        if sided == "two_sided":
-            dens = dens + _normal_pdf((part.x + shift) / scale)
-        slope = -(sd[at] / sigma) * np.add.reduceat(part.gw * dens, part.bounds[:-1])
-        return _crossing(part, fraction[at], c, sided) - increment[at], slope
+        cross, slope = _crossing(part, fraction[at], c, sided)
+        return cross - increment[at], slope
 
     critical[rows] = _find_root(gap, np.zeros(rows.size), np.full(rows.size, 40.0),
                                 start=np.clip(critical[rows], 0.0, 40.0))
@@ -380,7 +379,7 @@ def _next_stage(lasts, spending: SpendingFunction, fractions, z, final: bool = F
     spent = np.array([0.0 if lasts[i] is None else lasts[i].spent for i in rows])
     target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in fraction.tolist()])
     critical = _solve_critical(start, fraction, target, spent, spending.sided)
-    spent = spent + _crossing(start, fraction, critical, spending.sided)
+    spent = spent + _crossing(start, fraction, critical, spending.sided)[0]
     exceeds = (np.abs(z) if spending.sided == "two_sided" else z) >= critical
     bounds = start.bounds.tolist()
     for j, (i, *values, reject) in enumerate(zip(rows, start.fraction.tolist(), fraction.tolist(), critical.tolist(),

@@ -40,7 +40,7 @@ def crossing_probabilities(fractions, criticals, sided="two_sided"):
     probs, last = [], None
     for fraction, c in zip(fractions, map(float, criticals)):
         start, _ = gs_design._density_after([last], sided, [fraction])
-        probs.append(gs_design._crossing(start, np.array([fraction]), np.array([c]), sided)[0])
+        probs.append(gs_design._crossing(start, np.array([fraction]), np.array([c]), sided)[0][0])
         last = gs_design._Stage(start.x, start.gw, start.fraction[0], fraction, c, probs[-1])
     return np.asarray(probs)
 
