@@ -159,7 +159,7 @@ def _normal_pdf(x):
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat indices of the runs ``starts[i]`` to ``starts[i] + counts[i]``, run after run."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
 
 
 class _ScoreDensity(NamedTuple):
@@ -177,10 +177,10 @@ class _ScoreDensity(NamedTuple):
 
     def take(self, rows: np.ndarray) -> "_ScoreDensity":
         """The batch of replicates ``rows``, in that order."""
-        counts = np.diff(self.bounds)[rows]
+        counts = (self.bounds[1:] - self.bounds[:-1])[rows]
         nodes = _ranges(self.bounds[rows], counts)
         return _ScoreDensity(self.x[nodes], self.gw[nodes], self.fraction[rows],
-                             np.concatenate(([0], np.cumsum(counts))))
+                             np.concatenate(([0], counts.cumsum())))
 
 
 class _Stage(NamedTuple):
@@ -208,8 +208,8 @@ def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, s
     its slope in the critical value: two arrays."""
     if not prev.x.size:
         return np.zeros(0), np.zeros(0)
-    counts, sd, sigma = np.diff(prev.bounds), np.sqrt(fraction), np.sqrt(fraction - prev.fraction)
-    bound, scale = np.repeat(critical * sd, counts), np.repeat(sigma, counts)
+    counts, sd, sigma = prev.bounds[1:] - prev.bounds[:-1], np.sqrt(fraction), np.sqrt(fraction - prev.fraction)
+    bound, scale = (critical * sd).repeat(counts), sigma.repeat(counts)
     upper = (prev.x - bound) / scale
     cross, dens = ndtr(upper), _normal_pdf(upper)
     if sided == "two_sided":
@@ -226,7 +226,7 @@ def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np
     Replicates are taken a previous grid size at a time, so a block of the kernel is dense and holds at
     most ``_BLOCK_ROWS`` rows of the batch's largest previous grid (of five panels, if that is larger).
     """
-    sizes = np.diff(prev.bounds)
+    sizes = prev.bounds[1:] - prev.bounds[:-1]
     out = np.empty(x.size)
     if not sizes.size:
         return out
@@ -331,7 +331,8 @@ def _find_root(fn, lo, hi, start=None) -> np.ndarray:
     root, rows, step = x.copy(), np.arange(x.size), hi - lo
     while rows.size:
         gap, slope = (np.asarray(v, dtype=float) for v in fn(x, rows))
-        lo, hi = np.where(gap > 0.0, x, lo), np.where(gap > 0.0, hi, x)
+        up = gap > 0.0
+        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
         with np.errstate(all="ignore"):  # the steps where there is no slope are not kept
             newton = np.where(slope < 0.0, x - gap / slope, math.nan)
         kept = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * step)
@@ -339,7 +340,8 @@ def _find_root(fn, lo, hi, start=None) -> np.ndarray:
         step, x = np.abs(newton - x), newton
         root[rows] = x
         going = step > 1e-12 + 1e-14 * np.abs(x)
-        rows, x, lo, hi, step = rows[going], x[going], lo[going], hi[going], step[going]
+        if not going.all():
+            rows, x, lo, hi, step = rows[going], x[going], lo[going], hi[going], step[going]
     return root
 
 
