@@ -47,7 +47,6 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
-from .sim_engine import METHODS, Calibration, SimScenario, calibrate, curve_table, run_study
 from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot, standardize_covariates
 
 DEFAULT_CALIBRATION_SEED = 20200920
@@ -272,6 +271,8 @@ def cmd_km_compare(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .sim_engine import SimScenario, calibrate  # a cold look never loads the engine and its process pool
+
     calib = calibrate(
         SimScenario.read(args.scenario), reps=args.reps, master_seed=args.seed, threads=args.threads,
         target_power=args.target_power, alpha=args.alpha, sided=args.sides,
@@ -284,6 +285,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim_engine import METHODS, Calibration, SimScenario, calibrate, curve_table, run_study
+
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
     methods = tuple(m for m in args.methods.split(",") if m)

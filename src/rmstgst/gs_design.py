@@ -14,14 +14,15 @@ of the stage (sd sqrt(f_k - f_{k-1})), so close looks do not alias; a
 stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: a stage needs only the density it started
-from, its fraction, critical value and cumulative spend. One step,
-``_next_stage``, takes a batch of replicates, each from its own last
-stage, to their next stages at once: one density advance over ragged
-grids, each sized to its replicate's increments, and one vectorised
-Newton for every critical value. Simulated studies step all of a
-method's running replicates a stage at a time; planned boundaries fold
-it over their looks, and monitoring takes one step from the last stage,
-rebuilt from the state file without re-solving: batches of one.
+from, its fraction, critical value and cumulative spend, and ``_Stages``
+holds these for a batch of replicates, flat over the batch. One step,
+``_next_stage``, takes every replicate of a batch to its next stage at
+once: one density advance over ragged grids, each sized to its
+replicate's increments, and one vectorised Newton for every critical
+value; a skipped or failed look keeps its stage. Simulated studies step
+the batch of a method's running replicates a stage at a time. Planned
+boundaries step a batch of one over their looks, and monitoring steps
+one from its last stage, rebuilt from the state file without re-solving.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import accumulate
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -162,53 +162,58 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
 
 
-class _ScoreDensity(NamedTuple):
-    """Sub-densities of the running score statistic on the continuation regions of a batch of replicates.
+class _Stages(NamedTuple):
+    """The stages of a batch of replicates, flat over the batch.
 
-    Flat over the batch: replicate r's nodes are ``x[bounds[r]:bounds[r + 1]]``, its density times the
-    quadrature weight there ``gw``, at information fraction ``fraction[r]``. Before a first stage the
-    density is a point mass at 0, at fraction 0.
+    Replicate r's stage started from the sub-density of the running score statistic on its last continuation
+    region: nodes ``x[bounds[r]:bounds[r + 1]]``, the density times the quadrature weight there ``gw``, at
+    information fraction ``before[r]``. The stage is at fraction ``fraction[r]``, with critical value
+    ``critical[r]`` and cumulative spend ``spent[r]``. A replicate before its first stage is at fraction 0
+    with no nodes, and its next stage starts from the point mass at 0.
     """
 
     x: np.ndarray
     gw: np.ndarray
-    fraction: np.ndarray
     bounds: np.ndarray
+    before: np.ndarray
+    fraction: np.ndarray
+    critical: np.ndarray
+    spent: np.ndarray
 
-    def take(self, rows: np.ndarray) -> "_ScoreDensity":
-        """The batch of replicates ``rows``, in that order."""
+    @staticmethod
+    def first(n: int) -> "_Stages":
+        """``n`` replicates before their first stages."""
+        return _Stages(np.zeros(0), np.zeros(0), np.zeros(n + 1, dtype=np.int64), np.zeros(n), np.zeros(n),
+                       np.full(n, math.inf), np.zeros(n))
+
+    def take(self, rows: np.ndarray) -> "_Stages":
+        """The batch of replicates ``rows``, in that order; rows that name every replicate must increase."""
+        if rows.size == self.fraction.size:
+            return self
         counts = (self.bounds[1:] - self.bounds[:-1])[rows]
         nodes = _ranges(self.bounds[rows], counts)
-        return _ScoreDensity(self.x[nodes], self.gw[nodes], self.fraction[rows],
-                             np.concatenate(([0], counts.cumsum())))
+        return _Stages(self.x[nodes], self.gw[nodes], np.concatenate(([0], counts.cumsum())),
+                       *(values[rows] for values in self[3:]))
+
+    def put(self, rows: np.ndarray, new: "_Stages") -> "_Stages":
+        """This batch with its replicates ``rows``, increasing, replaced by those of ``new``."""
+        n = self.fraction.size
+        if rows.size == n:
+            return new
+        order = np.arange(n)
+        order[rows] = np.arange(n, n + rows.size)
+        both = _Stages(np.concatenate((self.x, new.x)), np.concatenate((self.gw, new.gw)),
+                       np.concatenate((self.bounds, new.bounds[1:] + self.bounds[-1])),
+                       *(np.concatenate(pair) for pair in zip(self[3:], new[3:])))
+        return both.take(order)
 
 
-class _Stage(NamedTuple):
-    """One replicate's stage: the density it started from (nodes ``x`` and weighted density ``gw``, at
-    fraction ``before``), its fraction, critical value and spend so far."""
-
-    x: np.ndarray
-    gw: np.ndarray
-    before: float
-    fraction: float
-    critical: float
-    spent: float
-
-
-def _stack(stages) -> _ScoreDensity:
-    """One batch of the densities that ``stages`` started from."""
-    counts = np.array([s.x.size for s in stages], dtype=np.int64)
-    return _ScoreDensity(np.concatenate([s.x for s in stages] or [np.zeros(0)]),
-                         np.concatenate([s.gw for s in stages] or [np.zeros(0)]),
-                         np.array([s.before for s in stages], dtype=float), np.concatenate(([0], np.cumsum(counts))))
-
-
-def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, sided: str):
+def _crossing(prev: _Stages, fraction: np.ndarray, critical: np.ndarray, sided: str):
     """Null probability of first crossing at each replicate's stage, given the density it starts from, and
     its slope in the critical value: two arrays."""
     if not prev.x.size:
         return np.zeros(0), np.zeros(0)
-    counts, sd, sigma = prev.bounds[1:] - prev.bounds[:-1], np.sqrt(fraction), np.sqrt(fraction - prev.fraction)
+    counts, sd, sigma = prev.bounds[1:] - prev.bounds[:-1], np.sqrt(fraction), np.sqrt(fraction - prev.before)
     bound, scale = (critical * sd).repeat(counts), sigma.repeat(counts)
     upper = (prev.x - bound) / scale
     cross, dens = ndtr(upper), _normal_pdf(upper)
@@ -219,7 +224,7 @@ def _crossing(prev: _ScoreDensity, fraction: np.ndarray, critical: np.ndarray, s
     return np.add.reduceat(prev.gw * cross, starts), -(sd / sigma) * np.add.reduceat(prev.gw * dens, starts)
 
 
-def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _transition(prev: _Stages, x: np.ndarray, owner: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """At each node ``x``, the sum over its replicate's nodes in ``prev`` of gw times the normal density of
     the step there, in sds ``sigma`` (by replicate); ``owner`` is the replicate of each node.
 
@@ -246,20 +251,22 @@ def _transition(prev: _ScoreDensity, x: np.ndarray, owner: np.ndarray, sigma: np
     return out
 
 
-def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[int, ConfigError]]:
-    """The densities that leave each stage of ``lasts`` without crossing, as one batch: each on a grid
-    sized for the step to its entry of ``fractions``, and a point mass at 0 for a None (no stage yet).
+def _density_after(stages: _Stages, sided: str, fractions) -> tuple[_Stages, dict[int, ConfigError]]:
+    """The stages after ``stages`` at ``fractions``, critical values unsolved (NaN) and with the spend so far:
+    each starts from the density that leaves its stage in ``stages`` without crossing, on a grid sized for
+    the step to its fraction, or from the point mass at 0 before a first stage.
 
-    A stage whose grid would need more than ``MAX_NODES`` nodes is left out of the batch, and its
-    ConfigError is returned under its position in ``lasts``.
+    A stage whose grid would need more than ``MAX_NODES`` nodes has no stage after it in the batch, and its
+    ConfigError is returned under its position in ``stages``.
     """
-    steps = [i for i, last in enumerate(lasts) if last is not None]
-    if not steps:  # before first stages only: no grid, so a cold first look builds no rule
-        return _ScoreDensity(np.zeros(len(lasts)), np.ones(len(lasts)), np.zeros(len(lasts)),
-                             np.arange(len(lasts) + 1)), {}
-    before, fraction, critical = (np.array([getattr(lasts[i], name) for i in steps], dtype=float)
-                                  for name in ("before", "fraction", "critical"))
-    after = np.asarray(fractions, dtype=float)[steps]
+    fractions = np.asarray(fractions, dtype=float)
+    n, steps = fractions.size, np.flatnonzero(stages.fraction > 0.0)
+    points = _Stages(np.zeros(n), np.ones(n), np.arange(n + 1), stages.fraction, fractions, np.full(n, math.nan),
+                     stages.spent)
+    if not steps.size:  # before first stages only: no grid, so a cold first look builds no rule
+        return points, {}
+    before, fraction, critical = stages.before[steps], stages.fraction[steps], stages.critical[steps]
+    after = fractions[steps]
     sd = np.sqrt(fraction)
     hi = np.minimum(critical, DEFAULT_SPAN) * sd
     lo = -hi if sided == "two_sided" else -DEFAULT_SPAN * sd
@@ -270,10 +277,10 @@ def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[in
     for j in np.flatnonzero(~fits).tolist():
         a, b = (before[j], fraction[j]) if sigma[j] <= sigma_out[j] else (fraction[j], after[j])
         smallest = ((hi[j] - lo[j]) * _PANEL_NODES / (_PANEL_SDS * MAX_NODES)) ** 2
-        errors[steps[j]] = ConfigError(
+        errors[int(steps[j])] = ConfigError(
             f"information fractions {float(a)} and {float(b)} are too close: the {MAX_NODES}-node grid at "
             f"fraction {float(fraction[j])} resolves increments of at least {smallest:.3g}")
-    prev = _stack([lasts[steps[j]] for j in np.flatnonzero(fits).tolist()])
+    prev = stages.take(steps[fits])
     panels, lo, width, sigma = panels[fits].astype(np.int64), lo[fits], (hi - lo)[fits] / panels[fits], sigma[fits]
     t, w = _panel_rule()
     panel = np.repeat(np.arange(panels.size), panels)  # the replicate of each panel
@@ -281,18 +288,12 @@ def _density_after(lasts, sided: str, fractions) -> tuple[_ScoreDensity, dict[in
     x = (lo[panel, None] + width[panel, None] * (k[:, None] + t)).ravel()
     owner = np.repeat(np.arange(panels.size), panels * _PANEL_NODES)
     gw = _transition(prev, x, owner, sigma) / sigma[owner] * (width[panel, None] * w).ravel()
-
-    gridded = np.array([lasts[i] is not None for i in range(len(lasts)) if i not in errors], dtype=bool)
-    counts = np.ones(gridded.size, dtype=np.int64)
-    counts[gridded] = panels * _PANEL_NODES
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    nodes = _ranges(bounds[:-1][gridded], counts[gridded])
-    xs, gws, at = np.zeros(bounds[-1]), np.ones(bounds[-1]), np.zeros(gridded.size)
-    xs[nodes], gws[nodes], at[gridded] = x, gw, fraction[fits]
-    return _ScoreDensity(xs, gws, at, bounds), errors
+    grids = _Stages(x, gw, np.concatenate(([0], np.cumsum(panels * _PANEL_NODES))),
+                    *(values[steps[fits]] for values in points[3:]))
+    return points.put(steps[fits], grids).take(np.delete(np.arange(n), steps[~fits])), errors
 
 
-def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarray, spent: np.ndarray,
+def _solve_critical(prev: _Stages, fraction: np.ndarray, target: np.ndarray, spent: np.ndarray,
                     sided: str) -> np.ndarray:
     """Critical values whose null crossing probabilities spend ``target - spent``, one a replicate."""
     increment = target - spent
@@ -300,7 +301,7 @@ def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarra
     live = np.flatnonzero(increment > _SPEND_FLOOR + 1e-9 * target)
     # One-stage values for the whole target: a stage crosses at least target - spent there, a first stage exactly.
     critical[live] = [-ndtri(t / 2.0 if sided == "two_sided" else t) for t in target[live].tolist()]
-    rows = live[prev.fraction[live] > 0.0]
+    rows = live[prev.before[live] > 0.0]
     crosses = _crossing(prev.take(rows), fraction[rows], np.zeros(rows.size), sided)[0] <= increment[rows]
     critical[rows[crosses]] = 0.0
     rows = rows[~crosses]
@@ -309,7 +310,7 @@ def _solve_critical(prev: _ScoreDensity, fraction: np.ndarray, target: np.ndarra
 
     def gap(c: np.ndarray, at: np.ndarray):
         nonlocal part
-        if at.size < part.fraction.size:
+        if at.size < part.before.size:
             part = prev.take(at)
         cross, slope = _crossing(part, fraction[at], c, sided)
         return cross - increment[at], slope
@@ -356,47 +357,33 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-def _next_stage(lasts, spending: SpendingFunction, fractions, z, final: bool = False):
-    """The stage after each replicate's stage in ``lasts`` (None before its first) at its information
-    fraction in ``fractions``, and its decision on its statistic in ``z``: two lists.
+def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final: bool = False):
+    """The batch ``stages`` with each replicate stepped to its information fraction in ``fractions``, and
+    each one's decision on its statistic in ``z``: a batch and an array.
 
-    All the replicates step at once. A look whose fraction is not past its ``last``'s is ``"skipped"``,
-    with no stage and no spend. Otherwise ``last``'s density is advanced to the raw fraction, and the
-    critical value solved whose null crossing takes the spend to ``spending(min(fraction, 1))``, or to
-    alpha at a ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target)
-    gives an infinite critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else
-    ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes has no stage, and
-    its ConfigError for a decision.
+    All the replicates step at once. A look whose fraction is not past its stage's is ``"skipped"`` and
+    keeps its stage. Otherwise the stage's density is advanced to the raw fraction, and the critical value
+    solved whose null crossing takes the spend to ``spending(min(fraction, 1))``, or to alpha at a
+    ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target) gives an
+    infinite critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else
+    ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes keeps its stage, and
+    has its ConfigError for a decision.
     """
     fractions, z = np.asarray(fractions, dtype=float), np.asarray(z, dtype=float)
-    stages, decisions = [None] * len(lasts), ["skipped"] * len(lasts)
-    steps = [i for i, last in enumerate(lasts) if last is None or fractions[i] > last.fraction]
-    if not steps:
+    decisions = np.full(fractions.size, "skipped", dtype=object)
+    steps = np.flatnonzero(fractions > stages.fraction)
+    if not steps.size:
         return stages, decisions
-    start, errors = _density_after([lasts[i] for i in steps], spending.sided, fractions[steps])
+    start, errors = _density_after(stages.take(steps), spending.sided, fractions[steps])
     for j, error in errors.items():
         decisions[steps[j]] = error
-    rows = [i for j, i in enumerate(steps) if j not in errors]
-    fraction, z = fractions[rows], z[rows]
-    spent = np.array([0.0 if lasts[i] is None else lasts[i].spent for i in rows])
-    target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in fraction.tolist()])
-    critical = _solve_critical(start, fraction, target, spent, spending.sided)
-    spent = spent + _crossing(start, fraction, critical, spending.sided)[0]
-    exceeds = (np.abs(z) if spending.sided == "two_sided" else z) >= critical
-    bounds = start.bounds.tolist()
-    for j, (i, *values, reject) in enumerate(zip(rows, start.fraction.tolist(), fraction.tolist(), critical.tolist(),
-                                                spent.tolist(), exceeds.tolist())):
-        nodes = slice(bounds[j], bounds[j + 1])
-        stages[i], decisions[i] = _Stage(start.x[nodes], start.gw[nodes], *values), "reject" if reject else "continue"
-    return stages, decisions
-
-
-def _one_step(last: _Stage | None, spending: SpendingFunction, fraction: float, z: float, final: bool = False):
-    """``_next_stage`` for one replicate: its stage and decision, or its ConfigError raised."""
-    (stage,), (decision,) = _next_stage([last], spending, [fraction], [z], final)
-    if isinstance(decision, ConfigError):
-        raise decision
-    return stage, decision
+    rows = np.delete(steps, list(errors))
+    target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in start.fraction.tolist()])
+    critical = _solve_critical(start, start.fraction, target, start.spent, spending.sided)
+    spent = start.spent + _crossing(start, start.fraction, critical, spending.sided)[0]
+    exceeds = (np.abs(z[rows]) if spending.sided == "two_sided" else z[rows]) >= critical
+    decisions[rows] = np.where(exceeds, "reject", "continue")
+    return stages.put(rows, start._replace(critical=critical, spent=spent)), decisions
 
 
 @dataclass(frozen=True)
@@ -429,12 +416,17 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 
     Each stage's cumulative crossing probability under the null equals
     the spending function at that fraction; ``_next_stage`` gives the
-    rules, folded over the schedule one stage at a time.
+    rules, stepping a batch of one over the schedule.
     """
     fr = _validate_fractions(info_fractions)
-    stages = accumulate((None, *fr), lambda last, fraction: _one_step(last, f, fraction, 0.0)[0])
-    *_, criticals, spent = zip(*list(stages)[1:])
-    return BoundarySchedule(spending=f, fractions=fr, cumulative_spend=spent, critical_values=criticals)
+    stages, criticals, spent = _Stages.first(1), [], []
+    for fraction in fr:
+        stages, (decision,) = _next_stage(stages, f, [fraction], [0.0])
+        if isinstance(decision, ConfigError):
+            raise decision
+        criticals.append(float(stages.critical[0]))
+        spent.append(float(stages.spent[0]))
+    return BoundarySchedule(spending=f, fractions=fr, cumulative_spend=tuple(spent), critical_values=tuple(criticals))
 
 
 @dataclass(frozen=True)
@@ -537,18 +529,19 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
             f"non-increasing analysis time: u={u} is not past the last recorded u={state.analyses[-1].u}"
         )
     spending = state.design.spending
-    last = None
+    stage = _Stages.first(1)
     for a in state.effective:
-        start, errors = _density_after([last], spending.sided, [a.info_fraction])
+        start, errors = _density_after(stage, spending.sided, [a.info_fraction])
         if errors:
             raise errors[0]
-        last = _Stage(start.x, start.gw, float(start.fraction[0]), a.info_fraction, a.critical_value,
-                      a.cumulative_spend)
+        stage = start._replace(critical=np.array([a.critical_value]), spent=np.array([a.cumulative_spend]))
     fraction = info_level / state.design.i_max
-    stage, decision = _one_step(last, spending, fraction, z, final)
-    critical, spent = (None, last.spent) if stage is None else (stage.critical, stage.spent)
+    stage, (decision,) = _next_stage(stage, spending, [fraction], [z], final)
+    if isinstance(decision, ConfigError):
+        raise decision
     record = AnalysisRecord(
         stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,
-        critical_value=critical, cumulative_spend=spent, decision=decision, final=final,
+        critical_value=None if decision == "skipped" else float(stage.critical[0]),
+        cumulative_spend=float(stage.spent[0]), decision=decision, final=final,
     )
     return replace(state, analyses=state.analyses + (record,))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .adjusted_rmst import AnalysisResult, _events_error, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import SpendingFunction, _find_root, _next_stage, ndtr, ndtri
+from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
 from .stratified_cox import fit as cox_fit
@@ -72,6 +72,7 @@ CENSORING_KINDS = ("5pct_per_year", None)
 _YEARLY_5PCT_RATE = -math.log(0.95)
 _NORMAL_NODES = 80  # Gauss-Hermite atoms of the normal covariate
 _TIME_NODES = 48  # Gauss-Legendre nodes of the graded rule on [0, tau]
+_OFFSET_BRACKET = (-5.0, 5.0)  # treatment rate offsets bisected by the calibrations
 
 
 @dataclass(frozen=True)
@@ -234,27 +235,27 @@ def _rng_for_replicate(master_seed: int, rep: int):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
 
-def _rate_offset(scn: SimScenario, delta: float, bracket: tuple[float, float]) -> tuple[float, float]:
+def _rate_offset(scn: SimScenario, delta: float) -> tuple[float, float]:
     """Treatment rate offset whose true restricted-mean difference is ``delta``, and its residual.
 
-    The difference falls as the offset rises, so the offset is bisected on ``bracket``.
+    The difference falls as the offset rises, so the offset is bisected on ``_OFFSET_BRACKET``.
     """
     mu0 = true_rmst(scn, 0)
 
     def gap(b: float) -> float:
         return (true_rmst(replace(scn, log_rate_ratio=b), 1) - mu0) - delta
 
-    root = float(_find_root(lambda b, rows: (gap(float(b[0])), 0.0), *bracket)[0])
+    root = float(_find_root(lambda b, rows: (gap(float(b[0])), 0.0), *_OFFSET_BRACKET)[0])
     return root, gap(root)
 
 
-def calibrate_null(scn: SimScenario, bracket: tuple[float, float] = (-5.0, 5.0)) -> float:
+def calibrate_null(scn: SimScenario) -> float:
     """Treatment rate offset that equalizes the arms' true restricted means.
 
-    Bisected on the stated bracket; the returned offset leaves a
+    Bisected on ``_OFFSET_BRACKET``; the returned offset leaves a
     restricted-mean gap below 1e-8 in absolute value.
     """
-    root, residual = _rate_offset(scn, 0.0, bracket)
+    root, residual = _rate_offset(scn, 0.0)
     if abs(residual) >= 1e-8:
         raise EstimationError(f"null calibration residual {residual:.2e} exceeds 1e-8")
     return root
@@ -389,8 +390,7 @@ def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> f
 
 def calibrate_power(scn: SimScenario, calib: InformationCalibration,
                     target_power: float = 0.80, alpha: float = 0.05,
-                    sided: str = "two_sided",
-                    bracket: tuple[float, float] = (-5.0, 5.0)) -> PowerCalibration:
+                    sided: str = "two_sided") -> PowerCalibration:
     """Rate offset at which a fixed final-analysis test hits the target power.
 
     First solves the restricted-mean difference ``delta`` giving the
@@ -414,7 +414,7 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
         )
     delta = 0.0 if target_power <= alpha else float(
         _find_root(lambda d, rows: (power_shortfall(float(d[0])), 0.0), 0.0, scn.tau)[0])
-    root, residual = _rate_offset(scn, delta, bracket)
+    root, residual = _rate_offset(scn, delta)
     if abs(residual) >= 1e-6:
         raise EstimationError("power calibration residual exceeds 1e-6")
     return PowerCalibration(
@@ -567,12 +567,12 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     Each replicate is analyzed at the calibrated calendar times with
     every requested method. Each method then monitors its replicates
     stage by stage, against its own information cap, the last stage
-    declared final: one spending step moves every replicate not yet
-    rejected that has an analysis at the stage, each from its own last
-    stage. Analyses that fail (for example, no events in an arm), and
-    stages too close to the last one for the spending step's grid, are
-    counted per method, by error class and by stage, and the stage is
-    skipped for that replicate.
+    declared final: the replicates not yet rejected are one batch of
+    stages, and one spending step moves each of them that has an
+    analysis at the stage from its own last stage. Analyses that fail
+    (for example, no events in an arm), and stages too close to the last
+    one for the spending step's grid, are counted per method, by error
+    class and by stage, and the replicate keeps its last stage.
 
     Identical scenario, seed, and reps give bit-identical results for
     any ``threads``.
@@ -596,25 +596,19 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
         fractions = infos[:, :, m] / calib.i_max_by_method[method]
         z = deltas[:, :, m] * np.sqrt(infos[:, :, m])
         firsts = np.zeros(reps, dtype=np.int64)
-        lasts = [None] * reps
         failed_as, by_stage = Counter(), [0] * n_stage
-        running = np.arange(reps)  # replicates not yet rejected
+        running, stages = np.arange(reps), _Stages.first(reps)  # the replicates not yet rejected, and their stages
         for k in range(n_stage):
-            analyzed = ~np.isnan(fractions[running, k])
-            errors = failed[running[~analyzed], k, m].tolist()
-            rows = running[analyzed]
-            stages, decisions = _next_stage([lasts[r] for r in rows.tolist()], spending, fractions[rows, k],
-                                            z[rows, k], k == n_stage - 1)
-            for r, stage, decision in zip(rows.tolist(), stages, decisions):
-                if isinstance(decision, ConfigError):
-                    errors.append(type(decision).__name__)
-                elif decision == "reject":
-                    firsts[r] = k + 1
-                else:
-                    lasts[r] = stage or lasts[r]
+            # a failed analysis has a NaN fraction, which is not past its replicate's stage, so the step skips it
+            fraction = fractions[running, k]
+            errors = failed[running[np.isnan(fraction)], k, m].tolist()
+            stages, decisions = _next_stage(stages, spending, fraction, z[running, k], k == n_stage - 1)
+            errors += [type(d).__name__ for d in decisions.tolist() if isinstance(d, ConfigError)]
             failed_as.update(errors)
             by_stage[k] = len(errors)
-            running = running[firsts[running] == 0]
+            rejected = decisions == "reject"
+            firsts[running[rejected]] = k + 1
+            running, stages = running[~rejected], stages.take(np.flatnonzero(~rejected))
         rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)

@@ -24,6 +24,8 @@ from .trial_data import Snapshot, look_sums
 
 __all__ = ["CoxFit", "CoxFits", "fit"]
 
+_SCORE_TOL = 1e-8  # a look converges when its score max-norm drops below this
+
 
 @dataclass(frozen=True)
 class CoxFit:
@@ -121,11 +123,11 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
     return looks[~singular], eigval[~singular], eigvec[~singular]
 
 
-def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50, looks=None) -> CoxFits:
+def fit(snap: Snapshot, max_iter: int = 50, looks=None) -> CoxFits:
     """Maximize each look's stratified log partial likelihood by Newton iteration, all looks at once.
 
     Every look starts at beta = 0, converges when its score max-norm drops
-    below ``tol``, and halves steps that would decrease its log partial
+    below ``_SCORE_TOL``, and halves steps that would decrease its log partial
     likelihood; a look that converges or fails is frozen while the rest go
     on. With no covariates the baselines are Nelson-Aalen estimates. A
     look's failure is kept and raised by ``fits[k]``: ``ConvergenceError``
@@ -146,7 +148,7 @@ def fit(snap: Snapshot, tol: float = 1e-8, max_iter: int = 50, looks=None) -> Co
     fresh = np.flatnonzero(active)  # looks at a new iterate: test it, then step from it
     while True:
         for k, norm in zip(fresh.tolist(), np.abs(score[fresh]).max(axis=1, initial=0.0).tolist()):
-            if norm < tol:
+            if norm < _SCORE_TOL:
                 active[k] = False
             elif iterations[k] >= max_iter:
                 errors[k] = ConvergenceError(f"no convergence in {max_iter} iterations (score max-norm {norm:.3e})")

@@ -153,18 +153,20 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     Every row must parse cleanly; offending rows are reported by file
     line number and all collected before raising, so one pass surfaces
     every problem. Subject ids must be present and unique; they are
-    checked and then dropped.
+    checked and then dropped. A UTF-8 byte-order mark is skipped.
 
     Raises:
-        DataError: missing or duplicate columns, rows with the wrong field
-            count, unparseable or invalid rows, duplicate subject ids, an
-            empty file, or a file that is not UTF-8 or not CSV.
+        DataError: missing or duplicate columns, a column mapped to more
+            than one field, rows with the wrong field count, unparseable
+            or invalid rows, duplicate subject ids, an empty file, or a
+            file that is not UTF-8 or not CSV.
     """
     schema = schema or CsvSchema()
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        text = raw.decode("utf-8")
+        # drop a spreadsheet's byte-order mark; "utf-8-sig" would count a bad byte's offset from after it
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -184,6 +186,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     else:
         cov_cols = list(schema.covariates)
     needed += cov_cols
+    twice = sorted({c for c in needed if needed.count(c) > 1})
+    if twice:
+        raise DataError(f"{path}: columns mapped to more than one field: {twice}")
     missing = [c for c in needed if c not in header]
     if missing:
         raise DataError(f"{path}: missing columns {missing}; header has {header}")

@@ -487,6 +487,24 @@ class TestAnalyze:
         state = MonitoringState.from_json(Path(state_path).read_text())
         assert state.design.i_max == pytest.approx(report["analysis"]["info"])
 
+    def test_byte_order_mark_analyzes_like_the_plain_file(self, trial_csv, tmp_path, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(trial_csv).read_bytes())
+        look = ["analyze", "--u", "3.0", "--tau", "1.0", "--km", "--report-only"]
+        plain = run_cli(capsys, *look, "--data", trial_csv)
+        assert run_cli(capsys, *look, "--data", str(marked)) == plain and plain[0] == 0
+
+    @pytest.mark.parametrize("covariates", [["z1", "z1"], ["arm"]])
+    def test_schema_mapping_a_column_twice_exit_3(self, covariates, trial_csv, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"covariates": covariates}))
+        code, _, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0", "--report-only",
+            "--schema", str(schema),
+        )
+        assert_typed_error(code, err, 3)
+        assert f"columns mapped to more than one field: {covariates[:1]}" in err
+
     def test_schema_column_overrides(self, tmp_path, capsys):
         path = tmp_path / "renamed.csv"
         rows = locked_trial_rows(np.random.default_rng(8), 60, lock=3.0)

@@ -37,11 +37,11 @@ class FakeResult:
 
 def crossing_probabilities(fractions, criticals, sided="two_sided"):
     """Per-stage null crossing probabilities on a fixed boundary, by the recursion's density steps."""
-    probs, last = [], None
+    probs, stage = [], gs_design._Stages.first(1)
     for fraction, c in zip(fractions, map(float, criticals)):
-        start, _ = gs_design._density_after([last], sided, [fraction])
+        start, _ = gs_design._density_after(stage, sided, [fraction])
         probs.append(gs_design._crossing(start, np.array([fraction]), np.array([c]), sided)[0][0])
-        last = gs_design._Stage(start.x, start.gw, start.fraction[0], fraction, c, probs[-1])
+        stage = start._replace(critical=np.array([c]), spent=start.spent + probs[-1])
     return np.asarray(probs)
 
 
@@ -283,16 +283,16 @@ def stacked_fold(fraction, z, spending, together=True):
     reps, n = fraction.shape
     critical, spent = np.full((reps, n), np.nan), np.full((reps, n), np.nan)
     decision = np.full((reps, n), None, dtype=object)
-    lasts, running = [None] * reps, list(range(reps))
+    stages, running = gs_design._Stages.first(reps), np.arange(reps)
     for k in range(n):
-        rows = [r for r in running if not math.isnan(fraction[r, k])]
-        for batch in [rows] if together else [[r] for r in rows]:
-            stages, decisions = gs_design._next_stage([lasts[r] for r in batch], spending, fraction[batch, k],
-                                                      z[batch, k], final=k == n - 1)
-            for r, stage, decision[r, k] in zip(batch, stages, decisions):
-                if stage is not None:
-                    critical[r, k], spent[r, k], lasts[r] = stage.critical, stage.spent, stage
-        running = [r for r in running if decision[r, k] != "reject"]
+        rows = running[~np.isnan(fraction[running, k])]
+        for batch in [rows] if together else rows[:, None]:
+            stepped, decision[batch, k] = gs_design._next_stage(stages.take(batch), spending, fraction[batch, k],
+                                                                z[batch, k], final=k == n - 1)
+            stages = stages.put(batch, stepped)
+            took = (decision[batch, k] == "continue") | (decision[batch, k] == "reject")
+            critical[batch[took], k], spent[batch[took], k] = stepped.critical[took], stepped.spent[took]
+        running = running[decision[running, k] != "reject"]
     return critical, spent, decision
 
 
@@ -353,9 +353,10 @@ class TestStackedStep:
 
     def test_every_replicate_failing_or_skipped(self):
         spending = make_spending("pocock_like")
-        stage, _ = gs_design._one_step(None, spending, 0.5, 0.0)
-        stages, decisions = gs_design._next_stage([stage, stage], spending, [0.4, 0.500000001], [1.0, 1.0])
-        assert stages == [None, None]
+        both, _ = gs_design._next_stage(gs_design._Stages.first(2), spending, [0.5, 0.5], [0.0, 0.0])
+        stages, decisions = gs_design._next_stage(both, spending, [0.4, 0.500000001], [1.0, 1.0])
+        for kept, was in zip(stages, both):  # both replicates keep their stage bit for bit
+            np.testing.assert_array_equal(kept, was)
         assert decisions[0] == "skipped" and isinstance(decisions[1], ConfigError)
 
 

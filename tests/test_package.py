@@ -19,6 +19,9 @@ from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction
 from rmstgst.sim_engine import SimScenario
 
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+# the same, with the simulation engine and the process pool it imports
+LOADED_SCIPY_OR_ENGINE = ("print(sorted(m for m in sys.modules if m.startswith('scipy.') or m in "
+                          "('scipy', 'rmstgst.sim_engine', 'multiprocessing', 'concurrent.futures')))")
 
 
 def test_every_public_name_exists():
@@ -41,11 +44,12 @@ def _run_fresh(code: str) -> str:
 def test_cli_import_leaves_scipy_stats_unloaded():
     # Importing scipy.special alone costs about a quarter second of every cold command;
     # the normal cdf and quantile come from math.erfc and statistics.NormalDist.
-    assert _run_fresh(f"import sys, rmstgst.cli; {LOADED_SCIPY}") == "[]"
+    assert _run_fresh(f"import sys, rmstgst.cli; {LOADED_SCIPY_OR_ENGINE}") == "[]"
 
 
 def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
-    """Two monitored looks, the second solving a stage, a boundary and a design load no scipy."""
+    """Two monitored looks, the second solving a stage, a boundary and a design load no scipy, and not
+    the simulation engine or its process pool."""
     rng = np.random.default_rng(5)
     data = tmp_path / "trial.csv"
     with open(data, "w", newline="", encoding="utf-8") as fh:
@@ -65,7 +69,7 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
         "import sys; from rmstgst import cli\n"
         f"assert cli.main({first!r}) == 0 and cli.main({look + ['--u', '3.0']!r}) == 0\n"
         f"assert cli.main({bounds!r}) == 0 and cli.main({plan!r}) == 0\n"
-        + LOADED_SCIPY
+        + LOADED_SCIPY_OR_ENGINE
     )
     assert _run_fresh(code) == "[]"
     second = MonitoringState.from_json(state.read_text()).analyses[1]

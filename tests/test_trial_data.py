@@ -206,6 +206,29 @@ class TestIngestCsv:
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2501: not UTF-8 text"):
             ingest_csv(str(path))
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
+        path = write_csv(tmp_path / "t.csv", self.HEADER, [["s1", 1, 0.5, 2.0, 1, 0.3], ["s2", 0, 0.1, 1.0, 0, -0.2]])
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "t.csv").read_bytes())
+        plain, trial = ingest_csv(path), ingest_csv(str(marked))
+        for name in ("arm", "entry", "followup", "event", "z"):
+            np.testing.assert_array_equal(getattr(trial, name), getattr(plain, name))
+        marked.write_bytes(marked.read_bytes() + b"s3,0,0.1,1.0,0,0.\xff\n")  # lines still count from the mark
+        with pytest.raises(DataError, match=r": line 4: not UTF-8 text"):
+            ingest_csv(str(marked))
+
+    @pytest.mark.parametrize("schema, twice", [
+        (CsvSchema(covariates=("z1", "z1")), ["z1"]),
+        (CsvSchema(covariates=("arm",)), ["arm"]),
+        (CsvSchema(event="arm", covariates=("z1", "entry_time")), ["arm", "entry_time"]),
+    ], ids=["covariate-twice", "required-as-covariate", "two-columns"])
+    def test_column_mapped_twice_rejected_before_the_rows(self, tmp_path, schema, twice):
+        path = write_csv(tmp_path / "t.csv", self.HEADER, [["s1", 2, 0.5, 2.0, 1, 0.3]])  # a bad arm, not reached
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}: columns mapped to more than one field: "
+                                            rf"{re.escape(str(twice))}$"):
+            ingest_csv(path, schema)
+
     def test_field_over_csv_limit_reported_with_line(self, tmp_path):
         path = write_csv(
             tmp_path / "t.csv", self.HEADER,
