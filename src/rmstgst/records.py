@@ -102,10 +102,10 @@ class Record:
 
     @classmethod
     def read(cls, path):
-        """The record in the UTF-8 JSON file at ``path``."""
+        """The record in the UTF-8 JSON file at ``path``, after one byte-order mark if it starts with one."""
         try:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read().removeprefix("\ufeff")
         except (OSError, UnicodeDecodeError) as exc:
             raise cls._error(f"cannot read {cls._what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
         return cls.from_json(text, path)

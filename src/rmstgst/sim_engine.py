@@ -27,7 +27,9 @@ sees only its own replicate, so no result depends on the grouping.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +75,8 @@ _YEARLY_5PCT_RATE = -math.log(0.95)
 _NORMAL_NODES = 80  # Gauss-Hermite atoms of the normal covariate
 _TIME_NODES = 48  # Gauss-Legendre nodes of the graded rule on [0, tau]
 _OFFSET_BRACKET = (-5.0, 5.0)  # treatment rate offsets bisected by the calibrations
+_GRID_STEP = 0.1  # step of the calendar grid on which calibration measures the information trajectory
+_CURVE_POINTS = 200  # rows of the survival and hazard-ratio curve table
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,10 @@ def _time_rule():
     return t, w
 
 
-def true_rmst(scn: SimScenario, arm: int, tau: float | None = None) -> float:
-    """Restricted mean survival time of one arm: ``true_survival`` on the graded rule."""
-    tau = scn.tau if tau is None else float(tau)
+def true_rmst(scn: SimScenario, arm: int) -> float:
+    """Restricted mean survival time of one arm to ``scn.tau``: ``true_survival`` on the graded rule."""
     t, w = _time_rule()
-    return float(tau * w @ true_survival(scn, arm, tau * t))
+    return float(scn.tau * w @ true_survival(scn, arm, scn.tau * t))
 
 
 def hazard_ratio(scn: SimScenario, t) -> np.ndarray:
@@ -261,35 +264,35 @@ def calibrate_null(scn: SimScenario) -> float:
     return root
 
 
-def cox_hr_test(snap: Snapshot, k: int = 0, fits=None, at: int | None = None) -> AnalysisResult:
-    """Wald test of no treatment effect in an unstratified hazards model, at look ``k``.
+def cox_hr_test(snap: Snapshot, looks=None):
+    """Wald tests of no treatment effect in an unstratified hazards model, by look.
 
-    Tests the treatment coefficient of look k's fit of ``snap.pooled()``,
-    one stratum with the arm prepended to the covariates and the event
-    horizon min(u, tau) of the restricted-mean analyses: ``fits[at]``
-    when ``fits`` is given, else fitted here. Returns the
-    ``"cox"`` :class:`AnalysisResult`; ``delta`` is the log hazard ratio.
+    Fits ``snap.pooled(looks)`` once: the ``looks`` asked for (increasing
+    indices, default all), each one stratum with the arm prepended to the
+    covariates and the event horizon min(u, tau) of the restricted-mean
+    analyses, at the looks with an event in each arm. Returns the function
+    that gives look k's ``"cox"`` :class:`AnalysisResult`, whose ``delta``
+    is the log hazard ratio, or raises what kept look k from one.
     """
-    if error := _events_error(snap, k):
-        raise error
-    fitted = cox_fit(snap.pooled())[k] if fits is None else fits[at]
-    cov = np.linalg.inv(fitted.info)
-    return AnalysisResult(method="cox", u=float(snap.u[k]), tau=snap.tau, delta=float(fitted.beta[0]),
-                          info_level=1 / cov[0, 0])
-
-
-def _pooled_cox(snap: Snapshot, looks):
-    """Cox results by look, from one fit of the pooled ``looks`` (increasing) that have events in both arms."""
-    looks = np.asarray(looks)
+    looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
     fits = cox_fit(snap.pooled(looks), looks=snap.events_in_every_stratum()[looks])
-    return lambda k: cox_hr_test(snap, k, fits, int(np.searchsorted(looks, k)))
+
+    def result(k: int) -> AnalysisResult:
+        at = int(np.searchsorted(looks, k))
+        if error := _events_error(snap, k) or fits.errors[at]:  # a copy, so no traceback ties it to the fits
+            raise copy.copy(error)
+        cov = np.linalg.inv(fits.info[at])
+        return AnalysisResult(method="cox", u=float(snap.u[k]), tau=snap.tau, delta=float(fits.beta[at, 0]),
+                              info_level=1 / cov[0, 0])
+
+    return result
 
 
-# ``METHODS[m](snap, looks)(k)``: look k's result by method m; ``looks``, the looks asked for, limits only
-# the pooled Cox fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
+# ``METHODS[m](snap, looks)(k)``: look k's result by method m; ``looks``, the increasing looks asked for,
+# limits only ``cox_hr_test``'s pooled fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
 METHODS = {"adjusted": lambda snap, looks: analyze(snap).__getitem__,
            "km": lambda snap, looks: partial(km_rmst_test, snap),
-           "cox": _pooled_cox}
+           "cox": cox_hr_test}
 
 
 @dataclass(frozen=True)
@@ -324,11 +327,11 @@ class InformationCalibration(Record):
 
 
 def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int = 20200920,
-                          grid_step: float = 0.1, threads: int = 1) -> InformationCalibration:
+                          threads: int = 1) -> InformationCalibration:
     """Monte Carlo placement of analysis times and the information cap.
 
     Simulates ``reps`` trials, measures mean adjusted information on a
-    calendar grid (step ``grid_step``) up to the trial end, and inverts
+    calendar grid (step ``_GRID_STEP``) up to the trial end, and inverts
     the running-max trajectory at the scenario's fractions by linear
     interpolation. The final fraction maps to the trial end exactly.
     Comparator information caps are measured in the same pass, at the
@@ -337,10 +340,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     if reps < 100:
         raise ConfigError(f"information calibration needs reps >= 100, got {reps}")
     total = scn.total_duration
-    grid = np.arange(grid_step, total + 1e-9, grid_step)
-    if grid.size == 0 or grid[-1] < total - 1e-9:
-        grid = np.append(grid, total)
-    grid[-1] = total
+    grid = np.append(np.arange(_GRID_STEP, total - 1e-9, _GRID_STEP), total)
     comparators = tuple(m for m in METHODS if m != "adjusted")
     infos, *_ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted", *comparators),
                                 last_only=comparators)
@@ -546,16 +546,19 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=(
     """Run ``_study_worker`` over the replicates, serially or across processes.
 
     Results are identical for any thread count: replicates own their
-    seed streams and results are reassembled in replicate order.
+    seed streams and results are reassembled in replicate order. The pool
+    starts no more processes than there are CPUs or chunks of replicates.
     """
     worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, last_only=last_only)
     all_reps = list(range(reps))
     if threads <= 1:
         parts = [worker(all_reps)]
     else:
-        chunk = max(1, math.ceil(reps / (threads * 4)))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, [all_reps[i:i + chunk] for i in range(0, reps, chunk)]))
+        workers = min(threads, os.cpu_count() or 1)
+        chunk = max(1, math.ceil(reps / (workers * 4)))
+        chunks = [all_reps[i:i + chunk] for i in range(0, reps, chunk)]
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(worker, chunks))
     return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
 
 
@@ -625,14 +628,14 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     )
 
 
-def curve_table(scn: SimScenario, n_points: int = 200) -> list[dict]:
+def curve_table(scn: SimScenario) -> list[dict]:
     """Marginal survival and hazard-ratio curves on a time grid.
 
     The tabular stand-in for a survival/hazard-ratio plot: rows of
-    (time, arm-0 survival, arm-1 survival, hazard ratio) from just above
-    0 to tau.
+    (time, arm-0 survival, arm-1 survival, hazard ratio) at ``_CURVE_POINTS``
+    even steps from just above 0 to tau.
     """
-    ts = np.linspace(0.0, scn.tau, n_points + 1)[1:]
+    ts = np.linspace(0.0, scn.tau, _CURVE_POINTS + 1)[1:]
     s0 = true_survival(scn, 0, ts)
     s1 = true_survival(scn, 1, ts)
     hr = hazard_ratio(scn, ts)

@@ -9,47 +9,35 @@ All fitting is restricted to event times at or below ``min(u, tau)``;
 subjects followed past that point still contribute risk time up to it.
 A snapshot's looks are fitted together: one Newton iteration steps every
 look's coefficients at once, each look reducing only its own strata, so a
-look's fit is the same whatever other looks share its snapshot.
+look's fit is the same whatever other looks share its snapshot. The fit
+is one :class:`CoxFits`, whose arrays hold every look's results side by
+side.
 """
 
 from __future__ import annotations
-
-import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, InsufficientEventsError, SingularInformationError
 from .trial_data import Snapshot, look_sums
 
-__all__ = ["CoxFit", "CoxFits", "fit"]
+__all__ = ["CoxFits", "fit"]
 
 _SCORE_TOL = 1e-8  # a look converges when its score max-norm drops below this
-
-
-@dataclass(frozen=True)
-class CoxFit:
-    """One look's converged fit of the two-baseline proportional-hazards model.
-
-    ``info`` is the observed information at ``beta``. Newton took
-    ``iterations`` steps and halved rejected ones ``step_halvings`` times.
-    The arms' Breslow baseline hazards jump by each event row's count over
-    its ``CoxFits.risk_sums`` r0, at the arm's event times up to min(u, tau).
-    """
-
-    beta: np.ndarray
-    info: np.ndarray
-    loglik: float
-    iterations: int
-    step_halvings: int
+_MAX_ITER = 50  # Newton iterations a look may take
 
 
 class CoxFits:
     """The fits of every look of one snapshot, from one batched Newton iteration.
 
-    ``fits[k]`` is look k's :class:`CoxFit`, or raises the error its fit
-    met, as a snapshot of that look alone would; ``iterations`` totals the
-    Newton iterations of the looks that fit.
+    Look k's coefficients are ``beta[k]``, its observed information there
+    ``info[k]`` and its log partial likelihood ``loglik[k]``; Newton took
+    ``look_iterations[k]`` steps and halved rejected ones
+    ``step_halvings[k]`` times. ``errors[k]`` is the error its fit met, as
+    a snapshot of that look alone would meet it, or None; ``iterations``
+    totals the Newton iterations of the looks that fit. The arms' Breslow
+    baseline hazards jump by each event row's count over its
+    :meth:`risk_sums` r0, at the arm's event times up to min(u, tau).
     """
 
     def __init__(self, snap: Snapshot, beta, info, loglik, iterations, step_halvings, errors, sums):
@@ -66,12 +54,6 @@ class CoxFits:
         # exp(log r0 + shift) overflows only where the true sum does, not where exp(shift) would
         r0 = np.exp(np.log(r0) + shift)
         return r0, (e * r0).T
-
-    def __getitem__(self, k: int) -> CoxFit:
-        if self.errors[k] is not None:  # a copy, so no traceback ties the error to these fits
-            raise copy.copy(self.errors[k])
-        return CoxFit(self.beta[k], self.info[k], float(self.loglik[k]), int(self.look_iterations[k]),
-                      int(self.step_halvings[k]))
 
 
 def _score_info(snap: Snapshot, beta: np.ndarray, lo: int = 0):
@@ -123,17 +105,18 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
     return looks[~singular], eigval[~singular], eigvec[~singular]
 
 
-def fit(snap: Snapshot, max_iter: int = 50, looks=None) -> CoxFits:
+def fit(snap: Snapshot, looks=None) -> CoxFits:
     """Maximize each look's stratified log partial likelihood by Newton iteration, all looks at once.
 
     Every look starts at beta = 0, converges when its score max-norm drops
     below ``_SCORE_TOL``, and halves steps that would decrease its log partial
     likelihood; a look that converges or fails is frozen while the rest go
     on. With no covariates the baselines are Nelson-Aalen estimates. A
-    look's failure is kept and raised by ``fits[k]``: ``ConvergenceError``
-    (budget spent or halving failed), ``SingularInformationError``,
-    ``DataError`` (no events at or before min(u, tau)), or
-    ``InsufficientEventsError`` for a look that the mask ``looks`` leaves out.
+    look's failure is kept in ``errors[k]``: ``ConvergenceError`` (its
+    ``_MAX_ITER`` iterations spent, or halving failed),
+    ``SingularInformationError``, ``DataError`` (no events at or before
+    min(u, tau)), or ``InsufficientEventsError`` for a look that the mask
+    ``looks`` leaves out.
     """
     wanted = [True] * snap.u.size if looks is None else np.asarray(looks, dtype=bool).tolist()
     errors = [InsufficientEventsError(f"the look at u={u} was left out of the fit") if not want else None if rows
@@ -150,8 +133,8 @@ def fit(snap: Snapshot, max_iter: int = 50, looks=None) -> CoxFits:
         for k, norm in zip(fresh.tolist(), np.abs(score[fresh]).max(axis=1, initial=0.0).tolist()):
             if norm < _SCORE_TOL:
                 active[k] = False
-            elif iterations[k] >= max_iter:
-                errors[k] = ConvergenceError(f"no convergence in {max_iter} iterations (score max-norm {norm:.3e})")
+            elif iterations[k] >= _MAX_ITER:
+                errors[k] = ConvergenceError(f"no convergence in {_MAX_ITER} iterations (score max-norm {norm:.3e})")
                 active[k] = False
         stepping = fresh[active[fresh]]
         if stepping.size:

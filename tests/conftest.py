@@ -61,6 +61,14 @@ def baseline(fits, k, arm):
     return SimpleNamespace(times=fits.snap.event_times[rows], increments=increments, values=np.cumsum(increments))
 
 
+def look_fit(fits, k):
+    """Look k's fit as ``beta``, ``info``, ``loglik``, ``iterations`` and ``step_halvings``, or raise its error."""
+    if fits.errors[k] is not None:
+        raise fits.errors[k]
+    return SimpleNamespace(beta=fits.beta[k], info=fits.info[k], loglik=float(fits.loglik[k]),
+                           iterations=int(fits.look_iterations[k]), step_halvings=int(fits.step_halvings[k]))
+
+
 def height(step, t):
     """A baseline's right-continuous height at ``t`` (scalar or array), 0 before its first jump."""
     out = np.concatenate(([0.0], step.values))[np.searchsorted(step.times, t, side="right")]

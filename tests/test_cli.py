@@ -494,6 +494,49 @@ class TestAnalyze:
         plain = run_cli(capsys, *look, "--data", trial_csv)
         assert run_cli(capsys, *look, "--data", str(marked)) == plain and plain[0] == 0
 
+    def test_byte_order_mark_in_the_schema_reads_like_the_plain_file(self, trial_csv, tmp_path, capsys):
+        plain, marked = tmp_path / "schema.json", tmp_path / "bom_schema.json"
+        plain.write_text(json.dumps({"covariates": ["z1"]}))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        look = ["analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0", "--km", "--report-only", "--schema"]
+        plain_run = run_cli(capsys, *look, str(plain))
+        assert run_cli(capsys, *look, str(marked)) == plain_run and plain_run[0] == 0
+
+    def test_missing_state_without_design_exit_2(self, trial_csv, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(state_path))
+        assert_typed_error(code, err, 2)
+        assert f"state {state_path} does not exist; pass --design" in err
+        assert not state_path.exists()
+
+    def test_recorded_fractions_too_close_for_the_grid_exit_2(self, trial_csv, tmp_path, capsys):
+        # the replay of the recorded looks cannot place the second so close to the first
+        first = 0.8529238
+        design = DesignConfig(spending=SpendingFunction("cubic_min"), planned_fractions=(0.5, 0.75, 1.0),
+                              i_max=700.0)
+        records = tuple(AnalysisRecord(stage=k + 1, u=1.0 + 0.2 * k, info_level=700.0 * f, info_fraction=f, z=0.5,
+                                       critical_value=2.5, cumulative_spend=0.01 * (k + 1), decision="continue")
+                        for k, f in enumerate((first, first * (1 + 1e-7))))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(MonitoringState(design=design, analyses=records).to_json())
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "2.0", "--tau", "1.0",
+                               "--state", str(state_path))
+        assert_typed_error(code, err, 2)
+        assert "are too close: the 4000-node grid" in err
+        assert state_path.read_bytes() == before
+
+    def test_design_spending_not_an_object_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        doc = json.loads(Path(design_json).read_text())
+        doc["spending"] = "cubic_min"
+        design = tmp_path / "string_spending.json"
+        design.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(tmp_path / "state.json"), "--design", str(design), "--i-max", "700")
+        assert_typed_error(code, err, 2)
+        assert "design spending must be an object with a 'kind'" in err
+
     @pytest.mark.parametrize("covariates", [["z1", "z1"], ["arm"]])
     def test_schema_mapping_a_column_twice_exit_3(self, covariates, trial_csv, tmp_path, capsys):
         schema = tmp_path / "schema.json"
@@ -662,6 +705,12 @@ class TestCalibrateAndSimulate:
         assert doc["power"]["target_power"] == 0.80
         assert doc["scenario"] == json.loads(Path(scn_path).read_text())
         assert doc["analysis_times"][-1] == pytest.approx(3.0)
+
+    def test_calibrate_without_out_prints_the_calibration(self, calib_setup, capsys):
+        _, scn_path, calib_path = calib_setup
+        code, stdout, _ = run_cli(capsys, "calibrate", "--scenario", scn_path, "--reps", "120", "--seed", "6")
+        assert code == 0
+        assert json.loads(stdout) == json.loads(Path(calib_path).read_text())
 
     def test_simulate_reuses_calibration_deterministically(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup

@@ -68,6 +68,18 @@ def test_key_list_and_round_trip(cls):
     assert cls.from_json(json.dumps(payload)) == record
 
 
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
+def test_one_byte_order_mark_reads_as_the_plain_file(cls, tmp_path):
+    record, _ = EXAMPLES[cls]
+    text = json.dumps(record.to_dict()).encode()
+    for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        (tmp_path / f"{name}.json").write_bytes(prefix + text)
+    assert cls.read(tmp_path / "marked.json") == cls.read(tmp_path / "plain.json") == record
+    (tmp_path / "twice.json").write_bytes(b"\xef\xbb\xbf" * 2 + text)
+    with pytest.raises(cls._error, match="not valid JSON at line 1 column 1: Unexpected UTF-8 BOM"):
+        cls.read(tmp_path / "twice.json")
+
+
 def test_renamed_keys_are_named_in_errors():
     payload = POWER.to_dict()
     payload["sided"] = payload.pop("sidedness")

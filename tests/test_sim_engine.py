@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,7 +96,9 @@ def small_scn():
 
 @pytest.fixture(scope="module")
 def small_calib(small_scn):
-    return calibrate_information(small_scn, reps=120, master_seed=7, grid_step=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "_GRID_STEP", 0.5)
+        return calibrate_information(small_scn, reps=120, master_seed=7)
 
 
 class TestScenario:
@@ -174,7 +177,7 @@ class TestTruthFunctionals:
     def test_true_rmst_to_another_horizon(self):
         scn = SimScenario(shape_offset=-0.3, covariate_strength=LOG15)
         longer = replace(scn, tau=2.5)
-        assert true_rmst(scn, 1, tau=2.5) == pytest.approx(_oracle_rmst(longer, 1), rel=1e-10)
+        assert true_rmst(longer, 1) == pytest.approx(_oracle_rmst(longer, 1), rel=1e-10)
 
     def test_true_survival_boundaries(self):
         scn = SimScenario(covariate_strength=math.log(1.5), shape_offset=-0.3)
@@ -226,8 +229,8 @@ class TestTruthFunctionals:
 
     def test_curve_table_rows(self):
         scn = SimScenario(shape_offset=-0.3, log_rate_ratio=-0.16)
-        rows = curve_table(scn, n_points=50)
-        assert len(rows) == 50
+        rows = curve_table(scn)
+        assert len(rows) == 200
         assert set(rows[0]) == {"time", "survival_0", "survival_1", "hazard_ratio"}
         assert rows[-1]["time"] == pytest.approx(scn.tau)
         surv0 = [r["survival_0"] for r in rows]
@@ -339,7 +342,8 @@ class TestCalibration:
             return analyze(snap)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
-        calibrate_information(small_scn, reps=100, master_seed=7, grid_step=0.5)
+        monkeypatch.setattr(sim_engine, "_GRID_STEP", 0.5)
+        calibrate_information(small_scn, reps=100, master_seed=7)
         grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
         # one stacked analysis a group of replicates, each replicate's looks the grid once
         stacked = [len(u) // len(grid) for u in calls]
@@ -352,7 +356,7 @@ class TestCalibration:
         for rep in range(small_calib.reps):
             trial = draw_trial(small_scn, _rng_for_replicate(small_calib.master_seed, rep))
             snap = snapshot(trial, u=small_scn.total_duration, tau=small_scn.tau)
-            for method, test in (("km", km_rmst_test), ("cox", cox_hr_test)):
+            for method, test in (("km", km_rmst_test), ("cox", lambda snap: cox_hr_test(snap)(0))):
                 try:
                     infos[method].append(test(snap).info_level)
                 except (DataError, EstimationError):
@@ -403,7 +407,7 @@ class TestMethods:
             n_per_arm=3000, shape_offset=0.0, log_rate_ratio=-0.4,
             covariate_strength=0.3, censoring=None,
         )
-        res = cox_hr_test(sim_snapshot(scn, seed=4))
+        res = cox_hr_test(sim_snapshot(scn, seed=4))(0)
         assert abs(res.delta - (-0.4)) < 3 * res.se
         assert res.info_level == pytest.approx(1.0 / res.se**2, rel=1e-10)
 
@@ -413,7 +417,7 @@ class TestMethods:
             np.array([0, 0, 1, 1]), np.zeros((4, 1)), u=5.0, tau=2.0,
         )
         with pytest.raises(InsufficientEventsError):
-            cox_hr_test(snap)
+            cox_hr_test(snap)(0)
 
     def test_unknown_method_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
@@ -434,7 +438,7 @@ def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
             failed[i] = "DataError"
             continue
         tests = {"adjusted": analyze(snap).__getitem__, "km": lambda k: km_rmst_test(snap, k),
-                 "cox": lambda k: cox_hr_test(snap, k)}
+                 "cox": cox_hr_test(snap)}
         for m, method in enumerate(methods):
             for k in [len(times) - 1] if method in last_only else range(len(times)):
                 try:
@@ -510,6 +514,32 @@ class TestRunStudy:
         for m in kwargs["methods"]:
             np.testing.assert_array_equal(serial.estimates[m], threaded.estimates[m])
             np.testing.assert_array_equal(serial.info_levels[m], threaded.info_levels[m])
+
+    @pytest.mark.parametrize("threads, cpus, reps, pool", [(5000, 64, 100, 64), (5000, None, 100, 1), (8, 64, 3, 3),
+                                                           (3, 64, 100, 3)])
+    def test_pool_no_larger_than_the_machine_or_the_work(self, monkeypatch, small_scn, threads, cpus, reps, pool):
+        sizes = []
+
+        class SerialPool:  # records the pool size and maps in this process, so no worker is started
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sim_engine, "os", SimpleNamespace(cpu_count=lambda: cpus))
+        pooled = sim_engine._map_replicates(small_scn, 13, reps, threads, (1.5, 3.0), ("km",))
+        serial = sim_engine._map_replicates(small_scn, 13, reps, 1, (1.5, 3.0), ("km",))
+        assert sizes == [pool]
+        for got, want in zip(pooled, serial, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_monotone_rejection_and_rows(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import baseline, enrolled, height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import baseline, enrolled, height, look_fit, monotone_trial, sim_snapshot, toy_snapshot
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmstgst import stratified_cox
 from rmstgst.errors import (
     ConvergenceError, DataError, InsufficientEventsError, RmstgstError, SingularInformationError,
 )
@@ -138,7 +139,7 @@ class TestFit:
         fine = np.arange(coarse - 0.25, coarse + 0.25, 1e-4)
         values = np.array([naive_loglik(snap, [b]) for b in fine])
         oracle = fine[np.argmax(values)]
-        fitted = fit(snap)[0]
+        fitted = look_fit(fit(snap), 0)
         assert fitted.beta[0] == pytest.approx(oracle, abs=1e-3)
         assert fitted.loglik >= naive_loglik(snap, [0.0]) - 1e-12
 
@@ -148,7 +149,7 @@ class TestFit:
             [[1.0, 0.3], [1.0, -0.2], [1.0, 0.8], [1.0, 0.4]],
         )
         with pytest.raises(SingularInformationError) as err:
-            fit(snap)[0]
+            look_fit(fit(snap), 0)
         direction = np.abs(err.value.direction)
         assert direction[0] > 0.99
 
@@ -157,12 +158,12 @@ class TestFit:
         # survivors, so beta runs off and the information vanishes.
         snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(SingularInformationError, match="separates events from survivors"):
-            cox_hr_test(snap)
+            cox_hr_test(snap)(0)
 
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])
         with pytest.raises(DataError, match="no events"):
-            fit(snap)[0]
+            look_fit(fit(snap), 0)
 
     def test_identical_arms_zero_covariate_effect(self):
         time = [0.5, 1.0, 1.5, 2.0] * 2
@@ -170,7 +171,7 @@ class TestFit:
         arm = [0] * 4 + [1] * 4
         z = [0.2, -0.4, 1.0, 0.0] * 2
         snap = arrays_snapshot(time, event, arm, z)
-        fitted = fit(snap)[0]
+        fitted = look_fit(fit(snap), 0)
         assert np.all(np.isfinite(fitted.beta))
         assert fitted.loglik >= naive_loglik(snap, [0.0]) - 1e-12
 
@@ -178,7 +179,7 @@ class TestFit:
         time = [0.5, 1.0, 1.5, 2.0]
         snap = arrays_snapshot(time, [1, 1, 1, 0], [0, 0, 1, 1], [[]] * 4)
         fits = fit(snap)
-        assert fits[0].beta.size == 0 and fits[0].info.shape == (0, 0)
+        assert fits.beta[0].size == 0 and fits.info[0].shape == (0, 0)
         base0 = baseline(fits, 0, 0)
         assert height(base0, 0.5) == pytest.approx(0.5)
         assert height(base0, 1.0) == pytest.approx(0.5 + 1.0)
@@ -193,8 +194,8 @@ class TestFit:
             np.zeros(look.n), look.time, look.event, look.arm, look.z + shift, u=look.u, tau=look.tau,
         )
         refits = fit(shifted)
-        assert refits[0].beta[0] == pytest.approx(fits[0].beta[0], abs=1e-8)
-        scale = math.exp(-refits[0].beta[0] * shift)
+        assert refits.beta[0, 0] == pytest.approx(fits.beta[0, 0], abs=1e-8)
+        scale = math.exp(-refits.beta[0, 0] * shift)
         for arm in (0, 1):
             t = 1.4
             assert height(baseline(refits, 0, arm), t) == pytest.approx(
@@ -208,7 +209,7 @@ class TestFit:
             covariates="bernoulli2",
         )
         snap = sim_snapshot(scn, seed=42, tau=scn.total_duration)
-        fitted = fit(snap)[0]
+        fitted = look_fit(fit(snap), 0)
         look = enrolled(snap)
         model = sm.PHReg(look.time, look.z, status=look.event, strata=look.arm, ties="breslow")
         res = model.fit()
@@ -237,7 +238,7 @@ class TestFit:
             entry, np.minimum(event_time, cap), (event_time <= cap).astype(np.int64), arm,
             np.column_stack((x1, x2, x3)), u=1.5, tau=1.0,
         )
-        fitted = fit(snap)[0]
+        fitted = look_fit(fit(snap), 0)
         assert fitted.iterations <= 8
         score, _, _ = score_and_info(snap, fitted.beta)
         assert float(np.max(np.abs(score))) < 1e-8
@@ -248,8 +249,8 @@ class TestFit:
             covariate_strength=math.log(1.5), covariates="normal1", censoring=None,
         )
         snap = sim_snapshot(scn, seed=7)
-        stratified = fit(snap)[0]
-        unstratified = fit(snap.pooled())[0]
+        stratified = look_fit(fit(snap), 0)
+        unstratified = look_fit(fit(snap.pooled()), 0)
         se = math.sqrt(np.linalg.inv(stratified.info)[0, 0])
         assert unstratified.beta[1] == pytest.approx(stratified.beta[0], abs=4 * se)
         assert unstratified.beta[0] == pytest.approx(-0.4, abs=0.1)
@@ -356,7 +357,7 @@ class TestRiskSetSums:
     def test_breslow_increments_match_oracle(self):
         snap = toy_snapshot()
         fits = fit(snap)
-        fitted, look = fits[0], enrolled(snap)
+        fitted, look = look_fit(fits, 0), enrolled(snap)
         for arm in (0, 1):
             base = baseline(fits, 0, arm)
             n_arm = int(np.sum(look.arm == arm))
@@ -469,20 +470,20 @@ def fit_outcome(fits, k):
     """Look k's fit as (beta, info, loglik, increments of arms 0 and 1, iterations, step halvings),
     or the class of the error it raises."""
     try:
-        f = fits[k]
+        f = look_fit(fits, k)
     except RmstgstError as exc:
         return type(exc)
     return (f.beta, f.info, f.loglik, *(baseline(fits, k, arm).increments for arm in (0, 1)), f.iterations,
             f.step_halvings)
 
 
-def solo_outcome(trial, u, **kwargs):
+def solo_outcome(trial, u):
     """The outcome of fitting a snapshot of the one look ``u`` on its own."""
     try:
         snap = snapshot(trial, u=u, tau=1.0)
     except RmstgstError as exc:
         return type(exc)
-    return fit_outcome(fit(snap, **kwargs), 0)
+    return fit_outcome(fit(snap), 0)
 
 
 def assert_same_outcome(got, want, rel):
@@ -511,7 +512,8 @@ class TestStackedLooks:
         for u, got in zip(grid, outcomes):
             assert_same_outcome(got, solo_outcome(trial, u), rel=1e-12)
 
-    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self):
+    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self, monkeypatch):
+        monkeypatch.setattr(stratified_cox, "_MAX_ITER", 21)
         trial = monotone_trial()
         odd = {
             0.001: DataError,  # nobody enrolled yet
@@ -521,16 +523,16 @@ class TestStackedLooks:
             0.26: ConvergenceError,  # needs 22 iterations, one over the budget
         }
         looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
-        fits = fit(snapshot(trial, u=looks, tau=1.0), max_iter=21)
+        fits = fit(snapshot(trial, u=looks, tau=1.0))
         outcomes = {u: fit_outcome(fits, k) for k, u in enumerate(looks)}
         for u in looks:
-            assert_same_outcome(outcomes[u], solo_outcome(trial, u, max_iter=21), rel=1e-12)
+            assert_same_outcome(outcomes[u], solo_outcome(trial, u), rel=1e-12)
             if odd.get(u) is not None:
                 assert outcomes[u] is odd[u]
         assert outcomes[0.2][0][0] > 100 and outcomes[0.2][-2] == 21
         for left_out in odd:
             others = [u for u in looks if u != left_out]
-            without = fit(snapshot(trial, u=others, tau=1.0), max_iter=21)
+            without = fit(snapshot(trial, u=others, tau=1.0))
             for k, u in enumerate(others):
                 assert_same_outcome(fit_outcome(without, k), outcomes[u], rel=0)
 
@@ -539,7 +541,7 @@ class TestStackedLooks:
         both = snap.events_in_every_stratum()
         assert both.tolist() == [False, False, True, True, True]  # no event yet; arm 1 has none
         every, masked = fit(snap), fit(snap, looks=both)
-        assert masked.iterations == every.iterations - every[1].iterations
+        assert masked.iterations == every.iterations - every.look_iterations[1]
         for k in range(5):
             want = fit_outcome(every, k) if both[k] else InsufficientEventsError
             assert_same_outcome(fit_outcome(masked, k), want, rel=0)
@@ -554,5 +556,5 @@ class TestNoNewWarnings:
         snap = snapshot(draw_trial(scn, _rng_for_replicate(3, 75)), u=0.2, tau=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fitted = fit(snap)[0]
+            fitted = look_fit(fit(snap), 0)
         assert fitted.beta[0] > 100
