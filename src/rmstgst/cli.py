@@ -19,13 +19,13 @@ is left as it was); 5 state error. An input that cannot be read (missing,
 a directory, not UTF-8 JSON or malformed) exits with its record's code: 2
 for a design, scenario or calibration, 3 for a ``--schema`` file and 5 for
 the state file. An output that cannot be written exits 2, or 5 for the
-state file or its lock.
+state file or its lock. Only ``simulate`` hashes its files, for its
+manifest, so only it imports ``hashlib``, which maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -98,6 +98,8 @@ def _json_text(payload: dict) -> str:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -295,6 +297,8 @@ def cmd_simulate(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"--methods names {m!r} more than once")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:

@@ -32,7 +32,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 
@@ -547,13 +546,16 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=(
 
     Results are identical for any thread count: replicates own their
     seed streams and results are reassembled in replicate order. The pool
-    starts no more processes than there are CPUs or chunks of replicates.
+    starts no more processes than there are CPUs or chunks of replicates,
+    and only a run across processes loads it and ``multiprocessing``.
     """
     worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, last_only=last_only)
     all_reps = list(range(reps))
     if threads <= 1:
         parts = [worker(all_reps)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(threads, os.cpu_count() or 1)
         chunk = max(1, math.ceil(reps / (workers * 4)))
         chunks = [all_reps[i:i + chunk] for i in range(0, reps, chunk)]
@@ -586,6 +588,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"method {m!r} is named more than once")
         if m not in calib.i_max_by_method:
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from conftest import monotone_trial
 
-from rmstgst import cli
+from rmstgst import cli, sim_engine
 from rmstgst.cli import main
 from rmstgst.gs_design import (
     AnalysisRecord,
@@ -828,6 +828,22 @@ class TestCalibrateAndSimulate:
         assert_typed_error(code, err, 2)
         assert "--methods" in err
         assert not out_dir.exists()
+
+    def test_simulate_repeated_method_exit_2_before_calibrating(self, calib_setup, capsys, monkeypatch):
+        tmp_path, scn_path, _ = calib_setup
+        out_dir = tmp_path / "twice"
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before the methods were checked")
+
+        monkeypatch.setattr(sim_engine, "calibrate", calibrate)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--reps", "2", "--methods", "adjusted,adjusted,km", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert "'adjusted'" in err and "more than once" in err
+        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("changes, named", [
         ({"n_per_arm": 41}, "['n_per_arm']"),

@@ -18,10 +18,18 @@ import rmstgst
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction
 from rmstgst.sim_engine import SimScenario
 
-LOADED_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-# the same, with the simulation engine and the process pool it imports
-LOADED_SCIPY_OR_ENGINE = ("print(sorted(m for m in sys.modules if m.startswith('scipy.') or m in "
-                          "('scipy', 'rmstgst.sim_engine', 'multiprocessing', 'concurrent.futures')))")
+# a fresh process's code starts with BEFORE and ends with _loaded(...), so that a module the interpreter
+# loaded at start-up is not counted
+BEFORE = "import sys; before = set(sys.modules)\n"
+SCIPY = "m == 'scipy' or m.startswith('scipy.')"
+ENGINE = "m in ('rmstgst.sim_engine', 'multiprocessing', 'concurrent.futures')"  # with its process pool
+HASHLIB = "m in ('hashlib', '_hashlib')"  # maps OpenSSL's libcrypto; only simulate hashes its files
+POOL = "m in ('multiprocessing', 'concurrent.futures.process')"  # only a run across processes loads it
+
+
+def _loaded(*kinds: str) -> str:
+    """Code that prints, sorted, the modules of any of these kinds loaded since ``before``."""
+    return f"print(sorted(m for m in set(sys.modules) - before if {' or '.join(kinds)}))"
 
 
 def test_every_public_name_exists():
@@ -44,12 +52,12 @@ def _run_fresh(code: str) -> str:
 def test_cli_import_leaves_scipy_stats_unloaded():
     # Importing scipy.special alone costs about a quarter second of every cold command;
     # the normal cdf and quantile come from math.erfc and statistics.NormalDist.
-    assert _run_fresh(f"import sys, rmstgst.cli; {LOADED_SCIPY_OR_ENGINE}") == "[]"
+    assert _run_fresh(f"{BEFORE}import rmstgst.cli\n{_loaded(SCIPY, ENGINE, HASHLIB)}") == "[]"
 
 
 def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
-    """Two monitored looks, the second solving a stage, a boundary and a design load no scipy, and not
-    the simulation engine or its process pool."""
+    """Two monitored looks, the second solving a stage, a side-by-side look, a boundary and a design load
+    no scipy, not the simulation engine or its process pool, and not hashlib."""
     rng = np.random.default_rng(5)
     data = tmp_path / "trial.csv"
     with open(data, "w", newline="", encoding="utf-8") as fh:
@@ -65,11 +73,12 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
     first = look + ["--u", "1.5", "--design", str(design), "--i-max", "200"]
     bounds = ["boundaries", "--spending", "obrien_fleming_like", "--fractions", "0.1,0.1001,1.0"]
     plan = ["design", "--spending", "pocock_like", "--fractions", "0.5,1.0", "--i-max", "200"]
+    compare = ["km-compare", "--data", str(data), "--u", "3.0", "--tau", "1.0"]
     code = (
-        "import sys; from rmstgst import cli\n"
+        f"{BEFORE}from rmstgst import cli\n"
         f"assert cli.main({first!r}) == 0 and cli.main({look + ['--u', '3.0']!r}) == 0\n"
-        f"assert cli.main({bounds!r}) == 0 and cli.main({plan!r}) == 0\n"
-        + LOADED_SCIPY_OR_ENGINE
+        f"assert cli.main({compare!r}) == 0 and cli.main({bounds!r}) == 0 and cli.main({plan!r}) == 0\n"
+        + _loaded(SCIPY, ENGINE, HASHLIB)
     )
     assert _run_fresh(code) == "[]"
     second = MonitoringState.from_json(state.read_text()).analyses[1]
@@ -77,7 +86,8 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
 
 
 def test_calibrate_and_simulate_load_no_scipy(tmp_path):
-    """A calibration and a simulation on its output run on numpy alone."""
+    """A calibration and a simulation on its output run on numpy alone, and at --threads 1 load no
+    process pool."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(SimScenario(
         n_per_arm=30, accrual=0.6, tau=0.4, rate_base=3.0, shape_offset=-0.3,
@@ -86,13 +96,16 @@ def test_calibrate_and_simulate_load_no_scipy(tmp_path):
     design = tmp_path / "design.json"
     design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
     calibration = tmp_path / "calibration.json"
-    calibrate = ["calibrate", "--scenario", str(scenario), "--reps", "100", "--out", str(calibration)]
+    # an explicit --threads 1, so that a set RMSTGST_THREADS cannot start a pool
+    calibrate = ["calibrate", "--scenario", str(scenario), "--reps", "100", "--threads", "1",
+                 "--out", str(calibration)]
     simulate = ["simulate", "--scenario", str(scenario), "--design", str(design), "--calibration",
-                str(calibration), "--reps", "20", "--effect", "power", "--out-dir", str(tmp_path / "sim")]
+                str(calibration), "--reps", "20", "--effect", "power", "--threads", "1",
+                "--out-dir", str(tmp_path / "sim")]
     code = (
-        "import sys; from rmstgst import cli\n"
+        f"{BEFORE}from rmstgst import cli\n"
         f"assert cli.main({calibrate!r}) == 0 and cli.main({simulate!r}) == 0\n"
-        + LOADED_SCIPY
+        + _loaded(SCIPY, POOL)
     )
     assert _run_fresh(code) == "[]"
     doc = json.loads(calibration.read_text())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -424,6 +425,10 @@ class TestMethods:
         with pytest.raises(ConfigError, match=r"unknown method 'bayes'; choose from \('adjusted', 'km', 'cox'\)"):
             run_study(small_scn, spending, small_calib, reps=5, methods=("bayes",))
 
+    def test_repeated_method_rejected(self, small_scn, small_calib):
+        with pytest.raises(ConfigError, match=r"method 'km' is named more than once"):
+            run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=5, methods=("km", "km"))
+
 
 def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
     """Info, delta and error class of each method at each look, per replicate, each from a snapshot of the
@@ -533,8 +538,12 @@ class TestRunStudy:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", SerialPool)
+        # _map_replicates imports the pool from concurrent.futures when it runs; with cpu_count faked as 64,
+        # a fake not in place would fork real workers, so check that it is before any run
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(sim_engine, "os", SimpleNamespace(cpu_count=lambda: cpus))
+        from concurrent.futures import ProcessPoolExecutor
+        assert ProcessPoolExecutor is SerialPool and "ProcessPoolExecutor" not in vars(sim_engine)
         pooled = sim_engine._map_replicates(small_scn, 13, reps, threads, (1.5, 3.0), ("km",))
         serial = sim_engine._map_replicates(small_scn, 13, reps, 1, (1.5, 3.0), ("km",))
         assert sizes == [pool]
