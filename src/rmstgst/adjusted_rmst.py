@@ -39,7 +39,7 @@ __all__ = [
     "AdjustedSurvival",
     "VarianceComponents",
     "AnalysisResult",
-    "AdjustedAnalyses",
+    "Analyses",
     "adjusted_survival",
     "variance",
     "analyze",
@@ -267,7 +267,7 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """One method's analysis of one snapshot.
+    """One method's analysis of one look, as :class:`Analyses` gives it; ``[k]`` has checked its numbers.
 
     ``delta`` is the method's effect estimate and ``info_level`` its
     reciprocal variance, the scale on which monitoring information
@@ -275,10 +275,6 @@ class AnalysisResult:
     the arms' restricted means (RMST methods only) and ``components``
     the variance decomposition and ``diagnostics`` the fit's Newton
     iterations and step halvings (adjusted method only).
-
-    Raises:
-        EstimationError: ``delta`` or ``info_level`` is not finite, or
-            ``info_level`` is not positive.
     """
 
     method: str
@@ -290,13 +286,6 @@ class AnalysisResult:
     mu1: float | None = None
     components: VarianceComponents | None = field(default=None, repr=False, compare=False)
     diagnostics: dict | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and math.isfinite(self.info_level) and self.info_level > 0):
-            raise EstimationError(
-                f"{self.method} analysis at u={self.u} gave delta={self.delta!r}, "
-                f"info={self.info_level!r}; both must be finite and info positive"
-            )
 
     @property
     def se(self) -> float:
@@ -318,60 +307,71 @@ class AnalysisResult:
         return out
 
 
-def _events_error(snap: Snapshot, k: int) -> InsufficientEventsError | None:
-    """The error of look ``k`` if one of its arms has no event by min(u, tau), else None."""
-    empty = np.flatnonzero(np.diff(snap.stratum_rows[2 * k:2 * k + 3]) == 0).tolist()
-    t_max = min(float(snap.u[k]), snap.tau)
-    return InsufficientEventsError(f"arm {empty[0]} has no events at or before min(u, tau)={t_max}; "
-                                   "the analysis needs at least one per arm") if empty else None
+@dataclass(eq=False)
+class Analyses:
+    """Every look's analysis of one snapshot by one method, as per-look arrays.
 
-
-@dataclass(frozen=True, eq=False)
-class AdjustedAnalyses:
-    """Every look's adjusted analysis of one snapshot, from one stacked pass.
-
-    ``[k]`` is look k's ``"adjusted"`` :class:`AnalysisResult`, with arm
-    means, variance components and fit diagnostics, or raises what kept
-    look k from one, as a snapshot of that look alone would.
+    ``delta`` and ``info`` (L,) hold each look's effect estimate and its
+    information; ``mu`` (L, 2) the arms' restricted means, ``components``
+    the (L,) variance components and ``diagnostics`` per-look arrays of
+    the fit's Newton counts, where the method has them. ``errors[k]`` is
+    what keeps look k from a result, as a snapshot of that look alone
+    would meet it, decided here and nowhere else: an arm with no event by
+    min(u, tau) (``InsufficientEventsError``), else the method's own error
+    as given, else a delta or information that is not finite and positive
+    (``EstimationError``). ``delta`` and ``info`` are NaN where a look has
+    an error. ``[k]`` is look k's :class:`AnalysisResult`, or raises a
+    copy of its error.
     """
 
+    method: str
     snap: Snapshot
-    fits: CoxFits
+    delta: np.ndarray
+    info: np.ndarray
     errors: list
-    mu: np.ndarray
-    components: VarianceComponents = field(repr=False)
+    mu: np.ndarray | None = None
+    components: VarianceComponents | None = field(default=None, repr=False)
+    diagnostics: dict | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        empty = (np.diff(self.snap.stratum_rows).reshape(-1, 2) == 0).tolist()  # each look's arms without events
+        errors = self.errors = list(self.errors)
+        for k, (u, arms, delta, info) in enumerate(zip(self.snap.u.tolist(), empty, self.delta.tolist(),
+                                                       self.info.tolist())):
+            if True in arms:
+                errors[k] = InsufficientEventsError(f"arm {arms.index(True)} has no events at or before min(u, tau)="
+                                                    f"{min(u, self.snap.tau)}; the analysis needs at least one per arm")
+            elif errors[k] is None and not (math.isfinite(delta) and math.isfinite(info) and info > 0):
+                errors[k] = EstimationError(f"{self.method} analysis at u={u} gave delta={delta!r}, info={info!r}; "
+                                            "both must be finite and info positive")
+        failed = [error is not None for error in errors]
+        self.delta[failed] = self.info[failed] = np.nan
 
     def __getitem__(self, k: int) -> AnalysisResult:
         if self.errors[k] is not None:  # a copy, so no traceback ties the error to these analyses
             raise copy.copy(self.errors[k])
-        c = self.components
-        mu0, mu1 = self.mu[k].tolist()
-        n = int(self.snap.stratum_n[2 * k:2 * k + 2].sum())
-        comp = VarianceComponents(*(float(a[k]) for a in (c.b10, c.b11, c.b3, c.var_cond)))
+        mu0, mu1 = (None, None) if self.mu is None else self.mu[k].tolist()
         return AnalysisResult(
-            method="adjusted", u=float(self.snap.u[k]), tau=self.snap.tau, delta=mu1 - mu0,
-            info_level=n / comp.v_eta2, mu0=mu0, mu1=mu1, components=comp,
-            diagnostics={"iterations": int(self.fits.look_iterations[k]),
-                         "step_halvings": int(self.fits.step_halvings[k])},
+            method=self.method, u=float(self.snap.u[k]), tau=self.snap.tau, delta=float(self.delta[k]),
+            info_level=float(self.info[k]), mu0=mu0, mu1=mu1,
+            components=self.components and VarianceComponents(*(float(a[k]) for a in vars(self.components).values())),
+            diagnostics=self.diagnostics and {name: int(count[k]) for name, count in self.diagnostics.items()},
         )
 
 
-def analyze(snap: Snapshot) -> AdjustedAnalyses:
+def analyze(snap: Snapshot) -> Analyses:
     """Full adjusted analysis of every look of a snapshot: fit, curves, difference, variance.
 
-    The model is fitted at the looks with an event in each arm.
-
-    Raises (look k's result, ``[k]``, when look k cannot be analyzed):
-        InsufficientEventsError: an arm has no event at or before
-            min(u, tau); the adjusted difference is not estimable.
-        ConvergenceError, SingularInformationError: the look's model fit
-            failed.
-        EstimationError: the difference or its information is not finite.
+    The model is fitted at the looks with an event in each arm. Returns the
+    ``"adjusted"`` :class:`Analyses`, with arm means, variance components
+    and fit diagnostics; a look whose model fit failed keeps the fit's
+    ``ConvergenceError`` or ``SingularInformationError``.
     """
     fits = cox_fit(snap, looks=snap.events_in_every_stratum())
-    errors = [_events_error(snap, k) or fits.errors[k] for k in range(snap.u.size)]
-    # a look whose fit ran off overflows here; its result then raises EstimationError
+    # a look whose fit ran off overflows here; its difference or information is then not finite
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        adj = adjusted_survival(snap, fits, [k for k, error in enumerate(errors) if error is None])
+        adj = adjusted_survival(snap, fits, [k for k, error in enumerate(fits.errors) if error is None])
         comp = variance(snap, fits, adj)
-    return AdjustedAnalyses(snap, fits, errors, adj.mu, comp)
+        info = snap.stratum_n.reshape(-1, 2).sum(axis=1) / comp.v_eta2
+    return Analyses("adjusted", snap, adj.mu[:, 1] - adj.mu[:, 0], info, fits.errors, adj.mu, comp,
+                    {"iterations": fits.look_iterations, "step_halvings": fits.step_halvings})

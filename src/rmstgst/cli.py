@@ -245,7 +245,7 @@ def cmd_analyze(args) -> int:
     result = analyze(snap)[0]
     report: dict = {"analysis": result.to_dict()}
     if args.km:
-        report["km"] = km_rmst_test(snap).to_dict()
+        report["km"] = km_rmst_test(snap)[0].to_dict()
     if args.report_only:
         _print_json(report)
         return 0
@@ -264,7 +264,7 @@ def cmd_km_compare(args) -> int:
     snap = _snapshot_from_args(args)
     report = {
         "adjusted": analyze(snap)[0].to_dict(),
-        "km": km_rmst_test(snap).to_dict(),
+        "km": km_rmst_test(snap)[0].to_dict(),
     }
     if args.out:
         _write(args.out, _json_text(report) + "\n")
@@ -287,18 +287,13 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim_engine import METHODS, Calibration, SimScenario, calibrate, curve_table, run_study
+    from .sim_engine import METHODS, Calibration, SimScenario, calibrate, check_methods, curve_table, run_study
 
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
-    methods = tuple(m for m in args.methods.split(",") if m)
+    methods = check_methods(m for m in args.methods.split(",") if m)
     if not methods:
         raise ConfigError(f"--methods names no method; choose from {tuple(METHODS)}")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
-        if methods.count(m) > 1:
-            raise ConfigError(f"--methods names {m!r} more than once")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
@@ -509,6 +504,9 @@ def main(argv=None) -> int:
     try:
         if args.command in ("simulate", "calibrate"):
             args.threads = _threads(args.threads)
+            for flag, seed in (("--seed", args.seed), ("--calib-seed", getattr(args, "calib_seed", 0))):
+                if seed < 0:
+                    raise ConfigError(f"{flag} must be >= 0, got {seed}")
         return args.func(args)
     except RmstgstError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ sees only its own replicate, so no result depends on the grouping.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import time
@@ -37,7 +36,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .adjusted_rmst import AnalysisResult, _events_error, analyze
+from .adjusted_rmst import Analyses, analyze
 from .errors import ConfigError, DataError, EstimationError
 from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
 from .km_rmst import km_rmst_test
@@ -60,6 +59,7 @@ __all__ = [
     "calibrate_power",
     "calibrate",
     "cox_hr_test",
+    "check_methods",
     "run_study",
     "curve_table",
 ]
@@ -263,35 +263,41 @@ def calibrate_null(scn: SimScenario) -> float:
     return root
 
 
-def cox_hr_test(snap: Snapshot, looks=None):
+def cox_hr_test(snap: Snapshot, looks=None) -> Analyses:
     """Wald tests of no treatment effect in an unstratified hazards model, by look.
 
     Fits ``snap.pooled(looks)`` once: the ``looks`` asked for (increasing
     indices, default all), each one stratum with the arm prepended to the
     covariates and the event horizon min(u, tau) of the restricted-mean
-    analyses, at the looks with an event in each arm. Returns the function
-    that gives look k's ``"cox"`` :class:`AnalysisResult`, whose ``delta``
-    is the log hazard ratio, or raises what kept look k from one.
+    analyses, at the looks with an event in each arm. Returns the
+    ``"cox"`` :class:`Analyses`, whose ``delta`` is the log hazard ratio;
+    a look whose fit failed keeps the fit's error, and a look not asked
+    for has NaN ``delta`` and ``info``.
     """
     looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
     fits = cox_fit(snap.pooled(looks), looks=snap.events_in_every_stratum()[looks])
-
-    def result(k: int) -> AnalysisResult:
-        at = int(np.searchsorted(looks, k))
-        if error := _events_error(snap, k) or fits.errors[at]:  # a copy, so no traceback ties it to the fits
-            raise copy.copy(error)
-        cov = np.linalg.inv(fits.info[at])
-        return AnalysisResult(method="cox", u=float(snap.u[k]), tau=snap.tau, delta=float(fits.beta[at, 0]),
-                              info_level=1 / cov[0, 0])
-
-    return result
+    delta, info = np.full((2, snap.u.size), np.nan)
+    errors = dict(zip(looks.tolist(), fits.errors))
+    fitted = np.array([error is None for error in fits.errors], dtype=bool)
+    delta[looks] = fits.beta[:, 0]
+    info[looks[fitted]] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
+    return Analyses("cox", snap, delta, info, [errors.get(k) for k in range(snap.u.size)])
 
 
-# ``METHODS[m](snap, looks)(k)``: look k's result by method m; ``looks``, the increasing looks asked for,
-# limits only ``cox_hr_test``'s pooled fit, as the adjusted fit covers every look and Kaplan-Meier fits nothing
-METHODS = {"adjusted": lambda snap, looks: analyze(snap).__getitem__,
-           "km": lambda snap, looks: partial(km_rmst_test, snap),
-           "cox": cox_hr_test}
+def check_methods(methods) -> tuple[str, ...]:
+    """``methods`` as a tuple, each a name in ``METHODS`` named once; anything else raises ``ConfigError``."""
+    methods = tuple(methods)
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"method {m!r} is named more than once")
+    return methods
+
+
+# ``METHODS[m](snap, looks)``: the ``Analyses`` of method m; ``looks``, the increasing looks asked for, limits
+# Kaplan-Meier's loop and the Cox comparator's pooled fit, as the adjusted fit covers every look
+METHODS = {"adjusted": lambda snap, looks: analyze(snap), "km": km_rmst_test, "cox": cox_hr_test}
 
 
 @dataclass(frozen=True)
@@ -527,17 +533,11 @@ def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
         looks = np.flatnonzero(~np.repeat(empty, n_looks))  # every look of the replicates with anybody enrolled
         for m, method in enumerate(methods):
             wanted = looks[looks % n_looks == n_looks - 1] if method in last_only else looks
-            analysis = METHODS[method](snap, wanted)
-            for j in wanted.tolist():
-                i, k = rows[j // n_looks], j % n_looks
-                try:
-                    r = analysis(j)
-                except (DataError, EstimationError) as exc:
-                    failed[i, k, m] = type(exc).__name__
-                    continue
-                infos[i, k, m] = r.info_level
-                deltas[i, k, m] = r.delta
-        snap = analysis = None  # let this group's layout go before the next is drawn
+            analyses = METHODS[method](snap, wanted)
+            at = np.array(rows)[wanted // n_looks], wanted % n_looks, m
+            infos[at], deltas[at] = analyses.info[wanted], analyses.delta[wanted]
+            failed[at] = [error and type(error).__name__ for error in map(analyses.errors.__getitem__, wanted.tolist())]
+        snap = analyses = None  # let this group's layout go before the next is drawn
     return infos, deltas, failed
 
 
@@ -549,6 +549,8 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=(
     starts no more processes than there are CPUs or chunks of replicates,
     and only a run across processes loads it and ``multiprocessing``.
     """
+    if master_seed < 0:  # the replicates' seed sequences take no negative entropy
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, last_only=last_only)
     all_reps = list(range(reps))
     if threads <= 1:
@@ -584,12 +586,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     """
     if reps < 1:
         raise ConfigError(f"simulation needs reps >= 1, got {reps}")
-    methods = tuple(methods)
+    methods = check_methods(methods)
     for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
-        if methods.count(m) > 1:
-            raise ConfigError(f"method {m!r} is named more than once")
         if m not in calib.i_max_by_method:
             raise ConfigError(f"calibration lacks an information cap for method {m!r}")
     times = calib.analysis_times

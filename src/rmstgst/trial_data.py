@@ -349,10 +349,10 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
         u: analysis calendar time, > 0, or a sequence of them (the looks).
         tau: analysis horizon carried on the snapshot, > 0.
         lock_time: optional calendar time of the data lock. When given,
-            ``u > lock_time`` raises since the trial cannot be matured.
+            it must be finite and ``u <= lock_time``: data cannot mature.
 
     Raises:
-        DataError: invalid u/tau, immature data, no trials or trials with
+        DataError: invalid u/tau/lock_time, immature data, no trials or trials with
             different covariates, or nobody enrolled at any look.
     """
     trials = [trial] if isinstance(trial, Trial) else list(trial)
@@ -361,8 +361,8 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
         raise DataError(f"analysis time u must be finite and > 0, got {u!r}")
     if not (math.isfinite(tau) and tau > 0):
         raise DataError(f"horizon tau must be finite and > 0, got {tau!r}")
-    if lock_time is not None and looks.max() > lock_time:
-        raise DataError(f"analysis time u={u} exceeds the data lock at {lock_time}; "
+    if lock_time is not None and not looks.max() <= lock_time < math.inf:
+        raise DataError(f"the data lock at {lock_time} must be finite and not before the analysis time u={u}; "
                         "follow-up cannot be rolled forward")
     if len({t.z.shape[1] for t in trials}) != 1:
         raise DataError("a snapshot needs one or more trials, all with the same number of covariates")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmstgst import adjusted_rmst, stratified_cox
-from rmstgst.adjusted_rmst import AnalysisResult, adjusted_survival, analyze, variance
+from rmstgst.adjusted_rmst import Analyses, adjusted_survival, analyze, variance
 from rmstgst.errors import DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, draw_trial, true_rmst
 from rmstgst.stratified_cox import CoxFits, fit
@@ -533,8 +533,10 @@ class TestAnalyze:
         (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -2.0),
     ])
     def test_result_rejects_non_finite(self, delta, info):
-        with pytest.raises(EstimationError):
-            AnalysisResult(method="km", u=1.0, tau=1.0, delta=delta, info_level=info)
+        analyses = Analyses("km", toy_snapshot(), np.array([delta]), np.array([info]), [None])
+        assert type(analyses.errors[0]) is EstimationError
+        with pytest.raises(EstimationError, match="must be finite"):
+            analyses[0]
 
     def test_scaling_relations(self):
         snap = toy_snapshot()
@@ -614,11 +616,11 @@ class TestStackedLooks:
         for u, got in zip(grid, outcomes):
             assert got == solo(trial, u)  # bit for bit, or the same error class
         # each stratum's stacked Breslow hazard is its arm's own cumulative sum, bit for bit
-        hazard = adjusted_survival(analyses.snap, analyses.fits, []).hazard
+        fits = fit(analyses.snap, looks=analyses.snap.events_in_every_stratum())
+        hazard = adjusted_survival(analyses.snap, fits, []).hazard
         for k in range(grid.size):
             for arm in (0, 1):
-                np.testing.assert_array_equal(hazard[arm_rows(analyses.snap, k, arm)],
-                                              baseline(analyses.fits, k, arm).values)
+                np.testing.assert_array_equal(hazard[arm_rows(analyses.snap, k, arm)], baseline(fits, k, arm).values)
 
     def test_stratum_cumsum_is_each_strata_own_cumsum(self):
         trial = monotone_trial()

@@ -186,6 +186,14 @@ class TestAnalyze:
         assert set(diagnostics) == {"iterations", "step_halvings"}
         assert diagnostics["iterations"] >= 1 and diagnostics["step_halvings"] >= 0
 
+    def test_nan_lock_time_exit_3(self, trial_csv, capsys):
+        code, stdout, err = run_cli(
+            capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0", "--lock-time", "nan",
+            "--report-only",
+        )
+        assert_typed_error(code, err, 3)
+        assert "data lock at nan must be finite" in err and stdout == ""
+
     def test_state_required_without_report_only(self, trial_csv, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
@@ -843,6 +851,24 @@ class TestCalibrateAndSimulate:
         )
         assert_typed_error(code, err, 2)
         assert "'adjusted'" in err and "more than once" in err
+        assert out == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize("command, flag", [("calibrate", "--seed"), ("simulate", "--seed"),
+                                               ("simulate", "--calib-seed")])
+    def test_negative_seed_exit_2_before_calibrating(self, command, flag, calib_setup, capsys, monkeypatch):
+        tmp_path, scn_path, _ = calib_setup
+        out_dir = tmp_path / "negative_seed"
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before the seeds were checked")
+
+        monkeypatch.setattr(sim_engine, "calibrate", calibrate)
+        argv = [command, "--scenario", scn_path, flag, "-1"]
+        if command == "simulate":
+            argv += ["--design", design_file(tmp_path), "--reps", "2", "--out-dir", str(out_dir)]
+        code, out, err = run_cli(capsys, *argv)
+        assert_typed_error(code, err, 2)
+        assert f"{flag} must be >= 0, got -1" in err
         assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("changes, named", [

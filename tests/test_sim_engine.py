@@ -18,7 +18,7 @@ from scipy.stats import norm
 
 from rmstgst import sim_engine
 from rmstgst.adjusted_rmst import AnalysisResult, analyze
-from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError
+from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction, boundaries, update_monitoring
 from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import (
@@ -357,9 +357,9 @@ class TestCalibration:
         for rep in range(small_calib.reps):
             trial = draw_trial(small_scn, _rng_for_replicate(small_calib.master_seed, rep))
             snap = snapshot(trial, u=small_scn.total_duration, tau=small_scn.tau)
-            for method, test in (("km", km_rmst_test), ("cox", lambda snap: cox_hr_test(snap)(0))):
+            for method, test in (("km", km_rmst_test), ("cox", cox_hr_test)):
                 try:
-                    infos[method].append(test(snap).info_level)
+                    infos[method].append(test(snap)[0].info_level)
                 except (DataError, EstimationError):
                     infos[method].append(np.nan)
         for method, values in infos.items():
@@ -397,7 +397,7 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            res = run(snap, [0])(0)
+            res = run(snap, [0])[0]
             assert res.method == name
             assert math.isfinite(res.z)
             assert res.info_level > 0
@@ -408,7 +408,7 @@ class TestMethods:
             n_per_arm=3000, shape_offset=0.0, log_rate_ratio=-0.4,
             covariate_strength=0.3, censoring=None,
         )
-        res = cox_hr_test(sim_snapshot(scn, seed=4))(0)
+        res = cox_hr_test(sim_snapshot(scn, seed=4))[0]
         assert abs(res.delta - (-0.4)) < 3 * res.se
         assert res.info_level == pytest.approx(1.0 / res.se**2, rel=1e-10)
 
@@ -418,7 +418,7 @@ class TestMethods:
             np.array([0, 0, 1, 1]), np.zeros((4, 1)), u=5.0, tau=2.0,
         )
         with pytest.raises(InsufficientEventsError):
-            cox_hr_test(snap)(0)
+            cox_hr_test(snap)[0]
 
     def test_unknown_method_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
@@ -428,6 +428,12 @@ class TestMethods:
     def test_repeated_method_rejected(self, small_scn, small_calib):
         with pytest.raises(ConfigError, match=r"method 'km' is named more than once"):
             run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=5, methods=("km", "km"))
+
+    def test_negative_seed_rejected(self, small_scn, small_calib):
+        with pytest.raises(ConfigError, match=r"master_seed must be >= 0, got -1"):
+            run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=5, master_seed=-1)
+        with pytest.raises(ConfigError, match=r"master_seed must be >= 0, got -1"):
+            calibrate_information(small_scn, reps=100, master_seed=-1)
 
 
 def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
@@ -442,12 +448,11 @@ def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
         except DataError:
             failed[i] = "DataError"
             continue
-        tests = {"adjusted": analyze(snap).__getitem__, "km": lambda k: km_rmst_test(snap, k),
-                 "cox": cox_hr_test(snap)}
+        tests = {"adjusted": analyze(snap), "km": km_rmst_test(snap), "cox": cox_hr_test(snap)}
         for m, method in enumerate(methods):
             for k in [len(times) - 1] if method in last_only else range(len(times)):
                 try:
-                    result = tests[method](k)
+                    result = tests[method][k]
                 except (DataError, EstimationError) as exc:
                     failed[i, k, m] = type(exc).__name__
                     continue
@@ -483,6 +488,27 @@ class TestStackedReplicates:
             assert failed[reps.index(43), 2, 0] == "EstimationError"  # the monotone look
             assert failed[reps.index(43), 2, 2] == "SingularInformationError"
             assert np.isfinite(infos[:, -1]).all()
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_method_decides_a_looks_error_alike(self, method):
+        # replicates 40-46 at u = 0.05 and 0.2: looks with no event in an arm, and the monotone look
+        reps, times = list(range(40, 47)), (0.05, 0.2, 3.0)
+        snap = snapshot([draw_trial(self.MONOTONE, _rng_for_replicate(20200920, rep)) for rep in reps],
+                        u=times, tau=1.0)
+        analyses = METHODS[method](snap, np.arange(snap.u.size))
+        _, _, failed = sim_engine._study_worker(self.MONOTONE, 20200920, reps, times, (method,))
+        raised = []
+        for j, (u, empty) in enumerate(zip(snap.u.tolist(), np.diff(snap.stratum_rows).reshape(-1, 2) == 0)):
+            try:
+                analyses[j]
+                raised.append(None)
+            except RmstgstError as exc:
+                raised.append(type(exc).__name__)
+                if empty.any():
+                    assert str(exc) == (f"arm {np.argmax(empty)} has no events at or before min(u, tau)={min(u, 1.0)}"
+                                        "; the analysis needs at least one per arm")
+        assert failed[:, :, 0].ravel().tolist() == raised
+        assert raised.count("InsufficientEventsError") >= 3 and raised[2::3] == [None] * len(reps)
 
     def test_replicate_with_nobody_enrolled_fails_alone(self, monkeypatch):
         scn = SimScenario(n_per_arm=2, accrual=2.0, covariate_strength=0.5)

@@ -158,7 +158,7 @@ class TestFit:
         # survivors, so beta runs off and the information vanishes.
         snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(SingularInformationError, match="separates events from survivors"):
-            cox_hr_test(snap)(0)
+            cox_hr_test(snap)[0]
 
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])

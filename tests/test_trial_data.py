@@ -300,6 +300,11 @@ class TestSnapshot:
         with pytest.raises(DataError, match="lock"):
             snapshot(trial, u=2.0, tau=1.0, lock_time=1.5)
 
+    @pytest.mark.parametrize("lock_time", [float("nan"), float("inf")])
+    def test_lock_time_must_be_finite(self, lock_time):
+        with pytest.raises(DataError, match="lock at .* must be finite"):
+            snapshot(toy_trial(), u=1.0, tau=1.0, lock_time=lock_time)
+
     def test_counts_by_arm(self):
         snap = snapshot(toy_trial(), u=5.0, tau=2.0)
         assert snap.stratum_n.tolist() == [4, 4]
