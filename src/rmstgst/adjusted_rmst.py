@@ -38,7 +38,6 @@ from .trial_data import Snapshot, look_sums
 __all__ = [
     "AdjustedSurvival",
     "VarianceComponents",
-    "AnalysisResult",
     "Analyses",
     "adjusted_survival",
     "variance",
@@ -210,14 +209,14 @@ class VarianceComponents:
     0 and 1, ``b3`` the shared-coefficient contribution, and
     ``var_cond`` the covariate spread of the conditional RMST
     difference. All are on the root-n scale: the variance of the
-    estimate itself is ``v_eta2 / n``. Each is one look's number, or an
-    (L,) array over a snapshot's looks from :func:`variance`.
+    estimate itself is ``v_eta2 / n``. Each is an (L,) array over a
+    snapshot's looks, from :func:`variance`.
     """
 
-    b10: float
-    b11: float
-    b3: float
-    var_cond: float
+    b10: np.ndarray
+    b11: np.ndarray
+    b3: np.ndarray
+    var_cond: np.ndarray
 
     @property
     def v_xi2(self):
@@ -226,9 +225,6 @@ class VarianceComponents:
     @property
     def v_eta2(self):
         return self.v_xi2 + self.var_cond
-
-    def to_dict(self) -> dict:
-        return {"B10": self.b10, "B11": self.b11, "B3": self.b3, "var_cond": self.var_cond}
 
 
 def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceComponents:
@@ -265,48 +261,6 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
     return VarianceComponents(*out)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    """One method's analysis of one look, as :class:`Analyses` gives it; ``[k]`` has checked its numbers.
-
-    ``delta`` is the method's effect estimate and ``info_level`` its
-    reciprocal variance, the scale on which monitoring information
-    accrues; ``se`` and ``z`` follow from the two. ``mu0``/``mu1`` are
-    the arms' restricted means (RMST methods only) and ``components``
-    the variance decomposition and ``diagnostics`` the fit's Newton
-    iterations and step halvings (adjusted method only).
-    """
-
-    method: str
-    u: float
-    tau: float
-    delta: float
-    info_level: float
-    mu0: float | None = None
-    mu1: float | None = None
-    components: VarianceComponents | None = field(default=None, repr=False, compare=False)
-    diagnostics: dict | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def se(self) -> float:
-        return 1.0 / math.sqrt(self.info_level)
-
-    @property
-    def z(self) -> float:
-        return self.delta * math.sqrt(self.info_level)
-
-    def to_dict(self) -> dict:
-        out = {"u": self.u, "tau": self.tau}
-        if self.mu0 is not None:
-            out.update(mu0=self.mu0, mu1=self.mu1)
-        out.update(delta=self.delta, se=self.se, z=self.z, info=self.info_level)
-        if self.components is not None:
-            out["components"] = self.components.to_dict()
-        if self.diagnostics is not None:
-            out["diagnostics"] = self.diagnostics
-        return out
-
-
 @dataclass(eq=False)
 class Analyses:
     """Every look's analysis of one snapshot by one method, as per-look arrays.
@@ -320,8 +274,7 @@ class Analyses:
     min(u, tau) (``InsufficientEventsError``), else the method's own error
     as given, else a delta or information that is not finite and positive
     (``EstimationError``). ``delta`` and ``info`` are NaN where a look has
-    an error. ``[k]`` is look k's :class:`AnalysisResult`, or raises a
-    copy of its error.
+    an error. :meth:`report` gives one look as the CLI prints it.
     """
 
     method: str
@@ -347,16 +300,23 @@ class Analyses:
         failed = [error is not None for error in errors]
         self.delta[failed] = self.info[failed] = np.nan
 
-    def __getitem__(self, k: int) -> AnalysisResult:
+    def report(self, k: int) -> dict:
+        """Look k as the CLI prints it, or raise a copy of its error: ``u``, ``tau``, the arms' means ``mu0`` and
+        ``mu1`` (RMST methods), ``delta``, ``se`` = 1/sqrt(info), ``z`` = delta sqrt(info) and ``info``, then the
+        variance ``components`` and fit ``diagnostics`` (adjusted method), in this order."""
         if self.errors[k] is not None:  # a copy, so no traceback ties the error to these analyses
             raise copy.copy(self.errors[k])
-        mu0, mu1 = (None, None) if self.mu is None else self.mu[k].tolist()
-        return AnalysisResult(
-            method=self.method, u=float(self.snap.u[k]), tau=self.snap.tau, delta=float(self.delta[k]),
-            info_level=float(self.info[k]), mu0=mu0, mu1=mu1,
-            components=self.components and VarianceComponents(*(float(a[k]) for a in vars(self.components).values())),
-            diagnostics=self.diagnostics and {name: int(count[k]) for name, count in self.diagnostics.items()},
-        )
+        delta, info = float(self.delta[k]), float(self.info[k])
+        out = {"u": float(self.snap.u[k]), "tau": self.snap.tau}
+        if self.mu is not None:
+            out["mu0"], out["mu1"] = self.mu[k].tolist()
+        out.update(delta=delta, se=1.0 / math.sqrt(info), z=delta * math.sqrt(info), info=info)
+        if self.components is not None:
+            b10, b11, b3, var_cond = (float(values[k]) for values in vars(self.components).values())
+            out["components"] = {"B10": b10, "B11": b11, "B3": b3, "var_cond": var_cond}
+        if self.diagnostics is not None:
+            out["diagnostics"] = {name: int(count[k]) for name, count in self.diagnostics.items()}
+        return out
 
 
 def analyze(snap: Snapshot) -> Analyses:

@@ -9,7 +9,7 @@ Commands:
   km-compare  run the adjusted and unadjusted analyses side by side
 
 ``analyze`` and ``km-compare`` take the same data flags and build the
-snapshot the same way; each analysis prints as its ``AnalysisResult``
+snapshot the same way; each analysis prints as its ``Analyses.report``
 dictionary. Every output file is written atomically by ``_write``; an
 exclusive lock file naming its holder's pid is held from reading the
 monitoring state to writing it back. Exit codes: 0 success; 2
@@ -242,16 +242,17 @@ def cmd_analyze(args) -> int:
     if args.i_max is not None and args.i_max_from_data:
         raise ConfigError("--i-max and --i-max-from-data are mutually exclusive")
     snap = _snapshot_from_args(args)
-    result = analyze(snap)[0]
-    report: dict = {"analysis": result.to_dict()}
+    result = analyze(snap).report(0)
+    report: dict = {"analysis": result}
     if args.km:
-        report["km"] = km_rmst_test(snap)[0].to_dict()
+        report["km"] = km_rmst_test(snap).report(0)
     if args.report_only:
         _print_json(report)
         return 0
 
     with _state_lock(args.state):
-        state = update_monitoring(_load_or_create_state(args, result.info_level), result, final=args.final)
+        state = update_monitoring(_load_or_create_state(args, result["info"]), result["u"], result["z"],
+                                  result["info"], final=args.final)
         _write(args.state, state.to_json(), StateError)
     record = state.analyses[-1].to_dict()
     keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
@@ -263,8 +264,8 @@ def cmd_analyze(args) -> int:
 def cmd_km_compare(args) -> int:
     snap = _snapshot_from_args(args)
     report = {
-        "adjusted": analyze(snap)[0].to_dict(),
-        "km": km_rmst_test(snap)[0].to_dict(),
+        "adjusted": analyze(snap).report(0),
+        "km": km_rmst_test(snap).report(0),
     }
     if args.out:
         _write(args.out, _json_text(report) + "\n")

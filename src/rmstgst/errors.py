@@ -40,7 +40,11 @@ class ConvergenceError(EstimationError):
 
 
 class InsufficientEventsError(EstimationError):
-    """An analysis requires at least one event per arm inside the horizon."""
+    """An analysis requires at least one event per arm inside the horizon, at a look it was asked for."""
+
+    @classmethod
+    def left_out(cls, u: float) -> InsufficientEventsError:
+        return cls(f"the look at u={u} was left out of the fit")
 
 
 class StateError(RmstgstError):

@@ -502,11 +502,10 @@ class MonitoringState(Record):
         return json.dumps(self.to_dict(), indent=2)
 
 
-def update_monitoring(state: MonitoringState, result, final: bool = False) -> MonitoringState:
-    """Fold one analysis result into the monitoring state.
+def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False) -> MonitoringState:
+    """Fold one analysis, at calendar time ``u`` with statistic ``z`` and information ``info_level``, into the state.
 
-    ``result`` needs attributes ``u``, ``z``, and ``info_level``. The
-    information fraction is the observed information over the design's
+    The information fraction is the observed information over the design's
     ``i_max``. One ``_next_stage`` step (its docstring has the rules)
     goes from the last effective analysis, rebuilt from the records.
 
@@ -519,9 +518,7 @@ def update_monitoring(state: MonitoringState, result, final: bool = False) -> Mo
         raise StateError("trial already rejected; no further analyses are allowed")
     if state.design.i_max is None:
         raise ConfigError("monitoring requires i_max in the design config")
-    u = float(result.u)
-    z = float(result.z)
-    info_level = float(result.info_level)
+    u, z, info_level = float(u), float(z), float(info_level)
     if not (info_level > 0 and math.isfinite(info_level)):
         raise StateError(f"info_level must be positive and finite, got {info_level!r}")
     if state.analyses and u <= state.analyses[-1].u:

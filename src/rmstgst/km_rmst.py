@@ -30,12 +30,14 @@ def km_rmst_test(snap: Snapshot, looks=None) -> Analyses:
     remaining under the curve from that time to tau; a time where the
     risk set is exhausted leaves no remaining area and contributes
     nothing. Returns the ``"km"`` :class:`Analyses`, with arm means and no
-    variance components; a look whose variance degenerates to zero keeps
-    ``InsufficientEventsError``, and a look not asked for or without an
-    event in each arm has NaN means.
+    variance components. A look whose variance degenerates to zero keeps
+    ``InsufficientEventsError``, as does a look not asked for, worded as
+    the fit words a look its mask leaves out; a look not asked for or
+    without an event in each arm has NaN means.
     """
     looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
-    mu, info, errors = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan), [None] * snap.u.size
+    mu, info = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan)
+    errors = [InsufficientEventsError.left_out(u) for u in snap.u.tolist()]
     for k in looks[snap.events_in_every_stratum()[looks]].tolist():
         var = 0.0
         rows = snap.stratum_rows[2 * k:2 * k + 3].tolist()
@@ -51,5 +53,5 @@ def km_rmst_test(snap: Snapshot, looks=None) -> Analyses:
         if var <= 0:
             errors[k] = InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
         else:
-            info[k] = 1.0 / var
+            errors[k], info[k] = None, 1.0 / var
     return Analyses("km", snap, mu[:, 1] - mu[:, 0], info, errors, mu)

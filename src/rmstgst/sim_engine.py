@@ -37,7 +37,7 @@ from functools import cache, partial
 import numpy as np
 
 from .adjusted_rmst import Analyses, analyze
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, InsufficientEventsError
 from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
@@ -272,7 +272,7 @@ def cox_hr_test(snap: Snapshot, looks=None) -> Analyses:
     analyses, at the looks with an event in each arm. Returns the
     ``"cox"`` :class:`Analyses`, whose ``delta`` is the log hazard ratio;
     a look whose fit failed keeps the fit's error, and a look not asked
-    for has NaN ``delta`` and ``info``.
+    for has the error of a look that the fit's mask leaves out.
     """
     looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
     fits = cox_fit(snap.pooled(looks), looks=snap.events_in_every_stratum()[looks])
@@ -281,7 +281,8 @@ def cox_hr_test(snap: Snapshot, looks=None) -> Analyses:
     fitted = np.array([error is None for error in fits.errors], dtype=bool)
     delta[looks] = fits.beta[:, 0]
     info[looks[fitted]] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
-    return Analyses("cox", snap, delta, info, [errors.get(k) for k in range(snap.u.size)])
+    return Analyses("cox", snap, delta, info,
+                    [errors.get(k, InsufficientEventsError.left_out(u)) for k, u in enumerate(snap.u.tolist())])
 
 
 def check_methods(methods) -> tuple[str, ...]:

@@ -40,8 +40,8 @@ class CoxFits:
     :meth:`risk_sums` r0, at the arm's event times up to min(u, tau).
     """
 
-    def __init__(self, snap: Snapshot, beta, info, loglik, iterations, step_halvings, errors, sums):
-        self.snap, self.beta, self.info, self.loglik, self.sums = snap, beta, info, loglik, sums
+    def __init__(self, beta, info, loglik, iterations, step_halvings, errors, sums):
+        self.beta, self.info, self.loglik, self.sums = beta, info, loglik, sums
         self.look_iterations, self.step_halvings, self.errors = iterations, step_halvings, errors
 
     @property
@@ -119,7 +119,7 @@ def fit(snap: Snapshot, looks=None) -> CoxFits:
     ``looks`` leaves out.
     """
     wanted = [True] * snap.u.size if looks is None else np.asarray(looks, dtype=bool).tolist()
-    errors = [InsufficientEventsError(f"the look at u={u} was left out of the fit") if not want else None if rows
+    errors = [InsufficientEventsError.left_out(u) if not want else None if rows
               else DataError(f"no events at or before t_max={min(u, snap.tau)}; nothing to fit")
               for u, rows, want in zip(snap.u.tolist(), np.diff(snap.look_rows).tolist(), wanted)]
     n_looks, p = snap.u.size, snap.z.shape[1]
@@ -169,4 +169,4 @@ def fit(snap: Snapshot, looks=None) -> CoxFits:
     converged = np.flatnonzero([err is None for err in errors])
     if p and converged.size:
         _eigh_nonsingular(info, converged, errors, active)
-    return CoxFits(snap, beta, info, loglik, iterations, halvings, errors, sums)
+    return CoxFits(beta, info, loglik, iterations, halvings, errors, sums)

@@ -53,12 +53,12 @@ def arm_rows(snap, k, arm):
     return slice(*snap.stratum_rows[[k * g + min(arm, g), k * g + min(arm + 1, g)]].tolist())
 
 
-def baseline(fits, k, arm):
-    """Look k's Breslow cumulative baseline hazard of one arm: its jump ``times``, ``increments``
-    (each event row's count over its risk sum) and cumulative ``values``."""
-    rows = arm_rows(fits.snap, k, arm)
-    increments = fits.snap.event_counts[rows] / fits.risk_sums()[0][rows]
-    return SimpleNamespace(times=fits.snap.event_times[rows], increments=increments, values=np.cumsum(increments))
+def baseline(snap, fits, k, arm):
+    """Look k's Breslow cumulative baseline hazard of one arm, from the ``fits`` of ``snap``: its jump ``times``,
+    ``increments`` (each event row's count over its risk sum) and cumulative ``values``."""
+    rows = arm_rows(snap, k, arm)
+    increments = snap.event_counts[rows] / fits.risk_sums()[0][rows]
+    return SimpleNamespace(times=snap.event_times[rows], increments=increments, values=np.cumsum(increments))
 
 
 def look_fit(fits, k):

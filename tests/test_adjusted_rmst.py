@@ -141,10 +141,10 @@ def curve(snap, adj, k, arm):
 def outcome(analyses, k):
     """Look k's adjusted result as (delta, info, mu0, mu1, B10, B11, B3, var_cond), or its error class."""
     try:
-        r = analyses[k]
+        r = analyses.report(k)
     except RmstgstError as exc:
         return type(exc)
-    return (r.delta, r.info_level, r.mu0, r.mu1, *r.components.to_dict().values())
+    return (r["delta"], r["info"], r["mu0"], r["mu1"], *r["components"].values())
 
 
 def analyze_leaving_out(snap, left_out):
@@ -187,7 +187,7 @@ class TestAdjustedSurvival:
             [0, 0, 0, 0, 1, 1], [[]] * 6,
         )
         fits, adj, _ = stacked(snap)
-        na = baseline(fits, 0, 0)
+        na = baseline(snap, fits, 0, 0)
         for t, s in zip(*curve(snap, adj, 0, 0)):
             assert s == pytest.approx(math.exp(-height(na, t)), rel=1e-12)
 
@@ -300,8 +300,7 @@ class TestVariance:
 
     def test_components_serialization_shape(self):
         snap = toy_snapshot()
-        result = analyze(snap)[0]
-        payload = result.to_dict()
+        payload = analyze(snap).report(0)
         assert set(payload["components"]) == {"B10", "B11", "B3", "var_cond"}
         for key in ("u", "tau", "mu0", "mu1", "delta", "se", "z", "info"):
             assert key in payload
@@ -378,10 +377,10 @@ class TestBlockedKernel:
     def test_peak_memory_below_a_quarter_of_the_conditional_matrix(self):
         scn = SimScenario(n_per_arm=2000, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)
-        r = max(baseline(fit(snap), 0, arm).times.size for arm in (0, 1))
+        r = max(baseline(snap, fit(snap), 0, arm).times.size for arm in (0, 1))
         tracemalloc.start()
         try:
-            analyze(snap)[0]
+            analyze(snap).report(0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -393,8 +392,8 @@ def fits_at(snap, beta, info, hazard_beta=None):
     the baseline hazards are those at ``hazard_beta`` (default ``beta``)."""
     beta = np.array([beta], dtype=float)
     sums = stratified_cox._score_info(snap, beta if hazard_beta is None else np.array([hazard_beta], dtype=float))[3]
-    return CoxFits(snap, beta, np.array([info], dtype=float), np.zeros(1), np.zeros(1, dtype=int),
-                   np.zeros(1, dtype=int), [None], sums)
+    return CoxFits(beta, np.array([info], dtype=float), np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int),
+                   [None], sums)
 
 
 def fitted(snap):
@@ -457,7 +456,7 @@ class TestNodeKernel:
             adj = adjusted_survival(snap, fits, [0])
             comp = variance(snap, fits, adj)
             paths[name] = adj, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / comp.v_eta2[0],
-                                *(term[0] for term in comp.to_dict().values())]
+                                *(term[0] for term in vars(comp).values())]
         assert len(calls) == 1  # the node path ran once, with the smaller block
         (exact, exact_stats), (nodes, nodes_stats) = paths["exact"], paths["nodes"]
         for field in ("values", "c1", "c2"):
@@ -481,7 +480,7 @@ class TestNodeKernel:
         monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", 0)
         analyses = analyze(snap)
         with pytest.raises(EstimationError, match="must be finite"):
-            analyses[0]
+            analyses.report(0)
         (eta, x), = clamped
         assert np.ptp(eta) > 1000  # unclamped, its 39 subjects' eta spread over 1 247 unit panels
         # clamped, the window is log(750 * 2**60 * H_max / H_min) ~ 94 panels wide, and every subject
@@ -511,23 +510,23 @@ class TestAnalyze:
         event = [1, 1, 0, 1]
         z = [0.2, -0.4, 1.0, 0.3]
         snap = arrays_snapshot(time * 2, event * 2, [0] * 4 + [1] * 4, z * 2)
-        result = analyze(snap)[0]
-        assert result.delta == pytest.approx(0.0, abs=1e-14)
-        assert result.z == pytest.approx(0.0, abs=1e-12)
-        assert result.se > 0.0
+        result = analyze(snap).report(0)
+        assert result["delta"] == pytest.approx(0.0, abs=1e-14)
+        assert result["z"] == pytest.approx(0.0, abs=1e-12)
+        assert result["se"] > 0.0
 
     def test_insufficient_events(self):
         snap = arrays_snapshot(
             [0.5, 1.0, 1.2, 2.0], [1, 1, 0, 0], [0, 0, 1, 1], [0.1, -0.2, 0.4, 0.0],
         )
         with pytest.raises(InsufficientEventsError, match="arm 1"):
-            analyze(snap)[0]
+            analyze(snap).report(0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_monotone_likelihood_raises_instead_of_nan(self):
         snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(EstimationError, match="must be finite"):
-            analyze(snap)[0]
+            analyze(snap).report(0)
 
     @pytest.mark.parametrize("delta, info", [
         (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -2.0),
@@ -536,16 +535,17 @@ class TestAnalyze:
         analyses = Analyses("km", toy_snapshot(), np.array([delta]), np.array([info]), [None])
         assert type(analyses.errors[0]) is EstimationError
         with pytest.raises(EstimationError, match="must be finite"):
-            analyses[0]
+            analyses.report(0)
 
     def test_scaling_relations(self):
         snap = toy_snapshot()
-        result = analyze(snap)[0]
-        assert result.se == pytest.approx(
-            math.sqrt(result.components.v_eta2 / enrolled(snap).n), rel=1e-12
+        analyses = analyze(snap)
+        result, v_eta2 = analyses.report(0), analyses.components.v_eta2[0]
+        assert result["se"] == pytest.approx(
+            math.sqrt(v_eta2 / enrolled(snap).n), rel=1e-12
         )
-        assert result.z == pytest.approx(result.delta / result.se, rel=1e-12)
-        assert result.info_level == pytest.approx(enrolled(snap).n / result.components.v_eta2, rel=1e-12)
+        assert result["z"] == pytest.approx(result["delta"] / result["se"], rel=1e-12)
+        assert result["info"] == pytest.approx(enrolled(snap).n / v_eta2, rel=1e-12)
 
     def test_unbiased_at_trial_end(self):
         scn = SimScenario(
@@ -557,7 +557,7 @@ class TestAnalyze:
         estimates = np.empty(reps)
         for rep in range(reps):
             snap = sim_snapshot(scn, seed=1000 + rep)
-            estimates[rep] = analyze(snap)[0].delta
+            estimates[rep] = analyze(snap).report(0)["delta"]
         se = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - truth) < 3 * se
 
@@ -571,7 +571,7 @@ class TestAnalyze:
             scn = replace(scn, log_rate_ratio=0.0)
             vals = np.empty(reps)
             for rep in range(reps):
-                vals[rep] = analyze(sim_snapshot(scn, seed=5000 + rep))[0].delta
+                vals[rep] = analyze(sim_snapshot(scn, seed=5000 + rep)).report(0)["delta"]
             deltas[n] = vals.var(ddof=1)
         ratio = deltas[100] / deltas[200]
         assert 1.4 < ratio < 2.9
@@ -581,7 +581,7 @@ class TestAnalyze:
             n_per_arm=200, shape_offset=0.0, covariate_strength=math.log(1.5),
         )
         snap = sim_snapshot(scn, seed=77)
-        result = analyze(snap)[0]
+        analyses = analyze(snap)
         rng = np.random.default_rng(123)
         look = enrolled(snap)
         arm, time, event, z = look.arm, look.time, look.event, look.z
@@ -597,8 +597,8 @@ class TestAnalyze:
                 np.zeros(pick.size), time[pick], event[pick], arm[pick], z[pick],
                 u=look.u, tau=look.tau,
             )
-            boots.append(analyze(bsnap)[0].delta)
-        ratio = (result.components.v_eta2 / look.n) / np.var(boots, ddof=1)
+            boots.append(analyze(bsnap).report(0)["delta"])
+        ratio = (analyses.components.v_eta2[0] / look.n) / np.var(boots, ddof=1)
         assert 0.6 < ratio < 1.6
 
 
@@ -616,11 +616,12 @@ class TestStackedLooks:
         for u, got in zip(grid, outcomes):
             assert got == solo(trial, u)  # bit for bit, or the same error class
         # each stratum's stacked Breslow hazard is its arm's own cumulative sum, bit for bit
-        fits = fit(analyses.snap, looks=analyses.snap.events_in_every_stratum())
-        hazard = adjusted_survival(analyses.snap, fits, []).hazard
+        snap = analyses.snap
+        fits = fit(snap, looks=snap.events_in_every_stratum())
+        hazard = adjusted_survival(snap, fits, []).hazard
         for k in range(grid.size):
             for arm in (0, 1):
-                np.testing.assert_array_equal(hazard[arm_rows(analyses.snap, k, arm)], baseline(fits, k, arm).values)
+                np.testing.assert_array_equal(hazard[arm_rows(snap, k, arm)], baseline(snap, fits, k, arm).values)
 
     def test_stratum_cumsum_is_each_strata_own_cumsum(self):
         trial = monotone_trial()
@@ -675,15 +676,16 @@ class TestProperties:
             covariates="normal1", censoring="5pct_per_year" if censor else None,
         )
         snap = sim_snapshot(scn, seed=seed)
+        analyses = analyze(snap)
         try:
-            result = analyze(snap)[0]
+            result = analyses.report(0)
         except InsufficientEventsError:
             return
-        assert 0.0 <= result.mu0 <= snap.tau + 1e-12
-        assert 0.0 <= result.mu1 <= snap.tau + 1e-12
-        assert abs(result.delta) <= snap.tau + 1e-12
-        comp = result.components
-        assert comp.v_xi2 >= 0.0
-        assert comp.v_eta2 >= comp.v_xi2
-        assert comp.b10 >= 0.0 and comp.b11 >= 0.0 and comp.b3 >= -1e-12
-        assert result.se > 0.0 and math.isfinite(result.z)
+        assert 0.0 <= result["mu0"] <= snap.tau + 1e-12
+        assert 0.0 <= result["mu1"] <= snap.tau + 1e-12
+        assert abs(result["delta"]) <= snap.tau + 1e-12
+        comp = analyses.components
+        assert comp.v_xi2[0] >= 0.0
+        assert comp.v_eta2[0] >= comp.v_xi2[0]
+        assert comp.b10[0] >= 0.0 and comp.b11[0] >= 0.0 and comp.b3[0] >= -1e-12
+        assert result["se"] > 0.0 and math.isfinite(result["z"])

@@ -104,10 +104,10 @@ def _analyze_in_child(argv, barrier, holds_lock):
     if holds_lock:
         original = cli.update_monitoring
 
-        def paused(state, result, final=False):
+        def paused(state, u, z, info_level, final=False):
             barrier.wait(timeout=60)
             barrier.wait(timeout=60)
-            return original(state, result, final=final)
+            return original(state, u, z, info_level, final=final)
 
         cli.update_monitoring = paused
     else:
@@ -311,9 +311,9 @@ class TestAnalyze:
         seen = []
         original = cli.update_monitoring
 
-        def watched(state, result, final=False):
+        def watched(state, u, z, info_level, final=False):
             seen.append(lock_path.read_text() if lock_path.exists() else None)
-            return original(state, result, final=final)
+            return original(state, u, z, info_level, final=final)
 
         monkeypatch.setattr(cli, "update_monitoring", watched)
         for u in ("1.4", "2.0"):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,6 @@ from rmstgst.gs_design import (
 )
 
 ALPHA = 0.05
-
-
-@dataclass
-class FakeResult:
-    u: float
-    z: float
-    info_level: float
 
 
 def crossing_probabilities(fractions, criticals, sided="two_sided"):
@@ -267,9 +259,9 @@ class TestDensityGrid:
     def test_stage_past_node_cap_is_config_error(self):
         with pytest.raises(ConfigError, match=r"0\.1 and 0\.1000001 are too close.*4000-node"):
             boundaries(make_spending("obrien_fleming_like"), (0.1, 0.1000001, 1.0))
-        state = update_monitoring(fresh_state(), FakeResult(u=1.0, z=0.0, info_level=10.0))
+        state = update_monitoring(fresh_state(), 1.0, 0.0, 10.0)
         with pytest.raises(ConfigError, match="too close"):
-            update_monitoring(state, FakeResult(u=2.0, z=0.0, info_level=10.00001))
+            update_monitoring(state, 2.0, 0.0, 10.00001)
 
 
 SCALAR_FOLD = json.loads((Path(__file__).parent / "data" / "scalar_fold_tiny_sim.json").read_text())
@@ -372,7 +364,7 @@ def fresh_state(i_max=100.0, kind="cubic_min", fractions=(0.5, 0.75, 1.0), sided
 class TestMonitoring:
     def test_first_stage_exact_tail_inversion(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.4, info_level=41.2))
+        state = update_monitoring(state, 1.0, 0.4, 41.2)
         rec = state.analyses[0]
         target = ALPHA * (41.2 / 100.0) ** 3
         assert rec.info_fraction == pytest.approx(0.412)
@@ -383,21 +375,21 @@ class TestMonitoring:
 
     def test_zero_z_never_rejects(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.0, info_level=99.0))
+        state = update_monitoring(state, 1.0, 0.0, 99.0)
         assert state.analyses[-1].decision == "continue"
 
     def test_reject_on_large_z(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=5.3, info_level=50.0))
+        state = update_monitoring(state, 1.0, 5.3, 50.0)
         assert state.analyses[-1].decision == "reject"
         assert state.rejected
         with pytest.raises(StateError, match="already rejected"):
-            update_monitoring(state, FakeResult(u=2.0, z=1.0, info_level=60.0))
+            update_monitoring(state, 2.0, 1.0, 60.0)
 
     def test_respending_reproduces_earlier_criticals(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.5, info_level=41.2))
-        state = update_monitoring(state, FakeResult(u=2.0, z=1.1, info_level=65.2))
+        state = update_monitoring(state, 1.0, 0.5, 41.2)
+        state = update_monitoring(state, 2.0, 1.1, 65.2)
         observed = tuple(a.info_fraction for a in state.analyses)
         sched = boundaries(state.design.spending, observed)
         for rec, c in zip(state.analyses, sched.critical_values):
@@ -405,19 +397,19 @@ class TestMonitoring:
 
     def test_final_spends_all_alpha(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.5, info_level=41.2))
-        underran = update_monitoring(state, FakeResult(u=3.0, z=1.0, info_level=80.0), final=True)
+        state = update_monitoring(state, 1.0, 0.5, 41.2)
+        underran = update_monitoring(state, 3.0, 1.0, 80.0, final=True)
         rec = underran.analyses[-1]
         assert rec.final
         assert rec.cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
-        not_final = update_monitoring(state, FakeResult(u=3.0, z=1.0, info_level=80.0))
+        not_final = update_monitoring(state, 3.0, 1.0, 80.0)
         assert rec.critical_value < not_final.analyses[-1].critical_value
 
     def test_overrun_clamps_spending_but_not_covariance(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.2, info_level=100.0))
+        state = update_monitoring(state, 1.0, 0.2, 100.0)
         assert state.analyses[0].cumulative_spend == pytest.approx(ALPHA)
-        state = update_monitoring(state, FakeResult(u=2.0, z=1.0, info_level=109.0))
+        state = update_monitoring(state, 2.0, 1.0, 109.0)
         rec = state.analyses[-1]
         assert rec.info_fraction == pytest.approx(1.09)
         assert rec.critical_value is not None and math.isinf(rec.critical_value)
@@ -425,13 +417,13 @@ class TestMonitoring:
 
     def test_skipped_stage_records_and_preserves_spend(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.5, info_level=50.0))
-        state = update_monitoring(state, FakeResult(u=2.0, z=2.2, info_level=48.0))
+        state = update_monitoring(state, 1.0, 0.5, 50.0)
+        state = update_monitoring(state, 2.0, 2.2, 48.0)
         rec = state.analyses[-1]
         assert rec.decision == "skipped"
         assert rec.critical_value is None
         assert rec.cumulative_spend == state.analyses[0].cumulative_spend
-        state = update_monitoring(state, FakeResult(u=3.0, z=0.7, info_level=70.0))
+        state = update_monitoring(state, 3.0, 0.7, 70.0)
         assert state.analyses[-1].stage == 3
         assert state.analyses[-1].decision == "continue"
         sched = boundaries(state.design.spending, (0.5, 0.7))
@@ -439,42 +431,42 @@ class TestMonitoring:
 
     def test_stale_analysis_time_rejected(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.5, z=0.5, info_level=50.0))
+        state = update_monitoring(state, 1.5, 0.5, 50.0)
         with pytest.raises(StateError, match="non-increasing analysis time"):
-            update_monitoring(state, FakeResult(u=1.5, z=0.6, info_level=60.0))
+            update_monitoring(state, 1.5, 0.6, 60.0)
 
     def test_monitoring_needs_i_max(self):
         design = DesignConfig(
             spending=make_spending("cubic_min"), planned_fractions=(0.5, 1.0), i_max=None,
         )
         with pytest.raises(ConfigError, match="i_max"):
-            update_monitoring(MonitoringState(design=design), FakeResult(1.0, 0.0, 10.0))
+            update_monitoring(MonitoringState(design=design), 1.0, 0.0, 10.0)
 
     def test_bad_info_level_rejected(self):
         state = fresh_state()
         for bad in (0.0, -5.0, math.inf, math.nan):
             with pytest.raises(StateError, match="info_level"):
-                update_monitoring(state, FakeResult(u=1.0, z=0.0, info_level=bad))
+                update_monitoring(state, 1.0, 0.0, bad)
 
     def test_cumulative_spend_monotone_along_path(self):
         state = fresh_state(kind="pocock_like")
         path = [(1.0, 30.0), (2.0, 55.0), (3.0, 52.0), (4.0, 90.0)]
         for u, info in path:
-            state = update_monitoring(state, FakeResult(u=u, z=0.3, info_level=info))
+            state = update_monitoring(state, u, 0.3, info)
         spends = [a.cumulative_spend for a in state.analyses]
         assert all(b >= a - 1e-12 for a, b in zip(spends, spends[1:]))
-        final = update_monitoring(state, FakeResult(u=5.0, z=0.3, info_level=104.0), final=True)
+        final = update_monitoring(state, 5.0, 0.3, 104.0, final=True)
         assert final.analyses[-1].cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
 
     def test_rounding_residue_of_full_spend_spends_nothing(self):
         """A look past i_max after alpha was spent up to rounding never rejects."""
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.1, info_level=40.0))
-        state = update_monitoring(state, FakeResult(u=2.0, z=0.1, info_level=101.0))
+        state = update_monitoring(state, 1.0, 0.1, 40.0)
+        state = update_monitoring(state, 2.0, 0.1, 101.0)
         payload = state.to_dict()
         payload["analyses"][-1]["cumulative_spend"] = ALPHA - 3e-14
         state = update_monitoring(
-            MonitoringState.from_dict(payload), FakeResult(u=3.0, z=5.0, info_level=110.0),
+            MonitoringState.from_dict(payload), 3.0, 5.0, 110.0,
         )
         rec = state.analyses[-1]
         assert rec.critical_value == math.inf
@@ -486,7 +478,7 @@ class TestMonitoring:
         state = fresh_state(fractions=(0.5, 1.0))
         for u, info in enumerate([5.66, 33.15, 42.52, 101.96, 114.19, 117.15], start=1):
             state = MonitoringState.from_json(state.to_json())
-            state = update_monitoring(state, FakeResult(u=float(u), z=0.1, info_level=info))
+            state = update_monitoring(state, float(u), 0.1, info)
         assert [a.critical_value for a in state.analyses[4:]] == [math.inf, math.inf]
         assert [a.cumulative_spend for a in state.analyses[3:]] == [state.analyses[3].cumulative_spend] * 3
         assert state.analyses[3].cumulative_spend == pytest.approx(ALPHA, rel=1e-12)
@@ -511,7 +503,7 @@ class TestMonitoring:
         for u, info in enumerate(path, start=1):
             state = MonitoringState.from_json(state.to_json())
             state = update_monitoring(
-                state, FakeResult(u=float(u), z=0.1, info_level=info), final=(u == len(path)),
+                state, float(u), 0.1, info, final=(u == len(path)),
             )
         assert [a.decision for a in state.analyses] == [d for _, _, d in expected]
         for record, (critical, spend, _) in zip(state.analyses, expected):
@@ -573,9 +565,9 @@ class TestSerialization:
 
     def test_monitoring_state_json_round_trip(self):
         state = fresh_state()
-        state = update_monitoring(state, FakeResult(u=1.0, z=0.5, info_level=41.2))
-        state = update_monitoring(state, FakeResult(u=2.0, z=1.4, info_level=39.0))
-        state = update_monitoring(state, FakeResult(u=3.0, z=1.8, info_level=70.0))
+        state = update_monitoring(state, 1.0, 0.5, 41.2)
+        state = update_monitoring(state, 2.0, 1.4, 39.0)
+        state = update_monitoring(state, 3.0, 1.8, 70.0)
         back = MonitoringState.from_json(state.to_json())
         assert back == state
         assert [a.decision for a in back.analyses] == ["continue", "skipped", "continue"]

@@ -41,7 +41,7 @@ class TestProductLimit:
         np.testing.assert_array_equal(at_risk, [5, 4, 2])
         np.testing.assert_array_equal(events, [1, 1, 1])
         # survival 0.8, 0.6, 0.3 after the three drops, to tau = 6
-        assert km_rmst_test(snap)[0].mu0 == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
+        assert km_rmst_test(snap).report(0)["mu0"] == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
 
     def test_ties_share_risk_set(self):
         snap = two_arm_snapshot([1.0, 1.0, 1.0, 2.0], [1, 1, 0, 1], [1.0], [1])
@@ -49,28 +49,28 @@ class TestProductLimit:
         np.testing.assert_array_equal(times, [1.0, 2.0])
         np.testing.assert_array_equal(at_risk, [4, 1])
         np.testing.assert_array_equal(events, [2, 1])
-        result = km_rmst_test(snap)[0]
+        result = km_rmst_test(snap).report(0)
         # survival 0.5 then 0; only the tied time has a risk set left over, 2 / (4 * 2)
-        assert result.mu0 == pytest.approx(1.0 + 0.5 * 1.0, rel=1e-12)
-        assert result.mu1 == 1.0
-        assert result.info_level == pytest.approx(1.0 / (0.5**2 * 0.25), rel=1e-12)
+        assert result["mu0"] == pytest.approx(1.0 + 0.5 * 1.0, rel=1e-12)
+        assert result["mu1"] == 1.0
+        assert result["info"] == pytest.approx(1.0 / (0.5**2 * 0.25), rel=1e-12)
 
     def test_no_censoring_matches_empirical_mean(self):
         rng = np.random.default_rng(42)
         times = rng.exponential(1.0, size=60)
         snap = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=100.0)
-        assert km_rmst_test(snap)[0].mu0 == pytest.approx(np.mean(times), rel=1e-12)
+        assert km_rmst_test(snap).report(0)["mu0"] == pytest.approx(np.mean(times), rel=1e-12)
         tau_small = 1.5
         snap2 = two_arm_snapshot(times, np.ones(60, int), [1.0], [1], u=100.0, tau=tau_small)
-        assert km_rmst_test(snap2)[0].mu0 == pytest.approx(np.mean(np.minimum(times, tau_small)), rel=1e-12)
+        assert km_rmst_test(snap2).report(0)["mu0"] == pytest.approx(np.mean(np.minimum(times, tau_small)), rel=1e-12)
 
     def test_events_beyond_horizon_ignored(self):
         snap = two_arm_snapshot([0.5, 1.5, 7.0], [1, 1, 1], [1.0], [1], u=10.0, tau=6.0)
         np.testing.assert_array_equal(event_rows(snap, 0)[0], [0.5, 1.5])
-        result = km_rmst_test(snap)[0]
+        result = km_rmst_test(snap).report(0)
         # survival 2/3 then 1/3 to tau = 6; the event at 7 neither drops the curve nor adds noise
-        assert result.mu0 == pytest.approx(0.5 + 2 / 3 * 1.0 + 1 / 3 * 4.5, rel=1e-12)
-        assert result.info_level == pytest.approx(1.0 / ((2 / 3 + 1.5) ** 2 / 6 + 1.5**2 / 2), rel=1e-12)
+        assert result["mu0"] == pytest.approx(0.5 + 2 / 3 * 1.0 + 1 / 3 * 4.5, rel=1e-12)
+        assert result["info"] == pytest.approx(1.0 / ((2 / 3 + 1.5) ** 2 / 6 + 1.5**2 / 2), rel=1e-12)
 
 
 class TestMeanAndVariance:
@@ -78,25 +78,25 @@ class TestMeanAndVariance:
         snap = two_arm_snapshot(
             [1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 0], [1.0, 2.0], [1, 0],
         )
-        result = km_rmst_test(snap)[0]
-        assert result.mu0 == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
-        assert result.mu1 == pytest.approx(1.0 + 0.5 * 5.0, rel=1e-12)
+        result = km_rmst_test(snap).report(0)
+        assert result["mu0"] == pytest.approx(1.0 + 0.8 * 1.0 + 0.6 * 2.0 + 0.3 * 2.0, rel=1e-12)
+        assert result["mu1"] == pytest.approx(1.0 + 0.5 * 5.0, rel=1e-12)
         var0 = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
         var1 = 2.5**2 * 0.5
-        assert result.info_level == pytest.approx(1.0 / (var0 + var1), rel=1e-12)
+        assert result["info"] == pytest.approx(1.0 / (var0 + var1), rel=1e-12)
 
     def test_exhausted_risk_set_contributes_nothing(self):
         snap = two_arm_snapshot([0.5, 1.0], [1, 1], [1.0], [1], tau=4.0)
-        result = km_rmst_test(snap)[0]
-        assert result.mu0 == pytest.approx(0.5 + 0.5 * 0.5, rel=1e-12)
-        assert result.mu1 == 1.0  # one subject, one event: exhausted at once, no variance
-        assert math.isfinite(result.info_level)
-        assert result.info_level == pytest.approx(1.0 / ((0.5 * 0.5) ** 2 * (1 / 2)), rel=1e-12)
+        result = km_rmst_test(snap).report(0)
+        assert result["mu0"] == pytest.approx(0.5 + 0.5 * 0.5, rel=1e-12)
+        assert result["mu1"] == 1.0  # one subject, one event: exhausted at once, no variance
+        assert math.isfinite(result["info"])
+        assert result["info"] == pytest.approx(1.0 / ((0.5 * 0.5) ** 2 * (1 / 2)), rel=1e-12)
 
     def test_both_risk_sets_exhausted_is_degenerate(self):
         snap = two_arm_snapshot([1.0], [1], [2.0], [1])
         with pytest.raises(InsufficientEventsError, match="degenerate variance"):
-            km_rmst_test(snap)[0]
+            km_rmst_test(snap).report(0)
 
 
 class TestKmRmstTest:
@@ -104,11 +104,11 @@ class TestKmRmstTest:
         time = [0.5, 1.0, 1.5, 2.5, 3.0]
         event = [1, 1, 0, 1, 0]
         snap = two_arm_snapshot(time, event, time, event)
-        result = km_rmst_test(snap)[0]
-        assert result.delta == 0.0
-        assert result.z == 0.0
-        assert result.se > 0.0
-        assert result.info_level == pytest.approx(1.0 / result.se**2, rel=1e-12)
+        result = km_rmst_test(snap).report(0)
+        assert result["delta"] == 0.0
+        assert result["z"] == 0.0
+        assert result["se"] > 0.0
+        assert result["info"] == pytest.approx(1.0 / result["se"]**2, rel=1e-12)
 
     def test_variance_adds_across_arms(self):
         snap = two_arm_snapshot(
@@ -117,19 +117,19 @@ class TestKmRmstTest:
         )
         var0 = 2.6**2 * (1 / 20) + 1.8**2 * (1 / 12) + 0.6**2 * 0.5
         var1 = 1.0**2 / 6 + (1 / 3) ** 2 / 2  # the last event exhausts arm 1's risk set
-        result = km_rmst_test(snap)[0]
-        assert result.se == pytest.approx(math.sqrt(var0 + var1), rel=1e-12)
+        result = km_rmst_test(snap).report(0)
+        assert result["se"] == pytest.approx(math.sqrt(var0 + var1), rel=1e-12)
 
     def test_requires_events_in_both_arms(self):
         snap = two_arm_snapshot([1.0, 2.0], [1, 0], [1.5, 2.5], [0, 0])
         with pytest.raises(InsufficientEventsError, match="arm 1"):
-            km_rmst_test(snap)[0]
+            km_rmst_test(snap).report(0)
 
     def test_serialization_shape_matches_adjusted_minus_components(self):
         scn = SimScenario(n_per_arm=60, covariate_strength=math.log(1.5))
         snap = sim_snapshot(scn, seed=11)
-        km_payload = km_rmst_test(snap)[0].to_dict()
-        adj_payload = analyze(snap)[0].to_dict()
+        km_payload = km_rmst_test(snap).report(0)
+        adj_payload = analyze(snap).report(0)
         assert set(km_payload) == set(adj_payload) - {"components", "diagnostics"}
 
     def test_agrees_with_adjusted_when_no_covariates_large_n(self):
@@ -143,8 +143,8 @@ class TestKmRmstTest:
                 snap = two_arm_snapshot(
                     t0, np.ones(n, int), t1, np.ones(n, int), u=50.0, tau=1.0,
                 )
-                km = km_rmst_test(snap)[0]
-                gaps.append(abs(km.delta - analyze(snap)[0].delta))
+                km = km_rmst_test(snap).report(0)
+                gaps.append(abs(km["delta"] - analyze(snap).report(0)["delta"]))
             diffs[n] = float(np.mean(gaps))
         assert diffs[2500] < diffs[250]
         assert diffs[2500] < 0.01
@@ -153,10 +153,10 @@ class TestKmRmstTest:
 def km_outcome(snap, k):
     """Look k's Kaplan-Meier result as (delta, info, mu0, mu1), or its error class."""
     try:
-        r = km_rmst_test(snap)[k]
+        r = km_rmst_test(snap).report(k)
     except RmstgstError as exc:
         return type(exc)
-    return r.delta, r.info_level, r.mu0, r.mu1
+    return r["delta"], r["info"], r["mu0"], r["mu1"]
 
 
 class TestStackedLooks:
@@ -186,9 +186,9 @@ class TestProperties:
         scn = SimScenario(n_per_arm=n, shape_offset=-0.3)
         snap = sim_snapshot(scn, seed=seed)
         try:
-            result = km_rmst_test(snap)[0]
+            result = km_rmst_test(snap).report(0)
         except InsufficientEventsError:
             return
-        for mu in (result.mu0, result.mu1):
+        for mu in (result["mu0"], result["mu1"]):
             assert 0.0 <= mu <= snap.tau + 1e-12
-        assert result.info_level > 0.0
+        assert result["info"] > 0.0

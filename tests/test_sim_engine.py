@@ -11,13 +11,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import sim_snapshot
+from conftest import sim_snapshot, toy_trial
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
 from rmstgst import sim_engine
-from rmstgst.adjusted_rmst import AnalysisResult, analyze
+from rmstgst.adjusted_rmst import analyze
 from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction, boundaries, update_monitoring
 from rmstgst.km_rmst import km_rmst_test
@@ -38,6 +38,7 @@ from rmstgst.sim_engine import (
     _fixed_test_power,
     _rng_for_replicate,
 )
+from rmstgst.stratified_cox import fit
 from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -359,7 +360,7 @@ class TestCalibration:
             snap = snapshot(trial, u=small_scn.total_duration, tau=small_scn.tau)
             for method, test in (("km", km_rmst_test), ("cox", cox_hr_test)):
                 try:
-                    infos[method].append(test(snap)[0].info_level)
+                    infos[method].append(test(snap).report(0)["info"])
                 except (DataError, EstimationError):
                     infos[method].append(np.nan)
         for method, values in infos.items():
@@ -397,20 +398,41 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            res = run(snap, [0])[0]
-            assert res.method == name
-            assert math.isfinite(res.z)
-            assert res.info_level > 0
-            assert res.u == snap.u[0] and res.tau == snap.tau
+            analyses = run(snap, [0])
+            res = analyses.report(0)
+            assert analyses.method == name
+            assert math.isfinite(res["z"])
+            assert res["info"] > 0
+            assert res["u"] == snap.u[0] and res["tau"] == snap.tau
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_report_prints_the_arrays_at_a_look(self, small_scn, method):
+        # the dictionary that analyze and km-compare print: its keys in order, se and z from delta and info
+        snap = snapshot(draw_trial(small_scn, _rng_for_replicate(20200920, 3)), u=[1.0, 2.0, 3.0], tau=1.0)
+        analyses = METHODS[method](snap, np.arange(snap.u.size))
+        means = ["mu0", "mu1"] if method != "cox" else []
+        extras = ["components", "diagnostics"] if method == "adjusted" else []
+        for k in range(snap.u.size):
+            report, delta, info = analyses.report(k), analyses.delta[k], analyses.info[k]
+            assert list(report) == ["u", "tau", *means, "delta", "se", "z", "info", *extras]
+            assert (report["u"], report["tau"], report["delta"], report["info"]) == (snap.u[k], 1.0, delta, info)
+            assert report["se"] == 1 / math.sqrt(info) and report["z"] == delta * math.sqrt(info)
+            if means:
+                assert [report["mu0"], report["mu1"]] == analyses.mu[k].tolist()
+            if extras:
+                comp = analyses.components
+                assert report["components"] == {"B10": comp.b10[k], "B11": comp.b11[k], "B3": comp.b3[k],
+                                                "var_cond": comp.var_cond[k]}
+                assert report["diagnostics"] == {name: counts[k] for name, counts in analyses.diagnostics.items()}
 
     def test_cox_recovers_proportional_log_hazard_ratio(self):
         scn = SimScenario(
             n_per_arm=3000, shape_offset=0.0, log_rate_ratio=-0.4,
             covariate_strength=0.3, censoring=None,
         )
-        res = cox_hr_test(sim_snapshot(scn, seed=4))[0]
-        assert abs(res.delta - (-0.4)) < 3 * res.se
-        assert res.info_level == pytest.approx(1.0 / res.se**2, rel=1e-10)
+        res = cox_hr_test(sim_snapshot(scn, seed=4)).report(0)
+        assert abs(res["delta"] - (-0.4)) < 3 * res["se"]
+        assert res["info"] == pytest.approx(1.0 / res["se"]**2, rel=1e-10)
 
     def test_cox_needs_events_in_both_arms(self):
         snap = snapshot_from_arrays(
@@ -418,7 +440,16 @@ class TestMethods:
             np.array([0, 0, 1, 1]), np.zeros((4, 1)), u=5.0, tau=2.0,
         )
         with pytest.raises(InsufficientEventsError):
-            cox_hr_test(snap)[0]
+            cox_hr_test(snap).report(0)
+
+    @pytest.mark.parametrize("method", ["km", "cox"])
+    def test_a_look_not_asked_for_is_left_out_as_in_the_fit(self, method):
+        snap = snapshot(toy_trial(), u=[4.0, 5.0], tau=2.0)
+        analyses = METHODS[method](snap, [1])
+        masked = fit(snap, looks=[False, True]).errors[0]
+        assert type(analyses.errors[0]) is type(masked) is InsufficientEventsError
+        assert str(analyses.errors[0]) == str(masked) == "the look at u=4.0 was left out of the fit"
+        assert analyses.errors[1] is None and np.isfinite(analyses.info[1])
 
     def test_unknown_method_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
@@ -452,11 +483,11 @@ def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
         for m, method in enumerate(methods):
             for k in [len(times) - 1] if method in last_only else range(len(times)):
                 try:
-                    result = tests[method][k]
+                    result = tests[method].report(k)
                 except (DataError, EstimationError) as exc:
                     failed[i, k, m] = type(exc).__name__
                     continue
-                infos[i, k, m], deltas[i, k, m] = result.info_level, result.delta
+                infos[i, k, m], deltas[i, k, m] = result["info"], result["delta"]
     return infos, deltas, failed
 
 
@@ -500,7 +531,7 @@ class TestStackedReplicates:
         raised = []
         for j, (u, empty) in enumerate(zip(snap.u.tolist(), np.diff(snap.stratum_rows).reshape(-1, 2) == 0)):
             try:
-                analyses[j]
+                analyses.report(j)
                 raised.append(None)
             except RmstgstError as exc:
                 raised.append(type(exc).__name__)
@@ -628,8 +659,7 @@ def monitored_firsts(infos, deltas, spending, i_max):
         for k, (info, delta) in enumerate(zip(info_row, delta_row)):
             if math.isnan(info):
                 continue
-            result = AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=delta, info_level=info)
-            state = update_monitoring(state, result, final=k == len(info_row) - 1)
+            state = update_monitoring(state, k + 1.0, delta * math.sqrt(info), info, final=k == len(info_row) - 1)
             if state.rejected:
                 first = k + 1
                 break
@@ -701,8 +731,7 @@ class TestMonitoringOracle:
         np.testing.assert_array_equal(self.study_firsts(monkeypatch, spending, 200.0, infos, deltas), want)
         state = MonitoringState(design=DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=200.0))
         for k in range(3):
-            result = AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=deltas[4, k], info_level=infos[4, k])
-            state = update_monitoring(state, result, final=k == 2)
+            state = update_monitoring(state, k + 1.0, deltas[4, k] * math.sqrt(infos[4, k]), infos[4, k], final=k == 2)
         assert state.analyses[-1].critical_value == math.inf and not state.rejected
 
     def test_stage_too_close_for_the_grid_fails_that_replicate_only(self, monkeypatch):
@@ -730,8 +759,7 @@ class TestMonitoringOracle:
         sched = boundaries(f, fractions)
         state = MonitoringState(design=DesignConfig(spending=f, planned_fractions=fractions, i_max=1.0))
         for k, fraction in enumerate(fractions):
-            state = update_monitoring(state, AnalysisResult(method="adjusted", u=k + 1.0, tau=1.0, delta=0.0,
-                                                            info_level=fraction))
+            state = update_monitoring(state, k + 1.0, 0.0, fraction)
         assert tuple(a.critical_value for a in state.analyses) == sched.critical_values
         assert tuple(a.cumulative_spend for a in state.analyses) == sched.cumulative_spend
         if kind == "cubic_min":

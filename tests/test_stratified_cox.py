@@ -32,7 +32,7 @@ def breslow(snap, beta, arm):
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))[None]
     _, info, loglik, sums = _score_info(snap, beta)
     none = np.zeros(1, dtype=np.int64)
-    return baseline(CoxFits(snap, beta, info, loglik, none, none, [None], sums), 0, arm)
+    return baseline(snap, CoxFits(beta, info, loglik, none, none, [None], sums), 0, arm)
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
@@ -158,7 +158,7 @@ class TestFit:
         # survivors, so beta runs off and the information vanishes.
         snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with pytest.raises(SingularInformationError, match="separates events from survivors"):
-            cox_hr_test(snap)[0]
+            cox_hr_test(snap).report(0)
 
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])
@@ -180,10 +180,10 @@ class TestFit:
         snap = arrays_snapshot(time, [1, 1, 1, 0], [0, 0, 1, 1], [[]] * 4)
         fits = fit(snap)
         assert fits.beta[0].size == 0 and fits.info[0].shape == (0, 0)
-        base0 = baseline(fits, 0, 0)
+        base0 = baseline(snap, fits, 0, 0)
         assert height(base0, 0.5) == pytest.approx(0.5)
         assert height(base0, 1.0) == pytest.approx(0.5 + 1.0)
-        assert height(baseline(fits, 0, 1), 2.0) == pytest.approx(0.5)
+        assert height(baseline(snap, fits, 0, 1), 2.0) == pytest.approx(0.5)
 
     def test_covariate_shift_invariance(self):
         snap = toy_snapshot()
@@ -198,8 +198,8 @@ class TestFit:
         scale = math.exp(-refits.beta[0, 0] * shift)
         for arm in (0, 1):
             t = 1.4
-            assert height(baseline(refits, 0, arm), t) == pytest.approx(
-                height(baseline(fits, 0, arm), t) * scale, rel=1e-8
+            assert height(baseline(shifted, refits, 0, arm), t) == pytest.approx(
+                height(baseline(snap, fits, 0, arm), t) * scale, rel=1e-8
             )
 
     def test_statsmodels_cross_check(self):
@@ -288,7 +288,7 @@ class TestBreslow:
         snap = toy_snapshot()
         fits = fit(snap)
         for arm in (0, 1):
-            base = baseline(fits, 0, arm)
+            base = baseline(snap, fits, 0, arm)
             assert height(base, 0.0) == 0.0
             ts = np.linspace(0.0, 2.0, 50)
             vals = height(base, ts)
@@ -359,7 +359,7 @@ class TestRiskSetSums:
         fits = fit(snap)
         fitted, look = look_fit(fits, 0), enrolled(snap)
         for arm in (0, 1):
-            base = baseline(fits, 0, arm)
+            base = baseline(snap, fits, 0, arm)
             n_arm = int(np.sum(look.arm == arm))
             events = (look.arm == arm) & (look.event == 1)
             assert base.times.size > 0
@@ -466,14 +466,14 @@ class TestOnePassMatchesPerArmReference:
             np.testing.assert_allclose(breslow(snap, beta, a).increments, ref_increments[a], rtol=rel)
 
 
-def fit_outcome(fits, k):
-    """Look k's fit as (beta, info, loglik, increments of arms 0 and 1, iterations, step halvings),
+def fit_outcome(snap, fits, k):
+    """Look k's fit of ``snap`` as (beta, info, loglik, increments of arms 0 and 1, iterations, step halvings),
     or the class of the error it raises."""
     try:
         f = look_fit(fits, k)
     except RmstgstError as exc:
         return type(exc)
-    return (f.beta, f.info, f.loglik, *(baseline(fits, k, arm).increments for arm in (0, 1)), f.iterations,
+    return (f.beta, f.info, f.loglik, *(baseline(snap, fits, k, arm).increments for arm in (0, 1)), f.iterations,
             f.step_halvings)
 
 
@@ -483,7 +483,7 @@ def solo_outcome(trial, u):
         snap = snapshot(trial, u=u, tau=1.0)
     except RmstgstError as exc:
         return type(exc)
-    return fit_outcome(fit(snap), 0)
+    return fit_outcome(snap, fit(snap), 0)
 
 
 def assert_same_outcome(got, want, rel):
@@ -506,8 +506,9 @@ class TestStackedLooks:
                           shape_offset=-0.3)
         trial = draw_trial(scn, _rng_for_replicate(20200920, 5))
         grid = np.round(np.arange(1, 31) * 0.1, 10)
-        fits = fit(snapshot(trial, u=grid, tau=1.0))
-        outcomes = [fit_outcome(fits, k) for k in range(grid.size)]
+        snap = snapshot(trial, u=grid, tau=1.0)
+        fits = fit(snap)
+        outcomes = [fit_outcome(snap, fits, k) for k in range(grid.size)]
         assert sum(not isinstance(o, type) for o in outcomes) >= 25
         for u, got in zip(grid, outcomes):
             assert_same_outcome(got, solo_outcome(trial, u), rel=1e-12)
@@ -523,8 +524,9 @@ class TestStackedLooks:
             0.26: ConvergenceError,  # needs 22 iterations, one over the budget
         }
         looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
-        fits = fit(snapshot(trial, u=looks, tau=1.0))
-        outcomes = {u: fit_outcome(fits, k) for k, u in enumerate(looks)}
+        snap = snapshot(trial, u=looks, tau=1.0)
+        fits = fit(snap)
+        outcomes = {u: fit_outcome(snap, fits, k) for k, u in enumerate(looks)}
         for u in looks:
             assert_same_outcome(outcomes[u], solo_outcome(trial, u), rel=1e-12)
             if odd.get(u) is not None:
@@ -532,9 +534,10 @@ class TestStackedLooks:
         assert outcomes[0.2][0][0] > 100 and outcomes[0.2][-2] == 21
         for left_out in odd:
             others = [u for u in looks if u != left_out]
-            without = fit(snapshot(trial, u=others, tau=1.0))
+            others_snap = snapshot(trial, u=others, tau=1.0)
+            without = fit(others_snap)
             for k, u in enumerate(others):
-                assert_same_outcome(fit_outcome(without, k), outcomes[u], rel=0)
+                assert_same_outcome(fit_outcome(others_snap, without, k), outcomes[u], rel=0)
 
     def test_looks_left_out_by_the_mask(self):
         snap = snapshot(monotone_trial(), u=[0.1, 0.12, 0.2, 0.5, 3.0], tau=1.0)
@@ -543,8 +546,8 @@ class TestStackedLooks:
         every, masked = fit(snap), fit(snap, looks=both)
         assert masked.iterations == every.iterations - every.look_iterations[1]
         for k in range(5):
-            want = fit_outcome(every, k) if both[k] else InsufficientEventsError
-            assert_same_outcome(fit_outcome(masked, k), want, rel=0)
+            want = fit_outcome(snap, every, k) if both[k] else InsufficientEventsError
+            assert_same_outcome(fit_outcome(snap, masked, k), want, rel=0)
 
 
 class TestNoNewWarnings:
