@@ -122,7 +122,7 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     firsts = np.where(np.diff(bounds) > 0, np.append(times, snap.tau)[bounds[:-1]], snap.tau).reshape(-1, 2)
     for k in looks:
         lo, hi = bounds[2 * k:2 * k + 3:2].tolist()
-        look_w = weights[snap.time[k] >= 0]
+        look_w = np.compress(snap.time[k] >= 0, weights[snap.offset[k]:], axis=0)  # its own trial's enrolled
         n = look_w.shape[0]
         eta = look_w[:, 2:] @ fits.beta[k]
         w = np.exp(eta)

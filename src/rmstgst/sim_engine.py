@@ -41,7 +41,7 @@ from .errors import ConfigError, DataError, EstimationError, InsufficientEventsE
 from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
-from .stratified_cox import fit as cox_fit
+from .stratified_cox import SharedBaseline, fit as cox_fit
 from .trial_data import Snapshot, Trial, snapshot
 
 __all__ = [
@@ -266,16 +266,16 @@ def calibrate_null(scn: SimScenario) -> float:
 def cox_hr_test(snap: Snapshot, looks=None) -> Analyses:
     """Wald tests of no treatment effect in an unstratified hazards model, by look.
 
-    Fits ``snap.pooled(looks)`` once: the ``looks`` asked for (increasing
-    indices, default all), each one stratum with the arm prepended to the
-    covariates and the event horizon min(u, tau) of the restricted-mean
-    analyses, at the looks with an event in each arm. Returns the
-    ``"cox"`` :class:`Analyses`, whose ``delta`` is the log hazard ratio;
-    a look whose fit failed keeps the fit's error, and a look not asked
-    for has the error of a look that the fit's mask leaves out.
+    Fits the snapshot's :class:`SharedBaseline` once: the ``looks`` asked
+    for (increasing indices, default all), both arms under one baseline,
+    the arm the first covariate, to the horizon min(u, tau) of the
+    restricted-mean analyses, at the looks with an event in each arm.
+    Returns the ``"cox"`` :class:`Analyses`, whose ``delta`` is the log
+    hazard ratio; a look whose fit failed keeps the fit's error, and a look
+    not asked for has the error of a look that the fit's mask leaves out.
     """
     looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
-    fits = cox_fit(snap.pooled(looks), looks=snap.events_in_every_stratum()[looks])
+    fits = cox_fit(SharedBaseline(snap, looks), looks=snap.events_in_every_stratum()[looks])
     delta, info = np.full((2, snap.u.size), np.nan)
     errors = dict(zip(looks.tolist(), fits.errors))
     fitted = np.array([error is None for error in fits.errors], dtype=bool)
@@ -297,7 +297,7 @@ def check_methods(methods) -> tuple[str, ...]:
 
 
 # ``METHODS[m](snap, looks)``: the ``Analyses`` of method m; ``looks``, the increasing looks asked for, limits
-# Kaplan-Meier's loop and the Cox comparator's pooled fit, as the adjusted fit covers every look
+# Kaplan-Meier's loop and the Cox comparator's fit, as the adjusted fit covers every look
 METHODS = {"adjusted": lambda snap, looks: analyze(snap), "km": km_rmst_test, "cox": cox_hr_test}
 
 
@@ -494,8 +494,9 @@ class OperatingCharacteristics:
         return rows
 
 
-# places of one group's stacked layout, looks x subjects: 3 replicates of 3 looks of 400 subjects, 1 of 30
-_GROUP_PLACES = 4096
+# places of one group's (looks, subjects) arrays: 8 replicates of 3 looks of 400 subjects (its snapshot keeps
+# 0.8 MB and its analyses peak at 2.5 MB, by tracemalloc), 1 replicate of 31 looks
+_GROUP_PLACES = 9600
 
 
 def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):

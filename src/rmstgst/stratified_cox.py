@@ -11,7 +11,8 @@ A snapshot's looks are fitted together: one Newton iteration steps every
 look's coefficients at once, each look reducing only its own strata, so a
 look's fit is the same whatever other looks share its snapshot. The fit
 is one :class:`CoxFits`, whose arrays hold every look's results side by
-side.
+side. The shared-baseline case (the arm a covariate) adds the arms'
+stratum sums at each event time, so it needs no layout of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError, InsufficientEventsError, SingularInformationError
 from .trial_data import Snapshot, look_sums
 
-__all__ = ["CoxFits", "fit"]
+__all__ = ["CoxFits", "SharedBaseline", "fit"]
 
 _SCORE_TOL = 1e-8  # a look converges when its score max-norm drops below this
 _MAX_ITER = 50  # Newton iterations a look may take
@@ -56,38 +57,87 @@ class CoxFits:
         return r0, (e * r0).T
 
 
-def _score_info(snap: Snapshot, beta: np.ndarray, lo: int = 0):
+class SharedBaseline:
+    """Looks ``looks`` (increasing indices) of a snapshot under one baseline hazard, the arm the first covariate.
+
+    Its event rows are each look's distinct event times of either arm, the counts added; row i reads each arm's
+    stratum at its ``at_risk[:, i]`` places, as the snapshot's ``risk_index`` does. The rest is as a
+    :class:`Snapshot`'s."""
+
+    def __init__(self, snap: Snapshot, looks: np.ndarray):
+        self.snap, self.looks, self.u, self.tau = snap, looks, snap.u[looks], snap.tau
+        rows = np.flatnonzero(np.isin(snap.event_stratum // 2, looks))  # the looks' event rows
+        # (look, time) as look + i time: complex numbers sort by real part, then by imaginary part
+        key, pooled = np.unique(np.searchsorted(looks, snap.event_stratum[rows] // 2) + 1j * snap.event_times[rows],
+                                return_inverse=True)
+        self.event_counts, look = np.bincount(pooled, snap.event_counts[rows], key.size), key.real.astype(np.int64)
+        self.look_rows = np.searchsorted(look, np.arange(looks.size + 1))
+        arm1 = look_sums(snap.event_counts, snap.stratum_rows)[2 * looks + 1]  # the treatment arm's events
+        self.event_z_total = np.column_stack((arm1, snap.event_z_total[looks]))
+        self.upper = np.triu_indices(self.event_z_total.shape[1])
+        stratum = 2 * look + [[0], [1]]  # each row's two strata, among these looks'
+        # each look's arms by follow-up, as stratum + i time, ascending; those at risk at a row follow its place
+        xs = np.take_along_axis(snap.arm_times(looks), snap.orders[looks], axis=2)
+        self.at_risk = (stratum + 1) * xs.shape[2] - np.searchsorted(
+            (np.arange(2 * looks.size).reshape(-1, 2, 1) + 1j * xs).ravel(), stratum + 1j * key.imag)
+        self.risk_index = stratum * snap.risk_cols[0].size + np.maximum(self.at_risk - 1, 0)
+        self.row_look, self.live = look, self.at_risk > 0
+
+    def strata(self, lo: int, looks: int):
+        """The snapshot's strata of looks ``lo, ..., lo + looks - 1``: a slice where they are contiguous."""
+        picked = 2 * self.looks[lo:lo + looks]
+        return slice(picked[0], picked[-1] + 2) if picked[-1] - picked[0] == 2 * looks - 2 else (
+            picked[:, None] + [0, 1]).ravel()
+
+
+def _score_info(snap, beta: np.ndarray, lo: int = 0):
     """Score, information and log partial likelihood of looks ``lo, lo + 1, ...``, one beta row each.
 
+    ``snap`` is a :class:`Snapshot` or a :class:`SharedBaseline` of one.
     Also returns the risk sums at their event rows, which the baselines
-    reuse: ``r0`` scaled by each stratum's largest exp(beta'Z) (the true
-    sum is ``r0 * exp(shift)``), ``e = r1 / r0`` (p, rows) and each row's
-    ``shift``. A look's values add only its own rows, so no other look
-    changes them.
+    reuse: ``r0`` scaled by exp(-shift) (the true sum is ``r0 *
+    exp(shift)``), ``e = r1 / r0`` (p, rows) and each row's ``shift``, the
+    largest linear predictor of its stratum, or of its look. A look's
+    values add only its own rows, so no other look changes them.
     """
-    looks, p = beta.shape
-    g, (c, m) = len(snap.orders), snap.risk_cols.shape[1:]
-    strata = slice(lo * g, (lo + looks) * g)
+    (looks, q), shared = beta.shape, isinstance(snap, SharedBaseline)
+    base, strata = (snap.snap, snap.strata(lo, looks)) if shared else (snap, slice(2 * lo, 2 * (lo + looks)))
+    c, m, p = *base.risk_cols.shape[1:], base.z.shape[1]
+    w = np.einsum("spm,sp->sm", base.risk_cols[strata, 1:p + 1], np.repeat(beta[:, shared:], 2, axis=0))  # predictors
+    shift = w.max(axis=1)
+    w = np.exp(np.subtract(w, shift[:, None], out=w), out=w)
+    w *= base.risk_cols[strata, 0]  # 0 on padding
+    sums = w[:, None, :] * base.risk_cols[strata]
+    sums = np.cumsum(sums, axis=2, out=sums).ravel()
     bounds = snap.look_rows[lo:lo + looks + 1]
     rows = slice(bounds[0], bounds[-1])
-    w = np.einsum("spm,sp->sm", snap.risk_z[strata], np.repeat(beta, g, axis=0))  # linear predictors
-    shift = w.max(axis=1, keepdims=True)
-    w = np.exp(np.subtract(w, shift, out=w), out=w)
-    sums = w[:, None, :] * snap.risk_cols[strata]
-    sums = np.cumsum(sums, axis=2, out=sums).ravel()[snap.risk_index[:, rows] - strata.start * c * m]
-    r0, d, row_shift = sums[0].copy(), snap.event_counts[rows], shift[snap.event_stratum[rows] - strata.start, 0]
+    # a row's risk set is the first at_risk places of each column of its stratum
+    columns, index = (np.arange(c) * m)[:, None], snap.risk_index[..., rows] - 2 * lo * c * m
+    if shared:  # both arms' sums, the treatment arm's times exp(gamma), under their look's larger shift
+        arm_shift = np.where(base.stratum_n[strata] > 0, shift, -np.inf).reshape(-1, 2)  # an arm without subjects
+        arm_shift[:, 1] += beta[:, 0]
+        top, look = arm_shift.max(axis=1), snap.row_look[rows] - lo
+        top[top == -np.inf] = 0.0  # a look without subjects has no rows
+        scale = np.exp(arm_shift - top[:, None])[look].T * snap.live[:, rows]  # 0 for an arm with nobody at risk
+        both, treated = (np.take(sums, columns + i) * by for i, by in zip(index, scale))
+        both += treated
+        sums = np.concatenate((both[:1], treated[:1], both[1:p + 1], treated[:p + 1], both[p + 1:]))
+        row_shift = top[look]
+    else:
+        sums, row_shift = np.take(sums, columns + index), shift[snap.event_stratum[rows] - 2 * lo]
+    r0, d = sums[0].copy(), snap.event_counts[rows]
     # r0 can underflow to 0 at extreme trial steps; the resulting
     # -inf/nan log likelihood makes the Newton loop halve the step.
     with np.errstate(divide="ignore", invalid="ignore"):
         sums[1:] /= r0  # e = r1 / r0, then the second moments
-        e, upper = sums[1:p + 1], snap.upper
-        sums[p + 1:] -= e[upper[0]] * e[upper[1]]  # the covariance's upper triangle
+        e, upper = sums[1:q + 1].copy(), snap.upper
+        sums[q + 1:] -= e[upper[0]] * e[upper[1]]  # the covariance's upper triangle
         sums[0] = np.log(r0) + row_shift
-    terms = look_sums(d * sums, bounds - bounds[0]).T
+    terms = look_sums(np.multiply(sums, d, out=sums), bounds - bounds[0]).T
     z_total = snap.event_z_total[lo:lo + looks]
-    score = z_total - terms[:, 1:p + 1]
-    info = np.empty((looks, p, p))
-    info[:, upper[0], upper[1]] = info[:, upper[1], upper[0]] = terms[:, p + 1:]
+    score = z_total - terms[:, 1:q + 1]
+    info = np.empty((looks, q, q))
+    info[:, upper[0], upper[1]] = info[:, upper[1], upper[0]] = terms[:, q + 1:]
     loglik = (z_total * beta).sum(axis=1) - terms[:, 0]
     return score, info, loglik, (r0, e, row_shift)
 
@@ -105,8 +155,8 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
     return looks[~singular], eigval[~singular], eigvec[~singular]
 
 
-def fit(snap: Snapshot, looks=None) -> CoxFits:
-    """Maximize each look's stratified log partial likelihood by Newton iteration, all looks at once.
+def fit(snap: Snapshot | SharedBaseline, looks=None) -> CoxFits:
+    """Maximize each look's stratified, or shared-baseline, log partial likelihood by Newton iteration, all at once.
 
     Every look starts at beta = 0, converges when its score max-norm drops
     below ``_SCORE_TOL``, and halves steps that would decrease its log partial
@@ -122,11 +172,11 @@ def fit(snap: Snapshot, looks=None) -> CoxFits:
     errors = [InsufficientEventsError.left_out(u) if not want else None if rows
               else DataError(f"no events at or before t_max={min(u, snap.tau)}; nothing to fit")
               for u, rows, want in zip(snap.u.tolist(), np.diff(snap.look_rows).tolist(), wanted)]
-    n_looks, p = snap.u.size, snap.z.shape[1]
+    n_looks, p = snap.u.size, snap.event_z_total.shape[1]
     beta, step = np.zeros((n_looks, p)), np.zeros((n_looks, p))
     scale, iterations, halvings = (np.zeros(n_looks, dtype=t) for t in (np.float64, np.int64, np.int64))
     score, info, loglik, sums = _score_info(snap, beta)
-    row_look = snap.event_stratum // len(snap.orders)
+    row_look = np.repeat(np.arange(n_looks), np.diff(snap.look_rows))
     active = np.array([err is None and p > 0 for err in errors])  # looks still iterating
     fresh = np.flatnonzero(active)  # looks at a new iterate: test it, then step from it
     while True:

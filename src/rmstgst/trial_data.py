@@ -12,10 +12,11 @@ shortened this way; a trial carries no information beyond its own lock.
 A snapshot's arrays carry a leading look axis, and one risk-set layout
 covers every look, so a trial's L looks are analyzed in one pass; one
 look (the CLI's) is the case L = 1. The looks may come from several
-trials stacked trial-major, each look seeing only its own trial's
-subjects, so a simulation analyzes a group of replicates in one pass
-too. The Cox fit, the adjusted pass and Kaplan-Meier all read a look's
-strata of that layout, Kaplan-Meier only their event rows.
+trials stacked trial-major, a look's columns its own trial's subjects,
+so a simulation analyzes a group of replicates in one pass too, in
+memory linear in the group. The Cox fit, the adjusted pass and
+Kaplan-Meier all read a look's strata of that layout, Kaplan-Meier only
+their event rows.
 """
 
 from __future__ import annotations
@@ -231,52 +232,48 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
 class Snapshot:
     """One or more trials as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
 
-    Holds the subjects' ``arm`` and covariates ``z`` (n, p) and, per look,
-    shape (L, n), the capped follow-up ``time`` (-1 before entry, and for
-    the subjects of another trial than the look's) and ``event``. One
-    risk-set layout of all looks serves the Cox fit, the variance and
-    Kaplan-Meier, which reads only the event rows: each (look, arm) is a
-    stratum, look-major, holding the arm's subjects by capped follow-up
-    (one stable sort per arm), those not yet enrolled first, front-padded
-    to the largest stratum's size m. ``risk_cols`` stores
-    the columns ``[1, z, z (x) z]``, the last as its upper triangle, of
-    the s strata longest follow-up first, (s, columns, m), zero on
-    padding, so one cumulative sum along the last axis gives every
-    risk-set sum without crossing a stratum; ``risk_z`` (s, p, m) repeats
-    a real subject on padding so each stratum's largest linear predictor
-    is real. Event rows, one per stratum and distinct event time up to
-    ``min(u, tau)``, carry ``event_stratum``, ``event_times``,
-    ``event_counts``, ``at_risk`` and ``risk_index``, their places in the
-    flattened sum; stratum j owns rows ``stratum_rows[j:j + 2]``, look k
-    ``look_rows[k:k + 2]``; ``event_z_total`` sums each look's event
-    covariates; ``upper`` indexes the upper triangle of a p x p matrix.
+    Holds the subjects' ``arm`` and covariates ``z`` (n, p) of every
+    trial in turn and, per look, shape (L, n_max) for the largest trial's
+    size n_max, the capped follow-up ``time`` (-1 before entry, and past
+    the end of a trial shorter than n_max) and ``event``: look k's column
+    i is subject ``offset[k] + i``, of the look's own trial. One risk-set
+    layout of all looks serves the Cox fit, the variance and Kaplan-Meier,
+    which reads only the event rows: each (look, arm) is a stratum,
+    look-major, holding the arm's subjects by capped follow-up (one stable
+    sort per look and arm, ``orders`` (L, 2, m) of columns), padded in
+    front to the largest stratum's size m. ``risk_cols`` stores the
+    columns ``[1, z, z (x) z]``, the last as its upper triangle, of the s
+    strata longest follow-up first, (s, columns, m); the first is 0 on
+    padding, where the others repeat a real subject so each stratum's
+    largest linear predictor is real, and one cumulative sum along the
+    last axis, weighted by the first column, gives every risk-set sum
+    without crossing a stratum. Event rows, one per stratum and distinct
+    event time up to ``min(u, tau)``, carry ``event_stratum``,
+    ``event_times``, ``event_counts``, ``at_risk``, the prefix of the
+    stratum's places that is the row's risk set, and ``risk_index``, its
+    place in the flattened first column; stratum j owns rows
+    ``stratum_rows[j:j + 2]``, look k ``look_rows[k:k + 2]``;
+    ``event_z_total`` sums each look's event covariates; ``upper`` indexes
+    the upper triangle of a p x p matrix.
     """
 
-    __slots__ = ("u", "tau", "arm", "time", "event", "z", "orders", "stratum_n", "risk_z", "risk_cols",
+    __slots__ = ("u", "tau", "arm", "time", "event", "z", "offset", "orders", "stratum_n", "risk_cols",
                  "risk_index", "event_stratum", "event_times", "event_counts", "at_risk", "stratum_rows",
                  "look_rows", "event_z_total", "upper")
 
-    def __init__(self, u, tau, arm, time, event, z, orders=None):
-        self.u, self.tau, self.arm, self.time, self.event, self.z = u, tau, arm, time, event, z
-        if orders is None:  # one stable sort per arm of those enrolled by some look; -1 sorts first
-            seen = (time >= 0).any(axis=0)
-            orders = [cols[np.argsort(time[:, cols], axis=1, kind="stable")]
-                      for cols in (np.flatnonzero(seen & (arm == a)) for a in (0, 1))]
-        self.orders = orders
-        (looks, _), p, g = time.shape, z.shape[1], len(orders)
-        sorted_time = [np.take_along_axis(time, order, axis=1) for order in orders]
-        self.stratum_n = np.stack([np.count_nonzero(t >= 0, axis=1) for t in sorted_time], axis=1).ravel()
-        m, s = int(self.stratum_n.max()), looks * g  # places before the last m are padding in every stratum
-        slot = np.full((looks, g, m), -1)  # each stratum's subjects, -1 on front padding
-        xs = np.full((looks, g, m), -1.0)  # their capped follow-up, ascending
-        hit = np.zeros((looks, g, m), dtype=np.bool_)  # their events
-        for j, (order, t) in enumerate(zip(orders, sorted_time)):
-            k = min(m, order.shape[1])  # an arm without subjects is all padding
-            slot[:, j, m - k:], xs[:, j, m - k:] = order[:, order.shape[1] - k:], t[:, t.shape[1] - k:]
-            hit[:, j, m - k:] = np.take_along_axis(event, slot[:, j, m - k:], axis=1) != 0
-        slot, xs, hit = slot.reshape(s, m), xs.reshape(s, m), hit.reshape(s, m)
+    def __init__(self, u, tau, arm, time, event, z, offset):
+        self.u, self.tau, self.arm, self.time, self.event, self.z, self.offset = u, tau, arm, time, event, z, offset
+        (looks, _), p, s = time.shape, z.shape[1], 2 * time.shape[0]
+        keys = self.arm_times()
+        m = int(np.count_nonzero(keys >= 0, axis=2).max())  # the largest stratum's size
+        # one stable sort per look and arm, those not enrolled or of the other arm first, cropped to m places
+        self.orders = np.argsort(keys, axis=2, kind="stable")[..., keys.shape[2] - m:].copy()
+        xs = np.take_along_axis(keys, self.orders, axis=2).reshape(s, m)  # capped follow-up, ascending; -1 padding
+        hit = (np.take_along_axis(event[:, None], self.orders, axis=2) != 0).reshape(s, m)  # events
+        slot = (self.orders + offset[:, None, None]).reshape(s, m)  # the subjects, of the look's own trial
+        self.stratum_n = np.count_nonzero(xs >= 0, axis=1)
         # events in range by stratum then time; each stratum's distinct event time is one event row
-        pos = np.flatnonzero(hit & (xs >= 0) & (xs <= np.repeat(np.minimum(u, tau), g)[:, None]))
+        pos = np.flatnonzero(hit & (xs >= 0) & (xs <= np.repeat(np.minimum(u, tau), 2)[:, None]))
         ev_t, ev_s = xs.ravel()[pos], pos // m
         new = np.ones(pos.size + 1, dtype=np.bool_)
         new[1:-1] = (ev_t[1:] != ev_t[:-1]) | (ev_s[1:] != ev_s[:-1])
@@ -285,38 +282,35 @@ class Snapshot:
         self.event_times, self.event_stratum = ev_t[heads], ev_s[heads]
         self.event_counts = np.diff(bounds).astype(np.float64)
         self.stratum_rows = np.searchsorted(self.event_stratum, np.arange(s + 1))
-        self.look_rows = self.stratum_rows[::g]
-        self.event_z_total = look_sums(z[slot.ravel()[pos]].T, np.searchsorted(pos, np.arange(looks + 1) * g * m)).T
+        self.look_rows = self.stratum_rows[::2]
+        self.event_z_total = look_sums(z[slot.ravel()[pos]].T, np.searchsorted(pos, np.arange(looks + 1) * 2 * m)).T
         # an event row's risk set: its stratum's places from the first with that follow-up on
         run = np.ones(s * m, dtype=np.bool_)
         run[1:] = xs.ravel()[1:] != xs.ravel()[:-1]
         run[::m] = True
         run_start = np.maximum.accumulate(np.where(run, np.arange(s * m), 0))[pos[heads]]
         self.at_risk = (self.event_stratum + 1) * m - run_start
-        # stored longest follow-up first, columns outermost, so a risk set is a prefix of its stratum
+        # stored longest follow-up first, columns outermost, so a risk set is a prefix of its stratum; z and
+        # z (x) z repeat a real subject on padding, so each stratum's largest linear predictor is real
         first = np.minimum(m - self.stratum_n, m - 1)[:, None]
         fill = np.take_along_axis(slot, np.maximum(np.arange(m), first), axis=1)[:, ::-1]
-        zr = self.risk_z = np.ascontiguousarray(z[fill].transpose(0, 2, 1))
+        zr = z[np.minimum(fill, len(arm) - 1)].transpose(0, 2, 1)
         upper = self.upper = np.triu_indices(p)  # z (x) z is symmetric: its upper triangle, row by row
-        on = (xs >= 0)[:, None, ::-1]
-        self.risk_cols = np.concatenate((on, zr, zr[:, upper[0]] * zr[:, upper[1]]), axis=1)
-        self.risk_cols *= on
+        cols = self.risk_cols = np.empty((s, 1 + p + upper[0].size, m))
+        cols[:, 0], cols[:, 1:p + 1] = (xs >= 0)[:, ::-1], zr
+        for j, (a, b) in enumerate(zip(*upper), 1 + p):  # in place: no (s, columns, m) temporaries
+            np.multiply(zr[:, a], zr[:, b], out=cols[:, j])
         # a row's risk set is the first at_risk places of each of its stratum's columns
-        c = self.risk_cols.shape[1]
-        self.risk_index = np.add.outer(np.arange(c) * m - 1, self.event_stratum * (c * m) + self.at_risk)
+        self.risk_index = self.event_stratum * self.risk_cols[0].size + self.at_risk - 1
+
+    def arm_times(self, looks=slice(None)) -> np.ndarray:
+        """The ``looks``' capped follow-up per arm, (looks, 2, n_max), -1 in the columns of the other arm."""
+        arm = np.take(self.arm, self.offset[looks, None] + np.arange(self.time.shape[1]), mode="clip")
+        return np.where(arm[:, None] == np.arange(2)[:, None], self.time[looks][:, None], -1.0)
 
     def events_in_every_stratum(self) -> np.ndarray:
-        """Per look, whether each of its strata (each arm, or a pooled look's one) has an event by ``min(u, tau)``."""
-        return (np.diff(self.stratum_rows).reshape(-1, len(self.orders)) > 0).all(axis=1)
-
-    def pooled(self, looks=slice(None)) -> Snapshot:
-        """The ``looks`` (a slice or index array), both arms in one stratum each (the arms' sorts merged) and the
-        arm prepended to z."""
-        time = self.time[looks]
-        both = np.concatenate([order[looks] for order in self.orders], axis=1)
-        merged = np.argsort(np.take_along_axis(time, both, axis=1), axis=1, kind="stable")
-        return Snapshot(self.u[looks], self.tau, np.zeros_like(self.arm), time, self.event[looks],
-                        np.column_stack((self.arm, self.z)), [np.take_along_axis(both, merged, axis=1)])
+        """Per look, whether each arm has an event by ``min(u, tau)``."""
+        return (np.diff(self.stratum_rows).reshape(-1, 2) > 0).all(axis=1)
 
 
 def look_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -339,9 +333,9 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
     the rest, follow-up is capped at ``u - entry``; an event counts only
     if it occurred within the capped window (boundary included). Given a
     sequence of R trials, the snapshot holds their subjects in turn and
-    R * L looks, trial-major: look ``r * L + k`` is trial r at ``u[k]``
-    and sees only trial r's subjects, so it is analyzed as a snapshot of
-    trial r alone would be. One trial is the case R = 1.
+    R * L looks, trial-major: look ``r * L + k`` is trial r at ``u[k]``,
+    its columns trial r's subjects then never-enrolled padding, so it is
+    analyzed as a snapshot of trial r alone would be. R = 1 is one trial.
 
     Args:
         trial: the dataset as of its data lock, or a sequence of them
@@ -366,18 +360,20 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
                         "follow-up cannot be rolled forward")
     if len({t.z.shape[1] for t in trials}) != 1:
         raise DataError("a snapshot needs one or more trials, all with the same number of covariates")
-    columns = [[getattr(t, name) for t in trials] for name in _COLUMNS]  # a lone trial's are shared, not copied
-    arm, entry, followup, event, z = (np.concatenate(c) if len(c) > 1 else c[0] for c in columns)
-    count = np.arange(len(trials))
-    own = np.repeat(count, looks.size)[:, None] == np.repeat(count, [len(t) for t in trials])  # a look's trial
-    looks = np.tile(looks, len(trials))
-    enrolled = own & (entry < looks[:, None])
+    # a lone trial's arm and covariates are shared, not copied
+    arm, z = (np.concatenate(c) if len(c) > 1 else c[0] for c in ([t.arm for t in trials], [t.z for t in trials]))
+    sizes = np.array([len(t) for t in trials])
+    n = sizes.max()  # each trial's columns, padded with subjects never enrolled: (trials, 1, n) against (looks, 1)
+    entry, followup, event = (np.concatenate([x for t in trials for x in (getattr(t, name), np.full(n - len(t), fill))])
+                              .reshape(-1, 1, n) for name, fill in (("entry", np.inf), ("followup", 0.0), ("event", 0)))
+    enrolled = entry < looks[:, None]
     if not np.any(enrolled):
         raise DataError(f"empty snapshot: no subjects enrolled before u={u}")
     exposure = looks[:, None] - entry
-    capped = np.where(enrolled, np.minimum(followup, exposure), -1.0)
-    seen = (enrolled & (event != 0) & (followup <= exposure)).astype(np.int8)
-    return Snapshot(looks, tau, arm, capped, seen, z)
+    capped = np.where(enrolled, np.minimum(followup, exposure), -1.0).reshape(-1, n)
+    seen = (enrolled & (event != 0) & (followup <= exposure)).astype(np.int8).reshape(-1, n)
+    offset = np.repeat(np.cumsum(sizes) - sizes, looks.size)  # look r * L + k: trial r's subjects from here on
+    return Snapshot(np.tile(looks, len(trials)), tau, arm, capped, seen, z, offset)
 
 
 def standardize_covariates(snap: Snapshot) -> Snapshot:
@@ -390,9 +386,9 @@ def standardize_covariates(snap: Snapshot) -> Snapshot:
     Raises:
         DataError: a covariate column is constant (zero variance).
     """
-    enrolled = snap.z[snap.time[-1] >= 0]
+    enrolled = snap.z[snap.offset[-1] + np.flatnonzero(snap.time[-1] >= 0)]
     mean, sd = enrolled.mean(axis=0), enrolled.std(axis=0)
     flat = np.flatnonzero(sd == 0)
     if flat.size:
         raise DataError(f"cannot standardize constant covariate column(s) {flat.tolist()}")
-    return Snapshot(snap.u, snap.tau, snap.arm, snap.time, snap.event, (snap.z - mean) / sd, snap.orders)
+    return Snapshot(snap.u, snap.tau, snap.arm, snap.time, snap.event, (snap.z - mean) / sd, snap.offset)

@@ -41,16 +41,16 @@ def pytest_terminal_summary(terminalreporter):
 
 def enrolled(snap, k=0):
     """Look k's enrolled subjects in trial order: ``arm``, ``time``, ``event``, ``z`` and their count ``n``,
-    with the look's ``u`` and ``tau``."""
+    with the look's ``u`` and ``tau``. Look k's columns are its trial's subjects from ``offset[k]`` on."""
     idx = np.flatnonzero(snap.time[k] >= 0)
-    return SimpleNamespace(u=float(snap.u[k]), tau=snap.tau, n=idx.size, arm=snap.arm[idx], time=snap.time[k, idx],
-                           event=snap.event[k, idx], z=snap.z[idx])
+    subjects = snap.offset[k] + idx
+    return SimpleNamespace(u=float(snap.u[k]), tau=snap.tau, n=idx.size, arm=snap.arm[subjects],
+                           time=snap.time[k, idx], event=snap.event[k, idx], z=snap.z[subjects])
 
 
 def arm_rows(snap, k, arm):
-    """The event rows of look k's arm, as a slice; a pooled look's one stratum is arm 0's."""
-    g = len(snap.orders)  # a look's strata: one per arm, or a pooled look's one
-    return slice(*snap.stratum_rows[[k * g + min(arm, g), k * g + min(arm + 1, g)]].tolist())
+    """The event rows of look k's arm, its stratum 2 k + arm, as a slice."""
+    return slice(*snap.stratum_rows[[2 * k + arm, 2 * k + arm + 1]].tolist())
 
 
 def baseline(snap, fits, k, arm):

@@ -11,13 +11,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import sim_snapshot, toy_trial
+from conftest import monotone_trial, sim_snapshot, toy_trial
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
 from rmstgst import sim_engine
-from rmstgst.adjusted_rmst import analyze
+from rmstgst.adjusted_rmst import Analyses, analyze
 from rmstgst.errors import ConfigError, DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction, boundaries, update_monitoring
 from rmstgst.km_rmst import km_rmst_test
@@ -39,7 +39,7 @@ from rmstgst.sim_engine import (
     _rng_for_replicate,
 )
 from rmstgst.stratified_cox import fit
-from rmstgst.trial_data import snapshot, snapshot_from_arrays
+from rmstgst.trial_data import Snapshot, snapshot, snapshot_from_arrays
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 LOG15 = math.log(1.5)
@@ -467,6 +467,57 @@ class TestMethods:
             calibrate_information(small_scn, reps=100, master_seed=-1)
 
 
+def pooled_reference(snap, looks):
+    """The Cox comparator from a layout of its own: every subject in one stratum, the arm prepended to the
+    covariates, fitted at the looks asked for with an event in each arm, as the comparator's ``Analyses``."""
+    pooled = Snapshot(snap.u, snap.tau, np.zeros_like(snap.arm), snap.time, snap.event,
+                      np.column_stack((snap.arm, snap.z)), snap.offset)
+    fits = fit(pooled, looks=snap.events_in_every_stratum() & np.isin(np.arange(snap.u.size), looks))
+    fitted = np.array([error is None for error in fits.errors])
+    info = np.full(snap.u.size, np.nan)
+    info[fitted] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
+    return Analyses("cox", snap, fits.beta[:, 0].copy(), info, fits.errors)
+
+
+class TestCoxComparatorTolerance:
+    """The comparator reads each look's two arm strata under one baseline hazard. Its delta and info stay
+    within 1e-10 relative of the same model fitted on a pooled layout of its own (the worst seen is 5e-12, on
+    the early looks of the calibration grid), with the same error class on every look."""
+
+    RTOL = 1e-10
+
+    def check(self, snap, looks=None):
+        looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
+        got, want = cox_hr_test(snap, looks), pooled_reference(snap, looks)
+        assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+        for name in ("delta", "info"):  # NaN at the same looks
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=self.RTOL, atol=0)
+        return got
+
+    def test_benchmark_simulation_eight_a_group(self):
+        scn = SimScenario.read(PERFBENCH_DATA / "sim_scenario.json")
+        calib = json.loads((PERFBENCH_DATA / "sim_calibration.json").read_text())
+        scn = replace(scn, log_rate_ratio=calib["power"]["log_rate_ratio"])
+        for group in range(2):
+            trials = [draw_trial(scn, _rng_for_replicate(5, rep)) for rep in range(8 * group, 8 * group + 8)]
+            got = self.check(snapshot(trials, u=calib["analysis_times"], tau=scn.tau))
+            assert all(error is None for error in got.errors)
+
+    def test_calibration_grid(self):
+        scn = SimScenario.read(PERFBENCH_DATA / "cal_scenario.json")
+        grid = np.append(np.arange(0.1, scn.total_duration - 1e-9, 0.1), scn.total_duration)
+        for rep in range(3):
+            snap = snapshot(draw_trial(scn, _rng_for_replicate(4, rep)), u=grid, tau=scn.tau)
+            got = self.check(snap)
+            assert got.errors.count(None) >= 25
+            self.check(snap, [grid.size - 1])  # as calibration asks: the trial end only
+
+    def test_monotone_trial(self):
+        got = self.check(snapshot(monotone_trial(), u=TestStackedReplicates.TIMES, tau=1.0))
+        assert [error and type(error).__name__ for error in got.errors] == [
+            "InsufficientEventsError", "InsufficientEventsError", "SingularInformationError", None]
+
+
 def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
     """Info, delta and error class of each method at each look, per replicate, each from a snapshot of the
     replicate alone; NaN (and the class name) where an analysis fails, "DataError" throughout where the
@@ -507,7 +558,7 @@ class TestStackedReplicates:
         return sim_engine._study_worker(scn, seed, reps, times, self.METHODS, last_only)
 
     @pytest.mark.parametrize("last_only", [(), ("km", "cox")])
-    @pytest.mark.parametrize("group", [1, 2, 3, 7])
+    @pytest.mark.parametrize("group", [1, 2, 3, 7, 8])
     def test_each_replicate_as_alone(self, monkeypatch, group, last_only):
         reps = list(range(40, 47))  # 7 replicates: groups of 2 and 3 leave a ragged last group
         infos, deltas, failed = self.worker(monkeypatch, group, self.MONOTONE, 20200920, reps, self.TIMES, last_only)
@@ -551,10 +602,10 @@ class TestStackedReplicates:
             for a, b in zip(self.worker(monkeypatch, group, scn, 5, reps, times), want):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [3, 3, 1]),
-                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 7)])
+    @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [8, 8, 1]),
+                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 17)])
     def test_group_size_from_the_place_budget(self, monkeypatch, times, groups):
-        # 3 looks of 400 subjects stack 3 replicates a group; the calibration grid's 30 looks stay alone
+        # 3 looks of 400 subjects stack 8 replicates a group; the calibration grid's 30 looks stay alone
         stacked = []
 
         def counted(snap):
@@ -562,7 +613,7 @@ class TestStackedReplicates:
             return analyze(snap)
 
         monkeypatch.setattr(sim_engine, "analyze", counted)
-        sim_engine._study_worker(SimScenario(), 1, list(range(7)), times, ("adjusted",))
+        sim_engine._study_worker(SimScenario(), 1, list(range(17)), times, ("adjusted",))
         assert stacked == groups
 
 

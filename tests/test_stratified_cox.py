@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rmstgst.errors import (
     ConvergenceError, DataError, InsufficientEventsError, RmstgstError, SingularInformationError,
 )
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
-from rmstgst.stratified_cox import CoxFits, _score_info, fit
+from rmstgst.stratified_cox import CoxFits, SharedBaseline, _score_info, fit
 from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
@@ -27,12 +28,17 @@ def score_and_info(snap, beta):
     return score[0], info[0], loglik[0]
 
 
-def breslow(snap, beta, arm):
-    """One arm's Breslow cumulative baseline hazard of a one-look snapshot at fixed ``beta``."""
+def fits_at(snap, beta):
+    """The fits of a one-look snapshot, or its shared baseline, held at fixed ``beta``."""
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))[None]
     _, info, loglik, sums = _score_info(snap, beta)
     none = np.zeros(1, dtype=np.int64)
-    return baseline(snap, CoxFits(beta, info, loglik, none, none, [None], sums), 0, arm)
+    return CoxFits(beta, info, loglik, none, none, [None], sums)
+
+
+def breslow(snap, beta, arm):
+    """One arm's Breslow cumulative baseline hazard of a one-look snapshot at fixed ``beta``."""
+    return baseline(snap, fits_at(snap, beta), 0, arm)
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=10.0):
@@ -250,7 +256,7 @@ class TestFit:
         )
         snap = sim_snapshot(scn, seed=7)
         stratified = look_fit(fit(snap), 0)
-        unstratified = look_fit(fit(snap.pooled()), 0)
+        unstratified = look_fit(fit(SharedBaseline(snap, np.arange(1))), 0)
         se = math.sqrt(np.linalg.inv(stratified.info)[0, 0])
         assert unstratified.beta[1] == pytest.approx(stratified.beta[0], abs=4 * se)
         assert unstratified.beta[0] == pytest.approx(-0.4, abs=0.1)
@@ -374,14 +380,14 @@ class TestRiskSetSums:
 
 
 def per_arm_reference(snap, beta):
-    """Score, information, log likelihood and per-arm Breslow increments, arm by arm.
+    """Score, information, log likelihood and per-arm Breslow increments of an ``enrolled`` look, arm by arm.
 
     Each arm's subjects are sorted by follow-up; its risk-set sums are
     suffix sums of exp(beta'Z - shift) times 1, Z and ZZ' at the first
     subject followed at least as long as each distinct event time up to
-    min(u, tau), with the shift the arm's largest linear predictor.
+    min(u, tau), with the shift the arm's largest linear predictor. A look
+    whose subjects are all arm 0 has one baseline.
     """
-    snap = enrolled(snap)
     p = beta.size
     t_max = min(snap.u, snap.tau)
     score, info, loglik, increments = np.zeros(p), np.zeros((p, p)), 0.0, []
@@ -450,11 +456,13 @@ class TestOnePassMatchesPerArmReference:
         time = np.array([r[1] for r in rows])
         event = np.array([r[2] for r in rows], dtype=np.int8)
         snap = snapshot_from_arrays(np.zeros(len(rows)), time, event, arm, z, u=10.0, tau=tau)
-        if pooled:  # as cox_hr_test fits it: one stratum, the arm as a covariate
-            snap, z = snap.pooled(), np.column_stack([arm.astype(float), z])
+        look = enrolled(snap)
+        if pooled:  # as cox_hr_test fits it: both arms under one baseline, the arm the first covariate
+            snap, z = SharedBaseline(snap, np.arange(1)), np.column_stack([arm.astype(float), z])
+            look = SimpleNamespace(**{**vars(look), "arm": 0 * look.arm, "z": np.column_stack([look.arm, look.z])})
         beta = np.array(beta[:z.shape[1]])
         score, info, loglik = score_and_info(snap, beta)
-        ref_score, ref_info, ref_loglik, ref_increments = per_arm_reference(snap, beta)
+        ref_score, ref_info, ref_loglik, ref_increments = per_arm_reference(look, beta)
         events = float(np.sum(event * (time <= tau)))
         zmax = float(np.abs(z).max()) if z.size else 0.0
         rel = 1e-12
@@ -462,8 +470,12 @@ class TestOnePassMatchesPerArmReference:
         np.testing.assert_allclose(info, ref_info, rtol=rel, atol=rel * events * zmax**2)
         lp_max = float(np.abs(z @ beta).max()) if z.size else 0.0
         assert loglik == pytest.approx(ref_loglik, rel=rel, abs=rel * events * (lp_max + math.log(len(rows))))
-        for a in (0, 1):
+        for a in (0, 1) if not pooled else ():
             np.testing.assert_allclose(breslow(snap, beta, a).increments, ref_increments[a], rtol=rel)
+        if pooled:  # the shared baseline jumps at every event row, by its count over the pooled risk sum
+            r0 = fits_at(snap, beta).risk_sums()[0]
+            np.testing.assert_allclose(snap.event_counts / r0, ref_increments[0], rtol=rel)
+            assert ref_increments[1].size == 0
 
 
 def fit_outcome(snap, fits, k):

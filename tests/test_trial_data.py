@@ -310,20 +310,6 @@ class TestSnapshot:
         assert snap.stratum_n.tolist() == [4, 4]
         assert enrolled(snap).n == 8 and snap.z.shape[1] == 1
 
-    def test_pooled_last_look_lays_out_as_its_own_snapshot(self):
-        # the pooled comparator of a stack's last look is bit for bit that of a snapshot of the look alone
-        scn = SimScenario(n_per_arm=60, covariate_strength=0.5, shape_offset=-0.3)
-        trial = draw_trial(scn, np.random.default_rng(5))
-        grid = np.round(np.arange(1, 31) * 0.1, 10)
-        got = snapshot(trial, u=grid, tau=1.0).pooled(slice(-1, None))
-        want = snapshot(trial, u=grid[-1], tau=1.0).pooled()
-        for name in Snapshot.__slots__:
-            parts = [getattr(s, name) for s in (got, want)]
-            if not isinstance(parts[0], (list, tuple)):  # orders and upper hold several arrays
-                parts = [[part] for part in parts]
-            for a, b in zip(*parts, strict=True):
-                assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
-
     def test_one_trial_stack_is_the_trial_alone(self):
         trial = draw_trial(SimScenario(n_per_arm=40, covariate_strength=0.5), np.random.default_rng(3))
         got, want = (snapshot(t, u=[0.5, 1.5, 3.0], tau=1.0) for t in ([trial], trial))
@@ -335,12 +321,13 @@ class TestSnapshot:
                 assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
 
     def test_stacked_look_sees_only_its_own_trial(self):
-        # look r * L + k is trial r at u[k]: its subjects, strata and event rows are those of trial r alone
+        # look r * L + k is trial r at u[k]: its columns, strata and event rows are those of trial r alone
         trials = [draw_trial(SimScenario(n_per_arm=n, covariate_strength=0.5), np.random.default_rng(n))
                   for n in (30, 5, 50)]
         u = [0.3, 1.5, 3.0]
         stack = snapshot(trials, u=u, tau=1.0)
         assert stack.u.tolist() == u * 3 and len(stack.arm) == sum(len(t) for t in trials)
+        assert stack.time.shape == stack.event.shape == (9, 100)  # the largest trial's 100 subjects
         start = 0
         for r, trial in enumerate(trials):
             alone = snapshot(trial, u=u, tau=1.0)
@@ -349,23 +336,37 @@ class TestSnapshot:
             np.testing.assert_array_equal(stack.z[own], trial.z)
             for k in range(len(u)):
                 j = r * len(u) + k
-                np.testing.assert_array_equal(stack.time[j, own], alone.time[k])
-                np.testing.assert_array_equal(stack.event[j, own], alone.event[k])
-                others = np.ones(len(stack.arm), dtype=bool)
-                others[own] = False
-                assert np.all(stack.time[j, others] == -1) and not stack.event[j, others].any()
+                assert stack.offset[j] == own.start
+                np.testing.assert_array_equal(stack.time[j, :len(trial)], alone.time[k])
+                np.testing.assert_array_equal(stack.event[j, :len(trial)], alone.event[k])
+                # a shorter trial's padding columns: never enrolled, no events
+                assert np.all(stack.time[j, len(trial):] == -1) and not stack.event[j, len(trial):].any()
                 assert stack.stratum_n[2 * j:2 * j + 2].tolist() == alone.stratum_n[2 * k:2 * k + 2].tolist()
                 rows = slice(*stack.stratum_rows[[2 * j, 2 * j + 2]])
                 solo = slice(*alone.stratum_rows[[2 * k, 2 * k + 2]])
                 for name in ("event_times", "event_counts", "at_risk"):
                     np.testing.assert_array_equal(getattr(stack, name)[rows], getattr(alone, name)[solo])
+                for name in ("arm", "time", "event", "z"):
+                    np.testing.assert_array_equal(getattr(enrolled(stack, j), name), getattr(enrolled(alone, k), name))
 
     def test_stack_keeps_a_trial_with_nobody_enrolled(self):
         late = make_trial((0, 2.0, 1.0, 1, (0.0,)), (1, 2.5, 1.0, 1, (0.0,)))
         stack = snapshot([toy_trial(), late], u=[1.0, 1.5], tau=1.0)
         assert stack.stratum_n.reshape(2, -1).tolist() == [[4, 4, 4, 4], [0, 0, 0, 0]]
+        assert stack.time.shape == (4, 8) and stack.offset.tolist() == [0, 0, 8, 8]
+        assert np.all(stack.time[2:] == -1) and not stack.event[2:].any()  # late's two subjects and six padding
         with pytest.raises(DataError, match="empty snapshot"):
             snapshot([late, late], u=[1.0, 1.5], tau=1.0)
+
+    @pytest.mark.parametrize("reps, n, looks", [(1, 60, 1), (8, 400, 3), (5, 60, 31)])
+    def test_stack_memory_is_linear_in_the_trials(self, reps, n, looks):
+        # each look holds its own trial's n columns, not the whole group's reps * n
+        scn = SimScenario(n_per_arm=n // 2, covariate_strength=0.5)
+        trials = [draw_trial(scn, np.random.default_rng(rep)) for rep in range(reps)]
+        stack = snapshot(trials, u=np.linspace(scn.total_duration / looks, scn.total_duration, looks), tau=1.0)
+        assert stack.time.shape == stack.event.shape == (reps * looks, n)
+        assert stack.orders.shape[:2] == (reps * looks, 2) and stack.orders.shape[2] <= n
+        assert stack.risk_cols.shape[0] == 2 * reps * looks and stack.risk_cols.shape[2] <= n
 
     @pytest.mark.parametrize("trials", [[], [make_trial((0, 0.0, 1.0, 1, (0.0,))),
                                              make_trial((0, 0.0, 1.0, 1, (0.0, 1.0)))]])
