@@ -322,9 +322,13 @@ def cmd_simulate(args) -> int:
     if calib.info.fractions != design.planned_fractions:
         raise ConfigError(f"calibration fractions {calib.info.fractions} do not match the design's "
                           f"{design.planned_fractions}")
+    power, spending = calib.power, design.spending
+    if args.effect == "power" and (power.alpha, power.sided) != (spending.alpha, spending.sided):
+        raise ConfigError(f"calibration power alpha {power.alpha} and sidedness {power.sided} do not match the "
+                          f"design's alpha {spending.alpha} and sidedness {spending.sided}")
 
     offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
-              "power": calib.power.log_rate_ratio}[args.effect]
+              "power": power.log_rate_ratio}[args.effect]
     sim_scn = replace(scn, log_rate_ratio=offset)
     oc = run_study(
         sim_scn, design.spending, calib.info, reps=args.reps, methods=methods,
@@ -508,6 +512,8 @@ def main(argv=None) -> int:
             for flag, seed in (("--seed", args.seed), ("--calib-seed", getattr(args, "calib_seed", 0))):
                 if seed < 0:
                     raise ConfigError(f"{flag} must be >= 0, got {seed}")
+            if args.command == "simulate" and args.reps < 1:  # before an inline calibration, not after it
+                raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         return args.func(args)
     except RmstgstError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ class ConvergenceError(EstimationError):
 
 
 class InsufficientEventsError(EstimationError):
-    """An analysis requires at least one event per arm inside the horizon, at a look it was asked for."""
+    """An analysis requires at least one event per arm inside the horizon, at a look that the fit's mask keeps."""
 
     @classmethod
     def left_out(cls, u: float) -> InsufficientEventsError:

@@ -510,12 +510,16 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
     goes from the last effective analysis, rebuilt from the records.
 
     Raises:
-        StateError: state already rejected, or ``u`` not past the last
-            recorded analysis.
+        StateError: state already rejected or past an effective final
+            analysis, or ``u`` not past the last recorded analysis.
         ConfigError: the design has no ``i_max``.
     """
     if state.rejected:
         raise StateError("trial already rejected; no further analyses are allowed")
+    final_at = next((a for a in state.effective if a.final), None)
+    if final_at is not None:
+        raise StateError(f"the final analysis (stage {final_at.stage}, u={final_at.u}) is recorded; no further "
+                         "analyses are allowed")
     if state.design.i_max is None:
         raise ConfigError("monitoring requires i_max in the design config")
     u, z, info_level = float(u), float(z), float(info_level)

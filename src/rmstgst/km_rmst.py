@@ -5,9 +5,8 @@ curves per arm, restricted means by rectangle sums on [0, tau], and the
 classical variance built from remaining-area weights, with the arms
 treated as independent. Each arm's curve is read straight off the
 snapshot's event rows of that (look, arm) stratum: its distinct event
-times up to min(u, tau), their event counts and risk-set sizes. Only the
-looks asked for are computed, one at a time, since calibration asks for
-one look of the 31 in its grid snapshots.
+times up to min(u, tau), their event counts and risk-set sizes. Every
+look of the snapshot is computed, one at a time.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .trial_data import Snapshot
 __all__ = ["km_rmst_test"]
 
 
-def km_rmst_test(snap: Snapshot, looks=None) -> Analyses:
-    """Two-arm unadjusted RMST difference at the ``looks`` asked for (default all), independent-arm variance.
+def km_rmst_test(snap: Snapshot) -> Analyses:
+    """Two-arm unadjusted RMST difference at every look, independent-arm variance.
 
     Each arm's mean is the rectangle sum of its product-limit curve from 0
     to tau (unit height before the first event). Its variance weights
@@ -31,14 +30,12 @@ def km_rmst_test(snap: Snapshot, looks=None) -> Analyses:
     risk set is exhausted leaves no remaining area and contributes
     nothing. Returns the ``"km"`` :class:`Analyses`, with arm means and no
     variance components. A look whose variance degenerates to zero keeps
-    ``InsufficientEventsError``, as does a look not asked for, worded as
-    the fit words a look its mask leaves out; a look not asked for or
-    without an event in each arm has NaN means.
+    ``InsufficientEventsError``; a look without an event in each arm has
+    NaN means.
     """
-    looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
     mu, info = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan)
-    errors = [InsufficientEventsError.left_out(u) for u in snap.u.tolist()]
-    for k in looks[snap.events_in_every_stratum()[looks]].tolist():
+    errors = [None] * snap.u.size
+    for k in np.flatnonzero(snap.events_in_every_stratum()).tolist():
         var = 0.0
         rows = snap.stratum_rows[2 * k:2 * k + 3].tolist()
         for arm, (lo, hi) in enumerate(zip(rows, rows[1:])):
@@ -53,5 +50,5 @@ def km_rmst_test(snap: Snapshot, looks=None) -> Analyses:
         if var <= 0:
             errors[k] = InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
         else:
-            errors[k], info[k] = None, 1.0 / var
+            info[k] = 1.0 / var
     return Analyses("km", snap, mu[:, 1] - mu[:, 0], info, errors, mu)

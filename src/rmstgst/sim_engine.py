@@ -37,7 +37,7 @@ from functools import cache, partial
 import numpy as np
 
 from .adjusted_rmst import Analyses, analyze
-from .errors import ConfigError, DataError, EstimationError, InsufficientEventsError
+from .errors import ConfigError, DataError, EstimationError
 from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
@@ -263,26 +263,20 @@ def calibrate_null(scn: SimScenario) -> float:
     return root
 
 
-def cox_hr_test(snap: Snapshot, looks=None) -> Analyses:
-    """Wald tests of no treatment effect in an unstratified hazards model, by look.
+def cox_hr_test(snap: Snapshot) -> Analyses:
+    """Wald tests of no treatment effect in an unstratified hazards model, at every look.
 
-    Fits the snapshot's :class:`SharedBaseline` once: the ``looks`` asked
-    for (increasing indices, default all), both arms under one baseline,
-    the arm the first covariate, to the horizon min(u, tau) of the
-    restricted-mean analyses, at the looks with an event in each arm.
+    Fits the snapshot's :class:`SharedBaseline` once: both arms under one
+    baseline, the arm the first covariate, to the horizon min(u, tau) of
+    the restricted-mean analyses, at the looks with an event in each arm.
     Returns the ``"cox"`` :class:`Analyses`, whose ``delta`` is the log
-    hazard ratio; a look whose fit failed keeps the fit's error, and a look
-    not asked for has the error of a look that the fit's mask leaves out.
+    hazard ratio; a look whose fit failed keeps the fit's error.
     """
-    looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
-    fits = cox_fit(SharedBaseline(snap, looks), looks=snap.events_in_every_stratum()[looks])
-    delta, info = np.full((2, snap.u.size), np.nan)
-    errors = dict(zip(looks.tolist(), fits.errors))
+    fits = cox_fit(SharedBaseline(snap), looks=snap.events_in_every_stratum())
     fitted = np.array([error is None for error in fits.errors], dtype=bool)
-    delta[looks] = fits.beta[:, 0]
-    info[looks[fitted]] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
-    return Analyses("cox", snap, delta, info,
-                    [errors.get(k, InsufficientEventsError.left_out(u)) for k, u in enumerate(snap.u.tolist())])
+    info = np.full(snap.u.size, np.nan)
+    info[fitted] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
+    return Analyses("cox", snap, fits.beta[:, 0], info, fits.errors)
 
 
 def check_methods(methods) -> tuple[str, ...]:
@@ -296,9 +290,8 @@ def check_methods(methods) -> tuple[str, ...]:
     return methods
 
 
-# ``METHODS[m](snap, looks)``: the ``Analyses`` of method m; ``looks``, the increasing looks asked for, limits
-# Kaplan-Meier's loop and the Cox comparator's fit, as the adjusted fit covers every look
-METHODS = {"adjusted": lambda snap, looks: analyze(snap), "km": km_rmst_test, "cox": cox_hr_test}
+# ``METHODS[m](snap)``: the ``Analyses`` of method m at every look of ``snap``
+METHODS = {"adjusted": analyze, "km": km_rmst_test, "cox": cox_hr_test}
 
 
 @dataclass(frozen=True)
@@ -506,11 +499,12 @@ def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
     subjects within ``_GROUP_PLACES``, and a group is one snapshot whose
     looks run replicate by replicate, so each method runs once a group. A
     look reads only its own replicate's rows, so no result depends on the
-    grouping. ``last_only`` methods analyze each replicate's last look
-    only. Where an analysis fails, info and delta are NaN and ``failed``
-    holds the class name of its error; a replicate that cannot be drawn,
-    or has nobody enrolled at any look, fails at every look with
-    ``DataError``, as its snapshot alone would.
+    grouping. ``last_only`` methods analyze the last time only: a second
+    snapshot of the group there, whose look r is the group's replicate r.
+    Where an analysis fails, info and delta are NaN and ``failed`` holds
+    the class name of its error; a replicate that cannot be drawn, or has
+    nobody enrolled at any look, fails at every look with ``DataError``,
+    as its snapshot alone would.
     """
     n_looks = len(times)
     infos = np.full((len(reps_slice), n_looks, len(methods)), np.nan)
@@ -530,16 +524,17 @@ def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
         except DataError:
             failed[rows] = "DataError"
             continue
-        empty = ~snap.stratum_n.reshape(len(rows), -1).any(axis=1)
-        failed[np.array(rows)[empty]] = "DataError"
-        looks = np.flatnonzero(~np.repeat(empty, n_looks))  # every look of the replicates with anybody enrolled
+        rows, end = np.array(rows), None
         for m, method in enumerate(methods):
-            wanted = looks[looks % n_looks == n_looks - 1] if method in last_only else looks
-            analyses = METHODS[method](snap, wanted)
-            at = np.array(rows)[wanted // n_looks], wanted % n_looks, m
-            infos[at], deltas[at] = analyses.info[wanted], analyses.delta[wanted]
-            failed[at] = [error and type(error).__name__ for error in map(analyses.errors.__getitem__, wanted.tolist())]
-        snap = analyses = None  # let this group's layout go before the next is drawn
+            if method in last_only and end is None:
+                end = snapshot(trials, u=times[-1:], tau=scn.tau)
+            analyses = METHODS[method](end if method in last_only else snap)
+            looks = analyses.snap.u.size // rows.size  # a replicate's looks: every time, or the last
+            at = np.repeat(rows, looks), np.tile(np.arange(n_looks - looks, n_looks), rows.size), m
+            infos[at], deltas[at] = analyses.info, analyses.delta
+            failed[at] = [error and type(error).__name__ for error in analyses.errors]
+        failed[rows[~snap.stratum_n.reshape(rows.size, -1).any(axis=1)]] = "DataError"  # nobody enrolled
+        snap = end = analyses = None  # let this group's layouts go before the next is drawn
     return infos, deltas, failed
 
 

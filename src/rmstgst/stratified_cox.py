@@ -58,36 +58,28 @@ class CoxFits:
 
 
 class SharedBaseline:
-    """Looks ``looks`` (increasing indices) of a snapshot under one baseline hazard, the arm the first covariate.
+    """A snapshot's looks under one baseline hazard, the arm the first covariate.
 
     Its event rows are each look's distinct event times of either arm, the counts added; row i reads each arm's
     stratum at its ``at_risk[:, i]`` places, as the snapshot's ``risk_index`` does. The rest is as a
     :class:`Snapshot`'s."""
 
-    def __init__(self, snap: Snapshot, looks: np.ndarray):
-        self.snap, self.looks, self.u, self.tau = snap, looks, snap.u[looks], snap.tau
-        rows = np.flatnonzero(np.isin(snap.event_stratum // 2, looks))  # the looks' event rows
+    def __init__(self, snap: Snapshot):
+        self.snap, self.u, self.tau = snap, snap.u, snap.tau
         # (look, time) as look + i time: complex numbers sort by real part, then by imaginary part
-        key, pooled = np.unique(np.searchsorted(looks, snap.event_stratum[rows] // 2) + 1j * snap.event_times[rows],
-                                return_inverse=True)
-        self.event_counts, look = np.bincount(pooled, snap.event_counts[rows], key.size), key.real.astype(np.int64)
-        self.look_rows = np.searchsorted(look, np.arange(looks.size + 1))
-        arm1 = look_sums(snap.event_counts, snap.stratum_rows)[2 * looks + 1]  # the treatment arm's events
-        self.event_z_total = np.column_stack((arm1, snap.event_z_total[looks]))
+        key, pooled = np.unique(snap.event_stratum // 2 + 1j * snap.event_times, return_inverse=True)
+        self.event_counts, look = np.bincount(pooled, snap.event_counts, key.size), key.real.astype(np.int64)
+        self.look_rows = np.searchsorted(look, np.arange(snap.u.size + 1))
+        arm1 = look_sums(snap.event_counts, snap.stratum_rows)[1::2]  # the treatment arm's events
+        self.event_z_total = np.column_stack((arm1, snap.event_z_total))
         self.upper = np.triu_indices(self.event_z_total.shape[1])
-        stratum = 2 * look + [[0], [1]]  # each row's two strata, among these looks'
+        stratum = 2 * look + [[0], [1]]  # each row's two strata
         # each look's arms by follow-up, as stratum + i time, ascending; those at risk at a row follow its place
-        xs = np.take_along_axis(snap.arm_times(looks), snap.orders[looks], axis=2)
+        xs = np.take_along_axis(snap.arm_times(), snap.orders, axis=2)
         self.at_risk = (stratum + 1) * xs.shape[2] - np.searchsorted(
-            (np.arange(2 * looks.size).reshape(-1, 2, 1) + 1j * xs).ravel(), stratum + 1j * key.imag)
+            (np.arange(2 * snap.u.size).reshape(-1, 2, 1) + 1j * xs).ravel(), stratum + 1j * key.imag)
         self.risk_index = stratum * snap.risk_cols[0].size + np.maximum(self.at_risk - 1, 0)
         self.row_look, self.live = look, self.at_risk > 0
-
-    def strata(self, lo: int, looks: int):
-        """The snapshot's strata of looks ``lo, ..., lo + looks - 1``: a slice where they are contiguous."""
-        picked = 2 * self.looks[lo:lo + looks]
-        return slice(picked[0], picked[-1] + 2) if picked[-1] - picked[0] == 2 * looks - 2 else (
-            picked[:, None] + [0, 1]).ravel()
 
 
 def _score_info(snap, beta: np.ndarray, lo: int = 0):
@@ -101,7 +93,7 @@ def _score_info(snap, beta: np.ndarray, lo: int = 0):
     values add only its own rows, so no other look changes them.
     """
     (looks, q), shared = beta.shape, isinstance(snap, SharedBaseline)
-    base, strata = (snap.snap, snap.strata(lo, looks)) if shared else (snap, slice(2 * lo, 2 * (lo + looks)))
+    base, strata = snap.snap if shared else snap, slice(2 * lo, 2 * (lo + looks))
     c, m, p = *base.risk_cols.shape[1:], base.z.shape[1]
     w = np.einsum("spm,sp->sm", base.risk_cols[strata, 1:p + 1], np.repeat(beta[:, shared:], 2, axis=0))  # predictors
     shift = w.max(axis=1)

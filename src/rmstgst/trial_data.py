@@ -303,10 +303,10 @@ class Snapshot:
         # a row's risk set is the first at_risk places of each of its stratum's columns
         self.risk_index = self.event_stratum * self.risk_cols[0].size + self.at_risk - 1
 
-    def arm_times(self, looks=slice(None)) -> np.ndarray:
-        """The ``looks``' capped follow-up per arm, (looks, 2, n_max), -1 in the columns of the other arm."""
-        arm = np.take(self.arm, self.offset[looks, None] + np.arange(self.time.shape[1]), mode="clip")
-        return np.where(arm[:, None] == np.arange(2)[:, None], self.time[looks][:, None], -1.0)
+    def arm_times(self) -> np.ndarray:
+        """Each look's capped follow-up per arm, (L, 2, n_max), -1 in the columns of the other arm."""
+        arm = np.take(self.arm, self.offset[:, None] + np.arange(self.time.shape[1]), mode="clip")
+        return np.where(arm[:, None] == np.arange(2)[:, None], self.time[:, None], -1.0)
 
     def events_in_every_stratum(self) -> np.ndarray:
         """Per look, whether each arm has an event by ``min(u, tau)``."""

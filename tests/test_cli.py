@@ -281,6 +281,19 @@ class TestAnalyze:
         assert mon["stage"] == 2 and mon["final"]
         assert mon["cumulative_spend"] == pytest.approx(0.05, abs=1e-9)
 
+    def test_no_look_after_the_final_exit_5(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        for u, flags in (("1.4", ["--design", design_json, "--i-max", "700"]), ("3.0", ["--final"])):
+            code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", u, "--tau", "1.0",
+                                   "--state", str(state_path), *flags)
+            assert code == 0, err
+        final = state_path.read_bytes()
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "3.5", "--tau", "1.0",
+                               "--state", str(state_path))
+        assert_typed_error(code, err, 5)
+        assert "the final analysis (stage 2, u=3.0) is recorded" in err
+        assert state_path.read_bytes() == final
+
     def test_lock_contention_exit_5(self, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         (tmp_path / "state.json.lock").touch()
@@ -680,10 +693,10 @@ def scenario_file(tmp_path, **overrides):
     return str(path)
 
 
-def design_file(tmp_path, fractions="0.5,1.0", name="sim_design.json"):
+def design_file(tmp_path, fractions="0.5,1.0", name="sim_design.json", **spending):
     path = tmp_path / name
     design = DesignConfig(
-        spending=SpendingFunction("power_family", rho=3.0),
+        spending=SpendingFunction("power_family", rho=3.0, **spending),
         planned_fractions=tuple(float(x) for x in fractions.split(",")),
     )
     path.write_text(json.dumps(design.to_dict()))
@@ -933,6 +946,47 @@ class TestCalibrateAndSimulate:
         assert_typed_error(code, err, 2)
         assert "reps" in err
         assert not (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("spending, named", [
+        ({"alpha": 0.01}, "alpha 0.05 and sidedness two_sided do not match the design's alpha 0.01 and "
+                          "sidedness two_sided"),
+        ({"sided": "one_sided"}, "alpha 0.05 and sidedness two_sided do not match the design's alpha 0.05 and "
+                                 "sidedness one_sided"),
+    ])
+    def test_power_effect_of_a_calibration_for_another_test_exit_2(self, spending, named, calib_setup, tmp_path,
+                                                                   capsys):
+        _, scn_path, calib_path = calib_setup
+        design = design_file(tmp_path, **spending)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design, "--calibration", calib_path,
+            "--reps", "2", "--effect", "power", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert f"calibration power {named}" in err
+        assert not (out_dir / "results.csv").exists()
+        for effect in ("null", "as-given"):  # neither offset depends on the test
+            code, _, err = run_cli(
+                capsys, "simulate", "--scenario", scn_path, "--design", design, "--calibration", calib_path,
+                "--reps", "2", "--effect", effect, "--out-dir", str(out_dir),
+            )
+            assert code == 0, err
+
+    def test_simulate_zero_reps_exit_2_before_calibrating(self, calib_setup, capsys, monkeypatch):
+        tmp_path, scn_path, _ = calib_setup
+        out_dir = tmp_path / "zero_reps_inline"
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before --reps was checked")
+
+        monkeypatch.setattr(sim_engine, "calibrate", calibrate)
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--reps", "0", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert "--reps must be >= 1, got 0" in err
+        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("broken", ["reps", "fractions", "power"])
     def test_malformed_calibration_exit_2(self, broken, calib_setup, tmp_path, capsys):

@@ -386,6 +386,23 @@ class TestMonitoring:
         with pytest.raises(StateError, match="already rejected"):
             update_monitoring(state, 2.0, 1.0, 60.0)
 
+    def test_no_analysis_after_the_final(self):
+        state = fresh_state(kind="obrien_fleming_like", fractions=(0.5, 1.0))
+        state = update_monitoring(state, 1.0, 0.5, 50.0)
+        state = update_monitoring(state, 2.0, 0.5, 100.0, final=True)
+        assert state.analyses[-1].decision == "continue"
+        for final in (False, True):
+            with pytest.raises(StateError, match=r"the final analysis \(stage 2, u=2\.0\) is recorded; no further"):
+                update_monitoring(state, 3.0, 0.5, 110.0, final=final)
+
+    def test_a_skipped_final_does_not_end_monitoring(self):
+        state = fresh_state(kind="obrien_fleming_like", fractions=(0.5, 1.0))
+        state = update_monitoring(state, 1.0, 0.5, 50.0)
+        state = update_monitoring(state, 2.0, 0.5, 40.0, final=True)  # not past the last fraction: skipped
+        assert state.analyses[-1].decision == "skipped"
+        state = update_monitoring(state, 3.0, 0.5, 100.0, final=True)
+        assert state.analyses[-1].final and state.analyses[-1].decision == "continue"
+
     def test_respending_reproduces_earlier_criticals(self):
         state = fresh_state()
         state = update_monitoring(state, 1.0, 0.5, 41.2)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import monotone_trial, sim_snapshot, toy_trial
+from conftest import monotone_trial, sim_snapshot
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm
@@ -343,7 +343,7 @@ class TestCalibration:
             calls.append(snap.u.tolist())
             return analyze(snap)
 
-        monkeypatch.setattr(sim_engine, "analyze", counted)
+        monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
         monkeypatch.setattr(sim_engine, "_GRID_STEP", 0.5)
         calibrate_information(small_scn, reps=100, master_seed=7)
         grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]  # step 0.5 up to the trial end
@@ -398,7 +398,7 @@ class TestMethods:
     def test_method_registry_labels_and_finiteness(self, small_scn):
         snap = sim_snapshot(small_scn, seed=21)
         for name, run in METHODS.items():
-            analyses = run(snap, [0])
+            analyses = run(snap)
             res = analyses.report(0)
             assert analyses.method == name
             assert math.isfinite(res["z"])
@@ -409,7 +409,7 @@ class TestMethods:
     def test_report_prints_the_arrays_at_a_look(self, small_scn, method):
         # the dictionary that analyze and km-compare print: its keys in order, se and z from delta and info
         snap = snapshot(draw_trial(small_scn, _rng_for_replicate(20200920, 3)), u=[1.0, 2.0, 3.0], tau=1.0)
-        analyses = METHODS[method](snap, np.arange(snap.u.size))
+        analyses = METHODS[method](snap)
         means = ["mu0", "mu1"] if method != "cox" else []
         extras = ["components", "diagnostics"] if method == "adjusted" else []
         for k in range(snap.u.size):
@@ -442,15 +442,6 @@ class TestMethods:
         with pytest.raises(InsufficientEventsError):
             cox_hr_test(snap).report(0)
 
-    @pytest.mark.parametrize("method", ["km", "cox"])
-    def test_a_look_not_asked_for_is_left_out_as_in_the_fit(self, method):
-        snap = snapshot(toy_trial(), u=[4.0, 5.0], tau=2.0)
-        analyses = METHODS[method](snap, [1])
-        masked = fit(snap, looks=[False, True]).errors[0]
-        assert type(analyses.errors[0]) is type(masked) is InsufficientEventsError
-        assert str(analyses.errors[0]) == str(masked) == "the look at u=4.0 was left out of the fit"
-        assert analyses.errors[1] is None and np.isfinite(analyses.info[1])
-
     def test_unknown_method_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
         with pytest.raises(ConfigError, match=r"unknown method 'bayes'; choose from \('adjusted', 'km', 'cox'\)"):
@@ -467,12 +458,12 @@ class TestMethods:
             calibrate_information(small_scn, reps=100, master_seed=-1)
 
 
-def pooled_reference(snap, looks):
+def pooled_reference(snap):
     """The Cox comparator from a layout of its own: every subject in one stratum, the arm prepended to the
-    covariates, fitted at the looks asked for with an event in each arm, as the comparator's ``Analyses``."""
+    covariates, fitted at the looks with an event in each arm, as the comparator's ``Analyses``."""
     pooled = Snapshot(snap.u, snap.tau, np.zeros_like(snap.arm), snap.time, snap.event,
                       np.column_stack((snap.arm, snap.z)), snap.offset)
-    fits = fit(pooled, looks=snap.events_in_every_stratum() & np.isin(np.arange(snap.u.size), looks))
+    fits = fit(pooled, looks=snap.events_in_every_stratum())
     fitted = np.array([error is None for error in fits.errors])
     info = np.full(snap.u.size, np.nan)
     info[fitted] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]
@@ -486,9 +477,8 @@ class TestCoxComparatorTolerance:
 
     RTOL = 1e-10
 
-    def check(self, snap, looks=None):
-        looks = np.arange(snap.u.size) if looks is None else np.asarray(looks)
-        got, want = cox_hr_test(snap, looks), pooled_reference(snap, looks)
+    def check(self, snap):
+        got, want = cox_hr_test(snap), pooled_reference(snap)
         assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
         for name in ("delta", "info"):  # NaN at the same looks
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=self.RTOL, atol=0)
@@ -507,10 +497,10 @@ class TestCoxComparatorTolerance:
         scn = SimScenario.read(PERFBENCH_DATA / "cal_scenario.json")
         grid = np.append(np.arange(0.1, scn.total_duration - 1e-9, 0.1), scn.total_duration)
         for rep in range(3):
-            snap = snapshot(draw_trial(scn, _rng_for_replicate(4, rep)), u=grid, tau=scn.tau)
-            got = self.check(snap)
+            trial = draw_trial(scn, _rng_for_replicate(4, rep))
+            got = self.check(snapshot(trial, u=grid, tau=scn.tau))
             assert got.errors.count(None) >= 25
-            self.check(snap, [grid.size - 1])  # as calibration asks: the trial end only
+            self.check(snapshot(trial, u=grid[-1:], tau=scn.tau))  # as calibration asks: the trial end only
 
     def test_monotone_trial(self):
         got = self.check(snapshot(monotone_trial(), u=TestStackedReplicates.TIMES, tau=1.0))
@@ -577,7 +567,7 @@ class TestStackedReplicates:
         reps, times = list(range(40, 47)), (0.05, 0.2, 3.0)
         snap = snapshot([draw_trial(self.MONOTONE, _rng_for_replicate(20200920, rep)) for rep in reps],
                         u=times, tau=1.0)
-        analyses = METHODS[method](snap, np.arange(snap.u.size))
+        analyses = METHODS[method](snap)
         _, _, failed = sim_engine._study_worker(self.MONOTONE, 20200920, reps, times, (method,))
         raised = []
         for j, (u, empty) in enumerate(zip(snap.u.tolist(), np.diff(snap.stratum_rows).reshape(-1, 2) == 0)):
@@ -612,7 +602,7 @@ class TestStackedReplicates:
             stacked.append(snap.u.size // len(times))
             return analyze(snap)
 
-        monkeypatch.setattr(sim_engine, "analyze", counted)
+        monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
         sim_engine._study_worker(SimScenario(), 1, list(range(17)), times, ("adjusted",))
         assert stacked == groups
 
@@ -627,6 +617,13 @@ class TestRunStudy:
         for m in kwargs["methods"]:
             np.testing.assert_array_equal(serial.estimates[m], threaded.estimates[m])
             np.testing.assert_array_equal(serial.info_levels[m], threaded.info_levels[m])
+
+    def test_information_calibration_deterministic_across_thread_counts(self, small_scn):
+        # the comparators' trial-end snapshots are made in the pool's workers too
+        serial = calibrate_information(small_scn, reps=100, master_seed=11, threads=1)
+        threaded = calibrate_information(small_scn, reps=100, master_seed=11, threads=2)
+        assert threaded == serial
+        assert set(serial.i_max_by_method) == {"adjusted", "km", "cox"}
 
     @pytest.mark.parametrize("threads, cpus, reps, pool", [(5000, 64, 100, 64), (5000, None, 100, 1), (8, 64, 3, 3),
                                                            (3, 64, 100, 3)])

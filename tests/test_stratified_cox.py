@@ -256,7 +256,7 @@ class TestFit:
         )
         snap = sim_snapshot(scn, seed=7)
         stratified = look_fit(fit(snap), 0)
-        unstratified = look_fit(fit(SharedBaseline(snap, np.arange(1))), 0)
+        unstratified = look_fit(fit(SharedBaseline(snap)), 0)
         se = math.sqrt(np.linalg.inv(stratified.info)[0, 0])
         assert unstratified.beta[1] == pytest.approx(stratified.beta[0], abs=4 * se)
         assert unstratified.beta[0] == pytest.approx(-0.4, abs=0.1)
@@ -458,7 +458,7 @@ class TestOnePassMatchesPerArmReference:
         snap = snapshot_from_arrays(np.zeros(len(rows)), time, event, arm, z, u=10.0, tau=tau)
         look = enrolled(snap)
         if pooled:  # as cox_hr_test fits it: both arms under one baseline, the arm the first covariate
-            snap, z = SharedBaseline(snap, np.arange(1)), np.column_stack([arm.astype(float), z])
+            snap, z = SharedBaseline(snap), np.column_stack([arm.astype(float), z])
             look = SimpleNamespace(**{**vars(look), "arm": 0 * look.arm, "z": np.column_stack([look.arm, look.z])})
         beta = np.array(beta[:z.shape[1]])
         score, info, loglik = score_and_info(snap, beta)
@@ -560,6 +560,7 @@ class TestStackedLooks:
         for k in range(5):
             want = fit_outcome(snap, every, k) if both[k] else InsufficientEventsError
             assert_same_outcome(fit_outcome(snap, masked, k), want, rel=0)
+        assert str(masked.errors[0]) == "the look at u=0.1 was left out of the fit"
 
 
 class TestNoNewWarnings:
