@@ -144,7 +144,7 @@ def _exact_kernel(look_w: np.ndarray, w: np.ndarray, hazard: np.ndarray, spans: 
     # outputs before cond, and the products' temporaries after it: cond's block is then freed last and the
     # next look's cond reuses it. Other orders stranded it and raised calibrate's peak RSS by up to 0.6 MB
     look_sum, cond_mu = np.zeros((look_w.shape[1], hazard.size)), np.empty((w.size, 2))
-    cond = np.multiply.outer(-w, hazard)
+    cond = np.einsum("i,j->ij", -w, hazard)  # faster than np.multiply.outer; only a 0's sign differs, and exp drops it
     np.exp(cond, out=cond)
     look_sum += look_w.T @ cond
     cond_mu[:] = cond @ spans

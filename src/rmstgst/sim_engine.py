@@ -20,8 +20,8 @@ information trajectory by Monte Carlo to place the analysis times and
 the information cap, then bisect for the offset hitting a target power
 for a fixed test at full information.
 
-The Monte Carlo runs stack a group of small replicates in one snapshot,
-every look of every replicate in the group analyzed in one pass; a look
+The Monte Carlo runs stack as many replicates in one snapshot as a place
+budget allows, and analyze every look of the group in one pass; a look
 sees only its own replicate, so no result depends on the grouping.
 """
 
@@ -333,19 +333,20 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     calendar grid (step ``_GRID_STEP``) up to the trial end, and inverts
     the running-max trajectory at the scenario's fractions by linear
     interpolation. The final fraction maps to the trial end exactly.
-    Comparator information caps are measured in the same pass, at the
-    same snapshots' last look, the trial end.
+    Comparator caps come from a second pass at the trial end alone; like
+    the adjusted information at a grid time, each needs 90% of the
+    replicates analyzed, or the comparator gets no cap.
     """
     if reps < 100:
         raise ConfigError(f"information calibration needs reps >= 100, got {reps}")
     total = scn.total_duration
     grid = np.append(np.arange(_GRID_STEP, total - 1e-9, _GRID_STEP), total)
     comparators = tuple(m for m in METHODS if m != "adjusted")
-    infos, *_ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted", *comparators),
-                                last_only=comparators)
-    rows, finals = infos[:, :, 0], infos[:, -1, 1:]
+    rows = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",))[0][:, :, 0]
+    finals = _map_replicates(scn, master_seed, reps, threads, (total,), comparators)[0][:, 0]
+    enough = max(1, int(0.9 * reps))
     ok = np.sum(~np.isnan(rows), axis=0)
-    usable = ok >= max(1, int(0.9 * reps))
+    usable = ok >= enough
     if not usable[-1]:
         raise EstimationError("information calibration failed at the trial end; raise reps")
     mean_info = np.where(ok > 0, np.nansum(rows, axis=0) / np.maximum(ok, 1), np.nan)
@@ -357,7 +358,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
         raise EstimationError(f"calibrated analysis times are not increasing: {times}; raise reps")
     i_by_method = {"adjusted": i_max}
     i_by_method.update((m, float(np.nanmean(finals[:, j])))
-                       for j, m in enumerate(comparators) if not np.all(np.isnan(finals[:, j])))
+                       for j, m in enumerate(comparators) if np.sum(~np.isnan(finals[:, j])) >= enough)
     return InformationCalibration(
         fractions=tuple(float(f) for f in scn.fractions), analysis_times=tuple(times), i_max=i_max,
         i_max_by_method=i_by_method, grid=tuple(float(g) for g in grid_u), mean_info=tuple(float(v) for v in traj),
@@ -487,24 +488,22 @@ class OperatingCharacteristics:
         return rows
 
 
-# places of one group's (looks, subjects) arrays: 8 replicates of 3 looks of 400 subjects (its snapshot keeps
-# 0.8 MB and its analyses peak at 2.5 MB, by tracemalloc), 1 replicate of 31 looks
+# places of one group's (looks, subjects) arrays: 8 replicates of 3 looks of 400 subjects (a 0.8 MB snapshot,
+# a 2.5 MB analyses' peak by tracemalloc), 1 of the calibration grid's 30 looks, 24 of the trial end alone
 _GROUP_PLACES = 9600
 
 
-def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
+def _study_worker(scn, master_seed, reps_slice, times, methods):
     """Information, estimate and failure of each method at each calendar time, per replicate.
 
     Replicates are drawn in groups of as many as keep their looks x
     subjects within ``_GROUP_PLACES``, and a group is one snapshot whose
     looks run replicate by replicate, so each method runs once a group. A
     look reads only its own replicate's rows, so no result depends on the
-    grouping. ``last_only`` methods analyze the last time only: a second
-    snapshot of the group there, whose look r is the group's replicate r.
-    Where an analysis fails, info and delta are NaN and ``failed`` holds
-    the class name of its error; a replicate that cannot be drawn, or has
-    nobody enrolled at any look, fails at every look with ``DataError``,
-    as its snapshot alone would.
+    grouping. Where an analysis fails, info and delta are NaN and
+    ``failed`` holds the class name of its error; a replicate that cannot
+    be drawn, or has nobody enrolled at any look, fails at every look with
+    ``DataError``, as its snapshot alone would.
     """
     n_looks = len(times)
     infos = np.full((len(reps_slice), n_looks, len(methods)), np.nan)
@@ -524,21 +523,18 @@ def _study_worker(scn, master_seed, reps_slice, times, methods, last_only=()):
         except DataError:
             failed[rows] = "DataError"
             continue
-        rows, end = np.array(rows), None
+        rows = np.array(rows)
+        at = np.repeat(rows, n_looks), np.tile(np.arange(n_looks), rows.size)  # the snapshot's looks in order
         for m, method in enumerate(methods):
-            if method in last_only and end is None:
-                end = snapshot(trials, u=times[-1:], tau=scn.tau)
-            analyses = METHODS[method](end if method in last_only else snap)
-            looks = analyses.snap.u.size // rows.size  # a replicate's looks: every time, or the last
-            at = np.repeat(rows, looks), np.tile(np.arange(n_looks - looks, n_looks), rows.size), m
-            infos[at], deltas[at] = analyses.info, analyses.delta
-            failed[at] = [error and type(error).__name__ for error in analyses.errors]
+            analyses = METHODS[method](snap)
+            infos[:, :, m][at], deltas[:, :, m][at] = analyses.info, analyses.delta
+            failed[:, :, m][at] = [error and type(error).__name__ for error in analyses.errors]
         failed[rows[~snap.stratum_n.reshape(rows.size, -1).any(axis=1)]] = "DataError"  # nobody enrolled
-        snap = end = analyses = None  # let this group's layouts go before the next is drawn
+        snap = analyses = None  # let this group's layouts go before the next is drawn
     return infos, deltas, failed
 
 
-def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=()):
+def _map_replicates(scn, master_seed, reps, threads, times, methods):
     """Run ``_study_worker`` over the replicates, serially or across processes.
 
     Results are identical for any thread count: replicates own their
@@ -548,7 +544,7 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods, last_only=(
     """
     if master_seed < 0:  # the replicates' seed sequences take no negative entropy
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
-    worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, last_only=last_only)
+    worker = partial(_study_worker, scn, master_seed, times=times, methods=methods)
     all_reps = list(range(reps))
     if threads <= 1:
         parts = [worker(all_reps)]

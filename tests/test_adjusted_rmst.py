@@ -359,6 +359,30 @@ class TestBlockedKernel:
                                            err_msg=name)
             np.testing.assert_allclose(results[name].mu_cond[0], ref.mu_cond[0], rtol=1e-13, err_msg=name)
 
+    @pytest.mark.parametrize("case", ["random", "w of 0", "run-off w", "hazard of 0"])
+    def test_exact_kernel_is_the_outer_product_kernel(self, case):
+        # the kernel's block, bit for bit as np.multiply.outer's: that keeps a run-off look's NaN and its error
+        rng = np.random.default_rng(3)
+        eta = rng.normal(0.0, 1.5, 400)
+        hazard = np.cumsum(rng.exponential(0.01, 250))
+        if case == "w of 0":
+            eta[::7] = -np.inf
+        elif case == "run-off w":
+            eta[::5], hazard[0] = 800.0, 0.0  # exp overflows to inf, and inf x 0 is NaN
+        elif case == "hazard of 0":
+            hazard[:40] = 0.0
+        spans = np.zeros((hazard.size, 2))
+        spans[np.arange(hazard.size), rng.integers(0, 2, hazard.size)] = rng.exponential(0.01, hazard.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(eta)
+            look_w = np.column_stack((np.ones(eta.size), w, w[:, None] * rng.standard_normal((eta.size, 2))))
+            got = adjusted_rmst._exact_kernel(look_w, w, hazard, spans)
+            cond = np.exp(np.multiply.outer(-w, hazard))
+            want = np.zeros((look_w.shape[1], hazard.size)) + look_w.T @ cond, cond @ spans
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert np.isnan(got[0]).any() == (case == "run-off w")
+
     def test_one_block_alive_at_a_time(self):
         # each look's kernel is freed before the next is allocated, so many looks peak about as high as the largest
         scn = SimScenario(n_per_arm=200, covariate_strength=math.log(1.5), shape_offset=-0.3)

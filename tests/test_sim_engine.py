@@ -353,7 +353,7 @@ class TestCalibration:
         assert sum(stacked) == 100 and len(calls) < 100
 
     def test_comparator_caps_are_the_solo_trial_end_analyses(self, small_scn, small_calib):
-        # km and cox read the grid snapshot's last look, bit for bit a snapshot of the trial end alone
+        # km and cox analyze stacks of the replicates at the trial end, bit for bit a snapshot of each alone
         infos = {"km": [], "cox": []}
         for rep in range(small_calib.reps):
             trial = draw_trial(small_scn, _rng_for_replicate(small_calib.master_seed, rep))
@@ -365,6 +365,21 @@ class TestCalibration:
                     infos[method].append(np.nan)
         for method, values in infos.items():
             assert small_calib.i_max_by_method[method] == float(np.nanmean(values))
+
+    # bernoulli2 covariates of a strong effect at 4 per arm, everyone followed to 3: at seed 0 the Cox comparator's
+    # trial-end fit is singular in 16 of 100 replicates, at seed 1 (entry over a year) in 10
+    @pytest.mark.parametrize("accrual, seed, analyzed, capped", [(0.0, 0, [99, 84], ["adjusted", "km"]),
+                                                                 (1.0, 1, [98, 90], ["adjusted", "cox", "km"])])
+    def test_comparator_cap_needs_90_percent_of_the_replicates(self, accrual, seed, analyzed, capped):
+        scn = SimScenario(n_per_arm=4, covariates="bernoulli2", covariate_strength=3.0, accrual=accrual, tau=3.0,
+                          censoring=None, fractions=(0.5, 1.0))
+        infos = sim_engine._map_replicates(scn, seed, 100, 1, (scn.total_duration,), ("km", "cox"))[0]
+        assert np.isfinite(infos[:, 0]).sum(axis=0).tolist() == analyzed
+        calib = calibrate_information(scn, reps=100, master_seed=seed)
+        assert sorted(calib.i_max_by_method) == capped
+        if "cox" not in capped:
+            with pytest.raises(ConfigError, match="calibration lacks an information cap for method 'cox'"):
+                run_study(scn, SpendingFunction("cubic_min"), calib, reps=5, methods=("km", "cox"))
 
     def test_information_calibration_needs_reps(self, small_scn):
         with pytest.raises(ConfigError, match="reps"):
@@ -508,7 +523,7 @@ class TestCoxComparatorTolerance:
             "InsufficientEventsError", "InsufficientEventsError", "SingularInformationError", None]
 
 
-def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
+def solo_rows(scn, master_seed, reps, times, methods):
     """Info, delta and error class of each method at each look, per replicate, each from a snapshot of the
     replicate alone; NaN (and the class name) where an analysis fails, "DataError" throughout where the
     snapshot does."""
@@ -522,7 +537,7 @@ def solo_rows(scn, master_seed, reps, times, methods, last_only=()):
             continue
         tests = {"adjusted": analyze(snap), "km": km_rmst_test(snap), "cox": cox_hr_test(snap)}
         for m, method in enumerate(methods):
-            for k in [len(times) - 1] if method in last_only else range(len(times)):
+            for k in range(len(times)):
                 try:
                     result = tests[method].report(k)
                 except (DataError, EstimationError) as exc:
@@ -542,24 +557,24 @@ class TestStackedReplicates:
     TIMES = (0.004, 0.05, 0.2, 3.0)
     METHODS = ("adjusted", "km", "cox")
 
-    def worker(self, monkeypatch, group, scn, seed, reps, times, last_only=()):
+    def worker(self, monkeypatch, group, scn, seed, reps, times):
         """The study worker, with the place budget set to stack ``group`` replicates a group."""
         monkeypatch.setattr(sim_engine, "_GROUP_PLACES", group * len(times) * 2 * scn.n_per_arm)
-        return sim_engine._study_worker(scn, seed, reps, times, self.METHODS, last_only)
+        return sim_engine._study_worker(scn, seed, reps, times, self.METHODS)
 
-    @pytest.mark.parametrize("last_only", [(), ("km", "cox")])
+    @pytest.mark.parametrize("times", [TIMES, TIMES[-1:]], ids=["looks", "trial_end"])
     @pytest.mark.parametrize("group", [1, 2, 3, 7, 8])
-    def test_each_replicate_as_alone(self, monkeypatch, group, last_only):
+    def test_each_replicate_as_alone(self, monkeypatch, group, times):
         reps = list(range(40, 47))  # 7 replicates: groups of 2 and 3 leave a ragged last group
-        infos, deltas, failed = self.worker(monkeypatch, group, self.MONOTONE, 20200920, reps, self.TIMES, last_only)
-        want = solo_rows(self.MONOTONE, 20200920, reps, self.TIMES, self.METHODS, last_only)
+        infos, deltas, failed = self.worker(monkeypatch, group, self.MONOTONE, 20200920, reps, times)
+        want = solo_rows(self.MONOTONE, 20200920, reps, times, self.METHODS)
         for got, expected in zip((infos, deltas, failed), want):
             np.testing.assert_array_equal(got, expected)
-        if not last_only:  # the odd looks are there
+        assert np.isfinite(infos[:, -1]).all()
+        if times == self.TIMES:  # the odd looks are there
             assert np.all(failed[:, 0] == "InsufficientEventsError")
             assert failed[reps.index(43), 2, 0] == "EstimationError"  # the monotone look
             assert failed[reps.index(43), 2, 2] == "SingularInformationError"
-            assert np.isfinite(infos[:, -1]).all()
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_every_method_decides_a_looks_error_alike(self, method):
@@ -593,9 +608,11 @@ class TestStackedReplicates:
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [8, 8, 1]),
-                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 17)])
+                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 17),
+                                               ((3.0,), [24, 24, 2])])
     def test_group_size_from_the_place_budget(self, monkeypatch, times, groups):
-        # 3 looks of 400 subjects stack 8 replicates a group; the calibration grid's 30 looks stay alone
+        # 3 looks of 400 subjects stack 8 replicates a group, the calibration grid's 30 looks stay alone, and its
+        # trial-end pass stacks 24
         stacked = []
 
         def counted(snap):
@@ -603,7 +620,7 @@ class TestStackedReplicates:
             return analyze(snap)
 
         monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
-        sim_engine._study_worker(SimScenario(), 1, list(range(17)), times, ("adjusted",))
+        sim_engine._study_worker(SimScenario(), 1, list(range(sum(groups))), times, ("adjusted",))
         assert stacked == groups
 
 
@@ -619,7 +636,7 @@ class TestRunStudy:
             np.testing.assert_array_equal(serial.info_levels[m], threaded.info_levels[m])
 
     def test_information_calibration_deterministic_across_thread_counts(self, small_scn):
-        # the comparators' trial-end snapshots are made in the pool's workers too
+        # the comparators' trial-end pass runs in the pool's workers too
         serial = calibrate_information(small_scn, reps=100, master_seed=11, threads=1)
         threaded = calibrate_information(small_scn, reps=100, master_seed=11, threads=2)
         assert threaded == serial
