@@ -56,18 +56,26 @@ _NODES = np.array([math.sin(math.pi * m / 46) ** 2 for m in range(24)])
 _NODE_WEIGHTS = np.array([(-1.0) ** m / (2.0 if m in (0, 23) else 1.0) for m in range(24)])
 
 
-def _stratum_cumsum(snap: Snapshot, values: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Running sums of event-row ``values`` (rows, ...) within each stratum, down its rows or, ``reverse``, up them.
-
-    One cumulative sum over a zero-padded (strata, rows, ...) array: the
-    padding adds zeros after (``reverse``: before) a stratum's own terms.
-    """
+def _stratum_accumulate(snap: Snapshot, values: np.ndarray, reverse: bool = False, op=np.add) -> np.ndarray:
+    """Running sums, or ``op``'s running results, of event-row ``values`` (rows, ...) within each stratum, down its
+    rows or, ``reverse``, up them: one accumulation over a (strata, rows, ...) array padded with ``op``'s identity
+    after (``reverse``: before) a stratum's own terms, so each stratum's results are its rows' alone, bit for bit."""
     strata = snap.event_stratum
     col = np.arange(strata.size) - snap.stratum_rows[strata]
-    pad = np.zeros((snap.stratum_rows.size - 1, int(np.diff(snap.stratum_rows).max()), *values.shape[1:]))
+    pad = np.full((snap.stratum_rows.size - 1, int(np.diff(snap.stratum_rows).max()), *values.shape[1:]),
+                  op.identity, dtype=np.float64)
     pad[strata, col] = values
     order = slice(None, None, -1 if reverse else 1)
-    return np.cumsum(pad[:, order], axis=1)[:, order][strata, col]
+    return op.accumulate(pad[:, order], axis=1)[:, order][strata, col]
+
+
+def _row_widths(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Each event row's width to the next row of its stratum or, for a stratum's last row, to tau; and each
+    (look, arm)'s first event time (L, 2), where its curve leaves 1, tau for a stratum without events."""
+    times, bounds, tau = snap.event_times, snap.stratum_rows, snap.tau
+    ends = np.append(times[1:], tau)
+    ends[bounds[1:][np.diff(bounds) > 0] - 1] = tau
+    return ends - times, np.where(np.diff(bounds) > 0, np.append(times, tau)[bounds[:-1]], tau).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,10 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     With no covariates an arm's curve is exactly its exponentiated Nelson-Aalen curve.
     """
     risk = fits.risk_sums()
-    hazard = _stratum_cumsum(snap, snap.event_counts / risk[0])
+    hazard = _stratum_accumulate(snap, snap.event_counts / risk[0])
     times = snap.event_times
     bounds = snap.stratum_rows
-    ends = np.append(times[1:], snap.tau)
-    ends[bounds[1:][np.diff(bounds) > 0] - 1] = snap.tau  # a stratum's last row runs to tau
-    widths = ends - times
+    widths, firsts = _row_widths(snap)
     spans = np.zeros((times.size, 2))  # each row's width in its arm's column
     spans[np.arange(times.size), snap.event_stratum % 2] = widths
     # a block's conditional survival times the rows [1, w, w*z] sums the curve,
@@ -118,8 +124,6 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     weights = np.column_stack((np.ones((snap.z.shape[0], 2)), snap.z))
     sums = np.full((weights.shape[1], times.size), np.nan)
     mu_cond = {}
-    # each stratum's first event time, where its curve leaves 1; tau for a stratum without events
-    firsts = np.where(np.diff(bounds) > 0, np.append(times, snap.tau)[bounds[:-1]], snap.tau).reshape(-1, 2)
     for k in looks:
         lo, hi = bounds[2 * k:2 * k + 3:2].tolist()
         look_w = np.compress(snap.time[k] >= 0, weights[snap.offset[k]:], axis=0)  # its own trial's enrolled
@@ -241,9 +245,9 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
     n = arm_n.reshape(-1, 2).sum(axis=1)
     r0, r1 = adj.risk
     gamma_inc = arm_n[snap.event_stratum] * d / r0**2
-    q = _stratum_cumsum(snap, d[:, None] * r1 / (r0**2)[:, None])
+    q = _stratum_accumulate(snap, d[:, None] * r1 / (r0**2)[:, None])
     psi = look_sums(((adj.c1[:, None] * q - adj.hazard[:, None] * adj.c2) * adj.widths[:, None]).T, bounds)
-    tail = _stratum_cumsum(snap, adj.c1 * adj.widths, reverse=True)
+    tail = _stratum_accumulate(snap, adj.c1 * adj.widths, reverse=True)
     b1 = ((np.repeat(n, 2) / arm_n) * look_sums(gamma_inc * tail**2, bounds)).reshape(-1, 2)
     psi_diff = (psi[:, 1::2] - psi[:, ::2]).T[looks]
     out = np.full((4, n.size), np.nan)  # b10, b11, b3 and var_cond of each look
@@ -273,8 +277,9 @@ class Analyses:
     would meet it, decided here and nowhere else: an arm with no event by
     min(u, tau) (``InsufficientEventsError``), else the method's own error
     as given, else a delta or information that is not finite and positive
-    (``EstimationError``). ``delta`` and ``info`` are NaN where a look has
-    an error. :meth:`report` gives one look as the CLI prints it.
+    (``EstimationError``). ``delta`` and ``info`` are copies of the arrays
+    given, NaN where a look has an error. :meth:`report` gives one look as
+    the CLI prints it.
     """
 
     method: str
@@ -287,6 +292,7 @@ class Analyses:
     diagnostics: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.delta, self.info = np.array(self.delta, dtype=np.float64), np.array(self.info, dtype=np.float64)  # own
         empty = (np.diff(self.snap.stratum_rows).reshape(-1, 2) == 0).tolist()  # each look's arms without events
         errors = self.errors = list(self.errors)
         for k, (u, arms, delta, info) in enumerate(zip(self.snap.u.tolist(), empty, self.delta.tolist(),

@@ -6,16 +6,17 @@ classical variance built from remaining-area weights, with the arms
 treated as independent. Each arm's curve is read straight off the
 snapshot's event rows of that (look, arm) stratum: its distinct event
 times up to min(u, tau), their event counts and risk-set sizes. Every
-look of the snapshot is computed, one at a time.
+look of the snapshot is computed in one pass over the stacked event rows,
+each stratum's running products and sums taken over its own rows alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adjusted_rmst import Analyses
+from .adjusted_rmst import Analyses, _row_widths, _stratum_accumulate
 from .errors import InsufficientEventsError
-from .trial_data import Snapshot
+from .trial_data import Snapshot, look_sums
 
 __all__ = ["km_rmst_test"]
 
@@ -33,22 +34,15 @@ def km_rmst_test(snap: Snapshot) -> Analyses:
     ``InsufficientEventsError``; a look without an event in each arm has
     NaN means.
     """
-    mu, info = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan)
-    errors = [None] * snap.u.size
-    for k in np.flatnonzero(snap.events_in_every_stratum()).tolist():
-        var = 0.0
-        rows = snap.stratum_rows[2 * k:2 * k + 3].tolist()
-        for arm, (lo, hi) in enumerate(zip(rows, rows[1:])):
-            times, d, y = snap.event_times[lo:hi], snap.event_counts[lo:hi], snap.at_risk[lo:hi]
-            survival = np.cumprod(1.0 - d / y)
-            widths = np.diff(np.append(times, snap.tau))
-            mu[k, arm] = times[0] + survival @ widths
-            remaining = np.cumsum((survival * widths)[::-1])[::-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                noise = np.where(y > d, d / (y * (y - d)), 0.0)
-            var += float(np.sum(remaining**2 * noise))
-        if var <= 0:
-            errors[k] = InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
-        else:
-            info[k] = 1.0 / var
+    d, y, bounds = snap.event_counts, snap.at_risk, snap.stratum_rows
+    widths, firsts = _row_widths(snap)
+    area = _stratum_accumulate(snap, 1.0 - d / y, op=np.multiply) * widths  # under each row's step of the curve
+    remaining = _stratum_accumulate(snap, area, reverse=True)
+    both = snap.events_in_every_stratum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = look_sums(remaining**2 * np.where(y > d, d / (y * (y - d)), 0.0), bounds).reshape(-1, 2).sum(axis=1)
+        info = np.where(both & (var > 0), 1.0 / var, np.nan)
+    mu = np.where(both[:, None], firsts + look_sums(area, bounds).reshape(-1, 2), np.nan)
+    errors = [InsufficientEventsError("degenerate variance: both risk sets exhausted at tau") if degenerate else None
+              for degenerate in (both & (var <= 0)).tolist()]
     return Analyses("km", snap, mu[:, 1] - mu[:, 0], info, errors, mu)

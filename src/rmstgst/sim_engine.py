@@ -456,7 +456,9 @@ class OperatingCharacteristics:
     spending step's grid fails with ``ConfigError``. ``estimates`` and
     ``info_levels`` hold each method's delta and information, (reps,
     stages), NaN where an analysis failed. ``phase_seconds`` holds the
-    wall seconds of the replicate ``analyses`` and of their ``monitoring``.
+    wall seconds of the replicate ``analyses`` and of their ``monitoring``;
+    within the analyses, those of the ``draws`` and snapshots and of each
+    method's calls, under its name, summed over the worker processes.
     """
 
     scenario: SimScenario
@@ -503,14 +505,17 @@ def _study_worker(scn, master_seed, reps_slice, times, methods):
     grouping. Where an analysis fails, info and delta are NaN and
     ``failed`` holds the class name of its error; a replicate that cannot
     be drawn, or has nobody enrolled at any look, fails at every look with
-    ``DataError``, as its snapshot alone would.
+    ``DataError``, as its snapshot alone would. ``seconds`` holds the wall
+    seconds of the draws and snapshots, then of each method's calls.
     """
     n_looks = len(times)
     infos = np.full((len(reps_slice), n_looks, len(methods)), np.nan)
     deltas = np.full_like(infos, np.nan)
     failed = np.full(infos.shape, None, dtype=object)
+    seconds = np.zeros(1 + len(methods))
     size = max(1, _GROUP_PLACES // (n_looks * 2 * scn.n_per_arm))
     for start in range(0, len(reps_slice), size):
+        clock = time.perf_counter()
         rows, trials = [], []
         for i in range(start, min(start + size, len(reps_slice))):
             try:
@@ -523,22 +528,27 @@ def _study_worker(scn, master_seed, reps_slice, times, methods):
         except DataError:
             failed[rows] = "DataError"
             continue
+        finally:
+            seconds[0] += time.perf_counter() - clock
         rows = np.array(rows)
         at = np.repeat(rows, n_looks), np.tile(np.arange(n_looks), rows.size)  # the snapshot's looks in order
         for m, method in enumerate(methods):
+            clock = time.perf_counter()
             analyses = METHODS[method](snap)
+            seconds[1 + m] += time.perf_counter() - clock
             infos[:, :, m][at], deltas[:, :, m][at] = analyses.info, analyses.delta
             failed[:, :, m][at] = [error and type(error).__name__ for error in analyses.errors]
         failed[rows[~snap.stratum_n.reshape(rows.size, -1).any(axis=1)]] = "DataError"  # nobody enrolled
         snap = analyses = None  # let this group's layouts go before the next is drawn
-    return infos, deltas, failed
+    return infos, deltas, failed, seconds
 
 
 def _map_replicates(scn, master_seed, reps, threads, times, methods):
     """Run ``_study_worker`` over the replicates, serially or across processes.
 
     Results are identical for any thread count: replicates own their
-    seed streams and results are reassembled in replicate order. The pool
+    seed streams and results are reassembled in replicate order; the
+    workers' ``seconds`` are summed, over processes too. The pool
     starts no more processes than there are CPUs or chunks of replicates,
     and only a run across processes loads it and ``multiprocessing``.
     """
@@ -556,7 +566,8 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods):
         chunks = [all_reps[i:i + chunk] for i in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(worker, chunks))
-    return tuple(np.concatenate(cols, axis=0) for cols in zip(*parts))
+    infos, deltas, failed, seconds = zip(*parts)
+    return *(np.concatenate(cols, axis=0) for cols in (infos, deltas, failed)), np.sum(seconds, axis=0)
 
 
 def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCalibration,
@@ -586,8 +597,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     times = calib.analysis_times
     n_stage = len(times)
     clock = time.perf_counter()
-    infos, deltas, failed = _map_replicates(scn, master_seed, reps, threads, times, methods)
-    seconds = {"analyses": time.perf_counter() - clock}
+    infos, deltas, failed, worker_seconds = _map_replicates(scn, master_seed, reps, threads, times, methods)
+    seconds = {"analyses": time.perf_counter() - clock, **dict(zip(("draws", *methods), worker_seconds.tolist()))}
     clock = time.perf_counter()
     cumulative, mc_se, failures, failures_by_type, failures_by_stage = {}, {}, {}, {}, {}
     for m, method in enumerate(methods):

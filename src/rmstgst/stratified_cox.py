@@ -60,26 +60,27 @@ class CoxFits:
 class SharedBaseline:
     """A snapshot's looks under one baseline hazard, the arm the first covariate.
 
-    Its event rows are each look's distinct event times of either arm, the counts added; row i reads each arm's
-    stratum at its ``at_risk[:, i]`` places, as the snapshot's ``risk_index`` does. The rest is as a
-    :class:`Snapshot`'s."""
+    Its event rows are the snapshot's own, each arm's distinct event times by look. Row i reads each arm's stratum
+    at its ``at_risk[:, i]`` places, as the snapshot's ``risk_index`` does: its own arm's are the snapshot's
+    ``at_risk[i]``, the other arm's those followed at least to its time. Under Breslow's rule for ties a time
+    with events in both arms is then two rows, each with the pooled risk set, whose terms add to the one row of
+    that time in a pooled layout. The rest is as a :class:`Snapshot`'s."""
 
     def __init__(self, snap: Snapshot):
         self.snap, self.u, self.tau = snap, snap.u, snap.tau
-        # (look, time) as look + i time: complex numbers sort by real part, then by imaginary part
-        key, pooled = np.unique(snap.event_stratum // 2 + 1j * snap.event_times, return_inverse=True)
-        self.event_counts, look = np.bincount(pooled, snap.event_counts, key.size), key.real.astype(np.int64)
-        self.look_rows = np.searchsorted(look, np.arange(snap.u.size + 1))
+        self.event_counts, self.event_stratum, self.look_rows = snap.event_counts, snap.event_stratum, snap.look_rows
         arm1 = look_sums(snap.event_counts, snap.stratum_rows)[1::2]  # the treatment arm's events
         self.event_z_total = np.column_stack((arm1, snap.event_z_total))
         self.upper = np.triu_indices(self.event_z_total.shape[1])
-        stratum = 2 * look + [[0], [1]]  # each row's two strata
-        # each look's arms by follow-up, as stratum + i time, ascending; those at risk at a row follow its place
-        xs = np.take_along_axis(snap.arm_times(), snap.orders, axis=2)
-        self.at_risk = (stratum + 1) * xs.shape[2] - np.searchsorted(
-            (np.arange(2 * snap.u.size).reshape(-1, 2, 1) + 1j * xs).ravel(), stratum + 1j * key.imag)
+        s, m = snap.stratum_times.shape
+        own, other = snap.event_stratum, snap.event_stratum ^ 1
+        # the other arm's places from the first followed to the row's time on: strata as stratum + i time, ascending
+        other_n = (other + 1) * m - np.searchsorted((np.arange(s)[:, None] + 1j * snap.stratum_times).ravel(),
+                                                    other + 1j * snap.event_times)
+        self.at_risk = np.where(own % 2, (other_n, snap.at_risk), (snap.at_risk, other_n))
+        stratum = own - own % 2 + [[0], [1]]  # each row's two strata
         self.risk_index = stratum * snap.risk_cols[0].size + np.maximum(self.at_risk - 1, 0)
-        self.row_look, self.live = look, self.at_risk > 0
+        self.live = self.at_risk > 0  # False where the other arm has nobody at risk
 
 
 def _score_info(snap, beta: np.ndarray, lo: int = 0):
@@ -96,7 +97,12 @@ def _score_info(snap, beta: np.ndarray, lo: int = 0):
     base, strata = snap.snap if shared else snap, slice(2 * lo, 2 * (lo + looks))
     c, m, p = *base.risk_cols.shape[1:], base.z.shape[1]
     w = np.einsum("spm,sp->sm", base.risk_cols[strata, 1:p + 1], np.repeat(beta[:, shared:], 2, axis=0))  # predictors
+    if shared:
+        w[1::2] += beta[:, :1]  # gamma, the treatment arm's
     shift = w.max(axis=1)
+    if shared:  # the larger of a look's two shifts; a stratum without subjects keeps its own and weighs 0
+        real = base.stratum_n[strata] > 0
+        shift = np.where(real, np.repeat(np.where(real, shift, -np.inf).reshape(-1, 2).max(axis=1), 2), shift)
     w = np.exp(np.subtract(w, shift[:, None], out=w), out=w)
     w *= base.risk_cols[strata, 0]  # 0 on padding
     sums = w[:, None, :] * base.risk_cols[strata]
@@ -105,18 +111,14 @@ def _score_info(snap, beta: np.ndarray, lo: int = 0):
     rows = slice(bounds[0], bounds[-1])
     # a row's risk set is the first at_risk places of each column of its stratum
     columns, index = (np.arange(c) * m)[:, None], snap.risk_index[..., rows] - 2 * lo * c * m
-    if shared:  # both arms' sums, the treatment arm's times exp(gamma), under their look's larger shift
-        arm_shift = np.where(base.stratum_n[strata] > 0, shift, -np.inf).reshape(-1, 2)  # an arm without subjects
-        arm_shift[:, 1] += beta[:, 0]
-        top, look = arm_shift.max(axis=1), snap.row_look[rows] - lo
-        top[top == -np.inf] = 0.0  # a look without subjects has no rows
-        scale = np.exp(arm_shift - top[:, None])[look].T * snap.live[:, rows]  # 0 for an arm with nobody at risk
-        both, treated = (np.take(sums, columns + i) * by for i, by in zip(index, scale))
-        both += treated
+    if shared:  # both arms' sums, under their look's shift; 0 for an arm with nobody at risk
+        arms = np.take(sums, columns[:, None] + index)
+        arms *= snap.live[:, rows]
+        both, treated = np.add(arms[:, 0], arms[:, 1], out=arms[:, 0]), arms[:, 1]
         sums = np.concatenate((both[:1], treated[:1], both[1:p + 1], treated[:p + 1], both[p + 1:]))
-        row_shift = top[look]
     else:
-        sums, row_shift = np.take(sums, columns + index), shift[snap.event_stratum[rows] - 2 * lo]
+        sums = np.take(sums, columns + index)
+    row_shift = shift[snap.event_stratum[rows] - 2 * lo]
     r0, d = sums[0].copy(), snap.event_counts[rows]
     # r0 can underflow to 0 at extreme trial steps; the resulting
     # -inf/nan log likelihood makes the Newton loop halve the step.

@@ -240,14 +240,14 @@ class Snapshot:
     layout of all looks serves the Cox fit, the variance and Kaplan-Meier,
     which reads only the event rows: each (look, arm) is a stratum,
     look-major, holding the arm's subjects by capped follow-up (one stable
-    sort per look and arm, ``orders`` (L, 2, m) of columns), padded in
-    front to the largest stratum's size m. ``risk_cols`` stores the
-    columns ``[1, z, z (x) z]``, the last as its upper triangle, of the s
-    strata longest follow-up first, (s, columns, m); the first is 0 on
-    padding, where the others repeat a real subject so each stratum's
-    largest linear predictor is real, and one cumulative sum along the
-    last axis, weighted by the first column, gives every risk-set sum
-    without crossing a stratum. Event rows, one per stratum and distinct
+    sort per look and arm), padded in front to the largest stratum's size
+    m; ``stratum_times`` (s, m) keeps that follow-up, ascending, -1 on
+    padding. ``risk_cols`` stores the columns ``[1, z, z (x) z]``, the
+    last as its upper triangle, of the s strata longest follow-up first,
+    (s, columns, m); the first is 0 on padding, where the others repeat a
+    real subject so each stratum's largest linear predictor is real, and
+    one cumulative sum along the last axis, weighted by the first column,
+    gives every risk-set sum without crossing a stratum. Event rows, one per stratum and distinct
     event time up to ``min(u, tau)``, carry ``event_stratum``,
     ``event_times``, ``event_counts``, ``at_risk``, the prefix of the
     stratum's places that is the row's risk set, and ``risk_index``, its
@@ -257,20 +257,22 @@ class Snapshot:
     the upper triangle of a p x p matrix.
     """
 
-    __slots__ = ("u", "tau", "arm", "time", "event", "z", "offset", "orders", "stratum_n", "risk_cols",
+    __slots__ = ("u", "tau", "arm", "time", "event", "z", "offset", "stratum_times", "stratum_n", "risk_cols",
                  "risk_index", "event_stratum", "event_times", "event_counts", "at_risk", "stratum_rows",
                  "look_rows", "event_z_total", "upper")
 
     def __init__(self, u, tau, arm, time, event, z, offset):
         self.u, self.tau, self.arm, self.time, self.event, self.z, self.offset = u, tau, arm, time, event, z, offset
-        (looks, _), p, s = time.shape, z.shape[1], 2 * time.shape[0]
-        keys = self.arm_times()
+        (looks, n), p, s = time.shape, z.shape[1], 2 * time.shape[0]
+        # each look's capped follow-up per arm, (L, 2, n): -1 in the columns of the other arm and past its trial
+        arms = np.take(arm, offset[:, None] + np.arange(n), mode="clip")
+        keys = np.where(arms[:, None] == np.arange(2)[:, None], time[:, None], -1.0)
         m = int(np.count_nonzero(keys >= 0, axis=2).max())  # the largest stratum's size
         # one stable sort per look and arm, those not enrolled or of the other arm first, cropped to m places
-        self.orders = np.argsort(keys, axis=2, kind="stable")[..., keys.shape[2] - m:].copy()
-        xs = np.take_along_axis(keys, self.orders, axis=2).reshape(s, m)  # capped follow-up, ascending; -1 padding
-        hit = (np.take_along_axis(event[:, None], self.orders, axis=2) != 0).reshape(s, m)  # events
-        slot = (self.orders + offset[:, None, None]).reshape(s, m)  # the subjects, of the look's own trial
+        orders = np.argsort(keys, axis=2, kind="stable")[..., n - m:].copy()
+        xs = self.stratum_times = np.take_along_axis(keys, orders, axis=2).reshape(s, m)
+        hit = (np.take_along_axis(event[:, None], orders, axis=2) != 0).reshape(s, m)  # events
+        slot = (orders + offset[:, None, None]).reshape(s, m)  # the subjects, of the look's own trial
         self.stratum_n = np.count_nonzero(xs >= 0, axis=1)
         # events in range by stratum then time; each stratum's distinct event time is one event row
         pos = np.flatnonzero(hit & (xs >= 0) & (xs <= np.repeat(np.minimum(u, tau), 2)[:, None]))
@@ -302,11 +304,6 @@ class Snapshot:
             np.multiply(zr[:, a], zr[:, b], out=cols[:, j])
         # a row's risk set is the first at_risk places of each of its stratum's columns
         self.risk_index = self.event_stratum * self.risk_cols[0].size + self.at_risk - 1
-
-    def arm_times(self) -> np.ndarray:
-        """Each look's capped follow-up per arm, (L, 2, n_max), -1 in the columns of the other arm."""
-        arm = np.take(self.arm, self.offset[:, None] + np.arange(self.time.shape[1]), mode="clip")
-        return np.where(arm[:, None] == np.arange(2)[:, None], self.time[:, None], -1.0)
 
     def events_in_every_stratum(self) -> np.ndarray:
         """Per look, whether each arm has an event by ``min(u, tau)``."""

@@ -561,6 +561,13 @@ class TestAnalyze:
         with pytest.raises(EstimationError, match="must be finite"):
             analyses.report(0)
 
+    def test_leaves_the_callers_arrays_alone(self):
+        # a look that fails turns NaN in the analyses' own arrays, not in those it was given (a fit's beta, say)
+        beta, info = np.array([[0.3, 1.0]]), np.array([-1.0])
+        analyses = Analyses("cox", toy_snapshot(), beta[:, 0], info, [None])
+        assert type(analyses.errors[0]) is EstimationError and np.isnan(analyses.delta[0])
+        assert beta.tolist() == [[0.3, 1.0]] and info.tolist() == [-1.0]
+
     def test_scaling_relations(self):
         snap = toy_snapshot()
         analyses = analyze(snap)
@@ -652,11 +659,13 @@ class TestStackedLooks:
         snap = snapshot(trial, u=[0.001, 0.12, 0.5, 1.0], tau=1.0)  # empty strata at the first two looks
         assert not snap.events_in_every_stratum()[:2].any()
         values = np.random.default_rng(3).uniform(size=(snap.event_times.size, 2))
-        forward = adjusted_rmst._stratum_cumsum(snap, values)
-        backward = adjusted_rmst._stratum_cumsum(snap, values, reverse=True)
+        forward = adjusted_rmst._stratum_accumulate(snap, values)
+        backward = adjusted_rmst._stratum_accumulate(snap, values, reverse=True)
+        product = adjusted_rmst._stratum_accumulate(snap, values, op=np.multiply)  # Kaplan-Meier's curve
         for lo, hi in zip(snap.stratum_rows[:-1], snap.stratum_rows[1:]):
             np.testing.assert_array_equal(forward[lo:hi], np.cumsum(values[lo:hi], axis=0))
             np.testing.assert_array_equal(backward[lo:hi], np.cumsum(values[lo:hi][::-1], axis=0)[::-1])
+            np.testing.assert_array_equal(product[lo:hi], np.cumprod(values[lo:hi], axis=0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self):

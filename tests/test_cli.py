@@ -778,9 +778,12 @@ class TestCalibrateAndSimulate:
         assert manifest["failures"] == {"adjusted": 6, "km": 6, "cox": 6}
         assert manifest["failures_by_type"] == {m: {"InsufficientEventsError": 6} for m in ("adjusted", "km", "cox")}
         assert manifest["failures_by_stage"] == {m: [6, 0] for m in ("adjusted", "km", "cox")}
-        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "monitoring"}
-        assert manifest["phase_seconds"]["calibration"] == 0.0  # --calibration given
-        assert all(v > 0 for k, v in manifest["phase_seconds"].items() if k != "calibration")
+        phases = manifest["phase_seconds"]
+        assert set(phases) == {"calibration", "analyses", "draws", "adjusted", "km", "cox", "monitoring"}
+        assert phases["calibration"] == 0.0  # --calibration given
+        assert all(v > 0 for k, v in phases.items() if k != "calibration")
+        # one process: the draws and the methods' calls are parts of the analyses' wall time
+        assert sum(phases[k] for k in ("draws", "adjusted", "km", "cox")) <= phases["analyses"]
 
     def test_simulate_effect_null_and_trace(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
@@ -809,7 +812,7 @@ class TestCalibrateAndSimulate:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["inputs"]["calibration"]["path"] == str(out_dir / "calibration.json")
-        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "monitoring"}
+        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "draws", "adjusted", "monitoring"}
         assert all(v > 0 for v in manifest["phase_seconds"].values())
 
     def test_simulate_guards(self, calib_setup, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,10 @@ from conftest import arm_rows, monotone_trial, sim_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmstgst.adjusted_rmst import analyze
+from rmstgst.adjusted_rmst import Analyses, analyze
 from rmstgst.errors import DataError, InsufficientEventsError, RmstgstError
 from rmstgst.km_rmst import km_rmst_test
-from rmstgst.sim_engine import SimScenario
+from rmstgst.sim_engine import SimScenario, _rng_for_replicate, draw_trial
 from rmstgst.trial_data import snapshot, snapshot_from_arrays
 
 
@@ -177,6 +180,76 @@ class TestStackedLooks:
                 assert u == 0.001
                 continue
             assert got == km_outcome(alone, 0)  # bit for bit, or the same error class
+
+
+def km_reference(snap):
+    """Kaplan-Meier at every look by a loop over the looks and arms, each arm's curve from its own rows: a
+    product-limit ``cumprod``, the mean a dot product, the remaining area a reversed ``cumsum``."""
+    mu, info = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan)
+    errors = [None] * snap.u.size
+    for k in np.flatnonzero(snap.events_in_every_stratum()).tolist():
+        var = 0.0
+        for arm in (0, 1):
+            rows = arm_rows(snap, k, arm)
+            times, d, y = snap.event_times[rows], snap.event_counts[rows], snap.at_risk[rows]
+            survival = np.cumprod(1.0 - d / y)
+            widths = np.diff(np.append(times, snap.tau))
+            mu[k, arm] = times[0] + survival @ widths
+            remaining = np.cumsum((survival * widths)[::-1])[::-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                noise = np.where(y > d, d / (y * (y - d)), 0.0)
+            var += float(np.sum(remaining**2 * noise))
+        if var <= 0:
+            errors[k] = InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
+        else:
+            info[k] = 1.0 / var
+    return Analyses("km", snap, mu[:, 1] - mu[:, 0], info, errors, mu)
+
+
+class TestOnePassMatchesLookLoop:
+    """One pass over the stacked event rows gives every look the errors, NaN, means and information of a loop
+    over the looks and arms, ``mu`` and ``info`` within RTOL relative (the worst seen is 5e-16) and ``delta``
+    within RTOL tau."""
+
+    RTOL = 1e-14
+    DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+    def check(self, snap):
+        got, want = km_rmst_test(snap), km_reference(snap)
+        assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+        for name in ("mu", "info"):  # NaN at the same looks
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(got.delta, want.delta, rtol=0, atol=self.RTOL * snap.tau)
+        return got
+
+    def test_stacked_simulation_group(self):
+        scn = SimScenario.read(self.DATA / "sim_scenario.json")
+        calib = json.loads((self.DATA / "sim_calibration.json").read_text())
+        scn = replace(scn, log_rate_ratio=calib["power"]["log_rate_ratio"])
+        for group in range(2):
+            trials = [draw_trial(scn, _rng_for_replicate(5, rep)) for rep in range(8 * group, 8 * group + 8)]
+            got = self.check(snapshot(trials, u=calib["analysis_times"], tau=scn.tau))
+            assert all(error is None for error in got.errors)
+
+    def test_calibration_grid(self):
+        scn = SimScenario.read(self.DATA / "cal_scenario.json")
+        grid = np.append(np.arange(0.1, scn.total_duration - 1e-9, 0.1), scn.total_duration)
+        for rep in range(3):
+            got = self.check(snapshot(draw_trial(scn, _rng_for_replicate(4, rep)), u=grid, tau=scn.tau))
+            assert got.errors.count(None) >= 25
+
+    def test_odd_looks(self):
+        looks = [0.001, 0.12, 0.2, 0.58, *np.round(np.arange(6, 31) * 0.1, 10)]
+        snap = snapshot(monotone_trial(), u=looks, tau=1.0)
+        assert snap.event_stratum[snap.at_risk == snap.event_counts].size  # exhausted risk sets
+        assert (np.diff(snap.stratum_rows) == 1).any()  # a stratum of one event row
+        assert snap.events_in_every_stratum().tolist()[:3] == [False, False, True]  # nobody, then arm 1 none
+        got = self.check(snap)
+        assert np.isnan(got.mu[:2]).all() and np.isfinite(got.mu[2:]).all()
+
+    def test_both_risk_sets_exhausted(self):
+        got = self.check(two_arm_snapshot([1.0, 0.5], [1, 0], [2.0], [1]))
+        assert type(got.errors[0]) is InsufficientEventsError and np.isfinite(got.mu).all()
 
 
 class TestProperties:

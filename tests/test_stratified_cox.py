@@ -472,9 +472,13 @@ class TestOnePassMatchesPerArmReference:
         assert loglik == pytest.approx(ref_loglik, rel=rel, abs=rel * events * (lp_max + math.log(len(rows))))
         for a in (0, 1) if not pooled else ():
             np.testing.assert_allclose(breslow(snap, beta, a).increments, ref_increments[a], rtol=rel)
-        if pooled:  # the shared baseline jumps at every event row, by its count over the pooled risk sum
+        if pooled:  # the shared baseline jumps at every event time, by its rows' counts over the pooled risk sum
             r0 = fits_at(snap, beta).risk_sums()[0]
-            np.testing.assert_allclose(snap.event_counts / r0, ref_increments[0], rtol=rel)
+            _, time_of_row = np.unique(snap.snap.event_times, return_inverse=True)  # one row per arm with events
+            jumps = np.bincount(time_of_row, snap.event_counts / r0)
+            np.testing.assert_allclose(jumps, ref_increments[0], rtol=rel)
+            np.testing.assert_allclose(r0, (np.bincount(time_of_row, snap.event_counts) / jumps)[time_of_row],
+                                       rtol=rel)  # the arms' rows of a tied time share the pooled risk set
             assert ref_increments[1].size == 0
 
 

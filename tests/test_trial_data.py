@@ -365,7 +365,7 @@ class TestSnapshot:
         trials = [draw_trial(scn, np.random.default_rng(rep)) for rep in range(reps)]
         stack = snapshot(trials, u=np.linspace(scn.total_duration / looks, scn.total_duration, looks), tau=1.0)
         assert stack.time.shape == stack.event.shape == (reps * looks, n)
-        assert stack.orders.shape[:2] == (reps * looks, 2) and stack.orders.shape[2] <= n
+        assert stack.stratum_times.shape[0] == 2 * reps * looks and stack.stratum_times.shape[1] <= n
         assert stack.risk_cols.shape[0] == 2 * reps * looks and stack.risk_cols.shape[2] <= n
 
     @pytest.mark.parametrize("trials", [[], [make_trial((0, 0.0, 1.0, 1, (0.0,))),
