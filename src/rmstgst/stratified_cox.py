@@ -11,8 +11,9 @@ A snapshot's looks are fitted together: one Newton iteration steps every
 look's coefficients at once, each look reducing only its own strata, so a
 look's fit is the same whatever other looks share its snapshot. The fit
 is one :class:`CoxFits`, whose arrays hold every look's results side by
-side. The shared-baseline case (the arm a covariate) adds the arms'
-stratum sums at each event time, so it needs no layout of its own.
+side. The shared-baseline case (the arm a covariate) keeps the
+snapshot's event rows and adds both arms' stratum sums at each, so it
+needs no layout of its own (ties across arms: :class:`SharedBaseline`).
 """
 
 from __future__ import annotations
