@@ -292,7 +292,7 @@ class Analyses:
     diagnostics: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.delta, self.info = np.array(self.delta, dtype=np.float64), np.array(self.info, dtype=np.float64)  # own
+        self.delta, self.info = np.array(self.delta, dtype=np.float64), np.array(self.info, dtype=np.float64)
         empty = (np.diff(self.snap.stratum_rows).reshape(-1, 2) == 0).tolist()  # each look's arms without events
         errors = self.errors = list(self.errors)
         for k, (u, arms, delta, info) in enumerate(zip(self.snap.u.tolist(), empty, self.delta.tolist(),
