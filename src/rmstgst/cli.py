@@ -8,6 +8,9 @@ Commands:
   calibrate   calibrate a scenario's null offset, schedule, and power effect
   km-compare  run the adjusted and unadjusted analyses side by side
 
+A simulation takes two steps: ``rmstgst calibrate --out cal.json``, the only
+maker of calibration files, then ``rmstgst simulate --calibration cal.json``.
+
 ``analyze`` and ``km-compare`` take the same data flags and build the
 snapshot the same way; each analysis prints as its ``Analyses.report``
 dictionary. Every output file is written atomically by ``_write``; an
@@ -48,8 +51,6 @@ from .gs_design import (
 )
 from .km_rmst import km_rmst_test
 from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot, standardize_covariates
-
-DEFAULT_CALIBRATION_SEED = 20200920
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -288,36 +289,20 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim_engine import METHODS, Calibration, SimScenario, calibrate, check_methods, curve_table, run_study
+    from .sim_engine import METHODS, Calibration, SimScenario, check_methods, curve_table, run_study
 
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
     methods = check_methods(m for m in args.methods.split(",") if m)
     if not methods:
         raise ConfigError(f"--methods names no method; choose from {tuple(METHODS)}")
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
-
-    clock = time.perf_counter()
-    if args.calibration:
-        calib, calib_path = Calibration.read(args.calibration), args.calibration
-    elif args.no_calibrate:
-        raise ConfigError("--no-calibrate requires --calibration pointing at an existing file")
-    else:
-        calib = calibrate(
-            scn, reps=args.calib_reps, master_seed=args.calib_seed, threads=args.threads,
-            target_power=args.target_power, alpha=design.spending.alpha, sided=design.spending.sided,
-        )
-        calib_path = _write(os.path.join(args.out_dir, "calibration.json"), _json_text(calib.to_dict()) + "\n")
-    calibration_seconds = 0.0 if args.calibration else time.perf_counter() - clock
+    calib = Calibration.read(args.calibration)
     # no calibrated number depends on the scenario's own offset (both offsets are solved over it and information
     # is measured at the null), and --effect as-given simulates that offset
     differ = [f.name for f in fields(scn) if f.name != "log_rate_ratio"
               and getattr(scn, f.name) != getattr(calib.scenario, f.name)]
     if differ:
-        raise ConfigError(f"calibration {calib_path} was made for another scenario: {differ} differ from "
+        raise ConfigError(f"calibration {args.calibration} was made for another scenario: {differ} differ from "
                           f"{args.scenario}")
     if calib.info.fractions != design.planned_fractions:
         raise ConfigError(f"calibration fractions {calib.info.fractions} do not match the design's "
@@ -326,6 +311,10 @@ def cmd_simulate(args) -> int:
     if args.effect == "power" and (power.alpha, power.sided) != (spending.alpha, spending.sided):
         raise ConfigError(f"calibration power alpha {power.alpha} and sidedness {power.sided} do not match the "
                           f"design's alpha {spending.alpha} and sidedness {spending.sided}")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
 
     offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
               "power": power.log_rate_ratio}[args.effect]
@@ -364,14 +353,14 @@ def cmd_simulate(args) -> int:
         "inputs": {
             "scenario": {"path": args.scenario, "sha256": _sha256(args.scenario)},
             "design": {"path": args.design, "sha256": _sha256(args.design)},
-            "calibration": {"path": calib_path, "sha256": _sha256(calib_path)},
+            "calibration": {"path": args.calibration, "sha256": _sha256(args.calibration)},
         },
         "outputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in outputs.items()},
         "analysis_times": list(oc.analysis_times),
         "failures": dict(oc.failures),
         "failures_by_type": oc.failures_by_type,
         "failures_by_stage": oc.failures_by_stage,
-        "phase_seconds": {"calibration": calibration_seconds, **oc.phase_seconds},
+        "phase_seconds": oc.phase_seconds,
     }
     _write(os.path.join(args.out_dir, "manifest.json"), _json_text(manifest) + "\n")
 
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the analysis without touching monitoring state")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="estimate operating characteristics by simulation")
+    p = sub.add_parser("simulate", help="estimate operating characteristics under rmstgst calibrate's calibration")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--design", required=True, help="design JSON")
     p.add_argument("--reps", type=int, default=2000, help="simulation replicates")
@@ -466,22 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effect", choices=("as-given", "null", "power"), default="as-given",
                    help="simulate the scenario as given, at the calibrated null, "
                         "or at the calibrated power effect")
-    p.add_argument("--calibration", help="reuse an existing calibration JSON")
-    p.add_argument("--no-calibrate", action="store_true",
-                   help="fail instead of calibrating when --calibration is missing")
-    p.add_argument("--calib-reps", type=int, default=1000, help="calibration replicates")
-    p.add_argument("--calib-seed", type=int, default=DEFAULT_CALIBRATION_SEED,
-                   help="master seed for calibration replicates (keep distinct "
-                        "from --seed)")
-    p.add_argument("--target-power", type=float, default=0.80,
-                   help="target power for the calibrated effect size")
+    p.add_argument("--calibration", required=True,
+                   help="calibration JSON of the scenario: rmstgst calibrate --out cal.json, then "
+                        "rmstgst simulate --calibration cal.json")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="calibrate null offset, schedule, and power effect")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--reps", type=int, default=1000, help="calibration replicates")
-    p.add_argument("--seed", type=int, default=DEFAULT_CALIBRATION_SEED, help="master seed")
+    p.add_argument("--seed", type=int, default=20200920, help="master seed")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: RMSTGST_THREADS or 1)")
     p.add_argument("--target-power", type=float, default=0.80,
@@ -509,10 +492,9 @@ def main(argv=None) -> int:
     try:
         if args.command in ("simulate", "calibrate"):
             args.threads = _threads(args.threads)
-            for flag, seed in (("--seed", args.seed), ("--calib-seed", getattr(args, "calib_seed", 0))):
-                if seed < 0:
-                    raise ConfigError(f"{flag} must be >= 0, got {seed}")
-            if args.command == "simulate" and args.reps < 1:  # before an inline calibration, not after it
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            if args.command == "simulate" and args.reps < 1:  # before any output exists
                 raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         return args.func(args)
     except RmstgstError as exc:

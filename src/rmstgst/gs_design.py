@@ -208,12 +208,12 @@ class _Stages(NamedTuple):
         return both.take(order)
 
 
-def _crossing(prev: _Stages, fraction: np.ndarray, critical: np.ndarray, sided: str):
-    """Null probability of first crossing at each replicate's stage, given the density it starts from, and
-    its slope in the critical value: two arrays."""
+def _crossing(prev: _Stages, critical: np.ndarray, sided: str):
+    """Null probability of first crossing at each replicate's stage, at critical values ``critical``, given
+    the density it starts from, and its slope in the critical value: two arrays."""
     if not prev.x.size:
         return np.zeros(0), np.zeros(0)
-    counts, sd, sigma = prev.bounds[1:] - prev.bounds[:-1], np.sqrt(fraction), np.sqrt(fraction - prev.before)
+    counts, sd, sigma = prev.bounds[1:] - prev.bounds[:-1], np.sqrt(prev.fraction), np.sqrt(prev.fraction - prev.before)
     bound, scale = (critical * sd).repeat(counts), sigma.repeat(counts)
     upper = (prev.x - bound) / scale
     cross, dens = ndtr(upper), _normal_pdf(upper)
@@ -293,26 +293,26 @@ def _density_after(stages: _Stages, sided: str, fractions) -> tuple[_Stages, dic
     return points.put(steps[fits], grids).take(np.delete(np.arange(n), steps[~fits])), errors
 
 
-def _solve_critical(prev: _Stages, fraction: np.ndarray, target: np.ndarray, spent: np.ndarray,
-                    sided: str) -> np.ndarray:
-    """Critical values whose null crossing probabilities spend ``target - spent``, one a replicate."""
-    increment = target - spent
-    critical = np.full(fraction.size, math.inf)  # a rounding residue spends nothing
+def _solve_critical(start: _Stages, target: np.ndarray, sided: str) -> np.ndarray:
+    """Critical values whose null crossing probabilities take each replicate's spend ``start.spent`` to
+    ``target``, one a replicate."""
+    increment = target - start.spent
+    critical = np.full(increment.size, math.inf)  # a rounding residue spends nothing
     live = np.flatnonzero(increment > _SPEND_FLOOR + 1e-9 * target)
     # One-stage values for the whole target: a stage crosses at least target - spent there, a first stage exactly.
     critical[live] = [-ndtri(t / 2.0 if sided == "two_sided" else t) for t in target[live].tolist()]
-    rows = live[prev.before[live] > 0.0]
-    crosses = _crossing(prev.take(rows), fraction[rows], np.zeros(rows.size), sided)[0] <= increment[rows]
+    rows = live[start.before[live] > 0.0]
+    crosses = _crossing(start.take(rows), np.zeros(rows.size), sided)[0] <= increment[rows]
     critical[rows[crosses]] = 0.0
     rows = rows[~crosses]
-    prev, fraction, increment = prev.take(rows), fraction[rows], increment[rows]
+    prev, increment = start.take(rows), increment[rows]
     part = prev  # the densities of the rows still iterating, which only ever shrink
 
     def gap(c: np.ndarray, at: np.ndarray):
         nonlocal part
         if at.size < part.before.size:
             part = prev.take(at)
-        cross, slope = _crossing(part, fraction[at], c, sided)
+        cross, slope = _crossing(part, c, sided)
         return cross - increment[at], slope
 
     critical[rows] = _find_root(gap, np.zeros(rows.size), np.full(rows.size, 40.0),
@@ -379,8 +379,8 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
         decisions[steps[j]] = error
     rows = np.delete(steps, list(errors))
     target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in start.fraction.tolist()])
-    critical = _solve_critical(start, start.fraction, target, start.spent, spending.sided)
-    spent = start.spent + _crossing(start, start.fraction, critical, spending.sided)[0]
+    critical = _solve_critical(start, target, spending.sided)
+    spent = start.spent + _crossing(start, critical, spending.sided)[0]
     exceeds = (np.abs(z[rows]) if spending.sided == "two_sided" else z[rows]) >= critical
     decisions[rows] = np.where(exceeds, "reject", "continue")
     return stages.put(rows, start._replace(critical=critical, spent=spent)), decisions

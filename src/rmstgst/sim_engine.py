@@ -75,6 +75,7 @@ _NORMAL_NODES = 80  # Gauss-Hermite atoms of the normal covariate
 _TIME_NODES = 48  # Gauss-Legendre nodes of the graded rule on [0, tau]
 _OFFSET_BRACKET = (-5.0, 5.0)  # treatment rate offsets bisected by the calibrations
 _GRID_STEP = 0.1  # step of the calendar grid on which calibration measures the information trajectory
+_ANALYZED_SHARE = 0.9  # share of replicates a grid time or a comparator's trial end needs analyzed in calibration
 _CURVE_POINTS = 200  # rows of the survival and hazard-ratio curve table
 
 
@@ -344,7 +345,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     comparators = tuple(m for m in METHODS if m != "adjusted")
     rows = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",))[0][:, :, 0]
     finals = _map_replicates(scn, master_seed, reps, threads, (total,), comparators)[0][:, 0]
-    enough = max(1, int(0.9 * reps))
+    enough = max(1, int(_ANALYZED_SHARE * reps))
     ok = np.sum(~np.isnan(rows), axis=0)
     usable = ok >= enough
     if not usable[-1]:
@@ -593,7 +594,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     methods = check_methods(methods)
     for m in methods:
         if m not in calib.i_max_by_method:
-            raise ConfigError(f"calibration lacks an information cap for method {m!r}")
+            raise ConfigError(f"calibration lacks an information cap for method {m!r}: calibrate gives a comparator "
+                              f"a cap only when at least {_ANALYZED_SHARE:.0%} of its trial-end analyses succeed")
     times = calib.analysis_times
     n_stage = len(times)
     clock = time.perf_counter()

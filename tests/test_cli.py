@@ -779,9 +779,8 @@ class TestCalibrateAndSimulate:
         assert manifest["failures_by_type"] == {m: {"InsufficientEventsError": 6} for m in ("adjusted", "km", "cox")}
         assert manifest["failures_by_stage"] == {m: [6, 0] for m in ("adjusted", "km", "cox")}
         phases = manifest["phase_seconds"]
-        assert set(phases) == {"calibration", "analyses", "draws", "adjusted", "km", "cox", "monitoring"}
-        assert phases["calibration"] == 0.0  # --calibration given
-        assert all(v > 0 for k, v in phases.items() if k != "calibration")
+        assert set(phases) == {"analyses", "draws", "adjusted", "km", "cox", "monitoring"}
+        assert all(v > 0 for v in phases.values())
         # one process: the draws and the methods' calls are parts of the analyses' wall time
         assert sum(phases[k] for k in ("draws", "adjusted", "km", "cox")) <= phases["analyses"]
 
@@ -803,27 +802,16 @@ class TestCalibrateAndSimulate:
         assert "trace" in manifest["outputs"]
         assert list(manifest["failures_by_stage"]) == ["adjusted"] and len(manifest["failures_by_stage"]["adjusted"]) == 2
 
-    def test_simulate_times_its_own_calibration(self, tmp_path, capsys):
-        out_dir = tmp_path / "calibrated"
-        code, _, _ = run_cli(
-            capsys, "simulate", "--scenario", scenario_file(tmp_path), "--design", design_file(tmp_path),
-            "--calib-reps", "100", "--reps", "1", "--out-dir", str(out_dir),
-        )
-        assert code == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["inputs"]["calibration"]["path"] == str(out_dir / "calibration.json")
-        assert set(manifest["phase_seconds"]) == {"calibration", "analyses", "draws", "adjusted", "monitoring"}
-        assert all(v > 0 for v in manifest["phase_seconds"].values())
-
     def test_simulate_guards(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
         design_path = design_file(tmp_path)
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", scn_path, "--design", design_path,
-            "--no-calibrate", "--reps", "5", "--out-dir", str(tmp_path / "g1"),
+            "--reps", "5", "--out-dir", str(tmp_path / "g1"),
         )
         assert code == 2
-        assert "--no-calibrate" in err
+        assert "the following arguments are required: --calibration" in err
+        assert not (tmp_path / "g1").exists()
 
         mismatched = design_file(tmp_path, fractions="0.25,1.0", name="mismatch.json")
         code, _, err = run_cli(
@@ -832,6 +820,7 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "do not match" in err
+        assert not (tmp_path / "g2").exists()
 
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", scn_path, "--design", design_path,
@@ -840,6 +829,7 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "unknown method" in err
+        assert not (tmp_path / "g3").exists()
 
     @pytest.mark.parametrize("methods", ["", ","])
     def test_simulate_empty_method_list_exit_2(self, methods, calib_setup, capsys):
@@ -853,26 +843,21 @@ class TestCalibrateAndSimulate:
         assert "--methods" in err
         assert not out_dir.exists()
 
-    def test_simulate_repeated_method_exit_2_before_calibrating(self, calib_setup, capsys, monkeypatch):
-        tmp_path, scn_path, _ = calib_setup
+    def test_simulate_repeated_method_exit_2(self, calib_setup, capsys):
+        tmp_path, scn_path, calib_path = calib_setup
         out_dir = tmp_path / "twice"
-
-        def calibrate(*args, **kwargs):
-            raise AssertionError("calibrated before the methods were checked")
-
-        monkeypatch.setattr(sim_engine, "calibrate", calibrate)
         code, out, err = run_cli(
             capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
-            "--reps", "2", "--methods", "adjusted,adjusted,km", "--out-dir", str(out_dir),
+            "--calibration", calib_path, "--reps", "2", "--methods", "adjusted,adjusted,km",
+            "--out-dir", str(out_dir),
         )
         assert_typed_error(code, err, 2)
         assert "'adjusted'" in err and "more than once" in err
         assert out == "" and not out_dir.exists()
 
-    @pytest.mark.parametrize("command, flag", [("calibrate", "--seed"), ("simulate", "--seed"),
-                                               ("simulate", "--calib-seed")])
+    @pytest.mark.parametrize("command, flag", [("calibrate", "--seed"), ("simulate", "--seed")])
     def test_negative_seed_exit_2_before_calibrating(self, command, flag, calib_setup, capsys, monkeypatch):
-        tmp_path, scn_path, _ = calib_setup
+        tmp_path, scn_path, calib_path = calib_setup
         out_dir = tmp_path / "negative_seed"
 
         def calibrate(*args, **kwargs):
@@ -881,7 +866,8 @@ class TestCalibrateAndSimulate:
         monkeypatch.setattr(sim_engine, "calibrate", calibrate)
         argv = [command, "--scenario", scn_path, flag, "-1"]
         if command == "simulate":
-            argv += ["--design", design_file(tmp_path), "--reps", "2", "--out-dir", str(out_dir)]
+            argv += ["--design", design_file(tmp_path), "--calibration", calib_path, "--reps", "2",
+                     "--out-dir", str(out_dir)]
         code, out, err = run_cli(capsys, *argv)
         assert_typed_error(code, err, 2)
         assert f"{flag} must be >= 0, got -1" in err
@@ -904,7 +890,7 @@ class TestCalibrateAndSimulate:
         )
         assert_typed_error(code, err, 2)
         assert calib_path in err and named in err
-        assert not (out_dir / "results.csv").exists()
+        assert not out_dir.exists()
 
     def test_calibration_ignores_the_scenario_log_rate_ratio(self, calib_setup, tmp_path, capsys):
         # no calibrated number depends on it, and --effect as-given simulates the scenario's own value
@@ -942,13 +928,13 @@ class TestCalibrateAndSimulate:
         out_dir = tmp_path / "zero_reps"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, _, err = run_cli(
+            code, out, err = run_cli(
                 capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
                 "--calibration", calib_path, "--reps", "0", "--out-dir", str(out_dir),
             )
         assert_typed_error(code, err, 2)
-        assert "reps" in err
-        assert not (out_dir / "results.csv").exists()
+        assert "--reps must be >= 1, got 0" in err
+        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("spending, named", [
         ({"alpha": 0.01}, "alpha 0.05 and sidedness two_sided do not match the design's alpha 0.01 and "
@@ -967,29 +953,13 @@ class TestCalibrateAndSimulate:
         )
         assert_typed_error(code, err, 2)
         assert f"calibration power {named}" in err
-        assert not (out_dir / "results.csv").exists()
+        assert not out_dir.exists()
         for effect in ("null", "as-given"):  # neither offset depends on the test
             code, _, err = run_cli(
                 capsys, "simulate", "--scenario", scn_path, "--design", design, "--calibration", calib_path,
                 "--reps", "2", "--effect", effect, "--out-dir", str(out_dir),
             )
             assert code == 0, err
-
-    def test_simulate_zero_reps_exit_2_before_calibrating(self, calib_setup, capsys, monkeypatch):
-        tmp_path, scn_path, _ = calib_setup
-        out_dir = tmp_path / "zero_reps_inline"
-
-        def calibrate(*args, **kwargs):
-            raise AssertionError("calibrated before --reps was checked")
-
-        monkeypatch.setattr(sim_engine, "calibrate", calibrate)
-        code, out, err = run_cli(
-            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
-            "--reps", "0", "--out-dir", str(out_dir),
-        )
-        assert_typed_error(code, err, 2)
-        assert "--reps must be >= 1, got 0" in err
-        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("broken", ["reps", "fractions", "power"])
     def test_malformed_calibration_exit_2(self, broken, calib_setup, tmp_path, capsys):
@@ -1008,6 +978,7 @@ class TestCalibrateAndSimulate:
         )
         assert code == 2
         assert "malformed calibration" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
     def test_bad_method_cap_exit_2(self, cap, calib_setup, tmp_path, capsys):
@@ -1023,6 +994,21 @@ class TestCalibrateAndSimulate:
         )
         assert_typed_error(code, err, 2)
         assert "i_max must be finite and > 0" in err
+
+    def test_calibration_without_a_comparator_cap_exit_2(self, calib_setup, tmp_path, capsys):
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(Path(calib_path).read_text())
+        del doc["i_max_by_method"]["cox"]
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(path), "--reps", "2", "--methods", "adjusted,cox",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert_typed_error(code, err, 2)
+        assert ("calibration lacks an information cap for method 'cox': calibrate gives a comparator a cap only "
+                "when at least 90% of its trial-end analyses succeed") in err
 
     @pytest.mark.parametrize("typo", ["n_per_am", "shape_ofset"])
     def test_unknown_scenario_key_exit_2(self, typo, calib_setup, tmp_path, capsys):

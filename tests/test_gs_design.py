@@ -32,7 +32,7 @@ def crossing_probabilities(fractions, criticals, sided="two_sided"):
     probs, stage = [], gs_design._Stages.first(1)
     for fraction, c in zip(fractions, map(float, criticals)):
         start, _ = gs_design._density_after(stage, sided, [fraction])
-        probs.append(gs_design._crossing(start, np.array([fraction]), np.array([c]), sided)[0][0])
+        probs.append(gs_design._crossing(start, np.array([c]), sided)[0][0])
         stage = start._replace(critical=np.array([c]), spent=start.spent + probs[-1])
     return np.asarray(probs)
 
