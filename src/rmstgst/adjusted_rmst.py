@@ -37,7 +37,6 @@ from .trial_data import Snapshot, look_sums
 
 __all__ = [
     "AdjustedSurvival",
-    "VarianceComponents",
     "Analyses",
     "adjusted_survival",
     "variance",
@@ -205,38 +204,15 @@ def _node_kernel(look_w: np.ndarray, eta: np.ndarray, hazard: np.ndarray, spans:
     return look_sum, cond_mu
 
 
-@dataclass(frozen=True)
-class VarianceComponents:
-    """Decomposition of the variance of the adjusted RMST difference.
-
-    ``b10``/``b11`` are the baseline-hazard noise contributions of arms
-    0 and 1, ``b3`` the shared-coefficient contribution, and
-    ``var_cond`` the covariate spread of the conditional RMST
-    difference. All are on the root-n scale: the variance of the
-    estimate itself is ``v_eta2 / n``. Each is an (L,) array over a
-    snapshot's looks, from :func:`variance`.
-    """
-
-    b10: np.ndarray
-    b11: np.ndarray
-    b3: np.ndarray
-    var_cond: np.ndarray
-
-    @property
-    def v_xi2(self):
-        return self.b10 + self.b11 + self.b3
-
-    @property
-    def v_eta2(self):
-        return self.v_xi2 + self.var_cond
-
-
-def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceComponents:
+def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> dict:
     """Variance components of the adjusted RMST difference at each look ``adj`` analyzed; NaN at the others.
 
-    Expects ``adj`` built from the same fits and snapshot, whose risk sums
-    it reuses. A look's total ``v_eta2`` scales its estimate's variance as
-    ``v_eta2 / n``.
+    Returns (L,) arrays under ``B10``/``B11``, the baseline-hazard noise
+    of arms 0 and 1, ``B3``, the shared-coefficient noise, and
+    ``var_cond``, the covariate spread of the conditional RMST difference.
+    All are on the root-n scale: their sum v_eta2 = B10 + B11 + B3 +
+    var_cond scales a look's estimate's variance as v_eta2 / n. Expects
+    ``adj`` built from the same fits and snapshot, whose risk sums it reuses.
     """
     looks = list(adj.mu_cond)
     bounds = snap.stratum_rows
@@ -250,7 +226,7 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
     tail = _stratum_accumulate(snap, adj.c1 * adj.widths, reverse=True)
     b1 = ((np.repeat(n, 2) / arm_n) * look_sums(gamma_inc * tail**2, bounds)).reshape(-1, 2)
     psi_diff = (psi[:, 1::2] - psi[:, ::2]).T[looks]
-    out = np.full((4, n.size), np.nan)  # b10, b11, b3 and var_cond of each look
+    out = np.full((4, n.size), np.nan)  # B10, B11, B3 and var_cond of each look
     out[:2, looks] = b1[looks].T
     out[2, looks] = 0.0
     if psi_diff.size:
@@ -262,7 +238,7 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> VarianceCo
         diff = np.concatenate(diffs)
         spread = diff - np.repeat(look_sums(diff, at) / n[looks], n[looks])
         out[3, looks] = look_sums(spread**2, at) / n[looks]
-    return VarianceComponents(*out)
+    return dict(zip(("B10", "B11", "B3", "var_cond"), out))
 
 
 @dataclass(eq=False)
@@ -271,8 +247,8 @@ class Analyses:
 
     ``delta`` and ``info`` (L,) hold each look's effect estimate and its
     information; ``mu`` (L, 2) the arms' restricted means, ``components``
-    the (L,) variance components and ``diagnostics`` per-look arrays of
-    the fit's Newton counts, where the method has them. ``errors[k]`` is
+    the variance components and ``diagnostics`` the fit's diagnostics,
+    each a dict of (L,) arrays, where the method has them. ``errors[k]`` is
     what keeps look k from a result, as a snapshot of that look alone
     would meet it, decided here and nowhere else: an arm with no event by
     min(u, tau) (``InsufficientEventsError``), else the method's own error
@@ -288,7 +264,7 @@ class Analyses:
     info: np.ndarray
     errors: list
     mu: np.ndarray | None = None
-    components: VarianceComponents | None = field(default=None, repr=False)
+    components: dict | None = field(default=None, repr=False)
     diagnostics: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -317,11 +293,9 @@ class Analyses:
         if self.mu is not None:
             out["mu0"], out["mu1"] = self.mu[k].tolist()
         out.update(delta=delta, se=1.0 / math.sqrt(info), z=delta * math.sqrt(info), info=info)
-        if self.components is not None:
-            b10, b11, b3, var_cond = (float(values[k]) for values in vars(self.components).values())
-            out["components"] = {"B10": b10, "B11": b11, "B3": b3, "var_cond": var_cond}
-        if self.diagnostics is not None:
-            out["diagnostics"] = {name: int(count[k]) for name, count in self.diagnostics.items()}
+        for block, arrays in (("components", self.components), ("diagnostics", self.diagnostics)):
+            if arrays is not None:
+                out[block] = {name: values[k].item() for name, values in arrays.items()}
         return out
 
 
@@ -338,6 +312,5 @@ def analyze(snap: Snapshot) -> Analyses:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         adj = adjusted_survival(snap, fits, [k for k, error in enumerate(fits.errors) if error is None])
         comp = variance(snap, fits, adj)
-        info = snap.stratum_n.reshape(-1, 2).sum(axis=1) / comp.v_eta2
-    return Analyses("adjusted", snap, adj.mu[:, 1] - adj.mu[:, 0], info, fits.errors, adj.mu, comp,
-                    {"iterations": fits.look_iterations, "step_halvings": fits.step_halvings})
+        info = snap.stratum_n.reshape(-1, 2).sum(axis=1) / (comp["B10"] + comp["B11"] + comp["B3"] + comp["var_cond"])
+    return Analyses("adjusted", snap, adj.mu[:, 1] - adj.mu[:, 0], info, fits.errors, adj.mu, comp, fits.diagnostics)

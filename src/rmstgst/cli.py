@@ -293,7 +293,7 @@ def cmd_simulate(args) -> int:
 
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
-    methods = check_methods(m for m in args.methods.split(",") if m)
+    methods = tuple(m for m in args.methods.split(",") if m)
     if not methods:
         raise ConfigError(f"--methods names no method; choose from {tuple(METHODS)}")
     calib = Calibration.read(args.calibration)
@@ -311,6 +311,7 @@ def cmd_simulate(args) -> int:
     if args.effect == "power" and (power.alpha, power.sided) != (spending.alpha, spending.sided):
         raise ConfigError(f"calibration power alpha {power.alpha} and sidedness {power.sided} do not match the "
                           f"design's alpha {spending.alpha} and sidedness {spending.sided}")
+    check_methods(methods, calib.info.i_max_by_method)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:

@@ -172,6 +172,7 @@ def _covariate_atoms(kind: str):
 
 
 def _atom_rates(scn: SimScenario, arm: int, atoms: np.ndarray) -> np.ndarray:
+    """One arm's Weibull rates at covariate rows ``atoms``: mixing atoms or drawn subjects."""
     lin = atoms @ scn.coefficients
     return scn.rate_base * np.exp(scn.log_rate_ratio * arm + lin)
 
@@ -225,8 +226,7 @@ def draw_trial(scn: SimScenario, rng) -> Trial:
     arms = []
     for arm in (0, 1):
         z = _draw_covariates(scn, n, rng)
-        rates = scn.rate_base * np.exp(scn.log_rate_ratio * arm + z @ scn.coefficients)
-        t = (-np.log1p(-rng.random(n)) / rates) ** (1.0 / scn.arm_shape(arm))
+        t = (-np.log1p(-rng.random(n)) / _atom_rates(scn, arm, z)) ** (1.0 / scn.arm_shape(arm))
         c = rng.exponential(1.0 / scn.censoring_rate, size=n) if scn.censoring_rate > 0 else np.inf
         entry = rng.uniform(0.0, scn.accrual, size=n) if scn.accrual > 0 else np.zeros(n)
         arms.append((np.full(n, arm), entry, np.minimum(t, c), t <= c, z))
@@ -280,14 +280,20 @@ def cox_hr_test(snap: Snapshot) -> Analyses:
     return Analyses("cox", snap, fits.beta[:, 0], info, fits.errors)
 
 
-def check_methods(methods) -> tuple[str, ...]:
-    """``methods`` as a tuple, each a name in ``METHODS`` named once; anything else raises ``ConfigError``."""
+def check_methods(methods, caps) -> tuple[str, ...]:
+    """``methods`` as a tuple of at least one name in ``METHODS``, each named once and with an information cap in
+    ``caps``; anything else raises ``ConfigError``."""
     methods = tuple(methods)
+    if not methods:
+        raise ConfigError(f"no method named; choose from {tuple(METHODS)}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if methods.count(m) > 1:
             raise ConfigError(f"method {m!r} is named more than once")
+        if m not in caps:
+            raise ConfigError(f"calibration lacks an information cap for method {m!r}: calibrate gives a comparator "
+                              f"a cap only when at least {_ANALYZED_SHARE:.0%} of its trial-end analyses succeed")
     return methods
 
 
@@ -462,11 +468,8 @@ class OperatingCharacteristics:
     method's calls, under its name, summed over the worker processes.
     """
 
-    scenario: SimScenario
     methods: tuple[str, ...]
     analysis_times: tuple[float, ...]
-    reps: int
-    master_seed: int
     cumulative_rejection: dict[str, tuple[float, ...]]
     mc_se: dict[str, tuple[float, ...]]
     failures: dict[str, int]
@@ -591,11 +594,7 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     """
     if reps < 1:
         raise ConfigError(f"simulation needs reps >= 1, got {reps}")
-    methods = check_methods(methods)
-    for m in methods:
-        if m not in calib.i_max_by_method:
-            raise ConfigError(f"calibration lacks an information cap for method {m!r}: calibrate gives a comparator "
-                              f"a cap only when at least {_ANALYZED_SHARE:.0%} of its trial-end analyses succeed")
+    methods = check_methods(methods, calib.i_max_by_method)
     times = calib.analysis_times
     n_stage = len(times)
     clock = time.perf_counter()
@@ -628,9 +627,8 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
         failures_by_stage[method] = by_stage
     seconds["monitoring"] = time.perf_counter() - clock
     return OperatingCharacteristics(
-        scenario=scn, methods=methods, analysis_times=times, reps=reps, master_seed=master_seed,
-        cumulative_rejection=cumulative, mc_se=mc_se, failures=failures, failures_by_type=failures_by_type,
-        failures_by_stage=failures_by_stage, phase_seconds=seconds,
+        methods=methods, analysis_times=times, cumulative_rejection=cumulative, mc_se=mc_se, failures=failures,
+        failures_by_type=failures_by_type, failures_by_stage=failures_by_stage, phase_seconds=seconds,
         estimates={m: deltas[:, :, i] for i, m in enumerate(methods)},
         info_levels={m: infos[:, :, i] for i, m in enumerate(methods)},
     )

@@ -33,22 +33,22 @@ class CoxFits:
     """The fits of every look of one snapshot, from one batched Newton iteration.
 
     Look k's coefficients are ``beta[k]``, its observed information there
-    ``info[k]`` and its log partial likelihood ``loglik[k]``; Newton took
-    ``look_iterations[k]`` steps and halved rejected ones
-    ``step_halvings[k]`` times. ``errors[k]`` is the error its fit met, as
-    a snapshot of that look alone would meet it, or None; ``iterations``
-    totals the Newton iterations of the looks that fit. The arms' Breslow
-    baseline hazards jump by each event row's count over its
+    ``info[k]`` and its log partial likelihood ``loglik[k]``; ``diagnostics``
+    holds (L,) arrays of each look's Newton steps, ``iterations``, and
+    halvings of rejected steps, ``step_halvings``. ``errors[k]`` is the error
+    its fit met, as a snapshot of that look alone would meet it, or None;
+    the property ``iterations`` totals the steps of the looks that fit. The
+    arms' Breslow baseline hazards jump by each event row's count over its
     :meth:`risk_sums` r0, at the arm's event times up to min(u, tau).
     """
 
-    def __init__(self, beta, info, loglik, iterations, step_halvings, errors, sums):
+    def __init__(self, beta, info, loglik, diagnostics, errors, sums):
         self.beta, self.info, self.loglik, self.sums = beta, info, loglik, sums
-        self.look_iterations, self.step_halvings, self.errors = iterations, step_halvings, errors
+        self.diagnostics, self.errors = diagnostics, errors
 
     @property
     def iterations(self) -> int:
-        return int(sum(it for it, err in zip(self.look_iterations.tolist(), self.errors) if err is None))
+        return int(sum(it for it, err in zip(self.diagnostics["iterations"].tolist(), self.errors) if err is None))
 
     def risk_sums(self):
         """Risk-set sums of exp(beta'Z) and exp(beta'Z) Z (rows, p) at every event row of the snapshot."""
@@ -214,4 +214,4 @@ def fit(snap: Snapshot | SharedBaseline, looks=None) -> CoxFits:
     converged = np.flatnonzero([err is None for err in errors])
     if p and converged.size:
         _eigh_nonsingular(info, converged, errors, active)
-    return CoxFits(beta, info, loglik, iterations, halvings, errors, sums)
+    return CoxFits(beta, info, loglik, {"iterations": iterations, "step_halvings": halvings}, errors, sums)

@@ -66,7 +66,7 @@ def look_fit(fits, k):
     if fits.errors[k] is not None:
         raise fits.errors[k]
     return SimpleNamespace(beta=fits.beta[k], info=fits.info[k], loglik=float(fits.loglik[k]),
-                           iterations=int(fits.look_iterations[k]), step_halvings=int(fits.step_halvings[k]))
+                           **{name: int(counts[k]) for name, counts in fits.diagnostics.items()})
 
 
 def height(step, t):

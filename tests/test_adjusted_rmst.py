@@ -244,14 +244,15 @@ class TestVariance:
         fits, adj, comp = stacked(snap)
         look = enrolled(snap)
         ref = naive_everything(look, fits.beta[0])
-        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-10)
-        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-10)
+        assert comp["B10"][0] == pytest.approx(ref[0]["b1"], rel=1e-10)
+        assert comp["B11"][0] == pytest.approx(ref[1]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
         b3 = look.n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
-        assert comp.b3[0] == pytest.approx(b3, rel=1e-10)
-        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-10)
-        assert comp.v_xi2[0] == pytest.approx(comp.b10[0] + comp.b11[0] + comp.b3[0], rel=1e-12)
-        assert comp.v_eta2[0] == pytest.approx(comp.v_xi2[0] + comp.var_cond[0], rel=1e-12)
+        assert comp["B3"][0] == pytest.approx(b3, rel=1e-10)
+        assert comp["var_cond"][0] == pytest.approx(ref["var_cond"], rel=1e-10)
+        # the information is n over the components' sum, added in this order, bit for bit
+        v_eta2 = ((comp["B10"] + comp["B11"]) + comp["B3"]) + comp["var_cond"]
+        assert analyze(snap).info[0] == look.n / v_eta2[0]
         for arm in (0, 1):
             np.testing.assert_allclose(adj.c1[arm_rows(snap, 0, arm)], ref[arm]["c1"], rtol=1e-10)
 
@@ -263,9 +264,9 @@ class TestVariance:
         snap = sim_snapshot(scn, seed=3, u=2.4)
         fits, adj, comp = stacked(snap)
         ref = naive_everything(enrolled(snap), fits.beta[0])
-        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=1e-9)
-        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=1e-9)
-        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-9)
+        assert comp["B10"][0] == pytest.approx(ref[0]["b1"], rel=1e-9)
+        assert comp["B11"][0] == pytest.approx(ref[1]["b1"], rel=1e-9)
+        assert comp["var_cond"][0] == pytest.approx(ref["var_cond"], rel=1e-9)
         assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], abs=1e-12)
 
     @pytest.mark.parametrize("empty", [0, 1])
@@ -281,12 +282,12 @@ class TestVariance:
         assert adj.mu[0, empty] == snap.tau
         np.testing.assert_allclose(adj.mu[0], [ref[0]["mu"], ref[1]["mu"]], rtol=1e-12)
         np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=1e-12)
-        assert (comp.b10[0], comp.b11[0])[empty] == 0.0
-        assert (comp.b10[0], comp.b11[0])[1 - empty] == pytest.approx(ref[1 - empty]["b1"], rel=1e-10)
+        assert (comp["B10"][0], comp["B11"][0])[empty] == 0.0
+        assert (comp["B10"][0], comp["B11"][0])[1 - empty] == pytest.approx(ref[1 - empty]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
         b3 = enrolled(snap).n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
-        assert comp.b3[0] == pytest.approx(b3, rel=1e-10)
-        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=1e-10)
+        assert comp["B3"][0] == pytest.approx(b3, rel=1e-10)
+        assert comp["var_cond"][0] == pytest.approx(ref["var_cond"], rel=1e-10)
 
     def test_no_covariates_var_cond_zero(self):
         snap = arrays_snapshot(
@@ -294,9 +295,9 @@ class TestVariance:
             [0, 0, 0, 1, 1, 1], [[]] * 6,
         )
         comp = stacked(snap)[2]
-        assert comp.var_cond[0] == 0.0
-        assert comp.b3[0] == 0.0
-        assert comp.v_eta2[0] == comp.v_xi2[0] > 0.0
+        assert comp["var_cond"][0] == 0.0
+        assert comp["B3"][0] == 0.0
+        assert comp["B10"][0] + comp["B11"][0] > 0.0
 
     def test_components_serialization_shape(self):
         snap = toy_snapshot()
@@ -330,12 +331,12 @@ class TestBlockedKernel:
             np.testing.assert_allclose(adj.c1[rows], ref[arm]["c1"], rtol=rel)
             np.testing.assert_allclose(adj.c2[rows], ref[arm]["c2"], rtol=rel)
         np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=rel)
-        assert comp.b10[0] == pytest.approx(ref[0]["b1"], rel=rel)
-        assert comp.b11[0] == pytest.approx(ref[1]["b1"], rel=rel)
+        assert comp["B10"][0] == pytest.approx(ref[0]["b1"], rel=rel)
+        assert comp["B11"][0] == pytest.approx(ref[1]["b1"], rel=rel)
         psi_diff = ref["psi_diff"]
         b3 = look.n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff)) if psi_diff.size else 0.0
-        assert comp.b3[0] == pytest.approx(b3, rel=rel)
-        assert comp.var_cond[0] == pytest.approx(ref["var_cond"], rel=rel)
+        assert comp["B3"][0] == pytest.approx(b3, rel=rel)
+        assert comp["var_cond"][0] == pytest.approx(ref["var_cond"], rel=rel)
         assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], rel=rel)
 
     @literal_cases
@@ -416,7 +417,8 @@ def fits_at(snap, beta, info, hazard_beta=None):
     the baseline hazards are those at ``hazard_beta`` (default ``beta``)."""
     beta = np.array([beta], dtype=float)
     sums = stratified_cox._score_info(snap, beta if hazard_beta is None else np.array([hazard_beta], dtype=float))[3]
-    return CoxFits(beta, np.array([info], dtype=float), np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int),
+    counts = np.zeros(1, dtype=int)
+    return CoxFits(beta, np.array([info], dtype=float), np.zeros(1), {"iterations": counts, "step_halvings": counts},
                    [None], sums)
 
 
@@ -479,8 +481,8 @@ class TestNodeKernel:
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", block)
             adj = adjusted_survival(snap, fits, [0])
             comp = variance(snap, fits, adj)
-            paths[name] = adj, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / comp.v_eta2[0],
-                                *(term[0] for term in vars(comp).values())]
+            paths[name] = adj, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / sum(comp.values())[0],
+                                *(term[0] for term in comp.values())]
         assert len(calls) == 1  # the node path ran once, with the smaller block
         (exact, exact_stats), (nodes, nodes_stats) = paths["exact"], paths["nodes"]
         for field in ("values", "c1", "c2"):
@@ -561,6 +563,15 @@ class TestAnalyze:
         with pytest.raises(EstimationError, match="must be finite"):
             analyses.report(0)
 
+    def test_report_prints_diagnostics_as_their_arrays_hold_them(self):
+        # the rule the variance components print by: an int array prints ints, a float array floats
+        diagnostics = {"iterations": np.array([4]), "score_norm": np.array([2.5e-9])}
+        analyses = Analyses("adjusted", toy_snapshot(), np.array([0.3]), np.array([4.0]), [None],
+                            diagnostics=diagnostics)
+        report = analyses.report(0)
+        assert report["diagnostics"] == {"iterations": 4, "score_norm": 2.5e-9}
+        assert [type(v) for v in report["diagnostics"].values()] == [int, float]
+
     def test_leaves_the_callers_arrays_alone(self):
         # a look that fails turns NaN in the analyses' own arrays, not in those it was given (a fit's beta, say)
         beta, info = np.array([[0.3, 1.0]]), np.array([-1.0])
@@ -571,7 +582,7 @@ class TestAnalyze:
     def test_scaling_relations(self):
         snap = toy_snapshot()
         analyses = analyze(snap)
-        result, v_eta2 = analyses.report(0), analyses.components.v_eta2[0]
+        result, v_eta2 = analyses.report(0), sum(analyses.components.values())[0]
         assert result["se"] == pytest.approx(
             math.sqrt(v_eta2 / enrolled(snap).n), rel=1e-12
         )
@@ -629,7 +640,7 @@ class TestAnalyze:
                 u=look.u, tau=look.tau,
             )
             boots.append(analyze(bsnap).report(0)["delta"])
-        ratio = (analyses.components.v_eta2[0] / look.n) / np.var(boots, ddof=1)
+        ratio = (sum(analyses.components.values())[0] / look.n) / np.var(boots, ddof=1)
         assert 0.6 < ratio < 1.6
 
 
@@ -717,8 +728,9 @@ class TestProperties:
         assert 0.0 <= result["mu0"] <= snap.tau + 1e-12
         assert 0.0 <= result["mu1"] <= snap.tau + 1e-12
         assert abs(result["delta"]) <= snap.tau + 1e-12
-        comp = analyses.components
-        assert comp.v_xi2[0] >= 0.0
-        assert comp.v_eta2[0] >= comp.v_xi2[0]
-        assert comp.b10[0] >= 0.0 and comp.b11[0] >= 0.0 and comp.b3[0] >= -1e-12
+        comp = {name: values[0] for name, values in analyses.components.items()}
+        v_xi2 = comp["B10"] + comp["B11"] + comp["B3"]
+        assert v_xi2 >= 0.0
+        assert sum(comp.values()) >= v_xi2
+        assert comp["B10"] >= 0.0 and comp["B11"] >= 0.0 and comp["B3"] >= -1e-12
         assert result["se"] > 0.0 and math.isfinite(result["z"])

@@ -1009,6 +1009,7 @@ class TestCalibrateAndSimulate:
         assert_typed_error(code, err, 2)
         assert ("calibration lacks an information cap for method 'cox': calibrate gives a comparator a cap only "
                 "when at least 90% of its trial-end analyses succeed") in err
+        assert not (tmp_path / "out").exists()  # refused before the output directory is made
 
     @pytest.mark.parametrize("typo", ["n_per_am", "shape_ofset"])
     def test_unknown_scenario_key_exit_2(self, typo, calib_setup, tmp_path, capsys):

@@ -435,9 +435,7 @@ class TestMethods:
             if means:
                 assert [report["mu0"], report["mu1"]] == analyses.mu[k].tolist()
             if extras:
-                comp = analyses.components
-                assert report["components"] == {"B10": comp.b10[k], "B11": comp.b11[k], "B3": comp.b3[k],
-                                                "var_cond": comp.var_cond[k]}
+                assert report["components"] == {name: terms[k] for name, terms in analyses.components.items()}
                 assert report["diagnostics"] == {name: counts[k] for name, counts in analyses.diagnostics.items()}
 
     def test_cox_recovers_proportional_log_hazard_ratio(self):
@@ -461,6 +459,10 @@ class TestMethods:
         spending = SpendingFunction("cubic_min")
         with pytest.raises(ConfigError, match=r"unknown method 'bayes'; choose from \('adjusted', 'km', 'cox'\)"):
             run_study(small_scn, spending, small_calib, reps=5, methods=("bayes",))
+
+    def test_empty_method_list_rejected(self, small_scn, small_calib):
+        with pytest.raises(ConfigError, match=r"no method named; choose from \('adjusted', 'km', 'cox'\)"):
+            run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=5, methods=())
 
     def test_repeated_method_rejected(self, small_scn, small_calib):
         with pytest.raises(ConfigError, match=r"method 'km' is named more than once"):

@@ -33,7 +33,7 @@ def fits_at(snap, beta):
     beta = np.atleast_1d(np.asarray(beta, dtype=np.float64))[None]
     _, info, loglik, sums = _score_info(snap, beta)
     none = np.zeros(1, dtype=np.int64)
-    return CoxFits(beta, info, loglik, none, none, [None], sums)
+    return CoxFits(beta, info, loglik, {"iterations": none, "step_halvings": none}, [None], sums)
 
 
 def breslow(snap, beta, arm):
@@ -560,7 +560,7 @@ class TestStackedLooks:
         both = snap.events_in_every_stratum()
         assert both.tolist() == [False, False, True, True, True]  # no event yet; arm 1 has none
         every, masked = fit(snap), fit(snap, looks=both)
-        assert masked.iterations == every.iterations - every.look_iterations[1]
+        assert masked.iterations == every.iterations - every.diagnostics["iterations"][1]
         for k in range(5):
             want = fit_outcome(snap, every, k) if both[k] else InsufficientEventsError
             assert_same_outcome(fit_outcome(snap, masked, k), want, rel=0)
