@@ -13,9 +13,12 @@ maker of calibration files, then ``rmstgst simulate --calibration cal.json``.
 
 ``analyze`` and ``km-compare`` take the same data flags and build the
 snapshot the same way; each analysis prints as its ``Analyses.report``
-dictionary. Every output file is written atomically by ``_write``; an
-exclusive lock file naming its holder's pid is held from reading the
-monitoring state to writing it back. Exit codes: 0 success; 2
+dictionary. Their only column map is a ``--schema`` JSON file with keys
+``id``, ``arm``, ``entry_time``, ``followup_time`` and ``event``, each a
+column name that defaults to the key, and ``covariates``, which defaults
+to every remaining column. Every output file is written atomically by
+``_write``; an exclusive lock file naming its holder's pid is held from
+reading the monitoring state to writing it back. Exit codes: 0 success; 2
 configuration error; 3 data error; 4 estimation error (including an
 estimate or information that is not finite, in which case the state file
 is left as it was); 5 state error. An input that cannot be read (missing,
@@ -58,19 +61,6 @@ EXIT_CODES = (
     (EstimationError, 4),
     (StateError, 5),
 )
-
-
-def _threads(flag: int | None) -> int:
-    """The worker count: ``--threads`` if given, else ``RMSTGST_THREADS``, else 1; either source must give >= 1."""
-    source = "RMSTGST_THREADS" if flag is None else "--threads"
-    raw = os.environ.get(source, "1") if flag is None else flag
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{source} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
 
 
 def _write(path: str, text: str, error=ConfigError) -> str:
@@ -122,19 +112,13 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _print_json(payload: dict) -> None:
-    _print(_json_text(payload))
-
-
-def _spending_from_args(args) -> SpendingFunction:
-    return SpendingFunction(kind=args.spending, alpha=args.alpha, rho=args.rho, sided=args.sides)
-
-
-def _parse_fractions(text: str) -> tuple[float, ...]:
+def _spending_and_fractions(args) -> tuple[SpendingFunction, tuple[float, ...]]:
+    """The ``--spending`` family and the ``--fractions`` of ``design`` and ``boundaries``."""
+    spending = SpendingFunction(kind=args.spending, alpha=args.alpha, rho=args.rho, sided=args.sides)
     try:
-        return tuple(float(part) for part in text.split(","))
+        return spending, tuple(float(part) for part in args.fractions.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad fractions {text!r}: expected comma-separated numbers") from exc
+        raise ConfigError(f"bad fractions {args.fractions!r}: expected comma-separated numbers") from exc
 
 
 def _boundary_table(schedule) -> str:
@@ -148,21 +132,19 @@ def _boundary_table(schedule) -> str:
 
 
 def cmd_design(args) -> int:
-    spending = _spending_from_args(args)
-    fractions = _parse_fractions(args.fractions)
+    spending, fractions = _spending_and_fractions(args)
     design = DesignConfig(spending=spending, planned_fractions=fractions, i_max=args.i_max)
     schedule = boundaries(spending, fractions)
     if args.out:
         _write(args.out, _json_text(design.to_dict()) + "\n")
     _print(_boundary_table(schedule))
     if not args.out:
-        _print_json(design.to_dict())
+        _print(_json_text(design.to_dict()))
     return 0
 
 
 def cmd_boundaries(args) -> int:
-    spending = _spending_from_args(args)
-    fractions = _parse_fractions(args.fractions)
+    spending, fractions = _spending_and_fractions(args)
     schedule = boundaries(spending, fractions)
     _print(_boundary_table(schedule))
     if args.out:
@@ -170,24 +152,9 @@ def cmd_boundaries(args) -> int:
     return 0
 
 
-def _schema_from_args(args) -> CsvSchema:
-    schema = CsvSchema.read(args.schema) if args.schema else CsvSchema()
-    flags = {
-        "subject_id": args.id_col,
-        "arm": args.arm_col,
-        "entry_time": args.entry_col,
-        "followup_time": args.time_col,
-        "event": args.event_col,
-    }
-    overrides = {name: flag for name, flag in flags.items() if flag is not None}
-    if args.covariate_cols is not None:
-        overrides["covariates"] = tuple(c for c in args.covariate_cols.split(",") if c)
-    return replace(schema, **overrides)
-
-
 def _snapshot_from_args(args) -> Snapshot:
-    """Ingest ``--data``, roll it back to ``--u`` and standardize if asked."""
-    trial = ingest_csv(args.data, _schema_from_args(args))
+    """Ingest ``--data`` by ``--schema``, roll it back to ``--u`` and standardize if asked."""
+    trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
     snap = snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
     return standardize_covariates(snap) if args.standardize else snap
 
@@ -219,14 +186,19 @@ def _state_lock(path: str):
         os.unlink(lock_path)
 
 
+def _given(args, *flags: str) -> list[str]:
+    """Those of ``flags``, each a switch or an option without a default, given on the command line."""
+    values = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
+    return [flag for flag, value in zip(flags, values) if value is not None and value is not False]
+
+
 def _load_or_create_state(args, info_level: float) -> MonitoringState:
     """The state in ``--state``, or a fresh one on ``--design``; a design flag on a stored state is refused."""
     if os.path.exists(args.state):
-        for flag, given in (("--design", args.design), ("--i-max", args.i_max is not None),
-                            ("--i-max-from-data", args.i_max_from_data)):
-            if given:
-                raise ConfigError(f"state {args.state} already initialized; omit {flag} (the state file "
-                                  "carries the design)")
+        given = _given(args, "--design", "--i-max", "--i-max-from-data")
+        if given:
+            raise ConfigError(f"state {args.state} already initialized; omit {', '.join(given)} (the state file "
+                              "carries the design)")
         return MonitoringState.read(args.state)
     if not args.design:
         raise ConfigError(f"state {args.state} does not exist; pass --design to start monitoring")
@@ -238,6 +210,9 @@ def _load_or_create_state(args, info_level: float) -> MonitoringState:
 
 
 def cmd_analyze(args) -> int:
+    monitoring = _given(args, "--state", "--design", "--i-max", "--i-max-from-data", "--final")
+    if args.report_only and monitoring:
+        raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
         raise ConfigError("--state is required unless --report-only is given")
     if args.i_max is not None and args.i_max_from_data:
@@ -248,7 +223,7 @@ def cmd_analyze(args) -> int:
     if args.km:
         report["km"] = km_rmst_test(snap).report(0)
     if args.report_only:
-        _print_json(report)
+        _print(_json_text(report))
         return 0
 
     with _state_lock(args.state):
@@ -258,7 +233,7 @@ def cmd_analyze(args) -> int:
     record = state.analyses[-1].to_dict()
     keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
     report["monitoring"] = {k: record[k] for k in keys}
-    _print_json(report)
+    _print(_json_text(report))
     return 0
 
 
@@ -270,13 +245,15 @@ def cmd_km_compare(args) -> int:
     }
     if args.out:
         _write(args.out, _json_text(report) + "\n")
-    _print_json(report)
+    _print(_json_text(report))
     return 0
 
 
 def cmd_calibrate(args) -> int:
     from .sim_engine import SimScenario, calibrate  # a cold look never loads the engine and its process pool
 
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):  # refused before the Monte Carlo
+        raise ConfigError(f"cannot write {args.out}: its directory does not exist")
     calib = calibrate(
         SimScenario.read(args.scenario), reps=args.reps, master_seed=args.seed, threads=args.threads,
         target_power=args.target_power, alpha=args.alpha, sided=args.sides,
@@ -284,7 +261,7 @@ def cmd_calibrate(args) -> int:
     if args.out:
         _write(args.out, _json_text(calib.to_dict()) + "\n")
     else:
-        _print_json(calib.to_dict())
+        _print(_json_text(calib.to_dict()))
     return 0
 
 
@@ -383,16 +360,8 @@ def _add_input_flags(parser) -> None:
                         help="calendar lock time of the dataset, for maturity checking")
     parser.add_argument("--standardize", action="store_true",
                         help="center and scale covariates before fitting")
-    parser.add_argument("--schema", help="JSON file mapping record fields to CSV columns")
-    parser.add_argument("--id-col", help="subject id column name")
-    parser.add_argument("--arm-col", help="arm column name")
-    parser.add_argument("--entry-col", help="entry time column name")
-    parser.add_argument("--time-col", help="follow-up time column name")
-    parser.add_argument("--event-col", help="event indicator column name")
-    parser.add_argument(
-        "--covariate-cols",
-        help="comma-separated covariate columns (default: every remaining column)",
-    )
+    parser.add_argument("--schema", help="JSON file naming the CSV's columns: id, arm, entry_time, followup_time "
+                        "and event (each default: the key itself) and covariates (default: every remaining column)")
 
 
 def _add_spending_flags(parser) -> None:
@@ -450,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, help="design JSON")
     p.add_argument("--reps", type=int, default=2000, help="simulation replicates")
     p.add_argument("--seed", type=int, default=0, help="master seed for study replicates")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: RMSTGST_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--methods", default="adjusted", help="comma-separated methods to monitor")
     p.add_argument("--effect", choices=("as-given", "null", "power"), default="as-given",
                    help="simulate the scenario as given, at the calibrated null, "
@@ -466,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--reps", type=int, default=1000, help="calibration replicates")
     p.add_argument("--seed", type=int, default=20200920, help="master seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: RMSTGST_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--target-power", type=float, default=0.80,
                    help="target power for the calibrated effect size")
     p.add_argument("--alpha", type=float, default=0.05, help="type I error for power targeting")
@@ -492,7 +459,8 @@ def main(argv=None) -> int:
     args.recorded_argv = list(argv) if argv is not None else list(sys.argv[1:])
     try:
         if args.command in ("simulate", "calibrate"):
-            args.threads = _threads(args.threads)
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             if args.command == "simulate" and args.reps < 1:  # before any output exists

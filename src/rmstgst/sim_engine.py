@@ -395,6 +395,11 @@ def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> f
     return float(ndtr(drift - crit))
 
 
+def _check_power_target(target_power: float, alpha: float) -> None:
+    if not (0 < alpha < 1) or not (alpha <= target_power < 1):
+        raise ConfigError("need alpha in (0,1) and target_power in [alpha, 1)")
+
+
 def calibrate_power(scn: SimScenario, calib: InformationCalibration,
                     target_power: float = 0.80, alpha: float = 0.05,
                     sided: str = "two_sided") -> PowerCalibration:
@@ -407,8 +412,7 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
     returns the null offset itself. A target that no difference in
     [0, tau] reaches raises ``EstimationError``.
     """
-    if not (0 < alpha < 1) or not (alpha <= target_power < 1):
-        raise ConfigError("need alpha in (0,1) and target_power in [alpha, 1)")
+    _check_power_target(target_power, alpha)
 
     def power_shortfall(delta: float) -> float:
         return target_power - _fixed_test_power(delta, calib.i_max, alpha, sided)
@@ -444,7 +448,8 @@ class Calibration(Record):
 
 def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,
               sided: str) -> Calibration:
-    """The null offset, the information schedule measured at the null, and the power offset, in that order."""
+    """Check the power target; then the null offset, the information schedule at the null, and the power offset."""
+    _check_power_target(target_power, alpha)
     null_offset = calibrate_null(scn)
     info = calibrate_information(replace(scn, log_rate_ratio=null_offset), reps=reps, master_seed=master_seed,
                                  threads=threads)

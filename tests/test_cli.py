@@ -570,21 +570,38 @@ class TestAnalyze:
         assert f"columns mapped to more than one field: {covariates[:1]}" in err
 
     def test_schema_column_overrides(self, tmp_path, capsys):
-        path = tmp_path / "renamed.csv"
+        # the same rows under renamed columns, in reverse order, analyze as under the default header
         rows = locked_trial_rows(np.random.default_rng(8), 60, lock=3.0)
-        header = ["pid", "group", "enrolled", "followed", "died", "biomarker"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        plain = tmp_path / "plain.csv"
+        write_trial_csv(plain, rows, covariate_names=("biomarker",))
+        renamed = tmp_path / "renamed.csv"
+        with open(renamed, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        code, stdout, _ = run_cli(
-            capsys, "analyze", "--data", str(path), "--u", "3.0", "--tau", "1.0",
-            "--report-only", "--id-col", "pid", "--arm-col", "group",
-            "--entry-col", "enrolled", "--time-col", "followed",
-            "--event-col", "died", "--covariate-cols", "biomarker",
-        )
-        assert code == 0
-        assert "analysis" in json.loads(stdout)
+            writer.writerow(["biomarker", "died", "followed", "enrolled", "group", "pid"])
+            writer.writerows(row[::-1] for row in rows)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"id": "pid", "arm": "group", "entry_time": "enrolled",
+                                      "followup_time": "followed", "event": "died", "covariates": ["biomarker"]}))
+        look = ["analyze", "--u", "3.0", "--tau", "1.0", "--km", "--report-only"]
+        code, stdout, err = run_cli(capsys, *look, "--data", str(renamed), "--schema", str(schema))
+        assert code == 0, err
+        assert run_cli(capsys, *look, "--data", str(plain)) == (0, stdout, "")
+        assert set(json.loads(stdout)) == {"analysis", "km"}
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--state", "s.json"), "--state"),
+        (("--final",), "--final"),
+        (("--state", "s.json", "--final", "--i-max", "5"), "--state, --i-max, --final"),
+        (("--design", "d.json", "--i-max-from-data"), "--design, --i-max-from-data"),
+    ], ids=["state", "final", "final_state", "design"])
+    def test_report_only_refuses_monitoring_flags(self, flags, named, tmp_path, capsys, monkeypatch):
+        # refused, not ignored, and before the CSV is read: a missing --data would exit 3
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", "--data", "missing.csv", "--u", "3.0", "--tau", "1.0",
+                                 "--report-only", *flags)
+        assert_typed_error(code, err, 2)
+        assert f"--report-only records no analysis; omit {named}" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestKmCompare:
@@ -916,12 +933,31 @@ class TestCalibrateAndSimulate:
         assert f"--threads must be >= 1, got {threads}" in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "calibration.json").exists()
 
-    def test_threads_env_below_one_exit_2(self, calib_setup, capsys, monkeypatch):
+    def test_threads_come_only_from_the_flag(self, calib_setup, tmp_path, capsys, monkeypatch):
+        # the environment names no worker count: --threads, default 1, is the only source
         _, scn_path, _ = calib_setup
         monkeypatch.setenv("RMSTGST_THREADS", "0")
-        code, _, err = run_cli(capsys, "calibrate", "--scenario", scn_path)
+        code, _, err = run_cli(capsys, "calibrate", "--scenario", scn_path, "--reps", "100",
+                               "--out", str(tmp_path / "calibration.json"))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flags", [("--alpha", "1.5"), ("--target-power", "1.2"), ("--out", "missing_dir/c.json")],
+                             ids=["alpha", "target_power", "out_directory"])
+    def test_calibrate_refuses_bad_arguments_before_its_monte_carlo(self, flags, calib_setup, tmp_path, capsys,
+                                                                    monkeypatch):
+        _, scn_path, _ = calib_setup
+
+        def calibrate_information(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran before the arguments were checked")
+
+        monkeypatch.setattr(sim_engine, "calibrate_information", calibrate_information)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "calibrate", "--scenario", scn_path, "--reps", "100", "--out", "c.json",
+                                 *flags)
         assert_typed_error(code, err, 2)
-        assert "RMSTGST_THREADS must be >= 1, got 0" in err
+        named = "cannot write missing_dir/c.json" if flags[0] == "--out" else "need alpha in (0,1) and target_power"
+        assert named in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_simulate_zero_reps_is_a_config_error(self, calib_setup, capsys):
         tmp_path, scn_path, calib_path = calib_setup
@@ -1076,14 +1112,6 @@ class TestCalibrateAndSimulate:
         code, _, err = run_cli(capsys, "calibrate", "--scenario", str(bad))
         assert code == 2
         assert "line 2" in err and "column" in err
-
-    def test_bad_threads_env_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RMSTGST_THREADS", "zero")
-        code, _, err = run_cli(
-            capsys, "calibrate", "--scenario", str(tmp_path / "whatever.json"),
-        )
-        assert code == 2
-        assert "RMSTGST_THREADS" in err
 
 
 BAD_INPUTS = {

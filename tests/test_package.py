@@ -96,7 +96,7 @@ def test_calibrate_and_simulate_load_no_scipy(tmp_path):
     design = tmp_path / "design.json"
     design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
     calibration = tmp_path / "calibration.json"
-    # an explicit --threads 1, so that a set RMSTGST_THREADS cannot start a pool
+    # --threads 1 is the default; stated here because this test is about the serial path
     calibrate = ["calibrate", "--scenario", str(scenario), "--reps", "100", "--threads", "1",
                  "--out", str(calibration)]
     simulate = ["simulate", "--scenario", str(scenario), "--design", str(design), "--calibration",
