@@ -192,10 +192,10 @@ def _given(args, *flags: str) -> list[str]:
     return [flag for flag, value in zip(flags, values) if value is not None and value is not False]
 
 
-def _load_or_create_state(args, info_level: float) -> MonitoringState:
+def _load_or_create_state(args) -> MonitoringState:
     """The state in ``--state``, or a fresh one on ``--design``; a design flag on a stored state is refused."""
     if os.path.exists(args.state):
-        given = _given(args, "--design", "--i-max", "--i-max-from-data")
+        given = _given(args, "--design", "--i-max")
         if given:
             raise ConfigError(f"state {args.state} already initialized; omit {', '.join(given)} (the state file "
                               "carries the design)")
@@ -203,20 +203,15 @@ def _load_or_create_state(args, info_level: float) -> MonitoringState:
     if not args.design:
         raise ConfigError(f"state {args.state} does not exist; pass --design to start monitoring")
     design = DesignConfig.read(args.design)
-    if args.i_max_from_data and design.i_max is not None:
-        raise ConfigError(f"--i-max-from-data needs a design without i_max; {args.design} has i_max {design.i_max}")
-    i_max = info_level if args.i_max_from_data else args.i_max
-    return MonitoringState(design=design if i_max is None else replace(design, i_max=i_max))
+    return MonitoringState(design=design if args.i_max is None else replace(design, i_max=args.i_max))
 
 
 def cmd_analyze(args) -> int:
-    monitoring = _given(args, "--state", "--design", "--i-max", "--i-max-from-data", "--final")
+    monitoring = _given(args, "--state", "--design", "--i-max", "--final")
     if args.report_only and monitoring:
         raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
         raise ConfigError("--state is required unless --report-only is given")
-    if args.i_max is not None and args.i_max_from_data:
-        raise ConfigError("--i-max and --i-max-from-data are mutually exclusive")
     snap = _snapshot_from_args(args)
     result = analyze(snap).report(0)
     report: dict = {"analysis": result}
@@ -227,7 +222,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     with _state_lock(args.state):
-        state = update_monitoring(_load_or_create_state(args, result["info"]), result["u"], result["z"],
+        state = update_monitoring(_load_or_create_state(args), result["u"], result["z"],
                                   result["info"], final=args.final)
         _write(args.state, state.to_json(), StateError)
     record = state.analyses[-1].to_dict()
@@ -252,7 +247,9 @@ def cmd_km_compare(args) -> int:
 def cmd_calibrate(args) -> int:
     from .sim_engine import SimScenario, calibrate  # a cold look never loads the engine and its process pool
 
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):  # refused before the Monte Carlo
+    if args.out and os.path.isdir(args.out):  # both refused before the Monte Carlo
+        raise ConfigError(f"cannot write {args.out}: it is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"cannot write {args.out}: its directory does not exist")
     calib = calibrate(
         SimScenario.read(args.scenario), reps=args.reps, master_seed=args.seed, threads=args.threads,
@@ -266,13 +263,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .sim_engine import METHODS, Calibration, SimScenario, check_methods, curve_table, run_study
+    from .sim_engine import Calibration, SimScenario, check_methods, curve_table, run_study
 
     scn = SimScenario.read(args.scenario)
     design = DesignConfig.read(args.design)
     methods = tuple(m for m in args.methods.split(",") if m)
-    if not methods:
-        raise ConfigError(f"--methods names no method; choose from {tuple(METHODS)}")
     calib = Calibration.read(args.calibration)
     # no calibrated number depends on the scenario's own offset (both offsets are solved over it and information
     # is measured at the null), and --effect as-given simulates that offset
@@ -404,11 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", help="design JSON (required when the state file does not exist)")
     p.add_argument("--i-max", type=float, default=None,
                    help="override the design's full information (fresh state only)")
-    p.add_argument("--i-max-from-data", action="store_true",
-                   help="use this analysis's observed information as the full "
-                        "information (fresh state without a design i_max)")
     p.add_argument("--final", action="store_true",
-                   help="declare this the final analysis (spend all remaining alpha)")
+                   help="declare this the final analysis (spend all remaining alpha; on a first look, "
+                        "the fixed-sample test)")
     p.add_argument("--km", action="store_true", help="add an unadjusted comparator line")
     p.add_argument("--report-only", action="store_true",
                    help="print the analysis without touching monitoring state")

@@ -24,15 +24,7 @@ class EstimationError(RmstgstError):
 
 
 class SingularInformationError(EstimationError):
-    """Observed information is singular along some direction.
-
-    Attributes:
-        direction: unit vector (tuple) spanning the offending null direction.
-    """
-
-    def __init__(self, message: str, direction=None):
-        super().__init__(message)
-        self.direction = direction
+    """Observed information is singular along some direction, which the message names."""
 
 
 class ConvergenceError(EstimationError):
@@ -41,10 +33,6 @@ class ConvergenceError(EstimationError):
 
 class InsufficientEventsError(EstimationError):
     """An analysis requires at least one event per arm inside the horizon, at a look that the fit's mask keeps."""
-
-    @classmethod
-    def left_out(cls, u: float) -> InsufficientEventsError:
-        return cls(f"the look at u={u} was left out of the fit")
 
 
 class StateError(RmstgstError):

@@ -363,7 +363,7 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
 
     All the replicates step at once. A look whose fraction is not past its stage's is ``"skipped"`` and
     keeps its stage. Otherwise the stage's density is advanced to the raw fraction, and the critical value
-    solved whose null crossing takes the spend to ``spending(min(fraction, 1))``, or to alpha at a
+    solved whose null crossing takes the spend to ``spending(fraction)``, or to alpha at a
     ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target) gives an
     infinite critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else
     ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes keeps its stage, and
@@ -378,7 +378,7 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
     for j, error in errors.items():
         decisions[steps[j]] = error
     rows = np.delete(steps, list(errors))
-    target = np.array([spending.alpha if final else spending(min(f, 1.0)) for f in start.fraction.tolist()])
+    target = np.array([spending.alpha if final else spending(f) for f in start.fraction.tolist()])
     critical = _solve_critical(start, target, spending.sided)
     spent = start.spent + _crossing(start, critical, spending.sided)[0]
     exceeds = (np.abs(z[rows]) if spending.sided == "two_sided" else z[rows]) >= critical

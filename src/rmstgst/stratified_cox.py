@@ -144,8 +144,7 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
     for k, direction in zip(looks[singular], eigvec[singular, :, 0]):
         errors[k] = SingularInformationError(
             f"observed information is singular along direction {np.round(direction, 6).tolist()} (constant or"
-            " collinear covariate, or one that separates events from survivors so the likelihood is monotone?)",
-            direction=tuple(float(x) for x in direction))
+            " collinear covariate, or one that separates events from survivors so the likelihood is monotone?)")
         active[k] = False
     return looks[~singular], eigval[~singular], eigvec[~singular]
 
@@ -164,7 +163,7 @@ def fit(snap: Snapshot | SharedBaseline, looks=None) -> CoxFits:
     ``looks`` leaves out.
     """
     wanted = [True] * snap.u.size if looks is None else np.asarray(looks, dtype=bool).tolist()
-    errors = [InsufficientEventsError.left_out(u) if not want else None if rows
+    errors = [InsufficientEventsError(f"the look at u={u} was left out of the fit") if not want else None if rows
               else DataError(f"no events at or before t_max={min(u, snap.tau)}; nothing to fit")
               for u, rows, want in zip(snap.u.tolist(), np.diff(snap.look_rows).tolist(), wanted)]
     n_looks, p = snap.u.size, snap.event_z_total.shape[1]

@@ -103,11 +103,6 @@ class Trial:
     def __len__(self) -> int:
         return self.arm.shape[0]
 
-    def __eq__(self, other):
-        return isinstance(other, Trial) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
-        )
-
 
 @dataclass(frozen=True)
 class CsvSchema(Record):

@@ -201,15 +201,7 @@ class TestAnalyze:
         assert code == 2
         assert "--state" in err
 
-    def test_i_max_flags_mutually_exclusive(self, trial_csv, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
-            "--state", str(tmp_path / "s.json"), "--i-max", "100", "--i-max-from-data",
-        )
-        assert code == 2
-        assert "mutually exclusive" in err
-
-    @pytest.mark.parametrize("flag", [("--i-max", "5"), ("--i-max-from-data",)], ids=["i_max", "i_max_from_data"])
+    @pytest.mark.parametrize("flag", [("--i-max", "5")], ids=["i_max"])
     def test_i_max_flag_on_existing_state_exit_2(self, flag, trial_csv, design_json, tmp_path, capsys):
         # the state file carries the design, so a flag that would change it is refused, not ignored
         state_path = tmp_path / "state.json"
@@ -221,18 +213,6 @@ class TestAnalyze:
         assert "already initialized" in err and flag[0] in err
         assert state_path.read_bytes() == before
         assert not os.path.exists(str(state_path) + ".lock")
-
-    def test_i_max_from_data_with_a_design_i_max_exit_2(self, trial_csv, tmp_path, capsys):
-        design = tmp_path / "design.json"
-        design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0), i_max=700.0).to_dict()))
-        state_path = tmp_path / "state.json"
-        code, _, err = run_cli(
-            capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", str(state_path), "--design", str(design), "--i-max-from-data",
-        )
-        assert_typed_error(code, err, 2)
-        assert "--i-max-from-data" in err and "i_max" in err
-        assert not state_path.exists()
 
     def test_missing_data_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -496,18 +476,6 @@ class TestAnalyze:
         assert code == 2
         assert f"{truncated_design}: design config is not valid JSON at line 1 column 41" in err
 
-    def test_i_max_from_data_pins_first_fraction_to_one(self, trial_csv, design_json, tmp_path, capsys):
-        state_path = str(tmp_path / "state.json")
-        code, stdout, _ = run_cli(
-            capsys, "analyze", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
-            "--state", state_path, "--design", design_json, "--i-max-from-data",
-        )
-        assert code == 0
-        report = json.loads(stdout)
-        assert report["monitoring"]["info_fraction"] == pytest.approx(1.0)
-        state = MonitoringState.from_json(Path(state_path).read_text())
-        assert state.design.i_max == pytest.approx(report["analysis"]["info"])
-
     def test_byte_order_mark_analyzes_like_the_plain_file(self, trial_csv, tmp_path, capsys):
         marked = tmp_path / "bom.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + Path(trial_csv).read_bytes())
@@ -592,7 +560,7 @@ class TestAnalyze:
         (("--state", "s.json"), "--state"),
         (("--final",), "--final"),
         (("--state", "s.json", "--final", "--i-max", "5"), "--state, --i-max, --final"),
-        (("--design", "d.json", "--i-max-from-data"), "--design, --i-max-from-data"),
+        (("--design", "d.json", "--i-max", "5"), "--design, --i-max"),
     ], ids=["state", "final", "final_state", "design"])
     def test_report_only_refuses_monitoring_flags(self, flags, named, tmp_path, capsys, monkeypatch):
         # refused, not ignored, and before the CSV is read: a missing --data would exit 3
@@ -857,7 +825,7 @@ class TestCalibrateAndSimulate:
             "--calibration", calib_path, "--reps", "2", "--methods", methods, "--out-dir", str(out_dir),
         )
         assert_typed_error(code, err, 2)
-        assert "--methods" in err
+        assert "no method named; choose from ('adjusted', 'km', 'cox')" in err
         assert not out_dir.exists()
 
     def test_simulate_repeated_method_exit_2(self, calib_setup, capsys):
@@ -941,8 +909,8 @@ class TestCalibrateAndSimulate:
                                "--out", str(tmp_path / "calibration.json"))
         assert code == 0, err
 
-    @pytest.mark.parametrize("flags", [("--alpha", "1.5"), ("--target-power", "1.2"), ("--out", "missing_dir/c.json")],
-                             ids=["alpha", "target_power", "out_directory"])
+    @pytest.mark.parametrize("flags", [("--alpha", "1.5"), ("--target-power", "1.2"), ("--out", "missing_dir/c.json"),
+                                       ("--out", ".")], ids=["alpha", "target_power", "out_directory", "out_is_directory"])
     def test_calibrate_refuses_bad_arguments_before_its_monte_carlo(self, flags, calib_setup, tmp_path, capsys,
                                                                     monkeypatch):
         _, scn_path, _ = calib_setup
@@ -955,7 +923,7 @@ class TestCalibrateAndSimulate:
         code, out, err = run_cli(capsys, "calibrate", "--scenario", scn_path, "--reps", "100", "--out", "c.json",
                                  *flags)
         assert_typed_error(code, err, 2)
-        named = "cannot write missing_dir/c.json" if flags[0] == "--out" else "need alpha in (0,1) and target_power"
+        named = f"cannot write {flags[1]}:" if flags[0] == "--out" else "need alpha in (0,1) and target_power"
         assert named in err
         assert out == "" and list(tmp_path.iterdir()) == []
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from rmstgst import gs_design
@@ -421,6 +422,13 @@ class TestMonitoring:
         assert rec.cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
         not_final = update_monitoring(state, 3.0, 1.0, 80.0)
         assert rec.critical_value < not_final.analyses[-1].critical_value
+
+    @pytest.mark.parametrize("sided", ["two_sided", "one_sided"])
+    def test_first_look_declared_final_is_the_fixed_sample_test(self, sided):
+        rec = update_monitoring(fresh_state(sided=sided), 1.0, 0.5, 41.2, final=True).analyses[-1]
+        assert rec.final
+        assert rec.critical_value == pytest.approx(-ndtri(ALPHA / 2 if sided == "two_sided" else ALPHA), abs=1e-9)
+        assert rec.cumulative_spend == pytest.approx(ALPHA, abs=1e-10)
 
     def test_overrun_clamps_spending_but_not_covariance(self):
         state = fresh_state()

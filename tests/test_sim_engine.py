@@ -245,8 +245,9 @@ class TestDraws:
         a = draw_trial(scn, _rng_for_replicate(11, 3))
         b = draw_trial(scn, _rng_for_replicate(11, 3))
         c = draw_trial(scn, _rng_for_replicate(11, 4))
-        assert a == b
-        assert a != c
+        for name in ("arm", "entry", "followup", "event", "z"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.entry, c.entry)
 
     def test_trial_structure(self):
         scn = SimScenario(n_per_arm=30, covariates="bernoulli2")
@@ -473,6 +474,10 @@ class TestMethods:
             run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=5, master_seed=-1)
         with pytest.raises(ConfigError, match=r"master_seed must be >= 0, got -1"):
             calibrate_information(small_scn, reps=100, master_seed=-1)
+
+    def test_zero_reps_rejected(self, small_scn, small_calib):
+        with pytest.raises(ConfigError, match=r"simulation needs reps >= 1, got 0"):
+            run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=0)
 
 
 def pooled_reference(snap):

@@ -253,7 +253,6 @@ class TestCsvRoundTrip:
                 fh.write(",".join([f"s{i}", str(arm), repr(entry), repr(followup), str(event),
                                    *map(repr, z)]) + "\n")
         back = ingest_csv(str(path))
-        assert back == trial
         for name in ("arm", "entry", "followup", "event", "z"):
             a, b = getattr(back, name), getattr(trial, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -304,6 +303,16 @@ class TestSnapshot:
     def test_lock_time_must_be_finite(self, lock_time):
         with pytest.raises(DataError, match="lock at .* must be finite"):
             snapshot(toy_trial(), u=1.0, tau=1.0, lock_time=lock_time)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0, float("nan"), float("inf"), []])
+    def test_u_must_be_finite_and_positive(self, u):
+        with pytest.raises(DataError, match="analysis time u must be finite and > 0"):
+            snapshot(toy_trial(), u=u, tau=1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(DataError, match="horizon tau must be finite and > 0"):
+            snapshot(toy_trial(), u=1.0, tau=tau)
 
     def test_counts_by_arm(self):
         snap = snapshot(toy_trial(), u=5.0, tau=2.0)
