@@ -53,7 +53,7 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
-from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot, standardize_covariates
+from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -153,10 +153,9 @@ def cmd_boundaries(args) -> int:
 
 
 def _snapshot_from_args(args) -> Snapshot:
-    """Ingest ``--data`` by ``--schema``, roll it back to ``--u`` and standardize if asked."""
+    """Ingest ``--data`` by ``--schema`` and roll it back to ``--u``."""
     trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
-    snap = snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
-    return standardize_covariates(snap) if args.standardize else snap
+    return snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
 
 
 @contextmanager
@@ -353,8 +352,6 @@ def _add_input_flags(parser) -> None:
     parser.add_argument("--tau", type=float, required=True, help="restriction horizon")
     parser.add_argument("--lock-time", type=float, default=None,
                         help="calendar lock time of the dataset, for maturity checking")
-    parser.add_argument("--standardize", action="store_true",
-                        help="center and scale covariates before fitting")
     parser.add_argument("--schema", help="JSON file naming the CSV's columns: id, arm, entry_time, followup_time "
                         "and event (each default: the key itself) and covariates (default: every remaining column)")
 

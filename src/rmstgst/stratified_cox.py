@@ -33,7 +33,8 @@ class CoxFits:
     """The fits of every look of one snapshot, from one batched Newton iteration.
 
     Look k's coefficients are ``beta[k]``, its observed information there
-    ``info[k]`` and its log partial likelihood ``loglik[k]``; ``diagnostics``
+    ``info[k]``, both on the snapshot's standardized covariate scale, and
+    its log partial likelihood ``loglik[k]``; ``diagnostics``
     holds (L,) arrays of each look's Newton steps, ``iterations``, and
     halvings of rejected steps, ``step_halvings``. ``errors[k]`` is the error
     its fit met, as a snapshot of that look alone would meet it, or None;

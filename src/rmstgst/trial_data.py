@@ -16,7 +16,9 @@ trials stacked trial-major, a look's columns its own trial's subjects,
 so a simulation analyzes a group of replicates in one pass too, in
 memory linear in the group. The Cox fit, the adjusted pass and
 Kaplan-Meier all read a look's strata of that layout, Kaplan-Meier only
-their event rows.
+their event rows. A snapshot holds each trial's covariates standardized
+over that trial's own subjects, so no result depends on the units a
+covariate is recorded in, nor on which trials share a stack.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 from .errors import DataError
 from .records import Record
 
-__all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays",
-           "standardize_covariates"]
+__all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays"]
 
 
 _COLUMNS = ("arm", "entry", "followup", "event", "z")
@@ -228,12 +229,14 @@ class Snapshot:
     """One or more trials as observable at L calendar times ``u``, the looks, analyzed to horizon ``tau``.
 
     Holds the subjects' ``arm`` and covariates ``z`` (n, p) of every
-    trial in turn and, per look, shape (L, n_max) for the largest trial's
-    size n_max, the capped follow-up ``time`` (-1 before entry, and past
-    the end of a trial shorter than n_max) and ``event``: look k's column
-    i is subject ``offset[k] + i``, of the look's own trial. One risk-set
-    layout of all looks serves the Cox fit, the variance and Kaplan-Meier,
-    which reads only the event rows: each (look, arm) is a stratum,
+    trial in turn, each trial's covariates standardized over its own
+    subjects by :func:`snapshot`, and, per look, shape (L, n_max) for the
+    largest trial's size n_max, the capped follow-up ``time`` (-1 before
+    entry, and past the end of a trial shorter than n_max) and ``event``:
+    look k's column i is subject ``offset[k] + i``, of the look's own
+    trial. One risk-set layout of all looks serves the Cox fit, the
+    variance and Kaplan-Meier, which reads only the event rows: each
+    (look, arm) is a stratum,
     look-major, holding the arm's subjects by capped follow-up (one stable
     sort per look and arm), padded in front to the largest stratum's size
     m; ``stratum_times`` (s, m) keeps that follow-up, ascending, -1 on
@@ -313,6 +316,16 @@ def look_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _standardized(z: np.ndarray) -> np.ndarray:
+    """One trial's covariate columns centred on their mean and scaled to SD 1; a constant column is all 0."""
+    if not len(z):
+        return z
+    # a constant column's rounded mean may miss its value, so a constant column is centred on its value
+    centred = z - np.where((z == z[0]).all(axis=0), z[0], z.mean(axis=0))
+    sd = np.sqrt(np.mean(centred * centred, axis=0))
+    return centred / np.where(sd > 0, sd, 1.0)
+
+
 def snapshot_from_arrays(entry, time, event, arm, z, u, tau, lock_time=None) -> Snapshot:
     """Snapshot of loose columns, checked as a :class:`Trial`; see :func:`snapshot`."""
     return snapshot(Trial(arm=arm, entry=entry, followup=time, event=event, z=z), u, tau, lock_time)
@@ -328,6 +341,9 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
     R * L looks, trial-major: look ``r * L + k`` is trial r at ``u[k]``,
     its columns trial r's subjects then never-enrolled padding, so it is
     analyzed as a snapshot of trial r alone would be. R = 1 is one trial.
+    Each trial's covariate columns are centred on their mean over all the
+    trial's subjects and scaled to SD 1; a constant column is only centred,
+    to 0, so a fit still finds its information singular.
 
     Args:
         trial: the dataset as of its data lock, or a sequence of them
@@ -352,8 +368,8 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
                         "follow-up cannot be rolled forward")
     if len({t.z.shape[1] for t in trials}) != 1:
         raise DataError("a snapshot needs one or more trials, all with the same number of covariates")
-    # a lone trial's arm and covariates are shared, not copied
-    arm, z = (np.concatenate(c) if len(c) > 1 else c[0] for c in ([t.arm for t in trials], [t.z for t in trials]))
+    arm = np.concatenate([t.arm for t in trials]) if len(trials) > 1 else trials[0].arm  # a lone trial's: shared
+    z = np.concatenate([_standardized(t.z) for t in trials])
     sizes = np.array([len(t) for t in trials])
     n = sizes.max()  # each trial's columns, padded with subjects never enrolled: (trials, 1, n) against (looks, 1)
     entry, followup, event = (np.concatenate([x for t in trials for x in (getattr(t, name), np.full(n - len(t), fill))])
@@ -366,21 +382,3 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
     seen = (enrolled & (event != 0) & (followup <= exposure)).astype(np.int8).reshape(-1, n)
     offset = np.repeat(np.cumsum(sizes) - sizes, looks.size)  # look r * L + k: trial r's subjects from here on
     return Snapshot(np.tile(looks, len(trials)), tau, arm, capped, seen, z, offset)
-
-
-def standardize_covariates(snap: Snapshot) -> Snapshot:
-    """Center and scale each covariate column over the subjects enrolled at the last look.
-
-    Fitted coefficients change under this map but adjusted survival,
-    restricted means, and test statistics do not; it only conditions the
-    Newton solve when covariates live on wild scales.
-
-    Raises:
-        DataError: a covariate column is constant (zero variance).
-    """
-    enrolled = snap.z[snap.offset[-1] + np.flatnonzero(snap.time[-1] >= 0)]
-    mean, sd = enrolled.mean(axis=0), enrolled.std(axis=0)
-    flat = np.flatnonzero(sd == 0)
-    if flat.size:
-        raise DataError(f"cannot standardize constant covariate column(s) {flat.tolist()}")
-    return Snapshot(snap.u, snap.tau, snap.arm, snap.time, snap.event, (snap.z - mean) / sd, snap.offset)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rmstgst.sim_engine import SimScenario, calibrate_null, draw_trial
-from rmstgst.trial_data import Trial, snapshot
+from rmstgst.trial_data import Snapshot, Trial, snapshot
 
 settings.register_profile(
     "suite",
@@ -46,6 +46,11 @@ def enrolled(snap, k=0):
     subjects = snap.offset[k] + idx
     return SimpleNamespace(u=float(snap.u[k]), tau=snap.tau, n=idx.size, arm=snap.arm[subjects],
                            time=snap.time[k, idx], event=snap.event[k, idx], z=snap.z[subjects])
+
+
+def with_covariates(snap, z):
+    """``snap`` holding covariates ``z``, one row per subject in trial order, in place of its standardized ones."""
+    return Snapshot(snap.u, snap.tau, snap.arm, snap.time, snap.event, np.asarray(z, dtype=float), snap.offset)
 
 
 def arm_rows(snap, k, arm):

@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import arm_rows, baseline, enrolled, height, monotone_trial, sim_snapshot, toy_snapshot
+from conftest import (
+    arm_rows,
+    baseline,
+    enrolled,
+    height,
+    monotone_trial,
+    sim_snapshot,
+    toy_snapshot,
+    with_covariates,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmstgst import adjusted_rmst, stratified_cox
 from rmstgst.adjusted_rmst import Analyses, adjusted_survival, analyze, variance
 from rmstgst.errors import DataError, EstimationError, InsufficientEventsError, RmstgstError
-from rmstgst.sim_engine import SimScenario, _rng_for_replicate, draw_trial, true_rmst
+from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial, true_rmst
 from rmstgst.stratified_cox import CoxFits, fit
-from rmstgst.trial_data import snapshot, snapshot_from_arrays
+from rmstgst.trial_data import Trial, snapshot, snapshot_from_arrays
+
+PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def arrays_snapshot(time, event, arm, z, u=10.0, tau=2.0):
@@ -168,7 +181,8 @@ def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
 
     Positive covariates with a real effect keep every ``c2`` entry away
     from zero, and a treatment effect keeps the arms' ``psi`` apart, so a
-    relative tolerance is meaningful for every compared number.
+    relative tolerance is meaningful for every compared number. The
+    snapshot holds them raw: standardized, they would be centred on 0.
     """
     rng = np.random.default_rng(2024)
     arm = np.repeat([0, 1], [150, 157])
@@ -177,7 +191,7 @@ def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
     event = rng.random(arm.size) < 0.8
     if event_at_tau:
         time[0], event[0] = tau, True  # arm 0's last event falls on tau
-    return arrays_snapshot(time, event, arm, z[:, :p], tau=tau)
+    return with_covariates(arrays_snapshot(time, event, arm, z[:, :p], tau=tau), z[:, :p])
 
 
 class TestAdjustedSurvival:
@@ -706,6 +720,66 @@ class TestStackedLooks:
             without = analyses(others)
             for k, u in enumerate(others):
                 assert outcome(without, k) == outcomes[u]
+
+
+def interim_trial(n_per_arm=5000, seed=91):
+    """A null two-arm trial like the benchmark's interim looks: Weibull shape 1.5 with S(1) = 0.4, a normal and two
+    Bernoulli covariates of log hazard ratio log(1.5)/sqrt(3) per SD, entry over 2 years, 5% censoring a year."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n_per_arm
+    z = np.column_stack((rng.standard_normal(n), rng.random(n) < 0.3, rng.random(n) < 0.5)).astype(float)
+    lin = math.log(1.5) / math.sqrt(3.0) * (z[:, 0] + (z[:, 1] - 0.3) / math.sqrt(0.21) + (z[:, 2] - 0.5) / 0.5)
+    event_time = (-np.log1p(-rng.random(n)) / (-math.log(0.4) * np.exp(lin))) ** (1.0 / 1.5)
+    entry = rng.uniform(0.0, 2.0, n)
+    cap = np.minimum(rng.exponential(-1.0 / math.log(0.95), n), 3.0 - entry)
+    return Trial(arm=np.repeat([0, 1], n_per_arm), entry=entry, followup=np.minimum(event_time, cap),
+                 event=event_time <= cap, z=z)
+
+
+def sim_group():
+    """Eight replicates of the benchmark's simulation scenario, at its calibrated looks."""
+    scn = SimScenario.read(PERFBENCH_DATA / "sim_scenario.json")
+    times = json.loads((PERFBENCH_DATA / "sim_calibration.json").read_text())["analysis_times"]
+    return [draw_trial(scn, _rng_for_replicate(3, rep)) for rep in range(8)], times
+
+
+def calendar_grid():
+    scn = SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=math.log(1.5), shape_offset=-0.3)
+    return [draw_trial(scn, _rng_for_replicate(20200920, 5))], np.round(np.arange(1, 31) * 0.1, 10)
+
+
+def assert_analyses_close(got, want, delta_rel, info_rel):
+    assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+    np.testing.assert_allclose(got.delta, want.delta, rtol=delta_rel, atol=0)
+    np.testing.assert_allclose(got.info, want.info, rtol=info_rel, atol=0)
+
+
+class TestCovariateScale:
+    """The units a covariate is recorded in change no result: each trial's covariates are standardized."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, shift", [([1.0, 1.0], [1000.0, 0.0]), ([1.0, 1.0], [300.0, 300.0]),
+                                              ([1e-6, 1e-6], [0.0, 0.0]), ([1e4, 1e4], [1e6, 1e6])],
+                             ids=["first+1000", "both+300", "both*1e-6", "both*1e4+1e6"])
+    def test_mapped_covariates_give_the_unmapped_analysis(self, scale, shift):
+        # before standardization these overflowed the risk sums, or the fit met a singular or unconverged information
+        trial = draw_trial(SimScenario(covariates="bernoulli2", covariate_strength=1.0), np.random.default_rng(5))
+        mapped = replace(trial, z=trial.z * scale + shift)
+        want, got = (analyze(snapshot(t, u=[1.5, 3.0], tau=1.0)) for t in (trial, mapped))
+        assert got.errors == [None, None] and want.errors == [None, None]
+        np.testing.assert_allclose(got.delta, want.delta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.info, want.info, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", [sim_group, calendar_grid, interim_trial], ids=["sim-group", "calendar-grid",
+                                                                                   "interim-5000"])
+    def test_standardizing_moves_the_results_only_by_rounding(self, case):
+        trials, u = ([case()], [1.0, 1.5, 2.0, 2.5, 3.0]) if case is interim_trial else case()
+        snap = snapshot(trials, u=u, tau=1.0)
+        raw = with_covariates(snap, np.concatenate([t.z for t in trials]))
+        for method in (analyze, cox_hr_test):
+            got, want = method(snap), method(raw)
+            assert sum(e is None for e in got.errors) >= 0.8 * snap.u.size
+            assert_analyses_close(got, want, delta_rel=1e-12, info_rel=1e-13)
 
 
 svm_seeds = st.integers(0, 10_000)

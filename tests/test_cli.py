@@ -577,7 +577,7 @@ class TestKmCompare:
         out = tmp_path / "compare.json"
         code, stdout, _ = run_cli(
             capsys, "km-compare", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
-            "--standardize", "--out", str(out),
+            "--out", str(out),
         )
         assert code == 0
         report = json.loads(out.read_text())
@@ -616,6 +616,40 @@ class TestClosedStdout:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCovariateUnits:
+    """A covariate's units change no printed analysis; a constant covariate is refused by the fit."""
+
+    @staticmethod
+    def write(path, trial, z):
+        columns = (trial.arm.tolist(), trial.entry.tolist(), trial.followup.tolist(), trial.event.tolist(), z.tolist())
+        write_trial_csv(path, [[f"s{i}", arm, repr(entry), repr(followup), event, *map(repr, zi)]
+                               for i, (arm, entry, followup, event, zi) in enumerate(zip(*columns))],
+                        covariate_names=[f"z{j + 1}" for j in range(z.shape[1])])
+        return str(path)
+
+    def test_shifted_covariate_gives_the_unshifted_analysis(self, tmp_path, capsys):
+        # z1 + 1000 overflowed the risk sums before the snapshot standardized covariates: exit 4, delta 0.0512
+        trial = draw_trial(SimScenario(covariates="bernoulli2", covariate_strength=1.0), np.random.default_rng(5))
+        reports = []
+        for name, z in (("plain", trial.z), ("shifted", trial.z + [1000.0, 0.0])):
+            code, out, err = run_cli(capsys, "analyze", "--data", self.write(tmp_path / f"{name}.csv", trial, z),
+                                     "--u", "3.0", "--tau", "1.0", "--report-only")
+            assert code == 0 and err == ""
+            reports.append(json.loads(out)["analysis"])
+        plain, shifted = reports
+        assert plain["delta"] == pytest.approx(0.0196714, rel=1e-5)
+        for key in ("delta", "info"):
+            assert shifted[key] == pytest.approx(plain[key], rel=1e-12, abs=0)
+
+    def test_constant_covariate_exit_4(self, tmp_path, capsys):
+        trial = draw_trial(SimScenario(covariates="bernoulli2", covariate_strength=1.0), np.random.default_rng(5))
+        z = np.column_stack((trial.z, np.full(len(trial), 0.1)))
+        code, out, err = run_cli(capsys, "analyze", "--data", self.write(tmp_path / "constant.csv", trial, z),
+                                 "--u", "3.0", "--tau", "1.0", "--report-only")
+        assert_typed_error(code, err, 4)
+        assert "singular along direction" in err and out == ""
+
+
 class TestNonFiniteAnalysis:
     """A look whose adjusted information is NaN exits 4 and writes nothing, with no numpy warning first."""
 
@@ -1193,7 +1227,7 @@ class TestNineCovariateWorkflow:
         for k, u in enumerate((1.0, 2.0, 3.0)):
             argv = [
                 "analyze", "--data", str(data), "--u", f"{u}", "--tau", "1.0",
-                "--lock-time", "3.0", "--state", state_path, "--standardize",
+                "--lock-time", "3.0", "--state", state_path,
             ]
             if k == 0:
                 argv += ["--design", str(design_path)]

@@ -367,10 +367,12 @@ class TestCalibration:
         for method, values in infos.items():
             assert small_calib.i_max_by_method[method] == float(np.nanmean(values))
 
-    # bernoulli2 covariates of a strong effect at 4 per arm, everyone followed to 3: at seed 0 the Cox comparator's
-    # trial-end fit is singular in 16 of 100 replicates, at seed 1 (entry over a year) in 10
-    @pytest.mark.parametrize("accrual, seed, analyzed, capped", [(0.0, 0, [99, 84], ["adjusted", "km"]),
-                                                                 (1.0, 1, [98, 90], ["adjusted", "cox", "km"])])
+    # bernoulli2 covariates of a strong effect at 4 per arm, everyone followed to 3: the Cox comparator's trial-end
+    # fit fails in 10 of 100 replicates at seed 0, the most the cap allows, in 9 at seed 1 (entry over a year)
+    # and in 12 at seed 5
+    @pytest.mark.parametrize("accrual, seed, analyzed, capped", [(0.0, 0, [99, 90], ["adjusted", "cox", "km"]),
+                                                                 (1.0, 1, [98, 91], ["adjusted", "cox", "km"]),
+                                                                 (0.0, 5, [98, 88], ["adjusted", "km"])])
     def test_comparator_cap_needs_90_percent_of_the_replicates(self, accrual, seed, analyzed, capped):
         scn = SimScenario(n_per_arm=4, covariates="bernoulli2", covariate_strength=3.0, accrual=accrual, tau=3.0,
                           censoring=None, fractions=(0.5, 1.0))

@@ -19,7 +19,6 @@ from rmstgst.trial_data import (
     ingest_csv,
     snapshot,
     snapshot_from_arrays,
-    standardize_covariates,
 )
 
 
@@ -342,7 +341,7 @@ class TestSnapshot:
             alone = snapshot(trial, u=u, tau=1.0)
             own = slice(start, start + len(trial))
             start += len(trial)
-            np.testing.assert_array_equal(stack.z[own], trial.z)
+            np.testing.assert_array_equal(stack.z[own], alone.z)
             for k in range(len(u)):
                 j = r * len(u) + k
                 assert stack.offset[j] == own.start
@@ -357,6 +356,34 @@ class TestSnapshot:
                     np.testing.assert_array_equal(getattr(stack, name)[rows], getattr(alone, name)[solo])
                 for name in ("arm", "time", "event", "z"):
                     np.testing.assert_array_equal(getattr(enrolled(stack, j), name), getattr(enrolled(alone, k), name))
+
+    def test_each_trial_standardized_on_its_own(self):
+        # the second trial is the first with each covariate in other units; the third covariate is constant, and
+        # the rounded mean of 80 copies of 0.1 is not 0.1
+        first = draw_trial(SimScenario(n_per_arm=40, covariates="bernoulli2", covariate_strength=1.0),
+                           np.random.default_rng(5))
+        columns = {name: getattr(first, name) for name in ("arm", "entry", "followup", "event")}
+        z = np.column_stack((first.z, np.full(len(first), 0.1)))
+        trials = [Trial(**columns, z=z), Trial(**columns, z=z * [1e4, 1e-6, 3.0] + [1e6, 0.0, 7.0])]
+        u = [0.8, 1.5, 3.0]
+        stack = snapshot(trials, u=u, tau=1.0)
+        n = len(first)
+        for r, trial in enumerate(trials):
+            alone = snapshot(trial, u=u, tau=1.0)
+            block = stack.z[r * n:(r + 1) * n]
+            np.testing.assert_array_equal(block, alone.z)  # bit for bit, whatever shares the stack
+            for k in range(len(u)):
+                np.testing.assert_array_equal(enrolled(stack, r * len(u) + k).z, enrolled(alone, k).z)
+            np.testing.assert_allclose(block[:, :2].mean(axis=0), 0.0, atol=1e-13)  # 1e6's rounding over 1e4
+            np.testing.assert_allclose(block[:, :2].std(axis=0), 1.0, rtol=1e-14)
+            assert np.all(block[:, 2] == 0.0)
+        np.testing.assert_allclose(stack.z[n:], stack.z[:n], rtol=0, atol=1e-10)  # the units drop out
+
+    def test_a_lone_trial_covariates_are_copied(self):
+        trial = toy_trial()
+        snap = snapshot(trial, u=5.0, tau=2.0)
+        assert not np.shares_memory(snap.z, trial.z) and snap.arm is trial.arm
+        np.testing.assert_array_equal(trial.z, toy_trial().z)
 
     def test_stack_keeps_a_trial_with_nobody_enrolled(self):
         late = make_trial((0, 2.0, 1.0, 1, (0.0,)), (1, 2.5, 1.0, 1, (0.0,)))
@@ -382,18 +409,6 @@ class TestSnapshot:
     def test_stack_needs_trials_with_the_same_covariates(self, trials):
         with pytest.raises(DataError, match="one or more trials, all with the same number of covariates"):
             snapshot(trials, u=1.0, tau=1.0)
-
-    def test_standardize_constant_column_rejected(self):
-        trial = make_trial((0, 0.0, 1.0, 1, (1.0,)), (1, 0.0, 2.0, 1, (1.0,)))
-        snap = snapshot(trial, u=3.0, tau=1.0)
-        with pytest.raises(DataError, match="constant covariate"):
-            standardize_covariates(snap)
-
-    def test_standardize_centers_and_scales(self):
-        snap = snapshot(toy_trial(), u=5.0, tau=2.0)
-        std = enrolled(standardize_covariates(snap))
-        assert abs(float(std.z.mean())) < 1e-12
-        assert float(std.z.std()) == pytest.approx(1.0)
 
 
 def _columns(n):
