@@ -650,6 +650,7 @@ class TestCovariateUnits:
         assert "singular along direction" in err and out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteAnalysis:
     """A look whose adjusted information is NaN exits 4 and writes nothing, with no numpy warning first."""
 
