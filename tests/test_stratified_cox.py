@@ -536,15 +536,19 @@ class TestStackedLooks:
         for u, got in zip(grid, outcomes):
             assert_same_outcome(got, solo_outcome(trial, u), rel=1e-12)
 
-    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self, monkeypatch):
-        monkeypatch.setattr(stratified_cox, "_MAX_ITER", 20)
+    @pytest.mark.parametrize("budget", [20, 21])
+    def test_odd_looks_get_their_solo_outcome_and_leave_the_others_alone(self, monkeypatch, budget):
+        # the monotone likelihood's looks at 0.2 and 0.26 converge on their 21st iteration: at a budget of 21
+        # they fit (the score test comes before the budget's refusal), at 20 they are one over it
+        monkeypatch.setattr(stratified_cox, "_MAX_ITER", budget)
         trial = monotone_trial()
+        run_off = None if budget == 21 else ConvergenceError
         odd = {
             0.001: DataError,  # nobody enrolled yet
             0.1: DataError,  # no event yet
             0.12: None,  # arm 1 has no event; the fit runs off to beta ~ 15 in 18 iterations
-            0.2: ConvergenceError,  # the monotone likelihood: beta ~ 300 needs 21 iterations, one over the budget
-            0.26: ConvergenceError,  # likewise, beta ~ 289
+            0.2: run_off,  # beta ~ 301 after 21 iterations
+            0.26: run_off,  # beta ~ 289 after 21 iterations
         }
         looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
         snap = snapshot(trial, u=looks, tau=1.0)
@@ -555,6 +559,9 @@ class TestStackedLooks:
             if odd.get(u) is not None:
                 assert outcomes[u] is odd[u]
         assert outcomes[0.12][0][0] > 10 and outcomes[0.12][-2] == 18
+        if budget == 21:
+            for u in (0.2, 0.26):
+                assert outcomes[u][0][0] > 100 and outcomes[u][-2] == 21
         for left_out in odd:
             others = [u for u in looks if u != left_out]
             others_snap = snapshot(trial, u=others, tau=1.0)
