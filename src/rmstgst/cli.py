@@ -1,32 +1,30 @@
 """Command-line entry points for design, analysis, simulation, and calibration.
 
-Commands:
-  design      build a monitoring design file and report its planned boundary
-  boundaries  compute an error-spending boundary for given fractions
-  analyze     run one interim analysis of a CSV dataset and update state
-  simulate    estimate operating characteristics of a scenario under a design
-  calibrate   calibrate a scenario's null offset, schedule, and power effect
-  km-compare  run the adjusted and unadjusted analyses side by side
+Commands, one for each output:
+  design     build a design file and print its error-spending boundary table
+  analyze    run one interim analysis of a CSV dataset and update state; with
+             ``--km --report-only``, the adjusted and unadjusted analyses side by side
+  simulate   estimate operating characteristics of a scenario under a design
+  calibrate  calibrate a scenario's null offset, schedule, and power effect
 
 A simulation takes two steps: ``rmstgst calibrate --out cal.json``, the only
 maker of calibration files, then ``rmstgst simulate --calibration cal.json``.
 
-``analyze`` and ``km-compare`` take the same data flags and build the
-snapshot the same way; each analysis prints as its ``Analyses.report``
-dictionary. Their only column map is a ``--schema`` JSON file with keys
-``id``, ``arm``, ``entry_time``, ``followup_time`` and ``event``, each a
-column name that defaults to the key, and ``covariates``, which defaults
-to every remaining column. Every output file is written atomically by
-``_write``; an exclusive lock file naming its holder's pid is held from
-reading the monitoring state to writing it back. Exit codes: 0 success; 2
-configuration error; 3 data error; 4 estimation error (including an
-estimate or information that is not finite, in which case the state file
-is left as it was); 5 state error. An input that cannot be read (missing,
-a directory, not UTF-8 JSON or malformed) exits with its record's code: 2
-for a design, scenario or calibration, 3 for a ``--schema`` file and 5 for
-the state file. An output that cannot be written exits 2, or 5 for the
-state file or its lock. Only ``simulate`` hashes its files, for its
-manifest, so only it imports ``hashlib``, which maps OpenSSL's libcrypto.
+``analyze`` prints each analysis as its ``Analyses.report`` dictionary. Its
+only column map is a ``--schema`` JSON file with keys ``id``, ``arm``,
+``entry_time``, ``followup_time`` and ``event``, each a column name that
+defaults to the key, and ``covariates``, which defaults to every remaining
+column. Every output file is written atomically by ``_write``; an exclusive
+lock file naming its holder's pid is held from reading the monitoring state
+to writing it back. Exit codes: 0 success; 2 configuration error; 3 data
+error; 4 estimation error (including an estimate or information that is not
+finite, in which case the state file is left as it was); 5 state error. An
+input that cannot be read (missing, a directory, not UTF-8 JSON or
+malformed) exits with its record's code: 2 for a design, scenario or
+calibration, 3 for a ``--schema`` file and 5 for the state file. An output
+that cannot be written exits 2, or 5 for the state file or its lock. Only
+``simulate`` hashes its files, for its manifest, so only it imports
+``hashlib``, which maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
-from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot
+from .trial_data import CsvSchema, ingest_csv, snapshot
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -112,50 +110,26 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _spending_and_fractions(args) -> tuple[SpendingFunction, tuple[float, ...]]:
-    """The ``--spending`` family and the ``--fractions`` of ``design`` and ``boundaries``."""
+def cmd_design(args) -> int:
     spending = SpendingFunction(kind=args.spending, alpha=args.alpha, rho=args.rho, sided=args.sides)
     try:
-        return spending, tuple(float(part) for part in args.fractions.split(","))
+        fractions = tuple(float(part) for part in args.fractions.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad fractions {args.fractions!r}: expected comma-separated numbers") from exc
-
-
-def _boundary_table(schedule) -> str:
+    design = DesignConfig(spending=spending, planned_fractions=fractions, i_max=args.i_max)
+    schedule = boundaries(spending, fractions)
+    if args.out:
+        _write(args.out, _json_text(design.to_dict()) + "\n")
     lines = ["stage  fraction  critical   cum_spend"]
     for k, (f, c, s) in enumerate(
         zip(schedule.fractions, schedule.critical_values, schedule.cumulative_spend), start=1
     ):
         crit = "   inf  " if math.isinf(c) else f"{c:8.5f}"
         lines.append(f"{k:>5}  {f:8.4f}  {crit}  {s:9.6f}")
-    return "\n".join(lines)
-
-
-def cmd_design(args) -> int:
-    spending, fractions = _spending_and_fractions(args)
-    design = DesignConfig(spending=spending, planned_fractions=fractions, i_max=args.i_max)
-    schedule = boundaries(spending, fractions)
-    if args.out:
-        _write(args.out, _json_text(design.to_dict()) + "\n")
-    _print(_boundary_table(schedule))
+    _print("\n".join(lines))
     if not args.out:
         _print(_json_text(design.to_dict()))
     return 0
-
-
-def cmd_boundaries(args) -> int:
-    spending, fractions = _spending_and_fractions(args)
-    schedule = boundaries(spending, fractions)
-    _print(_boundary_table(schedule))
-    if args.out:
-        _write(args.out, _json_text(schedule.to_dict()) + "\n")
-    return 0
-
-
-def _snapshot_from_args(args) -> Snapshot:
-    """Ingest ``--data`` by ``--schema`` and roll it back to ``--u``."""
-    trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
-    return snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
 
 
 @contextmanager
@@ -211,7 +185,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
         raise ConfigError("--state is required unless --report-only is given")
-    snap = _snapshot_from_args(args)
+    trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
+    snap = snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
     result = analyze(snap).report(0)
     report: dict = {"analysis": result}
     if args.km:
@@ -227,18 +202,6 @@ def cmd_analyze(args) -> int:
     record = state.analyses[-1].to_dict()
     keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
     report["monitoring"] = {k: record[k] for k in keys}
-    _print(_json_text(report))
-    return 0
-
-
-def cmd_km_compare(args) -> int:
-    snap = _snapshot_from_args(args)
-    report = {
-        "adjusted": analyze(snap).report(0),
-        "km": km_rmst_test(snap).report(0),
-    }
-    if args.out:
-        _write(args.out, _json_text(report) + "\n")
     _print(_json_text(report))
     return 0
 
@@ -345,27 +308,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _add_input_flags(parser) -> None:
-    """Data flags shared by ``analyze`` and ``km-compare``."""
-    parser.add_argument("--data", required=True, help="subject-level CSV")
-    parser.add_argument("--u", type=float, required=True, help="analysis calendar time")
-    parser.add_argument("--tau", type=float, required=True, help="restriction horizon")
-    parser.add_argument("--lock-time", type=float, default=None,
-                        help="calendar lock time of the dataset, for maturity checking")
-    parser.add_argument("--schema", help="JSON file naming the CSV's columns: id, arm, entry_time, followup_time "
-                        "and event (each default: the key itself) and covariates (default: every remaining column)")
-
-
-def _add_spending_flags(parser) -> None:
-    parser.add_argument("--spending", required=True, choices=SPENDING_KINDS,
-                        help="error-spending family")
-    parser.add_argument("--alpha", type=float, default=0.05, help="total type I error")
-    parser.add_argument("--rho", type=float, default=None,
-                        help="power-family exponent (power_family only)")
-    parser.add_argument("--sides", choices=SIDEDNESS, default="two_sided",
-                        help="one- or two-sided testing")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmstgst",
@@ -375,23 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", help="build a design file and report its planned boundary")
-    _add_spending_flags(p)
+    p = sub.add_parser("design", help="build a design file and report its boundary")
+    p.add_argument("--spending", required=True, choices=SPENDING_KINDS, help="error-spending family")
+    p.add_argument("--alpha", type=float, default=0.05, help="total type I error")
+    p.add_argument("--rho", type=float, default=None, help="power-family exponent (power_family only)")
+    p.add_argument("--sides", choices=SIDEDNESS, default="two_sided", help="one- or two-sided testing")
     p.add_argument("--fractions", required=True,
-                   help="comma-separated planned information fractions, ending at 1.0")
+                   help="comma-separated strictly increasing information fractions in (0, 1]; a schedule "
+                        "that ends below 1.0 spends only the spending function's value at its last fraction")
     p.add_argument("--i-max", type=float, default=None,
                    help="target full information (from calibration)")
     p.add_argument("--out", help="design JSON output path")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("boundaries", help="compute a spending boundary for given fractions")
-    _add_spending_flags(p)
-    p.add_argument("--fractions", required=True, help="comma-separated information fractions")
-    p.add_argument("--out", help="boundary JSON output path")
-    p.set_defaults(func=cmd_boundaries)
-
     p = sub.add_parser("analyze", help="run one interim analysis and update monitoring state")
-    _add_input_flags(p)
+    p.add_argument("--data", required=True, help="subject-level CSV")
+    p.add_argument("--u", type=float, required=True, help="analysis calendar time")
+    p.add_argument("--tau", type=float, required=True, help="restriction horizon")
+    p.add_argument("--lock-time", type=float, default=None,
+                   help="calendar lock time of the dataset, for maturity checking")
+    p.add_argument("--schema", help="JSON file naming the CSV's columns: id, arm, entry_time, followup_time "
+                   "and event (each default: the key itself) and covariates (default: every remaining column)")
     p.add_argument("--state", help="monitoring state JSON path")
     p.add_argument("--design", help="design JSON (required when the state file does not exist)")
     p.add_argument("--i-max", type=float, default=None,
@@ -431,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sides", choices=SIDEDNESS, default="two_sided")
     p.add_argument("--out", help="calibration JSON output path")
     p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("km-compare", help="adjusted and unadjusted analyses side by side")
-    _add_input_flags(p)
-    p.add_argument("--out", help="report JSON output path")
-    p.set_defaults(func=cmd_km_compare)
 
     return parser
 

@@ -122,7 +122,7 @@ class SpendingFunction:
         return self.alpha * math.log1p((math.e - 1.0) * f)
 
     def to_dict(self) -> dict:
-        """The ``alpha``, ``sidedness`` and ``spending`` keys of design and boundary files."""
+        """The ``alpha``, ``sidedness`` and ``spending`` keys of a design file."""
         spec = {"kind": self.kind}
         if self.rho is not None:
             spec["rho"] = self.rho
@@ -394,21 +394,6 @@ class BoundarySchedule:
     fractions: tuple[float, ...]
     cumulative_spend: tuple[float, ...]
     critical_values: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": DESIGN_SCHEMA,
-            **self.spending.to_dict(),
-            "planned_fractions": list(self.fractions),
-            "stages": [
-                {
-                    "fraction": f,
-                    "cumulative_spend": s,
-                    "critical_value": None if math.isinf(c) else c,
-                }
-                for f, s, c in zip(self.fractions, self.cumulative_spend, self.critical_values)
-            ],
-        }
 
 
 def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:

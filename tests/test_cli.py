@@ -142,17 +142,6 @@ class TestDesignAndBoundaries:
         assert code == 0
         assert '"schema": "rmstgst.design/1"' in stdout
 
-    def test_boundaries_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "bounds.json"
-        code, _, _ = run_cli(
-            capsys, "boundaries", "--spending", "power_family", "--rho", "3",
-            "--fractions", "0.4,1.0", "--out", str(out),
-        )
-        assert code == 0
-        stages = json.loads(out.read_text())["stages"]
-        direct = boundaries(SpendingFunction("power_family", rho=3.0), (0.4, 1.0))
-        np.testing.assert_allclose([s["critical_value"] for s in stages], direct.critical_values, rtol=1e-14)
-
     def test_invalid_spending_configuration_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "design", "--spending", "power_family", "--fractions", "0.5,1.0",
@@ -162,7 +151,7 @@ class TestDesignAndBoundaries:
 
     def test_bad_fractions_exit_2(self, capsys):
         code, _, err = run_cli(
-            capsys, "boundaries", "--spending", "cubic_min", "--fractions", "0.5,abc",
+            capsys, "design", "--spending", "cubic_min", "--fractions", "0.5,abc",
         )
         assert code == 2
         assert "fractions" in err
@@ -181,6 +170,7 @@ class TestAnalyze:
         keys = {"u", "tau", "mu0", "mu1", "delta", "se", "z", "info"}
         assert set(report["analysis"]) == keys | {"components", "diagnostics"}
         assert set(report["km"]) == keys
+        assert report["analysis"]["delta"] != report["km"]["delta"]
         assert set(report["analysis"]["components"]) == {"B10", "B11", "B3", "var_cond"}
         diagnostics = report["analysis"]["diagnostics"]
         assert set(diagnostics) == {"iterations", "step_halvings"}
@@ -572,20 +562,6 @@ class TestAnalyze:
         assert out == "" and list(tmp_path.iterdir()) == []
 
 
-class TestKmCompare:
-    def test_side_by_side_report(self, trial_csv, tmp_path, capsys):
-        out = tmp_path / "compare.json"
-        code, stdout, _ = run_cli(
-            capsys, "km-compare", "--data", trial_csv, "--u", "3.0", "--tau", "1.0",
-            "--out", str(out),
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert json.loads(stdout) == report
-        assert set(report) == {"adjusted", "km"}
-        assert report["adjusted"]["delta"] != report["km"]["delta"]
-
-
 def run_with_closed_stdout(*argv):
     """Run ``rmstgst`` in a child whose stdout has no reader left; return its exit code and stderr."""
     proc = subprocess.Popen([sys.executable, "-m", "rmstgst", *argv], stdout=subprocess.PIPE,
@@ -667,13 +643,14 @@ class TestNonFiniteAnalysis:
         return str(path)
 
     def test_report_only_exit_4(self, monotone_csv, capsys):
-        code, stdout, err = run_cli(
-            capsys, "analyze", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
-            "--report-only",
-        )
-        assert code == 4
-        assert stdout == ""
-        assert "must be finite" in err
+        for km in ((), ("--km",)):  # with --km the look also runs through the KM comparator
+            code, stdout, err = run_cli(
+                capsys, "analyze", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
+                "--report-only", *km,
+            )
+            assert code == 4
+            assert stdout == ""
+            assert "must be finite" in err
 
     def test_state_left_untouched(self, monotone_csv, tmp_path, capsys):
         state_path = tmp_path / "state.json"
@@ -691,16 +668,6 @@ class TestNonFiniteAnalysis:
         assert "must be finite" in err
         assert state_path.read_bytes() == before
         assert not os.path.exists(str(state_path) + ".lock")
-
-    def test_km_compare_exit_4(self, monotone_csv, tmp_path, capsys):
-        out = tmp_path / "compare.json"
-        code, _, err = run_cli(
-            capsys, "km-compare", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
-            "--out", str(out),
-        )
-        assert code == 4
-        assert "must be finite" in err
-        assert not out.exists()
 
 
 def scenario_file(tmp_path, **overrides):
@@ -1332,32 +1299,6 @@ GOLDEN_DESIGN = """{
 }
 """
 
-GOLDEN_BOUNDARIES = """{
-  "alpha": <f>,
-  "planned_fractions": [
-    <f>,
-    <f>
-  ],
-  "schema": "rmstgst.design/1",
-  "sidedness": "two_sided",
-  "spending": {
-    "kind": "obrien_fleming_like"
-  },
-  "stages": [
-    {
-      "critical_value": <f>,
-      "cumulative_spend": <f>,
-      "fraction": <f>
-    },
-    {
-      "critical_value": <f>,
-      "cumulative_spend": <f>,
-      "fraction": <f>
-    }
-  ]
-}
-"""
-
 GOLDEN_CALIBRATION = """{
   "analysis_times": [
     <f>,
@@ -1427,9 +1368,9 @@ GOLDEN_CALIBRATION = """{
 class TestGoldenBytes:
     """The exact text of each file the package writes, keys in file order.
 
-    Floats that the boundary recursion or the simulation computes are
-    masked in the text and compared to a tolerance; every other character,
-    ``null``, integer and boolean included, must match.
+    Floats that the calibration computes are masked in the text and
+    compared to a tolerance; every other character, ``null``, integer
+    and boolean included, must match.
     """
 
     def test_state_json(self):
@@ -1451,20 +1392,6 @@ class TestGoldenBytes:
         )
         assert code == 0
         assert out.read_text() == GOLDEN_DESIGN
-
-    def test_boundaries_file(self, tmp_path, capsys):
-        out = tmp_path / "boundaries.json"
-        code, _, _ = run_cli(
-            capsys, "boundaries", "--spending", "obrien_fleming_like", "--fractions", "0.5,1.0",
-            "--out", str(out),
-        )
-        assert code == 0
-        text, floats = split_floats(out.read_text())
-        assert text == GOLDEN_BOUNDARIES
-        np.testing.assert_allclose(floats, [
-            0.05, 0.5, 1.0, 2.771807648699349, 0.005574596680784529, 0.5, 1.9793113426785223,
-            0.050000000000000044, 1.0,
-        ], rtol=1e-9)
 
     def test_calibration_file(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -1493,12 +1420,18 @@ class TestGoldenBytes:
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "rmstgst", "boundaries", "--spending", "cubic_min",
+            [sys.executable, "-m", "rmstgst", "design", "--spending", "cubic_min",
              "--fractions", "1.0"],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
         assert "1.95996" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["km-compare", "boundaries"])
+    def test_deleted_command_exit_2(self, command, capsys):
+        code, stdout, err = run_cli(capsys, command, "--help")
+        assert code == 2 and stdout == ""
+        assert f"invalid choice: '{command}'" in err
 
     def test_version_flag(self, capsys):
         code, stdout, _ = run_cli(capsys, "--version")

@@ -17,7 +17,6 @@ from scipy.stats import norm
 from rmstgst import gs_design
 from rmstgst.errors import ConfigError, StateError
 from rmstgst.gs_design import (
-    BoundarySchedule,
     DesignConfig,
     MonitoringState,
     SpendingFunction,
@@ -136,6 +135,11 @@ class TestBoundaries:
         assert sched.critical_values[0] == pytest.approx(
             norm.isf(ALPHA / 2) / math.sqrt(0.5), abs=1e-9
         )
+
+    def test_obf_like_two_stage_reference_values(self):
+        sched = boundaries(make_spending("obrien_fleming_like"), (0.5, 1.0))
+        np.testing.assert_allclose(sched.critical_values, (2.771807648699349, 1.9793113426785223), rtol=1e-9)
+        np.testing.assert_allclose(sched.cumulative_spend, (0.005574596680784529, 0.050000000000000044), rtol=1e-9)
 
     def test_three_stage_cubic_reference_values(self):
         sched = boundaries(make_spending("cubic_min"), (0.5, 0.75, 1.0))
@@ -540,26 +544,8 @@ class TestMonitoring:
 
 
 class TestSerialization:
-    def test_boundary_schedule_round_trip(self):
-        sched = boundaries(make_spending("power_family"), (0.4, 0.8, 1.0))
-        back = json.loads(json.dumps(sched.to_dict()))
-        assert tuple(s["fraction"] for s in back["stages"]) == sched.fractions
-        np.testing.assert_allclose([s["critical_value"] for s in back["stages"]], sched.critical_values, rtol=1e-15)
-        assert SpendingFunction.from_dict(back) == sched.spending
-
-    def test_boundary_schedule_infinite_critical_round_trip(self):
-        sched = BoundarySchedule(
-            spending=make_spending("cubic_min"),
-            fractions=(0.5, 1.0),
-            cumulative_spend=(ALPHA, ALPHA),
-            critical_values=(1.96, math.inf),
-        )
-        payload = sched.to_dict()
-        assert payload["stages"][1]["critical_value"] is None
-        assert json.loads(json.dumps(payload))["stages"][1]["critical_value"] is None
-
-    def test_boundary_schedule_without_spending_is_config_error(self):
-        payload = boundaries(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
+    def test_design_without_spending_is_config_error(self):
+        payload = DesignConfig(make_spending("cubic_min"), (0.5, 1.0)).to_dict()
         del payload["spending"]
         with pytest.raises(ConfigError, match="missing keys"):
             SpendingFunction.from_dict(payload)
@@ -570,10 +556,8 @@ class TestSerialization:
         assert list(design.to_dict()) == [
             "schema", "alpha", "sidedness", "spending", "planned_fractions", "i_max",
         ]
-        sched = boundaries(spending, (0.5, 1.0)).to_dict()
-        assert list(sched) == ["schema", "alpha", "sidedness", "spending", "planned_fractions", "stages"]
-        assert sched["spending"] == {"kind": "power_family", "rho": 3.0}
-        assert SpendingFunction.from_dict(sched) == spending
+        assert design.to_dict()["spending"] == {"kind": "power_family", "rho": 3.0}
+        assert SpendingFunction.from_dict(design.to_dict()) == spending
 
     def test_design_config_round_trip_and_errors(self):
         design = DesignConfig(

@@ -56,8 +56,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
-    """Two monitored looks, the second solving a stage, a side-by-side look, a boundary and a design load
-    no scipy, not the simulation engine or its process pool, and not hashlib."""
+    """Two monitored looks, the second solving a stage, a side-by-side report-only look and two designs
+    load no scipy, not the simulation engine or its process pool, and not hashlib."""
     rng = np.random.default_rng(5)
     data = tmp_path / "trial.csv"
     with open(data, "w", newline="", encoding="utf-8") as fh:
@@ -71,13 +71,13 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
     state = tmp_path / "state.json"
     look = ["analyze", "--data", str(data), "--tau", "1.0", "--state", str(state), "--km"]
     first = look + ["--u", "1.5", "--design", str(design), "--i-max", "200"]
-    bounds = ["boundaries", "--spending", "obrien_fleming_like", "--fractions", "0.1,0.1001,1.0"]
+    near_tie = ["design", "--spending", "obrien_fleming_like", "--fractions", "0.1,0.1001,1.0"]
     plan = ["design", "--spending", "pocock_like", "--fractions", "0.5,1.0", "--i-max", "200"]
-    compare = ["km-compare", "--data", str(data), "--u", "3.0", "--tau", "1.0"]
+    report = ["analyze", "--data", str(data), "--u", "3.0", "--tau", "1.0", "--km", "--report-only"]
     code = (
         f"{BEFORE}from rmstgst import cli\n"
         f"assert cli.main({first!r}) == 0 and cli.main({look + ['--u', '3.0']!r}) == 0\n"
-        f"assert cli.main({compare!r}) == 0 and cli.main({bounds!r}) == 0 and cli.main({plan!r}) == 0\n"
+        f"assert cli.main({report!r}) == 0 and cli.main({near_tie!r}) == 0 and cli.main({plan!r}) == 0\n"
         + _loaded(SCIPY, ENGINE, HASHLIB)
     )
     assert _run_fresh(code) == "[]"

@@ -438,7 +438,7 @@ class TestMethods:
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_report_prints_the_arrays_at_a_look(self, small_scn, method):
-        # the dictionary that analyze and km-compare print: its keys in order, se and z from delta and info
+        # the dictionary that analyze prints: its keys in order, se and z from delta and info
         snap = snapshot(draw_trial(small_scn, _rng_for_replicate(20200920, 3)), u=[1.0, 2.0, 3.0], tau=1.0)
         analyses = METHODS[method](snap)
         means = ["mu0", "mu1"] if method != "cox" else []
