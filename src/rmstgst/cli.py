@@ -51,7 +51,7 @@ from .gs_design import (
     update_monitoring,
 )
 from .km_rmst import km_rmst_test
-from .trial_data import CsvSchema, ingest_csv, snapshot
+from .trial_data import CsvSchema, Snapshot, ingest_csv, snapshot
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -132,6 +132,12 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _snapshot_from_args(args) -> Snapshot:
+    """Ingest ``--data`` by ``--schema`` and roll it back to ``--u``; the trial is freed on return."""
+    trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
+    return snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
+
+
 @contextmanager
 def _state_lock(path: str):
     """Hold ``<path>.lock``, created exclusively and naming its holder, for the block."""
@@ -185,8 +191,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
         raise ConfigError("--state is required unless --report-only is given")
-    trial = ingest_csv(args.data, CsvSchema.read(args.schema) if args.schema else CsvSchema())
-    snap = snapshot(trial, u=args.u, tau=args.tau, lock_time=args.lock_time)
+    snap = _snapshot_from_args(args)
     result = analyze(snap).report(0)
     report: dict = {"analysis": result}
     if args.km:
