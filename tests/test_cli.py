@@ -142,6 +142,46 @@ class TestDesignAndBoundaries:
         assert code == 0
         assert '"schema": "rmstgst.design/1"' in stdout
 
+    def test_boundaries_round_trip(self, tmp_path, capsys):
+        # the design file read back gives the boundary its table printed
+        out = tmp_path / "design.json"
+        code, stdout, _ = run_cli(
+            capsys, "design", "--spending", "power_family", "--rho", "3",
+            "--fractions", "0.4,1.0", "--out", str(out),
+        )
+        assert code == 0
+        design = DesignConfig.from_dict(json.loads(out.read_text()))
+        assert design.spending == SpendingFunction("power_family", rho=3.0)
+        back = boundaries(design.spending, design.planned_fractions)
+        direct = boundaries(SpendingFunction("power_family", rho=3.0), (0.4, 1.0))
+        np.testing.assert_allclose(back.critical_values, direct.critical_values, rtol=1e-14)
+        rows = [line.split() for line in stdout.splitlines()[1:]]
+        assert rows == [
+            [str(k), f"{f:.4f}", f"{c:.5f}", f"{s:.6f}"]
+            for k, (f, c, s) in enumerate(zip(direct.fractions, direct.critical_values, direct.cumulative_spend), 1)
+        ]
+
+    def test_partial_schedule_spends_its_last_fraction(self, capsys):
+        code, stdout, _ = run_cli(capsys, "design", "--spending", "cubic_min", "--fractions", "0.5,0.75")
+        assert code == 0
+        table = stdout.split("{", 1)[0].splitlines()
+        assert len(table) == 3
+        assert table[-1].split()[:2] == ["2", "0.7500"]
+        assert float(table[-1].split()[-1]) == pytest.approx(0.05 * 0.75**3, abs=5e-7)
+
+    def test_infinite_critical_value_prints_inf(self, tmp_path, capsys):
+        # a first look at 1e-5 of the information spends nothing, so nothing there can cross
+        out = tmp_path / "design.json"
+        code, stdout, _ = run_cli(
+            capsys, "design", "--spending", "obrien_fleming_like", "--fractions", "1e-5,0.5,1.0",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = [line.split() for line in stdout.splitlines()[1:]]
+        assert rows[0] == ["1", "0.0000", "inf", "0.000000"]
+        assert [row[2] for row in rows[1:]] == ["2.77181", "1.97931"]
+        assert DesignConfig.from_dict(json.loads(out.read_text())).planned_fractions == (1e-5, 0.5, 1.0)
+
     def test_invalid_spending_configuration_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "design", "--spending", "power_family", "--fractions", "0.5,1.0",
