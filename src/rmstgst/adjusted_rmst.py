@@ -307,7 +307,7 @@ def analyze(snap: Snapshot) -> Analyses:
     and fit diagnostics; a look whose model fit failed keeps the fit's
     ``ConvergenceError`` or ``SingularInformationError``.
     """
-    fits = cox_fit(snap, looks=snap.events_in_every_stratum())
+    fits = cox_fit(snap)
     # a look whose fit ran off overflows here; its difference or information is then not finite
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         adj = adjusted_survival(snap, fits, [k for k, error in enumerate(fits.errors) if error is None])

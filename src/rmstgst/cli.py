@@ -7,8 +7,11 @@ Commands, one for each output:
   simulate   estimate operating characteristics of a scenario under a design
   calibrate  calibrate a scenario's null offset, schedule, and power effect
 
-A simulation takes two steps: ``rmstgst calibrate --out cal.json``, the only
-maker of calibration files, then ``rmstgst simulate --calibration cal.json``.
+A look's information fraction is its information over the design file's
+``i_max`` (``design --i-max``), the full information; ``analyze`` starts
+monitoring only on a design that has it. A simulation takes two steps:
+``rmstgst calibrate --out cal.json``, the only maker of calibration files,
+then ``rmstgst simulate --calibration cal.json``.
 
 ``analyze`` prints each analysis as its ``Analyses.report`` dictionary. Its
 only column map is a ``--schema`` JSON file with keys ``id``, ``arm``,
@@ -165,28 +168,21 @@ def _state_lock(path: str):
         os.unlink(lock_path)
 
 
-def _given(args, *flags: str) -> list[str]:
-    """Those of ``flags``, each a switch or an option without a default, given on the command line."""
-    values = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
-    return [flag for flag, value in zip(flags, values) if value is not None and value is not False]
-
-
 def _load_or_create_state(args) -> MonitoringState:
-    """The state in ``--state``, or a fresh one on ``--design``; a design flag on a stored state is refused."""
+    """The state in ``--state``, or a fresh one on ``--design``; ``--design`` on a stored state is refused."""
     if os.path.exists(args.state):
-        given = _given(args, "--design", "--i-max")
-        if given:
-            raise ConfigError(f"state {args.state} already initialized; omit {', '.join(given)} (the state file "
-                              "carries the design)")
+        if args.design is not None:
+            raise ConfigError(f"state {args.state} already initialized; omit --design (the state file carries the "
+                              "design)")
         return MonitoringState.read(args.state)
     if not args.design:
         raise ConfigError(f"state {args.state} does not exist; pass --design to start monitoring")
-    design = DesignConfig.read(args.design)
-    return MonitoringState(design=design if args.i_max is None else replace(design, i_max=args.i_max))
+    return MonitoringState(design=DesignConfig.read(args.design))
 
 
 def cmd_analyze(args) -> int:
-    monitoring = _given(args, "--state", "--design", "--i-max", "--final")
+    # a flag counts as given unless its value is None or False, so --state "" does
+    monitoring = [f"--{name}" for name in ("state", "design", "final") if getattr(args, name) not in (None, False)]
     if args.report_only and monitoring:
         raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strictly increasing information fractions in (0, 1]; a schedule "
                         "that ends below 1.0 spends only the spending function's value at its last fraction")
     p.add_argument("--i-max", type=float, default=None,
-                   help="target full information (from calibration)")
+                   help="full information, the information at fraction 1; analyze needs it to start monitoring")
     p.add_argument("--out", help="design JSON output path")
     p.set_defaults(func=cmd_design)
 
@@ -344,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="JSON file naming the CSV's columns: id, arm, entry_time, followup_time "
                    "and event (each default: the key itself) and covariates (default: every remaining column)")
     p.add_argument("--state", help="monitoring state JSON path")
-    p.add_argument("--design", help="design JSON (required when the state file does not exist)")
-    p.add_argument("--i-max", type=float, default=None,
-                   help="override the design's full information (fresh state only)")
+    p.add_argument("--design", help="design JSON, whose i_max sets full information (required when the state "
+                   "file does not exist)")
     p.add_argument("--final", action="store_true",
                    help="declare this the final analysis (spend all remaining alpha; on a first look, "
                         "the fixed-sample test)")

@@ -32,7 +32,7 @@ class ConvergenceError(EstimationError):
 
 
 class InsufficientEventsError(EstimationError):
-    """An analysis requires at least one event per arm inside the horizon, at a look that the fit's mask keeps."""
+    """A look has an arm without events by min(u, tau): no analysis, and no fit, is made there."""
 
 
 class StateError(RmstgstError):

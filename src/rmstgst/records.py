@@ -105,19 +105,11 @@ class Record:
         """The record in the UTF-8 JSON file at ``path``, after one byte-order mark if it starts with one."""
         try:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read().removeprefix("\ufeff")
+                d = json.loads(fh.read().removeprefix("\ufeff"))
         except (OSError, UnicodeDecodeError) as exc:
             raise cls._error(f"cannot read {cls._what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
-        return cls.from_json(text, path)
-
-    @classmethod
-    def from_json(cls, text: str, path=None):
-        """The record in JSON ``text``, read from ``path`` if given."""
-        try:
-            d = json.loads(text)
         except json.JSONDecodeError as exc:
-            where = "" if path is None else f"{path}: "
-            raise cls._error(f"{where}{cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
+            raise cls._error(f"{path}: {cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
         return cls.from_dict(d)
 

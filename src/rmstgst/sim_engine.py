@@ -273,7 +273,7 @@ def cox_hr_test(snap: Snapshot) -> Analyses:
     Returns the ``"cox"`` :class:`Analyses`, whose ``delta`` is the log
     hazard ratio; a look whose fit failed keeps the fit's error.
     """
-    fits = cox_fit(SharedBaseline(snap), looks=snap.events_in_every_stratum())
+    fits = cox_fit(SharedBaseline(snap))
     fitted = np.array([error is None for error in fits.errors], dtype=bool)
     info = np.full(snap.u.size, np.nan)
     info[fitted] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, InsufficientEventsError, SingularInformationError
+from .errors import ConvergenceError, InsufficientEventsError, SingularInformationError
 from .trial_data import Snapshot, look_sums
 
 __all__ = ["CoxFits", "SharedBaseline", "fit"]
@@ -71,6 +71,7 @@ class SharedBaseline:
     def __init__(self, snap: Snapshot):
         self.snap, self.u, self.tau = snap, snap.u, snap.tau
         self.event_counts, self.event_stratum, self.look_rows = snap.event_counts, snap.event_stratum, snap.look_rows
+        self.events_in_every_stratum = snap.events_in_every_stratum
         arm1 = look_sums(snap.event_counts, snap.stratum_rows)[1::2]  # the treatment arm's events
         self.event_z_total = np.column_stack((arm1, snap.event_z_total))
         self.upper = np.triu_indices(self.event_z_total.shape[1])
@@ -150,23 +151,21 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
     return looks[~singular], eigval[~singular], eigvec[~singular]
 
 
-def fit(snap: Snapshot | SharedBaseline, looks=None) -> CoxFits:
+def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
     """Maximize each look's stratified, or shared-baseline, log partial likelihood by Newton iteration, all at once.
 
-    Every look starts at beta = 0, converges when its score max-norm drops
-    below ``_SCORE_TOL``, and halves steps that would decrease its log partial
-    likelihood; a look that converges or fails is frozen while the rest go
-    on. With no covariates the baselines are Nelson-Aalen estimates. A
-    look's failure is kept in ``errors[k]``: ``ConvergenceError`` (its
-    ``_MAX_ITER`` iterations spent, or halving failed),
-    ``SingularInformationError``, ``DataError`` (no events at or before
-    min(u, tau)), or ``InsufficientEventsError`` for a look that the mask
-    ``looks`` leaves out.
+    A look that has an arm without events by min(u, tau) is not fitted: its
+    error is ``InsufficientEventsError``. Every other look starts at beta =
+    0, converges when its score max-norm drops below ``_SCORE_TOL``, and
+    halves steps that would decrease its log partial likelihood; a look
+    that converges or fails is frozen while the rest go on. With no
+    covariates the baselines are Nelson-Aalen estimates. A look's failure
+    is kept in ``errors[k]``: ``ConvergenceError`` (its ``_MAX_ITER``
+    iterations spent, or halving failed) or ``SingularInformationError``.
     """
-    wanted = [True] * snap.u.size if looks is None else np.asarray(looks, dtype=bool).tolist()
-    errors = [InsufficientEventsError(f"the look at u={u} was left out of the fit") if not want else None if rows
-              else DataError(f"no events at or before t_max={min(u, snap.tau)}; nothing to fit")
-              for u, rows, want in zip(snap.u.tolist(), np.diff(snap.look_rows).tolist(), wanted)]
+    errors = [None if both else InsufficientEventsError(f"an arm has no events at or before min(u, tau)="
+                                                        f"{min(u, snap.tau)}")
+              for u, both in zip(snap.u.tolist(), snap.events_in_every_stratum().tolist())]
     n_looks, p = snap.u.size, snap.event_z_total.shape[1]
     beta, step = np.zeros((n_looks, p)), np.zeros((n_looks, p))
     scale, iterations, halvings = (np.zeros(n_looks, dtype=t) for t in (np.float64, np.int64, np.int64))

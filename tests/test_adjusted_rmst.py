@@ -160,20 +160,13 @@ def outcome(analyses, k):
     return (r["delta"], r["info"], r["mu0"], r["mu1"], *r["components"].values())
 
 
-def analyze_leaving_out(snap, left_out):
-    """``analyze(snap)`` with the looks where ``left_out`` is true also left out of the model fit."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adjusted_rmst, "cox_fit", lambda snap, looks: fit(snap, looks=looks & ~np.asarray(left_out)))
-        return analyze(snap)
-
-
-def solo(trial, u, masked=False):
-    """The outcome of analyzing a snapshot of the one look ``u`` on its own (left out of its fit if ``masked``)."""
+def solo(trial, u):
+    """The outcome of analyzing a snapshot of the one look ``u`` on its own."""
     try:
         snap = snapshot(trial, u=u, tau=1.0)
     except RmstgstError as exc:
         return type(exc)
-    return outcome(analyze_leaving_out(snap, [masked]), 0)
+    return outcome(analyze(snap), 0)
 
 
 def blocked_snapshot(p=2, event_at_tau=False, tau=2.0):
@@ -673,7 +666,7 @@ class TestStackedLooks:
             assert got == solo(trial, u)  # bit for bit, or the same error class
         # each stratum's stacked Breslow hazard is its arm's own cumulative sum, bit for bit
         snap = analyses.snap
-        fits = fit(snap, looks=snap.events_in_every_stratum())
+        fits = fit(snap)
         hazard = adjusted_survival(snap, fits, []).hazard
         for k in range(grid.size):
             for arm in (0, 1):
@@ -698,21 +691,19 @@ class TestStackedLooks:
         odd = {
             0.001: InsufficientEventsError,  # nobody enrolled yet (alone, no snapshot at all)
             0.12: InsufficientEventsError,  # arm 1 has no event
-            0.15: InsufficientEventsError,  # left out of the fit
             0.2: EstimationError,  # the monotone likelihood: beta ~ 282, the variance overflows
         }
         looks = sorted([*odd, *np.round(np.arange(3, 31) * 0.1, 10)])
 
         def analyses(us):
-            snap = snapshot(trial, u=us, tau=1.0)
-            return analyze_leaving_out(snap, np.equal(us, 0.15))
+            return analyze(snapshot(trial, u=us, tau=1.0))
 
         stacked_looks = analyses(looks)
         outcomes = {u: outcome(stacked_looks, k) for k, u in enumerate(looks)}
         for u in looks:
             if u in odd:
                 assert outcomes[u] is odd[u]
-                assert solo(trial, u, masked=u == 0.15) is (DataError if u == 0.001 else odd[u])
+                assert solo(trial, u) is (DataError if u == 0.001 else odd[u])
             else:
                 assert outcomes[u] == solo(trial, u)
         for left_out in odd:

@@ -88,7 +88,7 @@ def trial_csv(tmp_path):
 def design_json(tmp_path):
     path = tmp_path / "design.json"
     design = DesignConfig(
-        spending=SpendingFunction("cubic_min"), planned_fractions=(0.5, 0.75, 1.0),
+        spending=SpendingFunction("cubic_min"), planned_fractions=(0.5, 0.75, 1.0), i_max=700.0,
     )
     path.write_text(json.dumps(design.to_dict()))
     return str(path)
@@ -231,18 +231,36 @@ class TestAnalyze:
         assert code == 2
         assert "--state" in err
 
-    @pytest.mark.parametrize("flag", [("--i-max", "5")], ids=["i_max"])
-    def test_i_max_flag_on_existing_state_exit_2(self, flag, trial_csv, design_json, tmp_path, capsys):
-        # the state file carries the design, so a flag that would change it is refused, not ignored
+    def test_design_on_existing_state_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        # the state file carries the design, so a design given again is refused, not ignored
         state_path = tmp_path / "state.json"
-        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "200")[0] == 0
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path), "--design", design_json]
+        assert run_cli(capsys, *look, "--u", "1.4")[0] == 0
         before = state_path.read_bytes()
-        code, _, err = run_cli(capsys, *look, "--u", "2.0", *flag)
+        code, _, err = run_cli(capsys, *look, "--u", "2.0")
         assert_typed_error(code, err, 2)
-        assert "already initialized" in err and flag[0] in err
+        assert f"state {state_path} already initialized; omit --design (the state file carries the design)" in err
         assert state_path.read_bytes() == before
         assert not os.path.exists(str(state_path) + ".lock")
+
+    def test_i_max_flag_is_unrecognized_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        # i_max comes only from the design file
+        state_path = tmp_path / "state.json"
+        code, out, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                                 "--state", str(state_path), "--design", design_json, "--i-max", "5")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --i-max 5" in err
+        assert not state_path.exists()
+
+    def test_fresh_state_on_a_design_without_i_max_exit_2(self, trial_csv, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
+        state_path = tmp_path / "state.json"
+        code, out, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                                 "--state", str(state_path), "--design", str(design))
+        assert_typed_error(code, err, 2)
+        assert "monitoring requires i_max in the design config" in err and out == ""
+        assert not state_path.exists() and not os.path.exists(str(state_path) + ".lock")
 
     def test_missing_data_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -256,7 +274,7 @@ class TestAnalyze:
         state_path = str(tmp_path / "state.json")
         code, stdout, _ = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", state_path, "--design", design_json, "--i-max", "700",
+            "--state", state_path, "--design", design_json,
         )
         assert code == 0
         report = json.loads(stdout)
@@ -264,7 +282,7 @@ class TestAnalyze:
         assert mon["stage"] == 1
         assert mon["decision"] in ("continue", "reject")
         assert mon["info_fraction"] == pytest.approx(report["analysis"]["info"] / 700.0)
-        state = MonitoringState.from_json(Path(state_path).read_text())
+        state = MonitoringState.read(state_path)
         assert state.design.i_max == 700.0
         assert len(state.analyses) == 1
 
@@ -293,7 +311,7 @@ class TestAnalyze:
 
     def test_no_look_after_the_final_exit_5(self, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
-        for u, flags in (("1.4", ["--design", design_json, "--i-max", "700"]), ("3.0", ["--final"])):
+        for u, flags in (("1.4", ["--design", design_json]), ("3.0", ["--final"])):
             code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", u, "--tau", "1.0",
                                    "--state", str(state_path), *flags)
             assert code == 0, err
@@ -309,7 +327,7 @@ class TestAnalyze:
         (tmp_path / "state.json.lock").touch()
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", str(state_path), "--design", design_json, "--i-max", "700",
+            "--state", str(state_path), "--design", design_json,
         )
         assert code == 5
         assert "locked by another process" in err
@@ -320,7 +338,7 @@ class TestAnalyze:
         (tmp_path / "state.json.lock").write_text("pid 4242 since 2026-01-02T03:04:05Z\n")
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", str(state_path), "--design", design_json, "--i-max", "700",
+            "--state", str(state_path), "--design", design_json,
         )
         assert code == 5
         assert "locked by another process" in err
@@ -340,7 +358,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "update_monitoring", watched)
         for u in ("1.4", "2.0"):
-            extra = ("--design", design_json, "--i-max", "700") if u == "1.4" else ()
+            extra = ("--design", design_json) if u == "1.4" else ()
             code, _, _ = run_cli(
                 capsys, "analyze", "--data", trial_csv, "--u", u, "--tau", "1.0",
                 "--state", str(state_path), *extra,
@@ -349,12 +367,12 @@ class TestAnalyze:
         assert len(seen) == 2
         assert all(text is not None and text.startswith(f"pid {os.getpid()} since ") for text in seen)
         assert not lock_path.exists()
-        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 2
+        assert len(MonitoringState.read(state_path).analyses) == 2
 
     def test_two_processes_contend_for_state_lock(self, trial_csv, design_json, tmp_path):
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        holder = look + ["--u", "1.4", "--design", design_json, "--i-max", "700"]
+        holder = look + ["--u", "1.4", "--design", design_json]
         other = look + ["--u", "2.0"]
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(2)
@@ -373,15 +391,17 @@ class TestAnalyze:
                 if child.is_alive():
                     child.terminate()
         assert [child.exitcode for child in children] == [0, 5]
-        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 1
+        assert len(MonitoringState.read(state_path).analyses) == 1
         assert main(other) == 0
-        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 2
+        assert len(MonitoringState.read(state_path).analyses) == 2
 
     def test_non_finite_i_max_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        design = tmp_path / "infinite.json"
+        design.write_text(json.dumps({**json.loads(Path(design_json).read_text()), "i_max": math.inf}))  # Infinity
         state_path = tmp_path / "state.json"
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", str(state_path), "--design", design_json, "--i-max", "inf",
+            "--state", str(state_path), "--design", str(design),
         )
         assert code == 2
         assert "i_max must be finite" in err
@@ -425,7 +445,7 @@ class TestAnalyze:
     def test_corrupt_state_file_exit_5(self, corrupt, says, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json)
         assert code == 0
         state_path.write_bytes(corrupt(state_path.read_bytes()))
         before = state_path.read_bytes()
@@ -441,7 +461,7 @@ class TestAnalyze:
     def test_wrongly_typed_state_record_exit_5(self, key, value, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json)
         assert code == 0
         doc = json.loads(state_path.read_text())
         doc["analyses"][0][key] = value
@@ -462,7 +482,7 @@ class TestAnalyze:
         # a recorded number the recursion cannot start from: no traceback, no decision and no NaN written
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json)
         assert code == 0
         doc = json.loads(state_path.read_text())
         doc["analyses"][0][key] = value
@@ -477,7 +497,7 @@ class TestAnalyze:
     def test_effective_fractions_out_of_order_exit_5(self, scale, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")
+        code, _, _ = run_cli(capsys, *look, "--u", "1.4", "--design", design_json)
         assert code == 0
         assert run_cli(capsys, *look, "--u", "2.0")[0] == 0
         doc = json.loads(state_path.read_text())
@@ -552,7 +572,7 @@ class TestAnalyze:
         design = tmp_path / "string_spending.json"
         design.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-                               "--state", str(tmp_path / "state.json"), "--design", str(design), "--i-max", "700")
+                               "--state", str(tmp_path / "state.json"), "--design", str(design))
         assert_typed_error(code, err, 2)
         assert "design spending must be an object with a 'kind'" in err
 
@@ -589,9 +609,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags, named", [
         (("--state", "s.json"), "--state"),
         (("--final",), "--final"),
-        (("--state", "s.json", "--final", "--i-max", "5"), "--state, --i-max, --final"),
-        (("--design", "d.json", "--i-max", "5"), "--design, --i-max"),
-    ], ids=["state", "final", "final_state", "design"])
+        (("--state", ""), "--state"),
+        (("--state", "s.json", "--final"), "--state, --final"),
+        (("--design", "d.json"), "--design"),
+    ], ids=["state", "final", "empty_state", "final_state", "design"])
     def test_report_only_refuses_monitoring_flags(self, flags, named, tmp_path, capsys, monkeypatch):
         # refused, not ignored, and before the CSV is read: a missing --data would exit 3
         monkeypatch.chdir(tmp_path)
@@ -621,9 +642,9 @@ class TestClosedStdout:
     def test_state_written_before_the_report_stays(self, trial_csv, design_json, tmp_path):
         state_path = tmp_path / "state.json"
         code, err = run_with_closed_stdout("analyze", "--data", trial_csv, "--u", "2.0", "--tau", "1.0",
-                                           "--state", str(state_path), "--design", design_json, "--i-max", "700")
+                                           "--state", str(state_path), "--design", design_json)
         assert (code, err) == (0, "")
-        assert len(MonitoringState.from_json(state_path.read_text()).analyses) == 1
+        assert len(MonitoringState.read(state_path).analyses) == 1
 
     def test_error_keeps_its_exit_code(self, tmp_path):
         code, err = run_with_closed_stdout("analyze", "--data", str(tmp_path / "missing.csv"), "--u", "3.0",
@@ -1178,7 +1199,7 @@ class TestFileBoundary:
         state_path = tmp_path / "missing" / "state.json"
         code, _, err = run_cli(
             capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
-            "--state", str(state_path), "--design", design_json, "--i-max", "700",
+            "--state", str(state_path), "--design", design_json,
         )
         assert_typed_error(code, err, 5)
         assert str(state_path) in err
@@ -1189,7 +1210,7 @@ class TestFileBoundary:
                                                                   capsys, monkeypatch):
         state_path = tmp_path / "state.json"
         look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
-        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json, "--i-max", "700")[0] == 0
+        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json)[0] == 0
         before = state_path.read_bytes()
 
         def broken(*args):
@@ -1254,7 +1275,7 @@ class TestNineCovariateWorkflow:
 
         assert all(b > a for a, b in zip(fractions, fractions[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(spends, spends[1:]))
-        state = MonitoringState.from_json(Path(state_path).read_text())
+        state = MonitoringState.read(state_path)
         assert len(state.analyses) == len(decisions)
         if len(decisions) == 3:
             assert fractions[-1] == pytest.approx(1.0, abs=0.02)
@@ -1422,7 +1443,7 @@ class TestGoldenBytes:
         )
         state = MonitoringState(design=design, analyses=analyses)
         assert state.to_json() == GOLDEN_STATE
-        assert MonitoringState.from_json(GOLDEN_STATE).to_json() == GOLDEN_STATE
+        assert MonitoringState.from_dict(json.loads(GOLDEN_STATE)).to_json() == GOLDEN_STATE
 
     def test_design_file(self, tmp_path, capsys):
         out = tmp_path / "design.json"

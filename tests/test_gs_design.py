@@ -506,7 +506,7 @@ class TestMonitoring:
         """Looks after alpha was spent up to rounding get an infinite critical value, whatever the residue."""
         state = fresh_state(fractions=(0.5, 1.0))
         for u, info in enumerate([5.66, 33.15, 42.52, 101.96, 114.19, 117.15], start=1):
-            state = MonitoringState.from_json(state.to_json())
+            state = MonitoringState.from_dict(json.loads(state.to_json()))
             state = update_monitoring(state, float(u), 0.1, info)
         assert [a.critical_value for a in state.analyses[4:]] == [math.inf, math.inf]
         assert [a.cumulative_spend for a in state.analyses[3:]] == [state.analyses[3].cumulative_spend] * 3
@@ -530,7 +530,7 @@ class TestMonitoring:
             (math.inf, 0.05000000000000031, "continue"),
         ]
         for u, info in enumerate(path, start=1):
-            state = MonitoringState.from_json(state.to_json())
+            state = MonitoringState.from_dict(json.loads(state.to_json()))
             state = update_monitoring(
                 state, float(u), 0.1, info, final=(u == len(path)),
             )
@@ -572,18 +572,22 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="JSON object"):
             DesignConfig.from_dict([1, 2])
 
-    def test_monitoring_state_json_round_trip(self):
+    def test_monitoring_state_json_round_trip(self, tmp_path):
         state = fresh_state()
         state = update_monitoring(state, 1.0, 0.5, 41.2)
         state = update_monitoring(state, 2.0, 1.4, 39.0)
         state = update_monitoring(state, 3.0, 1.8, 70.0)
-        back = MonitoringState.from_json(state.to_json())
+        path = tmp_path / "state.json"
+        path.write_text(state.to_json())
+        back = MonitoringState.read(path)
         assert back == state
         assert [a.decision for a in back.analyses] == ["continue", "skipped", "continue"]
 
-    def test_monitoring_state_schema_errors(self):
-        with pytest.raises(StateError, match="not valid JSON"):
-            MonitoringState.from_json("{nope")
+    def test_monitoring_state_schema_errors(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("{nope")
+        with pytest.raises(StateError, match="not valid JSON at line 1 column 2"):
+            MonitoringState.read(path)
         with pytest.raises(StateError, match="schema"):
             MonitoringState.from_dict({"schema": "rmstgst.state/2", "design": {}, "analyses": []})
         with pytest.raises(StateError, match="malformed monitoring state: design config must be a JSON"):

@@ -67,10 +67,10 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
             t, entry = rng.exponential(1.0), rng.uniform(0.0, 2.0)
             writer.writerow([f"s{i}", i % 2, entry, min(t, 3.0 - entry), int(t <= 3.0 - entry), rng.normal()])
     design = tmp_path / "design.json"
-    design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0)).to_dict()))
+    design.write_text(json.dumps(DesignConfig(SpendingFunction("cubic_min"), (0.5, 1.0), i_max=200.0).to_dict()))
     state = tmp_path / "state.json"
     look = ["analyze", "--data", str(data), "--tau", "1.0", "--state", str(state), "--km"]
-    first = look + ["--u", "1.5", "--design", str(design), "--i-max", "200"]
+    first = look + ["--u", "1.5", "--design", str(design)]
     near_tie = ["design", "--spending", "obrien_fleming_like", "--fractions", "0.1,0.1001,1.0"]
     plan = ["design", "--spending", "pocock_like", "--fractions", "0.5,1.0", "--i-max", "200"]
     report = ["analyze", "--data", str(data), "--u", "3.0", "--tau", "1.0", "--km", "--report-only"]
@@ -81,7 +81,7 @@ def test_cold_monitored_analyze_loads_no_solver_modules(tmp_path):
         + _loaded(SCIPY, ENGINE, HASHLIB)
     )
     assert _run_fresh(code) == "[]"
-    second = MonitoringState.from_json(state.read_text()).analyses[1]
+    second = MonitoringState.read(state).analyses[1]
     assert second.decision != "skipped" and math.isfinite(second.critical_value)
 
 

@@ -61,11 +61,13 @@ def test_every_record_has_an_example():
 
 
 @pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
-def test_key_list_and_round_trip(cls):
+def test_key_list_and_round_trip(cls, tmp_path):
     record, keys = EXAMPLES[cls]
     payload = record.to_dict()
     assert list(payload) == keys
-    assert cls.from_json(json.dumps(payload)) == record
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(payload))
+    assert cls.read(path) == record
 
 
 @pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)

@@ -495,12 +495,23 @@ class TestMethods:
             run_study(small_scn, SpendingFunction("cubic_min"), small_calib, reps=0)
 
 
+class PooledSnapshot(Snapshot):
+    """A snapshot whose subjects are all in arm 0, fitted at the looks ``both`` names, not at its own looks with an
+    event in each arm (it has none)."""
+
+    __slots__ = ("both",)
+
+    def events_in_every_stratum(self):
+        return self.both
+
+
 def pooled_reference(snap):
     """The Cox comparator from a layout of its own: every subject in one stratum, the arm prepended to the
     covariates, fitted at the looks with an event in each arm, as the comparator's ``Analyses``."""
-    pooled = Snapshot(snap.u, snap.tau, np.zeros_like(snap.arm), snap.time, snap.event,
-                      np.column_stack((snap.arm, snap.z)), snap.offset)
-    fits = fit(pooled, looks=snap.events_in_every_stratum())
+    pooled = PooledSnapshot(snap.u, snap.tau, np.zeros_like(snap.arm), snap.time, snap.event,
+                            np.column_stack((snap.arm, snap.z)), snap.offset)
+    pooled.both = snap.events_in_every_stratum()
+    fits = fit(pooled)
     fitted = np.array([error is None for error in fits.errors])
     info = np.full(snap.u.size, np.nan)
     info[fitted] = 1 / np.linalg.inv(fits.info[fitted])[:, 0, 0]

@@ -178,7 +178,7 @@ class TestFit:
 
     def test_no_events_rejected(self):
         snap = arrays_snapshot([1.0, 2.0], [0, 0], [0, 1], [0.5, -0.5])
-        with pytest.raises(DataError, match="no events"):
+        with pytest.raises(InsufficientEventsError, match="no events"):
             look_fit(fit(snap), 0)
 
     def test_identical_arms_zero_covariate_effect(self):
@@ -544,9 +544,9 @@ class TestStackedLooks:
         trial = monotone_trial()
         run_off = None if budget == 21 else ConvergenceError
         odd = {
-            0.001: DataError,  # nobody enrolled yet
-            0.1: DataError,  # no event yet
-            0.12: None,  # arm 1 has no event; the fit runs off to beta ~ 15 in 18 iterations
+            0.001: InsufficientEventsError,  # nobody enrolled yet (alone, no snapshot at all)
+            0.1: InsufficientEventsError,  # no event yet
+            0.12: InsufficientEventsError,  # arm 1 has no event
             0.2: run_off,  # beta ~ 301 after 21 iterations
             0.26: run_off,  # beta ~ 289 after 21 iterations
         }
@@ -555,10 +555,12 @@ class TestStackedLooks:
         fits = fit(snap)
         outcomes = {u: fit_outcome(snap, fits, k) for k, u in enumerate(looks)}
         for u in looks:
-            assert_same_outcome(outcomes[u], solo_outcome(trial, u), rel=1e-12)
+            if u == 0.001:
+                assert solo_outcome(trial, u) is DataError
+            else:
+                assert_same_outcome(outcomes[u], solo_outcome(trial, u), rel=1e-12)
             if odd.get(u) is not None:
                 assert outcomes[u] is odd[u]
-        assert outcomes[0.12][0][0] > 10 and outcomes[0.12][-2] == 18
         if budget == 21:
             for u in (0.2, 0.26):
                 assert outcomes[u][0][0] > 100 and outcomes[u][-2] == 21
@@ -569,25 +571,24 @@ class TestStackedLooks:
             for k, u in enumerate(others):
                 assert_same_outcome(fit_outcome(others_snap, without, k), outcomes[u], rel=0)
 
-    def test_looks_left_out_by_the_mask(self):
-        snap = snapshot(monotone_trial(), u=[0.1, 0.12, 0.2, 0.5, 3.0], tau=1.0)
-        both = snap.events_in_every_stratum()
-        assert both.tolist() == [False, False, True, True, True]  # no event yet; arm 1 has none
-        every, masked = fit(snap), fit(snap, looks=both)
-        assert masked.iterations == every.iterations - every.diagnostics["iterations"][1]
+    def test_looks_with_an_arm_without_events_are_not_fitted(self):
+        trial = monotone_trial()
+        snap = snapshot(trial, u=[0.1, 0.12, 0.2, 0.5, 3.0], tau=1.0)
+        assert snap.events_in_every_stratum().tolist() == [False, False, True, True, True]  # none yet; arm 1 none
+        fits, fitted = fit(snap), snapshot(trial, u=[0.2, 0.5, 3.0], tau=1.0)
+        fitted_fits = fit(fitted)
+        assert fits.diagnostics["iterations"][:2].tolist() == [0, 0]
+        assert fits.iterations == fitted_fits.iterations
         for k in range(5):
-            want = fit_outcome(snap, every, k) if both[k] else InsufficientEventsError
-            assert_same_outcome(fit_outcome(snap, masked, k), want, rel=0)
-        assert str(masked.errors[0]) == "the look at u=0.1 was left out of the fit"
+            want = fit_outcome(fitted, fitted_fits, k - 2) if k >= 2 else InsufficientEventsError
+            assert_same_outcome(fit_outcome(snap, fits, k), want, rel=0)
+        assert str(fits.errors[0]) == "an arm has no events at or before min(u, tau)=0.1"
 
 
 class TestNoNewWarnings:
     def test_diverged_look_fits_without_runtime_warning(self):
-        # calibrate's delayed-effect scenario; at u = 0.2 one arm has no
-        # event and the likelihood is monotone, so beta runs off to ~270
-        scn = SimScenario(n_per_arm=200, covariates="normal1", covariate_strength=math.log(1.5),
-                          shape_offset=-0.3)
-        snap = snapshot(draw_trial(scn, _rng_for_replicate(3, 75)), u=0.2, tau=1.0)
+        # one event per arm and a monotone likelihood, so beta runs off to ~301
+        snap = snapshot(monotone_trial(), u=0.2, tau=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fitted = look_fit(fit(snap), 0)
