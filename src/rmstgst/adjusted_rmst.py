@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, InsufficientEventsError
+from .errors import EstimationError
 from .stratified_cox import CoxFits, fit as cox_fit
 from .trial_data import Snapshot, look_sums
 
@@ -53,28 +53,6 @@ _BLOCK_CELLS = 2**17
 # in Python, since numpy's sin and power loops, used nowhere else, add ~0.15 MB to a cold analyze's peak RSS
 _NODES = np.array([math.sin(math.pi * m / 46) ** 2 for m in range(24)])
 _NODE_WEIGHTS = np.array([(-1.0) ** m / (2.0 if m in (0, 23) else 1.0) for m in range(24)])
-
-
-def _stratum_accumulate(snap: Snapshot, values: np.ndarray, reverse: bool = False, op=np.add) -> np.ndarray:
-    """Running sums, or ``op``'s running results, of event-row ``values`` (rows, ...) within each stratum, down its
-    rows or, ``reverse``, up them: one accumulation over a (strata, rows, ...) array padded with ``op``'s identity
-    after (``reverse``: before) a stratum's own terms, so each stratum's results are its rows' alone, bit for bit."""
-    strata = snap.event_stratum
-    col = np.arange(strata.size) - snap.stratum_rows[strata]
-    pad = np.full((snap.stratum_rows.size - 1, int(np.diff(snap.stratum_rows).max()), *values.shape[1:]),
-                  op.identity, dtype=np.float64)
-    pad[strata, col] = values
-    order = slice(None, None, -1 if reverse else 1)
-    return op.accumulate(pad[:, order], axis=1)[:, order][strata, col]
-
-
-def _row_widths(snap: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Each event row's width to the next row of its stratum or, for a stratum's last row, to tau; and each
-    (look, arm)'s first event time (L, 2), where its curve leaves 1, tau for a stratum without events."""
-    times, bounds, tau = snap.event_times, snap.stratum_rows, snap.tau
-    ends = np.append(times[1:], tau)
-    ends[bounds[1:][np.diff(bounds) > 0] - 1] = tau
-    return ends - times, np.where(np.diff(bounds) > 0, np.append(times, tau)[bounds[:-1]], tau).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -112,10 +90,10 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     With no covariates an arm's curve is exactly its exponentiated Nelson-Aalen curve.
     """
     risk = fits.risk_sums()
-    hazard = _stratum_accumulate(snap, snap.event_counts / risk[0])
+    hazard = snap.accumulate(snap.event_counts / risk[0])
     times = snap.event_times
     bounds = snap.stratum_rows
-    widths, firsts = _row_widths(snap)
+    widths, firsts = snap.row_widths()
     spans = np.zeros((times.size, 2))  # each row's width in its arm's column
     spans[np.arange(times.size), snap.event_stratum % 2] = widths
     # a block's conditional survival times the rows [1, w, w*z] sums the curve,
@@ -221,9 +199,9 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> dict:
     n = arm_n.reshape(-1, 2).sum(axis=1)
     r0, r1 = adj.risk
     gamma_inc = arm_n[snap.event_stratum] * d / r0**2
-    q = _stratum_accumulate(snap, d[:, None] * r1 / (r0**2)[:, None])
+    q = snap.accumulate(d[:, None] * r1 / (r0**2)[:, None])
     psi = look_sums(((adj.c1[:, None] * q - adj.hazard[:, None] * adj.c2) * adj.widths[:, None]).T, bounds)
-    tail = _stratum_accumulate(snap, adj.c1 * adj.widths, reverse=True)
+    tail = snap.accumulate(adj.c1 * adj.widths, reverse=True)
     b1 = ((np.repeat(n, 2) / arm_n) * look_sums(gamma_inc * tail**2, bounds)).reshape(-1, 2)
     psi_diff = (psi[:, 1::2] - psi[:, ::2]).T[looks]
     out = np.full((4, n.size), np.nan)  # B10, B11, B3 and var_cond of each look
@@ -250,12 +228,12 @@ class Analyses:
     the variance components and ``diagnostics`` the fit's diagnostics,
     each a dict of (L,) arrays, where the method has them. ``errors[k]`` is
     what keeps look k from a result, as a snapshot of that look alone
-    would meet it, decided here and nowhere else: an arm with no event by
-    min(u, tau) (``InsufficientEventsError``), else the method's own error
-    as given, else a delta or information that is not finite and positive
-    (``EstimationError``). ``delta`` and ``info`` are copies of the arrays
-    given, NaN where a look has an error. :meth:`report` gives one look as
-    the CLI prints it.
+    would meet it: the method's error as given, each method starting from
+    :meth:`Snapshot.look_errors` (an arm with no event by min(u, tau)),
+    else, decided here, a delta or information that is not finite and
+    positive (``EstimationError``). ``delta`` and ``info`` are copies of
+    the arrays given, NaN where a look has an error. :meth:`report` gives
+    one look as the CLI prints it.
     """
 
     method: str
@@ -269,14 +247,9 @@ class Analyses:
 
     def __post_init__(self):
         self.delta, self.info = np.array(self.delta, dtype=np.float64), np.array(self.info, dtype=np.float64)
-        empty = (np.diff(self.snap.stratum_rows).reshape(-1, 2) == 0).tolist()  # each look's arms without events
         errors = self.errors = list(self.errors)
-        for k, (u, arms, delta, info) in enumerate(zip(self.snap.u.tolist(), empty, self.delta.tolist(),
-                                                       self.info.tolist())):
-            if True in arms:
-                errors[k] = InsufficientEventsError(f"arm {arms.index(True)} has no events at or before min(u, tau)="
-                                                    f"{min(u, self.snap.tau)}; the analysis needs at least one per arm")
-            elif errors[k] is None and not (math.isfinite(delta) and math.isfinite(info) and info > 0):
+        for k, (u, delta, info) in enumerate(zip(self.snap.u.tolist(), self.delta.tolist(), self.info.tolist())):
+            if errors[k] is None and not (math.isfinite(delta) and math.isfinite(info) and info > 0):
                 errors[k] = EstimationError(f"{self.method} analysis at u={u} gave delta={delta!r}, info={info!r}; "
                                             "both must be finite and info positive")
         failed = [error is not None for error in errors]

@@ -124,9 +124,7 @@ def cmd_design(args) -> int:
     if args.out:
         _write(args.out, _json_text(design.to_dict()) + "\n")
     lines = ["stage  fraction  critical   cum_spend"]
-    for k, (f, c, s) in enumerate(
-        zip(schedule.fractions, schedule.critical_values, schedule.cumulative_spend), start=1
-    ):
+    for k, (f, c, s) in enumerate(zip(fractions, schedule.critical_values, schedule.cumulative_spend), start=1):
         crit = "   inf  " if math.isinf(c) else f"{c:8.5f}"
         lines.append(f"{k:>5}  {f:8.4f}  {crit}  {s:9.6f}")
     _print("\n".join(lines))

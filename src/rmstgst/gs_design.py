@@ -390,8 +390,6 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
 class BoundarySchedule:
     """Solved boundary for a planned analysis schedule."""
 
-    spending: SpendingFunction
-    fractions: tuple[float, ...]
     cumulative_spend: tuple[float, ...]
     critical_values: tuple[float, ...]
 
@@ -411,7 +409,7 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
             raise decision
         criticals.append(float(stages.critical[0]))
         spent.append(float(stages.spent[0]))
-    return BoundarySchedule(spending=f, fractions=fr, cumulative_spend=tuple(spent), critical_values=tuple(criticals))
+    return BoundarySchedule(cumulative_spend=tuple(spent), critical_values=tuple(criticals))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adjusted_rmst import Analyses, _row_widths, _stratum_accumulate
+from .adjusted_rmst import Analyses
 from .errors import InsufficientEventsError
 from .trial_data import Snapshot, look_sums
 
@@ -31,18 +31,19 @@ def km_rmst_test(snap: Snapshot) -> Analyses:
     risk set is exhausted leaves no remaining area and contributes
     nothing. Returns the ``"km"`` :class:`Analyses`, with arm means and no
     variance components. A look whose variance degenerates to zero keeps
-    ``InsufficientEventsError``; a look without an event in each arm has
-    NaN means.
+    ``InsufficientEventsError``; a look without an event in each arm keeps
+    the snapshot's error and has NaN means.
     """
     d, y, bounds = snap.event_counts, snap.at_risk, snap.stratum_rows
-    widths, firsts = _row_widths(snap)
-    area = _stratum_accumulate(snap, 1.0 - d / y, op=np.multiply) * widths  # under each row's step of the curve
-    remaining = _stratum_accumulate(snap, area, reverse=True)
-    both = snap.events_in_every_stratum()
+    widths, firsts = snap.row_widths()
+    area = snap.accumulate(1.0 - d / y, op=np.multiply) * widths  # under each row's step of the curve
+    remaining = snap.accumulate(area, reverse=True)
+    errors = snap.look_errors()
+    both = np.array([error is None for error in errors])
     with np.errstate(divide="ignore", invalid="ignore"):
         var = look_sums(remaining**2 * np.where(y > d, d / (y * (y - d)), 0.0), bounds).reshape(-1, 2).sum(axis=1)
         info = np.where(both & (var > 0), 1.0 / var, np.nan)
     mu = np.where(both[:, None], firsts + look_sums(area, bounds).reshape(-1, 2), np.nan)
-    errors = [InsufficientEventsError("degenerate variance: both risk sets exhausted at tau") if degenerate else None
-              for degenerate in (both & (var <= 0)).tolist()]
+    for k in np.flatnonzero(both & (var <= 0)).tolist():
+        errors[k] = InsufficientEventsError("degenerate variance: both risk sets exhausted at tau")
     return Analyses("km", snap, mu[:, 1] - mu[:, 0], info, errors, mu)

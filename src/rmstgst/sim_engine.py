@@ -38,7 +38,7 @@ import numpy as np
 
 from .adjusted_rmst import Analyses, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, ndtr, ndtri
+from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, _validate_fractions, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
 from .stratified_cox import SharedBaseline, fit as cox_fit
@@ -122,9 +122,8 @@ class SimScenario(Record):
             raise ConfigError("both arms need positive Weibull shape")
         if not (self.rate_base > 0):
             raise ConfigError("rate_base must be > 0")
-        fr = tuple(float(x) for x in self.fractions)
-        if not fr or any(b <= a for a, b in zip(fr, fr[1:])) or fr[-1] != 1.0 or fr[0] <= 0:
-            raise ConfigError("fractions must increase within (0, 1] and end at 1.0")
+        if _validate_fractions(self.fractions)[-1] != 1.0:
+            raise ConfigError(f"a scenario's fractions must end at 1.0, got {tuple(self.fractions)}")
 
     @property
     def n_covariates(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, InsufficientEventsError, SingularInformationError
+from .errors import ConvergenceError, SingularInformationError
 from .trial_data import Snapshot, look_sums
 
 __all__ = ["CoxFits", "SharedBaseline", "fit"]
@@ -71,7 +71,7 @@ class SharedBaseline:
     def __init__(self, snap: Snapshot):
         self.snap, self.u, self.tau = snap, snap.u, snap.tau
         self.event_counts, self.event_stratum, self.look_rows = snap.event_counts, snap.event_stratum, snap.look_rows
-        self.events_in_every_stratum = snap.events_in_every_stratum
+        self.look_errors = snap.look_errors
         arm1 = look_sums(snap.event_counts, snap.stratum_rows)[1::2]  # the treatment arm's events
         self.event_z_total = np.column_stack((arm1, snap.event_z_total))
         self.upper = np.triu_indices(self.event_z_total.shape[1])
@@ -154,8 +154,8 @@ def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
 def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
     """Maximize each look's stratified, or shared-baseline, log partial likelihood by Newton iteration, all at once.
 
-    A look that has an arm without events by min(u, tau) is not fitted: its
-    error is ``InsufficientEventsError``. Every other look starts at beta =
+    A look with an arm without events by min(u, tau) is not fitted: it keeps
+    its ``Snapshot.look_errors()`` error. Every other look starts at beta =
     0, converges when its score max-norm drops below ``_SCORE_TOL``, and
     halves steps that would decrease its log partial likelihood; a look
     that converges or fails is frozen while the rest go on. With no
@@ -163,9 +163,7 @@ def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
     is kept in ``errors[k]``: ``ConvergenceError`` (its ``_MAX_ITER``
     iterations spent, or halving failed) or ``SingularInformationError``.
     """
-    errors = [None if both else InsufficientEventsError(f"an arm has no events at or before min(u, tau)="
-                                                        f"{min(u, snap.tau)}")
-              for u, both in zip(snap.u.tolist(), snap.events_in_every_stratum().tolist())]
+    errors = snap.look_errors()
     n_looks, p = snap.u.size, snap.event_z_total.shape[1]
     beta, step = np.zeros((n_looks, p)), np.zeros((n_looks, p))
     scale, iterations, halvings = (np.zeros(n_looks, dtype=t) for t in (np.float64, np.int64, np.int64))

@@ -16,9 +16,11 @@ trials stacked trial-major, a look's columns its own trial's subjects,
 so a simulation analyzes a group of replicates in one pass too, in
 memory linear in the group. The Cox fit, the adjusted pass and
 Kaplan-Meier all read a look's strata of that layout, Kaplan-Meier only
-their event rows. A snapshot holds each trial's covariates standardized
-over that trial's own subjects, so no result depends on the units a
-covariate is recorded in, nor on which trials share a stack.
+their event rows; the snapshot owns the per-stratum accumulation, the
+row widths and the looks no method can analyze (an arm without events).
+A snapshot holds each trial's covariates standardized over that trial's
+own subjects, so no result depends on the units a covariate is recorded
+in, nor on which trials share a stack.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InsufficientEventsError
 from .records import Record
 
 __all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays"]
@@ -303,9 +305,33 @@ class Snapshot:
         # a row's risk set is the first at_risk places of each of its stratum's columns
         self.risk_index = self.event_stratum * self.risk_cols[0].size + self.at_risk - 1
 
-    def events_in_every_stratum(self) -> np.ndarray:
-        """Per look, whether each arm has an event by ``min(u, tau)``."""
-        return (np.diff(self.stratum_rows).reshape(-1, 2) > 0).all(axis=1)
+    def look_errors(self) -> list:
+        """Per look, None or the ``InsufficientEventsError`` of an arm without events by min(u, tau): no analysis."""
+        empty = (np.diff(self.stratum_rows).reshape(-1, 2) == 0).tolist()  # each look's arms without events
+        return [InsufficientEventsError(f"arm {arms.index(True)} has no events at or before min(u, tau)="
+                                        f"{min(u, self.tau)}; the analysis needs at least one per arm")
+                if True in arms else None for u, arms in zip(self.u.tolist(), empty)]
+
+    def accumulate(self, values: np.ndarray, reverse: bool = False, op=np.add) -> np.ndarray:
+        """Running sums, or ``op``'s running results, of event-row ``values`` (rows, ...) within each stratum, down
+        its rows or, ``reverse``, up them: one accumulation over a (strata, rows, ...) array padded with ``op``'s
+        identity after (``reverse``: before) a stratum's own terms, so each stratum's results are its rows' alone,
+        bit for bit."""
+        strata = self.event_stratum
+        col = np.arange(strata.size) - self.stratum_rows[strata]
+        pad = np.full((self.stratum_rows.size - 1, int(np.diff(self.stratum_rows).max()), *values.shape[1:]),
+                      op.identity, dtype=np.float64)
+        pad[strata, col] = values
+        order = slice(None, None, -1 if reverse else 1)
+        return op.accumulate(pad[:, order], axis=1)[:, order][strata, col]
+
+    def row_widths(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each event row's width to the next row of its stratum or, for a stratum's last row, to tau; and each
+        (look, arm)'s first event time (L, 2), where its curve leaves 1, tau for a stratum without events."""
+        times, bounds, tau = self.event_times, self.stratum_rows, self.tau
+        ends = np.append(times[1:], tau)
+        ends[bounds[1:][np.diff(bounds) > 0] - 1] = tau
+        return ends - times, np.where(np.diff(bounds) > 0, np.append(times, tau)[bounds[:-1]], tau).reshape(-1, 2)
 
 
 def look_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:

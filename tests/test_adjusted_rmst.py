@@ -395,7 +395,7 @@ class TestBlockedKernel:
         # each look's kernel is freed before the next is allocated, so many looks peak about as high as the largest
         scn = SimScenario(n_per_arm=200, covariate_strength=math.log(1.5), shape_offset=-0.3)
         snap = snapshot(draw_trial(scn, _rng_for_replicate(7, 3)), u=np.round(np.arange(10, 31) * 0.1, 10), tau=1.0)
-        fits, looks = fit(snap), np.flatnonzero(snap.events_in_every_stratum()).tolist()
+        fits, looks = fit(snap), [k for k, error in enumerate(snap.look_errors()) if error is None]
         peaks = {}
         for name, chosen in (("largest", looks[-1:]), ("all", looks)):
             tracemalloc.start()
@@ -675,11 +675,11 @@ class TestStackedLooks:
     def test_stratum_cumsum_is_each_strata_own_cumsum(self):
         trial = monotone_trial()
         snap = snapshot(trial, u=[0.001, 0.12, 0.5, 1.0], tau=1.0)  # empty strata at the first two looks
-        assert not snap.events_in_every_stratum()[:2].any()
+        assert None not in snap.look_errors()[:2]
         values = np.random.default_rng(3).uniform(size=(snap.event_times.size, 2))
-        forward = adjusted_rmst._stratum_accumulate(snap, values)
-        backward = adjusted_rmst._stratum_accumulate(snap, values, reverse=True)
-        product = adjusted_rmst._stratum_accumulate(snap, values, op=np.multiply)  # Kaplan-Meier's curve
+        forward = snap.accumulate(values)
+        backward = snap.accumulate(values, reverse=True)
+        product = snap.accumulate(values, op=np.multiply)  # Kaplan-Meier's curve
         for lo, hi in zip(snap.stratum_rows[:-1], snap.stratum_rows[1:]):
             np.testing.assert_array_equal(forward[lo:hi], np.cumsum(values[lo:hi], axis=0))
             np.testing.assert_array_equal(backward[lo:hi], np.cumsum(values[lo:hi][::-1], axis=0)[::-1])

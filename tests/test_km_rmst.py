@@ -186,8 +186,8 @@ def km_reference(snap):
     """Kaplan-Meier at every look by a loop over the looks and arms, each arm's curve from its own rows: a
     product-limit ``cumprod``, the mean a dot product, the remaining area a reversed ``cumsum``."""
     mu, info = np.full((snap.u.size, 2), np.nan), np.full(snap.u.size, np.nan)
-    errors = [None] * snap.u.size
-    for k in np.flatnonzero(snap.events_in_every_stratum()).tolist():
+    errors = snap.look_errors()
+    for k in [k for k, error in enumerate(errors) if error is None]:
         var = 0.0
         for arm in (0, 1):
             rows = arm_rows(snap, k, arm)
@@ -243,7 +243,7 @@ class TestOnePassMatchesLookLoop:
         snap = snapshot(monotone_trial(), u=looks, tau=1.0)
         assert snap.event_stratum[snap.at_risk == snap.event_counts].size  # exhausted risk sets
         assert (np.diff(snap.stratum_rows) == 1).any()  # a stratum of one event row
-        assert snap.events_in_every_stratum().tolist()[:3] == [False, False, True]  # nobody, then arm 1 none
+        assert [error is None for error in snap.look_errors()[:3]] == [False, False, True]  # nobody, then arm 1 none
         got = self.check(snap)
         assert np.isnan(got.mu[:2]).all() and np.isfinite(got.mu[2:]).all()
 

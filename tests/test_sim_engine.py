@@ -148,6 +148,12 @@ class TestScenario:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SimScenario(**{name: value})
 
+    def test_non_finite_fraction_rejected(self):
+        doc = SimScenario().to_dict()
+        doc["fractions"] = [0.5, math.nan, 1.0]
+        with pytest.raises(ConfigError, match="fractions must lie in"):
+            SimScenario.from_dict(doc)
+
     def test_round_trip_and_schema_errors(self):
         scn = SimScenario(
             n_per_arm=77, shape_offset=-0.2, covariates="bernoulli2",
@@ -496,13 +502,13 @@ class TestMethods:
 
 
 class PooledSnapshot(Snapshot):
-    """A snapshot whose subjects are all in arm 0, fitted at the looks ``both`` names, not at its own looks with an
-    event in each arm (it has none)."""
+    """A snapshot whose subjects are all in arm 0, fitted at the looks without an error in ``errors``, not at its own
+    looks with an event in each arm (it has none)."""
 
-    __slots__ = ("both",)
+    __slots__ = ("errors",)
 
-    def events_in_every_stratum(self):
-        return self.both
+    def look_errors(self):
+        return list(self.errors)
 
 
 def pooled_reference(snap):
@@ -510,7 +516,7 @@ def pooled_reference(snap):
     covariates, fitted at the looks with an event in each arm, as the comparator's ``Analyses``."""
     pooled = PooledSnapshot(snap.u, snap.tau, np.zeros_like(snap.arm), snap.time, snap.event,
                             np.column_stack((snap.arm, snap.z)), snap.offset)
-    pooled.both = snap.events_in_every_stratum()
+    pooled.errors = snap.look_errors()
     fits = fit(pooled)
     fitted = np.array([error is None for error in fits.errors])
     info = np.full(snap.u.size, np.nan)

@@ -574,7 +574,8 @@ class TestStackedLooks:
     def test_looks_with_an_arm_without_events_are_not_fitted(self):
         trial = monotone_trial()
         snap = snapshot(trial, u=[0.1, 0.12, 0.2, 0.5, 3.0], tau=1.0)
-        assert snap.events_in_every_stratum().tolist() == [False, False, True, True, True]  # none yet; arm 1 none
+        # no events yet, then none in arm 1
+        assert [error is None for error in snap.look_errors()] == [False, False, True, True, True]
         fits, fitted = fit(snap), snapshot(trial, u=[0.2, 0.5, 3.0], tau=1.0)
         fitted_fits = fit(fitted)
         assert fits.diagnostics["iterations"][:2].tolist() == [0, 0]
@@ -582,7 +583,8 @@ class TestStackedLooks:
         for k in range(5):
             want = fit_outcome(fitted, fitted_fits, k - 2) if k >= 2 else InsufficientEventsError
             assert_same_outcome(fit_outcome(snap, fits, k), want, rel=0)
-        assert str(fits.errors[0]) == "an arm has no events at or before min(u, tau)=0.1"
+        assert str(fits.errors[0]) == ("arm 0 has no events at or before min(u, tau)=0.1; "
+                                      "the analysis needs at least one per arm")
 
 
 class TestNoNewWarnings:

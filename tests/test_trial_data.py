@@ -6,12 +6,15 @@ import re
 
 import numpy as np
 import pytest
-from conftest import enrolled, make_trial, toy_trial
+from conftest import enrolled, make_trial, monotone_trial, toy_trial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rmstgst.errors import DataError
-from rmstgst.sim_engine import SimScenario, draw_trial
+from rmstgst.adjusted_rmst import analyze
+from rmstgst.errors import DataError, InsufficientEventsError
+from rmstgst.km_rmst import km_rmst_test
+from rmstgst.sim_engine import SimScenario, cox_hr_test, draw_trial
+from rmstgst.stratified_cox import fit
 from rmstgst.trial_data import (
     CsvSchema,
     Snapshot,
@@ -291,6 +294,18 @@ class TestSnapshot:
         trial = make_trial((0, 2.0, 1.0, 1, (0.0,)))
         with pytest.raises(DataError, match="empty snapshot"):
             snapshot(trial, u=1.0, tau=1.0)
+
+    def test_every_method_keeps_the_snapshots_missing_arm_error(self):
+        snap = snapshot(monotone_trial(), u=[0.1, 0.12, 0.5], tau=1.0)  # no events yet, then none in arm 1
+        want = [f"arm {arm} has no events at or before min(u, tau)={u}; the analysis needs at least one per arm"
+                for arm, u in ((0, 0.1), (1, 0.12))]
+        errors = snap.look_errors()
+        assert [str(error) for error in errors[:2]] == want and errors[2] is None
+        assert all(type(error) is InsufficientEventsError for error in errors[:2])
+        for method in (fit, km_rmst_test, cox_hr_test, analyze):
+            method_errors = method(snap).errors
+            assert [type(error) for error in method_errors[:2]] == [InsufficientEventsError] * 2
+            assert [str(error) for error in method_errors[:2]] == want
 
     def test_lock_time_guard(self):
         trial = toy_trial()
