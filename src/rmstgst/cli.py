@@ -245,14 +245,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"calibration power alpha {power.alpha} and sidedness {power.sided} do not match the "
                           f"design's alpha {spending.alpha} and sidedness {spending.sided}")
     check_methods(methods, calib.info.i_max_by_method)
+    offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
+              "power": power.log_rate_ratio}[args.effect]
+    sim_scn = replace(scn, log_rate_ratio=offset)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
 
-    offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
-              "power": power.log_rate_ratio}[args.effect]
-    sim_scn = replace(scn, log_rate_ratio=offset)
     oc = run_study(
         sim_scn, design.spending, calib.info, reps=args.reps, methods=methods,
         master_seed=args.seed, threads=args.threads,

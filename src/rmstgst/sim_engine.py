@@ -14,11 +14,12 @@ True restricted means mix the covariates out over fixed atoms
 t = tau * s**4 so the survival curve of a Weibull shape below 1 is
 smooth in s.
 
-Calibration runs in three steps: bisect for the treatment rate offset
-that zeroes the true restricted-mean difference, measure the
-information trajectory by Monte Carlo to place the analysis times and
-the information cap, then bisect for the offset hitting a target power
-for a fixed test at full information.
+Calibration runs in three steps: bisect on [-5, 5] for the treatment
+rate offset that zeroes the true restricted-mean difference, measure
+the information trajectory by Monte Carlo to place the analysis times
+and the information cap, then bisect on [-5, 5] for the offset hitting
+a target power for a fixed test at full information. A difference
+outside what the ends of [-5, 5] give is refused.
 
 The Monte Carlo runs stack as many replicates in one snapshot as a place
 budget allows, and analyze every look of the group in one pass; a look
@@ -237,30 +238,28 @@ def _rng_for_replicate(master_seed: int, rep: int):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
 
-def _rate_offset(scn: SimScenario, delta: float) -> tuple[float, float]:
-    """Treatment rate offset whose true restricted-mean difference is ``delta``, and its residual.
+def _rate_offset(scn: SimScenario, delta: float) -> float:
+    """Treatment rate offset in ``_OFFSET_BRACKET`` whose true restricted-mean difference is ``delta``.
 
-    The difference falls as the offset rises, so the offset is bisected on ``_OFFSET_BRACKET``.
+    The difference falls strictly as the offset rises, so a ``delta`` outside the differences of the bracket's
+    ends raises ``EstimationError``; any other is bisected on the bracket.
     """
     mu0 = true_rmst(scn, 0)
 
-    def gap(b: float) -> float:
-        return (true_rmst(replace(scn, log_rate_ratio=b), 1) - mu0) - delta
+    def difference(b: float) -> float:
+        return true_rmst(replace(scn, log_rate_ratio=b), 1) - mu0
 
-    root = float(_find_root(lambda b, rows: (gap(float(b[0])), 0.0), *_OFFSET_BRACKET)[0])
-    return root, gap(root)
+    lo, hi = _OFFSET_BRACKET
+    least, most = difference(hi), difference(lo)
+    if not least <= delta <= most:
+        raise EstimationError(f"no treatment rate offset in [{lo}, {hi}] gives a true restricted-mean difference "
+                              f"of {delta:.6g}; those offsets give {least:.6g} to {most:.6g}")
+    return float(_find_root(lambda b, rows: (difference(float(b[0])) - delta, 0.0), lo, hi)[0])
 
 
 def calibrate_null(scn: SimScenario) -> float:
-    """Treatment rate offset that equalizes the arms' true restricted means.
-
-    Bisected on ``_OFFSET_BRACKET``; the returned offset leaves a
-    restricted-mean gap below 1e-8 in absolute value.
-    """
-    root, residual = _rate_offset(scn, 0.0)
-    if abs(residual) >= 1e-8:
-        raise EstimationError(f"null calibration residual {residual:.2e} exceeds 1e-8")
-    return root
+    """Treatment rate offset that equalizes the arms' true restricted means; see ``_rate_offset``."""
+    return _rate_offset(scn, 0.0)
 
 
 def cox_hr_test(snap: Snapshot) -> Analyses:
@@ -407,9 +406,9 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
     First solves the restricted-mean difference ``delta`` giving the
     target power for a normal test at the calibrated full information,
     then bisects for the treatment rate offset whose true difference
-    equals ``delta`` (within 1e-6). ``target_power`` equal to ``alpha``
-    returns the null offset itself. A target that no difference in
-    [0, tau] reaches raises ``EstimationError``.
+    equals ``delta`` (``_rate_offset``). ``target_power`` equal to
+    ``alpha`` returns the null offset itself. A target that no difference
+    in [0, tau] reaches, or no offset gives, raises ``EstimationError``.
     """
     _check_power_target(target_power, alpha)
 
@@ -424,13 +423,8 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
         )
     delta = 0.0 if target_power <= alpha else float(
         _find_root(lambda d, rows: (power_shortfall(float(d[0])), 0.0), 0.0, scn.tau)[0])
-    root, residual = _rate_offset(scn, delta)
-    if abs(residual) >= 1e-6:
-        raise EstimationError("power calibration residual exceeds 1e-6")
-    return PowerCalibration(
-        target_power=target_power, alpha=alpha, sided=sided,
-        delta=delta, log_rate_ratio=root,
-    )
+    return PowerCalibration(target_power=target_power, alpha=alpha, sided=sided, delta=delta,
+                            log_rate_ratio=_rate_offset(scn, delta))
 
 
 @dataclass(frozen=True)

@@ -1041,6 +1041,27 @@ class TestCalibrateAndSimulate:
         assert "malformed calibration" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("effect, value", [("null", math.nan), ("power", math.inf)])
+    def test_non_finite_calibrated_offset_exit_2_before_the_out_dir(self, effect, value, calib_setup, tmp_path,
+                                                                   capsys):
+        # json reads NaN and Infinity, and the calibration leaves its offsets to the simulated scenario's check
+        _, scn_path, calib_path = calib_setup
+        doc = json.loads(Path(calib_path).read_text())
+        if effect == "null":
+            doc["null_log_rate_ratio"] = value
+        else:
+            doc["power"]["log_rate_ratio"] = value
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scn_path, "--design", design_file(tmp_path),
+            "--calibration", str(path), "--reps", "2", "--effect", effect, "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert f"log_rate_ratio must be finite, got {value!r}" in err
+        assert out == "" and not out_dir.exists()
+
     @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
     def test_bad_method_cap_exit_2(self, cap, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup

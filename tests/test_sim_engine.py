@@ -320,6 +320,26 @@ class TestCalibration:
                            r"tau = 1\.0 reaches power 0\.05\d* at i_max = 0\.001"):
             calibrate_power(small_scn, tiny, target_power=0.8)
 
+    def test_null_offset_beyond_the_bracket_is_refused(self):
+        # a control arm that fails fast and a treatment shape 1.4 lower: the treatment's restricted mean stays
+        # below the control's at every offset in [-5, 5]
+        with pytest.raises(EstimationError, match=r"no treatment rate offset in \[-5\.0, 5\.0\] gives a true "
+                           r"restricted-mean difference of 0; those offsets give -0\.00568694 to -0\.00567108$"):
+            calibrate_null(SimScenario(rate_base=2000.0, shape_offset=-1.4))
+
+    def test_power_difference_beyond_the_bracket_is_refused(self, small_calib):
+        # 90% power at i_max = 30 needs a difference of 0.59, and no offset gives so slow a control arm more than
+        # 0.0196; a difference of tau would reach the power, so the bracket refuses it, not the power rule
+        with pytest.raises(EstimationError, match=r"no treatment rate offset in \[-5\.0, 5\.0\] gives a true "
+                           r"restricted-mean difference of 0\.591817; those offsets give -0\.743075 to "
+                           r"0\.0195565$"):
+            calibrate_power(SimScenario(rate_base=0.05), replace(small_calib, i_max=30.0), target_power=0.9)
+
+    def test_information_calibration_fails_where_the_trial_end_does(self):
+        # two subjects an arm followed to 0.3: 7 of 100 replicates have an event in each arm at the trial end
+        with pytest.raises(EstimationError, match="information calibration failed at the trial end; raise reps"):
+            calibrate_information(SimScenario(n_per_arm=2, tau=0.3, accrual=0.5), reps=100, master_seed=1)
+
     def test_information_calibration_contract(self, small_scn, small_calib):
         calib = small_calib
         assert calib.fractions == small_scn.fractions
@@ -682,6 +702,14 @@ class TestStackedReplicates:
         for group in (1, 5, 12):
             for a, b in zip(self.worker(monkeypatch, group, scn, 5, reps, times), want):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a covariate effect of 800 overflows the draws' rates
+    def test_replicate_that_cannot_be_drawn_fails_at_every_look(self):
+        scn = SimScenario(n_per_arm=50, covariate_strength=800.0, censoring=None)
+        with pytest.raises(DataError, match="followup_time must be finite"):
+            draw_trial(scn, _rng_for_replicate(0, 0))
+        failed = sim_engine._map_replicates(scn, 0, 3, 1, (0.5, 1.0, 3.0), self.METHODS)[2]
+        assert failed.shape == (3, 3, 3) and np.all(failed == "DataError")
 
     @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [8, 8, 1]),
                                                (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 17),
