@@ -80,6 +80,13 @@ _ANALYZED_SHARE = 0.9  # share of replicates a grid time or a comparator's trial
 _CURVE_POINTS = 200  # rows of the survival and hazard-ratio curve table
 
 
+def _check_finite(record) -> None:
+    """Refuse a record with NaN or an infinity in a float field: Python's json reads both."""
+    for name in (f.name for f in fields(record) if f.type == "float"):
+        if not math.isfinite(getattr(record, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(record, name)!r}")
+
+
 @dataclass(frozen=True)
 class SimScenario(Record):
     """One simulated-trial configuration.
@@ -108,9 +115,7 @@ class SimScenario(Record):
     _what, _error, _schema, _closed = "scenario", ConfigError, SCENARIO_SCHEMA, True
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "float"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(self)
         if self.n_per_arm < 1:
             raise ConfigError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
         if not (self.tau > 0 and self.accrual >= 0):
@@ -125,6 +130,13 @@ class SimScenario(Record):
             raise ConfigError("rate_base must be > 0")
         if _validate_fractions(self.fractions)[-1] != 1.0:
             raise ConfigError(f"a scenario's fractions must end at 1.0, got {tuple(self.fractions)}")
+        lin = _covariate_atoms(self.covariates)[0] @ self.coefficients
+        with np.errstate(over="ignore"):  # arm 0's rates, then arm 1's at the ends of the calibrations' offsets
+            rates = self.rate_base * np.exp(np.add.outer((0.0, *_OFFSET_BRACKET), lin))
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ConfigError(f"covariate_strength {self.covariate_strength} gives Weibull rates that are not finite "
+                              f"and > 0 at treatment rate offsets in {list(_OFFSET_BRACKET)} (rate_base "
+                              f"{self.rate_base})")
 
     @property
     def n_covariates(self) -> int:
@@ -383,6 +395,9 @@ class PowerCalibration(Record):
 
     _what, _error = "power calibration", ConfigError
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> float:
     drift = delta * math.sqrt(i_max)
@@ -437,6 +452,9 @@ class Calibration(Record):
     scenario: SimScenario
 
     _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
+
+    def __post_init__(self):
+        _check_finite(self)
 
 
 def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,

@@ -29,9 +29,9 @@ import contextlib
 import csv
 import io
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -146,32 +146,40 @@ def _csv_rows(reader, path):
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
-    """Read a trial from a CSV file with a header row.
+_BLOCK_ROWS = 256  # kept rows parsed at a time; larger blocks left a cold look more resident memory, for no gain in time
 
-    Every row must parse cleanly; offending rows are reported by file
-    line number and all collected before raising, so one pass surfaces
-    every problem. Subject ids must be present and unique; they are
-    checked and then dropped. A UTF-8 byte-order mark is skipped.
 
-    Raises:
-        DataError: missing or duplicate columns, a column mapped to more
-            than one field, rows with the wrong field count, unparseable
-            or invalid rows, duplicate subject ids, an empty file, or a
-            file that is not UTF-8 or not CSV.
-    """
-    schema = schema or CsvSchema()
+def _kept_rows(rows, reader, width, picks, problems):
+    """Each row with ``width`` fields as (its file line, *its ``picks`` cells); a blank row is skipped, and a row
+    with another field count goes into ``problems`` under its file line."""
+    for row in rows:
+        if row and len(row) != width:
+            problems[reader.line_num] = f"expected {width} fields, got {len(row)}"
+        elif row:
+            yield reader.line_num, *(row[k] for k in picks)
+
+
+def _text(path) -> str:
+    """A file's UTF-8 text, less a spreadsheet's byte-order mark."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         # drop a spreadsheet's byte-order mark; "utf-8-sig" would count a bad byte's offset from after it
-        text = raw.decode("utf-8").removeprefix("\ufeff")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def _parsed_blocks(path, schema: CsvSchema, problems: dict[int, str]):
+    """The CSV's rows a block at a time as floats (rows, 4 + p): arm, entry, followup, event, then the covariates.
+
+    Each bad row's first problem goes into ``problems`` under its file
+    line; a row's id problem comes before its values'.
+    """
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
     rows = _csv_rows(reader, path)
     header = next(rows, None)
     if header is None:
@@ -192,39 +200,48 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     if missing:
         raise DataError(f"{path}: missing columns {missing}; header has {header}")
     picks = [header.index(c) for c in needed]
-    columns: list[list[str]] = [[] for _ in picks]
-    appends = [col.append for col in columns]
-    lines = array("l")  # the file line of each kept row
-    problems: dict[int, str] = {}  # by file line
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
-            continue
-        lines.append(reader.line_num)
-        for append, k in zip(appends, picks):
-            append(row[k])
-
-    ids, cells = columns[0], columns[1:]
-    id_problems: dict[int, str] = {}
+    labels = [f"covariate {c!r}" for c in cov_cols]
     seen: set[str] = set()
-    for i, sid in enumerate(ids):
-        if not sid or sid in seen:
-            id_problems[i] = f"duplicate id {sid!r}" if sid else "missing id"
-        seen.add(sid)
-    arm, entry, followup, event, *covariates = (_floats(col) for col in cells)
-    z = np.column_stack(covariates) if covariates else np.empty((len(ids), 0))
-    bad = _bad_rows(arm, entry, followup, event, z, [f"covariate {c!r}" for c in cov_cols], cells)
-    for i, message in {**bad, **id_problems}.items():
-        problems[lines[i]] = message
+    kept = _kept_rows(rows, reader, len(header), picks, problems)
+    while block := list(islice(kept, _BLOCK_ROWS)):
+        lines, ids, *cells = zip(*block)
+        values = np.column_stack([_floats(col) for col in cells])
+        found = _bad_rows(*values[:, :4].T, values[:, 4:], labels, cells)
+        for i, sid in enumerate(ids):
+            if not sid or sid in seen:
+                found[i] = f"duplicate id {sid!r}" if sid else "missing id"
+            seen.add(sid)
+        for i, message in found.items():
+            problems[lines[i]] = message
+        yield values
+
+
+def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
+    """Read a trial from a CSV file with a header row.
+
+    Every row must parse cleanly; offending rows are reported by file
+    line number and all collected before raising, so one pass surfaces
+    every problem. Subject ids must be present and unique; they are
+    checked and then dropped. A UTF-8 byte-order mark is skipped. Rows
+    are parsed and checked ``_BLOCK_ROWS`` at a time, so the file's
+    cells are never all held as text at once.
+
+    Raises:
+        DataError: missing or duplicate columns, a column mapped to more
+            than one field, rows with the wrong field count, unparseable
+            or invalid rows, duplicate subject ids, an empty file, or a
+            file that is not UTF-8 or not CSV.
+    """
+    problems: dict[int, str] = {}  # by file line
+    parsed = list(_parsed_blocks(path, schema or CsvSchema(), problems))  # the file's text goes with the generator
     if problems:
         shown = "\n  ".join(f"line {n}: {problems[n]}" for n in sorted(problems)[:20])
         more = f"\n  ... and {len(problems) - 20} more" if len(problems) > 20 else ""
         raise DataError(f"{path}: {len(problems)} bad row(s)\n  {shown}{more}")
-    if not ids:
+    if not parsed:
         raise DataError(f"{path}: no data rows")
-    return Trial(arm=arm, entry=entry, followup=followup, event=event, z=z)
+    values = np.concatenate(parsed)
+    return Trial(arm=values[:, 0], entry=values[:, 1], followup=values[:, 2], event=values[:, 3], z=values[:, 4:])
 
 
 class Snapshot:

@@ -137,7 +137,7 @@ def sim_snapshot(scn, seed, u=None, tau=None):
 def monotone_trial():
     """A trial whose snapshot at u=0.2 has one event per arm.
 
-    The Cox fit there runs off to beta ~ 282 with information ~3e-10
+    The Cox fit there runs off to beta ~ 301 with information ~3e-10
     (a monotone likelihood), and the adjusted variance overflows.
     """
     scn = SimScenario(covariate_strength=1.0)

@@ -1041,16 +1041,16 @@ class TestCalibrateAndSimulate:
         assert "malformed calibration" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("effect, value", [("null", math.nan), ("power", math.inf)])
+    @pytest.mark.parametrize("effect, value", [("null", math.nan), ("power", math.inf), ("as-given", math.nan)])
     def test_non_finite_calibrated_offset_exit_2_before_the_out_dir(self, effect, value, calib_setup, tmp_path,
                                                                    capsys):
-        # json reads NaN and Infinity, and the calibration leaves its offsets to the simulated scenario's check
+        # json reads NaN and Infinity; the calibration refuses either offset when read, whichever --effect is used
         _, scn_path, calib_path = calib_setup
         doc = json.loads(Path(calib_path).read_text())
-        if effect == "null":
-            doc["null_log_rate_ratio"] = value
-        else:
+        if effect == "power":
             doc["power"]["log_rate_ratio"] = value
+        else:
+            doc["null_log_rate_ratio"] = value
         path = tmp_path / "calibration.json"
         path.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
@@ -1061,6 +1061,20 @@ class TestCalibrateAndSimulate:
         assert_typed_error(code, err, 2)
         assert f"log_rate_ratio must be finite, got {value!r}" in err
         assert out == "" and not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covariate_strength_past_the_rates_exit_2(self, calib_setup, tmp_path, capsys):
+        _, _, calib_path = calib_setup
+        scn_path = tmp_path / "scenario.json"
+        scn_path.write_text(json.dumps({"schema": "rmstgst.scenario/1", "n_per_arm": 50, "covariate_strength": 800.0,
+                                        "censoring": None}))
+        for argv in (["calibrate", "--reps", "10", "--out", str(tmp_path / "calibration.json")],
+                     ["simulate", "--design", design_file(tmp_path), "--calibration", calib_path, "--reps", "2",
+                      "--out-dir", str(tmp_path / "out")]):
+            code, out, err = run_cli(capsys, argv[0], "--scenario", str(scn_path), *argv[1:])
+            assert_typed_error(code, err, 2)
+            assert "covariate_strength 800.0 gives Weibull rates that are not finite and > 0" in err and out == ""
+        assert sorted(tmp_path.iterdir()) == [scn_path, tmp_path / "sim_design.json"]  # neither output was made
 
     @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
     def test_bad_method_cap_exit_2(self, cap, calib_setup, tmp_path, capsys):

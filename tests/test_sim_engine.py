@@ -22,7 +22,9 @@ from rmstgst.errors import ConfigError, DataError, EstimationError, Insufficient
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction, boundaries, update_monitoring
 from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import (
+    COVARIATE_KINDS,
     METHODS,
+    Calibration,
     InformationCalibration,
     SimScenario,
     calibrate_information,
@@ -147,6 +149,16 @@ class TestScenario:
     def test_non_finite_numbers_name_the_field(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             SimScenario(**{name: value})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("covariates", COVARIATE_KINDS)
+    @pytest.mark.parametrize("strength", [800.0, -800.0])
+    def test_covariate_strength_bounded_by_the_rates(self, covariates, strength):
+        # a covariate effect this large overflows or underflows the atoms' Weibull rates in both arms
+        with pytest.raises(ConfigError, match=rf"^covariate_strength {strength} gives Weibull rates that are not "
+                                              r"finite and > 0 at treatment rate offsets in \[-5.0, 5.0\]"):
+            SimScenario(n_per_arm=50, covariate_strength=strength, covariates=covariates, censoring=None)
+        assert SimScenario(covariate_strength=strength / 100, covariates=covariates).covariate_strength == strength / 100
 
     def test_non_finite_fraction_rejected(self):
         doc = SimScenario().to_dict()
@@ -362,6 +374,14 @@ class TestCalibration:
         del broken["i_max"]
         with pytest.raises(ConfigError, match="missing key"):
             InformationCalibration.from_dict(broken)
+
+    @pytest.mark.parametrize("key", ["null_log_rate_ratio", "delta", "log_rate_ratio"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_calibrated_offset_refused_on_read(self, key, value):
+        doc = json.loads((PERFBENCH_DATA / "sim_calibration.json").read_text())
+        (doc if key == "null_log_rate_ratio" else doc["power"])[key] = value
+        with pytest.raises(ConfigError, match=rf"^malformed calibration: .*\b{key} must be finite, got {value!r}$"):
+            Calibration.from_dict(doc)
 
     def test_information_calibration_analyzes_each_grid_point_once(self, small_scn, monkeypatch):
         calls = []
@@ -703,9 +723,9 @@ class TestStackedReplicates:
             for a, b in zip(self.worker(monkeypatch, group, scn, 5, reps, times), want):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a covariate effect of 800 overflows the draws' rates
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a treatment offset of -800 zeroes arm 1's rates
     def test_replicate_that_cannot_be_drawn_fails_at_every_look(self):
-        scn = SimScenario(n_per_arm=50, covariate_strength=800.0, censoring=None)
+        scn = SimScenario(n_per_arm=50, log_rate_ratio=-800.0, censoring=None)
         with pytest.raises(DataError, match="followup_time must be finite"):
             draw_trial(scn, _rng_for_replicate(0, 0))
         failed = sim_engine._map_replicates(scn, 0, 3, 1, (0.5, 1.0, 3.0), self.METHODS)[2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rmstgst.adjusted_rmst import analyze
 from rmstgst.errors import DataError, InsufficientEventsError
 from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import SimScenario, cox_hr_test, draw_trial
+from rmstgst import trial_data
 from rmstgst.stratified_cox import fit
 from rmstgst.trial_data import (
     CsvSchema,
@@ -238,6 +240,82 @@ class TestIngestCsv:
         )
         with pytest.raises(DataError, match=rf"^{re.escape(path)}: line 3: field larger than field limit"):
             ingest_csv(path)
+
+
+def edge_csv(path):
+    """A CSV whose problems sit on the edges of 8-row blocks: 47 kept rows, a quoted id holding a newline in
+    the fourth (so a row's file line is not its index + 3 from there on), and blank lines."""
+    def row(k, sid=None, arm=None, entry=None, event=None, z1=None):
+        return ",".join([f"s{k}" if sid is None else sid, str(k % 2) if arm is None else arm,
+                         f"0.{k}" if entry is None else entry, f"{k + 1}.25",
+                         str(k // 2 % 2) if event is None else event, repr(k / 7) if z1 is None else z1, f"-{k}e-3"])
+    lines = ["id,arm,entry_time,followup_time,event,z1,z2", ""]
+    lines += [row(k, sid='"s\n3"' if k == 3 else None) for k in range(8)]
+    lines += ["s_short,0,0.5,1.0,1,0.2"]  # a wrong field count where the second block opens
+    lines += [row(8, sid="")] + [row(k) for k in range(9, 11)] + ["", ""] + [row(k) for k in range(11, 15)]
+    lines += [row(15, z1="oops")]  # the second block's last row
+    lines += [row(16, arm="2")] + [row(k) for k in range(17, 23)]
+    lines += [row(23, sid="s7", entry="-1")]  # its first copy two blocks back; the id is what the row reports
+    lines += [row(k, event="3") for k in range(24, 44)] + [row(k) for k in range(44, 47)] + ["", ""]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return str(path)
+
+
+class TestIngestBlocks:
+    """Rows are parsed and checked a block at a time; the file reads as one parse of all its rows did."""
+
+    EDGES = ("25 bad row(s)\n  line 12: expected 7 fields, got 6\n  line 13: missing id\n"
+             "  line 22: covariate 'z1' must be finite, got 'oops'\n  line 23: arm must be 0 or 1, got '2'\n"
+             "  line 30: duplicate id 's7'\n"
+             + "".join(f"  line {n}: event must be 0 or 1, got '3'\n" for n in range(31, 46)) + "  ... and 5 more")
+
+    @pytest.mark.parametrize("rows", [1, 3, 8, trial_data._BLOCK_ROWS])
+    def test_problems_on_block_edges_read_as_one_parse(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(trial_data, "_BLOCK_ROWS", rows)
+        path = edge_csv(tmp_path / "edges.csv")
+        with pytest.raises(DataError) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"{path}: {self.EDGES}"
+
+    def test_clean_blocks_equal_one_parse_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(41)
+        n = 3 * trial_data._BLOCK_ROWS + 17
+        cells = {
+            "arm": [str(v) for v in rng.integers(0, 2, n).tolist()],
+            "entry_time": [repr(v) for v in rng.uniform(0.0, 2.0, n).tolist()],
+            "followup_time": [f"{v:.6e}" for v in rng.exponential(1.0, n).tolist()],
+            "event": [str(v) for v in rng.integers(0, 2, n).tolist()],
+            "z1": [repr(v) for v in rng.standard_normal(n).tolist()],
+            "z2": [f" {v}" for v in rng.integers(-3, 4, n).tolist()],
+        }
+        path = tmp_path / "clean.csv"
+        rows = [",".join(["id", *cells])] + [",".join([f"s{i}", *(c[i] for c in cells.values())]) for i in range(n)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        trial = ingest_csv(str(path))
+        parsed = {name: np.array(column, dtype=np.float64) for name, column in cells.items()}
+        for name, key in (("arm", "arm"), ("entry", "entry_time"), ("followup", "followup_time"), ("event", "event")):
+            got = getattr(trial, name)
+            assert got.tobytes() == parsed[key].astype(got.dtype).tobytes()
+        assert trial.z.flags.c_contiguous and trial.z.shape == (n, 2)
+        assert trial.z.tobytes() == np.column_stack([parsed["z1"], parsed["z2"]]).tobytes()
+
+    def test_ingest_memory_peak(self, tmp_path):
+        # 10 000 rows, 8 columns as in the interim benchmark's trials; holding every cell as text peaked at 8.9 MiB
+        rng = np.random.default_rng(7)
+        n = 10_000
+        path = tmp_path / "large.csv"
+        lines = ["id,arm,entry_time,followup_time,event,x1,x2,x3"]
+        lines += [f"s{i},{i % 2},{e!r},{f!r},{d},{x!r},{b},{c}" for i, (e, f, d, x, b, c) in enumerate(zip(
+            rng.uniform(0.0, 2.0, n).tolist(), rng.exponential(1.0, n).tolist(), rng.integers(0, 2, n).tolist(),
+            rng.standard_normal(n).tolist(), rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            trial = ingest_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trial) == n and peak < 7 * 2**20, f"ingest peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestCsvRoundTrip:
