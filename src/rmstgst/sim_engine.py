@@ -97,7 +97,9 @@ class SimScenario(Record):
     coefficient covariate_strength / sqrt(p). ``covariates`` picks one
     standard normal ("normal1") or standardized Bernoulli(0.3) and
     Bernoulli(0.5) ("bernoulli2"). Censoring is exponential at 5% per
-    year or absent. Entry is uniform on [0, accrual].
+    year or absent. Entry is uniform on [0, accrual]. Every covariate
+    atom's rate must be finite and > 0 in both arms at the ends of the
+    offsets the calibrations bisect, or ``covariate_strength`` is refused.
     """
 
     n_per_arm: int = 200

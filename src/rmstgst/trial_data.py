@@ -146,7 +146,7 @@ def _csv_rows(reader, path):
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-_BLOCK_ROWS = 256  # kept rows parsed at a time; larger blocks left a cold look more resident memory, for no gain in time
+_BLOCK_ROWS = 256  # kept rows parsed at a time; larger blocks left a cold look more resident memory, no less time
 
 
 def _kept_rows(rows, reader, width, picks, problems):
@@ -177,7 +177,7 @@ def _parsed_blocks(path, schema: CsvSchema, problems: dict[int, str]):
     """The CSV's rows a block at a time as floats (rows, 4 + p): arm, entry, followup, event, then the covariates.
 
     Each bad row's first problem goes into ``problems`` under its file
-    line; a row's id problem comes before its values'.
+    line; a row with a bad id reports the id.
     """
     reader = csv.reader(io.StringIO(_text(path), newline=""))
     rows = _csv_rows(reader, path)

@@ -158,7 +158,7 @@ class TestScenario:
         with pytest.raises(ConfigError, match=rf"^covariate_strength {strength} gives Weibull rates that are not "
                                               r"finite and > 0 at treatment rate offsets in \[-5.0, 5.0\]"):
             SimScenario(n_per_arm=50, covariate_strength=strength, covariates=covariates, censoring=None)
-        assert SimScenario(covariate_strength=strength / 100, covariates=covariates).covariate_strength == strength / 100
+        SimScenario(covariate_strength=strength / 100, covariates=covariates)  # 8 is well inside the float range
 
     def test_non_finite_fraction_rejected(self):
         doc = SimScenario().to_dict()

@@ -11,11 +11,11 @@ from conftest import enrolled, make_trial, monotone_trial, toy_trial
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rmstgst import trial_data
 from rmstgst.adjusted_rmst import analyze
 from rmstgst.errors import DataError, InsufficientEventsError
 from rmstgst.km_rmst import km_rmst_test
 from rmstgst.sim_engine import SimScenario, cox_hr_test, draw_trial
-from rmstgst import trial_data
 from rmstgst.stratified_cox import fit
 from rmstgst.trial_data import (
     CsvSchema,
