@@ -86,7 +86,7 @@ def _write(path: str, text: str, error=ConfigError) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _sha256(path: str) -> str:

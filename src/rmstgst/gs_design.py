@@ -102,8 +102,8 @@ class SpendingFunction:
         if self.sided not in SIDEDNESS:
             raise ConfigError(f"sidedness must be one of {SIDEDNESS}, got {self.sided!r}")
         if self.kind == "power_family":
-            if self.rho is None or not (self.rho > 0):
-                raise ConfigError("power_family spending needs rho > 0")
+            if self.rho is None or not (0 < self.rho < math.inf):
+                raise ConfigError(f"power_family spending needs 0 < rho < inf, got {self.rho!r}")
         elif self.rho is not None:
             raise ConfigError(f"rho applies only to power_family, not {self.kind!r}")
 
@@ -350,7 +350,7 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     fr = tuple(float(f) for f in fractions)
     if not fr:
         raise ConfigError("at least one information fraction is required")
-    if any(not (0 < f <= 1 + 1e-9) or not math.isfinite(f) for f in fr):
+    if any(not (0 < f <= 1 + 1e-9) for f in fr):
         raise ConfigError(f"planned information fractions must lie in (0, 1], got {fr}")
     if any(b <= a for a, b in zip(fr, fr[1:])):
         raise ConfigError(f"information fractions must be strictly increasing, got {fr}")
@@ -422,10 +422,10 @@ class DesignConfig(Record):
 
     _what, _error, _schema = "design config", ConfigError, DESIGN_SCHEMA
 
-    def __post_init__(self):
+    def _validate(self):
         _validate_fractions(self.planned_fractions)
-        if self.i_max is not None and not (math.isfinite(self.i_max) and self.i_max > 0):
-            raise ConfigError(f"i_max must be finite and > 0, got {self.i_max!r}")
+        if self.i_max is not None and not self.i_max > 0:
+            raise ConfigError(f"i_max must be > 0, got {self.i_max!r}")
 
 
 @dataclass(frozen=True)
@@ -437,20 +437,19 @@ class AnalysisRecord(Record):
     info_level: float
     info_fraction: float
     z: float
-    critical_value: float | None
+    critical_value: float | None = field(metadata={"infinite": True})
     cumulative_spend: float
     decision: str  # "continue" | "reject" | "skipped"
     final: bool = False
 
     _what, _error = "analysis record", StateError
 
-    def __post_init__(self):
+    def _validate(self):
         if self.decision not in ("continue", "reject", "skipped"):
             raise StateError(f"decision must be continue, reject or skipped, got {self.decision!r}")
-        for name, ok, rule in (("info_level", 0 < self.info_level < math.inf, "finite and > 0"),
-                               ("info_fraction", 0 < self.info_fraction < math.inf, "finite and > 0"),
-                               ("z", math.isfinite(self.z), "finite"),
-                               ("cumulative_spend", 0 <= self.cumulative_spend < math.inf, "finite and >= 0"),
+        for name, ok, rule in (("info_level", self.info_level > 0, "> 0"),
+                               ("info_fraction", self.info_fraction > 0, "> 0"),
+                               ("cumulative_spend", self.cumulative_spend >= 0, ">= 0"),
                                ("critical_value", self.critical_value is None or self.critical_value >= 0, ">= 0")):
             if not ok:
                 raise StateError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -467,7 +466,7 @@ class MonitoringState(Record):
 
     _what, _error, _schema, _strict = "monitoring state", StateError, STATE_SCHEMA, True
 
-    def __post_init__(self):
+    def _validate(self):
         fr = [a.info_fraction for a in self.effective]
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise StateError(f"information fractions must increase over the analyses not skipped, got {fr}")
@@ -482,7 +481,7 @@ class MonitoringState(Record):
         return tuple(a for a in self.analyses if a.decision != "skipped")
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False) -> MonitoringState:

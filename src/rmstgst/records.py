@@ -2,7 +2,7 @@
 
 This is the one place where a file becomes a record: ``X.read(path)``
 raises the record's own error class, naming the path (and the line and
-column of bad JSON), for a file that cannot be opened or is not UTF-8 JSON.
+column of bad JSON), for a file it cannot open, decode, parse or check.
 
 A record sets ``_what``, its name in messages, its error class ``_error``
 and its ``_schema`` string if any. Its JSON keys are its dataclass fields,
@@ -16,7 +16,10 @@ a list and ``dict[str, X]`` an object of X, and any other type its
 string or a bool. A key whose field has no default is required; a
 ``_strict`` record, a file only the program writes, needs every key and
 its schema, and a ``_closed`` one rejects other keys. Tuples are written
-as lists and infinities as null. Every failure raises the record's error
+as lists and infinities as null. A record, however built, refuses NaN and
+infinity (json reads both) in any float it holds, in a field, tuple or
+dict, before its own ``_validate``, but allows an infinity in a field whose
+metadata has ``"infinite": True``. Every failure raises the record's error
 class, a nested record's wrapped in its parent's.
 """
 
@@ -105,13 +108,23 @@ class Record:
         """The record in the UTF-8 JSON file at ``path``, after one byte-order mark if it starts with one."""
         try:
             with open(path, encoding="utf-8") as fh:
-                d = json.loads(fh.read().removeprefix("\ufeff"))
+                return cls.from_dict(json.loads(fh.read().removeprefix("\ufeff")))
         except (OSError, UnicodeDecodeError) as exc:
             raise cls._error(f"cannot read {cls._what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
         except json.JSONDecodeError as exc:
             raise cls._error(f"{path}: {cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None
-        return cls.from_dict(d)
+        except cls._error as exc:
+            raise cls._error(f"{path}: {exc}") from exc
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not (math.isfinite(v) or math.isinf(v) and f.metadata.get("infinite")):
+                    raise self._error(f"{f.name} must be finite, got {value!r}")
+        if hasattr(self, "_validate"):  # the record's own checks
+            self._validate()
 
     def to_dict(self) -> dict:
         out = {"schema": self._schema} if self._schema else {}

@@ -32,7 +32,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
 import numpy as np
@@ -80,13 +80,6 @@ _ANALYZED_SHARE = 0.9  # share of replicates a grid time or a comparator's trial
 _CURVE_POINTS = 200  # rows of the survival and hazard-ratio curve table
 
 
-def _check_finite(record) -> None:
-    """Refuse a record with NaN or an infinity in a float field: Python's json reads both."""
-    for name in (f.name for f in fields(record) if f.type == "float"):
-        if not math.isfinite(getattr(record, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(record, name)!r}")
-
-
 @dataclass(frozen=True)
 class SimScenario(Record):
     """One simulated-trial configuration.
@@ -99,7 +92,8 @@ class SimScenario(Record):
     Bernoulli(0.5) ("bernoulli2"). Censoring is exponential at 5% per
     year or absent. Entry is uniform on [0, accrual]. Every covariate
     atom's rate must be finite and > 0 in both arms at the ends of the
-    offsets the calibrations bisect, or ``covariate_strength`` is refused.
+    offsets the calibrations bisect, or ``covariate_strength`` is refused,
+    and in arm 1 at ``log_rate_ratio``, or ``log_rate_ratio`` is refused.
     """
 
     n_per_arm: int = 200
@@ -116,8 +110,7 @@ class SimScenario(Record):
 
     _what, _error, _schema, _closed = "scenario", ConfigError, SCENARIO_SCHEMA, True
 
-    def __post_init__(self):
-        _check_finite(self)
+    def _validate(self):
         if self.n_per_arm < 1:
             raise ConfigError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
         if not (self.tau > 0 and self.accrual >= 0):
@@ -133,12 +126,12 @@ class SimScenario(Record):
         if _validate_fractions(self.fractions)[-1] != 1.0:
             raise ConfigError(f"a scenario's fractions must end at 1.0, got {tuple(self.fractions)}")
         lin = _covariate_atoms(self.covariates)[0] @ self.coefficients
-        with np.errstate(over="ignore"):  # arm 0's rates, then arm 1's at the ends of the calibrations' offsets
-            rates = self.rate_base * np.exp(np.add.outer((0.0, *_OFFSET_BRACKET), lin))
-        if not np.all(np.isfinite(rates) & (rates > 0)):
-            raise ConfigError(f"covariate_strength {self.covariate_strength} gives Weibull rates that are not finite "
-                              f"and > 0 at treatment rate offsets in {list(_OFFSET_BRACKET)} (rate_base "
-                              f"{self.rate_base})")
+        for name, offsets in (("covariate_strength", [*_OFFSET_BRACKET]), ("log_rate_ratio", [self.log_rate_ratio])):
+            with np.errstate(over="ignore"):  # arm 0's rates, then arm 1's at the offsets
+                rates = self.rate_base * np.exp(np.add.outer((0.0, *offsets), lin))
+            if not np.all(np.isfinite(rates) & (rates > 0)):
+                raise ConfigError(f"{name} {getattr(self, name)} gives Weibull rates that are not finite and > 0 at "
+                                  f"treatment rate offsets in {offsets} (rate_base {self.rate_base})")
 
     @property
     def n_covariates(self) -> int:
@@ -335,10 +328,10 @@ class InformationCalibration(Record):
 
     _what, _error, _schema, _strict = "information calibration", ConfigError, CALIBRATION_SCHEMA, True
 
-    def __post_init__(self):
+    def _validate(self):
         for name, cap in {"i_max": self.i_max, **{f"{m} i_max": v for m, v in self.i_max_by_method.items()}}.items():
-            if not 0 < cap < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {cap!r}")
+            if not cap > 0:
+                raise ConfigError(f"{name} must be > 0, got {cap!r}")
         times = self.analysis_times
         if len(times) != len(self.fractions) or not all(b > a for a, b in zip((0.0, *times), times)):
             raise ConfigError(f"analysis_times {times} must increase from 0, one per fraction {self.fractions}")
@@ -397,9 +390,6 @@ class PowerCalibration(Record):
 
     _what, _error = "power calibration", ConfigError
 
-    def __post_init__(self):
-        _check_finite(self)
-
 
 def _fixed_test_power(delta: float, i_max: float, alpha: float, sided: str) -> float:
     drift = delta * math.sqrt(i_max)
@@ -454,9 +444,6 @@ class Calibration(Record):
     scenario: SimScenario
 
     _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
-
-    def __post_init__(self):
-        _check_finite(self)
 
 
 def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,

@@ -183,6 +183,19 @@ class TestDesignAndBoundaries:
         assert code == 2
         assert "error:" in err and "rho" in err
 
+    @pytest.mark.parametrize("rho", ["inf", "nan", "0"])
+    def test_rho_outside_zero_to_inf_exit_2(self, rho, capsys):
+        code, stdout, err = run_cli(
+            capsys, "design", "--spending", "power_family", "--rho", rho, "--fractions", "0.5,1", "--i-max", "100",
+        )
+        assert_typed_error(code, err, 2)
+        assert f"power_family spending needs 0 < rho < inf, got {float(rho)!r}" in err
+        assert stdout == ""  # no table and no design, so no Infinity either
+
+    def test_json_output_refuses_nan(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text({"x": math.nan})
+
     def test_bad_fractions_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "design", "--spending", "cubic_min", "--fractions", "0.5,abc",
@@ -1059,7 +1072,26 @@ class TestCalibrateAndSimulate:
             "--calibration", str(path), "--reps", "2", "--effect", effect, "--out-dir", str(out_dir),
         )
         assert_typed_error(code, err, 2)
+        assert err.startswith(f"error: {path}: malformed calibration: ")
         assert f"log_rate_ratio must be finite, got {value!r}" in err
+        assert out == "" and not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_rate_ratio_past_the_rates_exit_2(self, calib_setup, tmp_path, capsys):
+        # arm 1's rates underflow to 0 at this offset, which --effect as-given would simulate as given; the rest of
+        # the scenario is the calibration's
+        _, scn_path, calib_path = calib_setup
+        doc = {**json.loads(Path(scn_path).read_text()), "log_rate_ratio": -800}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--design", design_file(tmp_path),
+            "--calibration", calib_path, "--reps", "2", "--effect", "as-given", "--out-dir", str(out_dir),
+        )
+        assert_typed_error(code, err, 2)
+        assert err == (f"error: {path}: malformed scenario: log_rate_ratio -800.0 gives Weibull rates that are not "
+                       "finite and > 0 at treatment rate offsets in [-800.0] (rate_base 0.916290731874155)\n")
         assert out == "" and not out_dir.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1089,7 +1121,9 @@ class TestCalibrateAndSimulate:
             "--out-dir", str(tmp_path / "out"),
         )
         assert_typed_error(code, err, 2)
-        assert "i_max must be finite and > 0" in err
+        rule = (f"i_max_by_method must be finite, got {doc['i_max_by_method']!r}" if math.isnan(cap)
+                else f"km i_max must be > 0, got {cap!r}")
+        assert err == f"error: {path}: malformed calibration: malformed information calibration: {rule}\n"
 
     def test_calibration_without_a_comparator_cap_exit_2(self, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup

@@ -96,6 +96,8 @@ class TestSpendingFunction:
             (dict(kind="cubic_min", alpha=1.5), "alpha"),
             (dict(kind="power_family"), "rho"),
             (dict(kind="power_family", rho=-1.0), "rho"),
+            (dict(kind="power_family", rho=math.inf), r"^power_family spending needs 0 < rho < inf, got inf$"),
+            (dict(kind="power_family", rho=math.nan), r"^power_family spending needs 0 < rho < inf, got nan$"),
             (dict(kind="cubic_min", rho=2.0), "rho"),
             (dict(kind="cubic_min", sided="both"), "sidedness"),
         ],

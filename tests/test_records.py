@@ -1,15 +1,20 @@
-"""The JSON keys of every record, pinned: each record's file format as written and read back."""
+"""The JSON keys of every record, pinned: each record's file format as written and read back, and the one
+finiteness rule every record keeps, built in memory or read."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
+import math
 import pkgutil
+import re
+import typing
 
 import pytest
 
 import rmstgst
-from rmstgst.errors import ConfigError, DataError
+from rmstgst.errors import ConfigError, DataError, StateError
 from rmstgst.gs_design import AnalysisRecord, DesignConfig, MonitoringState, SpendingFunction
 from rmstgst.records import Record
 from rmstgst.sim_engine import Calibration, InformationCalibration, PowerCalibration, SimScenario
@@ -103,3 +108,58 @@ def test_flattened_fields_read_their_parent_object():
     del payload["alpha"]
     with pytest.raises(ConfigError, match=r"^malformed design config: spending rule missing keys: \['alpha'\]$"):
         DesignConfig.from_dict(payload)
+
+
+def _float_fields():
+    """``(cls, field)`` of each record field that holds floats: a scalar, a tuple or a dict of them."""
+    for cls in EXAMPLES:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if float in (hints[f.name], *typing.get_args(hints[f.name])):
+                yield cls, f
+
+
+def _holding(value, bad):
+    """``value`` with ``bad`` in place of its float, or of its last one in a tuple or a dict."""
+    if isinstance(value, tuple):
+        return (*value[:-1], bad)
+    if isinstance(value, dict):
+        return {**value, list(value)[-1]: bad}
+    return bad
+
+
+def test_records_without_a_float_field():
+    # a monitoring state's numbers are its analyses', which check themselves when it is read
+    assert set(EXAMPLES) - {cls for cls, _ in _float_fields()} == {MonitoringState, CsvSchema}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("cls, f", list(_float_fields()), ids=lambda v: getattr(v, "__name__", None) or v.name)
+def test_every_float_a_record_holds_is_finite(cls, f, bad, tmp_path):
+    record, _ = EXAMPLES[cls]
+    value = _holding(getattr(record, f.name), bad)
+    payload = record.to_dict()
+    payload[f.metadata.get("key", f.name)] = list(value) if isinstance(value, tuple) else value
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(payload))  # json writes NaN, Infinity and -Infinity, and reads them back
+    if f.metadata.get("infinite") and bad > 0:  # an infinite critical value: written as null, read as null or Infinity
+        infinite = dataclasses.replace(record, **{f.name: value})
+        assert infinite.to_dict()[f.name] is None
+        assert cls.read(path) == cls.from_dict(infinite.to_dict()) == infinite
+        return
+    rule = (f"{f.name} must be >= 0, got -inf" if f.metadata.get("infinite") and bad < 0
+            else f"{f.name} must be finite, got {value!r}")
+    with pytest.raises(cls._error, match=rf"^{re.escape(rule)}$"):
+        dataclasses.replace(record, **{f.name: value})
+    with pytest.raises(cls._error, match=rf"^{re.escape(f'{path}: malformed {cls._what}: {rule}')}$"):
+        cls.read(path)
+
+
+def test_a_nested_record_checks_itself_when_read(tmp_path):
+    payload = EXAMPLES[MonitoringState][0].to_dict()
+    payload["analyses"][0]["z"] = math.nan
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateError, match=rf"^{re.escape(str(path))}: malformed monitoring state: malformed analysis "
+                                         r"record: z must be finite, got nan$"):
+        MonitoringState.read(path)

@@ -160,10 +160,22 @@ class TestScenario:
             SimScenario(n_per_arm=50, covariate_strength=strength, covariates=covariates, censoring=None)
         SimScenario(covariate_strength=strength / 100, covariates=covariates)  # 8 is well inside the float range
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("covariates", COVARIATE_KINDS)
+    @pytest.mark.parametrize("offset", [800.0, -800.0])
+    def test_log_rate_ratio_bounded_by_arm_1_rates(self, covariates, offset):
+        # the scenario's own offset, which simulate --effect as-given draws arm 1 at, over- or underflows its rates
+        with pytest.raises(ConfigError, match=rf"^log_rate_ratio {offset} gives Weibull rates that are not finite and "
+                                              rf"> 0 at treatment rate offsets in \[{offset}\] \(rate_base "
+                                              r"0.916290731874155\)$"):
+            SimScenario(n_per_arm=50, log_rate_ratio=offset, covariate_strength=0.5, covariates=covariates,
+                        censoring=None)
+        SimScenario(log_rate_ratio=offset / 100, covariate_strength=0.5, covariates=covariates)  # 8 is inside it
+
     def test_non_finite_fraction_rejected(self):
         doc = SimScenario().to_dict()
         doc["fractions"] = [0.5, math.nan, 1.0]
-        with pytest.raises(ConfigError, match="fractions must lie in"):
+        with pytest.raises(ConfigError, match=r"^malformed scenario: fractions must be finite, got \(0.5, nan, 1.0\)$"):
             SimScenario.from_dict(doc)
 
     def test_round_trip_and_schema_errors(self):
@@ -723,9 +735,9 @@ class TestStackedReplicates:
             for a, b in zip(self.worker(monkeypatch, group, scn, 5, reps, times), want):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a treatment offset of -800 zeroes arm 1's rates
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a Weibull shape of 0.001 overflows the drawn times
     def test_replicate_that_cannot_be_drawn_fails_at_every_look(self):
-        scn = SimScenario(n_per_arm=50, log_rate_ratio=-800.0, censoring=None)
+        scn = SimScenario(n_per_arm=50, shape_base=0.001, censoring=None)
         with pytest.raises(DataError, match="followup_time must be finite"):
             draw_trial(scn, _rng_for_replicate(0, 0))
         failed = sim_engine._map_replicates(scn, 0, 3, 1, (0.5, 1.0, 3.0), self.METHODS)[2]
