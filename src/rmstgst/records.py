@@ -88,6 +88,21 @@ def _keys(cls) -> tuple:
     return tuple((f.metadata.get("key", f.name), f.name, _check(hints[f.name])) for f in dataclasses.fields(cls))
 
 
+def utf8_bytes(path, what: str, error) -> bytes:
+    """The bytes of any input file, checked as UTF-8 whole; ``error`` says it cannot read ``what``, or the line of
+    its first byte that is not UTF-8, counted from the file's start."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        raw.decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    return raw
+
+
 def _json(value):
     if hasattr(value, "to_dict"):
         return value.to_dict()
@@ -106,11 +121,9 @@ class Record:
     @classmethod
     def read(cls, path):
         """The record in the UTF-8 JSON file at ``path``, after one byte-order mark if it starts with one."""
+        raw = utf8_bytes(path, cls._what, cls._error)
         try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.loads(fh.read().removeprefix("\ufeff")))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise cls._error(f"cannot read {cls._what} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+            return cls.from_dict(json.loads(raw.decode("utf-8-sig")))
         except json.JSONDecodeError as exc:
             raise cls._error(f"{path}: {cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None

@@ -233,7 +233,8 @@ def draw_trial(scn: SimScenario, rng) -> Trial:
     arms = []
     for arm in (0, 1):
         z = _draw_covariates(scn, n, rng)
-        t = (-np.log1p(-rng.random(n)) / _atom_rates(scn, arm, z)) ** (1.0 / scn.arm_shape(arm))
+        with np.errstate(over="ignore"):  # an overflowing time is infinite follow-up, which the Trial refuses
+            t = (-np.log1p(-rng.random(n)) / _atom_rates(scn, arm, z)) ** (1.0 / scn.arm_shape(arm))
         c = rng.exponential(1.0 / scn.censoring_rate, size=n) if scn.censoring_rate > 0 else np.inf
         entry = rng.uniform(0.0, scn.accrual, size=n) if scn.accrual > 0 else np.zeros(n)
         arms.append((np.full(n, arm), entry, np.minimum(t, c), t <= c, z))
@@ -354,13 +355,16 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     total = scn.total_duration
     grid = np.append(np.arange(_GRID_STEP, total - 1e-9, _GRID_STEP), total)
     comparators = tuple(m for m in METHODS if m != "adjusted")
-    rows = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",))[0][:, :, 0]
+    rows, _, failed, _ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",))
+    rows = rows[:, :, 0]
     finals = _map_replicates(scn, master_seed, reps, threads, (total,), comparators)[0][:, 0]
     enough = max(1, int(_ANALYZED_SHARE * reps))
     ok = np.sum(~np.isnan(rows), axis=0)
     usable = ok >= enough
     if not usable[-1]:
-        raise EstimationError("information calibration failed at the trial end; raise reps")
+        failures = dict(sorted(Counter(e for e in failed[:, -1, 0].tolist() if e).items()))
+        raise EstimationError(f"information calibration failed at the trial end: {ok[-1]} of {reps} replicates "
+                              f"analyzed, {enough} needed; failures {failures}")
     mean_info = np.where(ok > 0, np.nansum(rows, axis=0) / np.maximum(ok, 1), np.nan)
     grid_u = grid[usable]
     traj = np.maximum.accumulate(mean_info[usable])

@@ -31,12 +31,11 @@ import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import DataError, InsufficientEventsError
-from .records import Record
+from .records import Record, utf8_bytes
 
 __all__ = ["Trial", "CsvSchema", "Snapshot", "ingest_csv", "snapshot", "snapshot_from_arrays"]
 
@@ -138,82 +137,22 @@ def _floats(cells: list[str]) -> np.ndarray:
     return values
 
 
-def _csv_rows(reader, path):
-    """The reader's rows, with a CSV parse error raised as a ``DataError`` naming its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
-
-
 _BLOCK_ROWS = 256  # kept rows parsed at a time; larger blocks left a cold look more resident memory, no less time
 
 
-def _kept_rows(rows, reader, width, picks, problems):
-    """Each row with ``width`` fields as (its file line, *its ``picks`` cells); a blank row is skipped, and a row
-    with another field count goes into ``problems`` under its file line."""
-    for row in rows:
-        if row and len(row) != width:
-            problems[reader.line_num] = f"expected {width} fields, got {len(row)}"
-        elif row:
-            yield reader.line_num, *(row[k] for k in picks)
-
-
-def _text(path) -> str:
-    """A file's UTF-8 text, less a spreadsheet's byte-order mark."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        # drop a spreadsheet's byte-order mark; "utf-8-sig" would count a bad byte's offset from after it
-        return raw.decode("utf-8").removeprefix("\ufeff")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _parsed_blocks(path, schema: CsvSchema, problems: dict[int, str]):
-    """The CSV's rows a block at a time as floats (rows, 4 + p): arm, entry, followup, event, then the covariates.
-
-    Each bad row's first problem goes into ``problems`` under its file
-    line; a row with a bad id reports the id.
-    """
-    reader = csv.reader(io.StringIO(_text(path), newline=""))
-    rows = _csv_rows(reader, path)
-    header = next(rows, None)
-    if header is None:
-        raise DataError(f"{path}: empty file (no header row)")
-    duplicated = sorted({c for c in header if header.count(c) > 1})
-    if duplicated:
-        raise DataError(f"{path}: duplicate column names {duplicated} in header")
-    needed = [schema.subject_id, schema.arm, schema.entry_time, schema.followup_time, schema.event]
-    if schema.covariates is None:
-        cov_cols = [c for c in header if c not in needed]
-    else:
-        cov_cols = list(schema.covariates)
-    needed += cov_cols
-    twice = sorted({c for c in needed if needed.count(c) > 1})
-    if twice:
-        raise DataError(f"{path}: columns mapped to more than one field: {twice}")
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}; header has {header}")
-    picks = [header.index(c) for c in needed]
-    labels = [f"covariate {c!r}" for c in cov_cols]
-    seen: set[str] = set()
-    kept = _kept_rows(rows, reader, len(header), picks, problems)
-    while block := list(islice(kept, _BLOCK_ROWS)):
-        lines, ids, *cells = zip(*block)
-        values = np.column_stack([_floats(col) for col in cells])
-        found = _bad_rows(*values[:, :4].T, values[:, 4:], labels, cells)
-        for i, sid in enumerate(ids):
-            if not sid or sid in seen:
-                found[i] = f"duplicate id {sid!r}" if sid else "missing id"
-            seen.add(sid)
-        for i, message in found.items():
-            problems[lines[i]] = message
-        yield values
+def _parsed_block(block, labels, seen: set[str], problems: dict[int, str]) -> np.ndarray:
+    """One block of kept rows, each (its file line, id, *its cells), as floats (rows, 4 + p); each bad row's first
+    problem goes into ``problems`` under its file line, a bad id's (against ``seen``) over its cells'."""
+    lines, ids, *cells = zip(*block)
+    values = np.column_stack([_floats(col) for col in cells])
+    found = _bad_rows(*values[:, :4].T, values[:, 4:], labels, cells)
+    for i, sid in enumerate(ids):
+        if not sid or sid in seen:
+            found[i] = f"duplicate id {sid!r}" if sid else "missing id"
+        seen.add(sid)
+    for i, message in found.items():
+        problems[lines[i]] = message
+    return values
 
 
 def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
@@ -222,25 +161,65 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
     Every row must parse cleanly; offending rows are reported by file
     line number and all collected before raising, so one pass surfaces
     every problem. Subject ids must be present and unique; they are
-    checked and then dropped. A UTF-8 byte-order mark is skipped. Rows
-    are parsed and checked ``_BLOCK_ROWS`` at a time, so the file's
-    cells are never all held as text at once.
+    checked and then dropped. A UTF-8 byte-order mark is skipped, and a
+    blank row. Rows are parsed and checked ``_BLOCK_ROWS`` at a time, so
+    the file's cells are never all held as text at once.
 
     Raises:
         DataError: missing or duplicate columns, a column mapped to more
             than one field, rows with the wrong field count, unparseable
             or invalid rows, duplicate subject ids, an empty file, or a
-            file that is not UTF-8 or not CSV.
+            file that cannot be read, is not UTF-8 or is not CSV.
     """
+    schema = schema or CsvSchema()
     problems: dict[int, str] = {}  # by file line
-    parsed = list(_parsed_blocks(path, schema or CsvSchema(), problems))  # the file's text goes with the generator
+    # csv's text stream: lines end at CR, LF or CRLF alone, as in the bytes; the file's bytes go with the stream
+    with io.TextIOWrapper(io.BytesIO(utf8_bytes(path, "trial CSV", DataError)), encoding="utf-8-sig",
+                          newline="") as text:
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file (no header row)")
+            duplicated = sorted({c for c in header if header.count(c) > 1})
+            if duplicated:
+                raise DataError(f"{path}: duplicate column names {duplicated} in header")
+            needed = [schema.subject_id, schema.arm, schema.entry_time, schema.followup_time, schema.event]
+            if schema.covariates is None:
+                cov_cols = [c for c in header if c not in needed]
+            else:
+                cov_cols = list(schema.covariates)
+            needed += cov_cols
+            twice = sorted({c for c in needed if needed.count(c) > 1})
+            if twice:
+                raise DataError(f"{path}: columns mapped to more than one field: {twice}")
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}; header has {header}")
+            picks = [header.index(c) for c in needed]
+            labels = [f"covariate {c!r}" for c in cov_cols]
+            seen: set[str] = set()
+            blocks, block = [], []
+            for row in reader:
+                if row and len(row) != len(header):
+                    problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
+                elif row:
+                    block.append((reader.line_num, *(row[k] for k in picks)))
+                    if len(block) == _BLOCK_ROWS:
+                        blocks.append(_parsed_block(block, labels, seen, problems))
+                        block = []
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if block:
+        blocks.append(_parsed_block(block, labels, seen, problems))
+    del seen  # the ids go before the blocks are joined
     if problems:
         shown = "\n  ".join(f"line {n}: {problems[n]}" for n in sorted(problems)[:20])
         more = f"\n  ... and {len(problems) - 20} more" if len(problems) > 20 else ""
         raise DataError(f"{path}: {len(problems)} bad row(s)\n  {shown}{more}")
-    if not parsed:
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    values = np.concatenate(parsed)
+    values = np.concatenate(blocks)
     return Trial(arm=values[:, 0], entry=values[:, 1], followup=values[:, 2], event=values[:, 3], z=values[:, 4:])
 
 

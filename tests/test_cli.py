@@ -447,7 +447,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("corrupt, says", [
         (lambda text: text[:100], "monitoring state is not valid JSON"),
-        (lambda text: b"\xff" + text[1:], "cannot read monitoring state"),
+        (lambda text: b"\xff" + text[1:], "state.json: line 1: not UTF-8 text (invalid start byte)"),
     ], ids=["truncated", "not_utf8"])
     def test_corrupt_state_file_exit_5(self, corrupt, says, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
@@ -1108,6 +1108,17 @@ class TestCalibrateAndSimulate:
             assert "covariate_strength 800.0 gives Weibull rates that are not finite and > 0" in err and out == ""
         assert sorted(tmp_path.iterdir()) == [scn_path, tmp_path / "sim_design.json"]  # neither output was made
 
+    def test_overflowing_weibull_draws_exit_4(self, tmp_path):
+        # at shape 0.001 the drawn event times overflow, so every replicate fails as DataError, with no warning
+        scn_path = tmp_path / "scenario.json"
+        scn_path.write_text(json.dumps({"n_per_arm": 50, "shape_base": 0.001, "shape_offset": 0, "censoring": None}))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rmstgst", "calibrate",
+                               "--scenario", str(scn_path), "--reps", "100"], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == ("error: information calibration failed at the trial end: 0 of 100 replicates "
+                               "analyzed, 90 needed; failures {'DataError': 100}\n")
+
     @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
     def test_bad_method_cap_exit_2(self, cap, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup
@@ -1236,6 +1247,8 @@ class TestFileBoundary:
         assert str(bad) in err
         if broken == "truncated":
             assert "not valid JSON at line 2 column 13" in err
+        if broken == "not_utf8":
+            assert f"{bad}: line 1: not UTF-8 text (invalid start byte)" in err
 
     def test_design_out_in_missing_directory_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "d.json"
