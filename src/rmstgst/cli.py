@@ -196,7 +196,7 @@ def cmd_analyze(args) -> int:
 
     with _state_lock(args.state):
         state = update_monitoring(_load_or_create_state(args), result["u"], result["z"],
-                                  result["info"], final=args.final)
+                                  result["info"], final=args.final, tau=result["tau"])
         _write(args.state, state.to_json(), StateError)
     record = state.analyses[-1].to_dict()
     keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")

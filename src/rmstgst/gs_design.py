@@ -141,9 +141,9 @@ class SpendingFunction:
 
 
 @cache
-def _panel_rule():
-    """Gauss-Legendre nodes and weights of one panel, on [0, 1], built on first use."""
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+def _unit_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1], read-only, built once for each number of ``nodes``."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     x.setflags(write=False)
     w.setflags(write=False)
@@ -282,7 +282,7 @@ def _density_after(stages: _Stages, sided: str, fractions) -> tuple[_Stages, dic
             f"fraction {float(fraction[j])} resolves increments of at least {smallest:.3g}")
     prev = stages.take(steps[fits])
     panels, lo, width, sigma = panels[fits].astype(np.int64), lo[fits], (hi - lo)[fits] / panels[fits], sigma[fits]
-    t, w = _panel_rule()
+    t, w = _unit_legendre(_PANEL_NODES)
     panel = np.repeat(np.arange(panels.size), panels)  # the replicate of each panel
     k = np.arange(panel.size) - np.repeat(np.cumsum(panels) - panels, panels)  # its place in the replicate's grid
     x = (lo[panel, None] + width[panel, None] * (k[:, None] + t)).ravel()
@@ -441,6 +441,7 @@ class AnalysisRecord(Record):
     cumulative_spend: float
     decision: str  # "continue" | "reject" | "skipped"
     final: bool = False
+    tau: float | None = None  # the restriction horizon; None in a state written before looks recorded it
 
     _what, _error = "analysis record", StateError
 
@@ -484,7 +485,8 @@ class MonitoringState(Record):
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False) -> MonitoringState:
+def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False,
+                      tau: float | None = None) -> MonitoringState:
     """Fold one analysis, at calendar time ``u`` with statistic ``z`` and information ``info_level``, into the state.
 
     The information fraction is the observed information over the design's
@@ -493,7 +495,8 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
 
     Raises:
         StateError: state already rejected or past an effective final
-            analysis, or ``u`` not past the last recorded analysis.
+            analysis, ``u`` not past the last recorded analysis, or ``tau``
+            not the restriction horizon a recorded analysis used.
         ConfigError: the design has no ``i_max``.
     """
     if state.rejected:
@@ -511,6 +514,10 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
         raise StateError(
             f"non-increasing analysis time: u={u} is not past the last recorded u={state.analyses[-1].u}"
         )
+    recorded = next((a.tau for a in state.analyses if a.tau is not None), None)
+    if None not in (tau, recorded) and tau != recorded:
+        raise StateError(f"tau={tau} differs from the recorded tau={recorded}; every analysis of one trial "
+                         "restricts its means at one horizon")
     spending = state.design.spending
     stage = _Stages.first(1)
     for a in state.effective:
@@ -525,6 +532,6 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
     record = AnalysisRecord(
         stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,
         critical_value=None if decision == "skipped" else float(stage.critical[0]),
-        cumulative_spend=float(stage.spent[0]), decision=decision, final=final,
+        cumulative_spend=float(stage.spent[0]), decision=decision, final=final, tau=tau,
     )
     return replace(state, analyses=state.analyses + (record,))

@@ -39,7 +39,8 @@ import numpy as np
 
 from .adjusted_rmst import Analyses, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import SpendingFunction, _find_root, _next_stage, _Stages, _validate_fractions, ndtr, ndtri
+from .gs_design import (SpendingFunction, _find_root, _next_stage, _Stages, _unit_legendre, _validate_fractions,
+                        ndtr, ndtri)
 from .km_rmst import km_rmst_test
 from .records import Record
 from .stratified_cox import SharedBaseline, fit as cox_fit
@@ -191,15 +192,10 @@ def true_survival(scn: SimScenario, arm: int, t) -> np.ndarray:
     return np.exp(-_atom_rates(scn, arm, atoms) * t ** scn.arm_shape(arm)) @ weights
 
 
-@cache
 def _time_rule():
-    """Nodes and weights on [0, 1] of t = s**4, s on a Gauss-Legendre rule, built on first use."""
-    x, w = np.polynomial.legendre.leggauss(_TIME_NODES)
-    s = 0.5 * (x + 1.0)
-    t, w = s**4, 2.0 * w * s**3
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    """Nodes and weights on [0, 1] of t = s**4, s on the Gauss-Legendre rule of ``_TIME_NODES`` nodes."""
+    s, w = _unit_legendre(_TIME_NODES)
+    return s**4, 4.0 * w * s**3
 
 
 def true_rmst(scn: SimScenario, arm: int) -> float:

@@ -139,29 +139,21 @@ def _score_info(snap, beta: np.ndarray, lo: int = 0):
     return score, info, loglik, (r0, e, row_shift)
 
 
-def _eigh_nonsingular(info: np.ndarray, looks, errors, active):
-    """Eigen-decompositions of ``info`` at ``looks``; a singular one gets an error and leaves ``active``."""
-    eigval, eigvec = np.linalg.eigh(info[looks])
-    singular = eigval[:, 0] <= 1e-10 * np.maximum(1.0, eigval[:, -1])
-    for k, direction in zip(looks[singular], eigvec[singular, :, 0]):
-        errors[k] = SingularInformationError(
-            f"observed information is singular along direction {np.round(direction, 6).tolist()} (constant or"
-            " collinear covariate, or one that separates events from survivors so the likelihood is monotone?)")
-        active[k] = False
-    return looks[~singular], eigval[~singular], eigvec[~singular]
-
-
 def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
     """Maximize each look's stratified, or shared-baseline, log partial likelihood by Newton iteration, all at once.
 
     A look with an arm without events by min(u, tau) is not fitted: it keeps
     its ``Snapshot.look_errors()`` error. Every other look starts at beta =
-    0, converges when its score max-norm drops below ``_SCORE_TOL``, and
-    halves steps that would decrease its log partial likelihood; a look
-    that converges or fails is frozen while the rest go on. With no
-    covariates the baselines are Nelson-Aalen estimates. A look's failure
-    is kept in ``errors[k]``: ``ConvergenceError`` (its ``_MAX_ITER``
-    iterations spent, or halving failed) or ``SingularInformationError``.
+    0 and halves steps that would decrease its log partial likelihood; a
+    look that converges or fails is frozen while the rest go on. The loop's
+    first block is the one place that judges a look, once at each new
+    iterate, in this order: converged (score max-norm below ``_SCORE_TOL``),
+    else out of budget (``_MAX_ITER`` iterations: ``ConvergenceError``),
+    then singular information (``SingularInformationError``); a look that
+    passes all three steps from the eigen-decomposition just made. A
+    failure there, or a step that 40 halvings could not improve
+    (``ConvergenceError``), is kept in ``errors[k]``. With no covariates
+    the baselines are Nelson-Aalen estimates.
     """
     errors = snap.look_errors()
     n_looks, p = snap.u.size, snap.event_z_total.shape[1]
@@ -172,17 +164,25 @@ def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
     active = np.array([err is None and p > 0 for err in errors])  # looks still iterating
     fresh = np.flatnonzero(active)  # looks at a new iterate: test it, then step from it
     while True:
-        for k, norm in zip(fresh.tolist(), np.abs(score[fresh]).max(axis=1, initial=0.0).tolist()):
-            if norm < _SCORE_TOL:
-                active[k] = False
-            elif iterations[k] >= _MAX_ITER:
-                errors[k] = ConvergenceError(f"no convergence in {_MAX_ITER} iterations (score max-norm {norm:.3e})")
-                active[k] = False
-        stepping = fresh[active[fresh]]
-        if stepping.size:
-            stepping, eigval, eigvec = _eigh_nonsingular(info, stepping, errors, active)
+        if fresh.size:
+            norm = np.abs(score[fresh]).max(axis=1, initial=0.0)
+            converged = norm < _SCORE_TOL
+            spent = ~converged & (iterations[fresh] >= _MAX_ITER)
+            for k, n in zip(fresh[spent].tolist(), norm[spent].tolist()):
+                errors[k] = ConvergenceError(f"no convergence in {_MAX_ITER} iterations (score max-norm {n:.3e})")
+            active[fresh] = False  # until it steps, below
+            fresh, converged = fresh[~spent], converged[~spent]
+            eigval, eigvec = np.linalg.eigh(info[fresh])
+            singular = eigval[:, 0] <= 1e-10 * np.maximum(1.0, eigval[:, -1])
+            for k, direction in zip(fresh[singular].tolist(), eigvec[singular, :, 0]):
+                errors[k] = SingularInformationError(
+                    f"observed information is singular along direction {np.round(direction, 6).tolist()} (constant"
+                    " or collinear covariate, or one that separates events from survivors so the likelihood is"
+                    " monotone?)")
+            go = ~(converged | singular)
+            stepping, eigval, eigvec = fresh[go], eigval[go], eigvec[go]
             coef = (np.swapaxes(eigvec, 1, 2) @ score[stepping, :, None])[:, :, 0] / eigval
-            step[stepping], scale[stepping] = (eigvec @ coef[:, :, None])[:, :, 0], 1.0
+            step[stepping], scale[stepping], active[stepping] = (eigvec @ coef[:, :, None])[:, :, 0], 1.0, True
         live = np.flatnonzero(active)
         if not live.size:
             break
@@ -208,7 +208,4 @@ def fit(snap: Snapshot | SharedBaseline) -> CoxFits:
         for k in halved[scale[halved] < 0.5**39].tolist():  # 40 halvings
             errors[k] = ConvergenceError("step halving failed to improve the log partial likelihood")
             active[k] = False
-    converged = np.flatnonzero([err is None for err in errors])
-    if p and converged.size:
-        _eigh_nonsingular(info, converged, errors, active)
     return CoxFits(beta, info, loglik, {"iterations": iterations, "step_halvings": halvings}, errors, sums)

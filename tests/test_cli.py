@@ -98,10 +98,10 @@ def _analyze_in_child(argv, barrier, holds_lock):
     if holds_lock:
         original = cli.update_monitoring
 
-        def paused(state, u, z, info_level, final=False):
+        def paused(state, u, z, info_level, final=False, tau=None):
             barrier.wait(timeout=60)
             barrier.wait(timeout=60)
-            return original(state, u, z, info_level, final=final)
+            return original(state, u, z, info_level, final=final, tau=tau)
 
         cli.update_monitoring = paused
     else:
@@ -329,6 +329,35 @@ class TestAnalyze:
         assert "the final analysis (stage 2, u=3.0) is recorded" in err
         assert state_path.read_bytes() == final
 
+    def test_look_at_another_tau_exit_5(self, trial_csv, design_json, tmp_path, capsys):
+        # one trial's boundary is spent on one restricted mean: a look at another horizon would mix two
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(state_path), "--design", design_json)
+        assert code == 0, err
+        first = state_path.read_bytes()
+        assert MonitoringState.read(state_path).analyses[0].tau == 1.0
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "2.0", "--tau", "2.0",
+                               "--state", str(state_path), "--final")
+        assert_typed_error(code, err, 5)
+        assert "tau=2.0 differs from the recorded tau=1.0" in err
+        assert state_path.read_bytes() == first
+
+    def test_state_written_without_tau_takes_its_next_look(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(state_path), "--design", design_json)
+        assert code == 0, err
+        old = json.loads(state_path.read_text())
+        for record in old["analyses"]:  # as a state file was written before looks recorded their tau
+            del record["tau"]
+        state_path.write_text(json.dumps(old, indent=2))
+        code, stdout, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "2.0", "--tau", "1.0",
+                                    "--state", str(state_path))
+        assert code == 0, err
+        assert json.loads(stdout)["monitoring"]["stage"] == 2
+        assert [a.tau for a in MonitoringState.read(state_path).analyses] == [None, 1.0]
+
     def test_lock_contention_exit_5(self, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         (tmp_path / "state.json.lock").touch()
@@ -359,9 +388,9 @@ class TestAnalyze:
         seen = []
         original = cli.update_monitoring
 
-        def watched(state, u, z, info_level, final=False):
+        def watched(state, u, z, info_level, final=False, tau=None):
             seen.append(lock_path.read_text() if lock_path.exists() else None)
-            return original(state, u, z, info_level, final=final)
+            return original(state, u, z, info_level, final=final, tau=tau)
 
         monkeypatch.setattr(cli, "update_monitoring", watched)
         for u in ("1.4", "2.0"):
@@ -1393,7 +1422,8 @@ GOLDEN_STATE = """{
       "critical_value": 2.7,
       "cumulative_spend": 0.003,
       "decision": "continue",
-      "final": false
+      "final": false,
+      "tau": 1.0
     },
     {
       "stage": 2,
@@ -1404,7 +1434,8 @@ GOLDEN_STATE = """{
       "critical_value": null,
       "cumulative_spend": 0.003,
       "decision": "skipped",
-      "final": false
+      "final": false,
+      "tau": 1.0
     },
     {
       "stage": 3,
@@ -1415,7 +1446,8 @@ GOLDEN_STATE = """{
       "critical_value": null,
       "cumulative_spend": 0.025,
       "decision": "continue",
-      "final": true
+      "final": true,
+      "tau": 1.0
     }
   ]
 }"""
@@ -1513,9 +1545,10 @@ class TestGoldenBytes:
     def test_state_json(self):
         design = DesignConfig(SpendingFunction("power_family", rho=2.0, sided="one_sided"), (0.5, 1.0), i_max=120.0)
         analyses = (
-            AnalysisRecord(1, 1.5, 60.0, 0.5, 1.25, 2.7, 0.003, "continue"),
-            AnalysisRecord(2, 2.0, 55.0, 0.4583333333333333, 0.5, None, 0.003, "skipped"),
-            AnalysisRecord(3, 3.0, 130.0, 1.0833333333333333, 2.25, math.inf, 0.025, "continue", final=True),
+            AnalysisRecord(1, 1.5, 60.0, 0.5, 1.25, 2.7, 0.003, "continue", tau=1.0),
+            AnalysisRecord(2, 2.0, 55.0, 0.4583333333333333, 0.5, None, 0.003, "skipped", tau=1.0),
+            AnalysisRecord(3, 3.0, 130.0, 1.0833333333333333, 2.25, math.inf, 0.025, "continue", final=True,
+                           tau=1.0),
         )
         state = MonitoringState(design=design, analyses=analyses)
         assert state.to_json() == GOLDEN_STATE

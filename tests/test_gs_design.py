@@ -402,6 +402,19 @@ class TestMonitoring:
             with pytest.raises(StateError, match=r"the final analysis \(stage 2, u=2\.0\) is recorded; no further"):
                 update_monitoring(state, 3.0, 0.5, 110.0, final=final)
 
+    def test_a_look_at_another_tau_is_refused(self):
+        # one trial's boundary is spent on one restricted mean, so every look keeps the first look's horizon
+        state = update_monitoring(fresh_state(), 1.0, 0.5, 50.0, tau=1.0)
+        assert state.analyses[0].tau == 1.0
+        with pytest.raises(StateError, match=r"tau=2\.0 differs from the recorded tau=1\.0"):
+            update_monitoring(state, 2.0, 0.5, 75.0, tau=2.0)
+        assert update_monitoring(state, 2.0, 0.5, 75.0, tau=1.0).analyses[-1].tau == 1.0
+
+    def test_a_record_without_tau_accepts_any(self):
+        state = update_monitoring(fresh_state(), 1.0, 0.5, 50.0)  # a record read from a state without tau
+        assert state.analyses[0].tau is None
+        assert update_monitoring(state, 2.0, 0.5, 75.0, tau=2.0).analyses[-1].tau == 2.0
+
     def test_a_skipped_final_does_not_end_monitoring(self):
         state = fresh_state(kind="obrien_fleming_like", fractions=(0.5, 1.0))
         state = update_monitoring(state, 1.0, 0.5, 50.0)

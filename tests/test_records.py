@@ -42,7 +42,7 @@ EXAMPLES = {
                   [*INFO_KEYS, "null_log_rate_ratio", "power", "scenario"]),
     DesignConfig: (DESIGN, ["schema", "alpha", "sidedness", "spending", "planned_fractions", "i_max"]),
     AnalysisRecord: (ANALYSIS, ["stage", "u", "info_level", "info_fraction", "z", "critical_value",
-                                "cumulative_spend", "decision", "final"]),
+                                "cumulative_spend", "decision", "final", "tau"]),
     MonitoringState: (MonitoringState(design=DESIGN, analyses=(ANALYSIS,)), ["schema", "design", "analyses"]),
     CsvSchema: (CsvSchema(subject_id="subject", covariates=("age", "sex")),
                 ["id", "arm", "entry_time", "followup_time", "event", "covariates"]),

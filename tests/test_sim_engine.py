@@ -457,6 +457,14 @@ class TestCalibration:
         assert ("cox" in calib.i_max_by_method) is capped
         assert calib.i_max_by_method["km"] == pytest.approx(small_scn.total_duration * 10.0)
 
+    @pytest.mark.xfail(strict=True, raises=EstimationError,
+                       reason="ROADMAP item 15: the calendar grid's fixed step of 0.1 puts both analysis times of a "
+                              "trial of length 0.08 at 0.08")
+    def test_information_calibration_of_a_short_trial(self):
+        scn = SimScenario(n_per_arm=50, accrual=0.04, tau=0.04, rate_base=100.0, fractions=(0.5, 1.0))
+        calib = calibrate_information(replace(scn, log_rate_ratio=calibrate_null(scn)), reps=100)
+        assert 0.0 < calib.analysis_times[0] < calib.analysis_times[1] == scn.total_duration
+
     def test_information_calibration_needs_reps(self, small_scn):
         with pytest.raises(ConfigError, match="reps"):
             calibrate_information(small_scn, reps=50)

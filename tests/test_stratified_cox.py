@@ -169,6 +169,16 @@ class TestFit:
         direction = np.abs(np.linalg.eigh(fits.info[0])[1][:, 0])
         assert direction[0] > 0.99
 
+    def test_converged_look_with_singular_information_is_refused(self):
+        # only subjects censored before the first event differ in the covariate, so at beta = 0 the score is 0
+        # and so is the information: the look has converged at once, and is still judged singular
+        snap = arrays_snapshot([0.1, 0.2, 1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1],
+                               [1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+        fits = fit(snap)
+        assert fits.diagnostics["iterations"].tolist() == [0] and fits.iterations == 0
+        with pytest.raises(SingularInformationError, match=r"singular along direction \[1\.0\]"):
+            look_fit(fits, 0)
+
     def test_monotone_likelihood_hint(self):
         # One event per arm: the covariate separates events from
         # survivors, so beta runs off and the information vanishes.
