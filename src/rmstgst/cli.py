@@ -18,16 +18,19 @@ only column map is a ``--schema`` JSON file with keys ``id``, ``arm``,
 ``entry_time``, ``followup_time`` and ``event``, each a column name that
 defaults to the key, and ``covariates``, which defaults to every remaining
 column. Every output file is written atomically by ``_write``; an exclusive
-lock file naming its holder's pid is held from reading the monitoring state
-to writing it back. Exit codes: 0 success; 2 configuration error; 3 data
-error; 4 estimation error (including an estimate or information that is not
-finite, in which case the state file is left as it was); 5 state error. An
-input that cannot be read (missing, a directory, not UTF-8 JSON or
-malformed) exits with its record's code: 2 for a design, scenario or
-calibration, 3 for a ``--schema`` file and 5 for the state file. An output
-that cannot be written exits 2, or 5 for the state file or its lock. Only
-``simulate`` hashes its files, for its manifest, so only it imports
-``hashlib``, which maps OpenSSL's libcrypto.
+lock file naming its holder's pid is held from reading the monitoring state,
+before the trial is read, until the state is written back. ``analyze``
+checks a look against the state before it reads the trial, so a state or
+design refusal (exit 5 or 2) comes before a CSV error (exit 3): a negative
+``--u`` on a state with looks exits 5. Exit codes: 0 success; 2
+configuration error; 3 data error; 4 estimation error (including an estimate
+or information that is not finite, in which case the state file is left as
+it was); 5 state error. An input that cannot be read (missing, a directory,
+not UTF-8 JSON or malformed) exits with its record's code: 2 for a design,
+scenario or calibration, 3 for a ``--schema`` file and 5 for the state file.
+An output that cannot be written exits 2, or 5 for the state file or its
+lock. Only ``simulate`` hashes its files, for its manifest, so only it
+imports ``hashlib``, which maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
 
 from . import __version__
@@ -185,22 +188,22 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--report-only records no analysis; omit {', '.join(monitoring)}")
     if not args.report_only and not args.state:
         raise ConfigError("--state is required unless --report-only is given")
-    snap = _snapshot_from_args(args)
-    result = analyze(snap).report(0)
-    report: dict = {"analysis": result}
-    if args.km:
-        report["km"] = km_rmst_test(snap).report(0)
-    if args.report_only:
-        _print(_json_text(report))
-        return 0
-
-    with _state_lock(args.state):
-        state = update_monitoring(_load_or_create_state(args), result["u"], result["z"],
-                                  result["info"], final=args.final, tau=result["tau"])
-        _write(args.state, state.to_json(), StateError)
-    record = state.analyses[-1].to_dict()
-    keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
-    report["monitoring"] = {k: record[k] for k in keys}
+    with nullcontext() if args.report_only else _state_lock(args.state):
+        state = None if args.report_only else _load_or_create_state(args)
+        if state is not None:  # a look the state refuses never reads its trial
+            state.check(args.u, args.tau)
+        snap = _snapshot_from_args(args)
+        result = analyze(snap).report(0)
+        report: dict = {"analysis": result}
+        if args.km:
+            report["km"] = km_rmst_test(snap).report(0)
+        if state is not None:
+            state = update_monitoring(state, result["u"], result["z"], result["info"], final=args.final,
+                                      tau=result["tau"])
+            _write(args.state, _json_text(state.to_dict()) + "\n", StateError)
+            record = state.analyses[-1].to_dict()
+            keys = ("stage", "info_fraction", "critical_value", "cumulative_spend", "decision", "final")
+            report["monitoring"] = {k: record[k] for k in keys}
     _print(_json_text(report))
     return 0
 

@@ -27,7 +27,6 @@ one from its last stage, rebuilt from the state file without re-solving.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -93,6 +92,7 @@ class SpendingFunction:
     alpha: float = 0.05
     rho: float | None = None
     sided: str = "two_sided"
+    KEYS = ("alpha", "sidedness", "spending")  # not a field: its keys in a design file
 
     def __post_init__(self):
         if self.kind not in SPENDING_KINDS:
@@ -126,18 +126,18 @@ class SpendingFunction:
         spec = {"kind": self.kind}
         if self.rho is not None:
             spec["rho"] = self.rho
-        return {"alpha": self.alpha, "sidedness": self.sided, "spending": spec}
+        return dict(zip(self.KEYS, (self.alpha, self.sided, spec)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpendingFunction":
-        missing = {"alpha", "spending"} - set(d)
+        d = {"sidedness": "two_sided", **d}
+        missing = set(cls.KEYS) - set(d)
         if missing:
             raise ConfigError(f"spending rule missing keys: {sorted(missing)}")
-        spec = d["spending"]
+        alpha, sided, spec = (d[key] for key in cls.KEYS)
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError("design spending must be an object with a 'kind'")
-        return cls(kind=spec["kind"], alpha=number(d["alpha"]), rho=optional(number)(spec.get("rho")),
-                   sided=d.get("sidedness", "two_sided"))
+        return cls(kind=spec["kind"], alpha=number(alpha), rho=optional(number)(spec.get("rho")), sided=sided)
 
 
 @cache
@@ -416,11 +416,11 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
 class DesignConfig(Record):
     """Design half of a monitoring state: spending rule plus the plan."""
 
-    spending: SpendingFunction = field(metadata={"key": None})
+    spending: SpendingFunction = field(metadata={"key": None, "keys": SpendingFunction.KEYS})
     planned_fractions: tuple[float, ...]
     i_max: float | None = None
 
-    _what, _error, _schema = "design config", ConfigError, DESIGN_SCHEMA
+    _what, _error, _schema, _closed = "design config", ConfigError, DESIGN_SCHEMA, True
 
     def _validate(self):
         _validate_fractions(self.planned_fractions)
@@ -468,21 +468,35 @@ class MonitoringState(Record):
     _what, _error, _schema, _strict = "monitoring state", StateError, STATE_SCHEMA, True
 
     def _validate(self):
+        if self.design.i_max is None:
+            raise ConfigError("monitoring requires i_max in the design config")
+        for k, a in enumerate(self.analyses):
+            self.check(a.u, a.tau, after=k)
         fr = [a.info_fraction for a in self.effective]
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise StateError(f"information fractions must increase over the analyses not skipped, got {fr}")
-
-    @property
-    def rejected(self) -> bool:
-        return any(a.decision == "reject" for a in self.analyses)
 
     @property
     def effective(self) -> tuple[AnalysisRecord, ...]:
         """Analyses that consumed spending (everything not skipped)."""
         return tuple(a for a in self.analyses if a.decision != "skipped")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+    def check(self, u: float, tau: float | None, after: int | None = None) -> None:
+        """Refuse (StateError) a look at time ``u`` and horizon ``tau`` after the first ``after`` analyses (all by
+        default) that follows a rejection or an effective final, is not past the last ``u`` or changes ``tau``."""
+        before = self.analyses[:after]
+        if any(a.decision == "reject" for a in before):
+            raise StateError("trial already rejected; no further analyses are allowed")
+        final_at = next((a for a in before if a.final and a.decision != "skipped"), None)
+        if final_at is not None:
+            raise StateError(f"the final analysis (stage {final_at.stage}, u={final_at.u}) is recorded; no further "
+                             "analyses are allowed")
+        if before and u <= before[-1].u:
+            raise StateError(f"non-increasing analysis time: u={u} is not past the last recorded u={before[-1].u}")
+        recorded = next((a.tau for a in before if a.tau is not None), None)
+        if None not in (tau, recorded) and tau != recorded:
+            raise StateError(f"tau={tau} differs from the recorded tau={recorded}; every analysis of one trial "
+                             "restricts its means at one horizon")
 
 
 def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False,
@@ -493,31 +507,12 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
     ``i_max``. One ``_next_stage`` step (its docstring has the rules)
     goes from the last effective analysis, rebuilt from the records.
 
-    Raises:
-        StateError: state already rejected or past an effective final
-            analysis, ``u`` not past the last recorded analysis, or ``tau``
-            not the restriction horizon a recorded analysis used.
-        ConfigError: the design has no ``i_max``.
+    Raises StateError for a look ``MonitoringState.check`` refuses or a bad ``info_level``.
     """
-    if state.rejected:
-        raise StateError("trial already rejected; no further analyses are allowed")
-    final_at = next((a for a in state.effective if a.final), None)
-    if final_at is not None:
-        raise StateError(f"the final analysis (stage {final_at.stage}, u={final_at.u}) is recorded; no further "
-                         "analyses are allowed")
-    if state.design.i_max is None:
-        raise ConfigError("monitoring requires i_max in the design config")
     u, z, info_level = float(u), float(z), float(info_level)
+    state.check(u, tau)
     if not (info_level > 0 and math.isfinite(info_level)):
         raise StateError(f"info_level must be positive and finite, got {info_level!r}")
-    if state.analyses and u <= state.analyses[-1].u:
-        raise StateError(
-            f"non-increasing analysis time: u={u} is not past the last recorded u={state.analyses[-1].u}"
-        )
-    recorded = next((a.tau for a in state.analyses if a.tau is not None), None)
-    if None not in (tau, recorded) and tau != recorded:
-        raise StateError(f"tau={tau} differs from the recorded tau={recorded}; every analysis of one trial "
-                         "restricts its means at one horizon")
     spending = state.design.spending
     stage = _Stages.first(1)
     for a in state.effective:

@@ -14,9 +14,10 @@ integer, a string and a boolean, ``X | None`` also null, ``tuple[X, ...]``
 a list and ``dict[str, X]`` an object of X, and any other type its
 ``from_dict``. A check accepts one JSON type only: a number is never a
 string or a bool. A key whose field has no default is required; a
-``_strict`` record, a file only the program writes, needs every key and
-its schema, and a ``_closed`` one rejects other keys. Tuples are written
-as lists and infinities as null. A record, however built, refuses NaN and
+``_strict`` record, a file only the program writes, needs every key and its
+schema, and a ``_closed`` one rejects any other key; a ``None`` key's field
+lists the keys it keeps in its metadata's ``"keys"``. Tuples are written as
+lists and infinities as null. A record, however built, refuses NaN and
 infinity (json reads both) in any float it holds, in a field, tuple or
 dict, before its own ``_validate``, but allows an infinity in a field whose
 metadata has ``"infinite": True``. Every failure raises the record's error
@@ -163,7 +164,8 @@ class Record:
         missing = [key for key, name, _ in _keys(cls) if key is not None and key not in d and name not in defaulted]
         if missing:
             raise error(f"{what} missing keys: {sorted(missing)}")
-        unknown = set(d) - {key for key, _, _ in _keys(cls)} - ({"schema"} if cls._schema else set())
+        known = {k for f in dataclasses.fields(cls) for k in f.metadata.get("keys", [f.metadata.get("key", f.name)])}
+        unknown = set(d) - known - ({"schema"} if cls._schema else set())
         if cls._closed and unknown:
             raise error(f"unknown {what} keys: {sorted(unknown)}")
         fields = {}

@@ -343,6 +343,42 @@ class TestAnalyze:
         assert "tau=2.0 differs from the recorded tau=1.0" in err
         assert state_path.read_bytes() == first
 
+    def test_a_refused_look_never_reads_its_trial(self, trial_csv, design_json, tmp_path, capsys, monkeypatch):
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(state_path), "--design", design_json)
+        assert code == 0, err
+        first = state_path.read_bytes()
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the trial of a refused look was read")
+
+        monkeypatch.setattr(cli, "ingest_csv", unread)
+        for u, tau in (("1.0", "1.0"), ("2.0", "2.0")):
+            code, out, err = run_cli(capsys, "analyze", "--data", str(tmp_path / "missing.csv"), "--u", u,
+                                     "--tau", tau, "--state", str(state_path))
+            assert_typed_error(code, err, 5)
+            assert out == ""
+            assert state_path.read_bytes() == first
+            assert not os.path.exists(str(state_path) + ".lock")
+
+    def test_a_state_out_of_order_is_refused_when_read(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        for u, flags in (("1.4", ["--design", design_json]), ("2.0", [])):
+            code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", u, "--tau", "1.0",
+                                   "--state", str(state_path), *flags)
+            assert code == 0, err
+        edited = json.loads(state_path.read_text())
+        edited["analyses"][1].update(u=1.0, tau=2.0)  # the second look before the first, at another horizon
+        state_path.write_text(json.dumps(edited))
+        before = state_path.read_bytes()
+        code, out, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.5", "--tau", "1.0",
+                                 "--state", str(state_path))
+        assert_typed_error(code, err, 5)
+        assert "malformed monitoring state: non-increasing analysis time: u=1.0 is not past the last recorded u=1.4" \
+            in err and out == ""
+        assert state_path.read_bytes() == before
+
     def test_state_written_without_tau_takes_its_next_look(self, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
@@ -430,6 +466,18 @@ class TestAnalyze:
         assert len(MonitoringState.read(state_path).analyses) == 1
         assert main(other) == 0
         assert len(MonitoringState.read(state_path).analyses) == 2
+
+    def test_misspelt_design_key_exit_2(self, trial_csv, design_json, tmp_path, capsys):
+        design = json.loads(Path(design_json).read_text())
+        design["sided"] = "one_sided"
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design))
+        state_path = tmp_path / "state.json"
+        code, out, err = run_cli(capsys, "analyze", "--data", str(tmp_path / "missing.csv"), "--u", "1.4",
+                                 "--tau", "1.0", "--state", str(state_path), "--design", str(path))
+        assert_typed_error(code, err, 2)
+        assert "unknown design config keys: ['sided']" in err and out == ""
+        assert not state_path.exists()
 
     def test_non_finite_i_max_exit_2(self, trial_csv, design_json, tmp_path, capsys):
         design = tmp_path / "infinite.json"
@@ -594,7 +642,7 @@ class TestAnalyze:
                                        critical_value=2.5, cumulative_spend=0.01 * (k + 1), decision="continue")
                         for k, f in enumerate((first, first * (1 + 1e-7))))
         state_path = tmp_path / "state.json"
-        state_path.write_text(MonitoringState(design=design, analyses=records).to_json())
+        state_path.write_text(json.dumps(MonitoringState(design=design, analyses=records).to_dict()))
         before = state_path.read_bytes()
         code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "2.0", "--tau", "1.0",
                                "--state", str(state_path))
@@ -754,7 +802,7 @@ class TestNonFiniteAnalysis:
         design = DesignConfig(
             spending=SpendingFunction("cubic_min"), planned_fractions=(0.5, 1.0), i_max=100.0,
         )
-        state_path.write_text(MonitoringState(design=design).to_json())
+        state_path.write_text(json.dumps(MonitoringState(design=design).to_dict()))
         before = state_path.read_bytes()
         code, stdout, err = run_cli(
             capsys, "analyze", "--data", monotone_csv, "--u", "0.2", "--tau", "1.0",
@@ -1397,60 +1445,61 @@ def split_floats(text):
 
 
 GOLDEN_STATE = """{
-  "schema": "rmstgst.state/1",
-  "design": {
-    "schema": "rmstgst.design/1",
-    "alpha": 0.05,
-    "sidedness": "one_sided",
-    "spending": {
-      "kind": "power_family",
-      "rho": 2.0
-    },
-    "planned_fractions": [
-      0.5,
-      1.0
-    ],
-    "i_max": 120.0
-  },
   "analyses": [
     {
-      "stage": 1,
-      "u": 1.5,
-      "info_level": 60.0,
-      "info_fraction": 0.5,
-      "z": 1.25,
       "critical_value": 2.7,
       "cumulative_spend": 0.003,
       "decision": "continue",
       "final": false,
-      "tau": 1.0
+      "info_fraction": 0.5,
+      "info_level": 60.0,
+      "stage": 1,
+      "tau": 1.0,
+      "u": 1.5,
+      "z": 1.25
     },
     {
-      "stage": 2,
-      "u": 2.0,
-      "info_level": 55.0,
-      "info_fraction": 0.4583333333333333,
-      "z": 0.5,
       "critical_value": null,
       "cumulative_spend": 0.003,
       "decision": "skipped",
       "final": false,
-      "tau": 1.0
+      "info_fraction": 0.4583333333333333,
+      "info_level": 55.0,
+      "stage": 2,
+      "tau": 1.0,
+      "u": 2.0,
+      "z": 0.5
     },
     {
-      "stage": 3,
-      "u": 3.0,
-      "info_level": 130.0,
-      "info_fraction": 1.0833333333333333,
-      "z": 2.25,
       "critical_value": null,
       "cumulative_spend": 0.025,
       "decision": "continue",
       "final": true,
-      "tau": 1.0
+      "info_fraction": 1.0833333333333333,
+      "info_level": 130.0,
+      "stage": 3,
+      "tau": 1.0,
+      "u": 3.0,
+      "z": 2.25
     }
-  ]
-}"""
+  ],
+  "design": {
+    "alpha": 0.05,
+    "i_max": 120.0,
+    "planned_fractions": [
+      0.5,
+      1.0
+    ],
+    "schema": "rmstgst.design/1",
+    "sidedness": "one_sided",
+    "spending": {
+      "kind": "power_family",
+      "rho": 2.0
+    }
+  },
+  "schema": "rmstgst.state/1"
+}
+"""
 
 GOLDEN_DESIGN = """{
   "alpha": 0.05,
@@ -1551,8 +1600,8 @@ class TestGoldenBytes:
                            tau=1.0),
         )
         state = MonitoringState(design=design, analyses=analyses)
-        assert state.to_json() == GOLDEN_STATE
-        assert MonitoringState.from_dict(json.loads(GOLDEN_STATE)).to_json() == GOLDEN_STATE
+        assert cli._json_text(state.to_dict()) + "\n" == GOLDEN_STATE  # as analyze writes it
+        assert MonitoringState.from_dict(json.loads(GOLDEN_STATE)) == state
 
     def test_design_file(self, tmp_path, capsys):
         out = tmp_path / "design.json"

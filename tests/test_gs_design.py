@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +379,6 @@ class TestMonitoring:
         assert rec.critical_value == pytest.approx(norm.isf(target / 2), abs=1e-10)
         assert rec.cumulative_spend == pytest.approx(target, abs=1e-12)
         assert rec.decision == "continue"
-        assert not state.rejected
 
     def test_zero_z_never_rejects(self):
         state = fresh_state()
@@ -389,7 +389,6 @@ class TestMonitoring:
         state = fresh_state()
         state = update_monitoring(state, 1.0, 5.3, 50.0)
         assert state.analyses[-1].decision == "reject"
-        assert state.rejected
         with pytest.raises(StateError, match="already rejected"):
             update_monitoring(state, 2.0, 1.0, 60.0)
 
@@ -414,6 +413,30 @@ class TestMonitoring:
         state = update_monitoring(fresh_state(), 1.0, 0.5, 50.0)  # a record read from a state without tau
         assert state.analyses[0].tau is None
         assert update_monitoring(state, 2.0, 0.5, 75.0, tau=2.0).analyses[-1].tau == 2.0
+
+    @pytest.mark.parametrize("look, change, message", [
+        (0, dict(decision="reject"), "trial already rejected"),
+        (0, dict(final=True), r"the final analysis \(stage 1, u=1\.0\) is recorded"),
+        (1, dict(u=1.0), r"non-increasing analysis time: u=1\.0 is not past the last recorded u=1\.0"),
+        (1, dict(tau=2.0), r"tau=2\.0 differs from the recorded tau=1\.0"),
+    ])
+    def test_a_state_keeps_the_rules_of_a_next_look(self, look, change, message):
+        # a state that breaks a next-look rule is refused by the check that refuses such a look
+        state = update_monitoring(update_monitoring(fresh_state(), 1.0, 0.5, 50.0, tau=1.0), 2.0, 0.5, 75.0, tau=1.0)
+        analyses = list(state.analyses)
+        analyses[look] = replace(analyses[look], **change)
+        with pytest.raises(StateError, match=message):
+            replace(state, analyses=tuple(analyses))
+        with pytest.raises(StateError, match=rf"^malformed monitoring state: {message}"):
+            MonitoringState.from_dict({**state.to_dict(), "analyses": [a.to_dict() for a in analyses]})
+
+    def test_a_state_needs_i_max(self):
+        with pytest.raises(ConfigError, match="^monitoring requires i_max in the design config$"):
+            fresh_state(i_max=None)
+        payload = fresh_state().to_dict()
+        payload["design"]["i_max"] = None
+        with pytest.raises(StateError, match="^malformed monitoring state: monitoring requires i_max"):
+            MonitoringState.from_dict(payload)
 
     def test_a_skipped_final_does_not_end_monitoring(self):
         state = fresh_state(kind="obrien_fleming_like", fractions=(0.5, 1.0))
@@ -521,7 +544,7 @@ class TestMonitoring:
         """Looks after alpha was spent up to rounding get an infinite critical value, whatever the residue."""
         state = fresh_state(fractions=(0.5, 1.0))
         for u, info in enumerate([5.66, 33.15, 42.52, 101.96, 114.19, 117.15], start=1):
-            state = MonitoringState.from_dict(json.loads(state.to_json()))
+            state = MonitoringState.from_dict(json.loads(json.dumps(state.to_dict())))
             state = update_monitoring(state, float(u), 0.1, info)
         assert [a.critical_value for a in state.analyses[4:]] == [math.inf, math.inf]
         assert [a.cumulative_spend for a in state.analyses[3:]] == [state.analyses[3].cumulative_spend] * 3
@@ -545,7 +568,7 @@ class TestMonitoring:
             (math.inf, 0.05000000000000031, "continue"),
         ]
         for u, info in enumerate(path, start=1):
-            state = MonitoringState.from_dict(json.loads(state.to_json()))
+            state = MonitoringState.from_dict(json.loads(json.dumps(state.to_dict())))
             state = update_monitoring(
                 state, float(u), 0.1, info, final=(u == len(path)),
             )
@@ -593,7 +616,7 @@ class TestSerialization:
         state = update_monitoring(state, 2.0, 1.4, 39.0)
         state = update_monitoring(state, 3.0, 1.8, 70.0)
         path = tmp_path / "state.json"
-        path.write_text(state.to_json())
+        path.write_text(json.dumps(state.to_dict()))
         back = MonitoringState.read(path)
         assert back == state
         assert [a.decision for a in back.analyses] == ["continue", "skipped", "continue"]

@@ -110,6 +110,14 @@ def test_flattened_fields_read_their_parent_object():
         DesignConfig.from_dict(payload)
 
 
+def test_a_design_refuses_keys_it_does_not_read():
+    # a typo must not read as a default: "sided" would leave a one-sided trial with two-sided boundaries
+    payload = DESIGN.to_dict()
+    payload["sided"], payload["imax"] = payload.pop("sidedness"), payload.pop("i_max")
+    with pytest.raises(ConfigError, match=r"^unknown design config keys: \['imax', 'sided'\]$"):
+        DesignConfig.from_dict(payload)
+
+
 def _float_fields():
     """``(cls, field)`` of each record field that holds floats: a scalar, a tuple or a dict of them."""
     for cls in EXAMPLES:

@@ -871,7 +871,7 @@ def monitored_firsts(infos, deltas, spending, i_max):
             if math.isnan(info):
                 continue
             state = update_monitoring(state, k + 1.0, delta * math.sqrt(info), info, final=k == len(info_row) - 1)
-            if state.rejected:
+            if state.analyses[-1].decision == "reject":
                 first = k + 1
                 break
         firsts.append(first)
@@ -943,7 +943,8 @@ class TestMonitoringOracle:
         state = MonitoringState(design=DesignConfig(spending=spending, planned_fractions=(0.5, 1.0), i_max=200.0))
         for k in range(3):
             state = update_monitoring(state, k + 1.0, deltas[4, k] * math.sqrt(infos[4, k]), infos[4, k], final=k == 2)
-        assert state.analyses[-1].critical_value == math.inf and not state.rejected
+        assert state.analyses[-1].critical_value == math.inf
+        assert all(a.decision != "reject" for a in state.analyses)
 
     def test_stage_too_close_for_the_grid_fails_that_replicate_only(self, monkeypatch):
         """Information that grows by less than the 4 000-node grid resolves is that stage's ConfigError; the
