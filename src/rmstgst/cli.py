@@ -17,7 +17,11 @@ then ``rmstgst simulate --calibration cal.json``.
 only column map is a ``--schema`` JSON file with keys ``id``, ``arm``,
 ``entry_time``, ``followup_time`` and ``event``, each a column name that
 defaults to the key, and ``covariates``, which defaults to every remaining
-column. Every output file is written atomically by ``_write``; an exclusive
+column. Every output file is written atomically by ``_write``, which keeps the
+version it replaced as a hidden spare ``.<name>.spare`` to overwrite next time:
+freeing a file's blocks costs tens of ms on storage with online discard. A spare
+holds a scratch copy of an earlier version and may be deleted while no command
+runs. An exclusive
 lock file naming its holder's pid is held from reading the monitoring state,
 before the trial is read, until the state is written back. ``analyze``
 checks a look against the state before it reads the trial, so a state or
@@ -36,12 +40,14 @@ imports ``hashlib``, which maps OpenSSL's libcrypto.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import stat
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import fields, replace
 
 from . import __version__
@@ -68,21 +74,50 @@ EXIT_CODES = (
 
 
 def _write(path: str, text: str, error=ConfigError) -> str:
-    """Replace the file at ``path`` with ``text`` by a synced temp file beside it, renamed; return ``path``.
+    """Replace the file at ``path`` with ``text`` by a synced file beside it, renamed; return ``path``.
 
-    A location that cannot be written raises ``error`` and leaves no temp file behind.
+    That file is the hidden spare ``.<name>.spare`` when there is one: the version the last write replaced, kept by a
+    hard link, since freeing a replaced file's blocks costs tens of ms on storage with online discard. It holds a
+    scratch copy of an earlier version and may be deleted while no command runs. Renamed to this process's name, it is
+    overwritten in place if it is a regular file that no other name reaches, and dropped for a new file otherwise.
+    A location that cannot be written raises ``error`` and leaves ``path`` and the names beside it as they were.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    folder, name = os.path.split(os.path.abspath(path))
+    spare, tmp = os.path.join(folder, f".{name}.spare"), os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    fd = None
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            try:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            except BaseException:
+        with suppress(OSError):  # renamed, the spare is this process's alone
+            os.rename(spare, tmp)
+            st = os.lstat(tmp)
+            if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+                fd = os.open(tmp, os.O_WRONLY | os.O_NOFOLLOW)
+                os.umask(mask := os.umask(0))  # every version gets a new file's mode, as open(..., "w") gives it
+                os.fchmod(fd, 0o666 & ~mask)
+        claimed, linked = fd is not None, False
+        if not claimed:
+            with suppress(FileNotFoundError):
                 os.unlink(tmp)
-                raise
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.truncate()  # flushes, then cuts the tail of a longer earlier version
+                os.fsync(fh.fileno())
+            try:
+                os.link(path, spare)
+                linked = True
+            except OSError as exc:  # no version yet, a spare made meanwhile, or a filesystem without hard links
+                if exc.errno not in (errno.ENOENT, errno.EEXIST, errno.EPERM, errno.EOPNOTSUPP):
+                    raise
+            os.replace(tmp, path)
+        except BaseException:
+            if linked:
+                os.unlink(spare)
+            if claimed:
+                os.rename(tmp, spare)
+            else:
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise error(f"cannot write {path}: {exc.strerror or exc}") from None
     return path

@@ -475,6 +475,11 @@ class MonitoringState(Record):
         fr = [a.info_fraction for a in self.effective]
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise StateError(f"information fractions must increase over the analyses not skipped, got {fr}")
+        for k, a in enumerate(self.analyses, start=1):
+            fraction = a.info_level / self.design.i_max
+            if a.stage != k or not math.isclose(a.info_fraction, fraction, rel_tol=1e-12):
+                raise StateError(f"analysis {k} records stage {a.stage} and info_fraction {a.info_fraction}; its "
+                                 f"place and its info_level over i_max give {k} and {fraction}")
 
     @property
     def effective(self) -> tuple[AnalysisRecord, ...]:

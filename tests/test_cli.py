@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import multiprocessing
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,13 @@ def _analyze_in_child(argv, barrier, holds_lock):
     if not holds_lock:
         barrier.wait(timeout=60)
     sys.exit(code)
+
+
+def _write_in_child(path, text, times, barrier):
+    """Write ``text`` to ``path`` ``times`` times with the CLI's writer, starting with the other writers."""
+    barrier.wait(timeout=60)
+    for _ in range(times):
+        cli._write(path, text)
 
 
 class TestDesignAndBoundaries:
@@ -590,6 +600,24 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, *look, "--u", "2.5")
         assert_typed_error(code, err, 5)
         assert "malformed monitoring state" in err and "fractions must increase" in err
+
+    @pytest.mark.parametrize("change", [dict(stage=7, info_fraction=0.9), dict(stage=7), dict(info_fraction=0.9)])
+    def test_state_record_out_of_place_exit_5(self, change, trial_csv, design_json, tmp_path, capsys):
+        # the next look replays the boundary from the recorded fractions: with the second look's fraction edited
+        # from 0.695 to 0.9, a look at 0.766 would be recorded as skipped
+        state_path = tmp_path / "state.json"
+        look = ["analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path)]
+        assert run_cli(capsys, *look, "--u", "1.4", "--design", design_json)[0] == 0
+        assert run_cli(capsys, *look, "--u", "2.0")[0] == 0
+        doc = json.loads(state_path.read_text())
+        doc["analyses"][1].update(change)
+        state_path.write_text(json.dumps(doc, indent=2))
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, *look, "--u", "2.5")
+        assert_typed_error(code, err, 5)
+        stage, fraction = change.get("stage", 2), change.get("info_fraction", doc["analyses"][1]["info_fraction"])
+        assert f"malformed monitoring state: analysis 2 records stage {stage} and info_fraction {fraction}; " in err
+        assert state_path.read_bytes() == before
 
     def test_schema_file_not_an_object_exit_3(self, trial_csv, tmp_path, capsys):
         schema = tmp_path / "schema.json"
@@ -1358,7 +1386,7 @@ class TestFileBoundary:
         assert str(state_path) in err
         assert not state_path.parent.exists()
 
-    @pytest.mark.parametrize("fails", ["fsync", "replace"])
+    @pytest.mark.parametrize("fails", ["fsync", "link", "replace"])
     def test_failed_state_write_leaves_the_state_and_nothing_else(self, fails, trial_csv, design_json, tmp_path,
                                                                   capsys, monkeypatch):
         state_path = tmp_path / "state.json"
@@ -1376,6 +1404,119 @@ class TestFileBoundary:
         assert str(state_path) in err and "Input/output error" in err
         assert state_path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["design.json", "state.json", "trial.csv"]
+
+    @staticmethod
+    def look(capsys, trial_csv, design_json, state_path, k):
+        """The monitored look ``k`` (0, 1 or 2) of one trial; the first starts the state on ``design_json``."""
+        first = ["--design", design_json] if k == 0 else []
+        return run_cli(capsys, "analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path),
+                       "--u", ("1.4", "2.0", "2.5")[k], *first)
+
+    def test_a_rewrite_keeps_the_version_it_replaced_as_the_spare(self, trial_csv, design_json, tmp_path, capsys):
+        # freeing a replaced file's blocks costs tens of ms on storage with online discard, so no look frees one
+        state_path, spare = tmp_path / "state.json", tmp_path / ".state.json.spare"
+        inodes, texts = [], []
+        for k in range(3):
+            assert self.look(capsys, trial_csv, design_json, state_path, k)[0] == 0
+            inodes.append(state_path.stat().st_ino)
+            texts.append(state_path.read_bytes())
+        assert inodes[2] == inodes[0] != inodes[1] == spare.stat().st_ino
+        assert spare.read_bytes() == texts[1]
+        assert sorted(os.listdir(tmp_path)) == [".state.json.spare", "design.json", "state.json", "trial.csv"]
+
+    @pytest.mark.parametrize("fails", ["fsync", "link", "replace"])
+    def test_failed_rewrite_leaves_the_state_and_its_spare(self, fails, trial_csv, design_json, tmp_path, capsys,
+                                                           monkeypatch):
+        state_path = tmp_path / "state.json"
+        for k in range(2):
+            assert self.look(capsys, trial_csv, design_json, state_path, k)[0] == 0
+        before, names = state_path.read_bytes(), sorted(os.listdir(tmp_path))
+
+        def broken(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, fails, broken)
+        code, _, err = self.look(capsys, trial_csv, design_json, state_path, 2)
+        monkeypatch.undo()
+        assert_typed_error(code, err, 5)
+        assert str(state_path) in err and "Input/output error" in err
+        assert state_path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == names == [".state.json.spare", "design.json", "state.json",
+                                                         "trial.csv"]
+
+    @pytest.mark.parametrize("make", [os.symlink, os.link], ids=["symlink", "hard_link"])
+    def test_a_spare_that_reaches_the_state_is_never_written_through(self, make, trial_csv, design_json, tmp_path,
+                                                                     capsys):
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        for k in range(3):
+            assert self.look(capsys, trial_csv, design_json, fresh / "state.json", k)[0] == 0
+        for k in range(2):
+            assert self.look(capsys, trial_csv, design_json, here / "state.json", k)[0] == 0
+        before, spare = (here / "state.json").read_bytes(), here / ".state.json.spare"
+        spare.unlink()
+        make(here / "state.json", spare)
+        assert self.look(capsys, trial_csv, design_json, here / "state.json", 2)[0] == 0
+        assert (here / "state.json").read_bytes() == (fresh / "state.json").read_bytes()
+        assert not spare.is_symlink() and spare.read_bytes() == before  # the replaced version, untouched
+        assert sorted(os.listdir(here)) == [".state.json.spare", "state.json"]
+
+    def test_a_filesystem_without_hard_links_replaces_the_state(self, trial_csv, design_json, tmp_path, capsys,
+                                                                monkeypatch):
+        state_path = tmp_path / "state.json"
+        assert self.look(capsys, trial_csv, design_json, state_path, 0)[0] == 0
+
+        def refused(*args):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", refused)
+        assert self.look(capsys, trial_csv, design_json, state_path, 1)[0] == 0
+        monkeypatch.undo()
+        assert [a.u for a in MonitoringState.read(str(state_path)).analyses] == [1.4, 2.0]
+        assert sorted(os.listdir(tmp_path)) == ["design.json", "state.json", "trial.csv"]
+
+    def test_concurrent_rewrites_publish_only_whole_versions(self, tmp_path):
+        # each write renames the spare to its own name before it writes, so no two writers share a file
+        path, texts = tmp_path / "out.txt", [str(k) * 4096 for k in range(3)]
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(len(texts) + 1)
+        children = [ctx.Process(target=_write_in_child, args=(str(path), text, 60, barrier)) for text in texts]
+        try:
+            for child in children:
+                child.start()
+            barrier.wait(timeout=60)
+            while any(child.is_alive() for child in children):
+                with suppress(FileNotFoundError):
+                    assert path.read_text() in texts
+            for child in children:
+                child.join(timeout=60)
+            assert not any(child.is_alive() for child in children)
+        finally:
+            for child in children:
+                if child.is_alive():
+                    child.terminate()
+        assert [child.exitcode for child in children] == [0] * len(texts)
+        assert path.read_text() in texts
+
+    def test_every_version_gets_a_new_files_mode(self, trial_csv, design_json, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        assert self.look(capsys, trial_csv, design_json, state_path, 0)[0] == 0
+        mode = stat.S_IMODE(state_path.stat().st_mode)
+        state_path.chmod(0o600)
+        for k in (1, 2):  # look 2 reuses look 1's file
+            assert self.look(capsys, trial_csv, design_json, state_path, k)[0] == 0
+            assert stat.S_IMODE(state_path.stat().st_mode) == mode != 0o600
+
+    def test_a_shorter_rewrite_leaves_no_tail(self, tmp_path, capsys):
+        # the third write reuses the first's longer file as its spare
+        out, fresh = tmp_path / "d.json", tmp_path / "fresh.json"
+        for fractions, path in (("0.2,0.4,0.6,0.8,1.0", out), ("0.2,0.4,0.6,0.8,1.0", out), ("0.5,1.0", out),
+                                ("0.5,1.0", fresh)):
+            assert run_cli(capsys, "design", "--spending", "cubic_min", "--fractions", fractions,
+                           "--out", str(path))[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert len((tmp_path / ".d.json.spare").read_bytes()) > len(out.read_bytes())
 
 
 class TestNineCovariateWorkflow:
