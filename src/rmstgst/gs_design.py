@@ -19,10 +19,10 @@ holds these for a batch of replicates, flat over the batch. One step,
 ``_next_stage``, takes every replicate of a batch to its next stage at
 once: one density advance over ragged grids, each sized to its
 replicate's increments, and one vectorised Newton for every critical
-value; a skipped or failed look keeps its stage. Simulated studies step
-the batch of a method's running replicates a stage at a time. Planned
-boundaries step a batch of one over their looks, and monitoring steps
-one from its last stage, rebuilt from the state file without re-solving.
+value; a skipped or failed look keeps its stage. ``_walk`` steps a batch
+over its looks, each replicate to its rejection or effective final: planned
+boundaries walk one that never rejects, simulated studies each method's
+replicates, and a monitored look replays the state's looks, then its own.
 """
 
 from __future__ import annotations
@@ -358,8 +358,8 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
 
 
 def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final: bool = False):
-    """The batch ``stages`` with each replicate stepped to its information fraction in ``fractions``, and
-    each one's decision on its statistic in ``z``: a batch and an array.
+    """The batch ``stages`` with each replicate stepped to its information fraction in the array ``fractions``,
+    and each one's decision on its statistic in the array ``z``: a batch and an array.
 
     All the replicates step at once. A look whose fraction is not past its stage's is ``"skipped"`` and
     keeps its stage. Otherwise the stage's density is advanced to the raw fraction, and the critical value
@@ -369,7 +369,6 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
     ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes keeps its stage, and
     has its ConfigError for a decision.
     """
-    fractions, z = np.asarray(fractions, dtype=float), np.asarray(z, dtype=float)
     decisions = np.full(fractions.size, "skipped", dtype=object)
     steps = np.flatnonzero(fractions > stages.fraction)
     if not steps.size:
@@ -386,6 +385,22 @@ def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final
     return stages.put(rows, start._replace(critical=critical, spent=spent)), decisions
 
 
+def _walk(spending: SpendingFunction, fractions, z, final):
+    """Each look's decision, critical value and cumulative spend (replicates, looks), stepped by ``_next_stage``
+    over the rows of ``fractions`` and ``z``, each look ``final`` or not; after a rejection or an effective
+    (not skipped) final, a replicate's looks have None and NaNs."""
+    fractions, z = np.asarray(fractions, dtype=float), np.asarray(z, dtype=float)
+    decisions, (critical, spent) = np.full(fractions.shape, None), np.full((2, *fractions.shape), math.nan)
+    running, stages = np.arange(len(fractions)), _Stages.first(len(fractions))
+    for k, last in enumerate(final):
+        stages, decisions[running, k] = _next_stage(stages, spending, fractions[running, k], z[running, k], last)
+        critical[running, k], spent[running, k] = stages.critical, stages.spent
+        stops = ("reject", "continue") if last else ("reject",)
+        going = np.flatnonzero([d not in stops for d in decisions[running, k].tolist()])
+        running, stages = running[going], stages.take(going)
+    return decisions, critical, spent
+
+
 @dataclass(frozen=True)
 class BoundarySchedule:
     """Solved boundary for a planned analysis schedule."""
@@ -398,18 +413,14 @@ def boundaries(f: SpendingFunction, info_fractions) -> BoundarySchedule:
     """Critical values for a planned schedule of information fractions.
 
     Each stage's cumulative crossing probability under the null equals
-    the spending function at that fraction; ``_next_stage`` gives the
-    rules, stepping a batch of one over the schedule.
+    the spending function at that fraction; ``_walk`` gives the rules,
+    over one replicate whose NaN statistic never rejects.
     """
     fr = _validate_fractions(info_fractions)
-    stages, criticals, spent = _Stages.first(1), [], []
-    for fraction in fr:
-        stages, (decision,) = _next_stage(stages, f, [fraction], [0.0])
-        if isinstance(decision, ConfigError):
-            raise decision
-        criticals.append(float(stages.critical[0]))
-        spent.append(float(stages.spent[0]))
-    return BoundarySchedule(cumulative_spend=tuple(spent), critical_values=tuple(criticals))
+    (decisions,), (critical,), (spent,) = _walk(f, [fr], [[math.nan] * len(fr)], [False] * len(fr))
+    for error in (d for d in decisions if isinstance(d, ConfigError)):  # the first
+        raise error
+    return BoundarySchedule(cumulative_spend=tuple(spent.tolist()), critical_values=tuple(critical.tolist()))
 
 
 @dataclass(frozen=True)
@@ -472,7 +483,7 @@ class MonitoringState(Record):
             raise ConfigError("monitoring requires i_max in the design config")
         for k, a in enumerate(self.analyses):
             self.check(a.u, a.tau, after=k)
-        fr = [a.info_fraction for a in self.effective]
+        fr = [a.info_fraction for a in self.analyses if a.decision != "skipped"]
         if any(b <= a for a, b in zip(fr, fr[1:])):
             raise StateError(f"information fractions must increase over the analyses not skipped, got {fr}")
         for k, a in enumerate(self.analyses, start=1):
@@ -480,11 +491,6 @@ class MonitoringState(Record):
             if a.stage != k or not math.isclose(a.info_fraction, fraction, rel_tol=1e-12):
                 raise StateError(f"analysis {k} records stage {a.stage} and info_fraction {a.info_fraction}; its "
                                  f"place and its info_level over i_max give {k} and {fraction}")
-
-    @property
-    def effective(self) -> tuple[AnalysisRecord, ...]:
-        """Analyses that consumed spending (everything not skipped)."""
-        return tuple(a for a in self.analyses if a.decision != "skipped")
 
     def check(self, u: float, tau: float | None, after: int | None = None) -> None:
         """Refuse (StateError) a look at time ``u`` and horizon ``tau`` after the first ``after`` analyses (all by
@@ -509,29 +515,29 @@ def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = Fa
     """Fold one analysis, at calendar time ``u`` with statistic ``z`` and information ``info_level``, into the state.
 
     The information fraction is the observed information over the design's
-    ``i_max``. One ``_next_stage`` step (its docstring has the rules)
-    goes from the last effective analysis, rebuilt from the records.
+    ``i_max``. The look replays the state: ``_walk`` steps the recorded
+    looks, then this one, and the new record is the walk's last look.
 
-    Raises StateError for a look ``MonitoringState.check`` refuses or a bad ``info_level``.
+    Raises StateError for a look ``MonitoringState.check`` refuses, a bad ``info_level``, or a recorded analysis
+    whose decision, critical value or cumulative spend is not the replay's, within 1e-9 relative or 1e-12 absolute.
     """
     u, z, info_level = float(u), float(z), float(info_level)
     state.check(u, tau)
     if not (info_level > 0 and math.isfinite(info_level)):
         raise StateError(f"info_level must be positive and finite, got {info_level!r}")
-    spending = state.design.spending
-    stage = _Stages.first(1)
-    for a in state.effective:
-        start, errors = _density_after(stage, spending.sided, [a.info_fraction])
-        if errors:
-            raise errors[0]
-        stage = start._replace(critical=np.array([a.critical_value]), spent=np.array([a.cumulative_spend]))
-    fraction = info_level / state.design.i_max
-    stage, (decision,) = _next_stage(stage, spending, [fraction], [z], final)
-    if isinstance(decision, ConfigError):
-        raise decision
-    record = AnalysisRecord(
-        stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction, z=z,
-        critical_value=None if decision == "skipped" else float(stage.critical[0]),
-        cumulative_spend=float(stage.spent[0]), decision=decision, final=final, tau=tau,
-    )
+    looks = [(a.info_level / state.design.i_max, a.z, a.final) for a in state.analyses]
+    fractions, zs, finals = zip(*looks, (info_level / state.design.i_max, z, final))
+    (decisions,), (critical,), (spent,) = _walk(state.design.spending, [fractions], [zs], finals)
+    for error in (d for d in decisions if isinstance(d, ConfigError)):  # the first
+        raise error
+    critical, spent = [None if d == "skipped" else c for d, c in zip(decisions, critical.tolist())], spent.tolist()
+    for k, (a, decision, c, s) in enumerate(zip(state.analyses, decisions, critical, spent), start=1):
+        agree = [x == y or None not in (x, y) and math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+                 for x, y in ((a.critical_value, c), (a.cumulative_spend, s))]
+        if a.decision != decision or not all(agree):
+            raise StateError(f"analysis {k} records {a.decision} at critical value {a.critical_value}, cumulative "
+                             f"spend {a.cumulative_spend}; replaying the recorded looks gives {decision} at {c}, {s}")
+    record = AnalysisRecord(stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fractions[-1],
+                            z=z, critical_value=critical[-1], cumulative_spend=spent[-1], decision=decisions[-1],
+                            final=final, tau=tau)
     return replace(state, analyses=state.analyses + (record,))

@@ -39,8 +39,7 @@ import numpy as np
 
 from .adjusted_rmst import Analyses, analyze
 from .errors import ConfigError, DataError, EstimationError
-from .gs_design import (SpendingFunction, _find_root, _next_stage, _Stages, _unit_legendre, _validate_fractions,
-                        ndtr, ndtri)
+from .gs_design import SpendingFunction, _find_root, _unit_legendre, _validate_fractions, _walk, ndtr, ndtri
 from .km_rmst import km_rmst_test
 from .records import Record
 from .stratified_cox import SharedBaseline, fit as cox_fit
@@ -586,13 +585,11 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
 
     Each replicate is analyzed at the calibrated calendar times with
     every requested method. Each method then monitors its replicates
-    stage by stage, against its own information cap, the last stage
-    declared final: the replicates not yet rejected are one batch of
-    stages, and one spending step moves each of them that has an
-    analysis at the stage from its own last stage. Analyses that fail
+    against its own information cap, the last stage declared final, by
+    one spending walk over the batch of its replicates. Analyses that fail
     (for example, no events in an arm), and stages too close to the last
-    one for the spending step's grid, are counted per method, by error
-    class and by stage, and the replicate keeps its last stage.
+    one for the walk's grid, are counted per method, by error class and
+    by stage, and the replicate keeps its last stage.
 
     Identical scenario, seed, and reps give bit-identical results for
     any ``threads``.
@@ -610,21 +607,15 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     for m, method in enumerate(methods):
         fractions = infos[:, :, m] / calib.i_max_by_method[method]
         z = deltas[:, :, m] * np.sqrt(infos[:, :, m])
-        firsts = np.zeros(reps, dtype=np.int64)
+        decisions = _walk(spending, fractions, z, np.arange(n_stage) == n_stage - 1)[0]
         failed_as, by_stage = Counter(), [0] * n_stage
-        running, stages = np.arange(reps), _Stages.first(reps)  # the replicates not yet rejected, and their stages
         for k in range(n_stage):
-            # a failed analysis has a NaN fraction, which is not past its replicate's stage, so the step skips it
-            fraction = fractions[running, k]
-            errors = failed[running[np.isnan(fraction)], k, m].tolist()
-            stages, decisions = _next_stage(stages, spending, fraction, z[running, k], k == n_stage - 1)
-            errors += [type(d).__name__ for d in decisions.tolist() if isinstance(d, ConfigError)]
+            # a failed analysis has a NaN fraction, which the walk skips; None is a look after its replicate stopped
+            errors = failed[np.isnan(fractions[:, k]) & np.not_equal(decisions[:, k], None), k, m].tolist()
+            errors += [type(d).__name__ for d in decisions[:, k].tolist() if isinstance(d, ConfigError)]
             failed_as.update(errors)
             by_stage[k] = len(errors)
-            rejected = decisions == "reject"
-            firsts[running[rejected]] = k + 1
-            running, stages = running[~rejected], stages.take(np.flatnonzero(~rejected))
-        rej = np.array([np.mean((firsts > 0) & (firsts <= k + 1)) for k in range(n_stage)])
+        rej = (decisions == "reject").sum(axis=0).cumsum() / reps  # each replicate rejects at most once
         cumulative[method] = tuple(float(r) for r in rej)
         mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
         failures[method] = failed_as.total()

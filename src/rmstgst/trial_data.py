@@ -140,10 +140,11 @@ def _floats(cells: list[str]) -> np.ndarray:
 _BLOCK_ROWS = 256  # kept rows parsed at a time; larger blocks left a cold look more resident memory, no less time
 
 
-def _parsed_block(block, labels, seen: set[str], problems: dict[int, str]) -> np.ndarray:
-    """One block of kept rows, each (its file line, id, *its cells), as floats (rows, 4 + p); each bad row's first
-    problem goes into ``problems`` under its file line, a bad id's (against ``seen``) over its cells'."""
-    lines, ids, *cells = zip(*block)
+def _parsed_block(block, lines, picks, labels, seen: set[str], problems: dict[int, str]) -> np.ndarray:
+    """One block of rows as read, at file ``lines``, as floats (rows, 4 + p) of the columns ``picks`` after the id;
+    each bad row's first problem goes into ``problems`` by file line, a bad id's (against ``seen``) over the rest."""
+    columns = list(zip(*block))
+    ids, *cells = (columns[k] for k in picks)
     values = np.column_stack([_floats(col) for col in cells])
     found = _bad_rows(*values[:, :4].T, values[:, 4:], labels, cells)
     for i, sid in enumerate(ids):
@@ -199,19 +200,20 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> Trial:
             picks = [header.index(c) for c in needed]
             labels = [f"covariate {c!r}" for c in cov_cols]
             seen: set[str] = set()
-            blocks, block = [], []
+            blocks, block, lines = [], [], []
             for row in reader:
                 if row and len(row) != len(header):
                     problems[reader.line_num] = f"expected {len(header)} fields, got {len(row)}"
                 elif row:
-                    block.append((reader.line_num, *(row[k] for k in picks)))
+                    block.append(row)
+                    lines.append(reader.line_num)
                     if len(block) == _BLOCK_ROWS:
-                        blocks.append(_parsed_block(block, labels, seen, problems))
-                        block = []
+                        blocks.append(_parsed_block(block, lines, picks, labels, seen, problems))
+                        block, lines = [], []
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if block:
-        blocks.append(_parsed_block(block, labels, seen, problems))
+        blocks.append(_parsed_block(block, lines, picks, labels, seen, problems))
     del seen  # the ids go before the blocks are joined
     if problems:
         shown = "\n  ".join(f"line {n}: {problems[n]}" for n in sorted(problems)[:20])

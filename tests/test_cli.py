@@ -28,6 +28,7 @@ from rmstgst.gs_design import (
     MonitoringState,
     SpendingFunction,
     boundaries,
+    update_monitoring,
 )
 from rmstgst.sim_engine import SimScenario, draw_trial
 
@@ -617,6 +618,32 @@ class TestAnalyze:
         assert_typed_error(code, err, 5)
         stage, fraction = change.get("stage", 2), change.get("info_fraction", doc["analyses"][1]["info_fraction"])
         assert f"malformed monitoring state: analysis 2 records stage {stage} and info_fraction {fraction}; " in err
+        assert state_path.read_bytes() == before
+
+    @pytest.mark.parametrize("analysis, edit", [  # each, if trusted, would steer the next look's critical value
+        (2, lambda a: a.update(cumulative_spend=0.04)),  # to infinity
+        (1, lambda a: a.update(critical_value=1.2 * a["critical_value"])),  # to 2.4321
+        (2, lambda a: a.update(decision="skipped", critical_value=None)),  # to 2.3769
+    ], ids=["spend", "critical_value", "skipped"])
+    def test_state_record_not_its_replay_exit_5(self, analysis, edit, trial_csv, tmp_path, capsys):
+        # a look replays the recorded looks on the design, so an edited decision or number cannot steer it
+        design = DesignConfig(spending=SpendingFunction("obrien_fleming_like"), planned_fractions=(0.5, 0.75, 1.0),
+                              i_max=100.0)
+        state = MonitoringState(design=design)
+        for u, info in ((1.0, 40.0), (1.5, 55.0)):
+            state = update_monitoring(state, u, 0.5, info, tau=1.0)
+        want = update_monitoring(state, 2.0, 0.5, 68.9, tau=1.0).analyses[-1]
+        assert (want.decision, round(want.critical_value, 4), round(want.cumulative_spend, 5)) == (
+            "continue", 2.4277, 0.01821)
+        doc = state.to_dict()
+        edit(doc["analyses"][analysis - 1])
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(doc, indent=2))
+        before = state_path.read_bytes()
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path),
+                               "--u", "2.0")
+        assert_typed_error(code, err, 5)
+        assert f"analysis {analysis} records " in err and "replaying the recorded looks gives" in err
         assert state_path.read_bytes() == before
 
     def test_schema_file_not_an_object_exit_3(self, trial_csv, tmp_path, capsys):

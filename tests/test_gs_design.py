@@ -277,22 +277,17 @@ SCALAR_FOLD = json.loads((Path(__file__).parent / "data" / "scalar_fold_tiny_sim
 
 def stacked_fold(fraction, z, spending, together=True):
     """Critical value, cumulative spend and decision of each replicate at each stage (NaN, NaN and None where
-    it takes no step), as ``run_study`` monitors them: every replicate still running that has an analysis
+    it takes no step), as ``run_study`` monitors them: by the walk, in which every replicate still running
     steps at once, each from its own last stage; a NaN fraction is a failed analysis. With ``together``
-    false, each replicate steps alone."""
-    reps, n = fraction.shape
-    critical, spent = np.full((reps, n), np.nan), np.full((reps, n), np.nan)
-    decision = np.full((reps, n), None, dtype=object)
-    stages, running = gs_design._Stages.first(reps), np.arange(reps)
-    for k in range(n):
-        rows = running[~np.isnan(fraction[running, k])]
-        for batch in [rows] if together else rows[:, None]:
-            stepped, decision[batch, k] = gs_design._next_stage(stages.take(batch), spending, fraction[batch, k],
-                                                                z[batch, k], final=k == n - 1)
-            stages = stages.put(batch, stepped)
-            took = (decision[batch, k] == "continue") | (decision[batch, k] == "reject")
-            critical[batch[took], k], spent[batch[took], k] = stepped.critical[took], stepped.spent[took]
-        running = running[decision[running, k] != "reject"]
+    false, each replicate walks alone."""
+    final = np.arange(fraction.shape[1]) == fraction.shape[1] - 1
+    if together:
+        decision, critical, spent = gs_design._walk(spending, fraction, z, final)
+    else:
+        walks = [gs_design._walk(spending, fraction[[r]], z[[r]], final) for r in range(len(fraction))]
+        decision, critical, spent = (np.concatenate(arrays) for arrays in zip(*walks))
+    took = (decision == "continue") | (decision == "reject")
+    critical[~took], spent[~took], decision[np.isnan(fraction)] = np.nan, np.nan, None
     return critical, spent, decision
 
 
@@ -301,7 +296,7 @@ def as_array(rows):
 
 
 class TestStackedStep:
-    """``_next_stage`` steps a batch of replicates at once, each from its own last stage."""
+    """``_walk`` steps a batch of replicates at once, each from its own last stage."""
 
     @pytest.mark.parametrize("kind", sorted(SCALAR_FOLD["spendings"]))
     def test_matches_the_scalar_fold(self, kind):
@@ -353,8 +348,8 @@ class TestStackedStep:
 
     def test_every_replicate_failing_or_skipped(self):
         spending = make_spending("pocock_like")
-        both, _ = gs_design._next_stage(gs_design._Stages.first(2), spending, [0.5, 0.5], [0.0, 0.0])
-        stages, decisions = gs_design._next_stage(both, spending, [0.4, 0.500000001], [1.0, 1.0])
+        both, _ = gs_design._next_stage(gs_design._Stages.first(2), spending, np.array([0.5, 0.5]), np.zeros(2))
+        stages, decisions = gs_design._next_stage(both, spending, np.array([0.4, 0.500000001]), np.ones(2))
         for kept, was in zip(stages, both):  # both replicates keep their stage bit for bit
             np.testing.assert_array_equal(kept, was)
         assert decisions[0] == "skipped" and isinstance(decisions[1], ConfigError)
@@ -530,15 +525,35 @@ class TestMonitoring:
         state = fresh_state()
         state = update_monitoring(state, 1.0, 0.1, 40.0)
         state = update_monitoring(state, 2.0, 0.1, 101.0)
+        spent = state.analyses[-1].cumulative_spend
         payload = state.to_dict()
-        payload["analyses"][-1]["cumulative_spend"] = ALPHA - 3e-14
+        payload["analyses"][-1]["cumulative_spend"] = ALPHA - 3e-14  # within the replay's tolerance
         state = update_monitoring(
             MonitoringState.from_dict(payload), 3.0, 5.0, 110.0,
         )
         rec = state.analyses[-1]
         assert rec.critical_value == math.inf
-        assert rec.cumulative_spend == ALPHA - 3e-14
+        assert rec.cumulative_spend == spent  # the replayed spend, not the edited one
         assert rec.decision == "continue"
+
+    @pytest.mark.parametrize("key, scale, shift, replays", [
+        ("critical_value", 1 + 1e-11, 0.0, True), ("cumulative_spend", 1.0, 1e-13, True),
+        ("critical_value", 1 + 1e-7, 0.0, False), ("cumulative_spend", 1 + 1e-7, 0.0, False),
+    ])
+    def test_replay_tolerance(self, key, scale, shift, replays):
+        """A recorded number replays within 1e-9 relative or 1e-12 absolute: the last digits another build's
+        root finder may move, far inside any change that would steer a look."""
+        state = update_monitoring(fresh_state(), 1.0, 0.1, 40.0)
+        state = update_monitoring(state, 2.0, 0.1, 60.0)
+        payload = state.to_dict()
+        payload["analyses"][0][key] = payload["analyses"][0][key] * scale + shift
+        edited = MonitoringState.from_dict(payload)
+        if replays:  # the next record is the unedited state's
+            assert update_monitoring(edited, 3.0, 0.1, 80.0).analyses[-1] == \
+                update_monitoring(state, 3.0, 0.1, 80.0).analyses[-1]
+        else:
+            with pytest.raises(StateError, match="analysis 1 records continue at critical value "):
+                update_monitoring(edited, 3.0, 0.1, 80.0)
 
     def test_look_after_full_information_gets_infinite_critical(self):
         """Looks after alpha was spent up to rounding get an infinite critical value, whatever the residue."""
