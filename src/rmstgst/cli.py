@@ -137,17 +137,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _print(text: str) -> None:
-    """Print a line to stdout at once; if its reader has gone, send it and all later output to os.devnull.
+def _print(text: str, err: bool = False) -> None:
+    """Print a line to stdout (stderr if ``err``) at once; if its reader has gone, send it and all later output
+    there to os.devnull.
 
     A closed pipe (``rmstgst ... | head -c 1``) is not the command's failure:
     the command runs on, and exits with its own code.
     """
+    stream = sys.stderr if err else sys.stdout  # looked up at each call: a test may have replaced either
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # the unwritten rest, flushed at exit, goes there too
+        os.dup2(devnull, stream.fileno())  # the unwritten rest, flushed at exit, goes there too
         os.close(devnull)
 
 
@@ -434,7 +436,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         return args.func(args)
     except RmstgstError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", err=True)
         return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
 
 

@@ -15,13 +15,13 @@ stage that would need over ``MAX_NODES`` nodes is a ``ConfigError``.
 
 The recursion is Markov: a stage needs only the density it started
 from, its fraction, critical value and cumulative spend, and ``_Stages``
-holds these for a batch of replicates, flat over the batch. One step,
-``_next_stage``, takes every replicate of a batch to its next stage at
-once: one density advance over ragged grids, each sized to its
-replicate's increments, and one vectorised Newton for every critical
-value; a skipped or failed look keeps its stage. ``_walk`` steps a batch
-over its looks, each replicate to its rejection or effective final: planned
-boundaries walk one that never rejects, simulated studies each method's
+holds these for a batch of replicates, flat over the batch. ``_walk``
+steps a batch over its looks, each replicate to its rejection or
+effective final, and every running replicate at once: one density
+advance over ragged grids, each sized to its replicate's increments, one
+vectorised Newton for every critical value and one decision on each
+statistic; a skipped or failed look keeps its stage. Planned boundaries
+walk one replicate that never rejects, simulated studies each method's
 replicates, and a monitored look replays the state's looks, then its own.
 """
 
@@ -357,46 +357,37 @@ def _validate_fractions(fractions) -> tuple[float, ...]:
     return fr
 
 
-def _next_stage(stages: _Stages, spending: SpendingFunction, fractions, z, final: bool = False):
-    """The batch ``stages`` with each replicate stepped to its information fraction in the array ``fractions``,
-    and each one's decision on its statistic in the array ``z``: a batch and an array.
-
-    All the replicates step at once. A look whose fraction is not past its stage's is ``"skipped"`` and
-    keeps its stage. Otherwise the stage's density is advanced to the raw fraction, and the critical value
-    solved whose null crossing takes the spend to ``spending(fraction)``, or to alpha at a
-    ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target) gives an
-    infinite critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else
-    ``"continue"``. A look whose density grid would need more than ``MAX_NODES`` nodes keeps its stage, and
-    has its ConfigError for a decision.
-    """
-    decisions = np.full(fractions.size, "skipped", dtype=object)
-    steps = np.flatnonzero(fractions > stages.fraction)
-    if not steps.size:
-        return stages, decisions
-    start, errors = _density_after(stages.take(steps), spending.sided, fractions[steps])
-    for j, error in errors.items():
-        decisions[steps[j]] = error
-    rows = np.delete(steps, list(errors))
-    target = np.array([spending.alpha if final else spending(f) for f in start.fraction.tolist()])
-    critical = _solve_critical(start, target, spending.sided)
-    spent = start.spent + _crossing(start, critical, spending.sided)[0]
-    exceeds = (np.abs(z[rows]) if spending.sided == "two_sided" else z[rows]) >= critical
-    decisions[rows] = np.where(exceeds, "reject", "continue")
-    return stages.put(rows, start._replace(critical=critical, spent=spent)), decisions
-
-
 def _walk(spending: SpendingFunction, fractions, z, final):
-    """Each look's decision, critical value and cumulative spend (replicates, looks), stepped by ``_next_stage``
-    over the rows of ``fractions`` and ``z``, each look ``final`` or not; after a rejection or an effective
-    (not skipped) final, a replicate's looks have None and NaNs."""
+    """Each look's decision, critical value and cumulative spend (replicates, looks), over the rows of
+    ``fractions`` and ``z``, each look ``final`` or not, with every running replicate stepped at once.
+
+    A look whose fraction is not past its stage's is ``"skipped"``. Otherwise the stage's density is advanced to the raw
+    fraction, and the critical value solved whose null crossing takes the spend to ``spending(fraction)``, or to alpha
+    at a ``final`` look; an increment within rounding of nothing (1e-14 plus 1e-9 of the target) gives an infinite
+    critical value. ``z`` at or past it (``|z|`` when two sided) is ``"reject"``, else ``"continue"``; a look whose grid
+    would need over ``MAX_NODES`` nodes has its ConfigError. A skipped or failed look keeps its stage, whose critical
+    value and spend it records; after a rejection or an effective (not skipped) final, a replicate's looks have None and
+    NaNs.
+    """
     fractions, z = np.asarray(fractions, dtype=float), np.asarray(z, dtype=float)
     decisions, (critical, spent) = np.full(fractions.shape, None), np.full((2, *fractions.shape), math.nan)
     running, stages = np.arange(len(fractions)), _Stages.first(len(fractions))
     for k, last in enumerate(final):
-        stages, decisions[running, k] = _next_stage(stages, spending, fractions[running, k], z[running, k], last)
-        critical[running, k], spent[running, k] = stages.critical, stages.spent
+        look = np.full(running.size, "skipped", dtype=object)
+        steps = np.flatnonzero(fractions[running, k] > stages.fraction)
+        start, errors = _density_after(stages.take(steps), spending.sided, fractions[running[steps], k])
+        for j, error in errors.items():
+            look[steps[j]] = error
+        rows = np.delete(steps, list(errors))
+        target = np.array([spending.alpha if last else spending(f) for f in start.fraction.tolist()])
+        solved = _solve_critical(start, target, spending.sided)
+        at = z[running[rows], k]
+        look[rows] = np.where((np.abs(at) if spending.sided == "two_sided" else at) >= solved, "reject", "continue")
+        stages = stages.put(rows, start._replace(critical=solved,
+                                                 spent=start.spent + _crossing(start, solved, spending.sided)[0]))
+        decisions[running, k], critical[running, k], spent[running, k] = look, stages.critical, stages.spent
         stops = ("reject", "continue") if last else ("reject",)
-        going = np.flatnonzero([d not in stops for d in decisions[running, k].tolist()])
+        going = np.flatnonzero([d not in stops for d in look.tolist()])
         running, stages = running[going], stages.take(going)
     return decisions, critical, spent
 

@@ -122,9 +122,15 @@ class Record:
     @classmethod
     def read(cls, path):
         """The record in the UTF-8 JSON file at ``path``, after one byte-order mark if it starts with one."""
+        def unique(pairs):  # each object in the file, nested ones too: a key given twice is the record's error
+            keys = [key for key, _ in pairs]
+            if len(set(keys)) < len(keys):
+                raise cls._error(f"{cls._what} repeats keys {sorted({key for key in keys if keys.count(key) > 1})}")
+            return dict(pairs)
+
         raw = utf8_bytes(path, cls._what, cls._error)
         try:
-            return cls.from_dict(json.loads(raw.decode("utf-8-sig")))
+            return cls.from_dict(json.loads(raw.decode("utf-8-sig"), object_pairs_hook=unique))
         except json.JSONDecodeError as exc:
             raise cls._error(f"{path}: {cls._what} is not valid JSON at line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from None

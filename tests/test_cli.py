@@ -790,6 +790,17 @@ class TestClosedStdout:
                                            "--tau", "1.0", "--report-only")
         assert_typed_error(code, err, 3)
 
+    def test_error_keeps_its_exit_code_when_stderr_has_no_reader(self, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # the reader goes before the child writes its error line, as with `2>&1 >/dev/null | true`
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rmstgst", "analyze", "--data", str(tmp_path / "missing.csv"),
+                                   "--u", "3.0", "--tau", "1.0", "--report-only"], stdout=subprocess.DEVNULL,
+                                  stderr=write, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 3
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCovariateUnits:

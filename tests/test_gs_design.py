@@ -347,12 +347,13 @@ class TestStackedStep:
                                            "continue"]
 
     def test_every_replicate_failing_or_skipped(self):
-        spending = make_spending("pocock_like")
-        both, _ = gs_design._next_stage(gs_design._Stages.first(2), spending, np.array([0.5, 0.5]), np.zeros(2))
-        stages, decisions = gs_design._next_stage(both, spending, np.array([0.4, 0.500000001]), np.ones(2))
-        for kept, was in zip(stages, both):  # both replicates keep their stage bit for bit
-            np.testing.assert_array_equal(kept, was)
-        assert decisions[0] == "skipped" and isinstance(decisions[1], ConfigError)
+        spending, final = make_spending("pocock_like"), [False, False, True]
+        decisions, critical, spent = gs_design._walk(spending, [[0.5, 0.4, 1.0], [0.5, 0.500000001, 1.0]],
+                                                     np.ones((2, 3)), final)
+        assert decisions[0, 1] == "skipped" and isinstance(decisions[1, 1], ConfigError)
+        _, (alone_critical,), (alone_spent,) = gs_design._walk(spending, [[0.5, 1.0]], np.ones((1, 2)), [False, True])
+        for row in range(2):  # the final look steps from the first look's stage, kept bit for bit
+            assert critical[row, -1] == alone_critical[-1] and spent[row, -1] == alone_spent[-1]
 
 
 def fresh_state(i_max=100.0, kind="cubic_min", fractions=(0.5, 0.75, 1.0), sided="two_sided"):

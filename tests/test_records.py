@@ -87,6 +87,32 @@ def test_one_byte_order_mark_reads_as_the_plain_file(cls, tmp_path):
         cls.read(tmp_path / "twice.json")
 
 
+def repeating(payload: dict, key: str) -> str:
+    """JSON text of the object ``payload`` with its key ``key`` written twice, first with the same value."""
+    return "{" + json.dumps({key: payload[key]})[1:-1] + ", " + json.dumps(payload)[1:]
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
+def test_a_key_given_twice_is_refused(cls, tmp_path):
+    payload = EXAMPLES[cls][0].to_dict()
+    key = next(iter(payload))
+    path = tmp_path / "twice.json"
+    path.write_text(repeating(payload, key))
+    with pytest.raises(cls._error, match=rf"^{re.escape(f'{path}: {cls._what} repeats keys {[key]}')}$"):
+        cls.read(path)
+
+
+@pytest.mark.parametrize("field, key", [("design", "alpha"), ("analyses", "z")])
+def test_a_key_given_twice_in_a_nested_object_is_refused(field, key, tmp_path):
+    payload = EXAMPLES[MonitoringState][0].to_dict()
+    inner = payload.pop(field)
+    text = repeating(inner, key) if field == "design" else "[" + repeating(inner[0], key) + "]"
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"{field}": {text}, ' + json.dumps(payload)[1:])
+    with pytest.raises(StateError, match=rf"^{re.escape(f'{path}: monitoring state repeats keys {[key]}')}$"):
+        MonitoringState.read(path)
+
+
 def test_renamed_keys_are_named_in_errors():
     payload = POWER.to_dict()
     payload["sided"] = payload.pop("sidedness")

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from rmstgst import stratified_cox
 from rmstgst.errors import (
-    ConvergenceError, DataError, InsufficientEventsError, RmstgstError, SingularInformationError,
+    ConvergenceError, DataError, EstimationError, InsufficientEventsError, RmstgstError, SingularInformationError,
 )
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial
 from rmstgst.stratified_cox import CoxFits, SharedBaseline, _score_info, fit
@@ -277,6 +277,12 @@ class TestFit:
         se = math.sqrt(np.linalg.inv(stratified.info)[0, 0])
         assert unstratified.beta[1] == pytest.approx(stratified.beta[0], abs=4 * se)
         assert unstratified.beta[0] == pytest.approx(-0.4, abs=0.1)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: on a monotone likelihood the fit stops after 21 "
+                                           "iterations at beta 301.06, information 2.74e-10, and records no error")
+    def test_a_diverging_fit_records_an_error(self):
+        errors = fit(snapshot(monotone_trial(), u=0.2, tau=1.0)).errors
+        assert isinstance(errors[0], EstimationError)
 
 
 class TestBreslow:
