@@ -138,16 +138,20 @@ def _sha256(path: str) -> str:
 
 
 def _print(text: str, err: bool = False) -> None:
-    """Print a line to stdout (stderr if ``err``) at once; if its reader has gone, send it and all later output
-    there to os.devnull.
+    """Print a line to stdout (stderr if ``err``) at once; if its reader has gone, or its descriptor takes no
+    writes, send it and all later output there to os.devnull, and if the stream is closed, print nothing.
 
-    A closed pipe (``rmstgst ... | head -c 1``) is not the command's failure:
+    A closed pipe (``rmstgst ... | head -c 1``) or stream (``2</dev/null``, ``2>&-``) is not the command's failure:
     the command runs on, and exits with its own code.
     """
     stream = sys.stderr if err else sys.stdout  # looked up at each call: a test may have replaced either
+    if stream is None:  # the descriptor was closed when the interpreter started
+        return
     try:
         print(text, file=stream, flush=True)
-    except BrokenPipeError:
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())  # the unwritten rest, flushed at exit, goes there too
         os.close(devnull)
@@ -277,14 +281,14 @@ def cmd_simulate(args) -> int:
     if differ:
         raise ConfigError(f"calibration {args.calibration} was made for another scenario: {differ} differ from "
                           f"{args.scenario}")
-    if calib.info.fractions != design.planned_fractions:
-        raise ConfigError(f"calibration fractions {calib.info.fractions} do not match the design's "
+    if calib.fractions != design.planned_fractions:
+        raise ConfigError(f"calibration fractions {calib.fractions} do not match the design's "
                           f"{design.planned_fractions}")
     power, spending = calib.power, design.spending
     if args.effect == "power" and (power.alpha, power.sided) != (spending.alpha, spending.sided):
         raise ConfigError(f"calibration power alpha {power.alpha} and sidedness {power.sided} do not match the "
                           f"design's alpha {spending.alpha} and sidedness {spending.sided}")
-    check_methods(methods, calib.info.i_max_by_method)
+    check_methods(methods, calib.i_max_by_method)
     offset = {"as-given": scn.log_rate_ratio, "null": calib.null_log_rate_ratio,
               "power": power.log_rate_ratio}[args.effect]
     sim_scn = replace(scn, log_rate_ratio=offset)
@@ -294,7 +298,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"cannot make output directory {args.out_dir}: {exc.strerror}") from None
 
     oc = run_study(
-        sim_scn, design.spending, calib.info, reps=args.reps, methods=methods,
+        sim_scn, design.spending, calib, reps=args.reps, methods=methods,
         master_seed=args.seed, threads=args.threads,
     )
 
@@ -312,7 +316,7 @@ def cmd_simulate(args) -> int:
     if args.reps == 1:
         outputs["trace"] = write_csv("trace.csv", "method,stage,delta,info_level,z", (
             (m, k + 1, d, i, d * math.sqrt(i) if i > 0 else float("nan"))
-            for m in oc.methods
+            for m in methods
             for k, (d, i) in enumerate(zip(oc.estimates[m][0], oc.info_levels[m][0]))))
 
     manifest = {
@@ -330,8 +334,8 @@ def cmd_simulate(args) -> int:
             "calibration": {"path": args.calibration, "sha256": _sha256(args.calibration)},
         },
         "outputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in outputs.items()},
-        "analysis_times": list(oc.analysis_times),
-        "failures": dict(oc.failures),
+        "analysis_times": list(calib.analysis_times),
+        "failures": {m: sum(by_type.values()) for m, by_type in oc.failures_by_type.items()},
         "failures_by_type": oc.failures_by_type,
         "failures_by_stage": oc.failures_by_stage,
         "phase_seconds": oc.phase_seconds,

@@ -137,6 +137,8 @@ class SpendingFunction:
         alpha, sided, spec = (d[key] for key in cls.KEYS)
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError("design spending must be an object with a 'kind'")
+        if unknown := sorted(set(spec) - {"kind", "rho"}):
+            raise ConfigError(f"unknown design spending keys: {unknown}")
         return cls(kind=spec["kind"], alpha=number(alpha), rho=optional(number)(spec.get("rho")), sided=sided)
 
 
@@ -306,13 +308,9 @@ def _solve_critical(start: _Stages, target: np.ndarray, sided: str) -> np.ndarra
     critical[rows[crosses]] = 0.0
     rows = rows[~crosses]
     prev, increment = start.take(rows), increment[rows]
-    part = prev  # the densities of the rows still iterating, which only ever shrink
 
     def gap(c: np.ndarray, at: np.ndarray):
-        nonlocal part
-        if at.size < part.before.size:
-            part = prev.take(at)
-        cross, slope = _crossing(part, c, sided)
+        cross, slope = _crossing(prev.take(at), c, sided)  # ``take`` gives ``prev`` itself while every row iterates
         return cross - increment[at], slope
 
     critical[rows] = _find_root(gap, np.zeros(rows.size), np.full(rows.size, 40.0),
@@ -422,7 +420,7 @@ class DesignConfig(Record):
     planned_fractions: tuple[float, ...]
     i_max: float | None = None
 
-    _what, _error, _schema, _closed = "design config", ConfigError, DESIGN_SCHEMA, True
+    _what, _error, _schema = "design config", ConfigError, DESIGN_SCHEMA
 
     def _validate(self):
         _validate_fractions(self.planned_fractions)

@@ -7,7 +7,8 @@ column of bad JSON), for a file it cannot open, decode, parse or check.
 A record sets ``_what``, its name in messages, its error class ``_error``
 and its ``_schema`` string if any. Its JSON keys are its dataclass fields,
 in field order, each named as its field unless ``field(metadata={"key":
-...})`` names it otherwise; a key of ``None`` keeps the field's keys in the
+...})`` names it otherwise; a key of ``None``, used only by the design's
+spending rule, keeps the keys its metadata's ``"keys"`` lists in the
 record's object, and its check reads that object. A field's check follows
 its type: ``float``, ``int``, ``str`` and ``bool`` read a number, an
 integer, a string and a boolean, ``X | None`` also null, ``tuple[X, ...]``
@@ -15,13 +16,12 @@ a list and ``dict[str, X]`` an object of X, and any other type its
 ``from_dict``. A check accepts one JSON type only: a number is never a
 string or a bool. A key whose field has no default is required; a
 ``_strict`` record, a file only the program writes, needs every key and its
-schema, and a ``_closed`` one rejects any other key; a ``None`` key's field
-lists the keys it keeps in its metadata's ``"keys"``. Tuples are written as
-lists and infinities as null. A record, however built, refuses NaN and
-infinity (json reads both) in any float it holds, in a field, tuple or
-dict, before its own ``_validate``, but allows an infinity in a field whose
-metadata has ``"infinite": True``. Every failure raises the record's error
-class, a nested record's wrapped in its parent's.
+schema. Every record rejects any other key. Tuples are written as lists and
+infinities as null. A record, however built, refuses NaN and infinity (json
+reads both) in any float it holds, in a field, tuple or dict, before its own
+``_validate``, but allows an infinity in a field whose metadata has
+``"infinite": True``. Every failure raises the record's error class, a
+nested record's wrapped in its parent's.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class Record:
 
     _schema: str | None = None
     _strict = False
-    _closed = False
 
     @classmethod
     def read(cls, path):
@@ -172,7 +171,7 @@ class Record:
             raise error(f"{what} missing keys: {sorted(missing)}")
         known = {k for f in dataclasses.fields(cls) for k in f.metadata.get("keys", [f.metadata.get("key", f.name)])}
         unknown = set(d) - known - ({"schema"} if cls._schema else set())
-        if cls._closed and unknown:
+        if unknown:
             raise error(f"unknown {what} keys: {sorted(unknown)}")
         fields = {}
         try:

@@ -108,7 +108,7 @@ class SimScenario(Record):
     censoring: str | None = "5pct_per_year"
     fractions: tuple[float, ...] = (0.5, 0.75, 1.0)
 
-    _what, _error, _schema, _closed = "scenario", ConfigError, SCENARIO_SCHEMA, True
+    _what, _error, _schema = "scenario", ConfigError, SCENARIO_SCHEMA
 
     def _validate(self):
         if self.n_per_arm < 1:
@@ -434,15 +434,14 @@ def calibrate_power(scn: SimScenario, calib: InformationCalibration,
 
 
 @dataclass(frozen=True)
-class Calibration(Record):
+class Calibration(InformationCalibration):
     """A scenario's calibration file: its information schedule, null and power offsets, and the scenario."""
 
-    info: InformationCalibration = field(metadata={"key": None})
     null_log_rate_ratio: float
     power: PowerCalibration
     scenario: SimScenario
 
-    _what, _error, _schema, _strict = "calibration", ConfigError, CALIBRATION_SCHEMA, True
+    _what = "calibration"
 
 
 def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, target_power: float, alpha: float,
@@ -453,30 +452,27 @@ def calibrate(scn: SimScenario, reps: int, master_seed: int, threads: int, targe
     info = calibrate_information(replace(scn, log_rate_ratio=null_offset), reps=reps, master_seed=master_seed,
                                  threads=threads)
     power = calibrate_power(scn, info, target_power=target_power, alpha=alpha, sided=sided)
-    return Calibration(info=info, null_log_rate_ratio=null_offset, power=power, scenario=scn)
+    return Calibration(**vars(info), null_log_rate_ratio=null_offset, power=power, scenario=scn)
 
 
 @dataclass(frozen=True)
 class OperatingCharacteristics:
-    """Stagewise rejection summary of a simulated group-sequential study.
+    """Stagewise rejection summary of a simulated group-sequential study, keyed by method in the order run.
 
-    ``failures`` counts each method's failed analyses at the stages
-    monitoring reached, ``failures_by_type`` splits that count by the
-    class name of each failure's error and ``failures_by_stage`` by stage.
-    A stage whose information is too close to the last one's for the
-    spending step's grid fails with ``ConfigError``. ``estimates`` and
-    ``info_levels`` hold each method's delta and information, (reps,
-    stages), NaN where an analysis failed. ``phase_seconds`` holds the
-    wall seconds of the replicate ``analyses`` and of their ``monitoring``;
-    within the analyses, those of the ``draws`` and snapshots and of each
-    method's calls, under its name, summed over the worker processes.
+    ``cumulative_rejection`` holds each method's share of replicates
+    rejected by each stage. ``failures_by_type`` counts each method's
+    failed analyses at the stages monitoring reached by the class name of
+    each failure's error, and ``failures_by_stage`` by stage. A stage whose
+    information is too close to the last one's for the spending step's
+    grid fails with ``ConfigError``. ``estimates`` and ``info_levels`` hold
+    each method's delta and information, (reps, stages), NaN where an
+    analysis failed. ``phase_seconds`` holds the wall seconds of the
+    replicate ``analyses`` and of their ``monitoring``; within the
+    analyses, those of the ``draws`` and snapshots and of each method's
+    calls, under its name, summed over the worker processes.
     """
 
-    methods: tuple[str, ...]
-    analysis_times: tuple[float, ...]
     cumulative_rejection: dict[str, tuple[float, ...]]
-    mc_se: dict[str, tuple[float, ...]]
-    failures: dict[str, int]
     failures_by_type: dict[str, dict[str, int]]
     failures_by_stage: dict[str, list[int]]
     phase_seconds: dict[str, float]
@@ -484,18 +480,10 @@ class OperatingCharacteristics:
     info_levels: dict[str, np.ndarray] = field(repr=False)
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for m in self.methods:
-            for k in range(len(self.analysis_times)):
-                rows.append(
-                    {
-                        "method": m,
-                        "stage": k + 1,
-                        "cumulative_rejection": self.cumulative_rejection[m][k],
-                        "mc_se": self.mc_se[m][k],
-                    }
-                )
-        return rows
+        """One row a method and stage, with the Monte Carlo standard error of its cumulative rejection."""
+        return [{"method": m, "stage": k, "cumulative_rejection": r,
+                 "mc_se": float(math.sqrt(r * (1 - r) / len(self.estimates[m])))}
+                for m, rejections in self.cumulative_rejection.items() for k, r in enumerate(rejections, start=1)]
 
 
 # places of one group's (looks, subjects) arrays: 8 replicates of 3 looks of 400 subjects (a 0.8 MB snapshot,
@@ -603,7 +591,7 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
     infos, deltas, failed, worker_seconds = _map_replicates(scn, master_seed, reps, threads, times, methods)
     seconds = {"analyses": time.perf_counter() - clock, **dict(zip(("draws", *methods), worker_seconds.tolist()))}
     clock = time.perf_counter()
-    cumulative, mc_se, failures, failures_by_type, failures_by_stage = {}, {}, {}, {}, {}
+    cumulative, failures_by_type, failures_by_stage = {}, {}, {}
     for m, method in enumerate(methods):
         fractions = infos[:, :, m] / calib.i_max_by_method[method]
         z = deltas[:, :, m] * np.sqrt(infos[:, :, m])
@@ -617,14 +605,12 @@ def run_study(scn: SimScenario, spending: SpendingFunction, calib: InformationCa
             by_stage[k] = len(errors)
         rej = (decisions == "reject").sum(axis=0).cumsum() / reps  # each replicate rejects at most once
         cumulative[method] = tuple(float(r) for r in rej)
-        mc_se[method] = tuple(float(math.sqrt(r * (1 - r) / reps)) for r in rej)
-        failures[method] = failed_as.total()
         failures_by_type[method] = dict(sorted(failed_as.items()))
         failures_by_stage[method] = by_stage
     seconds["monitoring"] = time.perf_counter() - clock
     return OperatingCharacteristics(
-        methods=methods, analysis_times=times, cumulative_rejection=cumulative, mc_se=mc_se, failures=failures,
-        failures_by_type=failures_by_type, failures_by_stage=failures_by_stage, phase_seconds=seconds,
+        cumulative_rejection=cumulative, failures_by_type=failures_by_type, failures_by_stage=failures_by_stage,
+        phase_seconds=seconds,
         estimates={m: deltas[:, :, i] for i, m in enumerate(methods)},
         info_levels={m: infos[:, :, i] for i, m in enumerate(methods)},
     )

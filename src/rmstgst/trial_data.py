@@ -122,7 +122,7 @@ class CsvSchema(Record):
     event: str = "event"
     covariates: tuple[str, ...] | None = None
 
-    _what, _error, _closed = "CSV schema", DataError, True
+    _what, _error = "CSV schema", DataError
 
 
 def _floats(cells: list[str]) -> np.ndarray:

@@ -203,6 +203,15 @@ class TestDesignAndBoundaries:
         assert f"power_family spending needs 0 < rho < inf, got {float(rho)!r}" in err
         assert stdout == ""  # no table and no design, so no Infinity either
 
+    @pytest.mark.parametrize("i_max", ["0", "-3"])
+    def test_i_max_not_positive_exit_2(self, i_max, tmp_path, capsys):
+        out = tmp_path / "design.json"
+        code, stdout, err = run_cli(capsys, "design", "--spending", "cubic_min", "--fractions", "0.5,1.0",
+                                    "--i-max", i_max, "--out", str(out))
+        assert_typed_error(code, err, 2)
+        assert err == f"error: i_max must be > 0, got {float(i_max)!r}\n" and stdout == ""
+        assert not out.exists()
+
     def test_json_output_refuses_nan(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json_text({"x": math.nan})
@@ -404,6 +413,25 @@ class TestAnalyze:
         assert code == 0, err
         assert json.loads(stdout)["monitoring"]["stage"] == 2
         assert [a.tau for a in MonitoringState.read(state_path).analyses] == [None, 1.0]
+
+    def test_a_misspelt_record_key_is_refused_before_the_trial_is_read(self, trial_csv, design_json, tmp_path,
+                                                                       capsys):
+        # read as a record without its tau, the state would take a look at a second horizon
+        state_path = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--u", "1.4", "--tau", "1.0",
+                               "--state", str(state_path), "--design", design_json)
+        assert code == 0, err
+        edited = json.loads(state_path.read_text())
+        edited["analyses"][0]["Tau"] = edited["analyses"][0].pop("tau")
+        state_path.write_text(json.dumps(edited, indent=2))
+        before = state_path.read_bytes()
+        for data in (trial_csv, str(tmp_path / "missing.csv")):  # a trial that is not read cannot exit 3
+            code, out, err = run_cli(capsys, "analyze", "--data", data, "--u", "2.0", "--tau", "2.0",
+                                     "--state", str(state_path))
+            assert_typed_error(code, err, 5)
+            assert err == (f"error: {state_path}: malformed monitoring state: unknown analysis record keys: "
+                           "['Tau']\n") and out == ""
+            assert state_path.read_bytes() == before
 
     def test_lock_contention_exit_5(self, trial_csv, design_json, tmp_path, capsys):
         state_path = tmp_path / "state.json"
@@ -800,6 +828,21 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert proc.returncode == 3
+
+    def test_error_keeps_its_exit_code_when_stderr_takes_no_writes(self, tmp_path):
+        # a descriptor open for reading only, as `2</dev/null` leaves it: each write fails with EBADF
+        with open(os.devnull) as stderr:
+            proc = subprocess.run([sys.executable, "-m", "rmstgst", "analyze", "--data", str(tmp_path / "missing.csv"),
+                                   "--u", "3.0", "--tau", "1.0", "--report-only"], stdout=subprocess.PIPE,
+                                  stderr=stderr, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+
+    def test_error_stays_off_stdout_when_stderr_is_closed(self, tmp_path):
+        # with descriptor 2 closed at start-up, sys.stderr is None, and print(file=None) would write to stdout
+        proc = subprocess.run([sys.executable, "-m", "rmstgst", "analyze", "--data", str(tmp_path / "missing.csv"),
+                               "--u", "3.0", "--tau", "1.0", "--report-only"], stdout=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(2), timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, b"")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1277,7 +1320,7 @@ class TestCalibrateAndSimulate:
         assert_typed_error(code, err, 2)
         rule = (f"i_max_by_method must be finite, got {doc['i_max_by_method']!r}" if math.isnan(cap)
                 else f"km i_max must be > 0, got {cap!r}")
-        assert err == f"error: {path}: malformed calibration: malformed information calibration: {rule}\n"
+        assert err == f"error: {path}: malformed calibration: {rule}\n"
 
     def test_calibration_without_a_comparator_cap_exit_2(self, calib_setup, tmp_path, capsys):
         _, scn_path, calib_path = calib_setup

@@ -38,7 +38,7 @@ EXAMPLES = {
                    "log_rate_ratio", "covariate_strength", "covariates", "censoring", "fractions"]),
     InformationCalibration: (INFO, INFO_KEYS),
     PowerCalibration: (POWER, ["target_power", "alpha", "sidedness", "delta", "log_rate_ratio"]),
-    Calibration: (Calibration(info=INFO, null_log_rate_ratio=0.02, power=POWER, scenario=SimScenario()),
+    Calibration: (Calibration(**vars(INFO), null_log_rate_ratio=0.02, power=POWER, scenario=SimScenario()),
                   [*INFO_KEYS, "null_log_rate_ratio", "power", "scenario"]),
     DesignConfig: (DESIGN, ["schema", "alpha", "sidedness", "spending", "planned_fractions", "i_max"]),
     AnalysisRecord: (ANALYSIS, ["stage", "u", "info_level", "info_fraction", "z", "critical_value",
@@ -127,8 +127,7 @@ def test_renamed_keys_are_named_in_errors():
 def test_flattened_fields_read_their_parent_object():
     payload = EXAMPLES[Calibration][0].to_dict()
     del payload["i_max"]
-    with pytest.raises(ConfigError, match=r"^malformed calibration: information calibration missing keys: "
-                                          r"\['i_max'\]$"):
+    with pytest.raises(ConfigError, match=r"^calibration missing keys: \['i_max'\]$"):
         Calibration.from_dict(payload)
     payload = DESIGN.to_dict()
     del payload["alpha"]
@@ -142,6 +141,26 @@ def test_a_design_refuses_keys_it_does_not_read():
     payload["sided"], payload["imax"] = payload.pop("sidedness"), payload.pop("i_max")
     with pytest.raises(ConfigError, match=r"^unknown design config keys: \['imax', 'sided'\]$"):
         DesignConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("cls, inner", [*((cls, None) for cls in EXAMPLES), (DesignConfig, "spending")],
+                         ids=[*(cls.__name__ for cls in EXAMPLES), "spending"])
+def test_every_record_refuses_keys_it_does_not_read(cls, inner, tmp_path):
+    payload = EXAMPLES[cls][0].to_dict()
+    (payload[inner] if inner else payload)["rh0"] = 3.0  # a typo must not read as a default
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(payload))
+    what = "malformed design config: unknown design spending" if inner else f"unknown {cls._what}"
+    with pytest.raises(cls._error, match=rf"^{re.escape(f'{path}: {what} keys: ')}\['rh0'\]$"):
+        cls.read(path)
+
+
+def test_a_calibration_names_every_missing_key_at_once():
+    payload = EXAMPLES[Calibration][0].to_dict()
+    for key in ("grid", "i_max", "power"):
+        del payload[key]
+    with pytest.raises(ConfigError, match=r"^calibration missing keys: \['grid', 'i_max', 'power'\]$"):
+        Calibration.from_dict(payload)
 
 
 def _float_fields():

@@ -828,10 +828,10 @@ class TestRunStudy:
         assert all(b >= a for a, b in zip(rej, rej[1:]))
         assert all(0.0 <= r <= 1.0 for r in rej)
         rows = oc.to_rows()
-        assert len(rows) == len(oc.analysis_times)
+        assert len(rows) == len(small_calib.analysis_times)
         assert {"method", "stage", "cumulative_rejection", "mc_se"} <= set(rows[0])
-        assert oc.estimates["adjusted"].shape == (40, len(oc.analysis_times))
-        assert oc.info_levels["adjusted"].shape == (40, len(oc.analysis_times))
+        assert oc.estimates["adjusted"].shape == (40, len(small_calib.analysis_times))
+        assert oc.info_levels["adjusted"].shape == (40, len(small_calib.analysis_times))
 
     def test_large_effect_rejects_almost_always(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
@@ -844,11 +844,11 @@ class TestRunStudy:
         calib = replace(small_calib, analysis_times=(0.02, small_calib.analysis_times[-1]))
         oc = run_study(small_scn, SpendingFunction("cubic_min"), calib, reps=20, methods=("adjusted", "km"),
                        master_seed=2)
-        for m in oc.methods:
+        assert list(oc.failures_by_type) == ["adjusted", "km"]
+        for m in oc.failures_by_type:
             assert np.isnan(oc.info_levels[m][:, 0]).all() and np.isfinite(oc.info_levels[m][:, 1]).all()
             assert oc.failures_by_type[m] == {"InsufficientEventsError": 20}
             assert oc.failures_by_stage[m] == [20, 0]
-            assert oc.failures[m] == 20
 
     def test_missing_method_cap_rejected(self, small_scn, small_calib):
         spending = SpendingFunction("cubic_min")
@@ -889,7 +889,7 @@ class TestMonitoringOracle:
     def study_firsts(self, monkeypatch, spending, i_max, infos, deltas):
         """``run_study``'s first rejecting stage of each replicate (0 for none), each replicate monitored alone
         on its given rows: with one replicate, the cumulative rejection steps from 0 to 1 at that stage."""
-        calib = replace(InformationCalibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": i_max})
+        calib = replace(Calibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": i_max})
         failed = np.where(np.isnan(infos), "EstimationError", None)
         firsts = []
         for rep in range(infos.shape[0]):
@@ -903,7 +903,7 @@ class TestMonitoringOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_studies_match_update_monitoring(self, monkeypatch, kind, seed):
         scn = replace(self.TINY, log_rate_ratio=self.TINY_DOC["power"]["log_rate_ratio"])
-        calib = InformationCalibration.from_dict(self.TINY_DOC)
+        calib = Calibration.from_dict(self.TINY_DOC)
         spending = SpendingFunction(kind)
         oc = run_study(scn, spending, calib, reps=60, methods=self.METHODS, master_seed=seed)
         stages = len(calib.analysis_times)
@@ -953,9 +953,8 @@ class TestMonitoringOracle:
         deltas = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]) / np.sqrt(infos)
         rows = infos[:, :, None], deltas[:, :, None], np.full((2, 3, 1), None, dtype=object), np.zeros(2)
         monkeypatch.setattr(sim_engine, "_map_replicates", lambda *args, **kwargs: rows)
-        calib = replace(InformationCalibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": 200.0})
+        calib = replace(Calibration.from_dict(self.TINY_DOC), i_max_by_method={"adjusted": 200.0})
         oc = run_study(self.TINY, SpendingFunction("pocock_like"), calib, reps=2)
-        assert oc.failures == {"adjusted": 1}
         assert oc.failures_by_type == {"adjusted": {"ConfigError": 1}}
         assert oc.failures_by_stage == {"adjusted": [0, 1, 0]}
         assert oc.cumulative_rejection["adjusted"] == (0.0, 0.0, 0.5)

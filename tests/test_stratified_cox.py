@@ -22,7 +22,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmstgst import stratified_cox
+from rmstgst import adjusted_rmst, stratified_cox
 from rmstgst.errors import (
     ConvergenceError, DataError, EstimationError, InsufficientEventsError, RmstgstError, SingularInformationError,
 )
@@ -157,6 +157,25 @@ class TestFit:
         fitted = look_fit(fit(snap), 0)
         assert fitted.beta[0] == pytest.approx(oracle, abs=1e-3)
         assert fitted.loglik >= naive_loglik(snap, [0.0]) - 1e-12
+
+    def test_a_step_no_halving_improves_is_a_convergence_error(self, monkeypatch):
+        real = stratified_cox._score_info
+
+        def no_step_improves(snap, beta, *lo):  # ``fit`` passes ``lo`` only with candidate steps
+            score, info, loglik, sums = real(snap, beta, *lo)
+            return score, info, np.full_like(loglik, -np.inf) if lo else loglik, sums
+
+        monkeypatch.setattr(stratified_cox, "_score_info", no_step_improves)
+        trial = draw_trial(SimScenario(n_per_arm=50, covariate_strength=0.5), _rng_for_replicate(11, 0))
+        snap = snapshot(trial, u=(1.5, 3.0), tau=1.0)
+        fits = fit(snap)
+        message = "step halving failed to improve the log partial likelihood"
+        assert [(type(e), str(e)) for e in fits.errors] == [(ConvergenceError, message)] * 2
+        assert fits.diagnostics["step_halvings"].tolist() == [40, 40]
+        assert fits.diagnostics["iterations"].tolist() == [0, 0]
+        analyses = adjusted_rmst.analyze(snap)
+        assert [(type(e), str(e)) for e in analyses.errors] == [(ConvergenceError, message)] * 2
+        assert np.isnan(analyses.delta).all() and np.isnan(analyses.info).all()
 
     def test_constant_covariate_singular(self):
         snap = arrays_snapshot(
