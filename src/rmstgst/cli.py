@@ -442,7 +442,3 @@ def main(argv=None) -> int:
     except RmstgstError as exc:
         _print(f"error: {exc}", err=True)
         return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

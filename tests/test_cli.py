@@ -1868,6 +1868,34 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "1.95996" in proc.stdout
 
+    def test_module_looks_match_in_process_looks(self, trial_csv, design_json, tmp_path, capsys):
+        # the process entry freezes the heap after main returns: the outputs are main's, and complete
+        looks = [("1.4", "--design", design_json), ("3.0", "--final")]
+        for folder in ("module", "in_process"):
+            (tmp_path / folder).mkdir()
+        for u, *flags in looks:
+            argv = ["analyze", "--data", trial_csv, "--u", u, "--tau", "1.0", "--km", *flags]
+            proc = subprocess.run([sys.executable, "-m", "rmstgst", *argv, "--state", str(tmp_path / "module" / "s")],
+                                  capture_output=True, text=True, timeout=120)
+            code, out, err = run_cli(capsys, *argv, "--state", str(tmp_path / "in_process" / "s"))
+            assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
+            assert json.loads(proc.stdout) == json.loads(out)
+        assert (tmp_path / "module" / "s").read_bytes() == (tmp_path / "in_process" / "s").read_bytes()
+        assert sorted(os.listdir(tmp_path / "module")) == [".s.spare", "s"]
+
+    def test_module_exit_codes(self, trial_csv, design_json, tmp_path):
+        def look(data, u, *flags):
+            return subprocess.run([sys.executable, "-m", "rmstgst", "analyze", "--data", data, "--u", u,
+                                   "--tau", "1.0", "--state", str(tmp_path / "state.json"), *flags],
+                                  capture_output=True, text=True, timeout=120)
+
+        missing = look(str(tmp_path / "missing.csv"), "1.4", "--design", design_json)
+        assert_typed_error(missing.returncode, missing.stderr, 3)
+        assert look(trial_csv, "1.4", "--design", design_json).returncode == 0
+        refused = look(trial_csv, "1.4")  # u not past the last look's
+        assert_typed_error(refused.returncode, refused.stderr, 5)
+        assert "non-increasing analysis time" in refused.stderr
+
     @pytest.mark.parametrize("command", ["km-compare", "boundaries"])
     def test_deleted_command_exit_2(self, command, capsys):
         code, stdout, err = run_cli(capsys, command, "--help")

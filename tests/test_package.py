@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import importlib
 import json
 import math
@@ -13,8 +14,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rmstgst
+import rmstgst.__main__ as process_entry
 from rmstgst.gs_design import DesignConfig, MonitoringState, SpendingFunction
 from rmstgst.sim_engine import SimScenario
 
@@ -35,18 +38,46 @@ def _loaded(*kinds: str) -> str:
 def test_every_public_name_exists():
     missing = []
     for info in pkgutil.iter_modules(rmstgst.__path__):
-        if info.name == "__main__":  # running it is the CLI
-            continue
         module = importlib.import_module(f"rmstgst.{info.name}")
         missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
 
 
-def _run_fresh(code: str) -> str:
+def _fresh(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ``rmstgst``."""
     src = str(Path(rmstgst.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip().splitlines()[-1]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check)
+
+
+def _run_fresh(code: str) -> str:
+    return _fresh(code).stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_process_entry_runs_no_command():
+    out = _fresh("import rmstgst.__main__", check=False)
+    assert (out.returncode, out.stdout) == (0, ""), out.stderr
+
+
+def test_process_entry_freezes_the_heap_once_main_has_returned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(process_entry, "main", lambda: calls.append("main") or 4)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert process_entry.run() == 4
+    assert calls == ["main", "freeze"]
+
+
+def test_process_entry_does_not_freeze_when_main_raises(monkeypatch):
+    calls = []
+
+    def failing():
+        raise RuntimeError("main failed")
+
+    monkeypatch.setattr(process_entry, "main", failing)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(RuntimeError, match="main failed"):
+        process_entry.run()
+    assert calls == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -51,8 +51,7 @@ EXAMPLES = {
 
 def _all_records():
     for info in pkgutil.iter_modules(rmstgst.__path__):
-        if info.name != "__main__":
-            importlib.import_module(f"rmstgst.{info.name}")
+        importlib.import_module(f"rmstgst.{info.name}")
     found, todo = set(), [Record]
     while todo:
         for sub in todo.pop().__subclasses__():
