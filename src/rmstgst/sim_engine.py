@@ -22,8 +22,9 @@ a target power for a fixed test at full information. A difference
 outside what the ends of [-5, 5] give is refused.
 
 The Monte Carlo runs stack as many replicates in one snapshot as a place
-budget allows, and analyze every look of the group in one pass; a look
-sees only its own replicate, so no result depends on the grouping.
+budget allows (the calibration grid's pass its own, larger one), and
+analyze every look of the group in one pass; a look sees only its own
+replicate, so no result depends on the grouping.
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def calibrate_information(scn: SimScenario, reps: int = 1000, master_seed: int =
     total = scn.total_duration
     grid = np.append(np.arange(_GRID_STEP, total - 1e-9, _GRID_STEP), total)
     comparators = tuple(m for m in METHODS if m != "adjusted")
-    rows, _, failed, _ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",))
+    rows, _, failed, _ = _map_replicates(scn, master_seed, reps, threads, tuple(grid), ("adjusted",), _GRID_PLACES)
     rows = rows[:, :, 0]
     finals = _map_replicates(scn, master_seed, reps, threads, (total,), comparators)[0][:, 0]
     enough = max(1, int(_ANALYZED_SHARE * reps))
@@ -486,18 +487,24 @@ class OperatingCharacteristics:
                 for m, rejections in self.cumulative_rejection.items() for k, r in enumerate(rejections, start=1)]
 
 
-# places of one group's (looks, subjects) arrays: 8 replicates of 3 looks of 400 subjects (a 0.8 MB snapshot,
-# a 2.5 MB analyses' peak by tracemalloc), 1 of the calibration grid's 30 looks, 24 of the trial end alone
+# places of one group's (looks, subjects) arrays in ``simulate`` and the comparators' trial-end pass: 8 replicates
+# of 3 looks of 400 subjects (a 0.8 MB snapshot, a 2.5 MB analyses' peak by tracemalloc), 24 of the trial end alone
 _GROUP_PLACES = 9600
+# places of a group in calibration's grid pass: 2 replicates of 30 looks of 400 subjects. Against 1 a group, a
+# 100-replicate calibrate at 200 per arm took 8-9% less time for 0.7-0.9 MB more peak RSS (one Xeon core; a group's
+# analysis peaks at 2.9 against 1.9 MB by tracemalloc); 3 a group cost 1.5-2.1 MB
+_GRID_PLACES = 24000
 
 
-def _study_worker(scn, master_seed, reps_slice, times, methods):
+def _study_worker(scn, master_seed, reps_slice, times, methods, places=None):
     """Information, estimate and failure of each method at each calendar time, per replicate.
 
     Replicates are drawn in groups of as many as keep their looks x
-    subjects within ``_GROUP_PLACES``, and a group is one snapshot whose
-    looks run replicate by replicate, so each method runs once a group. A
-    look reads only its own replicate's rows, so no result depends on the
+    subjects within the place budget ``places`` (``_GROUP_PLACES`` if
+    None; calibration's grid pass gives ``_GRID_PLACES``), and a replicate
+    that alone exceeds it runs alone. A group is one snapshot whose looks
+    run replicate by replicate, so each method runs once a group. A look
+    reads only its own replicate's rows, so no result depends on the
     grouping. Where an analysis fails, info and delta are NaN and
     ``failed`` holds the class name of its error; a replicate that cannot
     be drawn, or has nobody enrolled at any look, fails at every look with
@@ -509,7 +516,7 @@ def _study_worker(scn, master_seed, reps_slice, times, methods):
     deltas = np.full_like(infos, np.nan)
     failed = np.full(infos.shape, None, dtype=object)
     seconds = np.zeros(1 + len(methods))
-    size = max(1, _GROUP_PLACES // (n_looks * 2 * scn.n_per_arm))
+    size = max(1, (places or _GROUP_PLACES) // (n_looks * 2 * scn.n_per_arm))
     for start in range(0, len(reps_slice), size):
         clock = time.perf_counter()
         rows, trials = [], []
@@ -539,8 +546,8 @@ def _study_worker(scn, master_seed, reps_slice, times, methods):
     return infos, deltas, failed, seconds
 
 
-def _map_replicates(scn, master_seed, reps, threads, times, methods):
-    """Run ``_study_worker`` over the replicates, serially or across processes.
+def _map_replicates(scn, master_seed, reps, threads, times, methods, places=None):
+    """Run ``_study_worker`` over the replicates, serially or across processes, ``places`` its group budget.
 
     Results are identical for any thread count: replicates own their
     seed streams and results are reassembled in replicate order; the
@@ -550,7 +557,7 @@ def _map_replicates(scn, master_seed, reps, threads, times, methods):
     """
     if master_seed < 0:  # the replicates' seed sequences take no negative entropy
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
-    worker = partial(_study_worker, scn, master_seed, times=times, methods=methods)
+    worker = partial(_study_worker, scn, master_seed, times=times, methods=methods, places=places)
     all_reps = list(range(reps))
     if threads <= 1:
         parts = [worker(all_reps)]

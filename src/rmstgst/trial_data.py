@@ -269,8 +269,11 @@ class Snapshot:
         # one stable sort per look and arm, those not enrolled or of the other arm first, cropped to m places
         orders = np.argsort(keys, axis=2, kind="stable")[..., n - m:].copy()
         xs = self.stratum_times = np.take_along_axis(keys, orders, axis=2).reshape(s, m)
+        del keys, arms  # each sort temporary goes once read, so a large group's snapshot peaks lower
         hit = (np.take_along_axis(event[:, None], orders, axis=2) != 0).reshape(s, m)  # events
-        slot = (orders + offset[:, None, None]).reshape(s, m)  # the subjects, of the look's own trial
+        orders += offset[:, None, None]
+        slot = orders.reshape(s, m)  # the subjects, of the look's own trial
+        del orders
         self.stratum_n = np.count_nonzero(xs >= 0, axis=1)
         # events in range by stratum then time; each stratum's distinct event time is one event row
         pos = np.flatnonzero(hit & (xs >= 0) & (xs <= np.repeat(np.minimum(u, tau), 2)[:, None]))
@@ -289,12 +292,14 @@ class Snapshot:
         run[1:] = xs.ravel()[1:] != xs.ravel()[:-1]
         run[::m] = True
         run_start = np.maximum.accumulate(np.where(run, np.arange(s * m), 0))[pos[heads]]
+        del run
         self.at_risk = (self.event_stratum + 1) * m - run_start
         # stored longest follow-up first, columns outermost, so a risk set is a prefix of its stratum; z and
         # z (x) z repeat a real subject on padding, so each stratum's largest linear predictor is real
         first = np.minimum(m - self.stratum_n, m - 1)[:, None]
         fill = np.take_along_axis(slot, np.maximum(np.arange(m), first), axis=1)[:, ::-1]
         zr = z[np.minimum(fill, len(arm) - 1)].transpose(0, 2, 1)
+        del fill, slot
         upper = self.upper = np.triu_indices(p)  # z (x) z is symmetric: its upper triangle, row by row
         cols = self.risk_cols = np.empty((s, 1 + p + upper[0].size, m))
         cols[:, 0], cols[:, 1:p + 1] = (xs >= 0)[:, ::-1], zr
@@ -404,5 +409,6 @@ def snapshot(trial: Trial | Sequence[Trial], u, tau: float, lock_time=None) -> S
     exposure = looks[:, None] - entry
     capped = np.where(enrolled, np.minimum(followup, exposure), -1.0).reshape(-1, n)
     seen = (enrolled & (event != 0) & (followup <= exposure)).astype(np.int8).reshape(-1, n)
+    del enrolled, exposure, entry, followup, event  # the padded columns go before the layout is sorted
     offset = np.repeat(np.cumsum(sizes) - sizes, looks.size)  # look r * L + k: trial r's subjects from here on
     return Snapshot(np.tile(looks, len(trials)), tau, arm, capped, seen, z, offset)

@@ -413,6 +413,23 @@ class TestCalibration:
         assert all(u == grid * n for u, n in zip(calls, stacked))
         assert sum(stacked) == 100 and len(calls) < 100
 
+    def test_information_calibration_whatever_the_grid_group(self, small_scn, monkeypatch):
+        # the grid pass stacks 1, 2 or 3 replicates of the grid's 30 looks a group; a look reads only its own
+        # replicate, so the calibration is the same record
+        records, stacked = [], []
+
+        def counted(snap):
+            stacked.append(snap.u.size // 30)
+            return analyze(snap)
+
+        monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
+        for group in (1, 2, 3):
+            monkeypatch.setattr(sim_engine, "_GRID_PLACES", group * 30 * 2 * small_scn.n_per_arm)
+            records.append(calibrate_information(small_scn, reps=100, master_seed=7).to_dict())
+            assert max(stacked) == group and sum(stacked) == 100
+            stacked.clear()
+        assert records[0] == records[1] == records[2]
+
     def test_comparator_caps_are_the_solo_trial_end_analyses(self, small_scn, small_calib):
         # km and cox analyze stacks of the replicates at the trial end, bit for bit a snapshot of each alone
         infos = {"km": [], "cox": []}
@@ -446,7 +463,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("analyzed, capped", [(90, True), (89, False)])
     def test_comparator_cap_at_exactly_90_percent(self, small_scn, monkeypatch, analyzed, capped):
-        def replicates(scn, master_seed, reps, threads, times, methods):
+        def replicates(scn, master_seed, reps, threads, times, methods, places=None):
             infos = np.tile(np.array(times)[None, :, None] * 10.0, (reps, 1, len(methods)))
             if "cox" in methods:
                 infos[analyzed:, :, methods.index("cox")] = np.nan
@@ -753,12 +770,16 @@ class TestStackedReplicates:
         failed = sim_engine._map_replicates(scn, 0, 3, 1, (0.5, 1.0, 3.0), self.METHODS)[2]
         assert failed.shape == (3, 3, 3) and np.all(failed == "DataError")
 
-    @pytest.mark.parametrize("times, groups", [((1.0, 2.0, 3.0), [8, 8, 1]),
-                                               (tuple(np.round(np.arange(1, 31) * 0.1, 10)), [1] * 17),
-                                               ((3.0,), [24, 24, 2])])
-    def test_group_size_from_the_place_budget(self, monkeypatch, times, groups):
-        # 3 looks of 400 subjects stack 8 replicates a group, the calibration grid's 30 looks stay alone, and its
-        # trial-end pass stacks 24
+    GRID = tuple(np.round(np.arange(1, 31) * 0.1, 10))
+
+    @pytest.mark.parametrize("scn, times, grid_pass, groups", [(SimScenario(), (1.0, 2.0, 3.0), False, [8, 8, 1]),
+                                                               (SimScenario(), GRID, True, [2] * 8 + [1]),
+                                                               (SimScenario(n_per_arm=1000), GRID, True, [1, 1]),
+                                                               (SimScenario(), (3.0,), False, [24, 24, 2])],
+                             ids=["looks", "grid", "grid_alone", "trial_end"])
+    def test_group_size_from_the_place_budget(self, monkeypatch, scn, times, grid_pass, groups):
+        # 3 looks of 400 subjects stack 8 replicates a group; the calibration grid's 30 looks stack 2 in its own
+        # budget, and a replicate whose grid alone exceeds that budget stays alone; the trial-end pass stacks 24
         stacked = []
 
         def counted(snap):
@@ -766,7 +787,8 @@ class TestStackedReplicates:
             return analyze(snap)
 
         monkeypatch.setitem(sim_engine.METHODS, "adjusted", counted)
-        sim_engine._study_worker(SimScenario(), 1, list(range(sum(groups))), times, ("adjusted",))
+        places = sim_engine._GRID_PLACES if grid_pass else None
+        sim_engine._study_worker(scn, 1, list(range(sum(groups))), times, ("adjusted",), places)
         assert stacked == groups
 
 
