@@ -65,11 +65,11 @@ class AdjustedSurvival:
     row or tau; ``mu`` (L, 2) holds each look's restricted means. Only the
     reductions the variance needs are kept: ``c1``/``c2``, the curve
     averages weighted by exp(beta'Z) and exp(beta'Z) Z at each row, and
-    ``mu_cond[k]``, the conditional restricted means (n_k, 2) of look k's
+    ``cond_diff[k]``, the (n_k,) conditional RMST differences of look k's
     subjects. Rows and means of looks not analyzed are NaN. ``risk`` holds
     the fits' risk sums (r0, r1) at every row, which the variance reuses.
     A look of more than ``_BLOCK_CELLS`` subjects x rows takes its curves,
-    ``c1``, ``c2`` and ``mu_cond`` from the conditional survival at nodes
+    ``c1``, ``c2`` and ``cond_diff`` from the conditional survival at nodes
     in the linear predictor, which agree with the exact ones to about 1e-15.
     """
 
@@ -79,7 +79,7 @@ class AdjustedSurvival:
     mu: np.ndarray
     c1: np.ndarray = field(repr=False, compare=False)
     c2: np.ndarray = field(repr=False, compare=False)
-    mu_cond: dict = field(repr=False, compare=False)
+    cond_diff: dict = field(repr=False, compare=False)
     risk: tuple = field(repr=False, compare=False)
 
 
@@ -97,10 +97,10 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
     spans = np.zeros((times.size, 2))  # each row's width in its arm's column
     spans[np.arange(times.size), snap.event_stratum % 2] = widths
     # a block's conditional survival times the rows [1, w, w*z] sums the curve,
-    # c1 and c2 in one product, and times the spans gives both arms' mu_cond
+    # c1 and c2 in one product, and times the spans gives both arms' conditional means
     weights = np.column_stack((np.ones((snap.z.shape[0], 2)), snap.z))
     sums = np.full((weights.shape[1], times.size), np.nan)
-    mu_cond = {}
+    cond_diff = {}
     for k in looks:
         lo, hi = bounds[2 * k:2 * k + 3:2].tolist()
         look_w = np.compress(snap.time[k] >= 0, weights[snap.offset[k]:], axis=0)  # its own trial's enrolled
@@ -113,11 +113,11 @@ def adjusted_survival(snap: Snapshot, fits: CoxFits, looks) -> AdjustedSurvival:
         else:
             look_sum, cond_mu = _node_kernel(look_w, eta, hazard[lo:hi], spans[lo:hi])
         sums[:, lo:hi] = look_sum / n
-        mu_cond[k] = cond_mu + firsts[k]
+        cond_diff[k] = (cond_mu[:, 1] + firsts[k, 1]) - (cond_mu[:, 0] + firsts[k, 0])
     mu = np.full((snap.u.size, 2), np.nan)
     mu[looks] = (firsts + look_sums(sums[0] * widths, bounds).reshape(-1, 2))[looks]
     return AdjustedSurvival(values=sums[0], hazard=hazard, widths=widths, mu=mu, c1=sums[1], c2=sums[2:].T,
-                            mu_cond=mu_cond, risk=risk)
+                            cond_diff=cond_diff, risk=risk)
 
 
 def _exact_kernel(look_w: np.ndarray, w: np.ndarray, hazard: np.ndarray, spans: np.ndarray) -> tuple:
@@ -187,12 +187,12 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> dict:
 
     Returns (L,) arrays under ``B10``/``B11``, the baseline-hazard noise
     of arms 0 and 1, ``B3``, the shared-coefficient noise, and
-    ``var_cond``, the covariate spread of the conditional RMST difference.
+    ``var_cond``, the covariate spread, the variance of ``adj.cond_diff[k]``.
     All are on the root-n scale: their sum v_eta2 = B10 + B11 + B3 +
     var_cond scales a look's estimate's variance as v_eta2 / n. Expects
     ``adj`` built from the same fits and snapshot, whose risk sums it reuses.
     """
-    looks = list(adj.mu_cond)
+    looks = list(adj.cond_diff)
     bounds = snap.stratum_rows
     d = snap.event_counts
     arm_n = snap.stratum_n
@@ -210,12 +210,10 @@ def variance(snap: Snapshot, fits: CoxFits, adj: AdjustedSurvival) -> dict:
     if psi_diff.size:
         solved = np.linalg.solve(fits.info[looks], psi_diff[:, :, None])[:, :, 0]
         out[2, looks] = (n[looks, None] * psi_diff * solved).sum(axis=1)
-    if looks:  # the spread of each look's subjects' conditional differences
-        diffs = [cond[:, 1] - cond[:, 0] for cond in adj.mu_cond.values()]
-        at = np.cumsum([0] + [diff.size for diff in diffs])
-        diff = np.concatenate(diffs)
-        spread = diff - np.repeat(look_sums(diff, at) / n[looks], n[looks])
-        out[3, looks] = look_sums(spread**2, at) / n[looks]
+    # each look's subjects' differences end to end; the [] lets a snapshot with no look analyzed concatenate
+    diff, at = np.concatenate([*adj.cond_diff.values(), []]), np.cumsum([0, *n[looks]])
+    spread = diff - np.repeat(look_sums(diff, at) / n[looks], n[looks])
+    out[3, looks] = look_sums(spread**2, at) / n[looks]
     return dict(zip(("B10", "B11", "B3", "var_cond"), out))
 
 

@@ -24,9 +24,11 @@ holds a scratch copy of an earlier version and may be deleted while no command
 runs. An exclusive
 lock file naming its holder's pid is held from reading the monitoring state,
 before the trial is read, until the state is written back. ``analyze``
-checks a look against the state before it reads the trial, so a state or
-design refusal (exit 5 or 2) comes before a CSV error (exit 3): a negative
-``--u`` on a state with looks exits 5. Exit codes: 0 success; 2
+checks a look against the state, and replays the state's recorded looks on
+its design, before it reads the trial, so a state or design refusal (exit 5
+or 2) comes before a CSV error (exit 3) or an estimation error (exit 4): a
+negative ``--u`` on a state with looks, or a recorded critical value or
+spend that is not its replay, exits 5. Exit codes: 0 success; 2
 configuration error; 3 data error; 4 estimation error (including an estimate
 or information that is not finite, in which case the state file is left as
 it was); 5 state error. An input that cannot be read (missing, a directory,
@@ -231,8 +233,9 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--state is required unless --report-only is given")
     with nullcontext() if args.report_only else _state_lock(args.state):
         state = None if args.report_only else _load_or_create_state(args)
-        if state is not None:  # a look the state refuses never reads its trial
+        if state is not None:  # a look the state refuses, or a state its replay refuses, never reads its trial
             state.check(args.u, args.tau)
+            state.replay()
         snap = _snapshot_from_args(args)
         result = analyze(snap).report(0)
         report: dict = {"analysis": result}

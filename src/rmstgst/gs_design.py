@@ -498,35 +498,45 @@ class MonitoringState(Record):
             raise StateError(f"tau={tau} differs from the recorded tau={recorded}; every analysis of one trial "
                              "restricts its means at one horizon")
 
+    def replay(self, *looks) -> tuple[list, list, list]:
+        """Each look's decision, critical value (None if skipped) and cumulative spend, walking the recorded analyses,
+        then ``looks`` (info_fraction, z, final). Raises the first look's ConfigError, or StateError for a recorded
+        analysis whose decision, critical value or spend is not the replay's (to 1e-9 relative, 1e-12 absolute)."""
+        recorded = [(a.info_level / self.design.i_max, a.z, a.final) for a in self.analyses]
+        fractions, zs, finals = tuple(zip(*recorded, *looks)) or ((), (), ())
+        (decisions,), (critical,), (spent,) = _walk(self.design.spending, [fractions], [zs], finals)
+        for error in (d for d in decisions if isinstance(d, ConfigError)):  # the first
+            raise error
+        critical, spent = [None if d == "skipped" else c for d, c in zip(decisions, critical.tolist())], spent.tolist()
+        for k, (a, decision, c, s) in enumerate(zip(self.analyses, decisions, critical, spent), start=1):
+            agree = [x == y or None not in (x, y) and math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+                     for x, y in ((a.critical_value, c), (a.cumulative_spend, s))]
+            if a.decision != decision or not all(agree):
+                raise StateError(f"analysis {k} records {a.decision} at critical value {a.critical_value}, cumulative "
+                                 f"spend {a.cumulative_spend}; replaying the recorded looks gives {decision} at {c}, "
+                                 f"{s}")
+        return decisions.tolist(), critical, spent
+
 
 def update_monitoring(state: MonitoringState, u, z, info_level, final: bool = False,
                       tau: float | None = None) -> MonitoringState:
     """Fold one analysis, at calendar time ``u`` with statistic ``z`` and information ``info_level``, into the state.
 
     The information fraction is the observed information over the design's
-    ``i_max``. The look replays the state: ``_walk`` steps the recorded
-    looks, then this one, and the new record is the walk's last look.
+    ``i_max``. The look replays the state (:meth:`MonitoringState.replay`,
+    which the CLI also runs before it reads the trial), and the new record
+    is the walk's last look.
 
     Raises StateError for a look ``MonitoringState.check`` refuses, a bad ``info_level``, or a recorded analysis
-    whose decision, critical value or cumulative spend is not the replay's, within 1e-9 relative or 1e-12 absolute.
+    that is not its replay.
     """
     u, z, info_level = float(u), float(z), float(info_level)
     state.check(u, tau)
     if not (info_level > 0 and math.isfinite(info_level)):
         raise StateError(f"info_level must be positive and finite, got {info_level!r}")
-    looks = [(a.info_level / state.design.i_max, a.z, a.final) for a in state.analyses]
-    fractions, zs, finals = zip(*looks, (info_level / state.design.i_max, z, final))
-    (decisions,), (critical,), (spent,) = _walk(state.design.spending, [fractions], [zs], finals)
-    for error in (d for d in decisions if isinstance(d, ConfigError)):  # the first
-        raise error
-    critical, spent = [None if d == "skipped" else c for d, c in zip(decisions, critical.tolist())], spent.tolist()
-    for k, (a, decision, c, s) in enumerate(zip(state.analyses, decisions, critical, spent), start=1):
-        agree = [x == y or None not in (x, y) and math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
-                 for x, y in ((a.critical_value, c), (a.cumulative_spend, s))]
-        if a.decision != decision or not all(agree):
-            raise StateError(f"analysis {k} records {a.decision} at critical value {a.critical_value}, cumulative "
-                             f"spend {a.cumulative_spend}; replaying the recorded looks gives {decision} at {c}, {s}")
-    record = AnalysisRecord(stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fractions[-1],
+    fraction = info_level / state.design.i_max
+    decisions, critical, spent = state.replay((fraction, z, final))
+    record = AnalysisRecord(stage=len(state.analyses) + 1, u=u, info_level=info_level, info_fraction=fraction,
                             z=z, critical_value=critical[-1], cumulative_spend=spent[-1], decision=decisions[-1],
                             final=final, tau=tau)
     return replace(state, analyses=state.analyses + (record,))

@@ -69,7 +69,7 @@ class SharedBaseline:
     that time in a pooled layout. The rest is as a :class:`Snapshot`'s."""
 
     def __init__(self, snap: Snapshot):
-        self.snap, self.u, self.tau = snap, snap.u, snap.tau
+        self.snap, self.u = snap, snap.u
         self.event_counts, self.event_stratum, self.look_rows = snap.event_counts, snap.event_stratum, snap.look_rows
         self.look_errors = snap.look_errors
         arm1 = look_sums(snap.event_counts, snap.stratum_rows)[1::2]  # the treatment arm's events

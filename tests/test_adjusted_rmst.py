@@ -28,7 +28,7 @@ from rmstgst.adjusted_rmst import Analyses, adjusted_survival, analyze, variance
 from rmstgst.errors import DataError, EstimationError, InsufficientEventsError, RmstgstError
 from rmstgst.sim_engine import SimScenario, _rng_for_replicate, cox_hr_test, draw_trial, true_rmst
 from rmstgst.stratified_cox import CoxFits, fit
-from rmstgst.trial_data import Trial, snapshot, snapshot_from_arrays
+from rmstgst.trial_data import Trial, look_sums, snapshot, snapshot_from_arrays
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -130,6 +130,7 @@ def naive_everything(snap, beta):
     cond_diff = mu_cond[1] - mu_cond[0]
     out["var_cond"] = float(np.mean((cond_diff - np.mean(cond_diff)) ** 2))
     out["mu_cond"] = np.column_stack((mu_cond[0], mu_cond[1]))
+    out["cond_diff"] = cond_diff
     out["psi_diff"] = psi[1] - psi[0]
     out["delta"] = delta
     return out
@@ -140,6 +141,21 @@ def stacked(snap, k=0):
     fits = fit(snap)
     adj = adjusted_survival(snap, fits, [k])
     return fits, adj, variance(snap, fits, adj)
+
+
+def kernel_means(monkeypatch, snap, fits, looks=(0,)):
+    """``adjusted_survival`` at ``looks``, and each look's conditional restricted means (n_k, 2) of both arms from
+    the kernel that ran: its own ``cond @ spans`` plus each arm's first event time."""
+    means = []
+    for name in ("_exact_kernel", "_node_kernel"):
+        def recorded(*args, kernel=getattr(adjusted_rmst, name)):
+            means.append(kernel(*args))
+            return means[-1]
+
+        monkeypatch.setattr(adjusted_rmst, name, recorded)
+    adj = adjusted_survival(snap, fits, list(looks))
+    firsts = snap.row_widths()[1]
+    return adj, [cond_mu + firsts[k] for k, (_, cond_mu) in zip(looks, means, strict=True)]
 
 
 def curve(snap, adj, k, arm):
@@ -277,24 +293,47 @@ class TestVariance:
         assert adj.mu[0, 1] - adj.mu[0, 0] == pytest.approx(ref["delta"], abs=1e-12)
 
     @pytest.mark.parametrize("empty", [0, 1])
-    def test_arm_without_events_matches_literal_recomputation(self, empty):
+    def test_arm_without_events_matches_literal_recomputation(self, empty, monkeypatch):
         rng = np.random.default_rng(11)
         arm = np.repeat([0, 1], 40)
         z = rng.uniform(0.0, 1.0, (arm.size, 1))
         time = rng.exponential(1.0 / np.exp(0.8 * z[:, 0] - 0.5 * arm))
         event = (rng.random(arm.size) < 0.8) & (arm != empty)
         snap = arrays_snapshot(time, event, arm, z)
-        fits, adj, comp = stacked(snap)
+        fits = fit(snap)
+        adj, (means,) = kernel_means(monkeypatch, snap, fits)
+        comp = variance(snap, fits, adj)
         ref = naive_everything(enrolled(snap), fits.beta[0])
         assert adj.mu[0, empty] == snap.tau
         np.testing.assert_allclose(adj.mu[0], [ref[0]["mu"], ref[1]["mu"]], rtol=1e-12)
-        np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=1e-12)
+        np.testing.assert_allclose(means, ref["mu_cond"], rtol=1e-12)
+        np.testing.assert_allclose(adj.cond_diff[0], ref["cond_diff"], rtol=1e-12)
         assert (comp["B10"][0], comp["B11"][0])[empty] == 0.0
         assert (comp["B10"][0], comp["B11"][0])[1 - empty] == pytest.approx(ref[1 - empty]["b1"], rel=1e-10)
         psi_diff = ref["psi_diff"]
         b3 = enrolled(snap).n * float(psi_diff @ np.linalg.solve(fits.info[0], psi_diff))
         assert comp["B3"][0] == pytest.approx(b3, rel=1e-10)
         assert comp["var_cond"][0] == pytest.approx(ref["var_cond"], rel=1e-10)
+
+    @pytest.mark.parametrize("block", ["exact", "nodes"])
+    def test_var_cond_of_a_grid_group_is_the_spread_of_the_arms_means(self, block, monkeypatch):
+        # two replicates at calibration's calendar grid in one snapshot, as its grid pass stacks them: var_cond is
+        # bit for bit the spread of each look's arm 1 conditional means less arm 0's, as the kernel gave them
+        scn = SimScenario.read(PERFBENCH_DATA / "cal_scenario.json")
+        grid = np.append(np.arange(0.1, scn.total_duration - 1e-9, 0.1), scn.total_duration)
+        snap = snapshot([draw_trial(scn, _rng_for_replicate(20200920, rep)) for rep in (5, 6)], u=grid, tau=scn.tau)
+        if block == "nodes":
+            monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", 0)  # every look at nodes, one subject a chunk
+        fits = fit(snap)
+        looks = [k for k, error in enumerate(fits.errors) if error is None]
+        adj, means = kernel_means(monkeypatch, snap, fits, looks)
+        assert snap.u.size == 2 * grid.size and len(looks) > grid.size
+        diffs = [cond[:, 1] - cond[:, 0] for cond in means]
+        at, diff = np.cumsum([0] + [d.size for d in diffs]), np.concatenate(diffs)
+        n = snap.stratum_n.reshape(-1, 2).sum(axis=1)[looks]
+        want = np.full(snap.u.size, np.nan)
+        want[looks] = look_sums((diff - np.repeat(look_sums(diff, at) / n, n)) ** 2, at) / n
+        assert variance(snap, fits, adj)["var_cond"].tobytes() == want.tobytes()
 
     def test_no_covariates_var_cond_zero(self):
         snap = arrays_snapshot(
@@ -325,8 +364,10 @@ class TestBlockedKernel:
     """The exact kernel, and the node kernel past a smaller block, against the literal n x r formulas."""
 
     @literal_cases
-    def test_matches_literal_recomputation(self, snap):
-        fits, adj, comp = stacked(snap)
+    def test_matches_literal_recomputation(self, snap, monkeypatch):
+        fits = fit(snap)
+        adj, (means,) = kernel_means(monkeypatch, snap, fits)
+        comp = variance(snap, fits, adj)
         look = enrolled(snap)
         ref = naive_everything(look, fits.beta[0])
         rel = 1e-12
@@ -337,7 +378,8 @@ class TestBlockedKernel:
             np.testing.assert_allclose(values, ref[arm]["values"], rtol=rel)
             np.testing.assert_allclose(adj.c1[rows], ref[arm]["c1"], rtol=rel)
             np.testing.assert_allclose(adj.c2[rows], ref[arm]["c2"], rtol=rel)
-        np.testing.assert_allclose(adj.mu_cond[0], ref["mu_cond"], rtol=rel)
+        np.testing.assert_allclose(means, ref["mu_cond"], rtol=rel)
+        np.testing.assert_allclose(adj.cond_diff[0], ref["cond_diff"], rtol=rel)
         assert comp["B10"][0] == pytest.approx(ref[0]["b1"], rel=rel)
         assert comp["B11"][0] == pytest.approx(ref[1]["b1"], rel=rel)
         psi_diff = ref["psi_diff"]
@@ -349,7 +391,7 @@ class TestBlockedKernel:
     @literal_cases
     def test_node_path_matches_literal_recomputation(self, snap, monkeypatch):
         monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", 1)  # the node path, one subject's weights a chunk
-        self.test_matches_literal_recomputation(snap)
+        self.test_matches_literal_recomputation(snap, monkeypatch)
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_block_size_does_not_change_the_result(self, p, monkeypatch):
@@ -359,13 +401,14 @@ class TestBlockedKernel:
         results = {}
         for name, cells in (("one row", 1), ("64 rows", 64 * r), ("one block", enrolled(snap).n * r)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", cells)
-            results[name] = adjusted_survival(snap, fits, [0])
-        ref = results["one row"]
+            results[name] = kernel_means(monkeypatch, snap, fits)
+        ref, (ref_means,) = results["one row"]
         for name in ("64 rows", "one block"):
+            adj, (means,) = results[name]
             for field in ("values", "c1", "c2", "mu"):
-                np.testing.assert_allclose(getattr(results[name], field), getattr(ref, field), rtol=1e-13,
-                                           err_msg=name)
-            np.testing.assert_allclose(results[name].mu_cond[0], ref.mu_cond[0], rtol=1e-13, err_msg=name)
+                np.testing.assert_allclose(getattr(adj, field), getattr(ref, field), rtol=1e-13, err_msg=name)
+            np.testing.assert_allclose(means, ref_means, rtol=1e-13, err_msg=name)
+            np.testing.assert_allclose(adj.cond_diff[0], ref.cond_diff[0], rtol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("case", ["random", "w of 0", "run-off w", "hazard of 0"])
     def test_exact_kernel_is_the_outer_product_kernel(self, case):
@@ -486,16 +529,17 @@ class TestNodeKernel:
         paths = {}
         for name, block in (("exact", adjusted_rmst._BLOCK_CELLS), ("nodes", self.NODE_CELLS)):
             monkeypatch.setattr(adjusted_rmst, "_BLOCK_CELLS", block)
-            adj = adjusted_survival(snap, fits, [0])
+            adj, (means,) = kernel_means(monkeypatch, snap, fits)
             comp = variance(snap, fits, adj)
-            paths[name] = adj, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / sum(comp.values())[0],
-                                *(term[0] for term in comp.values())]
+            paths[name] = adj, means, [adj.mu[0, 1] - adj.mu[0, 0], enrolled(snap).n / sum(comp.values())[0],
+                                       *(term[0] for term in comp.values())]
         assert len(calls) == 1  # the node path ran once, with the smaller block
-        (exact, exact_stats), (nodes, nodes_stats) = paths["exact"], paths["nodes"]
+        (exact, exact_means, exact_stats), (nodes, nodes_means, nodes_stats) = paths["exact"], paths["nodes"]
         for field in ("values", "c1", "c2"):
             np.testing.assert_allclose(getattr(nodes, field), getattr(exact, field), rtol=0, atol=1e-13,
                                        err_msg=field)
-        np.testing.assert_allclose(nodes.mu_cond[0], exact.mu_cond[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nodes_means, exact_means, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nodes.cond_diff[0], exact.cond_diff[0], rtol=0, atol=1e-13)
         # delta, info, b10, b11, b3 and var_cond; the tied look's b3 and var_cond are 0 but for rounding (~1e-31)
         np.testing.assert_allclose(nodes_stats, exact_stats, rtol=1e-11, atol=1e-20)
 

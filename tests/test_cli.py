@@ -648,13 +648,15 @@ class TestAnalyze:
         assert f"malformed monitoring state: analysis 2 records stage {stage} and info_fraction {fraction}; " in err
         assert state_path.read_bytes() == before
 
+    @pytest.mark.parametrize("data", ["trial", "missing", "arm-without-events"])
     @pytest.mark.parametrize("analysis, edit", [  # each, if trusted, would steer the next look's critical value
         (2, lambda a: a.update(cumulative_spend=0.04)),  # to infinity
         (1, lambda a: a.update(critical_value=1.2 * a["critical_value"])),  # to 2.4321
         (2, lambda a: a.update(decision="skipped", critical_value=None)),  # to 2.3769
     ], ids=["spend", "critical_value", "skipped"])
-    def test_state_record_not_its_replay_exit_5(self, analysis, edit, trial_csv, tmp_path, capsys):
-        # a look replays the recorded looks on the design, so an edited decision or number cannot steer it
+    def test_state_record_not_its_replay_exit_5(self, analysis, edit, data, trial_csv, tmp_path, capsys):
+        # a look replays the recorded looks on the design, so an edited decision or number cannot steer it; the replay
+        # comes before the trial is read, so neither a missing CSV's exit 3 nor an arm without events' exit 4 hides it
         design = DesignConfig(spending=SpendingFunction("obrien_fleming_like"), planned_fractions=(0.5, 0.75, 1.0),
                               i_max=100.0)
         state = MonitoringState(design=design)
@@ -668,11 +670,16 @@ class TestAnalyze:
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps(doc, indent=2))
         before = state_path.read_bytes()
-        code, _, err = run_cli(capsys, "analyze", "--data", trial_csv, "--tau", "1.0", "--state", str(state_path),
+        csv_path = trial_csv if data == "trial" else str(tmp_path / f"{data}.csv")
+        if data == "arm-without-events":
+            rows = locked_trial_rows(np.random.default_rng(31), 120, lock=3.0)
+            write_trial_csv(csv_path, [[*row[:4], 0 if row[1] == 1 else row[4], *row[5:]] for row in rows])
+        code, _, err = run_cli(capsys, "analyze", "--data", csv_path, "--tau", "1.0", "--state", str(state_path),
                                "--u", "2.0")
         assert_typed_error(code, err, 5)
         assert f"analysis {analysis} records " in err and "replaying the recorded looks gives" in err
         assert state_path.read_bytes() == before
+        assert not list(tmp_path.glob("*.lock")) and not list(tmp_path.glob(".*.spare"))
 
     def test_schema_file_not_an_object_exit_3(self, trial_csv, tmp_path, capsys):
         schema = tmp_path / "schema.json"
